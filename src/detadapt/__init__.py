@@ -10,7 +10,7 @@ frozen expert supplies auxiliary pseudo-supervision.
 from .config import AdaptationConfig, default_config
 from .cropbank import (DISSIMILAR, SIMILAR, AugmentPolicy, CropEntry, Cropbank,
                        augment_sample, mixup, sample_pair)
-from .detector import (Detection, GradientSet, ModelParams, TrainingError,
+from .detector import (Detection, GradientSet, ModelParams, Scored, TrainingError,
                        detection_loss, forward, giou, load_params, save_params,
                        sgd_step)
 from .expert import ExpertLabel, ExpertSpec, expert_loss, expert_predict

@@ -4,7 +4,7 @@ Modes:
   pretrain        train on generated source data, save the model
   adapt           pretrain (or load --params), adapt, save history/checkpoints
   eval            score saved params against a saved dataset
-  ablation-suite  base / +SA / +SAL / full runs with a shared seed
+  ablation-suite  base / +SA / +SAL / full runs from one shared source model
 """
 
 from __future__ import annotations
@@ -98,11 +98,12 @@ def _mode_eval(config: AdaptationConfig, out: str, params_path: str | None,
 
 
 def _mode_ablation(config: AdaptationConfig, out: str) -> None:
+    # the variants differ only in enable_* flags, which neither pretraining nor
+    # target generation reads, so all four share one source model and target set
+    source_params, _ = pretrain_source(config)
+    target_data = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
     rows = []
     for name, variant in ablation_variants(config).items():
-        source_params, _ = pretrain_source(variant)
-        target_data = generate_domain(variant.target,
-                                      derive_seed(variant.seed, "world", "target"))
         _, history = adapt(source_params, target_data, variant)
         history.save_csv(os.path.join(out, f"history_{name}.csv"))
         rows.append([name, repr(history.final_teacher_map())])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .detector import match_labels
 from .relation import ClassSplit, RelationMatrix
-from .world import BBox, DetectionSample
+from .world import BBox, DetectionSample, box_array
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
@@ -152,6 +152,8 @@ def augment_sample(
     policy: AugmentPolicy,
     sample_subset: str,
     rng: np.random.Generator,
+    *,
+    matches: np.ndarray | None = None,
 ) -> tuple[DetectionSample, list[tuple[BBox, np.ndarray]]]:
     """Independently blend each labeled instance with probability p_aug.
 
@@ -159,13 +161,15 @@ def augment_sample(
     appearance is the only evidence of the true target distribution). Samples
     from the similar subset draw partners from both banks; dissimilar samples
     prioritize the dissimilar bank. The matched proposal's feature is replaced
-    in the returned sample and the label's class vector turns soft.
+    in the returned sample and the label's class vector turns soft. Labels
+    keep their boxes, so `matches` (`match_labels` of the labels, when the
+    caller has it) holds for the returned labels too.
     """
     if not labels:
         return sample, []
     features = sample.proposal_features.copy()
-    label_boxes = np.array([box.as_array() for box, _ in labels])
-    matches = match_labels(sample.proposal_boxes, label_boxes)
+    if matches is None:
+        matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
     preference = BOTH if sample_subset == SIMILAR else DISSIMILAR
 
     new_labels = []

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .world import BBox, DetectionSample, iou_matrix
+from .world import BBox, DetectionSample, box_array, boxes_from_raw, iou_matrix
 
 
 class TrainingError(RuntimeError):
@@ -141,6 +142,29 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
+def _check_features(params: ModelParams, sample: DetectionSample) -> np.ndarray:
+    x = sample.proposal_features
+    if x.shape[1] != params.feature_dim:
+        raise ValueError(f"feature dim {x.shape[1]} != model dim {params.feature_dim}")
+    return x
+
+
+def _dropped(params: ModelParams, x: np.ndarray, dropout_seed: int | None) -> np.ndarray:
+    if dropout_seed is not None and params.dropout_rate > 0.0:
+        rng = np.random.default_rng(dropout_seed)
+        mask = rng.random(x.shape) >= params.dropout_rate
+        return x * mask / (1.0 - params.dropout_rate)
+    return x
+
+
+def _heads(params: ModelParams, h: np.ndarray, proposal_boxes: np.ndarray):
+    # h is (P, D) or a stack (M, P, D); every op acts per pass and per row
+    logits = h @ params.w_cls.T + params.b_cls
+    log_scores = log_softmax(logits)
+    deltas = h @ params.w_reg.T + params.b_reg
+    return h, log_scores, np.exp(log_scores), proposal_boxes + deltas
+
+
 def forward_arrays(params: ModelParams, sample: DetectionSample,
                    dropout_seed: int | None = None):
     """Raw forward pass.
@@ -150,33 +174,67 @@ def forward_arrays(params: ModelParams, sample: DetectionSample,
     dropout scales retained activations by 1/(1-p), so inference (no seed)
     needs no rescaling.
     """
-    x = sample.proposal_features
-    if x.shape[1] != params.feature_dim:
-        raise ValueError(f"feature dim {x.shape[1]} != model dim {params.feature_dim}")
-    if dropout_seed is not None and params.dropout_rate > 0.0:
-        rng = np.random.default_rng(dropout_seed)
-        mask = rng.random(x.shape) >= params.dropout_rate
-        h = x * mask / (1.0 - params.dropout_rate)
-    else:
-        h = x
-    logits = h @ params.w_cls.T + params.b_cls
-    log_scores = log_softmax(logits)
-    deltas = h @ params.w_reg.T + params.b_reg
-    refined = sample.proposal_boxes + deltas
-    return h, log_scores, np.exp(log_scores), refined
+    x = _check_features(params, sample)
+    return _heads(params, _dropped(params, x, dropout_seed), sample.proposal_boxes)
+
+
+def forward_stacked(params: ModelParams, sample: DetectionSample, dropout_seeds):
+    """`forward_arrays` once per dropout seed, as one stacked (M, P, D) pass.
+
+    Pass m equals `forward_arrays(params, sample, dropout_seeds[m])` bit for
+    bit: the masks are drawn per seed in order, and the stacked products are
+    computed pass by pass.
+    """
+    x = _check_features(params, sample)
+    h = np.stack([_dropped(params, x, seed) for seed in dropout_seeds])
+    return _heads(params, h, sample.proposal_boxes)
+
+
+class Scored:
+    """One forward pass of a model on a sample, as arrays.
+
+    Holds the outputs of `forward_arrays` (h, log_scores, scores, refined).
+    The foreground argmax class and score and the valid refined boxes are
+    derived on first use, so a caller that needs only the loss pays for none
+    of them, and one that needs them twice computes them once.
+    """
+
+    def __init__(self, params: ModelParams, sample: DetectionSample,
+                 dropout_seed: int | None = None):
+        self.num_classes = params.num_classes
+        self.h, self.log_scores, self.scores, self.refined = \
+            forward_arrays(params, sample, dropout_seed)
+
+    @cached_property
+    def class_ids(self) -> np.ndarray:
+        """(P,) argmax over foreground classes, ties to the lower id."""
+        return np.argmax(self.scores[:, :self.num_classes], axis=1)
+
+    @cached_property
+    def fg_scores(self) -> np.ndarray:
+        """(P,) max foreground score."""
+        return self.scores[np.arange(len(self.scores)), self.class_ids]
+
+    @cached_property
+    def boxes(self) -> np.ndarray:
+        """(P, 4) refined boxes made valid by the `BBox.from_raw` rule."""
+        return boxes_from_raw(self.refined)
 
 
 def forward(params: ModelParams, sample: DetectionSample,
             dropout_seed: int | None = None) -> list[Detection]:
-    """One Detection per proposal, in proposal order."""
-    _, _, scores, refined = forward_arrays(params, sample, dropout_seed)
-    num_fg = params.num_classes
-    out = []
-    for j in range(sample.num_proposals):
-        fg = scores[j, :num_fg]
-        cid = int(np.argmax(fg))
-        out.append(Detection(j, BBox.from_raw(*refined[j]), scores[j], cid, float(fg[cid])))
-    return out
+    """One Detection per proposal, in proposal order.
+
+    The object view of one `Scored`: its boxes, foreground classes and scores,
+    one `Detection` each. Evaluation and the tests use it; training and the
+    partition work on the arrays and build no objects.
+    """
+    scored = Scored(params, sample, dropout_seed)
+    boxes = scored.boxes.tolist()
+    class_ids = scored.class_ids.tolist()
+    fg_scores = scored.fg_scores.tolist()
+    return [Detection(j, BBox(*boxes[j]), scored.scores[j], class_ids[j], fg_scores[j])
+            for j in range(len(boxes))]
 
 
 def _giou_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -252,6 +310,8 @@ def detection_loss(
     background="auto",
     dropout_seed: int | None = None,
     delta: float = 1.0,
+    scored: Scored | None = None,
+    matches: np.ndarray | None = None,
 ) -> tuple[float, GradientSet]:
     """Supervised detection loss and its exact gradients.
 
@@ -262,6 +322,10 @@ def detection_loss(
     background target: "auto" for all of them, None for none, or an explicit
     index list. Box terms average over matched labels; the CE term averages
     over all supervised instances, with background weights fixed at 1.
+
+    `scored` (a `Scored` of params on sample) and `matches` (`match_labels`
+    of the labels) let a caller that already has them skip the forward pass
+    and the matching; the loss is the same either way.
     """
     num_fg = params.num_classes
     n_labels = len(labels)
@@ -271,18 +335,21 @@ def detection_loss(
     if weights.shape != (n_labels,):
         raise ValueError("weights must align with labels")
 
-    h, log_scores, scores, refined = forward_arrays(params, sample, dropout_seed)
+    if scored is None:
+        scored = Scored(params, sample, dropout_seed)
+    h, log_scores, scores, refined = scored.h, scored.log_scores, scored.scores, scored.refined
     n_prop = sample.num_proposals
 
-    label_boxes = np.array([box.as_array() for box, _ in labels]).reshape(-1, 4)
-    matches = match_labels(sample.proposal_boxes, label_boxes)
+    if matches is None:
+        matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
 
+    matched = set(matches.tolist())
     if background == "auto":
-        bg_indices = [j for j in range(n_prop) if j not in set(matches)]
+        bg_indices = [j for j in range(n_prop) if j not in matched]
     elif background is None:
         bg_indices = []
     else:
-        bg_indices = [j for j in background if j not in set(matches)]
+        bg_indices = [j for j in background if j not in matched]
 
     # (proposal, target over C+1 classes, weight) rows for the CE term
     ce_rows = []

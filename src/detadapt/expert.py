@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import (GradientSet, ModelParams, forward_arrays, match_labels,
-                       smooth_l1, smooth_l1_grad)
+from .detector import (GradientSet, ModelParams, Scored, match_labels, smooth_l1,
+                       smooth_l1_grad)
 from .util import one_hot
-from .world import BBox, DetectionSample
+from .world import BBox, DetectionSample, box_array
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,14 @@ def expert_loss(
     *,
     dropout_seed: int | None = None,
     delta: float = 1.0,
+    scored: Scored | None = None,
+    matches: np.ndarray | None = None,
 ) -> tuple[float, GradientSet]:
     """cls_weight * weighted CE + reg_weight * smooth-L1, matched by max IoU.
 
     Only proposals matched to an expert label are supervised; the expert says
     nothing about the rest of the image, so there is no background term here.
+    `scored` and `matches` work as in `detection_loss`.
     """
     if not labels:
         return 0.0, GradientSet.zeros_like(params)
@@ -91,10 +94,12 @@ def expert_loss(
     if weights.shape != (n,):
         raise ValueError("weights must align with expert labels")
 
-    h, log_scores, scores, refined = forward_arrays(params, sample, dropout_seed)
+    if scored is None:
+        scored = Scored(params, sample, dropout_seed)
+    h, log_scores, scores, refined = scored.h, scored.log_scores, scored.scores, scored.refined
     num_fg = params.num_classes
-    label_boxes = np.array([lab.box.as_array() for lab in labels])
-    matches = match_labels(sample.proposal_boxes, label_boxes)
+    if matches is None:
+        matches = match_labels(sample.proposal_boxes, box_array(lab.box for lab in labels))
 
     d_logits = np.zeros_like(scores)
     d_refined = np.zeros_like(refined)

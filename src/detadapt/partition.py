@@ -1,10 +1,11 @@
 """Target-set partitioning by Monte-Carlo-dropout detection variance.
 
-The source-pretrained model runs M stochastic forward passes per sample;
-box-coordinate and class-score variances multiply into a single detection
-variance. Samples are ranked ascending by variance and the top fraction
-(variance level >= sigma) is tagged source-similar: the pretrained model is
-most uncertain exactly where the data resembles its training domain.
+The source-pretrained model runs M stochastic forward passes per sample, as
+one stacked (M, P, D) computation; box-coordinate and class-score variances
+of the stacked outputs multiply into a single detection variance. Samples are
+ranked ascending by variance and the top fraction (variance level >= sigma)
+is tagged source-similar: the pretrained model is most uncertain exactly
+where the data resembles its training domain.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cropbank import DISSIMILAR, SIMILAR
-from .detector import Detection, ModelParams, forward
-from .world import DetectionSample
+from .detector import ModelParams, forward_stacked
+from .world import DetectionSample, boxes_from_raw
 
 
 @dataclass(frozen=True)
@@ -55,21 +56,18 @@ class VarianceReport:
 
 
 def mc_passes(params: ModelParams, sample: DetectionSample, num_passes: int,
-              rng: np.random.Generator) -> list[list[Detection]]:
-    """Independent-dropout forward passes; proposal order is identical across passes."""
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Independent-dropout forward passes of one sample, stacked.
+
+    Returns (boxes, scores): the (M, P, 4) valid refined boxes and the
+    (M, P, C+1) softmax scores, one slice per pass in proposal order. The M
+    dropout seeds are drawn from `rng` in pass order.
+    """
     if num_passes < 2:
         raise ValueError("need at least 2 passes for a variance estimate")
-    return [
-        forward(params, sample, dropout_seed=int(rng.integers(0, 2**63 - 1)))
-        for _ in range(num_passes)
-    ]
-
-
-def _stacked(passes: list[list[Detection]], extract) -> np.ndarray:
-    counts = {len(p) for p in passes}
-    if len(counts) != 1:
-        raise ValueError("inconsistent detection counts across passes")
-    return np.array([[extract(det) for det in p] for p in passes])
+    seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(num_passes)]
+    _, _, scores, refined = forward_stacked(params, sample, seeds)
+    return boxes_from_raw(refined), scores
 
 
 def _mean_sq_deviation(stack: np.ndarray) -> float:
@@ -80,14 +78,14 @@ def _mean_sq_deviation(stack: np.ndarray) -> float:
     return float((dev**2).sum() / (m * p))
 
 
-def box_variance(passes: list[list[Detection]]) -> float:
-    """Mean squared deviation of box coordinates around their per-proposal mean."""
-    return _mean_sq_deviation(_stacked(passes, lambda d: d.box.as_array()))
+def box_variance(boxes: np.ndarray) -> float:
+    """Mean squared deviation of (M, P, 4) box coordinates around their per-proposal mean."""
+    return _mean_sq_deviation(np.asarray(boxes, dtype=float))
 
 
-def cls_variance(passes: list[list[Detection]]) -> float:
-    """Same statistic over the softmax score vectors."""
-    return _mean_sq_deviation(_stacked(passes, lambda d: d.scores))
+def cls_variance(scores: np.ndarray) -> float:
+    """Same statistic over (M, P, C+1) softmax score vectors."""
+    return _mean_sq_deviation(np.asarray(scores, dtype=float))
 
 
 def split_by_variance(variances: list[tuple[int, float]], sigma: float) -> list[tuple[int, int, float, str]]:
@@ -117,14 +115,19 @@ def partition(
     sigma: float,
     rng: np.random.Generator,
 ) -> VarianceReport:
-    """One-time split of the target set into source-similar and dissimilar subsets."""
+    """One-time split of the target set into source-similar and dissimilar subsets.
+
+    Each sample gets one `mc_passes` call, a single stacked pass over its M
+    dropout masks; samples are visited in id order, so the seeds drawn from
+    `rng` do not depend on the input order.
+    """
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to partition")
     per_sample = {}
     for sample in sorted(samples, key=lambda s: s.id):
-        passes = mc_passes(params, sample, num_passes, rng)
-        v_b = box_variance(passes)
-        v_c = cls_variance(passes)
+        boxes, scores = mc_passes(params, sample, num_passes, rng)
+        v_b = box_variance(boxes)
+        v_c = cls_variance(scores)
         per_sample[sample.id] = (v_b, v_c, v_b * v_c)
 
     ranked = split_by_variance([(sid, v[2]) for sid, v in per_sample.items()], sigma)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import ModelParams, detection_loss, forward, sgd_step
+from .detector import ModelParams, Scored, detection_loss, sgd_step
 from .util import one_hot
 from .world import BBox, DetectionSample, perturb_features
 
@@ -36,16 +36,22 @@ class TeacherState:
             raise ValueError("conf_threshold must lie in (0, 1]")
 
 
-def pseudo_label(teacher: ModelParams, sample: DetectionSample, conf_threshold: float) -> list[PseudoLabel]:
-    """Labels from proposals whose max foreground score reaches the threshold."""
+def pseudo_label(teacher: ModelParams, sample: DetectionSample, conf_threshold: float,
+                 *, scored: Scored | None = None) -> list[PseudoLabel]:
+    """Labels from proposals whose max foreground score reaches the threshold.
+
+    `scored` (a `Scored` of the teacher on the sample) skips the forward pass.
+    """
     if not 0.0 < conf_threshold <= 1.0:
         raise ValueError("conf_threshold must lie in (0, 1]")
-    out = []
-    for det in forward(teacher, sample):
-        if det.score >= conf_threshold:
-            out.append(PseudoLabel(det.box, one_hot(det.class_id, teacher.num_classes),
-                                   det.score, det.proposal_index))
-    return out
+    if scored is None:
+        scored = Scored(teacher, sample)
+    boxes = scored.boxes.tolist()
+    class_ids = scored.class_ids.tolist()
+    fg_scores = scored.fg_scores.tolist()
+    return [PseudoLabel(BBox(*boxes[j]), one_hot(class_ids[j], teacher.num_classes),
+                        fg_scores[j], j)
+            for j in np.flatnonzero(scored.fg_scores >= conf_threshold).tolist()]
 
 
 def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> ModelParams:
@@ -54,7 +60,8 @@ def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> M
         raise ValueError("ema_rate must lie in [0, 1]")
     if teacher.w_cls.shape != student.w_cls.shape or teacher.w_reg.shape != student.w_reg.shape:
         raise ValueError("teacher/student shape mismatch")
-    blend = lambda t, s: ema_rate * t + (1.0 - ema_rate) * s
+    # where the two agree the blend could round away from both; keep it exact
+    blend = lambda t, s: np.where(s == t, t, ema_rate * t + (1.0 - ema_rate) * s)
     return ModelParams(
         blend(teacher.w_cls, student.w_cls),
         blend(teacher.b_cls, student.b_cls),
@@ -64,12 +71,16 @@ def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> M
     )
 
 
-def background_indices(teacher: ModelParams, sample: DetectionSample, bar: float) -> list[int]:
+def background_indices(teacher: ModelParams, sample: DetectionSample, bar: float,
+                       *, scored: Scored | None = None) -> list[int]:
     """Proposals the teacher is confident are background (max fg score below bar).
 
     Proposals between the bar and the pseudo-label threshold stay unsupervised.
+    `scored` works as in `pseudo_label`.
     """
-    return [det.proposal_index for det in forward(teacher, sample) if det.score < bar]
+    if scored is None:
+        scored = Scored(teacher, sample)
+    return np.flatnonzero(scored.fg_scores < bar).tolist()
 
 
 def student_step(

@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import AdaptationConfig
 from .cropbank import SIMILAR, AugmentPolicy, CropEntry, Cropbank, augment_sample
-from .detector import (GradientSet, ModelParams, TrainingError, detection_loss,
-                       forward, match_labels, sgd_step)
+from .detector import (GradientSet, ModelParams, Scored, TrainingError, detection_loss,
+                       match_labels, sgd_step)
 from .expert import expert_loss, expert_predict
 from .metrics import evaluate
 from .partition import VarianceReport, partition
@@ -28,7 +28,8 @@ from .relation import RelationMatrix, batch_confusion
 from .teacher import background_indices, ema_update, pseudo_label
 from .util import derive_seed, one_hot, rng_stream
 from .weighting import relation_weights
-from .world import DetectionSample, DomainSpec, generate_domain, perturb_features
+from .world import (DetectionSample, DomainSpec, box_array, generate_domain,
+                    perturb_features)
 
 
 class SourceAccessError(RuntimeError):
@@ -193,12 +194,12 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
     return params, sealed
 
 
-def _student_view(sample, labels, relation, split, bank, policy, subset, aug_rng,
-                  noise_rng, config):
+def _student_view(sample, labels, matches, relation, split, bank, policy, subset,
+                  aug_rng, noise_rng, config):
     """Augment (when enabled and ready) and add strong-view feature noise."""
     if config.enable_sa and split is not None:
         sample, labels = augment_sample(sample, labels, relation, split, bank,
-                                        policy, subset, aug_rng)
+                                        policy, subset, aug_rng, matches=matches)
     if config.noise_scale > 0:
         sample = perturb_features(sample, config.noise_scale, noise_rng)
     return sample, labels
@@ -216,6 +217,13 @@ def adapt(
     the augmented noisy view with relation-derived instance weights plus expert
     supervision, the discriminator trains on subset tags, the teacher follows
     by EMA, and the relation matrix and crop banks absorb the batch statistics.
+
+    Per sample-step each model runs forward once: the teacher's `Scored` of the
+    clean sample gives both the pseudo-labels and the background proposals,
+    and the student's `Scored` of the strong view gives the predicted classes
+    of the label and expert pairs and both losses. Each label set (pseudo and
+    expert) is matched to the proposals once; augmentation keeps label boxes
+    and proposal boxes, so the matches serve the pairs and the losses too.
     """
     config.validate()
     num_classes = config.num_classes
@@ -258,26 +266,27 @@ def adapt(
             for pos in batch:
                 sample = by_id[ids[int(pos)]]
                 subset = report.subset_of(sample.id)
-                pseudo = pseudo_label(teacher, sample, config.conf_threshold)
+                scored_t = Scored(teacher, sample)
+                pseudo = pseudo_label(teacher, sample, config.conf_threshold, scored=scored_t)
                 labels = [(p.box, p.class_vec) for p in pseudo]
-                strong, labels = _student_view(sample, labels, relation, split, bank,
-                                               policy, subset, aug_rng, noise_rng, config)
+                matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
+                strong, labels = _student_view(sample, labels, matches, relation, split,
+                                               bank, policy, subset, aug_rng, noise_rng,
+                                               config)
+                scored_s = Scored(student, strong)
+                predicted = scored_s.class_ids.tolist()
 
-                pairs = []
-                if labels:
-                    dets = forward(student, strong)
-                    matches = match_labels(
-                        strong.proposal_boxes,
-                        np.array([box.as_array() for box, _ in labels]))
-                    pairs = [(int(np.argmax(vec)), dets[int(j)].class_id)
-                             for (_, vec), j in zip(labels, matches)]
+                pairs = [(int(np.argmax(vec)), predicted[j])
+                         for (_, vec), j in zip(labels, matches.tolist())]
                 weights = relation_weights(relation, pairs, config.weight_reg) \
                     if (config.enable_sal and pairs) else None
 
                 bg = None if config.background_bar is None else \
-                    background_indices(teacher, sample, config.background_bar)
+                    background_indices(teacher, sample, config.background_bar,
+                                       scored=scored_t)
                 loss_stu, g_stu = detection_loss(student, strong, labels, weights,
-                                                 background=bg)
+                                                 background=bg, scored=scored_s,
+                                                 matches=matches)
                 total = total + g_stu.scaled(lambda_u)
                 stu_losses.append(loss_stu)
                 batch_pairs.extend(pairs)
@@ -285,18 +294,17 @@ def adapt(
                 if config.enable_expert:
                     expert_rng = rng_stream(config.seed, "expert", epoch, sample.id)
                     elabels = expert_predict(config.expert, sample, expert_rng, num_classes)
+                    ematches = match_labels(strong.proposal_boxes,
+                                            box_array(lab.box for lab in elabels))
                     eweights = None
                     if config.enable_sal and elabels:
-                        dets = forward(student, strong)
-                        ematches = match_labels(
-                            strong.proposal_boxes,
-                            np.array([lab.box.as_array() for lab in elabels]))
-                        epairs = [(int(np.argmax(lab.class_vec)), dets[int(j)].class_id)
-                                  for lab, j in zip(elabels, ematches)]
+                        epairs = [(int(np.argmax(lab.class_vec)), predicted[j])
+                                  for lab, j in zip(elabels, ematches.tolist())]
                         eweights = relation_weights(relation, epairs, config.weight_reg)
                     loss_exp, g_exp = expert_loss(student, strong, elabels,
                                                   config.expert_cls_weight,
-                                                  config.expert_reg_weight, eweights)
+                                                  config.expert_reg_weight, eweights,
+                                                  scored=scored_s, matches=ematches)
                     total = total + g_exp
                     expert_losses.append(loss_exp)
 

@@ -62,6 +62,31 @@ class BBox:
         return np.array([self.x1, self.y1, self.x2, self.y2])
 
 
+def box_array(boxes) -> np.ndarray:
+    """(N, 4) corner array of an iterable of BBoxes."""
+    return np.array([box.as_array() for box in boxes]).reshape(-1, 4)
+
+
+def boxes_from_raw(raw: np.ndarray, min_size: float = 1e-6) -> np.ndarray:
+    """`BBox.from_raw` over the last axis of a (..., 4) array, as one array op.
+
+    Gives the same coordinates as `BBox.from_raw(*row).as_array()` for every
+    row, and raises ValueError whenever that would raise for any row. The
+    selects copy Python's min/max, so NaN and signed zeros resolve the same way.
+    """
+    raw = np.asarray(raw, dtype=float)
+    first, second = raw[..., :2], raw[..., 2:]
+    lo = np.where(second < first, second, first)
+    hi = np.where(second > first, second, first)
+    hi = np.where(hi - lo < min_size, lo + min_size, hi)
+    boxes = np.concatenate([lo, hi], axis=-1)
+    if not np.isfinite(boxes).all():
+        raise ValueError("non-finite box coordinates")
+    if not (lo < hi).all():
+        raise ValueError("degenerate box")
+    return boxes
+
+
 def iou(a: BBox, b: BBox) -> float:
     """Intersection over union of two valid boxes."""
     iw = min(a.x2, b.x2) - max(a.x1, b.x1)

@@ -1,17 +1,52 @@
 """Independent slow-path oracles used by the test suite.
 
 Everything here recomputes from first principles with plain loops: central
-finite differences for gradients, per-prefix rescored matching for AP, and a
-full threshold enumeration for FROC. None of it shares code with the package
-implementations beyond the matching rule they both define.
+finite differences for gradients, per-prefix rescored matching for AP, a
+full threshold enumeration for FROC, and the per-proposal object path (one
+`BBox.from_raw` and one argmax per proposal, per pass) for scoring. None of
+it shares code with the package implementations beyond the raw forward pass
+and the matching rule they both define.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from detadapt.detector import GradientSet, ModelParams
+from detadapt.detector import Detection, GradientSet, ModelParams, forward_arrays
 from detadapt.world import BBox
+
+
+def oracle_box(row, min_size: float = 1e-6) -> np.ndarray:
+    return BBox.from_raw(*row, min_size=min_size).as_array()
+
+
+def oracle_detections(params: ModelParams, sample, dropout_seed=None) -> list[Detection]:
+    """One Detection per proposal, each boxed and argmaxed on its own."""
+    _, _, scores, refined = forward_arrays(params, sample, dropout_seed)
+    out = []
+    for j in range(sample.num_proposals):
+        fg = scores[j, :params.num_classes]
+        cid = int(np.argmax(fg))
+        out.append(Detection(j, BBox.from_raw(*refined[j]), scores[j], cid, float(fg[cid])))
+    return out
+
+
+def oracle_mc_passes(params: ModelParams, sample, seeds):
+    """(M, P, 4) boxes and (M, P, C+1) scores from one forward pass per seed."""
+    passes = [oracle_detections(params, sample, seed) for seed in seeds]
+    boxes = np.array([[det.box.as_array() for det in dets] for dets in passes])
+    scores = np.array([[det.scores for det in dets] for dets in passes])
+    return boxes, scores
+
+
+def oracle_pseudo_labels(teacher: ModelParams, sample, conf_threshold):
+    """(proposal, box, class, score) of every detection at or above the threshold."""
+    return [(det.proposal_index, det.box, det.class_id, det.score)
+            for det in oracle_detections(teacher, sample) if det.score >= conf_threshold]
+
+
+def oracle_background_indices(teacher: ModelParams, sample, bar):
+    return [det.proposal_index for det in oracle_detections(teacher, sample) if det.score < bar]
 
 
 def numeric_gradient(loss_fn, params: ModelParams, h: float = 1e-5) -> GradientSet:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from detadapt import cli
 from detadapt.cli import run_cli
 from detadapt.config import default_config
 from detadapt.detector import save_params
@@ -53,16 +54,28 @@ def test_adapt_mode_outputs_are_deterministic(tmp_path, tiny_config_file):
     assert (out1 / "teacher_params.json").read_bytes() == (out2 / "teacher_params.json").read_bytes()
 
 
-def test_ablation_suite_produces_four_runs(tmp_path, tiny_config_file):
+def test_ablation_suite_produces_four_runs(tmp_path, tiny_config_file, monkeypatch):
     config_path, _ = tiny_config_file
+    pretrain_calls = []
+
+    def counted_pretrain(config):
+        pretrain_calls.append(config)
+        return pretrain_source(config)
+
+    monkeypatch.setattr(cli, "pretrain_source", counted_pretrain)
     out = tmp_path / "suite"
     assert run_cli(["--mode", "ablation-suite", "--config", config_path,
                     "--out", str(out)]) == 0
+    assert len(pretrain_calls) == 1
     lines = (out / "ablation_summary.csv").read_text().strip().splitlines()
     assert lines[0] == "variant,final_teacher_map"
     assert [row.split(",")[0] for row in lines[1:]] == ["base", "sa", "sal", "full"]
     for name in ("base", "sa", "sal", "full"):
         assert (out / f"history_{name}.csv").exists()
+    # the shared source model changes nothing: the full variant is the config itself
+    single = tmp_path / "single"
+    assert run_cli(["--mode", "adapt", "--config", config_path, "--out", str(single)]) == 0
+    assert (out / "history_full.csv").read_bytes() == (single / "history.csv").read_bytes()
 
 
 def test_bad_config_exits_two(tmp_path):

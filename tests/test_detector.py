@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from bruteforce import max_relative_error, numeric_gradient
-from detadapt.detector import (GradientSet, ModelParams, TrainingError,
-                               detection_loss, forward, forward_arrays, giou,
-                               load_params, save_params, sgd_step)
+from bruteforce import max_relative_error, numeric_gradient, oracle_detections
+from detadapt.detector import (GradientSet, ModelParams, Scored, TrainingError,
+                               detection_loss, forward, forward_arrays,
+                               forward_stacked, giou, load_params, match_labels,
+                               save_params, sgd_step)
 from detadapt.util import one_hot
-from detadapt.world import BBox, DetectionSample
+from detadapt.world import BBox, DetectionSample, box_array
 
 
 def random_sample(rng, num_proposals=5, feature_dim=6, span=8.0):
@@ -57,6 +58,23 @@ def test_forward_deterministic_without_dropout():
     for da, db in zip(a, b):
         assert np.array_equal(da.scores, db.scores)
         assert da.box == db.box
+
+
+def test_forward_matches_per_proposal_oracle():
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        params = random_params(rng, dropout=0.3 if trial % 2 else 0.0)
+        sample = random_sample(rng, num_proposals=int(rng.integers(1, 8)))
+        seed = None if trial % 3 == 0 else int(rng.integers(1000))
+        got = forward(params, sample, dropout_seed=seed)
+        want = oracle_detections(params, sample, dropout_seed=seed)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.proposal_index == w.proposal_index
+            assert g.box == w.box
+            assert np.array_equal(g.scores, w.scores)
+            assert (g.class_id, g.score) == (w.class_id, w.score)
+            assert type(g.class_id) is int and type(g.score) is float
 
 
 def test_zero_dropout_rate_ignores_seed():
@@ -132,7 +150,12 @@ def test_gradients_match_finite_differences():
         sample = random_sample(rng)
         labels = random_labels(rng, soft=True)
         weights = rng.uniform(0.2, 2.0, len(labels))
-        _, grads = detection_loss(params, sample, labels, weights)
+        loss, grads = detection_loss(params, sample, labels, weights)
+        shared = detection_loss(params, sample, labels, weights, scored=Scored(params, sample),
+                                matches=match_labels(sample.proposal_boxes,
+                                                     box_array(box for box, _ in labels)))
+        assert shared[0] == loss and np.array_equal(shared[1].w_cls, grads.w_cls)
+        assert np.array_equal(shared[1].w_reg, grads.w_reg)
         numeric = numeric_gradient(lambda p: detection_loss(p, sample, labels, weights)[0], params)
         assert max_relative_error(grads, numeric) < 1e-4
 
@@ -198,3 +221,7 @@ def test_feature_dim_mismatch_raises():
     sample = random_sample(rng, feature_dim=6)
     with pytest.raises(ValueError):
         forward(params, sample)
+    with pytest.raises(ValueError):
+        forward_arrays(params, sample)
+    with pytest.raises(ValueError):
+        forward_stacked(params, sample, [1, 2])

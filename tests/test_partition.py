@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from detadapt.cropbank import DISSIMILAR, SIMILAR
+from bruteforce import oracle_mc_passes
 from detadapt.partition import (VarianceReport, box_variance, cls_variance,
                                 mc_passes, partition, split_by_variance)
 from test_detector import random_params, random_sample
@@ -13,6 +14,22 @@ def make_passes(rng, dropout, num_passes=6, seed=0):
     return mc_passes(params, sample, num_passes, np.random.default_rng(seed))
 
 
+@pytest.mark.parametrize("num_proposals", [1, 2, 7])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_stacked_passes_match_per_pass_oracle(num_proposals, dropout):
+    rng = np.random.default_rng(10 + num_proposals)
+    params = random_params(rng, dropout=dropout)
+    sample = random_sample(rng, num_proposals=num_proposals)
+    boxes, scores = mc_passes(params, sample, 6, np.random.default_rng(3))
+    seed_rng = np.random.default_rng(3)
+    seeds = [int(seed_rng.integers(0, 2**63 - 1)) for _ in range(6)]
+    want_boxes, want_scores = oracle_mc_passes(params, sample, seeds)
+    assert boxes.shape == (6, num_proposals, 4)
+    assert scores.shape == (6, num_proposals, params.num_classes + 1)
+    assert np.array_equal(boxes, want_boxes)
+    assert np.array_equal(scores, want_scores)
+
+
 def test_mc_passes_require_at_least_two():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -21,9 +38,9 @@ def test_mc_passes_require_at_least_two():
 
 def test_no_dropout_passes_identical():
     rng = np.random.default_rng(1)
-    passes = make_passes(rng, dropout=0.0)
-    assert box_variance(passes) == 0.0
-    assert cls_variance(passes) == 0.0
+    boxes, scores = make_passes(rng, dropout=0.0)
+    assert box_variance(boxes) == 0.0
+    assert cls_variance(scores) == 0.0
 
 
 def test_same_rng_seed_reproduces_pass_set():
@@ -32,58 +49,40 @@ def test_same_rng_seed_reproduces_pass_set():
     sample = random_sample(rng)
     a = mc_passes(params, sample, 5, np.random.default_rng(9))
     b = mc_passes(params, sample, 5, np.random.default_rng(9))
-    for pa, pb in zip(a, b):
-        for da, db in zip(pa, pb):
-            assert np.array_equal(da.scores, db.scores)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_dropout_passes_differ():
     rng = np.random.default_rng(3)
-    passes = make_passes(rng, dropout=0.3, num_passes=10)
-    assert box_variance(passes) > 0.0
-    assert cls_variance(passes) > 0.0
+    boxes, scores = make_passes(rng, dropout=0.3, num_passes=10)
+    assert box_variance(boxes) > 0.0
+    assert cls_variance(scores) > 0.0
 
 
 def test_box_variance_two_pass_hand_value():
-    from detadapt.detector import Detection
-    from detadapt.world import BBox
-
     d = np.array([0.4, -0.2, 0.6, 0.8])
     base = np.array([0.0, 0.0, 4.0, 4.0])
-    scores = np.array([0.5, 0.5])
-    passes = [
-        [Detection(0, BBox(*base), scores, 0, 0.5)],
-        [Detection(0, BBox(*(base + d)), scores, 0, 0.5)],
-    ]
-    assert box_variance(passes) == pytest.approx(float(d @ d) / 4, abs=1e-12)
+    boxes = np.array([[base], [base + d]])  # (M=2, P=1, 4)
+    assert box_variance(boxes) == pytest.approx(float(d @ d) / 4, abs=1e-12)
 
 
 def test_box_variance_scales_quadratically():
-    from detadapt.detector import Detection
-    from detadapt.world import BBox
-
-    scores = np.array([1.0])
     def boxes(scale):
-        return [
-            [Detection(0, BBox(0, 0, 2 * scale, 2 * scale), scores, 0, 1.0)],
-            [Detection(0, BBox(scale, scale, 3 * scale, 3 * scale), scores, 0, 1.0)],
-        ]
+        return np.array([[[0, 0, 2 * scale, 2 * scale]],
+                         [[scale, scale, 3 * scale, 3 * scale]]], dtype=float)
     v1 = box_variance(boxes(1.0))
     v3 = box_variance(boxes(3.0))
     assert v3 == pytest.approx(9 * v1)
 
 
 def test_cls_variance_two_pass_hand_value_and_symmetry():
-    from detadapt.detector import Detection
-    from detadapt.world import BBox
-
-    box = BBox(0, 0, 1, 1)
     p = np.array([0.7, 0.2, 0.1])
     q = np.array([0.1, 0.6, 0.3])
-    passes = [[Detection(0, box, p, 0, 0.7)], [Detection(0, box, q, 1, 0.6)]]
+    scores = np.array([[p], [q]])  # (M=2, P=1, C+1)
     expected = float(np.sum((p - q) ** 2)) / 4
-    assert cls_variance(passes) == pytest.approx(expected, abs=1e-12)
-    assert cls_variance(passes[::-1]) == pytest.approx(expected, abs=1e-12)
+    assert cls_variance(scores) == pytest.approx(expected, abs=1e-12)
+    assert cls_variance(scores[::-1]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_split_by_variance_examples():
@@ -140,10 +139,10 @@ def test_higher_dropout_gives_larger_variance():
         sample = random_sample(np.random.default_rng(500 + i))
         p_low = random_params(np.random.default_rng(i), dropout=0.1)
         p_high = random_params(np.random.default_rng(i), dropout=0.5)
-        passes_low = mc_passes(p_low, sample, 6, np.random.default_rng(i))
-        passes_high = mc_passes(p_high, sample, 6, np.random.default_rng(i))
-        low.append(box_variance(passes_low) * cls_variance(passes_low))
-        high.append(box_variance(passes_high) * cls_variance(passes_high))
+        boxes_low, scores_low = mc_passes(p_low, sample, 6, np.random.default_rng(i))
+        boxes_high, scores_high = mc_passes(p_high, sample, 6, np.random.default_rng(i))
+        low.append(box_variance(boxes_low) * cls_variance(scores_low))
+        high.append(box_variance(boxes_high) * cls_variance(scores_high))
     assert np.median(high) > np.median(low)
 
 

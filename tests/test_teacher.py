@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bruteforce import oracle_background_indices, oracle_pseudo_labels
 from detadapt.config import default_config
-from detadapt.detector import ModelParams, detection_loss, sgd_step
+from detadapt.detector import ModelParams, Scored, detection_loss, sgd_step
 from detadapt.metrics import evaluate
-from detadapt.teacher import (TeacherState, ema_update, pseudo_label,
-                              student_step)
+from detadapt.teacher import (TeacherState, background_indices, ema_update,
+                              pseudo_label, student_step)
 from detadapt.util import one_hot, rng_stream
 from detadapt.world import generate_domain, iou, make_domain_spec
 from test_detector import random_params, random_sample
@@ -29,6 +30,22 @@ def train_supervised(spec, seed, epochs, lr=0.05):
             _, grads = detection_loss(params, sample, labels)
             params = sgd_step(params, grads, lr)
     return params, data
+
+
+def test_shared_teacher_scoring_matches_object_oracle():
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        teacher = random_params(rng)
+        sample = random_sample(rng, num_proposals=int(rng.integers(1, 8)))
+        conf, bar = float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.2, 0.6))
+        scored = Scored(teacher, sample)
+        for shared in (None, scored):
+            labels = pseudo_label(teacher, sample, conf, scored=shared)
+            got = [(p.proposal_index, p.box, int(np.argmax(p.class_vec)), p.confidence)
+                   for p in labels]
+            assert got == oracle_pseudo_labels(teacher, sample, conf)
+            assert background_indices(teacher, sample, bar, scored=shared) == \
+                oracle_background_indices(teacher, sample, bar)
 
 
 def test_threshold_above_all_scores_gives_empty():

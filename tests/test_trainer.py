@@ -1,8 +1,10 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+from detadapt import detector, trainer
 from detadapt.config import AdaptationConfig, default_config
 from detadapt.cropbank import DISSIMILAR, SIMILAR
 from detadapt.detector import ModelParams
@@ -186,6 +188,39 @@ def test_frozen_teacher_under_unit_ema():
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
     teacher, _ = adapt(params, target, config)
     assert np.array_equal(teacher.w_cls, params.w_cls)
+
+
+@pytest.mark.parametrize("variant", ["full", "base"])
+def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch):
+    config = ablation_variants(tiny_config(epochs=2))[variant]
+    params, _ = pretrain_source(config)
+    target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
+    real_forward = detector.forward_arrays
+    passes = []
+    outside_loop = []
+
+    def counted_forward(*args, **kwargs):
+        if not outside_loop:
+            passes.append(1)
+        return real_forward(*args, **kwargs)
+
+    def not_counted(fn):
+        def wrapper(*args, **kwargs):
+            outside_loop.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                outside_loop.pop()
+        return wrapper
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("detadapt") \
+                and getattr(module, "forward_arrays", None) is real_forward:
+            monkeypatch.setattr(module, "forward_arrays", counted_forward)
+    monkeypatch.setattr(trainer, "partition", not_counted(trainer.partition))
+    monkeypatch.setattr(trainer, "evaluate", not_counted(trainer.evaluate))
+    adapt(params, target, config)
+    assert len(passes) == 2 * config.epochs * len(target)
 
 
 def test_ablation_variants_switch_matrix():

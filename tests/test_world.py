@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from detadapt.world import (BBox, ConfigError, dataset_to_dict, generate_domain,
-                            iou, load_dataset, make_domain_spec, save_dataset,
-                            shift_domain)
+from bruteforce import oracle_box
+from detadapt.world import (BBox, ConfigError, boxes_from_raw, dataset_to_dict,
+                            generate_domain, iou, load_dataset, make_domain_spec,
+                            save_dataset, shift_domain)
 
 
 def small_spec(**overrides):
@@ -23,6 +24,46 @@ def test_bbox_rejects_degenerate_and_nonfinite():
         BBox(0.0, 0.0, float("nan"), 1.0)
     box = BBox.from_raw(2.0, 3.0, 1.0, 1.0)
     assert box.x1 < box.x2 and box.y1 < box.y2
+
+
+def test_boxes_from_raw_matches_from_raw_oracle():
+    rng = np.random.default_rng(12)
+    random_rows = rng.uniform(-50, 50, (200, 4))
+    inverted = np.column_stack([random_rows[:, 2:], random_rows[:, :2]])
+    corner = rng.uniform(-5, 5, (100, 2))
+    gap = rng.choice([0.0, 1e-9, -1e-9, 5e-7, -5e-7, 1e-6, 2e-6], (100, 2))
+    sub_min = np.column_stack([corner, corner + gap])
+    signed_zeros = np.array([[0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, -0.0]])
+    for rows in (random_rows, inverted, sub_min, signed_zeros):
+        got = boxes_from_raw(rows)
+        want = np.array([oracle_box(row) for row in rows])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # any leading shape: a stack of passes boxes row by row
+        assert np.array_equal(boxes_from_raw(rows.reshape(2, -1, 4)), want.reshape(2, -1, 4))
+
+
+def test_boxes_from_raw_raises_exactly_where_from_raw_raises():
+    nan, inf = float("nan"), float("inf")
+    rows = [[0.0, 0.0, 1.0, 1.0], [1e20, 0.0, 1e20, 1.0], [0.0, -1e20, 1.0, -1e20]]
+    for bad in (nan, inf, -inf):
+        for k in range(4):
+            row = [0.0, 0.0, 1.0, 1.0]
+            row[k] = bad
+            rows.append(row)
+        rows.append([bad] * 4)
+        rows.append([3.0, 0.0, bad, 1.0])
+        rows.append([3.0, 3.0, 3.0, bad])
+    for row in rows:
+        try:
+            want = oracle_box(row)
+        except ValueError:
+            with pytest.raises(ValueError):
+                boxes_from_raw(np.array([row]))
+            with pytest.raises(ValueError):
+                boxes_from_raw(np.array([[0.0, 0.0, 1.0, 1.0], row]))
+        else:
+            assert np.array_equal(boxes_from_raw(np.array([row]))[0], want)
 
 
 def test_iou_basic_cases():
