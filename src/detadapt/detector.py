@@ -16,6 +16,11 @@ import numpy as np
 from .world import BBox, DetectionSample, box_array, boxes_from_raw, iou_matrix
 
 
+# samples per packed forward in the partition and evaluation; a partition block
+# holds M passes of them, and larger blocks raise the adapt run's peak memory
+BLOCK_SAMPLES = 32
+
+
 class TrainingError(RuntimeError):
     """Raised when optimization produces non-finite values."""
 
@@ -157,12 +162,23 @@ def _dropped(params: ModelParams, x: np.ndarray, dropout_seed: int | None) -> np
     return x
 
 
-def _heads(params: ModelParams, h: np.ndarray, proposal_boxes: np.ndarray):
-    # h is (P, D) or a stack (M, P, D); every op acts per pass and per row
-    logits = h @ params.w_cls.T + params.b_cls
-    log_scores = log_softmax(logits)
-    deltas = h @ params.w_reg.T + params.b_reg
-    return h, log_scores, np.exp(log_scores), proposal_boxes + deltas
+def _heads(params: ModelParams, h: np.ndarray, proposal_boxes: np.ndarray, single=()):
+    """Both heads over the rows of h, (rows, D) or a stack of passes (M, rows, D).
+
+    Every op acts per pass and per row, so a row's outputs do not depend on the
+    rows packed around it, with one exception that `single` handles: BLAS takes
+    a one-row product through a matrix-vector kernel whose last bits differ
+    from the matrix-matrix one. `single` lists the rows of one-proposal samples
+    in a pack; their products are redone one row at a time, as the sample's own
+    (1, D) pass would compute them.
+    """
+    logits = h @ params.w_cls.T
+    deltas = h @ params.w_reg.T
+    if len(single):
+        for out, w in ((logits, params.w_cls), (deltas, params.w_reg)):
+            out[..., single, :] = (h[..., single, None, :] @ w.T)[..., 0, :]
+    log_scores = log_softmax(logits + params.b_cls)
+    return h, log_scores, np.exp(log_scores), proposal_boxes + (deltas + params.b_reg)
 
 
 def forward_arrays(params: ModelParams, sample: DetectionSample,
@@ -178,22 +194,11 @@ def forward_arrays(params: ModelParams, sample: DetectionSample,
     return _heads(params, _dropped(params, x, dropout_seed), sample.proposal_boxes)
 
 
-def forward_stacked(params: ModelParams, sample: DetectionSample, dropout_seeds):
-    """`forward_arrays` once per dropout seed, as one stacked (M, P, D) pass.
-
-    Pass m equals `forward_arrays(params, sample, dropout_seeds[m])` bit for
-    bit: the masks are drawn per seed in order, and the stacked products are
-    computed pass by pass.
-    """
-    x = _check_features(params, sample)
-    h = np.stack([_dropped(params, x, seed) for seed in dropout_seeds])
-    return _heads(params, h, sample.proposal_boxes)
-
-
 class Scored:
-    """One forward pass of a model on a sample, as arrays.
+    """One forward pass of a model on a sample, or on a packed block of samples, as arrays.
 
-    Holds the outputs of `forward_arrays` (h, log_scores, scores, refined).
+    Holds the outputs of `forward_arrays` (h, log_scores, scores, refined);
+    a pack (`Scored.packed`) also holds the `offsets` of its samples' rows.
     The foreground argmax class and score and the valid refined boxes are
     derived on first use, so a caller that needs only the loss pays for none
     of them, and one that needs them twice computes them once.
@@ -204,6 +209,42 @@ class Scored:
         self.num_classes = params.num_classes
         self.h, self.log_scores, self.scores, self.refined = \
             forward_arrays(params, sample, dropout_seed)
+
+    @classmethod
+    def packed(cls, params: ModelParams, samples: list[DetectionSample],
+               dropout_seeds=None) -> "Scored":
+        """The heads run once over a block of samples, proposals concatenated.
+
+        Sample i owns rows `offsets[i]:offsets[i + 1]`, which equal its own
+        `forward_arrays` outputs bit for bit. With an (n, M) array of dropout
+        seeds the outputs are stacks of M passes, (M, rows, ...): pass m of
+        sample i equals `forward_arrays(params, samples[i], dropout_seeds[i, m])`.
+        Its mask is drawn from that seed alone, straight into the pass's rows.
+        """
+        counts = [_check_features(params, s).shape[0] for s in samples]
+        offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
+        x = np.concatenate([s.proposal_features for s in samples])
+        boxes = np.concatenate([s.proposal_boxes for s in samples])
+        h = x
+        if dropout_seeds is not None:
+            seeds = np.asarray(dropout_seeds).reshape(len(samples), -1)
+            rate = params.dropout_rate
+            h = np.broadcast_to(x, (seeds.shape[1],) + x.shape)
+            if rate > 0.0:
+                # the uniform draws become the dropped features in place: `_dropped`'s
+                # x * mask / (1 - rate), with one (M, rows, D) buffer instead of three
+                h = np.empty(h.shape)
+                for a, b, row in zip(offsets[:-1], offsets[1:], seeds):
+                    for m, seed in enumerate(row):
+                        np.random.default_rng(seed).random(out=h[m, a:b])
+                np.multiply(x, h >= rate, out=h)
+                h /= 1.0 - rate
+        single = offsets[:-1][np.asarray(counts) == 1]
+        out = cls.__new__(cls)
+        out.num_classes = params.num_classes
+        out.offsets = offsets
+        out.h, out.log_scores, out.scores, out.refined = _heads(params, h, boxes, single)
+        return out
 
     @cached_property
     def class_ids(self) -> np.ndarray:
@@ -226,8 +267,8 @@ def forward(params: ModelParams, sample: DetectionSample,
     """One Detection per proposal, in proposal order.
 
     The object view of one `Scored`: its boxes, foreground classes and scores,
-    one `Detection` each. Evaluation and the tests use it; training and the
-    partition work on the arrays and build no objects.
+    one `Detection` each, for callers that want objects. Training, the
+    partition and evaluation work on the arrays and build none.
     """
     scored = Scored(params, sample, dropout_seed)
     boxes = scored.boxes.tolist()

@@ -1,8 +1,9 @@
 """Target-set partitioning by Monte-Carlo-dropout detection variance.
 
-The source-pretrained model runs M stochastic forward passes per sample, as
-one stacked (M, P, D) computation; box-coordinate and class-score variances
-of the stacked outputs multiply into a single detection variance. Samples are
+The source-pretrained model runs M stochastic forward passes per sample;
+box-coordinate and class-score variances of the stacked outputs multiply into
+a single detection variance. The passes run in blocks of `BLOCK_SAMPLES`
+samples, one packed (M, rows, D) computation per block. Samples are
 ranked ascending by variance and the top fraction (variance level >= sigma)
 is tagged source-similar: the pretrained model is most uncertain exactly
 where the data resembles its training domain.
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cropbank import DISSIMILAR, SIMILAR
-from .detector import ModelParams, forward_stacked
-from .world import DetectionSample, boxes_from_raw
+from .detector import BLOCK_SAMPLES, ModelParams, Scored
+from .world import DetectionSample
 
 
 @dataclass(frozen=True)
@@ -55,19 +56,24 @@ class VarianceReport:
             fh.write(self.to_csv_text())
 
 
+def _draw_seeds(rng: np.random.Generator, num_samples: int, num_passes: int) -> np.ndarray:
+    # one draw of the (n, M) shape gives the n*M scalar draws in the same order
+    return rng.integers(0, 2**63 - 1, size=(num_samples, num_passes))
+
+
 def mc_passes(params: ModelParams, sample: DetectionSample, num_passes: int,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Independent-dropout forward passes of one sample, stacked.
 
     Returns (boxes, scores): the (M, P, 4) valid refined boxes and the
     (M, P, C+1) softmax scores, one slice per pass in proposal order. The M
-    dropout seeds are drawn from `rng` in pass order.
+    dropout seeds are drawn from `rng` in pass order. This is `partition`'s
+    pass over a block of one sample.
     """
     if num_passes < 2:
         raise ValueError("need at least 2 passes for a variance estimate")
-    seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(num_passes)]
-    _, _, scores, refined = forward_stacked(params, sample, seeds)
-    return boxes_from_raw(refined), scores
+    scored = Scored.packed(params, [sample], _draw_seeds(rng, 1, num_passes))
+    return scored.boxes, scored.scores
 
 
 def _mean_sq_deviation(stack: np.ndarray) -> float:
@@ -117,18 +123,29 @@ def partition(
 ) -> VarianceReport:
     """One-time split of the target set into source-similar and dissimilar subsets.
 
-    Each sample gets one `mc_passes` call, a single stacked pass over its M
-    dropout masks; samples are visited in id order, so the seeds drawn from
-    `rng` do not depend on the input order.
+    Samples are visited in id order, in blocks of `BLOCK_SAMPLES`. A block
+    draws the M dropout seeds of each of its samples from `rng`, in id order
+    and pass order, so the seeds are those that one `mc_passes` call per
+    sample would draw and do not depend on the input order. Then the heads run
+    once over the block's packed proposals and M masks, and each sample's
+    variances are taken over its own rows, equal bit for bit to its
+    `mc_passes` outputs.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to partition")
+    if num_passes < 2:
+        raise ValueError("need at least 2 passes for a variance estimate")
+    ordered = sorted(samples, key=lambda s: s.id)
     per_sample = {}
-    for sample in sorted(samples, key=lambda s: s.id):
-        boxes, scores = mc_passes(params, sample, num_passes, rng)
-        v_b = box_variance(boxes)
-        v_c = cls_variance(scores)
-        per_sample[sample.id] = (v_b, v_c, v_b * v_c)
+    for start in range(0, len(ordered), BLOCK_SAMPLES):
+        block = ordered[start:start + BLOCK_SAMPLES]
+        scored = Scored.packed(params, block, _draw_seeds(rng, len(block), num_passes))
+        boxes, scores, offsets = scored.boxes, scored.scores, scored.offsets
+        for i, sample in enumerate(block):
+            rows = slice(offsets[i], offsets[i + 1])
+            v_b = box_variance(boxes[:, rows])
+            v_c = cls_variance(scores[:, rows])
+            per_sample[sample.id] = (v_b, v_c, v_b * v_c)
 
     ranked = split_by_variance([(sid, v[2]) for sid, v in per_sample.items()], sigma)
     rows = []

@@ -2,10 +2,11 @@
 
 Everything here recomputes from first principles with plain loops: central
 finite differences for gradients, per-prefix rescored matching for AP, a
-full threshold enumeration for FROC, and the per-proposal object path (one
-`BBox.from_raw` and one argmax per proposal, per pass) for scoring. None of
-it shares code with the package implementations beyond the raw forward pass
-and the matching rule they both define.
+full threshold enumeration for FROC, the per-proposal object path (one
+`BBox.from_raw` and one argmax per proposal, per pass) for scoring, and the
+per-class object matching for a whole evaluation. None of it shares code
+with the package implementations beyond the raw forward pass and the
+matching rule they both define.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from detadapt.detector import Detection, GradientSet, ModelParams, forward_arrays
+from detadapt.metrics import FPI_POINTS, EvalResult
 from detadapt.world import BBox
 
 
@@ -174,3 +176,67 @@ def oracle_froc(dets_by_img, gts_by_img, budgets, thr=0.5):
     for budget in budgets:
         out[budget] = max((r for f, r in operating if f <= budget), default=0.0)
     return out
+
+
+def _interpolated_ap(tp_cum, fp_cum, npos):
+    recall = tp_cum / npos
+    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
+    mrec = np.concatenate(([0.0], recall))
+    mpre = np.concatenate(([0.0], precision))
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    changed = np.where(mrec[1:] != mrec[:-1])[0]
+    return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
+
+
+def oracle_evaluate(params: ModelParams, samples, iou_threshold=0.5, fpi_points=FPI_POINTS,
+                    num_classes=None) -> EvalResult:
+    """`evaluate` through objects: one `Detection` per proposal, a separate
+    greedy match per class for AP, another over all classes for the FROC and
+    F1 sweep, and a pairwise count for the image AUC."""
+    dets = [[(d.box, d.class_id, d.score) for d in oracle_detections(params, s)] for s in samples]
+    gts = [[(obj.box, obj.class_id) for obj in s.objects] for s in samples]
+    seen = [c for img in gts for _, c in img] + [c for img in dets for _, c, _ in img]
+    per_class = []
+    for cls in range(max(seen, default=-1) + 1):
+        npos = sum(1 for img in gts for _, c in img if c == cls)
+        rows = _canonical_order(dets, cls)
+        if npos == 0:
+            per_class.append(float("nan"))
+        elif not rows:
+            per_class.append(0.0)
+        else:
+            flags = _match_from_scratch(rows, gts, iou_threshold)
+            per_class.append(_interpolated_ap(np.cumsum([1.0 if f else 0.0 for f in flags]),
+                                              np.cumsum([0.0 if f else 1.0 for f in flags]), npos))
+    valid = [ap for ap in per_class if not np.isnan(ap)]
+    map50 = float(np.mean(valid)) if valid else 0.0
+    if num_classes is None:
+        num_classes = params.num_classes
+    per_class = (per_class + [float("nan")] * num_classes)[:num_classes]
+
+    rows = _canonical_order(dets)
+    flags = _match_from_scratch(rows, gts, iou_threshold)
+    points = [(0, 0)]
+    for i in range(len(rows)):
+        if i + 1 == len(rows) or rows[i + 1][0] != rows[i][0]:
+            tp = sum(flags[:i + 1])
+            points.append((i + 1 - tp, tp))
+    npos = sum(len(img) for img in gts)
+    recalls = {}
+    for budget in fpi_points:
+        ok = [tp / npos for fp, tp in points if samples and npos and fp / len(samples) <= budget]
+        recalls[budget] = max(ok, default=0.0)
+    f1 = 0.0
+    for fp, tp in points:
+        if 2 * tp + fp + (npos - tp) > 0:
+            f1 = max(f1, 2 * tp / (2 * tp + fp + (npos - tp)))
+
+    image_scores = np.array([max((score for _, _, score in img), default=0.0) for img in dets])
+    positive = np.array([bool(img) for img in gts], dtype=bool)
+    pos, neg = image_scores[positive], image_scores[~positive]
+    auc = None
+    if len(pos) and len(neg):
+        wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
+        auc = float(wins / (len(pos) * len(neg)))
+    return EvalResult(map50, per_class, recalls, f1, auc)

@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+
+import detadapt
 
 from detadapt import cli
 from detadapt.cli import run_cli
@@ -99,3 +103,18 @@ def test_pretrain_mode_writes_params(tmp_path, tiny_config_file):
     assert (out / "source_params.json").exists()
     doc = json.loads((out / "pretrain_eval.json").read_text())
     assert doc["map50"] > 0.3
+
+
+def test_module_invocation_runs_pretrain(tmp_path, tiny_config_file):
+    # `python -m detadapt.cli` must run the mode, not just import the module
+    config_path, _ = tiny_config_file
+    out = tmp_path / "pre"
+    src = os.path.dirname(os.path.dirname(detadapt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "detadapt.cli", "--mode", "pretrain",
+                           "--config", config_path, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "source_params.json").exists()
+    assert (out / "pretrain_eval.json").exists()

@@ -5,9 +5,8 @@ import pytest
 
 from bruteforce import max_relative_error, numeric_gradient, oracle_detections
 from detadapt.detector import (GradientSet, ModelParams, Scored, TrainingError,
-                               detection_loss, forward, forward_arrays,
-                               forward_stacked, giou, load_params, match_labels,
-                               save_params, sgd_step)
+                               detection_loss, forward, forward_arrays, giou,
+                               load_params, match_labels, save_params, sgd_step)
 from detadapt.util import one_hot
 from detadapt.world import BBox, DetectionSample, box_array
 
@@ -75,6 +74,41 @@ def test_forward_matches_per_proposal_oracle():
             assert np.array_equal(g.scores, w.scores)
             assert (g.class_id, g.score) == (w.class_id, w.score)
             assert type(g.class_id) is int and type(g.score) is float
+
+
+def mixed_samples(rng, sizes, feature_dim=6):
+    """Random samples with the given proposal counts, ids in list order."""
+    samples = [random_sample(rng, num_proposals=int(p), feature_dim=feature_dim) for p in sizes]
+    for i, sample in enumerate(samples):
+        sample.id = i
+    return samples
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_packed_pass_matches_per_sample_forward(dropout):
+    rng = np.random.default_rng(20)
+    params = random_params(rng, dropout=dropout)
+    sizes = [1, 2, 7, 13, 1, 1, 13, 2, 7, 1]
+    samples = mixed_samples(rng, sizes)
+    seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=(len(samples), 4))
+    packed = Scored.packed(params, samples)
+    stacked = Scored.packed(params, samples, seeds)
+    assert packed.offsets.tolist() == [0, *np.cumsum(sizes).tolist()]
+    assert stacked.scores.shape == (4, sum(sizes), params.num_classes + 1)
+    for i, sample in enumerate(samples):
+        rows = slice(packed.offsets[i], packed.offsets[i + 1])
+        one = Scored(params, sample)
+        for got, want in zip((packed.h, packed.log_scores, packed.scores, packed.refined),
+                             (one.h, one.log_scores, one.scores, one.refined)):
+            assert np.array_equal(got[rows], want)
+        assert np.array_equal(packed.class_ids[rows], one.class_ids)
+        assert np.array_equal(packed.fg_scores[rows], one.fg_scores)
+        assert np.array_equal(packed.boxes[rows], one.boxes)
+        for m in range(seeds.shape[1]):
+            want = forward_arrays(params, sample, dropout_seed=int(seeds[i, m]))
+            for got, w in zip((stacked.h, stacked.log_scores, stacked.scores, stacked.refined),
+                              want):
+                assert np.array_equal(got[m, rows], w)
 
 
 def test_zero_dropout_rate_ignores_seed():
@@ -224,4 +258,4 @@ def test_feature_dim_mismatch_raises():
     with pytest.raises(ValueError):
         forward_arrays(params, sample)
     with pytest.raises(ValueError):
-        forward_stacked(params, sample, [1, 2])
+        Scored.packed(params, [sample], [[1, 2]])

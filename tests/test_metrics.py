@@ -1,9 +1,15 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from bruteforce import oracle_froc, oracle_map
-from detadapt.metrics import EvalResult, f1_auc, froc, map_at_iou
-from detadapt.world import BBox
+from bruteforce import oracle_evaluate, oracle_froc, oracle_map
+from detadapt import detector, world
+from detadapt.detector import BLOCK_SAMPLES, ModelParams, forward
+from detadapt.metrics import EvalResult, evaluate, f1_auc, froc, map_at_iou
+from detadapt.partition import partition
+from detadapt.world import BBox, DetectionSample, generate_domain, make_domain_spec
 
 
 def random_instance(rng, num_images=4, num_classes=2, max_dets=4, max_gts=3, span=12.0):
@@ -144,3 +150,90 @@ def test_map_counts_classes_without_detections():
     assert per_class[0] == pytest.approx(1.0)
     assert per_class[1] == 0.0
     assert map50 == pytest.approx(0.5)
+
+
+def eval_world(world_seed, frequency=(0.5, 0.3, 0.2), size=2 * BLOCK_SAMPLES + 9):
+    """A generated set plus one hand-built image without objects, and a model
+    whose classifier points at the class means."""
+    spec = make_domain_spec(len(frequency), 6, size, frequency, layout_seed=world_seed)
+    samples = generate_domain(spec, world_seed)
+    rng = np.random.default_rng(world_seed)
+    corners = np.tile(rng.uniform(0, 50, (3, 2)), 2) + [0.0, 0.0, 10.0, 10.0]
+    samples.append(DetectionSample(size, corners, rng.standard_normal((3, 6)), []))
+    params = ModelParams(np.vstack([0.5 * spec.class_means, np.zeros(6)]),
+                         np.zeros(len(frequency) + 1),
+                         0.2 * rng.standard_normal((4, 6)), np.zeros(4))
+    return samples, params
+
+
+def assert_evaluate_matches_oracle(params, samples, **kwargs):
+    got = json.dumps(evaluate(params, samples, **kwargs).to_dict())
+    assert got == json.dumps(oracle_evaluate(params, samples, **kwargs).to_dict())
+    return json.loads(got)
+
+
+@pytest.mark.parametrize("world_seed", [0, 1, 2])
+def test_evaluate_matches_object_oracle(world_seed):
+    samples, params = eval_world(world_seed)
+    doc = assert_evaluate_matches_oracle(params, samples)
+    assert doc["auc"] is not None and 0.0 < doc["map50"] < 1.0
+    assert_evaluate_matches_oracle(params, samples, iou_threshold=0.7, num_classes=5)
+
+
+def test_evaluate_matches_object_oracle_on_tied_scores():
+    # proposals share three feature vectors, so scores tie within and across images
+    samples, params = eval_world(3)
+    rng = np.random.default_rng(3)
+    for sample in samples:
+        sample.proposal_features = 2.0 * params.w_cls[rng.integers(0, 3, sample.num_proposals)]
+    doc = assert_evaluate_matches_oracle(params, samples)
+    assert 0.0 < doc["map50"] < 1.0
+    # every proposal of every image gets the same scores: the order is (image, index)
+    flat = ModelParams(np.zeros_like(params.w_cls), np.array([0.3, 0.1, 0.2, 0.0]),
+                       params.w_reg, params.b_reg)
+    doc = assert_evaluate_matches_oracle(flat, samples)
+    assert doc["per_class_ap"][0] > 0.0
+
+
+def test_evaluate_matches_object_oracle_on_missing_classes():
+    # class 3 has no ground truth (nan AP); class 2 has some but is never predicted (AP 0)
+    samples, params = eval_world(4, frequency=(0.4, 0.3, 0.3, 0.0))
+    params.b_cls[2] = -50.0
+    params.w_cls[3] = params.w_cls[0]
+    doc = assert_evaluate_matches_oracle(params, samples)
+    ap = doc["per_class_ap"]
+    assert ap[2] == 0.0 and np.isnan(ap[3]) and ap[0] > 0.0
+
+
+def test_evaluate_of_no_samples_matches_object_oracle():
+    _, params = eval_world(0)
+    doc = assert_evaluate_matches_oracle(params, [])
+    assert doc["map50"] == 0.0 and doc["auc"] is None
+
+
+def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeypatch):
+    samples, params = eval_world(5)
+    params.dropout_rate = 0.3
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(world.BBox, "__post_init__", counted("BBox", world.BBox.__post_init__))
+    monkeypatch.setattr(detector.Detection, "__init__",
+                        counted("Detection", detector.Detection.__init__))
+    monkeypatch.setattr(detector, "_heads", counted("heads", detector._heads))
+    forward(params, samples[0])  # the counters see the object path
+    assert counts["BBox"] == counts["Detection"] == samples[0].num_proposals
+    assert counts["heads"] == 1
+
+    blocks = -(-len(samples) // BLOCK_SAMPLES)
+    assert blocks < len(samples)
+    for run in (lambda: partition(samples, params, 3, 0.5, np.random.default_rng(0)),
+                lambda: evaluate(params, samples)):
+        counts.clear()
+        run()
+        assert counts == Counter(heads=blocks)

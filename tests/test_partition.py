@@ -3,9 +3,10 @@ import pytest
 
 from detadapt.cropbank import DISSIMILAR, SIMILAR
 from bruteforce import oracle_mc_passes
+from detadapt.detector import BLOCK_SAMPLES
 from detadapt.partition import (VarianceReport, box_variance, cls_variance,
                                 mc_passes, partition, split_by_variance)
-from test_detector import random_params, random_sample
+from test_detector import mixed_samples, random_params, random_sample
 
 
 def make_passes(rng, dropout, num_passes=6, seed=0):
@@ -28,6 +29,28 @@ def test_stacked_passes_match_per_pass_oracle(num_proposals, dropout):
     assert scores.shape == (6, num_proposals, params.num_classes + 1)
     assert np.array_equal(boxes, want_boxes)
     assert np.array_equal(scores, want_scores)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_partition_rows_match_per_sample_oracle(dropout):
+    rng = np.random.default_rng(30)
+    params = random_params(rng, dropout=dropout)
+    # not a multiple of the block size; one-proposal samples either side of a block edge
+    sizes = rng.choice([1, 2, 7, 13], size=2 * BLOCK_SAMPLES + 5)
+    sizes[BLOCK_SAMPLES - 1] = sizes[BLOCK_SAMPLES] = 1
+    samples = mixed_samples(rng, sizes)
+    report = partition(samples[::-1], params, 4, 0.5, np.random.default_rng(7))
+
+    seed_rng = np.random.default_rng(7)
+    want = {}
+    for sample in samples:  # seeds are drawn in id order
+        seeds = [int(seed_rng.integers(0, 2**63 - 1)) for _ in range(4)]
+        boxes, scores = oracle_mc_passes(params, sample, seeds)
+        v_b, v_c = box_variance(boxes), cls_variance(scores)
+        want[sample.id] = (v_b, v_c, v_b * v_c)
+    assert {r.sample_id: (r.box_var, r.cls_var, r.variance) for r in report.rows} == want
+    ranked = split_by_variance([(sid, v[2]) for sid, v in want.items()], 0.5)
+    assert [(r.sample_id, r.rank, r.level, r.subset) for r in report.rows] == ranked
 
 
 def test_mc_passes_require_at_least_two():
