@@ -4,7 +4,9 @@ A mean-teacher self-training pipeline hardened against class-context bias and
 mode collapse: an EMA-smoothed class-relation matrix drives instance-level loss
 reweighting and relation-guided MixUp from FIFO crop banks, a dropout-variance
 split separates source-similar from dissimilar target samples, and a simulated
-frozen expert supplies auxiliary pseudo-supervision.
+frozen expert supplies auxiliary pseudo-supervision. The subset discriminator
+loss (with gradient reversal) is provided but not trained: the detector is
+linear in the raw features, so it has no trunk for the reversed gradients.
 """
 
 from .config import AdaptationConfig, default_config
@@ -17,12 +19,12 @@ from .expert import ExpertLabel, ExpertSpec, expert_loss, expert_predict
 from .metrics import EvalResult, evaluate, f1_auc, froc, map_at_iou
 from .partition import VarianceReport, box_variance, cls_variance, mc_passes, partition
 from .relation import ClassSplit, NotReadyError, RelationMatrix, batch_confusion
-from .teacher import PseudoLabel, TeacherState, ema_update, pseudo_label, student_step
+from .teacher import PseudoLabel, ema_update, pseudo_label
 from .trainer import (DiscriminatorParams, SealedDataset, SourceAccessError,
-                      TrainHistory, ablation_variants, adapt, decay_lambda_d,
-                      discriminator_loss, pretrain_source, run_adaptation)
+                      TrainHistory, ablation_variants, adapt, discriminator_loss,
+                      pretrain_source)
 from .weighting import (DegenerateBatchError, instance_weight, normalize_foreground,
-                        regularize, relation_weights, weighted_ce)
+                        regularize, relation_weights)
 from .world import (BBox, ConfigError, DetectionSample, DomainSpec, ObjectInstance,
                     generate_domain, iou, load_dataset, make_domain_spec,
                     save_dataset, shift_domain)

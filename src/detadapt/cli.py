@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from .config import AdaptationConfig, default_config
 from .detector import load_params, save_params
 from .metrics import evaluate
 from .trainer import ablation_variants, adapt, pretrain_source
-from .util import derive_seed
+from .util import derive_seed, write_atomic
 from .world import ConfigError, generate_domain, load_dataset, save_dataset
 
 
@@ -32,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config; omitted fields use documented defaults")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    parser.add_argument("--params", help="saved model params (adapt resume / eval)")
+    parser.add_argument("--params", help="saved model params: the source model for adapt "
+                                         "(skips pretraining), the scored model for eval")
     parser.add_argument("--dataset", help="saved dataset JSON (eval mode)")
     return parser
 
@@ -50,8 +52,7 @@ def _load_config(args) -> AdaptationConfig:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    write_atomic(path, json.dumps(payload, indent=2))
 
 
 def _mode_pretrain(config: AdaptationConfig, out: str) -> None:
@@ -102,15 +103,14 @@ def _mode_ablation(config: AdaptationConfig, out: str) -> None:
     # target generation reads, so all four share one source model and target set
     source_params, _ = pretrain_source(config)
     target_data = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
-    rows = []
+    summary = io.StringIO()
+    writer = csv.writer(summary)
+    writer.writerow(["variant", "final_teacher_map"])
     for name, variant in ablation_variants(config).items():
         _, history = adapt(source_params, target_data, variant)
         history.save_csv(os.path.join(out, f"history_{name}.csv"))
-        rows.append([name, repr(history.final_teacher_map())])
-    with open(os.path.join(out, "ablation_summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "final_teacher_map"])
-        writer.writerows(rows)
+        writer.writerow([name, repr(history.final_teacher_map())])
+    write_atomic(os.path.join(out, "ablation_summary.csv"), summary.getvalue())
 
 
 def run_cli(argv=None) -> int:

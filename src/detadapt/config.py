@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expert import ExpertSpec
+from .util import write_atomic
 from .world import ConfigError, DomainSpec, make_domain_spec, shift_domain
 
 DEFAULT_FREQUENCY = (0.35, 0.25, 0.20, 0.15, 0.05)
@@ -28,7 +29,7 @@ class AdaptationConfig:
     # 0.8 gate starves the minority-class statistics)
     epochs: int = 50
     batch_size: int = 16
-    learning_rate: float = 0.05     # student (and discriminator) SGD step
+    learning_rate: float = 0.05     # student SGD step
     conf_threshold: float = 0.7     # pseudo-label confidence gate
     teacher_ema: float = 0.99       # weight kept on the old teacher
     background_bar: float | None = 0.1  # below this the teacher calls background
@@ -51,17 +52,13 @@ class AdaptationConfig:
 
     # combined objective
     unsup_weight: float = 1.0       # on the pseudo-label loss
-    disc_weight: float = 0.1        # initial discriminator loss weight
     expert_cls_weight: float = 1.0
     expert_reg_weight: float = 1.0
-    decay_disc: bool = True         # linearly decay the discriminator weight
-    decay_unsup: bool = False       # alternative schedule, off by default
 
     # ablation switches
     enable_sa: bool = True
     enable_sal: bool = True
     enable_expert: bool = True
-    enable_dis: bool = True
 
     eval_size: int = 200
 
@@ -88,8 +85,8 @@ class AdaptationConfig:
             raise ConfigError("mc_passes >= 2 and variance_threshold in (0, 1) required")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        for name in ("unsup_weight", "disc_weight", "expert_cls_weight",
-                     "expert_reg_weight", "noise_scale"):
+        for name in ("unsup_weight", "expert_cls_weight", "expert_reg_weight",
+                     "noise_scale"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if self.eval_size < 1:
@@ -138,8 +135,7 @@ class AdaptationConfig:
         return config
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        write_atomic(path, json.dumps(self.to_dict(), indent=2))
 
     @classmethod
     def load_json(cls, path) -> "AdaptationConfig":

@@ -71,15 +71,11 @@ class Cropbank:
         other = DISSIMILAR if preference == SIMILAR else SIMILAR
         return self.entries(other, class_id)
 
-    def size(self) -> int:
-        return sum(len(buf) for buf in self._buffers.values())
-
 
 @dataclass
 class AugmentPolicy:
     p_aug: float = 0.5       # per-instance augmentation probability
     mix_ratio: float = 0.7   # weight kept on the base instance in the blend
-    protect_dissimilar_minority: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.p_aug <= 1.0:
@@ -175,11 +171,7 @@ def augment_sample(
     new_labels = []
     for i, (box, class_vec) in enumerate(labels):
         base_class = int(np.argmax(class_vec))
-        protected = (
-            policy.protect_dissimilar_minority
-            and sample_subset == DISSIMILAR
-            and base_class in split.minority
-        )
+        protected = sample_subset == DISSIMILAR and base_class in split.minority
         if not protected and rng.random() < policy.p_aug:
             pair = sample_pair(relation, base_class, base_class in split.majority,
                                bank, preference, rng)

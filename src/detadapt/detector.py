@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .util import write_atomic
 from .world import BBox, DetectionSample, box_array, boxes_from_raw, iou_matrix
 
 
@@ -89,8 +90,7 @@ class ModelParams:
 
 
 def save_params(path, params: ModelParams) -> None:
-    with open(path, "w") as fh:
-        json.dump(params.to_dict(), fh)
+    write_atomic(path, json.dumps(params.to_dict()))
 
 
 def load_params(path) -> ModelParams:
@@ -326,13 +326,14 @@ def giou(a: BBox, b: BBox) -> float:
     return _giou_and_grad(a.as_array(), b.as_array())[0]
 
 
-def smooth_l1(diff: np.ndarray, delta: float = 1.0) -> np.ndarray:
+def smooth_l1(diff: np.ndarray) -> np.ndarray:
+    """Huber loss with unit threshold: quadratic below |diff| = 1, linear above."""
     d = np.abs(diff)
-    return np.where(d < delta, 0.5 * diff * diff / delta, d - 0.5 * delta)
+    return np.where(d < 1.0, 0.5 * diff * diff, d - 0.5)
 
 
-def smooth_l1_grad(diff: np.ndarray, delta: float = 1.0) -> np.ndarray:
-    return np.where(np.abs(diff) < delta, diff / delta, np.sign(diff))
+def smooth_l1_grad(diff: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(diff) < 1.0, diff, np.sign(diff))
 
 
 def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray) -> np.ndarray:
@@ -349,8 +350,6 @@ def detection_loss(
     weights=None,
     *,
     background="auto",
-    dropout_seed: int | None = None,
-    delta: float = 1.0,
     scored: Scored | None = None,
     matches: np.ndarray | None = None,
 ) -> tuple[float, GradientSet]:
@@ -377,7 +376,7 @@ def detection_loss(
         raise ValueError("weights must align with labels")
 
     if scored is None:
-        scored = Scored(params, sample, dropout_seed)
+        scored = Scored(params, sample)
     h, log_scores, scores, refined = scored.h, scored.log_scores, scored.scores, scored.refined
     n_prop = sample.num_proposals
 
@@ -421,10 +420,10 @@ def detection_loss(
         for i, (box, _) in enumerate(labels):
             j = int(matches[i])
             diff = refined[j] - box.as_array()
-            loss_box += float(smooth_l1(diff, delta).sum())
+            loss_box += float(smooth_l1(diff).sum())
             g_val, g_grad = _giou_and_grad(refined[j], box.as_array())
             loss_giou += 1.0 - g_val
-            d_refined[j] += (smooth_l1_grad(diff, delta) - g_grad) / n_labels
+            d_refined[j] += (smooth_l1_grad(diff) - g_grad) / n_labels
         loss_box /= n_labels
         loss_giou /= n_labels
 

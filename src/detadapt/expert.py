@@ -74,8 +74,6 @@ def expert_loss(
     reg_weight: float,
     weights=None,
     *,
-    dropout_seed: int | None = None,
-    delta: float = 1.0,
     scored: Scored | None = None,
     matches: np.ndarray | None = None,
 ) -> tuple[float, GradientSet]:
@@ -95,7 +93,7 @@ def expert_loss(
         raise ValueError("weights must align with expert labels")
 
     if scored is None:
-        scored = Scored(params, sample, dropout_seed)
+        scored = Scored(params, sample)
     h, log_scores, scores, refined = scored.h, scored.log_scores, scored.scores, scored.refined
     num_fg = params.num_classes
     if matches is None:
@@ -112,8 +110,8 @@ def expert_loss(
         loss_cls += -float(weights[i]) * float(target @ log_scores[j])
         d_logits[j] += weights[i] * (scores[j] - target)
         diff = refined[j] - lab.box.as_array()
-        loss_reg += float(smooth_l1(diff, delta).sum())
-        d_refined[j] += smooth_l1_grad(diff, delta)
+        loss_reg += float(smooth_l1(diff).sum())
+        d_refined[j] += smooth_l1_grad(diff)
     loss_cls /= n
     loss_reg /= n
     d_logits *= cls_weight / n

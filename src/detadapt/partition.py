@@ -19,6 +19,7 @@ import numpy as np
 
 from .cropbank import DISSIMILAR, SIMILAR
 from .detector import BLOCK_SAMPLES, ModelParams, Scored
+from .util import write_atomic
 from .world import DetectionSample
 
 
@@ -52,8 +53,7 @@ class VarianceReport:
         return buf.getvalue()
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
+        write_atomic(path, self.to_csv_text())
 
 
 def _draw_seeds(rng: np.random.Generator, num_samples: int, num_passes: int) -> np.ndarray:

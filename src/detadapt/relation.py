@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .util import write_atomic
+
 
 class NotReadyError(RuntimeError):
     """Raised when a derived quantity needs rows that were never updated."""
@@ -32,9 +34,6 @@ class ClassSplit:
     majority: frozenset[int]
     minority: frozenset[int]
     rcm_avg: float
-
-    def is_majority(self, class_id: int) -> bool:
-        return class_id in self.majority
 
 
 @dataclass
@@ -113,5 +112,4 @@ class RelationMatrix:
 
     def save_rows(self, path) -> None:
         """Checkpoint the matrix as a plain JSON array of rows."""
-        with open(path, "w") as fh:
-            json.dump(self.matrix.tolist(), fh)
+        write_atomic(path, json.dumps(self.matrix.tolist()))

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import ModelParams, Scored, detection_loss, sgd_step
+from .detector import ModelParams, Scored
 from .util import one_hot
-from .world import BBox, DetectionSample, perturb_features
+from .world import BBox, DetectionSample
 
 
 @dataclass(frozen=True)
@@ -20,20 +19,6 @@ class PseudoLabel:
     class_vec: np.ndarray  # one-hot over the C foreground classes
     confidence: float
     proposal_index: int
-
-
-@dataclass
-class TeacherState:
-    teacher: ModelParams
-    student: ModelParams
-    ema_rate: float       # weight kept on the old teacher at each update
-    conf_threshold: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.ema_rate <= 1.0:
-            raise ValueError("ema_rate must lie in [0, 1]")
-        if not 0.0 < self.conf_threshold <= 1.0:
-            raise ValueError("conf_threshold must lie in (0, 1]")
 
 
 def pseudo_label(teacher: ModelParams, sample: DetectionSample, conf_threshold: float,
@@ -81,27 +66,3 @@ def background_indices(teacher: ModelParams, sample: DetectionSample, bar: float
     if scored is None:
         scored = Scored(teacher, sample)
     return np.flatnonzero(scored.fg_scores < bar).tolist()
-
-
-def student_step(
-    state: TeacherState,
-    sample: DetectionSample,
-    pseudo: list[PseudoLabel],
-    weights,
-    lr: float,
-    *,
-    background_bar: float | None = 0.1,
-    noise_scale: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> TeacherState:
-    """One SGD step of the student on pseudo-labels; the teacher is untouched.
-
-    The student sees the strong view (feature noise of `noise_scale`); the
-    teacher scored the clean sample. With no pseudo-labels and background
-    supervision disabled the loss is empty and the student does not move.
-    """
-    strong = perturb_features(sample, noise_scale, rng) if noise_scale > 0 else sample
-    labels = [(p.box, p.class_vec) for p in pseudo]
-    bg = None if background_bar is None else background_indices(state.teacher, sample, background_bar)
-    _, grads = detection_loss(state.student, strong, labels, weights, background=bg)
-    return dataclasses.replace(state, student=sgd_step(state.student, grads, lr))

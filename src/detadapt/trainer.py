@@ -1,10 +1,12 @@
 """Full adaptation pipeline: source pretraining, then source-free mean-teacher
-self-training with relation-guided augmentation, relation-weighted losses,
-expert supervision and a subset discriminator.
+self-training with relation-guided augmentation, relation-weighted losses and
+expert supervision. A subset discriminator loss with gradient reversal is
+provided, but not trained here: the detector is linear in the raw features, so
+there is no feature trunk for its reversed gradients to align.
 
-The teacher only ever moves by EMA; gradients touch the student and the
-discriminator. All randomness flows from the single config seed through named
-sub-streams, so a run is a pure function of its config.
+The teacher only ever moves by EMA; gradients touch only the student. All
+randomness flows from the single config seed through named sub-streams, so a
+run is a pure function of its config.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ import numpy as np
 from .config import AdaptationConfig
 from .cropbank import SIMILAR, AugmentPolicy, CropEntry, Cropbank, augment_sample
 from .detector import (GradientSet, ModelParams, Scored, TrainingError, detection_loss,
-                       match_labels, sgd_step)
+                       match_labels, save_params, sgd_step)
 from .expert import expert_loss, expert_predict
 from .metrics import evaluate
-from .partition import VarianceReport, partition
+from .partition import partition
 from .relation import RelationMatrix, batch_confusion
 from .teacher import background_indices, ema_update, pseudo_label
-from .util import derive_seed, one_hot, rng_stream
+from .util import derive_seed, one_hot, rng_stream, write_atomic
 from .weighting import relation_weights
-from .world import (DetectionSample, DomainSpec, box_array, generate_domain,
-                    perturb_features)
+from .world import DetectionSample, box_array, generate_domain, perturb_features
 
 
 class SourceAccessError(RuntimeError):
@@ -112,15 +113,6 @@ def discriminator_loss(disc: DiscriminatorParams, features: np.ndarray, subset_t
     return loss, (grad_w, grad_b), reversed_feats
 
 
-def decay_lambda_d(initial: float, epoch: int, total_epochs: int) -> float:
-    """Linear decay from `initial` at epoch 0 to 0 at `total_epochs`."""
-    if total_epochs <= 0:
-        raise ValueError("total_epochs must be positive")
-    if not 0 <= epoch <= total_epochs:
-        raise ValueError("epoch must lie in [0, total_epochs]")
-    return initial * (1.0 - epoch / total_epochs)
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -129,9 +121,6 @@ class EpochRecord:
     per_class_ap: list[float]  # teacher's, nan where the class has no eval GT
     loss_stu: float
     loss_expert: float
-    loss_dis: float
-    lambda_d: float
-    relation_snapshot: list[list[float]] = field(repr=False, default_factory=list)
 
 
 @dataclass
@@ -144,21 +133,17 @@ class TrainHistory:
         writer = csv.writer(buf)
         header = ["epoch", "student_map", "teacher_map"]
         header += [f"ap_class_{c}" for c in range(self.num_classes)]
-        header += ["loss_stu", "loss_expert", "loss_dis", "lambda_d"]
+        header += ["loss_stu", "loss_expert"]
         writer.writerow(header)
         for r in self.records:
             row = [r.epoch, repr(r.student_map), repr(r.teacher_map)]
             row += [repr(float(ap)) for ap in r.per_class_ap]
-            row += [repr(r.loss_stu), repr(r.loss_expert), repr(r.loss_dis), repr(r.lambda_d)]
+            row += [repr(r.loss_stu), repr(r.loss_expert)]
             writer.writerow(row)
         return buf.getvalue()
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
-
-    def teacher_curve(self) -> list[float]:
-        return [r.teacher_map for r in self.records]
+        write_atomic(path, self.to_csv_text())
 
     def final_teacher_map(self) -> float:
         return self.records[-1].teacher_map if self.records else float("nan")
@@ -220,8 +205,8 @@ def adapt(
 
     Per batch: teacher pseudo-labels each clean sample, the student trains on
     the augmented noisy view with relation-derived instance weights plus expert
-    supervision, the discriminator trains on subset tags, the teacher follows
-    by EMA, and the relation matrix and crop banks absorb the batch statistics.
+    supervision, the teacher follows by EMA, and the relation matrix and crop
+    banks absorb the batch statistics.
 
     Per sample-step each model runs forward once: the teacher's `Scored` of the
     clean sample gives both the pseudo-labels and the background proposals,
@@ -241,7 +226,6 @@ def adapt(
     relation = RelationMatrix.identity(num_classes, config.relation_ema)
     bank = Cropbank(config.bank_capacity)
     policy = AugmentPolicy(config.p_aug, config.mix_ratio)
-    disc = DiscriminatorParams.zeros(config.source.feature_dim)
 
     eval_spec = dataclasses.replace(config.target, size=config.eval_size)
     eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
@@ -253,21 +237,16 @@ def adapt(
 
     ids = sorted(by_id)
     for epoch in range(config.epochs):
-        lambda_d = decay_lambda_d(config.disc_weight, epoch, config.epochs) \
-            if config.decay_disc else config.disc_weight
-        lambda_u = decay_lambda_d(config.unsup_weight, epoch, config.epochs) \
-            if config.decay_unsup else config.unsup_weight
         shuffle_rng = rng_stream(config.seed, "shuffle", epoch)
         aug_rng = rng_stream(config.seed, "augment", epoch)
         noise_rng = rng_stream(config.seed, "noise", epoch)
 
-        stu_losses, expert_losses, dis_losses = [], [], []
+        stu_losses, expert_losses = [], []
         order = shuffle_rng.permutation(len(ids))
         for batch in _batches(order, config.batch_size):
             split = relation.split() if relation.ready else None
             total = GradientSet.zeros_like(student)
             batch_pairs = []
-            disc_feats, disc_tags = [], []
             for pos in batch:
                 sample = by_id[ids[int(pos)]]
                 subset = report.subset_of(sample.id)
@@ -292,7 +271,7 @@ def adapt(
                 loss_stu, g_stu = detection_loss(student, strong, labels, weights,
                                                  background=bg, scored=scored_s,
                                                  matches=matches)
-                total = total + g_stu.scaled(lambda_u)
+                total = total + g_stu.scaled(config.unsup_weight)
                 stu_losses.append(loss_stu)
                 batch_pairs.extend(pairs)
 
@@ -313,10 +292,6 @@ def adapt(
                     total = total + g_exp
                     expert_losses.append(loss_exp)
 
-                if config.enable_dis:
-                    disc_feats.append(strong.proposal_features)
-                    disc_tags.extend([subset] * strong.num_proposals)
-
                 # bank absorbs the clean features of confident instances
                 for p in pseudo:
                     entry = CropEntry(sample.proposal_features[p.proposal_index].copy(),
@@ -329,14 +304,6 @@ def adapt(
             teacher = ema_update(teacher, student, config.teacher_ema)
             if batch_pairs:
                 relation.update(batch_confusion(batch_pairs, num_classes))
-            if config.enable_dis and disc_feats:
-                # reversed feature grads stop here: the detector is linear in
-                # the raw input features, so there is no trunk to align
-                loss_dis, (gw, gb), _ = discriminator_loss(
-                    disc, np.concatenate(disc_feats, axis=0), disc_tags)
-                disc = DiscriminatorParams(disc.w - config.learning_rate * gw,
-                                           disc.b - config.learning_rate * gb)
-                dis_losses.append(loss_dis)
 
         teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)
         student_eval = evaluate(student, eval_data, num_classes=num_classes)
@@ -347,13 +314,9 @@ def adapt(
             per_class_ap=teacher_eval.per_class_ap,
             loss_stu=float(np.mean(stu_losses)) if stu_losses else 0.0,
             loss_expert=float(np.mean(expert_losses)) if expert_losses else 0.0,
-            loss_dis=float(np.mean(dis_losses)) if dis_losses else 0.0,
-            lambda_d=lambda_d,
-            relation_snapshot=relation.matrix.tolist(),
         )
         history.records.append(record)
         if out_dir:
-            from .detector import save_params
             save_params(os.path.join(out_dir, f"epoch_{epoch:03d}_teacher.json"), teacher)
             relation.save_rows(os.path.join(out_dir, f"epoch_{epoch:03d}_relation.json"))
 
@@ -361,9 +324,9 @@ def adapt(
 
 
 def ablation_variants(config: AdaptationConfig) -> dict[str, AdaptationConfig]:
-    """Base (plain mean teacher + discriminator), +SA, +SAL and the full pipeline."""
+    """Base (plain mean teacher), +SA, +SAL and the full pipeline."""
     base = dataclasses.replace(config, enable_sa=False, enable_sal=False,
-                               enable_expert=False, enable_dis=True)
+                               enable_expert=False)
     return {
         "base": base,
         "sa": dataclasses.replace(base, enable_sa=True),
@@ -371,11 +334,3 @@ def ablation_variants(config: AdaptationConfig) -> dict[str, AdaptationConfig]:
         "full": dataclasses.replace(base, enable_sa=True, enable_sal=True,
                                     enable_expert=True),
     }
-
-
-def run_adaptation(config: AdaptationConfig, out_dir: str | None = None):
-    """Pretrain, seal the source, adapt; returns (source params, teacher, history)."""
-    source_params, _ = pretrain_source(config)
-    target_data = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
-    teacher, history = adapt(source_params, target_data, config, out_dir)
-    return source_params, teacher, history

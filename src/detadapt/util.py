@@ -1,6 +1,8 @@
-"""Small shared helpers: seeded RNG sub-streams and one-hot vectors."""
+"""Small shared helpers: seeded RNG sub-streams, one-hot vectors and atomic writes."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -29,3 +31,25 @@ def one_hot(index: int, length: int) -> np.ndarray:
     vec = np.zeros(length)
     vec[index] = 1.0
     return vec
+
+
+def write_atomic(path, text: str) -> None:
+    """Replace the file at `path` with `text` in one step.
+
+    The text goes to a temp file in the destination directory, which
+    `os.replace` then renames over `path`, so a reader sees the old file or
+    the new one, never a partial write. If writing or renaming fails, the
+    temp file is removed and the old file keeps its bytes. Nothing is synced
+    to disk: this guards against an interrupted process, not a power loss.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

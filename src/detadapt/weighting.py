@@ -59,16 +59,3 @@ def relation_weights(relation: RelationMatrix, pairs: list[tuple[int, int]], reg
     except DegenerateBatchError:
         normalized = np.ones(len(pairs))
     return regularize(normalized, reg)
-
-
-def weighted_ce(score_vectors, target_classes, weights) -> float:
-    """Mean of weighted per-instance cross-entropy over normalized score rows."""
-    scores = np.asarray(score_vectors, dtype=float)
-    targets = np.asarray(target_classes, dtype=int)
-    w = np.asarray(weights, dtype=float)
-    if not (len(scores) == len(targets) == len(w)):
-        raise ValueError("scores, targets and weights must have equal length")
-    if len(scores) == 0:
-        return 0.0
-    picked = scores[np.arange(len(targets)), targets]
-    return float(np.mean(-w * np.log(np.maximum(picked, 1e-300))))

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .util import write_atomic
+
 
 class ConfigError(ValueError):
     """Raised for invalid domain or run configuration."""
@@ -138,13 +140,6 @@ class DetectionSample:
     def num_proposals(self) -> int:
         return self.proposal_boxes.shape[0]
 
-    @property
-    def proposals(self) -> list[tuple[BBox, np.ndarray]]:
-        return [
-            (BBox(*self.proposal_boxes[j]), self.proposal_features[j])
-            for j in range(self.num_proposals)
-        ]
-
     def with_features(self, features: np.ndarray) -> "DetectionSample":
         """Copy of the sample with proposal features replaced (boxes shared)."""
         if features.shape != self.proposal_features.shape:
@@ -259,8 +254,8 @@ def make_domain_spec(
     return spec
 
 
-def shift_domain(base: DomainSpec, mean_shift, freq_override=None) -> DomainSpec:
-    """New spec with every feature center displaced by `mean_shift` (and optionally new frequencies)."""
+def shift_domain(base: DomainSpec, mean_shift) -> DomainSpec:
+    """New spec with every feature center displaced by `mean_shift`."""
     shift = np.asarray(mean_shift, dtype=float)
     if shift.shape != (base.feature_dim,):
         raise ConfigError(f"mean_shift must have dimension {base.feature_dim}")
@@ -268,7 +263,7 @@ def shift_domain(base: DomainSpec, mean_shift, freq_override=None) -> DomainSpec
         base,
         class_means=base.class_means + shift[None, :],
         background_mean=base.background_mean + shift,
-        frequency=np.asarray(freq_override, dtype=float) if freq_override is not None else base.frequency.copy(),
+        frequency=base.frequency.copy(),
     )
     spec.validate()
     return spec
@@ -338,8 +333,7 @@ def dataset_to_dict(spec: DomainSpec, samples: list[DetectionSample]) -> dict:
 
 
 def save_dataset(path, spec: DomainSpec, samples: list[DetectionSample]) -> None:
-    with open(path, "w") as fh:
-        json.dump(dataset_to_dict(spec, samples), fh)
+    write_atomic(path, json.dumps(dataset_to_dict(spec, samples)))
 
 
 def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:

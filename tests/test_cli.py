@@ -91,6 +91,17 @@ def test_bad_config_exits_two(tmp_path):
     assert run_cli(["--mode", "eval", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("field", ["enable_dis", "disc_weight", "decay_disc", "decay_unsup"])
+def test_removed_config_field_exits_two(field, tmp_path, capsys):
+    # discriminator-training fields were removed; old configs must fail loudly
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({field: True if field != "disc_weight" else 0.1}))
+    assert run_cli(["--mode", "adapt", "--config", str(config),
+                    "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config fields" in err and field in err
+
+
 def test_unknown_mode_exits_two(tmp_path, capsys):
     assert run_cli(["--mode", "nonsense", "--out", str(tmp_path)]) == 2
     capsys.readouterr()

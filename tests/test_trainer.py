@@ -11,8 +11,7 @@ from detadapt.detector import ModelParams
 from detadapt.metrics import evaluate
 from detadapt.trainer import (DiscriminatorParams, SealedDataset,
                               SourceAccessError, ablation_variants, adapt,
-                              decay_lambda_d, discriminator_loss,
-                              pretrain_source)
+                              discriminator_loss, pretrain_source)
 from detadapt.util import derive_seed, rng_stream
 from detadapt.world import generate_domain, make_domain_spec
 
@@ -113,14 +112,6 @@ def test_adversarial_reversal_collapses_probe_accuracy():
     assert probe_accuracy(x @ transform.T) <= 0.75
 
 
-def test_decay_schedule_values():
-    assert decay_lambda_d(0.1, 0, 50) == pytest.approx(0.1)
-    assert decay_lambda_d(0.1, 50, 50) == 0.0
-    assert decay_lambda_d(1.0, 25, 50) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        decay_lambda_d(0.1, 51, 50)
-
-
 def test_sealed_dataset_blocks_every_access():
     samples = generate_domain(make_domain_spec(
         num_classes=2, feature_dim=4, size=5, frequency=(0.5, 0.5)), 0)
@@ -174,7 +165,7 @@ def test_adapt_zero_epochs_returns_source_copy():
 
 def test_all_loss_switches_off_leave_params_unchanged():
     config = tiny_config(epochs=2, unsup_weight=0.0, enable_sa=False,
-                         enable_sal=False, enable_expert=False, enable_dis=False)
+                         enable_sal=False, enable_expert=False)
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
     teacher, history = adapt(params, target, config)
@@ -240,7 +231,6 @@ def test_ablation_variants_switch_matrix():
     assert set(variants) == {"base", "sa", "sal", "full"}
     base = variants["base"]
     assert not base.enable_sa and not base.enable_sal and not base.enable_expert
-    assert base.enable_dis
     assert variants["sa"].enable_sa and not variants["sa"].enable_sal
     assert variants["sal"].enable_sal and not variants["sal"].enable_sa
     full = variants["full"]

@@ -4,7 +4,7 @@ import pytest
 from detadapt.relation import RelationMatrix
 from detadapt.weighting import (DegenerateBatchError, instance_weight,
                                 normalize_foreground, regularize,
-                                relation_weights, weighted_ce)
+                                relation_weights)
 
 
 def matrix(rows):
@@ -52,21 +52,6 @@ def test_regularize():
     for reg in (0.2, 0.5, 2.0):
         out = regularize([0.5, 1.5], reg)  # mean-1 input
         assert out.mean() == pytest.approx(1.0)
-
-
-def test_weighted_ce_examples():
-    scores = np.array([[0.5, 0.5], [0.25, 0.75]])
-    targets = [0, 0]
-    plain = weighted_ce(scores, targets, [1.0, 1.0])
-    assert plain == pytest.approx((np.log(2) + np.log(4)) / 2)
-    assert weighted_ce(np.array([[1.0, 0.0]]), [0], [1.0]) == pytest.approx(0.0)
-    # per-instance CE {ln 2, ln 4} with weights {2, 0}
-    assert weighted_ce(scores, targets, [2.0, 0.0]) == pytest.approx(np.log(2))
-
-
-def test_weighted_ce_length_mismatch():
-    with pytest.raises(ValueError):
-        weighted_ce(np.ones((2, 2)) / 2, [0], [1.0, 1.0])
 
 
 def test_pipeline_mean_one_and_positive():
