@@ -13,8 +13,7 @@ from .config import AdaptationConfig, default_config
 from .cropbank import (DISSIMILAR, SIMILAR, AugmentPolicy, CropEntry, Cropbank,
                        augment_sample, mixup, sample_pair)
 from .detector import (Detection, GradientSet, ModelParams, Scored, TrainingError,
-                       detection_loss, forward, giou, load_params, save_params,
-                       sgd_step)
+                       detection_loss, forward, load_params, save_params, sgd_step)
 from .expert import ExpertLabel, ExpertSpec, expert_loss, expert_predict
 from .metrics import EvalResult, evaluate, f1_auc, froc, map_at_iou
 from .partition import VarianceReport, box_variance, cls_variance, mc_passes, partition

@@ -2,7 +2,9 @@
 
 The model is linear in the input features so every gradient below is derived by
 hand and checked against finite differences. Class index C (the last logit) is
-the background class.
+the background class. Training scores a batch in one packed pass and computes
+every sample's supervised loss in one array kernel, `supervised_losses`;
+`detection_loss` and the expert's `expert_loss` are its one-sample case.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,8 +200,8 @@ def forward_arrays(params: ModelParams, sample: DetectionSample,
 class Scored:
     """One forward pass of a model on a sample, or on a packed block of samples, as arrays.
 
-    Holds the outputs of `forward_arrays` (h, log_scores, scores, refined);
-    a pack (`Scored.packed`) also holds the `offsets` of its samples' rows.
+    Holds the outputs of `forward_arrays` (h, log_scores, scores, refined)
+    and the `offsets` of its samples' rows, [0, P] for one sample.
     The foreground argmax class and score and the valid refined boxes are
     derived on first use, so a caller that needs only the loss pays for none
     of them, and one that needs them twice computes them once.
@@ -207,6 +210,7 @@ class Scored:
     def __init__(self, params: ModelParams, sample: DetectionSample,
                  dropout_seed: int | None = None):
         self.num_classes = params.num_classes
+        self.offsets = np.array([0, sample.num_proposals])
         self.h, self.log_scores, self.scores, self.refined = \
             forward_arrays(params, sample, dropout_seed)
 
@@ -278,52 +282,49 @@ def forward(params: ModelParams, sample: DetectionSample,
             for j in range(len(boxes))]
 
 
-def _giou_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """GIoU of a (possibly degenerate) predicted box against a valid target.
+def _max(a, b):
+    """Python's `max(a, b)` elementwise, so NaN and signed zeros resolve alike; `_min` too."""
+    return np.where(b > a, b, a)
 
-    Widths are clamped at zero so the value stays defined for arbitrary
-    predicted coordinates; the gradient uses the matching subgradients.
+
+def _min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _corner_grad(lo: np.ndarray, hi: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """(L, 4) gradient of a (w, h) box's area in (x1, y1, x2, y2), where the
+    (L, 2) masks `lo` and `hi` tell which corner coordinates move it."""
+    other = sides[:, ::-1]
+    return np.where(np.concatenate([lo, hi], 1), np.concatenate([-other, other], 1), 0.0)
+
+
+def giou_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GIoU of (L, 4) predicted boxes, possibly degenerate, against valid targets.
+
+    Returns the (L,) values, in (-1, 1], and their (L, 4) subgradients in the
+    predicted coordinates. Widths are clamped at zero so the value stays
+    defined for arbitrary predicted coordinates. Squares go through
+    `float_power`, as a float64 scalar's `** 2` does; `x * x` rounds differently.
     """
-    px1, py1, px2, py2 = pred
-    tx1, ty1, tx2, ty2 = target
-    grad = np.zeros(4)
-
-    wp, hp = px2 - px1, py2 - py1
-    awp, ahp = max(wp, 0.0), max(hp, 0.0)
-    area_p = awp * ahp
-    d_area = np.array([-ahp if wp > 0 else 0.0, -awp if hp > 0 else 0.0,
-                       ahp if wp > 0 else 0.0, awp if hp > 0 else 0.0])
-    area_t = (tx2 - tx1) * (ty2 - ty1)
-
-    ix1, iy1 = max(px1, tx1), max(py1, ty1)
-    ix2, iy2 = min(px2, tx2), min(py2, ty2)
-    iw, ih = max(ix2 - ix1, 0.0), max(iy2 - iy1, 0.0)
-    inter = iw * ih
-    d_inter = np.zeros(4)
-    if iw > 0 and ih > 0:
-        d_inter[0] = -ih if px1 >= tx1 else 0.0
-        d_inter[1] = -iw if py1 >= ty1 else 0.0
-        d_inter[2] = ih if px2 <= tx2 else 0.0
-        d_inter[3] = iw if py2 <= ty2 else 0.0
+    p_lo, p_hi, t_lo, t_hi = pred[:, :2], pred[:, 2:], target[:, :2], target[:, 2:]
+    size = _max(p_hi - p_lo, 0.0)
+    d_area = _corner_grad(p_hi - p_lo > 0, p_hi - p_lo > 0, size)
+    overlap = _max(_min(p_hi, t_hi) - _max(p_lo, t_lo), 0.0)
+    both = (overlap > 0).all(axis=1, keepdims=True)
+    d_inter = _corner_grad((p_lo >= t_lo) & both, (p_hi <= t_hi) & both, overlap)
+    span = _max(p_hi, t_hi) - _min(p_lo, t_lo)
+    d_enc = _corner_grad(p_lo <= t_lo, p_hi >= t_hi, span)
+    area_p, area_t, inter, enclosure = (s[:, 0] * s[:, 1]
+                                        for s in (size, t_hi - t_lo, overlap, span))
 
     union = area_p + area_t - inter
     d_union = d_area - d_inter
-
-    ew = max(px2, tx2) - min(px1, tx1)
-    eh = max(py2, ty2) - min(py1, ty1)
-    enclosure = ew * eh
-    d_enc = np.array([-eh if px1 <= tx1 else 0.0, -ew if py1 <= ty1 else 0.0,
-                      eh if px2 >= tx2 else 0.0, ew if py2 >= ty2 else 0.0])
-
     value = inter / union - (enclosure - union) / enclosure
-    grad += (d_inter * union - inter * d_union) / union**2
-    grad += (d_union * enclosure - union * d_enc) / enclosure**2
-    return float(value), grad
-
-
-def giou(a: BBox, b: BBox) -> float:
-    """Generalized IoU: IoU minus the enclosing-area deficit, in (-1, 1]."""
-    return _giou_and_grad(a.as_array(), b.as_array())[0]
+    union, inter, enclosure = union[:, None], inter[:, None], enclosure[:, None]
+    grad = np.zeros(pred.shape)
+    grad += (d_inter * union - inter * d_union) / np.float_power(union, 2)
+    grad += (d_union * enclosure - union * d_enc) / np.float_power(enclosure, 2)
+    return value, grad
 
 
 def smooth_l1(diff: np.ndarray) -> np.ndarray:
@@ -343,99 +344,128 @@ def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray) -> np.ndar
     return np.argmax(iou_matrix(label_boxes, proposal_boxes), axis=1)
 
 
-def detection_loss(
-    params: ModelParams,
-    sample: DetectionSample,
-    labels: list[tuple[BBox, np.ndarray]],
-    weights=None,
-    *,
-    background="auto",
-    scored: Scored | None = None,
-    matches: np.ndarray | None = None,
-) -> tuple[float, GradientSet]:
-    """Supervised detection loss and its exact gradients.
+class Targets(NamedTuple):
+    """One sample's supervision as arrays; `targets` builds it from labels."""
+
+    matches: np.ndarray     # (n,) the proposal each label supervises
+    classes: np.ndarray     # (n, C) foreground class vectors, possibly soft
+    boxes: np.ndarray       # (n, 4) label boxes
+    weights: np.ndarray     # (n,) cross-entropy weights
+    background: np.ndarray  # (b,) unmatched proposals with a background target
+
+
+def targets(sample: DetectionSample, labels: list[tuple[BBox, np.ndarray]], weights=None,
+            background="auto", matches: np.ndarray | None = None) -> Targets:
+    """The `Targets` of (box, class_vector) labels on a sample.
+
+    `matches` defaults to `match_labels` of the labels. `background` selects
+    which unmatched proposals get a background target: "auto" for all of them,
+    None for none, or an index list, kept in order and with its repeats.
+    """
+    boxes = box_array(box for box, _ in labels)
+    if matches is None:
+        matches = match_labels(sample.proposal_boxes, boxes)
+    weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
+    if weights.shape != (len(labels),):
+        raise ValueError("weights must align with labels")
+    if isinstance(background, str):
+        background = np.arange(sample.num_proposals)
+    background = np.asarray([] if background is None else background, dtype=int)
+    return Targets(matches, np.array([vec for _, vec in labels]), boxes, weights,
+                   background[~np.isin(background, matches)])
+
+
+def _mean(terms: np.ndarray) -> float:
+    """A loop's running sum over the count (`np.sum` adds in another order); 0.0 if empty."""
+    return float(np.cumsum(terms)[-1]) / len(terms) if len(terms) else 0.0
+
+
+def supervised_losses(scored: Scored, targets: list[Targets],
+                      expert: tuple[float, float] | None = None
+                      ) -> list[tuple[float, GradientSet]]:
+    """Supervised loss and its exact gradients for each sample of a packed block.
+
+    Sample i of `scored` (rows `offsets[i]:offsets[i + 1]`) is supervised by
+    `targets[i]`: each label by weighted cross-entropy and smooth-L1 on the
+    refined coordinates of its matched proposal.
+
+    - `expert` None gives the detection loss. Each background proposal adds a
+      CE term toward the background class, with weight 1. CE averages over
+      labels and background proposals; smooth-L1 and (1 - GIoU) average over
+      the labels.
+    - `expert` = (cls_weight, reg_weight) gives the expert loss, with no GIoU:
+      cls_weight times the mean CE plus reg_weight times the mean smooth-L1,
+      both over the labels.
+
+    Each sample's loss and gradients equal those of a loop over its labels
+    bit for bit, in that loop's order: CE rows are a sample's labels, then its
+    background proposals; `np.add.at` accumulates rows that repeat in order.
+    """
+    num_fg, n = scored.num_classes, len(targets)
+    starts, counts = scored.offsets[:-1], np.diff(scored.offsets)
+    n_lab = np.array([len(t.matches) for t in targets])
+    n_bg = np.array([len(t.background) for t in targets])
+    lab_of, bg_of = np.repeat(np.arange(n), n_lab), np.repeat(np.arange(n), n_bg)
+    lab_rows = starts[lab_of] + np.concatenate([t.matches for t in targets])
+    boxes = np.concatenate([t.boxes for t in targets])
+
+    # CE rows, sample by sample: the labels, then the background proposals
+    order = np.argsort(np.concatenate((lab_of, bg_of)), kind="stable")
+    bg_rows = starts[bg_of] + np.concatenate([t.background for t in targets])
+    rows = np.concatenate((lab_rows, bg_rows))
+    target = np.zeros((len(rows), num_fg + 1))
+    target[:len(lab_rows), :num_fg] = np.concatenate([np.reshape(t.classes, (-1, num_fg))
+                                                      for t in targets])
+    target[len(lab_rows):, num_fg] = 1.0
+    w = np.concatenate([t.weights for t in targets] + [np.ones(len(bg_of))])
+    rows, target, w = rows[order], target[order], w[order]
+    # a stack of (1, K) @ (K, 1) products is one BLAS dot per row, like `target @ row`
+    ce = -w * (target[:, None, :] @ scored.log_scores[rows][:, :, None])[:, 0, 0]
+    d_logits = np.zeros_like(scored.scores)
+    np.add.at(d_logits, rows, w[:, None] * (scored.scores[rows] - target))
+
+    # normalise as the loops did: detection divides box gradients by the label
+    # count before adding up and CE rows after; the expert scales after adding up
+    diff = scored.refined[lab_rows] - boxes
+    box = smooth_l1(diff).sum(axis=1)
+    d_box = smooth_l1_grad(diff)
+    if expert is None:
+        value, grad = giou_and_grad(scored.refined[lab_rows], boxes)
+        d_box = (d_box - grad) / n_lab[lab_of][:, None]
+        d_logits /= np.repeat(np.maximum(n_lab + n_bg, 1), counts)[:, None]
+    d_refined = np.zeros_like(scored.refined)
+    np.add.at(d_refined, lab_rows, d_box)
+    if expert is not None:
+        per_row = np.repeat(np.maximum(n_lab, 1), counts)[:, None]
+        d_logits *= expert[0] / per_row
+        d_refined *= expert[1] / per_row
+
+    ce_off = np.concatenate(([0], np.cumsum(n_lab + n_bg)))
+    lab_off = np.concatenate(([0], np.cumsum(n_lab)))
+    out = []
+    for i, (a, b) in enumerate(zip(starts, scored.offsets[1:])):
+        loss_cls = _mean(ce[ce_off[i]:ce_off[i + 1]])
+        own = slice(lab_off[i], lab_off[i + 1])
+        loss = (_mean(box[own]) + _mean(1.0 - value[own]) + loss_cls if expert is None
+                else expert[0] * loss_cls + expert[1] * _mean(box[own]))
+        # one product per sample: over the whole block, BLAS would sum in another order
+        h, dl, dr = scored.h[a:b], d_logits[a:b], d_refined[a:b]
+        out.append((loss, GradientSet(dl.T @ h, dl.sum(axis=0), dr.T @ h, dr.sum(axis=0), loss)))
+    return out
+
+
+def detection_loss(params: ModelParams, sample: DetectionSample,
+                   labels: list[tuple[BBox, np.ndarray]], weights=None,
+                   *, background="auto") -> tuple[float, GradientSet]:
+    """Supervised detection loss on one sample and its exact gradients.
 
     labels are (box, class_vector) pairs with class vectors over the C
-    foreground classes (possibly soft). Each label supervises its highest-IoU
-    proposal: smooth-L1 on the refined coordinates, (1 - GIoU), and weighted
-    cross-entropy. `background` selects which unmatched proposals receive a
-    background target: "auto" for all of them, None for none, or an explicit
-    index list. Box terms average over matched labels; the CE term averages
-    over all supervised instances, with background weights fixed at 1.
-
-    `scored` (a `Scored` of params on sample) and `matches` (`match_labels`
-    of the labels) let a caller that already has them skip the forward pass
-    and the matching; the loss is the same either way.
+    foreground classes (possibly soft), each supervising its highest-IoU
+    proposal; `background` works as in `targets`. The one-sample case of
+    `supervised_losses`, whose docstring gives the terms.
     """
-    num_fg = params.num_classes
-    n_labels = len(labels)
-    if weights is None:
-        weights = np.ones(n_labels)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n_labels,):
-        raise ValueError("weights must align with labels")
-
-    if scored is None:
-        scored = Scored(params, sample)
-    h, log_scores, scores, refined = scored.h, scored.log_scores, scored.scores, scored.refined
-    n_prop = sample.num_proposals
-
-    if matches is None:
-        matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
-
-    matched = set(matches.tolist())
-    if background == "auto":
-        bg_indices = [j for j in range(n_prop) if j not in matched]
-    elif background is None:
-        bg_indices = []
-    else:
-        bg_indices = [j for j in background if j not in matched]
-
-    # (proposal, target over C+1 classes, weight) rows for the CE term
-    ce_rows = []
-    for i, (_, class_vec) in enumerate(labels):
-        target = np.zeros(num_fg + 1)
-        target[:num_fg] = class_vec
-        ce_rows.append((int(matches[i]), target, float(weights[i])))
-    bg_target = np.zeros(num_fg + 1)
-    bg_target[num_fg] = 1.0
-    for j in bg_indices:
-        ce_rows.append((j, bg_target, 1.0))
-
-    d_logits = np.zeros_like(scores)
-    d_refined = np.zeros_like(refined)
-
-    loss_cls = 0.0
-    if ce_rows:
-        n_ce = len(ce_rows)
-        for j, target, w in ce_rows:
-            loss_cls += -w * float(target @ log_scores[j])
-            d_logits[j] += w * (scores[j] - target)
-        loss_cls /= n_ce
-        d_logits /= n_ce
-
-    loss_box = 0.0
-    loss_giou = 0.0
-    if n_labels:
-        for i, (box, _) in enumerate(labels):
-            j = int(matches[i])
-            diff = refined[j] - box.as_array()
-            loss_box += float(smooth_l1(diff).sum())
-            g_val, g_grad = _giou_and_grad(refined[j], box.as_array())
-            loss_giou += 1.0 - g_val
-            d_refined[j] += (smooth_l1_grad(diff) - g_grad) / n_labels
-        loss_box /= n_labels
-        loss_giou /= n_labels
-
-    loss = loss_box + loss_giou + loss_cls
-    grads = GradientSet(
-        w_cls=d_logits.T @ h,
-        b_cls=d_logits.sum(axis=0),
-        w_reg=d_refined.T @ h,
-        b_reg=d_refined.sum(axis=0),
-        loss=loss,
-    )
-    return loss, grads
+    return supervised_losses(Scored(params, sample),
+                             [targets(sample, labels, weights, background)])[0]
 
 
 def sgd_step(params: ModelParams, grads: GradientSet, lr: float) -> ModelParams:

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import (GradientSet, ModelParams, Scored, match_labels, smooth_l1,
-                       smooth_l1_grad)
+from .detector import GradientSet, ModelParams, Scored, supervised_losses, targets
 from .util import one_hot
-from .world import BBox, DetectionSample, box_array
+from .world import BBox, DetectionSample
 
 
 @dataclass(frozen=True)
@@ -66,63 +65,15 @@ def expert_predict(spec: ExpertSpec, sample: DetectionSample, rng: np.random.Gen
     return labels
 
 
-def expert_loss(
-    params: ModelParams,
-    sample: DetectionSample,
-    labels: list[ExpertLabel],
-    cls_weight: float,
-    reg_weight: float,
-    weights=None,
-    *,
-    scored: Scored | None = None,
-    matches: np.ndarray | None = None,
-) -> tuple[float, GradientSet]:
+def expert_loss(params: ModelParams, sample: DetectionSample, labels: list[ExpertLabel],
+                cls_weight: float, reg_weight: float, weights=None) -> tuple[float, GradientSet]:
     """cls_weight * weighted CE + reg_weight * smooth-L1, matched by max IoU.
 
     Only proposals matched to an expert label are supervised; the expert says
     nothing about the rest of the image, so there is no background term here.
-    `scored` and `matches` work as in `detection_loss`.
+    The one-sample case of `supervised_losses`; no labels give zero.
     """
-    if not labels:
-        return 0.0, GradientSet.zeros_like(params)
-    n = len(labels)
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n,):
-        raise ValueError("weights must align with expert labels")
-
-    if scored is None:
-        scored = Scored(params, sample)
-    h, log_scores, scores, refined = scored.h, scored.log_scores, scored.scores, scored.refined
-    num_fg = params.num_classes
-    if matches is None:
-        matches = match_labels(sample.proposal_boxes, box_array(lab.box for lab in labels))
-
-    d_logits = np.zeros_like(scores)
-    d_refined = np.zeros_like(refined)
-    loss_cls = 0.0
-    loss_reg = 0.0
-    for i, lab in enumerate(labels):
-        j = int(matches[i])
-        target = np.zeros(num_fg + 1)
-        target[:num_fg] = lab.class_vec
-        loss_cls += -float(weights[i]) * float(target @ log_scores[j])
-        d_logits[j] += weights[i] * (scores[j] - target)
-        diff = refined[j] - lab.box.as_array()
-        loss_reg += float(smooth_l1(diff).sum())
-        d_refined[j] += smooth_l1_grad(diff)
-    loss_cls /= n
-    loss_reg /= n
-    d_logits *= cls_weight / n
-    d_refined *= reg_weight / n
-
-    loss = cls_weight * loss_cls + reg_weight * loss_reg
-    grads = GradientSet(
-        w_cls=d_logits.T @ h,
-        b_cls=d_logits.sum(axis=0),
-        w_reg=d_refined.T @ h,
-        b_reg=d_refined.sum(axis=0),
-        loss=loss,
-    )
-    return loss, grads
+    pairs = [(lab.box, lab.class_vec) for lab in labels]
+    return supervised_losses(Scored(params, sample),
+                             [targets(sample, pairs, weights, background=None)],
+                             expert=(cls_weight, reg_weight))[0]

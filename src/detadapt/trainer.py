@@ -4,9 +4,11 @@ expert supervision. A subset discriminator loss with gradient reversal is
 provided, but not trained here: the detector is linear in the raw features, so
 there is no feature trunk for its reversed gradients to align.
 
-The teacher only ever moves by EMA; gradients touch only the student. All
-randomness flows from the single config seed through named sub-streams, so a
-run is a pure function of its config.
+The teacher only ever moves by EMA; gradients touch only the student. Each
+batch's losses come from one packed pass of the model being trained and one
+call of the `supervised_losses` kernel per loss. All randomness flows from the
+single config seed through named sub-streams, so a run is a pure function of
+its config.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 
 from .config import AdaptationConfig
 from .cropbank import SIMILAR, AugmentPolicy, CropEntry, Cropbank, augment_sample
-from .detector import (GradientSet, ModelParams, Scored, TrainingError, detection_loss,
-                       match_labels, save_params, sgd_step)
-from .expert import expert_loss, expert_predict
+from .detector import (GradientSet, ModelParams, Scored, TrainingError, match_labels,
+                       save_params, sgd_step, supervised_losses, targets)
+from .expert import expert_predict
 from .metrics import evaluate
 from .partition import partition
 from .relation import RelationMatrix, batch_confusion
@@ -157,24 +159,28 @@ def _batches(order: np.ndarray, batch_size: int):
 def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDataset]:
     """Supervised training on freshly generated source data, then seal it.
 
-    With pretrain_epochs=0 the randomly initialized model is returned as-is.
-    The sealed handle is returned so callers can prove the source stays closed.
+    Ground-truth targets and their matches are built once; each batch is then
+    one packed pass and one `supervised_losses` call, its per-sample gradients
+    summed in batch order. With pretrain_epochs=0 the randomly initialized
+    model is returned as-is. The sealed handle is returned so callers can
+    prove the source stays closed.
     """
     config.validate()
     source_data = generate_domain(config.source, derive_seed(config.seed, "world", "source"))
     params = ModelParams.init(config.num_classes, config.source.feature_dim,
                               rng_stream(config.seed, "init"),
                               dropout_rate=config.dropout_rate)
+    # ground-truth matches never change, so the targets are built once
+    source_targets = [targets(s, [(obj.box, one_hot(obj.class_id, config.num_classes))
+                                  for obj in s.objects]) for s in source_data]
     shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
     for epoch in range(config.pretrain_epochs):
         order = shuffle_rng.permutation(len(source_data))
         for batch in _batches(order, config.batch_size):
+            batch = batch.tolist()
+            scored = Scored.packed(params, [source_data[i] for i in batch])
             total = GradientSet.zeros_like(params)
-            for idx in batch:
-                sample = source_data[int(idx)]
-                labels = [(obj.box, one_hot(obj.class_id, config.num_classes))
-                          for obj in sample.objects]
-                loss, grads = detection_loss(params, sample, labels)
+            for loss, grads in supervised_losses(scored, [source_targets[i] for i in batch]):
                 if not np.isfinite(loss):
                     raise TrainingError(f"non-finite pretrain loss at epoch {epoch}")
                 total = total + grads
@@ -195,6 +201,14 @@ def _student_view(sample, labels, matches, relation, split, bank, policy, subset
     return sample, labels
 
 
+def _relation_pairs(labels, predicted, relation, config):
+    """(label class, student class) pairs, and their relation weights when SAL is on."""
+    pairs = [(int(np.argmax(vec)), j) for (_, vec), j in zip(labels, predicted.tolist())]
+    weights = relation_weights(relation, pairs, config.weight_reg) \
+        if (config.enable_sal and pairs) else None
+    return pairs, weights
+
+
 def adapt(
     source_params: ModelParams,
     target_data: list[DetectionSample],
@@ -208,12 +222,14 @@ def adapt(
     supervision, the teacher follows by EMA, and the relation matrix and crop
     banks absorb the batch statistics.
 
-    Per sample-step each model runs forward once: the teacher's `Scored` of the
-    clean sample gives both the pseudo-labels and the background proposals,
-    and the student's `Scored` of the strong view gives the predicted classes
-    of the label and expert pairs and both losses. Each label set (pseudo and
-    expert) is matched to the proposals once; augmentation keeps label boxes
-    and proposal boxes, so the matches serve the pairs and the losses too.
+    Per sample-step each model runs forward once. The teacher's `Scored` of the
+    clean sample gives the pseudo-labels and the background proposals, sample
+    by sample, so the crop bank absorbs sample k before sample k + 1 is
+    augmented. The student does not move within a batch: one packed pass over
+    the strong views gives the predicted classes of the label and expert
+    pairs, and one `supervised_losses` call per loss. Each label set is
+    matched to the proposals once; augmentation keeps label and proposal
+    boxes, so the matches serve the pairs and the losses too.
     """
     config.validate()
     num_classes = config.num_classes
@@ -245,8 +261,7 @@ def adapt(
         order = shuffle_rng.permutation(len(ids))
         for batch in _batches(order, config.batch_size):
             split = relation.split() if relation.ready else None
-            total = GradientSet.zeros_like(student)
-            batch_pairs = []
+            views = []
             for pos in batch:
                 sample = by_id[ids[int(pos)]]
                 subset = report.subset_of(sample.id)
@@ -257,46 +272,50 @@ def adapt(
                 strong, labels = _student_view(sample, labels, matches, relation, split,
                                                bank, policy, subset, aug_rng, noise_rng,
                                                config)
-                scored_s = Scored(student, strong)
-                predicted = scored_s.class_ids.tolist()
-
-                pairs = [(int(np.argmax(vec)), predicted[j])
-                         for (_, vec), j in zip(labels, matches.tolist())]
-                weights = relation_weights(relation, pairs, config.weight_reg) \
-                    if (config.enable_sal and pairs) else None
-
                 bg = None if config.background_bar is None else \
                     background_indices(teacher, sample, config.background_bar,
                                        scored=scored_t)
-                loss_stu, g_stu = detection_loss(student, strong, labels, weights,
-                                                 background=bg, scored=scored_s,
-                                                 matches=matches)
-                total = total + g_stu.scaled(config.unsup_weight)
-                stu_losses.append(loss_stu)
-                batch_pairs.extend(pairs)
-
+                elabels = None
                 if config.enable_expert:
                     expert_rng = rng_stream(config.seed, "expert", epoch, sample.id)
-                    elabels = expert_predict(config.expert, sample, expert_rng, num_classes)
-                    ematches = match_labels(strong.proposal_boxes,
-                                            box_array(lab.box for lab in elabels))
-                    eweights = None
-                    if config.enable_sal and elabels:
-                        epairs = [(int(np.argmax(lab.class_vec)), predicted[j])
-                                  for lab, j in zip(elabels, ematches.tolist())]
-                        eweights = relation_weights(relation, epairs, config.weight_reg)
-                    loss_exp, g_exp = expert_loss(student, strong, elabels,
-                                                  config.expert_cls_weight,
-                                                  config.expert_reg_weight, eweights,
-                                                  scored=scored_s, matches=ematches)
-                    total = total + g_exp
-                    expert_losses.append(loss_exp)
+                    elabels = [(lab.box, lab.class_vec) for lab in
+                               expert_predict(config.expert, sample, expert_rng, num_classes)]
+                views.append((strong, labels, matches, bg, elabels))
 
                 # bank absorbs the clean features of confident instances
                 for p in pseudo:
                     entry = CropEntry(sample.proposal_features[p.proposal_index].copy(),
                                       p.class_vec, (p.box.width, p.box.height))
                     bank.push(subset, int(np.argmax(p.class_vec)), entry)
+
+            # the student does not move within a batch: one pass scores every view
+            scored_s = Scored.packed(student, [view[0] for view in views])
+            predicted = scored_s.class_ids
+            stu_targets, exp_targets, batch_pairs = [], [], []
+            for start, (strong, labels, matches, bg, elabels) in zip(scored_s.offsets, views):
+                pairs, weights = _relation_pairs(labels, predicted[start + matches], relation,
+                                                 config)
+                stu_targets.append(targets(strong, labels, weights, bg, matches))
+                batch_pairs.extend(pairs)
+                if config.enable_expert:
+                    ematches = match_labels(strong.proposal_boxes,
+                                            box_array(box for box, _ in elabels))
+                    _, eweights = _relation_pairs(elabels, predicted[start + ematches],
+                                                  relation, config)
+                    exp_targets.append(targets(strong, elabels, eweights, None, ematches))
+
+            # one kernel call per loss; gradients add up per sample, student then expert
+            expert_terms = supervised_losses(scored_s, exp_targets, (config.expert_cls_weight,
+                                                                     config.expert_reg_weight)) \
+                if config.enable_expert else []
+            total = GradientSet.zeros_like(student)
+            for i, (loss_stu, g_stu) in enumerate(supervised_losses(scored_s, stu_targets)):
+                total = total + g_stu.scaled(config.unsup_weight)
+                stu_losses.append(loss_stu)
+                if expert_terms:
+                    loss_exp, g_exp = expert_terms[i]
+                    total = total + g_exp
+                    expert_losses.append(loss_exp)
 
             if not total.is_finite():
                 raise TrainingError(f"non-finite loss at epoch {epoch}")

@@ -3,19 +3,24 @@
 Everything here recomputes from first principles with plain loops: central
 finite differences for gradients, per-prefix rescored matching for AP, a
 full threshold enumeration for FROC, the per-proposal object path (one
-`BBox.from_raw` and one argmax per proposal, per pass) for scoring, and the
-per-class object matching for a whole evaluation. None of it shares code
-with the package implementations beyond the raw forward pass and the
-matching rule they both define.
+`BBox.from_raw` and one argmax per proposal, per pass) for scoring, the
+per-class object matching for a whole evaluation, and the supervised losses
+one label at a time, with a scalar GIoU, for the loss kernel and
+pretraining. None of it shares code with the package implementations beyond
+the raw forward pass, the matching rule, the smooth-L1 helpers and the SGD
+step they both define.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from detadapt.detector import Detection, GradientSet, ModelParams, forward_arrays
+from detadapt.detector import (Detection, GradientSet, ModelParams, forward_arrays,
+                               match_labels, sgd_step, smooth_l1, smooth_l1_grad)
+from detadapt.expert import ExpertLabel
 from detadapt.metrics import FPI_POINTS, EvalResult
-from detadapt.world import BBox
+from detadapt.util import derive_seed, one_hot, rng_stream
+from detadapt.world import BBox, DetectionSample, box_array, generate_domain
 
 
 def oracle_box(row, min_size: float = 1e-6) -> np.ndarray:
@@ -49,6 +54,208 @@ def oracle_pseudo_labels(teacher: ModelParams, sample, conf_threshold):
 
 def oracle_background_indices(teacher: ModelParams, sample, bar):
     return [det.proposal_index for det in oracle_detections(teacher, sample) if det.score < bar]
+
+
+def oracle_giou(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """GIoU of a (possibly degenerate) predicted box against a valid target.
+
+    Widths are clamped at zero so the value stays defined for arbitrary
+    predicted coordinates; the gradient uses the matching subgradients.
+    """
+    px1, py1, px2, py2 = pred
+    tx1, ty1, tx2, ty2 = target
+    grad = np.zeros(4)
+
+    wp, hp = px2 - px1, py2 - py1
+    awp, ahp = max(wp, 0.0), max(hp, 0.0)
+    area_p = awp * ahp
+    d_area = np.array([-ahp if wp > 0 else 0.0, -awp if hp > 0 else 0.0,
+                       ahp if wp > 0 else 0.0, awp if hp > 0 else 0.0])
+    area_t = (tx2 - tx1) * (ty2 - ty1)
+
+    ix1, iy1 = max(px1, tx1), max(py1, ty1)
+    ix2, iy2 = min(px2, tx2), min(py2, ty2)
+    iw, ih = max(ix2 - ix1, 0.0), max(iy2 - iy1, 0.0)
+    inter = iw * ih
+    d_inter = np.zeros(4)
+    if iw > 0 and ih > 0:
+        d_inter[0] = -ih if px1 >= tx1 else 0.0
+        d_inter[1] = -iw if py1 >= ty1 else 0.0
+        d_inter[2] = ih if px2 <= tx2 else 0.0
+        d_inter[3] = iw if py2 <= ty2 else 0.0
+
+    union = area_p + area_t - inter
+    d_union = d_area - d_inter
+
+    ew = max(px2, tx2) - min(px1, tx1)
+    eh = max(py2, ty2) - min(py1, ty1)
+    enclosure = ew * eh
+    d_enc = np.array([-eh if px1 <= tx1 else 0.0, -ew if py1 <= ty1 else 0.0,
+                      eh if px2 >= tx2 else 0.0, ew if py2 >= ty2 else 0.0])
+
+    value = inter / union - (enclosure - union) / enclosure
+    grad += (d_inter * union - inter * d_union) / union**2
+    grad += (d_union * enclosure - union * d_enc) / enclosure**2
+    return float(value), grad
+
+
+def oracle_detection_loss(
+    params: ModelParams,
+    sample: DetectionSample,
+    labels: list[tuple[BBox, np.ndarray]],
+    weights=None,
+    *,
+    background="auto",
+) -> tuple[float, GradientSet]:
+    """`detection_loss` as a loop over the labels, one proposal row at a time.
+
+    labels are (box, class_vector) pairs with class vectors over the C
+    foreground classes (possibly soft). Each label supervises its highest-IoU
+    proposal: smooth-L1 on the refined coordinates, (1 - GIoU), and weighted
+    cross-entropy. `background` selects which unmatched proposals receive a
+    background target: "auto" for all of them, None for none, or an explicit
+    index list. Box terms average over matched labels; the CE term averages
+    over all supervised instances, with background weights fixed at 1.
+    """
+    num_fg = params.num_classes
+    n_labels = len(labels)
+    if weights is None:
+        weights = np.ones(n_labels)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n_labels,):
+        raise ValueError("weights must align with labels")
+
+    h, log_scores, scores, refined = forward_arrays(params, sample)
+    n_prop = sample.num_proposals
+    matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
+
+    matched = set(matches.tolist())
+    if background == "auto":
+        bg_indices = [j for j in range(n_prop) if j not in matched]
+    elif background is None:
+        bg_indices = []
+    else:
+        bg_indices = [j for j in background if j not in matched]
+
+    # (proposal, target over C+1 classes, weight) rows for the CE term
+    ce_rows = []
+    for i, (_, class_vec) in enumerate(labels):
+        target = np.zeros(num_fg + 1)
+        target[:num_fg] = class_vec
+        ce_rows.append((int(matches[i]), target, float(weights[i])))
+    bg_target = np.zeros(num_fg + 1)
+    bg_target[num_fg] = 1.0
+    for j in bg_indices:
+        ce_rows.append((j, bg_target, 1.0))
+
+    d_logits = np.zeros_like(scores)
+    d_refined = np.zeros_like(refined)
+
+    loss_cls = 0.0
+    if ce_rows:
+        n_ce = len(ce_rows)
+        for j, target, w in ce_rows:
+            loss_cls += -w * float(target @ log_scores[j])
+            d_logits[j] += w * (scores[j] - target)
+        loss_cls /= n_ce
+        d_logits /= n_ce
+
+    loss_box = 0.0
+    loss_giou = 0.0
+    if n_labels:
+        for i, (box, _) in enumerate(labels):
+            j = int(matches[i])
+            diff = refined[j] - box.as_array()
+            loss_box += float(smooth_l1(diff).sum())
+            g_val, g_grad = oracle_giou(refined[j], box.as_array())
+            loss_giou += 1.0 - g_val
+            d_refined[j] += (smooth_l1_grad(diff) - g_grad) / n_labels
+        loss_box /= n_labels
+        loss_giou /= n_labels
+
+    loss = loss_box + loss_giou + loss_cls
+    grads = GradientSet(
+        w_cls=d_logits.T @ h,
+        b_cls=d_logits.sum(axis=0),
+        w_reg=d_refined.T @ h,
+        b_reg=d_refined.sum(axis=0),
+        loss=loss,
+    )
+    return loss, grads
+
+
+def oracle_expert_loss(
+    params: ModelParams,
+    sample: DetectionSample,
+    labels: list[ExpertLabel],
+    cls_weight: float,
+    reg_weight: float,
+    weights=None,
+) -> tuple[float, GradientSet]:
+    """`expert_loss` as a loop over the labels, one proposal row at a time."""
+    if not labels:
+        return 0.0, GradientSet.zeros_like(params)
+    n = len(labels)
+    if weights is None:
+        weights = np.ones(n)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise ValueError("weights must align with expert labels")
+
+    h, log_scores, scores, refined = forward_arrays(params, sample)
+    num_fg = params.num_classes
+    matches = match_labels(sample.proposal_boxes, box_array(lab.box for lab in labels))
+
+    d_logits = np.zeros_like(scores)
+    d_refined = np.zeros_like(refined)
+    loss_cls = 0.0
+    loss_reg = 0.0
+    for i, lab in enumerate(labels):
+        j = int(matches[i])
+        target = np.zeros(num_fg + 1)
+        target[:num_fg] = lab.class_vec
+        loss_cls += -float(weights[i]) * float(target @ log_scores[j])
+        d_logits[j] += weights[i] * (scores[j] - target)
+        diff = refined[j] - lab.box.as_array()
+        loss_reg += float(smooth_l1(diff).sum())
+        d_refined[j] += smooth_l1_grad(diff)
+    loss_cls /= n
+    loss_reg /= n
+    d_logits *= cls_weight / n
+    d_refined *= reg_weight / n
+
+    loss = cls_weight * loss_cls + reg_weight * loss_reg
+    grads = GradientSet(
+        w_cls=d_logits.T @ h,
+        b_cls=d_logits.sum(axis=0),
+        w_reg=d_refined.T @ h,
+        b_reg=d_refined.sum(axis=0),
+        loss=loss,
+    )
+    return loss, grads
+
+
+def oracle_pretrain(config) -> ModelParams:
+    """`pretrain_source`'s parameters from one `oracle_detection_loss` per sample."""
+    config.validate()
+    source_data = generate_domain(config.source, derive_seed(config.seed, "world", "source"))
+    params = ModelParams.init(config.num_classes, config.source.feature_dim,
+                              rng_stream(config.seed, "init"),
+                              dropout_rate=config.dropout_rate)
+    shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
+    for epoch in range(config.pretrain_epochs):
+        order = shuffle_rng.permutation(len(source_data))
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            total = GradientSet.zeros_like(params)
+            for idx in batch:
+                sample = source_data[int(idx)]
+                labels = [(obj.box, one_hot(obj.class_id, config.num_classes))
+                          for obj in sample.objects]
+                loss, grads = oracle_detection_loss(params, sample, labels)
+                total = total + grads
+            params = sgd_step(params, total.scaled(1.0 / len(batch)), config.learning_rate)
+    return params
 
 
 def numeric_gradient(loss_fn, params: ModelParams, h: float = 1e-5) -> GradientSet:

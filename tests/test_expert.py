@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from bruteforce import max_relative_error, numeric_gradient
-from detadapt.detector import GradientSet, Scored, match_labels
 from detadapt.expert import ExpertLabel, ExpertSpec, expert_loss, expert_predict
 from detadapt.util import one_hot
-from detadapt.world import BBox, DetectionSample, ObjectInstance, box_array, iou
+from detadapt.world import BBox, DetectionSample, ObjectInstance
 from test_detector import random_params, random_sample
 
 
@@ -123,12 +122,6 @@ def test_gradients_match_finite_differences():
                                       one_hot(int(rng.integers(3)), 3), 0.9))
         weights = rng.uniform(0.2, 2.0, len(labels))
         loss, grads = expert_loss(params, sample, labels, 1.3, 0.7, weights)
-        shared = expert_loss(params, sample, labels, 1.3, 0.7, weights,
-                             scored=Scored(params, sample),
-                             matches=match_labels(sample.proposal_boxes,
-                                                  box_array(lab.box for lab in labels)))
-        assert shared[0] == loss and np.array_equal(shared[1].w_cls, grads.w_cls)
-        assert np.array_equal(shared[1].w_reg, grads.w_reg)
         numeric = numeric_gradient(
             lambda p: expert_loss(p, sample, labels, 1.3, 0.7, weights)[0], params)
         assert max_relative_error(grads, numeric) < 1e-4

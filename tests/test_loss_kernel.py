@@ -1,0 +1,139 @@
+"""The packed supervised-loss kernel against the per-label loop oracles, bit for bit."""
+
+import numpy as np
+import pytest
+
+from bruteforce import (oracle_detection_loss, oracle_expert_loss, oracle_giou,
+                        oracle_pretrain)
+from detadapt.detector import (Scored, detection_loss, giou_and_grad, supervised_losses,
+                               targets)
+from detadapt.expert import ExpertLabel, expert_loss
+from detadapt.trainer import pretrain_source
+from detadapt.util import one_hot
+from detadapt.world import BBox
+from test_detector import mixed_samples, random_labels, random_params, random_sample
+from test_trainer import tiny_config
+
+GRADIENTS = ("w_cls", "b_cls", "w_reg", "b_reg")
+
+
+def assert_same(got, want):
+    (loss, grads), (want_loss, want_grads) = got, want
+    assert loss == want_loss and grads.loss == want_grads.loss
+    for name in GRADIENTS:
+        assert np.array_equal(getattr(grads, name), getattr(want_grads, name)), name
+
+
+def expert_labels(labels):
+    return [ExpertLabel(box, vec, 0.9) for box, vec in labels]
+
+
+def check_sample(params, sample, labels, weights=None, background="auto"):
+    assert_same(detection_loss(params, sample, labels, weights, background=background),
+                oracle_detection_loss(params, sample, labels, weights, background=background))
+    assert_same(expert_loss(params, sample, expert_labels(labels), 1.3, 0.7, weights),
+                oracle_expert_loss(params, sample, expert_labels(labels), 1.3, 0.7, weights))
+
+
+@pytest.mark.parametrize("soft", [False, True])
+def test_losses_match_loop_oracles(soft):
+    rng = np.random.default_rng(30)
+    for trial in range(300):
+        params = random_params(rng)
+        sample = random_sample(rng, num_proposals=int(rng.integers(2, 9)))
+        labels = random_labels(rng, count=int(rng.integers(1, 5)), soft=soft)
+        weights = rng.uniform(0.2, 2.0, len(labels)) if trial % 2 else None
+        check_sample(params, sample, labels, weights, background=[None, "auto"][trial % 2])
+
+
+def test_two_mixed_labels_on_one_proposal():
+    # mixup leaves two nonzero classes in a label; both labels sit on proposal 2
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        params = random_params(rng)
+        sample = random_sample(rng)
+        box = BBox(*sample.proposal_boxes[2])
+        mix = rng.uniform(0.5, 0.95)
+        pair = rng.choice(3, 2, replace=False)
+        vec = mix * one_hot(int(pair[0]), 3) + (1 - mix) * one_hot(int(pair[1]), 3)
+        labels = [(box, vec), (box, one_hot(int(rng.integers(3)), 3))]
+        check_sample(params, sample, labels, rng.uniform(0.2, 2.0, 2))
+
+
+def test_background_list_with_matched_and_repeated_indices():
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        params = random_params(rng)
+        sample = random_sample(rng, num_proposals=6)
+        labels = [(BBox(*sample.proposal_boxes[1]), rng.dirichlet(np.ones(3)))]
+        background = [4, 1, 4, 0, 1, 5, 4]
+        assert targets(sample, labels, background=background).background.tolist() == \
+            [4, 4, 0, 5, 4]
+        check_sample(params, sample, labels, background=background)
+
+
+@pytest.mark.parametrize("background", [None, "auto"])
+def test_no_labels(background):
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        params = random_params(rng)
+        sample = random_sample(rng)
+        check_sample(params, sample, [], background=background)
+
+
+def test_one_proposal_samples():
+    rng = np.random.default_rng(34)
+    for trial in range(100):
+        params = random_params(rng)
+        sample = random_sample(rng, num_proposals=1)
+        labels = random_labels(rng, count=int(rng.integers(0, 3)), soft=bool(trial % 2))
+        check_sample(params, sample, labels, rng.uniform(0.2, 2.0, len(labels)),
+                     background=["auto", None, [0, 0]][trial % 3])
+
+
+def test_packed_block_matches_per_sample_oracles():
+    rng = np.random.default_rng(35)
+    params = random_params(rng)
+    sizes = [1, 2, 7, 13, 1, 1, 13, 2, 7, 1, 5]
+    for _ in range(10):
+        samples = mixed_samples(rng, sizes)
+        labels = [random_labels(rng, count=int(rng.integers(0, 4)), soft=True) for _ in sizes]
+        weights = [rng.uniform(0.2, 2.0, len(lab)) for lab in labels]
+        background = [["auto", None, [0, 0]][i % 3] for i in range(len(sizes))]
+        scored = Scored.packed(params, samples)
+        got = supervised_losses(scored, [targets(s, lab, w, bg) for s, lab, w, bg
+                                         in zip(samples, labels, weights, background)])
+        got_expert = supervised_losses(
+            scored, [targets(s, lab, w, None) for s, lab, w in zip(samples, labels, weights)],
+            (1.3, 0.7))
+        for i, sample in enumerate(samples):
+            assert_same(got[i], oracle_detection_loss(params, sample, labels[i], weights[i],
+                                                      background=background[i]))
+            assert_same(got_expert[i], oracle_expert_loss(
+                params, sample, expert_labels(labels[i]), 1.3, 0.7, weights[i]))
+
+
+def test_giou_matches_scalar_oracle_on_inverted_and_degenerate_boxes():
+    rng = np.random.default_rng(36)
+    n = 20000
+    target = rng.uniform(0, 10, (n, 4))
+    target[:, 2:] = target[:, :2] + rng.uniform(0.5, 3, (n, 2))
+    pred = target + rng.normal(0, 1.5, (n, 4))
+    pred[::7, [0, 2]] = pred[::7, [2, 0]]             # inverted in x
+    pred[1::7, 3] = pred[1::7, 1]                     # zero height
+    pred[2::7] = pred[2::7, [0, 1, 0, 1]]             # a point
+    pred[3::7] = target[3::7]                         # exact hit
+    pred[4::7, :2] = target[4::7, :2]                 # shared corner
+    value, grad = giou_and_grad(pred, target)
+    for i in range(n):
+        want_value, want_grad = oracle_giou(pred[i], target[i])
+        assert value[i] == want_value
+        assert np.array_equal(grad[i], want_grad)
+
+
+def test_pretrain_matches_per_sample_loop_oracle():
+    config = tiny_config()
+    params, _ = pretrain_source(config)
+    want = oracle_pretrain(tiny_config())
+    for name in GRADIENTS:
+        assert np.array_equal(getattr(params, name), getattr(want, name)), name

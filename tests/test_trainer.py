@@ -195,17 +195,26 @@ def test_frozen_teacher_under_unit_ema():
 
 @pytest.mark.parametrize("variant", ["full", "base"])
 def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch):
+    # the teacher scores each sample on its own; the student scores a batch's
+    # views in one packed pass, so each sample once per step either way
     config = ablation_variants(tiny_config(epochs=2))[variant]
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
     real_forward = detector.forward_arrays
+    real_packed = detector.Scored.packed.__func__
     passes = []
+    packed_ids = []
     outside_loop = []
 
     def counted_forward(*args, **kwargs):
         if not outside_loop:
             passes.append(1)
         return real_forward(*args, **kwargs)
+
+    def counted_packed(cls, params, samples, *args, **kwargs):
+        if not outside_loop:
+            packed_ids.extend(s.id for s in samples)
+        return real_packed(cls, params, samples, *args, **kwargs)
 
     def not_counted(fn):
         def wrapper(*args, **kwargs):
@@ -220,10 +229,12 @@ def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch
         if module is not None and module.__name__.startswith("detadapt") \
                 and getattr(module, "forward_arrays", None) is real_forward:
             monkeypatch.setattr(module, "forward_arrays", counted_forward)
+    monkeypatch.setattr(detector.Scored, "packed", classmethod(counted_packed))
     monkeypatch.setattr(trainer, "partition", not_counted(trainer.partition))
     monkeypatch.setattr(trainer, "evaluate", not_counted(trainer.evaluate))
     adapt(params, target, config)
-    assert len(passes) == 2 * config.epochs * len(target)
+    assert len(passes) == config.epochs * len(target)
+    assert sorted(packed_ids) == sorted([s.id for s in target] * config.epochs)
 
 
 def test_ablation_variants_switch_matrix():

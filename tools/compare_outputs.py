@@ -1,0 +1,84 @@
+"""Run the benchmark's three workloads on two source trees and diff every output file.
+
+    python3 tools/compare_outputs.py TREE_A TREE_B
+
+Each tree runs, from its own `src/`, with one BLAS thread: CLI pretrain, then
+CLI adapt of the full method and of the base variant from that source model
+(seed 0, 10 epochs), and the score-large partition and evaluation (that source
+model on a target set ten times the default size). Prints one line per file
+that differs or exists in one tree only, then a summary. Exits 1 on any
+difference.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+
+RUN = r"""
+import dataclasses, json, os, sys
+from detadapt import cli, trainer, util, world
+from detadapt.config import default_config
+from detadapt.detector import load_params
+from detadapt.metrics import evaluate
+from detadapt.partition import partition
+out = sys.argv[1]
+base = dataclasses.replace(default_config(seed=0), epochs=10)
+variants = trainer.ablation_variants(base)
+os.makedirs(out)
+assert cli.run_cli(["--mode", "pretrain", "--out", os.path.join(out, "pretrain")]) == 0
+for name in ("full", "base"):
+    config_path = os.path.join(out, f"config_{name}.json")
+    variants[name].save_json(config_path)
+    assert cli.run_cli(["--mode", "adapt", "--config", config_path,
+                        "--out", os.path.join(out, f"adapt-{name}"),
+                        "--params", os.path.join(out, "pretrain", "source_params.json")]) == 0
+config = default_config(seed=0)
+params = load_params(os.path.join(out, "pretrain", "source_params.json"))
+large = dataclasses.replace(config.target, size=10 * config.target.size)
+samples = world.generate_domain(large, util.derive_seed(config.seed, "world", "target"))
+report = partition(samples, params, config.mc_passes, config.variance_threshold,
+                   util.rng_stream(config.seed, "partition"))
+os.makedirs(os.path.join(out, "score-large"))
+report.save_csv(os.path.join(out, "score-large", "partition.csv"))
+result = evaluate(params, samples, num_classes=config.num_classes)
+with open(os.path.join(out, "score-large", "eval.json"), "w") as fh:
+    json.dump(result.to_dict(), fh, indent=2)
+"""
+
+
+def run_tree(tree: str, out: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", RUN, out], env=env, check=True)
+
+
+def files_under(root: str) -> set[str]:
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [os.path.join(tmp, side) for side in ("a", "b")]
+        for tree, out in zip(sys.argv[1:], outs):
+            run_tree(tree, out)
+        names = [files_under(out) for out in outs]
+        differ = [n for n in sorted(names[0] & names[1])
+                  if not filecmp.cmp(*(os.path.join(o, n) for o in outs), shallow=False)]
+    only = sorted(names[0] ^ names[1])
+    for name in differ:
+        print(f"differs: {name}")
+    for name in only:
+        print(f"only in {'A' if name in names[0] else 'B'}: {name}")
+    print(f"{len(names[0] | names[1])} files, {len(differ)} differ, {len(only)} in one tree only")
+    return 1 if differ or only else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
