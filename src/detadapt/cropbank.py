@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import match_labels
+from .detector import Labels, match_labels
 from .relation import ClassSplit, RelationMatrix
-from .world import BBox, DetectionSample, box_array
+from .world import DetectionSample
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
@@ -27,7 +27,6 @@ BOTH = "both"
 class CropEntry:
     feature: np.ndarray
     class_vec: np.ndarray  # (C,), simplex point
-    box_size: tuple[float, float]
 
     def __post_init__(self):
         vec = self.class_vec
@@ -128,20 +127,19 @@ def sample_pair(
 def mixup(base: CropEntry, pair: CropEntry, mix_ratio: float) -> CropEntry:
     """Convex blend of features and class vectors; geometry stays the base's.
 
-    Resizing the pair to the base is an identity in feature space, so only the
-    base box size is carried through.
+    Resizing the pair to the base is an identity in feature space, so no box
+    enters the blend.
     """
     keep = mix_ratio
     return CropEntry(
         feature=keep * base.feature + (1.0 - keep) * pair.feature,
         class_vec=keep * base.class_vec + (1.0 - keep) * pair.class_vec,
-        box_size=base.box_size,
     )
 
 
 def augment_sample(
     sample: DetectionSample,
-    labels: list[tuple[BBox, np.ndarray]],
+    labels: Labels,
     relation: RelationMatrix,
     split: ClassSplit,
     bank: Cropbank,
@@ -150,26 +148,25 @@ def augment_sample(
     rng: np.random.Generator,
     *,
     matches: np.ndarray | None = None,
-) -> tuple[DetectionSample, list[tuple[BBox, np.ndarray]]]:
+) -> tuple[DetectionSample, Labels]:
     """Independently blend each labeled instance with probability p_aug.
 
     Minority bases inside source-dissimilar samples are never blended (their
     appearance is the only evidence of the true target distribution). Samples
     from the similar subset draw partners from both banks; dissimilar samples
-    prioritize the dissimilar bank. The matched proposal's feature is replaced
-    in the returned sample and the label's class vector turns soft. Labels
-    keep their boxes, so `matches` (`match_labels` of the labels, when the
-    caller has it) holds for the returned labels too.
+    prioritize the dissimilar bank. Instances are drawn in label order. The
+    matched proposal's feature is replaced in the returned sample and the
+    label's class vector turns soft in the returned labels; the inputs are
+    not modified. Labels keep their boxes, so `matches` (`match_labels` of
+    the labels, when the caller has it) holds for the returned labels too.
     """
-    if not labels:
-        return sample, []
     features = sample.proposal_features.copy()
     if matches is None:
-        matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
+        matches = match_labels(sample.proposal_boxes, labels.boxes)
     preference = BOTH if sample_subset == SIMILAR else DISSIMILAR
 
-    new_labels = []
-    for i, (box, class_vec) in enumerate(labels):
+    classes = labels.classes.copy()
+    for i, class_vec in enumerate(labels.classes):
         base_class = int(np.argmax(class_vec))
         protected = sample_subset == DISSIMILAR and base_class in split.minority
         if not protected and rng.random() < policy.p_aug:
@@ -177,10 +174,7 @@ def augment_sample(
                                bank, preference, rng)
             if pair is not None:
                 j = int(matches[i])
-                base = CropEntry(features[j].copy(), class_vec, (box.width, box.height))
-                blended = mixup(base, pair, policy.mix_ratio)
+                blended = mixup(CropEntry(features[j].copy(), class_vec), pair, policy.mix_ratio)
                 features[j] = blended.feature
-                new_labels.append((box, blended.class_vec))
-                continue
-        new_labels.append((box, class_vec))
-    return sample.with_features(features), new_labels
+                classes[i] = blended.class_vec
+    return sample.with_features(features), Labels(labels.boxes, classes)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .util import write_atomic
-from .world import BBox, DetectionSample, box_array, boxes_from_raw, iou_matrix
+from .world import BBox, DetectionSample, boxes_from_raw, iou_matrix
 
 
 # samples per packed forward in the partition and evaluation; a partition block
@@ -250,6 +250,18 @@ class Scored:
         out.h, out.log_scores, out.scores, out.refined = _heads(params, h, boxes, single)
         return out
 
+    def sample(self, i: int) -> "Scored":
+        """Sample i's rows of a one-pass block as its own `Scored`, whose arrays,
+        derived class ids, scores and boxes included, are views of the block's.
+        """
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        out = Scored.__new__(Scored)
+        out.num_classes = self.num_classes
+        out.offsets = np.array([0, rows.stop - rows.start])
+        for name in ("h", "log_scores", "scores", "refined", "class_ids", "fg_scores", "boxes"):
+            setattr(out, name, getattr(self, name)[rows])
+        return out
+
     @cached_property
     def class_ids(self) -> np.ndarray:
         """(P,) argmax over foreground classes, ties to the lower id."""
@@ -344,6 +356,29 @@ def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray) -> np.ndar
     return np.argmax(iou_matrix(label_boxes, proposal_boxes), axis=1)
 
 
+class Labels:
+    """A sample's label set as arrays: (n, 4) boxes and (n, C) class vectors.
+
+    Class vectors are over the C foreground classes and may be soft. A label
+    set has its label count as length and iterates as (box, class_vec) rows.
+    """
+
+    def __init__(self, boxes: np.ndarray, classes: np.ndarray):
+        self.boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        self.classes = np.asarray(classes, dtype=float)
+
+    @classmethod
+    def one_hot(cls, boxes, class_ids, num_classes: int) -> "Labels":
+        """Hard labels: each class id becomes a one-hot class vector."""
+        return cls(boxes, np.eye(num_classes)[np.asarray(class_ids, dtype=int)])
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __iter__(self):
+        return zip(self.boxes, self.classes)
+
+
 class Targets(NamedTuple):
     """One sample's supervision as arrays; `targets` builds it from labels."""
 
@@ -354,24 +389,23 @@ class Targets(NamedTuple):
     background: np.ndarray  # (b,) unmatched proposals with a background target
 
 
-def targets(sample: DetectionSample, labels: list[tuple[BBox, np.ndarray]], weights=None,
+def targets(sample: DetectionSample, labels: Labels, weights=None,
             background="auto", matches: np.ndarray | None = None) -> Targets:
-    """The `Targets` of (box, class_vector) labels on a sample.
+    """The `Targets` of a label set on a sample, sharing the label arrays.
 
     `matches` defaults to `match_labels` of the labels. `background` selects
     which unmatched proposals get a background target: "auto" for all of them,
     None for none, or an index list, kept in order and with its repeats.
     """
-    boxes = box_array(box for box, _ in labels)
     if matches is None:
-        matches = match_labels(sample.proposal_boxes, boxes)
+        matches = match_labels(sample.proposal_boxes, labels.boxes)
     weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (len(labels),):
         raise ValueError("weights must align with labels")
     if isinstance(background, str):
         background = np.arange(sample.num_proposals)
     background = np.asarray([] if background is None else background, dtype=int)
-    return Targets(matches, np.array([vec for _, vec in labels]), boxes, weights,
+    return Targets(matches, labels.classes, labels.boxes, weights,
                    background[~np.isin(background, matches)])
 
 
@@ -414,8 +448,7 @@ def supervised_losses(scored: Scored, targets: list[Targets],
     bg_rows = starts[bg_of] + np.concatenate([t.background for t in targets])
     rows = np.concatenate((lab_rows, bg_rows))
     target = np.zeros((len(rows), num_fg + 1))
-    target[:len(lab_rows), :num_fg] = np.concatenate([np.reshape(t.classes, (-1, num_fg))
-                                                      for t in targets])
+    target[:len(lab_rows), :num_fg] = np.concatenate([t.classes for t in targets])
     target[len(lab_rows):, num_fg] = 1.0
     w = np.concatenate([t.weights for t in targets] + [np.ones(len(bg_of))])
     rows, target, w = rows[order], target[order], w[order]
@@ -454,15 +487,13 @@ def supervised_losses(scored: Scored, targets: list[Targets],
     return out
 
 
-def detection_loss(params: ModelParams, sample: DetectionSample,
-                   labels: list[tuple[BBox, np.ndarray]], weights=None,
-                   *, background="auto") -> tuple[float, GradientSet]:
+def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
+                   weights=None, *, background="auto") -> tuple[float, GradientSet]:
     """Supervised detection loss on one sample and its exact gradients.
 
-    labels are (box, class_vector) pairs with class vectors over the C
-    foreground classes (possibly soft), each supervising its highest-IoU
-    proposal; `background` works as in `targets`. The one-sample case of
-    `supervised_losses`, whose docstring gives the terms.
+    Each label supervises its highest-IoU proposal; `background` works as in
+    `targets`. The one-sample case of `supervised_losses`, whose docstring
+    gives the terms.
     """
     return supervised_losses(Scored(params, sample),
                              [targets(sample, labels, weights, background)])[0]

@@ -3,6 +3,7 @@ pretrained vision model, plus the supervision loss it induces on the student.
 
 The oracle reads ground truth and corrupts it with configurable miss, flip and
 jitter rates, so label fidelity is an experimental knob rather than a model.
+Its labels are hard `Labels`, like the teacher's pseudo-labels.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import GradientSet, ModelParams, Scored, supervised_losses, targets
-from .util import one_hot
-from .world import BBox, DetectionSample
+from .detector import GradientSet, Labels, ModelParams, Scored, supervised_losses, targets
+from .world import DetectionSample, boxes_from_raw
 
 
 @dataclass(frozen=True)
@@ -21,36 +21,29 @@ class ExpertSpec:
     miss_rate: float = 0.1
     flip_rate: float = 0.05
     box_jitter: float = 0.05
-    score_confidence: float = 0.9
 
     def __post_init__(self):
         if not 0.0 <= self.miss_rate <= 1.0 or not 0.0 <= self.flip_rate <= 1.0:
             raise ValueError("miss_rate and flip_rate must lie in [0, 1]")
         if self.box_jitter < 0:
             raise ValueError("box_jitter must be non-negative")
-        if not 0.0 < self.score_confidence <= 1.0:
-            raise ValueError("score_confidence must lie in (0, 1]")
 
     def to_dict(self) -> dict:
         return {"miss_rate": self.miss_rate, "flip_rate": self.flip_rate,
-                "box_jitter": self.box_jitter, "score_confidence": self.score_confidence}
+                "box_jitter": self.box_jitter}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExpertSpec":
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class ExpertLabel:
-    box: BBox
-    class_vec: np.ndarray  # one-hot over the C foreground classes
-    confidence: float
-
-
 def expert_predict(spec: ExpertSpec, sample: DetectionSample, rng: np.random.Generator,
-                   num_classes: int) -> list[ExpertLabel]:
-    """Corrupted ground truth: per object, maybe miss, maybe flip, always jitter."""
-    labels = []
+                   num_classes: int) -> Labels:
+    """Corrupted ground truth: per object, maybe miss, maybe flip, always jitter.
+
+    `boxes_from_raw` makes each jittered box valid, by the `BBox.from_raw` rule.
+    """
+    raw, class_ids = [], []
     for obj in sample.objects:
         if rng.random() < spec.miss_rate:
             continue
@@ -60,12 +53,12 @@ def expert_predict(spec: ExpertSpec, sample: DetectionSample, rng: np.random.Gen
             class_id = int(others[rng.integers(len(others))])
         scale = np.array([obj.box.width, obj.box.height, obj.box.width, obj.box.height])
         offsets = rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale
-        box = BBox.from_raw(*(obj.box.as_array() + offsets))
-        labels.append(ExpertLabel(box, one_hot(class_id, num_classes), spec.score_confidence))
-    return labels
+        raw.append(obj.box.as_array() + offsets)
+        class_ids.append(class_id)
+    return Labels.one_hot(boxes_from_raw(np.reshape(raw, (-1, 4))), class_ids, num_classes)
 
 
-def expert_loss(params: ModelParams, sample: DetectionSample, labels: list[ExpertLabel],
+def expert_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
                 cls_weight: float, reg_weight: float, weights=None) -> tuple[float, GradientSet]:
     """cls_weight * weighted CE + reg_weight * smooth-L1, matched by max IoU.
 
@@ -73,7 +66,6 @@ def expert_loss(params: ModelParams, sample: DetectionSample, labels: list[Exper
     nothing about the rest of the image, so there is no background term here.
     The one-sample case of `supervised_losses`; no labels give zero.
     """
-    pairs = [(lab.box, lab.class_vec) for lab in labels]
     return supervised_losses(Scored(params, sample),
-                             [targets(sample, pairs, weights, background=None)],
+                             [targets(sample, labels, weights, background=None)],
                              expert=(cls_weight, reg_weight))[0]

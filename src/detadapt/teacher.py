@@ -1,42 +1,29 @@
-"""Mean-teacher self-training: confidence-filtered pseudo-labels, EMA teacher."""
+"""Mean-teacher self-training: confidence-filtered pseudo-labels, EMA teacher.
+
+The teacher's verdicts are proposal indices into its `Scored` of a sample.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import ModelParams, Scored
-from .util import one_hot
-from .world import BBox, DetectionSample
-
-
-@dataclass(frozen=True)
-class PseudoLabel:
-    """A teacher prediction promoted to a training label."""
-
-    box: BBox
-    class_vec: np.ndarray  # one-hot over the C foreground classes
-    confidence: float
-    proposal_index: int
+from .world import DetectionSample
 
 
 def pseudo_label(teacher: ModelParams, sample: DetectionSample, conf_threshold: float,
-                 *, scored: Scored | None = None) -> list[PseudoLabel]:
-    """Labels from proposals whose max foreground score reaches the threshold.
+                 *, scored: Scored | None = None) -> np.ndarray:
+    """Indices of the proposals whose max foreground score reaches the threshold.
 
-    `scored` (a `Scored` of the teacher on the sample) skips the forward pass.
+    `scored` (a `Scored` of the teacher on the sample, such as one sample's
+    rows of a packed pass) skips the forward pass. Its boxes and foreground
+    classes at these indices are the pseudo-labels.
     """
     if not 0.0 < conf_threshold <= 1.0:
         raise ValueError("conf_threshold must lie in (0, 1]")
     if scored is None:
         scored = Scored(teacher, sample)
-    boxes = scored.boxes.tolist()
-    class_ids = scored.class_ids.tolist()
-    fg_scores = scored.fg_scores.tolist()
-    return [PseudoLabel(BBox(*boxes[j]), one_hot(class_ids[j], teacher.num_classes),
-                        fg_scores[j], j)
-            for j in np.flatnonzero(scored.fg_scores >= conf_threshold).tolist()]
+    return np.flatnonzero(scored.fg_scores >= conf_threshold)
 
 
 def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> ModelParams:
@@ -57,7 +44,7 @@ def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> M
 
 
 def background_indices(teacher: ModelParams, sample: DetectionSample, bar: float,
-                       *, scored: Scored | None = None) -> list[int]:
+                       *, scored: Scored | None = None) -> np.ndarray:
     """Proposals the teacher is confident are background (max fg score below bar).
 
     Proposals between the bar and the pseudo-label threshold stay unsupervised.
@@ -65,4 +52,4 @@ def background_indices(teacher: ModelParams, sample: DetectionSample, bar: float
     """
     if scored is None:
         scored = Scored(teacher, sample)
-    return np.flatnonzero(scored.fg_scores < bar).tolist()
+    return np.flatnonzero(scored.fg_scores < bar)

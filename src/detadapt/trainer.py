@@ -6,9 +6,10 @@ there is no feature trunk for its reversed gradients to align.
 
 The teacher only ever moves by EMA; gradients touch only the student. Each
 batch's losses come from one packed pass of the model being trained and one
-call of the `supervised_losses` kernel per loss. All randomness flows from the
-single config seed through named sub-streams, so a run is a pure function of
-its config.
+call of the `supervised_losses` kernel per loss; in adaptation one packed
+teacher pass gives the batch's pseudo-labels. Labels reach the kernel as
+`Labels` arrays. All randomness flows from the single config seed through
+named sub-streams, so a run is a pure function of its config.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ import numpy as np
 
 from .config import AdaptationConfig
 from .cropbank import SIMILAR, AugmentPolicy, CropEntry, Cropbank, augment_sample
-from .detector import (GradientSet, ModelParams, Scored, TrainingError, match_labels,
-                       save_params, sgd_step, supervised_losses, targets)
+from .detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
+                       match_labels, save_params, sgd_step, supervised_losses, targets)
 from .expert import expert_predict
 from .metrics import evaluate
 from .partition import partition
 from .relation import RelationMatrix, batch_confusion
 from .teacher import background_indices, ema_update, pseudo_label
-from .util import derive_seed, one_hot, rng_stream, write_atomic
+from .util import derive_seed, rng_stream, write_atomic
 from .weighting import relation_weights
 from .world import DetectionSample, box_array, generate_domain, perturb_features
 
@@ -171,8 +172,10 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
                               rng_stream(config.seed, "init"),
                               dropout_rate=config.dropout_rate)
     # ground-truth matches never change, so the targets are built once
-    source_targets = [targets(s, [(obj.box, one_hot(obj.class_id, config.num_classes))
-                                  for obj in s.objects]) for s in source_data]
+    source_targets = [targets(s, Labels.one_hot(box_array(o.box for o in s.objects),
+                                                [o.class_id for o in s.objects],
+                                                config.num_classes))
+                      for s in source_data]
     shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
     for epoch in range(config.pretrain_epochs):
         order = shuffle_rng.permutation(len(source_data))
@@ -190,20 +193,9 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
     return params, sealed
 
 
-def _student_view(sample, labels, matches, relation, split, bank, policy, subset,
-                  aug_rng, noise_rng, config):
-    """Augment (when enabled and ready) and add strong-view feature noise."""
-    if config.enable_sa and split is not None:
-        sample, labels = augment_sample(sample, labels, relation, split, bank,
-                                        policy, subset, aug_rng, matches=matches)
-    if config.noise_scale > 0:
-        sample = perturb_features(sample, config.noise_scale, noise_rng)
-    return sample, labels
-
-
 def _relation_pairs(labels, predicted, relation, config):
     """(label class, student class) pairs, and their relation weights when SAL is on."""
-    pairs = [(int(np.argmax(vec)), j) for (_, vec), j in zip(labels, predicted.tolist())]
+    pairs = list(zip(np.argmax(labels.classes, axis=1).tolist(), predicted.tolist()))
     weights = relation_weights(relation, pairs, config.weight_reg) \
         if (config.enable_sal and pairs) else None
     return pairs, weights
@@ -222,14 +214,16 @@ def adapt(
     supervision, the teacher follows by EMA, and the relation matrix and crop
     banks absorb the batch statistics.
 
-    Per sample-step each model runs forward once. The teacher's `Scored` of the
-    clean sample gives the pseudo-labels and the background proposals, sample
-    by sample, so the crop bank absorbs sample k before sample k + 1 is
-    augmented. The student does not move within a batch: one packed pass over
-    the strong views gives the predicted classes of the label and expert
-    pairs, and one `supervised_losses` call per loss. Each label set is
-    matched to the proposals once; augmentation keeps label and proposal
-    boxes, so the matches serve the pairs and the losses too.
+    Per sample-step each model runs forward once, in one packed pass per
+    batch, since neither model moves within a batch. Sample by sample, the
+    teacher's rows of its pass give the confident proposals, which become
+    hard `Labels`, and the background proposals; the crop bank absorbs sample
+    k's pseudo-labels before sample k + 1 is augmented, and `aug_rng` draws in
+    that order. The student's pass over the strong views gives the predicted
+    classes of the label and expert pairs and feeds one `supervised_losses`
+    call per loss. Each label set is matched to the proposals once;
+    augmentation keeps label and proposal boxes, so the matches serve the
+    pairs and the losses too.
     """
     config.validate()
     num_classes = config.num_classes
@@ -261,32 +255,33 @@ def adapt(
         order = shuffle_rng.permutation(len(ids))
         for batch in _batches(order, config.batch_size):
             split = relation.split() if relation.ready else None
+            samples = [by_id[ids[int(pos)]] for pos in batch]
+            scored_t = Scored.packed(teacher, samples)
             views = []
-            for pos in batch:
-                sample = by_id[ids[int(pos)]]
+            for i, sample in enumerate(samples):
                 subset = report.subset_of(sample.id)
-                scored_t = Scored(teacher, sample)
-                pseudo = pseudo_label(teacher, sample, config.conf_threshold, scored=scored_t)
-                labels = [(p.box, p.class_vec) for p in pseudo]
-                matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
-                strong, labels = _student_view(sample, labels, matches, relation, split,
-                                               bank, policy, subset, aug_rng, noise_rng,
-                                               config)
+                rows = scored_t.sample(i)
+                pseudo = pseudo_label(teacher, sample, config.conf_threshold, scored=rows)
+                clean = Labels.one_hot(rows.boxes[pseudo], rows.class_ids[pseudo], num_classes)
+                matches = match_labels(sample.proposal_boxes, clean.boxes)
+                strong, labels = sample, clean
+                if config.enable_sa and split is not None:
+                    strong, labels = augment_sample(sample, clean, relation, split, bank,
+                                                    policy, subset, aug_rng, matches=matches)
+                strong = perturb_features(strong, config.noise_scale, noise_rng)
                 bg = None if config.background_bar is None else \
-                    background_indices(teacher, sample, config.background_bar,
-                                       scored=scored_t)
+                    background_indices(teacher, sample, config.background_bar, scored=rows)
                 elabels = None
                 if config.enable_expert:
                     expert_rng = rng_stream(config.seed, "expert", epoch, sample.id)
-                    elabels = [(lab.box, lab.class_vec) for lab in
-                               expert_predict(config.expert, sample, expert_rng, num_classes)]
+                    elabels = expert_predict(config.expert, sample, expert_rng, num_classes)
                 views.append((strong, labels, matches, bg, elabels))
 
                 # bank absorbs the clean features of confident instances
-                for p in pseudo:
-                    entry = CropEntry(sample.proposal_features[p.proposal_index].copy(),
-                                      p.class_vec, (p.box.width, p.box.height))
-                    bank.push(subset, int(np.argmax(p.class_vec)), entry)
+                for j, class_id, class_vec in zip(pseudo.tolist(),
+                                                  rows.class_ids[pseudo].tolist(), clean.classes):
+                    bank.push(subset, class_id,
+                              CropEntry(sample.proposal_features[j].copy(), class_vec))
 
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored.packed(student, [view[0] for view in views])
@@ -298,8 +293,7 @@ def adapt(
                 stu_targets.append(targets(strong, labels, weights, bg, matches))
                 batch_pairs.extend(pairs)
                 if config.enable_expert:
-                    ematches = match_labels(strong.proposal_boxes,
-                                            box_array(box for box, _ in elabels))
+                    ematches = match_labels(strong.proposal_boxes, elabels.boxes)
                     _, eweights = _relation_pairs(elabels, predicted[start + ematches],
                                                   relation, config)
                     exp_targets.append(targets(strong, elabels, eweights, None, ematches))

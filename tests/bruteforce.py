@@ -4,23 +4,40 @@ Everything here recomputes from first principles with plain loops: central
 finite differences for gradients, per-prefix rescored matching for AP, a
 full threshold enumeration for FROC, the per-proposal object path (one
 `BBox.from_raw` and one argmax per proposal, per pass) for scoring, the
-per-class object matching for a whole evaluation, and the supervised losses
+per-class object matching for a whole evaluation, the supervised losses
 one label at a time, with a scalar GIoU, for the loss kernel and
-pretraining. None of it shares code with the package implementations beyond
-the raw forward pass, the matching rule, the smooth-L1 helpers and the SGD
-step they both define.
+pretraining, and the whole adaptation loop sample by sample, with labels as
+(`BBox`, class vector) pairs. Apart from that loop, none of it shares code
+with the package implementations beyond the raw forward pass, the matching
+rule, the smooth-L1 helpers and the SGD step they both define; the loop
+reuses the package's partition, relation matrix, crop bank, weighting, EMA
+and evaluation, which have tests of their own.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
+from detadapt.cropbank import (BOTH, DISSIMILAR, SIMILAR, AugmentPolicy, CropEntry, Cropbank,
+                               mixup, sample_pair)
 from detadapt.detector import (Detection, GradientSet, ModelParams, forward_arrays,
                                match_labels, sgd_step, smooth_l1, smooth_l1_grad)
-from detadapt.expert import ExpertLabel
-from detadapt.metrics import FPI_POINTS, EvalResult
+from detadapt.metrics import FPI_POINTS, EvalResult, evaluate
+from detadapt.partition import partition
+from detadapt.relation import RelationMatrix, batch_confusion
+from detadapt.teacher import ema_update
+from detadapt.trainer import EpochRecord, TrainHistory
 from detadapt.util import derive_seed, one_hot, rng_stream
-from detadapt.world import BBox, DetectionSample, box_array, generate_domain
+from detadapt.weighting import relation_weights
+from detadapt.world import (BBox, DetectionSample, box_array, generate_domain,
+                            perturb_features)
+
+
+def bbox_pairs(labels) -> list[tuple[BBox, np.ndarray]]:
+    """A `Labels` as the (`BBox`, class vector) pairs the loop oracles take."""
+    return [(BBox(*box), vec) for box, vec in labels]
 
 
 def oracle_box(row, min_size: float = 1e-6) -> np.ndarray:
@@ -187,12 +204,12 @@ def oracle_detection_loss(
 def oracle_expert_loss(
     params: ModelParams,
     sample: DetectionSample,
-    labels: list[ExpertLabel],
+    labels: list[tuple[BBox, np.ndarray]],
     cls_weight: float,
     reg_weight: float,
     weights=None,
 ) -> tuple[float, GradientSet]:
-    """`expert_loss` as a loop over the labels, one proposal row at a time."""
+    """`expert_loss` as a loop over (box, class_vector) labels, one proposal row at a time."""
     if not labels:
         return 0.0, GradientSet.zeros_like(params)
     n = len(labels)
@@ -204,19 +221,19 @@ def oracle_expert_loss(
 
     h, log_scores, scores, refined = forward_arrays(params, sample)
     num_fg = params.num_classes
-    matches = match_labels(sample.proposal_boxes, box_array(lab.box for lab in labels))
+    matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
 
     d_logits = np.zeros_like(scores)
     d_refined = np.zeros_like(refined)
     loss_cls = 0.0
     loss_reg = 0.0
-    for i, lab in enumerate(labels):
+    for i, (box, class_vec) in enumerate(labels):
         j = int(matches[i])
         target = np.zeros(num_fg + 1)
-        target[:num_fg] = lab.class_vec
+        target[:num_fg] = class_vec
         loss_cls += -float(weights[i]) * float(target @ log_scores[j])
         d_logits[j] += weights[i] * (scores[j] - target)
-        diff = refined[j] - lab.box.as_array()
+        diff = refined[j] - box.as_array()
         loss_reg += float(smooth_l1(diff).sum())
         d_refined[j] += smooth_l1_grad(diff)
     loss_cls /= n
@@ -256,6 +273,150 @@ def oracle_pretrain(config) -> ModelParams:
                 total = total + grads
             params = sgd_step(params, total.scaled(1.0 / len(batch)), config.learning_rate)
     return params
+
+
+def oracle_expert_predict(spec, sample, rng, num_classes):
+    """The expert's corrupted ground truth as (`BBox`, class vector) pairs, one
+    `BBox.from_raw` each."""
+    labels = []
+    for obj in sample.objects:
+        if rng.random() < spec.miss_rate:
+            continue
+        class_id = obj.class_id
+        if rng.random() < spec.flip_rate:
+            others = [k for k in range(num_classes) if k != class_id]
+            class_id = int(others[rng.integers(len(others))])
+        scale = np.array([obj.box.width, obj.box.height, obj.box.width, obj.box.height])
+        offsets = rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale
+        labels.append((BBox.from_raw(*(obj.box.as_array() + offsets)),
+                       one_hot(class_id, num_classes)))
+    return labels
+
+
+def oracle_augment_sample(sample, labels, relation, split, bank, policy, sample_subset, rng):
+    """`augment_sample` over (`BBox`, class vector) pairs, one label at a time."""
+    if not labels:
+        return sample, []
+    features = sample.proposal_features.copy()
+    matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
+    preference = BOTH if sample_subset == SIMILAR else DISSIMILAR
+    new_labels = []
+    for i, (box, class_vec) in enumerate(labels):
+        base_class = int(np.argmax(class_vec))
+        protected = sample_subset == DISSIMILAR and base_class in split.minority
+        if not protected and rng.random() < policy.p_aug:
+            pair = sample_pair(relation, base_class, base_class in split.majority,
+                               bank, preference, rng)
+            if pair is not None:
+                j = int(matches[i])
+                blended = mixup(CropEntry(features[j].copy(), class_vec), pair, policy.mix_ratio)
+                features[j] = blended.feature
+                new_labels.append((box, blended.class_vec))
+                continue
+        new_labels.append((box, class_vec))
+    return sample.with_features(features), new_labels
+
+
+def _oracle_pairs(model, strong, labels, relation, config):
+    """(label class, predicted class) pairs of labels on a view, and their relation weights."""
+    classes = [det.class_id for det in oracle_detections(model, strong)]
+    matches = match_labels(strong.proposal_boxes, box_array(box for box, _ in labels))
+    pairs = [(int(np.argmax(vec)), classes[j]) for (_, vec), j in zip(labels, matches.tolist())]
+    weights = relation_weights(relation, pairs, config.weight_reg) \
+        if (config.enable_sal and pairs) else None
+    return pairs, weights
+
+
+def oracle_adapt(source_params: ModelParams, target_data, config):
+    """`adapt`'s final teacher and history, sample by sample through objects.
+
+    Each sample gets its own teacher and student forward passes, one
+    `Detection` per proposal; pseudo-labels, augmented labels and expert
+    labels are (`BBox`, class vector) pairs; each sample's losses come from
+    the per-label loop oracles.
+    """
+    config.validate()
+    num_classes = config.num_classes
+    report = partition(target_data, source_params, config.mc_passes,
+                       config.variance_threshold, rng_stream(config.seed, "partition"))
+    by_id = {s.id: s for s in target_data}
+    student = source_params.copy()
+    teacher = source_params.copy()
+    relation = RelationMatrix.identity(num_classes, config.relation_ema)
+    bank = Cropbank(config.bank_capacity)
+    policy = AugmentPolicy(config.p_aug, config.mix_ratio)
+    eval_spec = dataclasses.replace(config.target, size=config.eval_size)
+    eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
+    history = TrainHistory(num_classes)
+
+    ids = sorted(by_id)
+    for epoch in range(config.epochs):
+        shuffle_rng = rng_stream(config.seed, "shuffle", epoch)
+        aug_rng = rng_stream(config.seed, "augment", epoch)
+        noise_rng = rng_stream(config.seed, "noise", epoch)
+        stu_losses, expert_losses = [], []
+        order = shuffle_rng.permutation(len(ids))
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            split = relation.split() if relation.ready else None
+            views = []
+            for pos in batch:
+                sample = by_id[ids[int(pos)]]
+                subset = report.subset_of(sample.id)
+                dets = oracle_detections(teacher, sample)
+                pseudo = [det for det in dets if det.score >= config.conf_threshold]
+                labels = [(det.box, one_hot(det.class_id, num_classes)) for det in pseudo]
+                strong = sample
+                if config.enable_sa and split is not None:
+                    strong, labels = oracle_augment_sample(sample, labels, relation, split, bank,
+                                                           policy, subset, aug_rng)
+                if config.noise_scale > 0:
+                    strong = perturb_features(strong, config.noise_scale, noise_rng)
+                bg = None if config.background_bar is None else \
+                    [det.proposal_index for det in dets if det.score < config.background_bar]
+                elabels = None
+                if config.enable_expert:
+                    elabels = oracle_expert_predict(
+                        config.expert, sample, rng_stream(config.seed, "expert", epoch, sample.id),
+                        num_classes)
+                views.append((strong, labels, bg, elabels))
+                for det in pseudo:
+                    bank.push(subset, det.class_id,
+                              CropEntry(sample.proposal_features[det.proposal_index].copy(),
+                                        one_hot(det.class_id, num_classes)))
+
+            total = GradientSet.zeros_like(student)
+            batch_pairs = []
+            for strong, labels, bg, elabels in views:
+                pairs, weights = _oracle_pairs(student, strong, labels, relation, config)
+                batch_pairs.extend(pairs)
+                loss_stu, g_stu = oracle_detection_loss(student, strong, labels, weights,
+                                                        background=bg)
+                total = total + g_stu.scaled(config.unsup_weight)
+                stu_losses.append(loss_stu)
+                if config.enable_expert:
+                    _, eweights = _oracle_pairs(student, strong, elabels, relation, config)
+                    loss_exp, g_exp = oracle_expert_loss(
+                        student, strong, elabels, config.expert_cls_weight,
+                        config.expert_reg_weight, eweights)
+                    total = total + g_exp
+                    expert_losses.append(loss_exp)
+            student = sgd_step(student, total.scaled(1.0 / len(batch)), config.learning_rate)
+            teacher = ema_update(teacher, student, config.teacher_ema)
+            if batch_pairs:
+                relation.update(batch_confusion(batch_pairs, num_classes))
+
+        teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)
+        student_eval = evaluate(student, eval_data, num_classes=num_classes)
+        history.records.append(EpochRecord(
+            epoch=epoch,
+            student_map=student_eval.map50,
+            teacher_map=teacher_eval.map50,
+            per_class_ap=teacher_eval.per_class_ap,
+            loss_stu=float(np.mean(stu_losses)) if stu_losses else 0.0,
+            loss_expert=float(np.mean(expert_losses)) if expert_losses else 0.0,
+        ))
+    return teacher, history
 
 
 def numeric_gradient(loss_fn, params: ModelParams, h: float = 1e-5) -> GradientSet:

@@ -91,15 +91,19 @@ def test_bad_config_exits_two(tmp_path):
     assert run_cli(["--mode", "eval", "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("field", ["enable_dis", "disc_weight", "decay_disc", "decay_unsup"])
+@pytest.mark.parametrize("field", ["enable_dis", "disc_weight", "decay_disc", "decay_unsup",
+                                   "expert.score_confidence"])
 def test_removed_config_field_exits_two(field, tmp_path, capsys):
-    # discriminator-training fields were removed; old configs must fail loudly
+    # the discriminator-training fields and the expert's unread confidence were
+    # removed; old configs must fail loudly
+    section, _, name = field.rpartition(".")
+    value = 0.1 if name == "disc_weight" else 0.9 if section else True
     config = tmp_path / "old.json"
-    config.write_text(json.dumps({field: True if field != "disc_weight" else 0.1}))
+    config.write_text(json.dumps({section: {name: value}} if section else {name: value}))
     assert run_cli(["--mode", "adapt", "--config", str(config),
                     "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "unknown config fields" in err and field in err
+    assert f"unknown {section or 'config'} fields" in err and name in err
 
 
 def test_unknown_mode_exits_two(tmp_path, capsys):

@@ -4,13 +4,14 @@ import pytest
 from detadapt.cropbank import (BOTH, DISSIMILAR, SIMILAR, AugmentPolicy,
                                CropEntry, Cropbank, augment_sample, mixup,
                                sample_pair)
+from detadapt.detector import Labels
 from detadapt.relation import ClassSplit, RelationMatrix
 from detadapt.util import one_hot
-from detadapt.world import BBox, DetectionSample
+from detadapt.world import DetectionSample
 
 
 def entry(value, class_id, num_classes=2, dim=3):
-    return CropEntry(np.full(dim, float(value)), one_hot(class_id, num_classes), (2.0, 2.0))
+    return CropEntry(np.full(dim, float(value)), one_hot(class_id, num_classes))
 
 
 def relation_from(rows):
@@ -20,9 +21,9 @@ def relation_from(rows):
 
 def test_entry_requires_simplex_class_vector():
     with pytest.raises(ValueError):
-        CropEntry(np.zeros(3), np.array([0.5, 0.6]), (1.0, 1.0))
+        CropEntry(np.zeros(3), np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
-        CropEntry(np.zeros(3), np.array([-0.1, 1.1]), (1.0, 1.0))
+        CropEntry(np.zeros(3), np.array([-0.1, 1.1]))
 
 
 def test_fifo_eviction_order():
@@ -112,13 +113,12 @@ def test_dissimilar_preference_with_fallback():
 
 
 def test_mixup_blend_rules():
-    base = CropEntry(np.array([1.0, 1.0]), np.array([1.0, 0.0]), (3.0, 4.0))
-    pair = CropEntry(np.array([3.0, -1.0]), np.array([0.0, 1.0]), (9.0, 9.0))
+    base = CropEntry(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+    pair = CropEntry(np.array([3.0, -1.0]), np.array([0.0, 1.0]))
     assert np.array_equal(mixup(base, pair, 1.0).feature, base.feature)
     half = mixup(base, pair, 0.5)
     assert np.allclose(half.feature, [2.0, 0.0])
     assert half.class_vec.sum() == pytest.approx(1.0)
-    assert half.box_size == (3.0, 4.0)
     for ratio in (0.3, 0.7, 0.9):
         blended = mixup(base, pair, ratio)
         assert blended.class_vec.sum() == pytest.approx(1.0)
@@ -129,9 +129,7 @@ def make_sample_with_labels(num_classes=2, dim=3):
     boxes = np.array([[0.0, 0.0, 4.0, 4.0], [10.0, 10.0, 14.0, 14.0]])
     feats = np.array([[1.0] * dim, [5.0] * dim])
     sample = DetectionSample(0, boxes, feats, [])
-    labels = [(BBox(0, 0, 4, 4), one_hot(0, num_classes)),
-              (BBox(10, 10, 14, 14), one_hot(1, num_classes))]
-    return sample, labels
+    return sample, Labels.one_hot(boxes, [0, 1], num_classes)
 
 
 def full_bank(num_classes=2, dim=3):
@@ -163,10 +161,10 @@ def test_minority_base_protected_in_dissimilar_samples():
             sample, labels, rel, split, full_bank(), AugmentPolicy(p_aug=1.0),
             DISSIMILAR, rng)
         # label 1 is a minority base in a dissimilar sample: never blended
-        assert np.array_equal(out_labels[1][1], labels[1][1])
+        assert np.array_equal(out_labels.classes[1], labels.classes[1])
         assert np.array_equal(out_sample.proposal_features[1], sample.proposal_features[1])
         # label 0 is majority: always blended at p_aug=1
-        assert out_labels[0][1].max() == pytest.approx(0.7)
+        assert out_labels.classes[0].max() == pytest.approx(0.7)
 
 
 def test_always_augment_majority_in_similar_sample():
@@ -178,9 +176,12 @@ def test_always_augment_majority_in_similar_sample():
         sample, labels, rel, split, full_bank(), policy, SIMILAR,
         np.random.default_rng(2))
     # every instance blended; majority soft label peaks at the mix ratio
-    assert out_labels[0][1].max() == pytest.approx(0.7)
-    assert np.all(np.abs(out_labels[1][1].sum() - 1.0) < 1e-9)
+    assert out_labels.classes[0].max() == pytest.approx(0.7)
+    assert np.all(np.abs(out_labels.classes[1].sum() - 1.0) < 1e-9)
     assert not np.array_equal(out_sample.proposal_features[0], sample.proposal_features[0])
+    # the inputs keep their hard labels and features
+    assert np.array_equal(labels.classes, np.eye(2))
+    assert np.array_equal(sample.proposal_features[0], [1.0, 1.0, 1.0])
 
 
 def test_class_vectors_stay_simplex_under_repeated_augmentation():

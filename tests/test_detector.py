@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bruteforce import max_relative_error, numeric_gradient, oracle_detections
-from detadapt.detector import (GradientSet, ModelParams, Scored, TrainingError,
+from detadapt.detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
                                detection_loss, forward, forward_arrays, giou_and_grad,
                                load_params, save_params, sgd_step)
 from detadapt.util import one_hot
@@ -31,13 +31,18 @@ def random_params(rng, num_classes=3, feature_dim=6, scale=0.5, dropout=0.0):
 
 
 def random_labels(rng, num_classes=3, count=2, span=8.0, soft=False):
-    labels = []
+    boxes, classes = [], []
     for _ in range(count):
         x, y = rng.uniform(0, span, 2)
         w, h = rng.uniform(1, 3, 2)
         vec = rng.dirichlet(np.ones(num_classes)) if soft else one_hot(int(rng.integers(num_classes)), num_classes)
-        labels.append((BBox(x, y, x + w, y + h), vec))
-    return labels
+        boxes.append([x, y, x + w, y + h])
+        classes.append(vec)
+    return Labels(boxes, np.reshape(classes, (count, num_classes)))
+
+
+def no_labels(num_classes=3):
+    return Labels.one_hot(np.zeros((0, 4)), [], num_classes)
 
 
 def test_zero_weights_give_uniform_scores():
@@ -74,6 +79,30 @@ def test_forward_matches_per_proposal_oracle():
             assert np.array_equal(g.scores, w.scores)
             assert (g.class_id, g.score) == (w.class_id, w.score)
             assert type(g.class_id) is int and type(g.score) is float
+
+
+def test_sample_rows_of_a_packed_pass_are_its_own_scored():
+    rng = np.random.default_rng(21)
+    params = random_params(rng)
+    samples = mixed_samples(rng, [1, 2, 7, 13, 1, 5])
+    packed = Scored.packed(params, samples)
+    for i, sample in enumerate(samples):
+        rows, one = packed.sample(i), Scored(params, sample)
+        assert rows.offsets.tolist() == one.offsets.tolist()
+        for name in ("h", "log_scores", "scores", "refined", "class_ids", "fg_scores", "boxes"):
+            got = getattr(rows, name)
+            assert np.array_equal(got, getattr(one, name)), name
+            assert np.shares_memory(got, getattr(packed, name)), name
+
+
+def test_labels_iterate_as_box_and_class_rows():
+    labels = Labels.one_hot([[0.0, 0.0, 1.0, 2.0], [3.0, 3.0, 5.0, 4.0]], [2, 0], 3)
+    assert len(labels) == 2 and len(no_labels()) == 0
+    assert labels.classes.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    rows = list(labels)
+    assert [box.tolist() for box, _ in rows] == labels.boxes.tolist()
+    assert [vec.tolist() for _, vec in rows] == labels.classes.tolist()
+    assert list(no_labels()) == [] and no_labels().classes.shape == (0, 3)
 
 
 def mixed_samples(rng, sizes, feature_dim=6):
@@ -158,7 +187,7 @@ def test_perfect_background_drives_ce_to_zero():
     params = ModelParams(np.zeros((4, 6)), np.array([0.0, 0.0, 0.0, 50.0]),
                          np.zeros((4, 6)), np.zeros(4))
     sample = random_sample(np.random.default_rng(5))
-    loss, grads = detection_loss(params, sample, [])
+    loss, grads = detection_loss(params, sample, no_labels())
     assert loss < 1e-9
     assert grads.is_finite()
 
@@ -171,8 +200,7 @@ def test_zero_residual_box_terms():
     params.w_reg[:] = 0.0
     params.b_reg[:] = 0.0
     sample = random_sample(rng)
-    box = BBox(*sample.proposal_boxes[2])
-    labels = [(box, one_hot(1, 3))]
+    labels = Labels.one_hot(sample.proposal_boxes[2:3], [1], 3)
     loss, _ = detection_loss(params, sample, labels, background=None)
     _, log_scores, _, _ = forward_arrays(params, sample)
     expected_ce = -log_scores[2, 1]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bruteforce import max_relative_error, numeric_gradient
-from detadapt.expert import ExpertLabel, ExpertSpec, expert_loss, expert_predict
-from detadapt.util import one_hot
+from detadapt.detector import Labels
+from detadapt.expert import ExpertSpec, expert_loss, expert_predict
 from detadapt.world import BBox, DetectionSample, ObjectInstance
-from test_detector import random_params, random_sample
+from test_detector import no_labels, random_params, random_sample
 
 
 def sample_with_objects(rng, num_objects=3, num_classes=3, dim=6):
@@ -26,16 +26,16 @@ def test_perfect_expert_reproduces_ground_truth():
     spec = ExpertSpec(miss_rate=0.0, flip_rate=0.0, box_jitter=0.0)
     labels = expert_predict(spec, sample, np.random.default_rng(1), 3)
     assert len(labels) == len(sample.objects)
-    for lab, obj in zip(labels, sample.objects):
-        assert np.array_equal(lab.box.as_array(), obj.box.as_array())
-        assert np.argmax(lab.class_vec) == obj.class_id
+    for (box, class_vec), obj in zip(labels, sample.objects):
+        assert np.array_equal(box, obj.box.as_array())
+        assert np.argmax(class_vec) == obj.class_id
 
 
 def test_full_miss_rate_gives_empty_labels():
     rng = np.random.default_rng(2)
     sample = sample_with_objects(rng)
     labels = expert_predict(ExpertSpec(miss_rate=1.0), sample, np.random.default_rng(3), 3)
-    assert labels == []
+    assert len(labels) == 0 and labels.classes.shape == (0, 3)
 
 
 def test_flip_fraction_concentrates():
@@ -46,9 +46,9 @@ def test_flip_fraction_concentrates():
     for i in range(2500):
         sample = sample_with_objects(np.random.default_rng(1000 + i), num_objects=4)
         labels = expert_predict(spec, sample, expert_rng, 3)
-        for lab, obj in zip(labels, sample.objects):
+        for (_, class_vec), obj in zip(labels, sample.objects):
             total += 1
-            flipped += int(np.argmax(lab.class_vec) != obj.class_id)
+            flipped += int(np.argmax(class_vec) != obj.class_id)
     assert total == 10000
     assert abs(flipped / total - 0.5) < 0.02
 
@@ -60,27 +60,18 @@ def test_expert_is_deterministic_for_fixed_stream():
     a = expert_predict(spec, sample, np.random.default_rng(42), 3)
     b = expert_predict(spec, sample, np.random.default_rng(42), 3)
     assert len(a) == len(b)
-    for la, lb in zip(a, b):
-        assert np.array_equal(la.box.as_array(), lb.box.as_array())
-        assert np.array_equal(la.class_vec, lb.class_vec)
-
-
-def test_labels_carry_configured_confidence():
-    rng = np.random.default_rng(7)
-    sample = sample_with_objects(rng)
-    labels = expert_predict(ExpertSpec(score_confidence=0.6), sample,
-                            np.random.default_rng(8), 3)
-    assert all(lab.confidence == 0.6 for lab in labels)
+    assert np.array_equal(a.boxes, b.boxes)
+    assert np.array_equal(a.classes, b.classes)
 
 
 def test_loss_zero_cases():
     rng = np.random.default_rng(9)
     params = random_params(rng)
     sample = random_sample(rng)
-    loss, grads = expert_loss(params, sample, [], 1.0, 1.0)
+    loss, grads = expert_loss(params, sample, no_labels(), 1.0, 1.0)
     assert loss == 0.0
     assert np.all(grads.w_cls == 0.0)
-    labels = [ExpertLabel(BBox(0, 0, 2, 2), one_hot(0, 3), 0.9)]
+    labels = Labels.one_hot([[0, 0, 2, 2]], [0], 3)
     loss, grads = expert_loss(params, sample, labels, 0.0, 0.0)
     assert loss == 0.0
     assert np.all(grads.w_cls == 0.0) and np.all(grads.w_reg == 0.0)
@@ -90,8 +81,7 @@ def test_loss_linear_in_term_weights():
     rng = np.random.default_rng(10)
     params = random_params(rng)
     sample = random_sample(rng)
-    labels = [ExpertLabel(BBox(1, 1, 3, 3), one_hot(1, 3), 0.9),
-              ExpertLabel(BBox(4, 4, 6, 6), one_hot(2, 3), 0.9)]
+    labels = Labels.one_hot([[1, 1, 3, 3], [4, 4, 6, 6]], [1, 2], 3)
     cls_only, _ = expert_loss(params, sample, labels, 1.0, 0.0)
     reg_only, _ = expert_loss(params, sample, labels, 0.0, 1.0)
     combined, _ = expert_loss(params, sample, labels, 2.0, 3.0)
@@ -104,7 +94,7 @@ def test_perfect_student_prediction_zeroes_regression():
     params.w_reg[:] = 0.0
     params.b_reg[:] = 0.0
     sample = random_sample(rng)
-    labels = [ExpertLabel(BBox(*sample.proposal_boxes[0]), one_hot(0, 3), 0.9)]
+    labels = Labels.one_hot(sample.proposal_boxes[:1], [0], 3)
     reg_only, _ = expert_loss(params, sample, labels, 0.0, 1.0)
     assert reg_only == pytest.approx(0.0, abs=1e-12)
 
@@ -114,12 +104,13 @@ def test_gradients_match_finite_differences():
     for _ in range(8):
         params = random_params(rng)
         sample = random_sample(rng)
-        labels = []
+        boxes, class_ids = [], []
         for _ in range(int(rng.integers(1, 4))):
             x, y = rng.uniform(0, 8, 2)
             w, h = rng.uniform(1, 3, 2)
-            labels.append(ExpertLabel(BBox(x, y, x + w, y + h),
-                                      one_hot(int(rng.integers(3)), 3), 0.9))
+            boxes.append([x, y, x + w, y + h])
+            class_ids.append(int(rng.integers(3)))
+        labels = Labels.one_hot(boxes, class_ids, 3)
         weights = rng.uniform(0.2, 2.0, len(labels))
         loss, grads = expert_loss(params, sample, labels, 1.3, 0.7, weights)
         numeric = numeric_gradient(

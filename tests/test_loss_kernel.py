@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from bruteforce import (oracle_detection_loss, oracle_expert_loss, oracle_giou,
+from bruteforce import (bbox_pairs, oracle_detection_loss, oracle_expert_loss, oracle_giou,
                         oracle_pretrain)
-from detadapt.detector import (Scored, detection_loss, giou_and_grad, supervised_losses,
-                               targets)
-from detadapt.expert import ExpertLabel, expert_loss
+from detadapt.detector import (Labels, Scored, detection_loss, giou_and_grad,
+                               supervised_losses, targets)
+from detadapt.expert import expert_loss
 from detadapt.trainer import pretrain_source
 from detadapt.util import one_hot
-from detadapt.world import BBox
-from test_detector import mixed_samples, random_labels, random_params, random_sample
+from test_detector import (mixed_samples, no_labels, random_labels, random_params,
+                           random_sample)
 from test_trainer import tiny_config
 
 GRADIENTS = ("w_cls", "b_cls", "w_reg", "b_reg")
@@ -24,15 +24,12 @@ def assert_same(got, want):
         assert np.array_equal(getattr(grads, name), getattr(want_grads, name)), name
 
 
-def expert_labels(labels):
-    return [ExpertLabel(box, vec, 0.9) for box, vec in labels]
-
-
 def check_sample(params, sample, labels, weights=None, background="auto"):
+    pairs = bbox_pairs(labels)
     assert_same(detection_loss(params, sample, labels, weights, background=background),
-                oracle_detection_loss(params, sample, labels, weights, background=background))
-    assert_same(expert_loss(params, sample, expert_labels(labels), 1.3, 0.7, weights),
-                oracle_expert_loss(params, sample, expert_labels(labels), 1.3, 0.7, weights))
+                oracle_detection_loss(params, sample, pairs, weights, background=background))
+    assert_same(expert_loss(params, sample, labels, 1.3, 0.7, weights),
+                oracle_expert_loss(params, sample, pairs, 1.3, 0.7, weights))
 
 
 @pytest.mark.parametrize("soft", [False, True])
@@ -52,11 +49,11 @@ def test_two_mixed_labels_on_one_proposal():
     for _ in range(300):
         params = random_params(rng)
         sample = random_sample(rng)
-        box = BBox(*sample.proposal_boxes[2])
+        box = sample.proposal_boxes[2]
         mix = rng.uniform(0.5, 0.95)
         pair = rng.choice(3, 2, replace=False)
         vec = mix * one_hot(int(pair[0]), 3) + (1 - mix) * one_hot(int(pair[1]), 3)
-        labels = [(box, vec), (box, one_hot(int(rng.integers(3)), 3))]
+        labels = Labels([box, box], [vec, one_hot(int(rng.integers(3)), 3)])
         check_sample(params, sample, labels, rng.uniform(0.2, 2.0, 2))
 
 
@@ -65,7 +62,7 @@ def test_background_list_with_matched_and_repeated_indices():
     for _ in range(100):
         params = random_params(rng)
         sample = random_sample(rng, num_proposals=6)
-        labels = [(BBox(*sample.proposal_boxes[1]), rng.dirichlet(np.ones(3)))]
+        labels = Labels(sample.proposal_boxes[1:2], [rng.dirichlet(np.ones(3))])
         background = [4, 1, 4, 0, 1, 5, 4]
         assert targets(sample, labels, background=background).background.tolist() == \
             [4, 4, 0, 5, 4]
@@ -78,7 +75,7 @@ def test_no_labels(background):
     for _ in range(20):
         params = random_params(rng)
         sample = random_sample(rng)
-        check_sample(params, sample, [], background=background)
+        check_sample(params, sample, no_labels(), background=background)
 
 
 def test_one_proposal_samples():
@@ -107,10 +104,11 @@ def test_packed_block_matches_per_sample_oracles():
             scored, [targets(s, lab, w, None) for s, lab, w in zip(samples, labels, weights)],
             (1.3, 0.7))
         for i, sample in enumerate(samples):
-            assert_same(got[i], oracle_detection_loss(params, sample, labels[i], weights[i],
+            pairs = bbox_pairs(labels[i])
+            assert_same(got[i], oracle_detection_loss(params, sample, pairs, weights[i],
                                                       background=background[i]))
             assert_same(got_expert[i], oracle_expert_loss(
-                params, sample, expert_labels(labels[i]), 1.3, 0.7, weights[i]))
+                params, sample, pairs, 1.3, 0.7, weights[i]))
 
 
 def test_giou_matches_scalar_oracle_on_inverted_and_degenerate_boxes():

@@ -5,12 +5,12 @@ import pytest
 
 from bruteforce import oracle_background_indices, oracle_pseudo_labels
 from detadapt.config import default_config
-from detadapt.detector import ModelParams, Scored, detection_loss, sgd_step
+from detadapt.detector import Labels, ModelParams, Scored, detection_loss, sgd_step
 from detadapt.metrics import evaluate
 from detadapt.teacher import background_indices, ema_update, pseudo_label
-from detadapt.util import one_hot, rng_stream
-from detadapt.world import generate_domain, iou, make_domain_spec
-from test_detector import random_params, random_sample
+from detadapt.util import rng_stream
+from detadapt.world import BBox, generate_domain, iou, make_domain_spec
+from test_detector import mixed_samples, random_params, random_sample
 
 
 def params_norm_diff(a, b):
@@ -25,41 +25,48 @@ def train_supervised(spec, seed, epochs, lr=0.05):
     for _ in range(epochs):
         for idx in shuffle.permutation(len(data)):
             sample = data[int(idx)]
-            labels = [(o.box, one_hot(o.class_id, spec.num_classes)) for o in sample.objects]
+            labels = Labels.one_hot([o.box.as_array() for o in sample.objects],
+                                    [o.class_id for o in sample.objects], spec.num_classes)
             _, grads = detection_loss(params, sample, labels)
             params = sgd_step(params, grads, lr)
     return params, data
 
 
 def test_shared_teacher_scoring_matches_object_oracle():
+    # one sample alone, and each sample's rows of a packed block
     rng = np.random.default_rng(9)
     for _ in range(30):
         teacher = random_params(rng)
-        sample = random_sample(rng, num_proposals=int(rng.integers(1, 8)))
+        samples = mixed_samples(rng, rng.integers(1, 8, size=3))
         conf, bar = float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.2, 0.6))
-        scored = Scored(teacher, sample)
-        for shared in (None, scored):
-            labels = pseudo_label(teacher, sample, conf, scored=shared)
-            got = [(p.proposal_index, p.box, int(np.argmax(p.class_vec)), p.confidence)
-                   for p in labels]
-            assert got == oracle_pseudo_labels(teacher, sample, conf)
-            assert background_indices(teacher, sample, bar, scored=shared) == \
-                oracle_background_indices(teacher, sample, bar)
+        packed = Scored.packed(teacher, samples)
+        for i, sample in enumerate(samples):
+            for shared in (None, Scored(teacher, sample), packed.sample(i)):
+                rows = Scored(teacher, sample) if shared is None else shared
+                index = pseudo_label(teacher, sample, conf, scored=shared)
+                got = [(j, BBox(*rows.boxes[j]), int(rows.class_ids[j]), float(rows.fg_scores[j]))
+                       for j in index.tolist()]
+                assert got == oracle_pseudo_labels(teacher, sample, conf)
+                assert background_indices(teacher, sample, bar, scored=shared).tolist() == \
+                    oracle_background_indices(teacher, sample, bar)
 
 
 def test_threshold_above_all_scores_gives_empty():
     rng = np.random.default_rng(0)
-    pseudo = pseudo_label(random_params(rng), random_sample(rng), 1.0)
-    assert pseudo == [] or all(p.confidence >= 1.0 for p in pseudo)
+    params, sample = random_params(rng), random_sample(rng)
+    pseudo = pseudo_label(params, sample, 1.0)
+    assert len(pseudo) == 0 or all(Scored(params, sample).fg_scores[pseudo] >= 1.0)
 
 
 def test_tiny_threshold_labels_every_proposal():
     rng = np.random.default_rng(1)
-    pseudo = pseudo_label(random_params(rng), random_sample(rng), 1e-9)
+    params, sample = random_params(rng), random_sample(rng)
+    pseudo = pseudo_label(params, sample, 1e-9)
     assert len(pseudo) == 5
-    for p in pseudo:
-        assert p.class_vec.sum() == pytest.approx(1.0)
-        assert p.class_vec.max() == 1.0  # hard one-hot
+    scored = Scored(params, sample)
+    for class_vec in Labels.one_hot(scored.boxes[pseudo], scored.class_ids[pseudo], 3).classes:
+        assert class_vec.sum() == pytest.approx(1.0)
+        assert class_vec.max() == 1.0  # hard one-hot
 
 
 def test_pseudo_label_set_monotone_in_threshold():
@@ -68,7 +75,7 @@ def test_pseudo_label_set_monotone_in_threshold():
     sample = random_sample(rng)
     prev = None
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
-        current = {p.proposal_index for p in pseudo_label(params, sample, tau)}
+        current = set(pseudo_label(params, sample, tau).tolist())
         if prev is not None:
             assert current <= prev
         prev = current
@@ -80,11 +87,13 @@ def test_converged_teacher_pseudo_labels_match_ground_truth():
     params, data = train_supervised(spec, seed=3, epochs=20)
     correct = total = 0
     for sample in data[:80]:
-        for p in pseudo_label(params, sample, 0.7):
-            best = max(sample.objects, key=lambda o: iou(p.box, o.box))
-            if iou(p.box, best.box) >= 0.5:
+        scored = Scored(params, sample)
+        for j in pseudo_label(params, sample, 0.7).tolist():
+            box = BBox(*scored.boxes[j])
+            best = max(sample.objects, key=lambda o: iou(box, o.box))
+            if iou(box, best.box) >= 0.5:
                 total += 1
-                correct += int(np.argmax(p.class_vec) == best.class_id)
+                correct += int(scored.class_ids[j] == best.class_id)
     assert total > 50
     assert correct / total >= 0.95
 
@@ -133,9 +142,10 @@ def test_student_converges_to_frozen_perfect_teacher():
         for sample in data:
             # one SGD step of the student on the clean sample: pseudo-labels
             # plus the proposals the teacher calls background
-            pseudo = pseudo_label(teacher, sample, 0.7)
-            labels = [(p.box, p.class_vec) for p in pseudo]
-            bg = background_indices(teacher, sample, 0.1)
+            scored = Scored(teacher, sample)
+            pseudo = pseudo_label(teacher, sample, 0.7, scored=scored)
+            labels = Labels.one_hot(scored.boxes[pseudo], scored.class_ids[pseudo], 3)
+            bg = background_indices(teacher, sample, 0.1, scored=scored)
             _, grads = detection_loss(student, sample, labels, np.ones(len(labels)),
                                       background=bg)
             student = sgd_step(student, grads, 0.05)

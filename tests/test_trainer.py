@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from bruteforce import oracle_adapt
 from detadapt import detector, trainer
 from detadapt.config import AdaptationConfig, default_config
 from detadapt.cropbank import DISSIMILAR, SIMILAR
@@ -26,6 +27,17 @@ def tiny_config(seed=0, **overrides):
     config.mc_passes = overrides.pop("mc_passes", 3)
     for key, value in overrides.items():
         setattr(config, key, value)
+    return config
+
+
+def busy_config(**overrides):
+    """A `tiny_config` in which every class gets pseudo-labels within three
+    epochs, so the relation matrix becomes ready and augmentation mixes labels.
+    In `tiny_config` itself only class 0 ever reaches the threshold, so
+    augmentation never runs."""
+    config = tiny_config(pretrain_epochs=25, conf_threshold=0.5, **overrides)
+    config.source = dataclasses.replace(config.source, size=200)
+    config.target = dataclasses.replace(config.target, size=100)
     return config
 
 
@@ -195,15 +207,16 @@ def test_frozen_teacher_under_unit_ema():
 
 @pytest.mark.parametrize("variant", ["full", "base"])
 def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch):
-    # the teacher scores each sample on its own; the student scores a batch's
-    # views in one packed pass, so each sample once per step either way
+    # each model scores a batch in one packed pass: the teacher the clean
+    # samples, the student their views, so each sample twice per epoch and no
+    # one-sample forward pass
     config = ablation_variants(tiny_config(epochs=2))[variant]
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
     real_forward = detector.forward_arrays
     real_packed = detector.Scored.packed.__func__
     passes = []
-    packed_ids = []
+    packed_calls = []
     outside_loop = []
 
     def counted_forward(*args, **kwargs):
@@ -213,7 +226,7 @@ def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch
 
     def counted_packed(cls, params, samples, *args, **kwargs):
         if not outside_loop:
-            packed_ids.extend(s.id for s in samples)
+            packed_calls.append([s.id for s in samples])
         return real_packed(cls, params, samples, *args, **kwargs)
 
     def not_counted(fn):
@@ -233,8 +246,32 @@ def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch
     monkeypatch.setattr(trainer, "partition", not_counted(trainer.partition))
     monkeypatch.setattr(trainer, "evaluate", not_counted(trainer.evaluate))
     adapt(params, target, config)
-    assert len(passes) == config.epochs * len(target)
-    assert sorted(packed_ids) == sorted([s.id for s in target] * config.epochs)
+    assert passes == []
+    # per batch the teacher's pass, then the student's over the same samples
+    teacher_calls, student_calls = packed_calls[0::2], packed_calls[1::2]
+    assert teacher_calls == student_calls
+    assert sorted(sum(teacher_calls, [])) == sorted([s.id for s in target] * config.epochs)
+
+
+@pytest.fixture(scope="module")
+def busy_run():
+    config = busy_config()
+    params, _ = pretrain_source(config)
+    target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
+    return config, params, target
+
+
+@pytest.mark.parametrize("variant,background_bar", [
+    ("base", 0.1), ("sa", 0.1), ("sal", 0.1), ("full", 0.1), ("full", None)])
+def test_adapt_matches_per_sample_object_loop_oracle(variant, background_bar, busy_run):
+    config, params, target = busy_run
+    config = dataclasses.replace(ablation_variants(config)[variant],
+                                 background_bar=background_bar)
+    teacher, history = adapt(params, target, config)
+    want_teacher, want_history = oracle_adapt(params, target, config)
+    for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
+        assert np.array_equal(getattr(teacher, name), getattr(want_teacher, name)), name
+    assert history.to_csv_text() == want_history.to_csv_text()
 
 
 def test_ablation_variants_switch_matrix():

@@ -4,10 +4,11 @@
 
 Each tree runs, from its own `src/`, with one BLAS thread: CLI pretrain, then
 CLI adapt of the full method and of the base variant from that source model
-(seed 0, 10 epochs), and the score-large partition and evaluation (that source
-model on a target set ten times the default size). Prints one line per file
-that differs or exists in one tree only, then a summary. Exits 1 on any
-difference.
+(seed 0, 10 epochs), the score-large partition and evaluation (that source
+model on a target set ten times the default size), and the CLI ablation suite
+(seed 0, 3 epochs), whose +SA and +SAL runs no benchmark workload makes.
+Prints one line per file that differs or exists in one tree only, then a
+summary. Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ report.save_csv(os.path.join(out, "score-large", "partition.csv"))
 result = evaluate(params, samples, num_classes=config.num_classes)
 with open(os.path.join(out, "score-large", "eval.json"), "w") as fh:
     json.dump(result.to_dict(), fh, indent=2)
+# a partial config: its bytes do not depend on the tree's config fields
+suite_config = os.path.join(out, "config_suite.json")
+with open(suite_config, "w") as fh:
+    json.dump({"seed": 0, "epochs": 3}, fh)
+assert cli.run_cli(["--mode", "ablation-suite", "--config", suite_config,
+                    "--out", os.path.join(out, "ablation-suite")]) == 0
 """
 
 
