@@ -24,8 +24,7 @@ from .trainer import (DiscriminatorParams, SealedDataset, SourceAccessError,
                       pretrain_source)
 from .weighting import (DegenerateBatchError, instance_weight, normalize_foreground,
                         regularize, relation_weights)
-from .world import (BBox, ConfigError, DetectionSample, DomainSpec, ObjectInstance,
-                    generate_domain, iou, load_dataset, make_domain_spec,
-                    save_dataset, shift_domain)
+from .world import (BBox, ConfigError, DetectionSample, DomainSpec, generate_domain,
+                    load_dataset, make_domain_spec, save_dataset, shift_domain)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .util import write_atomic
-from .world import BBox, DetectionSample, boxes_from_raw, iou_matrix
+from .world import BBox, DetectionSample, box_iou, boxes_from_raw
 
 
 # samples per packed forward in the partition and evaluation; a partition block
@@ -353,7 +353,8 @@ def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray) -> np.ndar
     """Highest-IoU proposal per label; ties resolve to the lowest index."""
     if len(label_boxes) == 0:
         return np.zeros(0, dtype=int)
-    return np.argmax(iou_matrix(label_boxes, proposal_boxes), axis=1)
+    return np.argmax(box_iou(np.reshape(label_boxes, (-1, 1, 4)),
+                             np.reshape(proposal_boxes, (1, -1, 4))), axis=1)
 
 
 class Labels:

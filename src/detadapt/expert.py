@@ -41,19 +41,20 @@ def expert_predict(spec: ExpertSpec, sample: DetectionSample, rng: np.random.Gen
                    num_classes: int) -> Labels:
     """Corrupted ground truth: per object, maybe miss, maybe flip, always jitter.
 
+    Reads the sample's `gt_boxes`/`gt_classes` rows one object at a time, in
+    order, so each object's draws follow the previous object's.
     `boxes_from_raw` makes each jittered box valid, by the `BBox.from_raw` rule.
     """
     raw, class_ids = [], []
-    for obj in sample.objects:
+    for box, class_id in zip(sample.gt_boxes, sample.gt_classes.tolist()):
         if rng.random() < spec.miss_rate:
             continue
-        class_id = obj.class_id
         if rng.random() < spec.flip_rate:
             others = [k for k in range(num_classes) if k != class_id]
             class_id = int(others[rng.integers(len(others))])
-        scale = np.array([obj.box.width, obj.box.height, obj.box.width, obj.box.height])
-        offsets = rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale
-        raw.append(obj.box.as_array() + offsets)
+        size = box[2:] - box[:2]
+        scale = np.concatenate((size, size))
+        raw.append(box + rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale)
         class_ids.append(class_id)
     return Labels.one_hot(boxes_from_raw(np.reshape(raw, (-1, 4))), class_ids, num_classes)
 

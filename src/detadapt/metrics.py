@@ -19,7 +19,8 @@ already taken were taken by earlier detections of the same class, exactly as
 in the per-class pass. Per-class AP, FROC and F1 all read the same flags.
 
 `evaluate` builds the table straight from the model's packed forward passes,
-`BLOCK_SAMPLES` samples at a time, without a box or detection object.
+`BLOCK_SAMPLES` samples at a time, and the samples' `gt_boxes`/`gt_classes`
+arrays, without a box or detection object. Every IoU is `world.box_iou`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .detector import BLOCK_SAMPLES, ModelParams, Scored
-from .world import DetectionSample, box_array
+from .world import DetectionSample, box_array, box_iou
 
 FPI_POINTS = (0.05, 0.3, 0.5, 1.0)
 _CHUNK_ROWS = 4096
@@ -91,17 +92,7 @@ def _candidates(boxes, cls, img, gt_boxes, gt_cls, gt_offsets, gt_counts,
     valid = slots < gt_counts[img][:, None]
     gidx = np.where(valid, gt_offsets[img][:, None] + slots, 0)
 
-    # the scalar `world.iou` of each pair, op for op
-    d = boxes[:, None, :]
-    g = gt_boxes[gidx]
-    iw = np.minimum(d[..., 2], g[..., 2]) - np.maximum(d[..., 0], g[..., 0])
-    ih = np.minimum(d[..., 3], g[..., 3]) - np.maximum(d[..., 1], g[..., 1])
-    overlap = (iw > 0.0) & (ih > 0.0)
-    inter = iw * ih
-    area_d = (d[..., 2] - d[..., 0]) * (d[..., 3] - d[..., 1])
-    area_g = (g[..., 2] - g[..., 0]) * (g[..., 3] - g[..., 1])
-    ious = np.zeros(inter.shape)
-    np.divide(inter, area_d + area_g - inter, out=ious, where=overlap)
+    ious = box_iou(boxes[:, None, :], gt_boxes[gidx])
 
     eligible = valid & (gt_cls[gidx] == cls[:, None]) & (ious >= iou_threshold) & (ious > 0.0)
     return np.where(eligible, gidx, -1), ious
@@ -277,11 +268,10 @@ def _match_samples(params: ModelParams, samples: list[DetectionSample],
         scored = Scored.packed(params, samples[start:stop])
         rows = slice(offsets[start], offsets[stop])
         boxes[rows], cls[rows], score[rows] = scored.boxes, scored.class_ids, scored.fg_scores
-    objects = [obj for s in samples for obj in s.objects]
     return _match(np.repeat(np.arange(len(samples)), counts), boxes, cls, score,
-                  box_array(o.box for o in objects),
-                  np.array([o.class_id for o in objects], dtype=int),
-                  [len(s.objects) for s in samples], iou_threshold)
+                  np.concatenate([np.empty((0, 4)), *(s.gt_boxes for s in samples)]),
+                  np.concatenate([np.empty(0, dtype=int), *(s.gt_classes for s in samples)]),
+                  [len(s.gt_classes) for s in samples], iou_threshold)
 
 
 def evaluate(params: ModelParams, samples: list[DetectionSample],

@@ -33,7 +33,7 @@ from .relation import RelationMatrix, batch_confusion
 from .teacher import background_indices, ema_update, pseudo_label
 from .util import derive_seed, rng_stream, write_atomic
 from .weighting import relation_weights
-from .world import DetectionSample, box_array, generate_domain, perturb_features
+from .world import DetectionSample, generate_domain, perturb_features
 
 
 class SourceAccessError(RuntimeError):
@@ -172,9 +172,7 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
                               rng_stream(config.seed, "init"),
                               dropout_rate=config.dropout_rate)
     # ground-truth matches never change, so the targets are built once
-    source_targets = [targets(s, Labels.one_hot(box_array(o.box for o in s.objects),
-                                                [o.class_id for o in s.objects],
-                                                config.num_classes))
+    source_targets = [targets(s, Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes))
                       for s in source_data]
     shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
     for epoch in range(config.pretrain_epochs):

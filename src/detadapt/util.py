@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded RNG sub-streams, one-hot vectors and atomic writes."""
+"""Small shared helpers: seeded RNG sub-streams and atomic writes."""
 
 from __future__ import annotations
 
@@ -23,14 +23,6 @@ def rng_stream(seed: int, *path: int | str) -> np.random.Generator:
 def derive_seed(seed: int, *path: int | str) -> int:
     """Stable integer seed derived from (seed, path), for APIs that take ints."""
     return int(rng_stream(seed, *path).integers(0, 2**63 - 1))
-
-
-def one_hot(index: int, length: int) -> np.ndarray:
-    if not 0 <= index < length:
-        raise ValueError(f"index {index} out of range for length {length}")
-    vec = np.zeros(length)
-    vec[index] = 1.0
-    return vec
 
 
 def write_atomic(path, text: str) -> None:

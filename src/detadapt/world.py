@@ -1,8 +1,10 @@
 """Synthetic detection world: proposal sets with feature vectors instead of pixels.
 
 A "sample" is a fixed, ordered list of proposals (box + feature vector) plus the
-ground-truth objects that generated some of them. Features are class-conditional
-Gaussian draws, so class overlap and domain shift are fully controllable.
+ground truth that generated some of them, all as arrays: boxes are (..., 4)
+corner rows (x1, y1, x2, y2). Features are class-conditional Gaussian draws, so
+class overlap and domain shift are fully controllable. `box_iou` is the one
+IoU of the package.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,18 +50,6 @@ class BBox:
             hi_y = lo_y + min_size
         return cls(float(lo_x), float(lo_y), float(hi_x), float(hi_y))
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.y1, self.x2, self.y2])
 
@@ -89,38 +79,22 @@ def boxes_from_raw(raw: np.ndarray, min_size: float = 1e-6) -> np.ndarray:
     return boxes
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two valid boxes."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
+def box_iou(a, b) -> np.ndarray:
+    """Intersection over union of (..., 4) corner boxes, broadcast pairwise.
+
+    0 where the boxes do not overlap; pass (n, 1, 4) and (1, m, 4) for the
+    (n, m) matrix.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
-
-
-def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between (n,4) and (m,4) corner-format box arrays."""
-    a = np.asarray(boxes_a, dtype=float).reshape(-1, 4)
-    b = np.asarray(boxes_b, dtype=float).reshape(-1, 4)
-    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(ix2 - ix1, 0.0, None) * np.clip(iy2 - iy1, 0.0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return inter / np.maximum(union, 1e-12)
-
-
-@dataclass(frozen=True)
-class ObjectInstance:
-    """A ground-truth object: box, class id and the feature vector of its region."""
-
-    box: BBox
-    class_id: int
-    feature: np.ndarray
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    out = np.zeros(inter.shape)
+    np.divide(inter, area_a + area_b - inter, out=out, where=(iw > 0.0) & (ih > 0.0))
+    return out
 
 
 @dataclass
@@ -128,13 +102,16 @@ class DetectionSample:
     """One synthetic image: ordered proposals plus hidden ground truth.
 
     Proposal order is fixed at generation time and never changes, so proposal
-    index j is a stable identity across forward passes.
+    index j is a stable identity across forward passes. In a generated sample
+    the first G proposals belong to the G ground-truth objects, in object
+    order, and carry each object's feature; the rest are background.
     """
 
     id: int
     proposal_boxes: np.ndarray    # (P, 4)
     proposal_features: np.ndarray  # (P, D)
-    objects: list[ObjectInstance]
+    gt_boxes: np.ndarray          # (G, 4)
+    gt_classes: np.ndarray        # (G,) int class ids
 
     @property
     def num_proposals(self) -> int:
@@ -144,7 +121,8 @@ class DetectionSample:
         """Copy of the sample with proposal features replaced (boxes shared)."""
         if features.shape != self.proposal_features.shape:
             raise ValueError("feature array shape mismatch")
-        return DetectionSample(self.id, self.proposal_boxes, np.array(features), self.objects)
+        return DetectionSample(self.id, self.proposal_boxes, np.array(features),
+                               self.gt_boxes, self.gt_classes)
 
 
 def perturb_features(sample: DetectionSample, scale: float, rng: np.random.Generator) -> DetectionSample:
@@ -269,25 +247,24 @@ def shift_domain(base: DomainSpec, mean_shift) -> DomainSpec:
     return spec
 
 
-def _random_box(spec: DomainSpec, rng: np.random.Generator) -> BBox:
+def _random_box(spec: DomainSpec, rng: np.random.Generator) -> np.ndarray:
     w = rng.uniform(spec.min_box, spec.max_box)
     h = rng.uniform(spec.min_box, spec.max_box)
     x1 = rng.uniform(0.0, spec.image_size - w)
     y1 = rng.uniform(0.0, spec.image_size - h)
-    return BBox(x1, y1, x1 + w, y1 + h)
+    return np.array([x1, y1, x1 + w, y1 + h])
 
 
-def _jittered_proposal(box: BBox, spec: DomainSpec, rng: np.random.Generator) -> BBox:
+def _jittered_proposal(box: np.ndarray, spec: DomainSpec, rng: np.random.Generator) -> np.ndarray:
     # Retry until the proposal keeps IoU above the detectability floor; the GT
     # box itself is the fallback, so the floor always holds.
-    scale = np.array([box.width, box.height, box.width, box.height])
+    size = box[2:] - box[:2]
+    scale = np.concatenate((size, size))
     for _ in range(20):
-        offsets = rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale
-        x1, y1, x2, y2 = box.as_array() + offsets
-        if x1 >= x2 or y1 >= y2:
+        cand = box + rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale
+        if cand[0] >= cand[2] or cand[1] >= cand[3]:
             continue
-        cand = BBox(x1, y1, x2, y2)
-        if iou(cand, box) > spec.min_proposal_iou:
+        if box_iou(cand, box) > spec.min_proposal_iou:
             return cand
     return box
 
@@ -300,22 +277,20 @@ def generate_domain(spec: DomainSpec, seed: int) -> list[DetectionSample]:
     for sample_id in range(spec.size):
         n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
         classes = rng.choice(spec.num_classes, size=n_obj, p=spec.frequency)
-        objects = []
+        gt_boxes = []
         boxes = []
         feats = []
         for c in classes:
-            c = int(c)
             box = _random_box(spec, rng)
-            feature = spec.class_means[c] + spec.class_covs[c] * rng.standard_normal(spec.feature_dim)
-            objects.append(ObjectInstance(box, c, feature))
-            boxes.append(_jittered_proposal(box, spec, rng).as_array())
-            feats.append(feature.copy())
+            feats.append(spec.class_means[c]
+                         + spec.class_covs[c] * rng.standard_normal(spec.feature_dim))
+            gt_boxes.append(box)
+            boxes.append(_jittered_proposal(box, spec, rng))
         for _ in range(int(rng.poisson(spec.background_rate))):
-            boxes.append(_random_box(spec, rng).as_array())
+            boxes.append(_random_box(spec, rng))
             feats.append(spec.background_mean + spec.background_cov * rng.standard_normal(spec.feature_dim))
-        samples.append(
-            DetectionSample(sample_id, np.array(boxes), np.array(feats), objects)
-        )
+        samples.append(DetectionSample(sample_id, np.array(boxes), np.array(feats),
+                                       np.array(gt_boxes), classes))
     return samples
 
 
@@ -327,7 +302,7 @@ def dataset_to_dict(spec: DomainSpec, samples: list[DetectionSample]) -> dict:
             [*map(float, s.proposal_boxes[j])] + [*map(float, s.proposal_features[j])]
             for j in range(s.num_proposals)
         ]
-        objects = [[*map(float, o.box.as_array())] + [o.class_id] for o in s.objects]
+        objects = [[*map(float, box), int(c)] for box, c in zip(s.gt_boxes, s.gt_classes)]
         docs.append({"id": s.id, "proposals": proposals, "objects": objects})
     return {"spec": spec.to_dict(), "samples": docs}
 
@@ -339,9 +314,9 @@ def save_dataset(path, spec: DomainSpec, samples: list[DetectionSample]) -> None
 def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
     """Load a saved dataset.
 
-    The on-disk object rows carry no feature vector; each object recovers the
-    feature of its highest-IoU proposal (object proposals store the object
-    feature verbatim at generation time, so this is exact for generated data).
+    Raises ValueError on a ground-truth box that is not finite with x1 < x2
+    and y1 < y2. The file stores no object features: in a generated sample
+    they are the first G proposal rows (see `DetectionSample`).
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -349,11 +324,10 @@ def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
     samples = []
     for rec in doc["samples"]:
         rows = np.array(rec["proposals"], dtype=float)
-        boxes, feats = rows[:, :4], rows[:, 4:]
-        objects = []
-        for obj in rec["objects"]:
-            box = BBox(*obj[:4])
-            j = int(np.argmax(iou_matrix(box.as_array(), boxes)[0]))
-            objects.append(ObjectInstance(box, int(obj[4]), feats[j].copy()))
-        samples.append(DetectionSample(int(rec["id"]), boxes, feats, objects))
+        gt_boxes = np.array([obj[:4] for obj in rec["objects"]], dtype=float).reshape(-1, 4)
+        if not (np.isfinite(gt_boxes).all() and (gt_boxes[:, :2] < gt_boxes[:, 2:]).all()):
+            raise ValueError(f"invalid ground-truth box in sample {rec['id']}")
+        gt_classes = np.array([int(obj[4]) for obj in rec["objects"]], dtype=int)
+        samples.append(DetectionSample(int(rec["id"]), rows[:, :4], rows[:, 4:],
+                                       gt_boxes, gt_classes))
     return spec, samples

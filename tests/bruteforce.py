@@ -29,7 +29,7 @@ from detadapt.partition import partition
 from detadapt.relation import RelationMatrix, batch_confusion
 from detadapt.teacher import ema_update
 from detadapt.trainer import EpochRecord, TrainHistory
-from detadapt.util import derive_seed, one_hot, rng_stream
+from detadapt.util import derive_seed, rng_stream
 from detadapt.weighting import relation_weights
 from detadapt.world import (BBox, DetectionSample, box_array, generate_domain,
                             perturb_features)
@@ -267,8 +267,8 @@ def oracle_pretrain(config) -> ModelParams:
             total = GradientSet.zeros_like(params)
             for idx in batch:
                 sample = source_data[int(idx)]
-                labels = [(obj.box, one_hot(obj.class_id, config.num_classes))
-                          for obj in sample.objects]
+                labels = [(BBox(*row), np.eye(config.num_classes)[class_id])
+                          for row, class_id in zip(sample.gt_boxes, sample.gt_classes)]
                 loss, grads = oracle_detection_loss(params, sample, labels)
                 total = total + grads
             params = sgd_step(params, total.scaled(1.0 / len(batch)), config.learning_rate)
@@ -279,17 +279,18 @@ def oracle_expert_predict(spec, sample, rng, num_classes):
     """The expert's corrupted ground truth as (`BBox`, class vector) pairs, one
     `BBox.from_raw` each."""
     labels = []
-    for obj in sample.objects:
+    for row, class_id in zip(sample.gt_boxes, sample.gt_classes.tolist()):
+        box = BBox(*row)
         if rng.random() < spec.miss_rate:
             continue
-        class_id = obj.class_id
         if rng.random() < spec.flip_rate:
             others = [k for k in range(num_classes) if k != class_id]
             class_id = int(others[rng.integers(len(others))])
-        scale = np.array([obj.box.width, obj.box.height, obj.box.width, obj.box.height])
+        width, height = box.x2 - box.x1, box.y2 - box.y1
+        scale = np.array([width, height, width, height])
         offsets = rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale
-        labels.append((BBox.from_raw(*(obj.box.as_array() + offsets)),
-                       one_hot(class_id, num_classes)))
+        labels.append((BBox.from_raw(*(box.as_array() + offsets)),
+                       np.eye(num_classes)[class_id]))
     return labels
 
 
@@ -365,7 +366,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                 subset = report.subset_of(sample.id)
                 dets = oracle_detections(teacher, sample)
                 pseudo = [det for det in dets if det.score >= config.conf_threshold]
-                labels = [(det.box, one_hot(det.class_id, num_classes)) for det in pseudo]
+                labels = [(det.box, np.eye(num_classes)[det.class_id]) for det in pseudo]
                 strong = sample
                 if config.enable_sa and split is not None:
                     strong, labels = oracle_augment_sample(sample, labels, relation, split, bank,
@@ -383,7 +384,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                 for det in pseudo:
                     bank.push(subset, det.class_id,
                               CropEntry(sample.proposal_features[det.proposal_index].copy(),
-                                        one_hot(det.class_id, num_classes)))
+                                        np.eye(num_classes)[det.class_id]))
 
             total = GradientSet.zeros_like(student)
             batch_pairs = []
@@ -563,7 +564,8 @@ def oracle_evaluate(params: ModelParams, samples, iou_threshold=0.5, fpi_points=
     greedy match per class for AP, another over all classes for the FROC and
     F1 sweep, and a pairwise count for the image AUC."""
     dets = [[(d.box, d.class_id, d.score) for d in oracle_detections(params, s)] for s in samples]
-    gts = [[(obj.box, obj.class_id) for obj in s.objects] for s in samples]
+    gts = [[(BBox(*row), int(class_id)) for row, class_id in zip(s.gt_boxes, s.gt_classes)]
+           for s in samples]
     seen = [c for img in gts for _, c in img] + [c for img in dets for _, c, _ in img]
     per_class = []
     for cls in range(max(seen, default=-1) + 1):

@@ -48,6 +48,26 @@ def test_eval_mode_writes_result(tmp_path, tiny_config_file):
     assert set(doc["recall_at_fpi"]) == {"0.05", "0.3", "0.5", "1.0"}
 
 
+@pytest.mark.parametrize("row", [[1.0, float("nan"), 5.0, 5.0], [5.0, 1.0, 1.0, 5.0],
+                                 [3.0, 1.0, 3.0, 5.0]], ids=["nan", "inverted", "zero_width"])
+def test_eval_mode_rejects_invalid_ground_truth_box(row, tmp_path, tiny_config_file, capsys):
+    config_path, config = tiny_config_file
+    params_path = tmp_path / "params.json"
+    save_params(params_path, pretrain_source(dataclasses.replace(config, pretrain_epochs=0))[0])
+    dataset_path = tmp_path / "data.json"
+    save_dataset(dataset_path, config.target,
+                 generate_domain(config.target, derive_seed(0, "world", "target")))
+    doc = json.loads(dataset_path.read_text())
+    doc["samples"][0]["objects"][0][:4] = row
+    dataset_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = run_cli(["--mode", "eval", "--config", config_path, "--out", str(out),
+                    "--params", str(params_path), "--dataset", str(dataset_path)])
+    assert code == 1
+    assert "run failed" in capsys.readouterr().err
+    assert not (out / "eval.json").exists()
+
+
 def test_adapt_mode_outputs_are_deterministic(tmp_path, tiny_config_file):
     config_path, _ = tiny_config_file
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -6,12 +6,11 @@ from detadapt.cropbank import (BOTH, DISSIMILAR, SIMILAR, AugmentPolicy,
                                sample_pair)
 from detadapt.detector import Labels
 from detadapt.relation import ClassSplit, RelationMatrix
-from detadapt.util import one_hot
 from detadapt.world import DetectionSample
 
 
 def entry(value, class_id, num_classes=2, dim=3):
-    return CropEntry(np.full(dim, float(value)), one_hot(class_id, num_classes))
+    return CropEntry(np.full(dim, float(value)), np.eye(num_classes)[class_id])
 
 
 def relation_from(rows):
@@ -128,7 +127,7 @@ def test_mixup_blend_rules():
 def make_sample_with_labels(num_classes=2, dim=3):
     boxes = np.array([[0.0, 0.0, 4.0, 4.0], [10.0, 10.0, 14.0, 14.0]])
     feats = np.array([[1.0] * dim, [5.0] * dim])
-    sample = DetectionSample(0, boxes, feats, [])
+    sample = DetectionSample(0, boxes, feats, np.zeros((0, 4)), np.zeros(0, dtype=int))
     return sample, Labels.one_hot(boxes, [0, 1], num_classes)
 
 

@@ -7,7 +7,6 @@ from bruteforce import max_relative_error, numeric_gradient, oracle_detections
 from detadapt.detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
                                detection_loss, forward, forward_arrays, giou_and_grad,
                                load_params, save_params, sgd_step)
-from detadapt.util import one_hot
 from detadapt.world import BBox, DetectionSample
 
 
@@ -17,7 +16,8 @@ def random_sample(rng, num_proposals=5, feature_dim=6, span=8.0):
         x, y = rng.uniform(0, span, 2)
         w, h = rng.uniform(1, 3, 2)
         boxes.append([x, y, x + w, y + h])
-    return DetectionSample(0, np.array(boxes), rng.standard_normal((num_proposals, feature_dim)), [])
+    return DetectionSample(0, np.array(boxes), rng.standard_normal((num_proposals, feature_dim)),
+                           np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
 def random_params(rng, num_classes=3, feature_dim=6, scale=0.5, dropout=0.0):
@@ -35,7 +35,10 @@ def random_labels(rng, num_classes=3, count=2, span=8.0, soft=False):
     for _ in range(count):
         x, y = rng.uniform(0, span, 2)
         w, h = rng.uniform(1, 3, 2)
-        vec = rng.dirichlet(np.ones(num_classes)) if soft else one_hot(int(rng.integers(num_classes)), num_classes)
+        if soft:
+            vec = rng.dirichlet(np.ones(num_classes))
+        else:
+            vec = np.eye(num_classes)[int(rng.integers(num_classes))]
         boxes.append([x, y, x + w, y + h])
         classes.append(vec)
     return Labels(boxes, np.reshape(classes, (count, num_classes)))

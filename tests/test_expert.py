@@ -4,20 +4,21 @@ import pytest
 from bruteforce import max_relative_error, numeric_gradient
 from detadapt.detector import Labels
 from detadapt.expert import ExpertSpec, expert_loss, expert_predict
-from detadapt.world import BBox, DetectionSample, ObjectInstance
+from detadapt.world import DetectionSample
 from test_detector import no_labels, random_params, random_sample
 
 
 def sample_with_objects(rng, num_objects=3, num_classes=3, dim=6):
-    boxes, objects = [], []
+    boxes, classes = [], []
     for i in range(num_objects):
         x, y = rng.uniform(0, 20, 2)
         w, h = rng.uniform(2, 5, 2)
-        box = BBox(x, y, x + w, y + h)
-        feature = rng.standard_normal(dim)
-        objects.append(ObjectInstance(box, int(rng.integers(num_classes)), feature))
-        boxes.append(box.as_array())
-    return DetectionSample(0, np.array(boxes), rng.standard_normal((num_objects, dim)), objects)
+        boxes.append([x, y, x + w, y + h])
+        rng.standard_normal(dim)  # an object feature no test reads; drawn to keep the stream
+        classes.append(int(rng.integers(num_classes)))
+    boxes = np.array(boxes)
+    return DetectionSample(0, boxes, rng.standard_normal((num_objects, dim)), boxes,
+                           np.array(classes))
 
 
 def test_perfect_expert_reproduces_ground_truth():
@@ -25,10 +26,10 @@ def test_perfect_expert_reproduces_ground_truth():
     sample = sample_with_objects(rng)
     spec = ExpertSpec(miss_rate=0.0, flip_rate=0.0, box_jitter=0.0)
     labels = expert_predict(spec, sample, np.random.default_rng(1), 3)
-    assert len(labels) == len(sample.objects)
-    for (box, class_vec), obj in zip(labels, sample.objects):
-        assert np.array_equal(box, obj.box.as_array())
-        assert np.argmax(class_vec) == obj.class_id
+    assert len(labels) == len(sample.gt_classes)
+    for (box, class_vec), gt_box, gt_class in zip(labels, sample.gt_boxes, sample.gt_classes):
+        assert np.array_equal(box, gt_box)
+        assert np.argmax(class_vec) == gt_class
 
 
 def test_full_miss_rate_gives_empty_labels():
@@ -46,9 +47,9 @@ def test_flip_fraction_concentrates():
     for i in range(2500):
         sample = sample_with_objects(np.random.default_rng(1000 + i), num_objects=4)
         labels = expert_predict(spec, sample, expert_rng, 3)
-        for (_, class_vec), obj in zip(labels, sample.objects):
+        for (_, class_vec), gt_class in zip(labels, sample.gt_classes):
             total += 1
-            flipped += int(np.argmax(class_vec) != obj.class_id)
+            flipped += int(np.argmax(class_vec) != gt_class)
     assert total == 10000
     assert abs(flipped / total - 0.5) < 0.02
 

@@ -9,7 +9,6 @@ from detadapt.detector import (Labels, Scored, detection_loss, giou_and_grad,
                                supervised_losses, targets)
 from detadapt.expert import expert_loss
 from detadapt.trainer import pretrain_source
-from detadapt.util import one_hot
 from test_detector import (mixed_samples, no_labels, random_labels, random_params,
                            random_sample)
 from test_trainer import tiny_config
@@ -52,8 +51,8 @@ def test_two_mixed_labels_on_one_proposal():
         box = sample.proposal_boxes[2]
         mix = rng.uniform(0.5, 0.95)
         pair = rng.choice(3, 2, replace=False)
-        vec = mix * one_hot(int(pair[0]), 3) + (1 - mix) * one_hot(int(pair[1]), 3)
-        labels = Labels([box, box], [vec, one_hot(int(rng.integers(3)), 3)])
+        vec = mix * np.eye(3)[int(pair[0])] + (1 - mix) * np.eye(3)[int(pair[1])]
+        labels = Labels([box, box], [vec, np.eye(3)[int(rng.integers(3))]])
         check_sample(params, sample, labels, rng.uniform(0.2, 2.0, 2))
 
 

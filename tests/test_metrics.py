@@ -7,9 +7,13 @@ import pytest
 from bruteforce import oracle_evaluate, oracle_froc, oracle_map
 from detadapt import detector, world
 from detadapt.detector import BLOCK_SAMPLES, ModelParams, forward
+from detadapt.expert import ExpertSpec, expert_predict
 from detadapt.metrics import EvalResult, evaluate, f1_auc, froc, map_at_iou
 from detadapt.partition import partition
-from detadapt.world import BBox, DetectionSample, generate_domain, make_domain_spec
+from detadapt.trainer import pretrain_source
+from detadapt.world import (BBox, DetectionSample, generate_domain, load_dataset,
+                            make_domain_spec, save_dataset)
+from test_trainer import tiny_config
 
 
 def random_instance(rng, num_images=4, num_classes=2, max_dets=4, max_gts=3, span=12.0):
@@ -159,7 +163,8 @@ def eval_world(world_seed, frequency=(0.5, 0.3, 0.2), size=2 * BLOCK_SAMPLES + 9
     samples = generate_domain(spec, world_seed)
     rng = np.random.default_rng(world_seed)
     corners = np.tile(rng.uniform(0, 50, (3, 2)), 2) + [0.0, 0.0, 10.0, 10.0]
-    samples.append(DetectionSample(size, corners, rng.standard_normal((3, 6)), []))
+    samples.append(DetectionSample(size, corners, rng.standard_normal((3, 6)),
+                                   np.zeros((0, 4)), np.zeros(0, dtype=int)))
     params = ModelParams(np.vstack([0.5 * spec.class_means, np.zeros(6)]),
                          np.zeros(len(frequency) + 1),
                          0.2 * rng.standard_normal((4, 6)), np.zeros(4))
@@ -211,8 +216,11 @@ def test_evaluate_of_no_samples_matches_object_oracle():
     assert doc["map50"] == 0.0 and doc["auc"] is None
 
 
-def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeypatch):
+def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeypatch, tmp_path):
     samples, params = eval_world(5)
+    spec = make_domain_spec(3, 6, 40, (0.5, 0.3, 0.2), layout_seed=5)
+    dataset_path = tmp_path / "data.json"
+    save_dataset(dataset_path, spec, samples)
     params.dropout_rate = 0.3
     counts = Counter()
 
@@ -237,3 +245,13 @@ def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeyp
         counts.clear()
         run()
         assert counts == Counter(heads=blocks)
+
+    # nor does the ground-truth path: generation, pretraining, expert, loading
+    expert_rng = np.random.default_rng(0)
+    for run in (lambda: generate_domain(spec, 5),
+                lambda: pretrain_source(tiny_config(pretrain_epochs=1)),
+                lambda: [expert_predict(ExpertSpec(), s, expert_rng, 3) for s in samples],
+                lambda: load_dataset(dataset_path)):
+        counts.clear()
+        run()
+        assert counts["BBox"] == counts["Detection"] == 0

@@ -186,15 +186,20 @@ def test_all_loss_switches_off_leave_params_unchanged():
     assert len(history.records) == 2
 
 
-def test_identical_config_reproduces_history_bitwise():
+def test_identical_config_reproduces_history_bitwise(busy_run):
+    # the tiny config never augments (see `busy_config`); the busy full variant
+    # does, so its augmentation draws are checked too
     config = tiny_config(epochs=2)
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
-    _, first = adapt(params, target, config)
-    _, second = adapt(params, target, config)
-    assert first.to_csv_text() == second.to_csv_text()
-    _, other = adapt(params, target, dataclasses.replace(config, seed=config.seed + 1))
-    assert other.to_csv_text() != first.to_csv_text()
+    busy, busy_params, busy_target = busy_run
+    for config, params, target in ((config, params, target),
+                                   (ablation_variants(busy)["full"], busy_params, busy_target)):
+        _, first = adapt(params, target, config)
+        _, second = adapt(params, target, config)
+        assert first.to_csv_text() == second.to_csv_text()
+        _, other = adapt(params, target, dataclasses.replace(config, seed=config.seed + 1))
+        assert other.to_csv_text() != first.to_csv_text()
 
 
 def test_frozen_teacher_under_unit_ema():

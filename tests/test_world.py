@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from bruteforce import oracle_box
-from detadapt.world import (BBox, ConfigError, boxes_from_raw, dataset_to_dict,
-                            generate_domain, iou, load_dataset, make_domain_spec,
+from bruteforce import _iou, oracle_box
+from detadapt.world import (BBox, ConfigError, box_iou, boxes_from_raw, dataset_to_dict,
+                            generate_domain, load_dataset, make_domain_spec,
                             save_dataset, shift_domain)
 
 
@@ -67,10 +67,35 @@ def test_boxes_from_raw_raises_exactly_where_from_raw_raises():
 
 
 def test_iou_basic_cases():
-    a = BBox(0, 0, 2, 2)
-    assert iou(a, a) == pytest.approx(1.0)
-    assert iou(a, BBox(4, 4, 5, 5)) == 0.0
-    assert iou(a, BBox(1, 1, 3, 3)) == pytest.approx(1 / 7)
+    a = [0, 0, 2, 2]
+    assert box_iou(a, a) == pytest.approx(1.0)
+    assert box_iou(a, [4, 4, 5, 5]) == 0.0
+    assert box_iou(a, [1, 1, 3, 3]) == pytest.approx(1 / 7)
+
+
+def test_box_iou_equals_scalar_oracle_alone_and_broadcast():
+    rng = np.random.default_rng(13)
+    corners = rng.uniform(0, 20, (60, 2))
+    boxes = np.column_stack([corners, corners + rng.uniform(0.5, 8, (60, 2))])
+    base = np.array([2.0, 2.0, 6.0, 5.0])
+    special = np.array([
+        base,                        # identical
+        [3.0, 3.0, 4.0, 4.0],        # nested inside
+        [0.0, 0.0, 10.0, 10.0],      # containing
+        [6.0, 2.0, 9.0, 5.0],        # touching on an edge
+        [6.0, 5.0, 8.0, 7.0],        # touching at a corner
+        [7.0, 7.0, 9.0, 9.0],        # disjoint
+        [4.0, 1.0, 8.0, 3.0],        # partial overlap
+    ])
+    rows = np.vstack([boxes, special, np.tile(base, (len(special), 1))])
+    others = np.vstack([boxes[::-1], np.tile(base, (len(special), 1)), special])
+    for a, b in zip(rows, others):
+        want = _iou(BBox(*a), BBox(*b))
+        got = box_iou(a, b)
+        assert got.shape == () and got == want
+    want = np.array([[_iou(BBox(*a), BBox(*b)) for b in others] for a in rows])
+    assert np.array_equal(box_iou(rows[:, None, :], others[None, :, :]), want)
+    assert (want == 0.0).any() and (want == 1.0).any()
 
 
 def test_generation_deterministic_byte_identical():
@@ -85,7 +110,7 @@ def test_generation_deterministic_byte_identical():
 def test_degenerate_frequency_all_one_class():
     spec = small_spec(frequency=(1.0, 0.0, 0.0), size=100)
     for sample in generate_domain(spec, 0):
-        assert all(obj.class_id == 0 for obj in sample.objects)
+        assert np.all(sample.gt_classes == 0)
 
 
 def test_empirical_frequency_concentration():
@@ -94,16 +119,16 @@ def test_empirical_frequency_concentration():
                             min_objects=1, max_objects=1, background_rate=0.0)
     counts = np.zeros(2)
     for sample in generate_domain(spec, 7):
-        for obj in sample.objects:
-            counts[obj.class_id] += 1
+        for class_id in sample.gt_classes:
+            counts[class_id] += 1
     assert abs(counts[0] / counts.sum() - 0.9) < 0.02
 
 
 def test_every_object_has_detectable_proposal():
     spec = small_spec(size=200, box_jitter=0.3)
     for sample in generate_domain(spec, 5):
-        for obj in sample.objects:
-            best = max(iou(obj.box, BBox(*row)) for row in sample.proposal_boxes)
+        for gt_box in sample.gt_boxes:
+            best = max(box_iou(gt_box, row) for row in sample.proposal_boxes)
             assert best > spec.min_proposal_iou
 
 
@@ -127,8 +152,9 @@ def test_shifted_features_move_by_shift_vector():
                       max_objects=1, background_rate=0.0)
     v = np.array([2.0, 0.0, -1.0, 0.5])
     shifted = shift_domain(spec, v)
-    base_feats = np.array([s.objects[0].feature for s in generate_domain(spec, 1)])
-    new_feats = np.array([s.objects[0].feature for s in generate_domain(shifted, 2)])
+    # the object's feature is its proposal row, the first of each sample
+    base_feats = np.array([s.proposal_features[0] for s in generate_domain(spec, 1)])
+    new_feats = np.array([s.proposal_features[0] for s in generate_domain(shifted, 2)])
     diff = new_feats.mean(axis=0) - base_feats.mean(axis=0)
     tol = 3.0 / np.sqrt(len(base_feats))  # 3 sigma of the mean difference
     assert np.all(np.abs(diff - v) < 2 * tol)
@@ -156,7 +182,33 @@ def test_save_load_roundtrip(tmp_path):
     for a, b in zip(samples, loaded):
         assert np.allclose(a.proposal_boxes, b.proposal_boxes)
         assert np.allclose(a.proposal_features, b.proposal_features)
-        for oa, ob in zip(a.objects, b.objects):
-            assert oa.class_id == ob.class_id
-            assert np.allclose(oa.box.as_array(), ob.box.as_array())
-            assert np.allclose(oa.feature, ob.feature)
+        # JSON float reprs round-trip exactly
+        assert np.array_equal(a.gt_boxes, b.gt_boxes)
+        assert np.array_equal(a.gt_classes, b.gt_classes)
+
+
+def corrupt_first_object(path, row):
+    """Rewrite a saved dataset with `row` as the box of sample 0's first object."""
+    doc = json.loads(path.read_text())
+    doc["samples"][0]["objects"][0][:4] = row
+    path.write_text(json.dumps(doc))
+
+
+BAD_GT_ROWS = {
+    "nan": [1.0, float("nan"), 5.0, 5.0],
+    "inf": [1.0, 1.0, float("inf"), 5.0],
+    "inverted": [5.0, 1.0, 1.0, 5.0],
+    "zero_width": [3.0, 1.0, 3.0, 5.0],
+    "zero_height": [1.0, 2.0, 5.0, 2.0],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_GT_ROWS))
+def test_load_rejects_invalid_ground_truth_box(kind, tmp_path):
+    spec = small_spec(size=3)
+    path = tmp_path / "data.json"
+    save_dataset(path, spec, generate_domain(spec, 9))
+    load_dataset(path)
+    corrupt_first_object(path, BAD_GT_ROWS[kind])
+    with pytest.raises(ValueError):
+        load_dataset(path)

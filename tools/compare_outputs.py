@@ -5,8 +5,11 @@
 Each tree runs, from its own `src/`, with one BLAS thread: CLI pretrain, then
 CLI adapt of the full method and of the base variant from that source model
 (seed 0, 10 epochs), the score-large partition and evaluation (that source
-model on a target set ten times the default size), and the CLI ablation suite
-(seed 0, 3 epochs), whose +SA and +SAL runs no benchmark workload makes.
+model on a target set ten times the default size), CLI eval of that source
+model twice (once generating and saving the target set, once reloading the
+saved set with --dataset, so the dataset writer and reader are both diffed),
+and the CLI ablation suite (seed 0, 3 epochs), whose +SA and +SAL runs no
+benchmark workload makes.
 Prints one line per file that differs or exists in one tree only, then a
 summary. Exits 1 on any difference.
 """
@@ -31,14 +34,20 @@ base = dataclasses.replace(default_config(seed=0), epochs=10)
 variants = trainer.ablation_variants(base)
 os.makedirs(out)
 assert cli.run_cli(["--mode", "pretrain", "--out", os.path.join(out, "pretrain")]) == 0
+source_params = os.path.join(out, "pretrain", "source_params.json")
 for name in ("full", "base"):
     config_path = os.path.join(out, f"config_{name}.json")
     variants[name].save_json(config_path)
     assert cli.run_cli(["--mode", "adapt", "--config", config_path,
                         "--out", os.path.join(out, f"adapt-{name}"),
-                        "--params", os.path.join(out, "pretrain", "source_params.json")]) == 0
+                        "--params", source_params]) == 0
+assert cli.run_cli(["--mode", "eval", "--out", os.path.join(out, "eval-generate"),
+                    "--params", source_params]) == 0
+assert cli.run_cli(["--mode", "eval", "--out", os.path.join(out, "eval-reload"),
+                    "--params", source_params,
+                    "--dataset", os.path.join(out, "eval-generate", "eval_dataset.json")]) == 0
 config = default_config(seed=0)
-params = load_params(os.path.join(out, "pretrain", "source_params.json"))
+params = load_params(source_params)
 large = dataclasses.replace(config.target, size=10 * config.target.size)
 samples = world.generate_domain(large, util.derive_seed(config.seed, "world", "target"))
 report = partition(samples, params, config.mc_passes, config.variance_threshold,
