@@ -1,9 +1,10 @@
 """Instance crop banks and relation-guided feature MixUp.
 
-Crops are feature vectors (this world has no pixels), stored per (domain
-subset, class) in fixed-capacity FIFO buffers. Augmentation pairs a base
-instance with a crop drawn by relation-weighted class sampling, then blends
-features and class vectors convexly.
+Crops are feature vectors (this world has no pixels). The bank stores them as
+plain (feature, class vector) rows per (domain subset, class), in
+fixed-capacity FIFO buffers. Augmentation pairs a base instance with a row
+drawn by relation-weighted class sampling from the pools its sample's subset
+may use, then blends features and class vectors convexly.
 """
 
 from __future__ import annotations
@@ -20,55 +21,53 @@ from .world import DetectionSample
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
 SUBSETS = (SIMILAR, DISSIMILAR)
-BOTH = "both"
-
-
-@dataclass(frozen=True)
-class CropEntry:
-    feature: np.ndarray
-    class_vec: np.ndarray  # (C,), simplex point
-
-    def __post_init__(self):
-        vec = self.class_vec
-        if np.any(vec < 0) or abs(float(vec.sum()) - 1.0) > 1e-9:
-            raise ValueError("class_vec must be a simplex point")
 
 
 class Cropbank:
-    """Per (subset, class) ring buffers; oldest entries are evicted first."""
+    """Per (subset, class) ring buffers of (feature, class vector) rows.
+
+    One `push` takes one sample's instances; the oldest row of a full buffer
+    is evicted first. `pool` gives the rows a sample may draw.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._buffers: dict[tuple[str, int], deque[CropEntry]] = {}
+        self._buffers: dict[tuple[str, int], deque[tuple[np.ndarray, np.ndarray]]] = {}
 
-    def push(self, subset: str, class_id: int, entry: CropEntry) -> None:
+    def push(self, subset: str, class_ids, features, class_vecs) -> None:
+        """Append instance i, (features[i], class_vecs[i]) under class
+        class_ids[i], to its `subset` buffer, in order. The bank stores copies;
+        each class vector must be a simplex point.
+        """
         if subset not in SUBSETS:
             raise ValueError(f"unknown subset {subset!r}")
-        key = (subset, class_id)
-        if key not in self._buffers:
-            self._buffers[key] = deque(maxlen=self.capacity)
-        self._buffers[key].append(entry)
+        features = np.array(features, dtype=float)
+        class_vecs = np.array(class_vecs, dtype=float)
+        if (class_vecs < 0).any() or (abs(class_vecs.sum(axis=-1) - 1.0) > 1e-9).any():
+            raise ValueError("class vectors must be simplex points")
+        rows = zip(features, class_vecs, strict=True)
+        for class_id, row in zip(np.asarray(class_ids).tolist(), rows, strict=True):
+            key = (subset, class_id)
+            if key not in self._buffers:
+                self._buffers[key] = deque(maxlen=self.capacity)
+            self._buffers[key].append(row)
 
-    def entries(self, subset: str, class_id: int) -> tuple[CropEntry, ...]:
-        return tuple(self._buffers.get((subset, class_id), ()))
+    def pool(self, sample_subset: str, class_id: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The rows of one class that a sample of `sample_subset` may draw.
 
-    def pool(self, preference: str, class_id: int) -> tuple[CropEntry, ...]:
-        """Candidate entries for one class under a subset preference.
-
-        "both" unions the two subsets; a specific subset falls back to the
-        other one only when its own buffer is empty.
+        A similar sample gets the similar rows, then the dissimilar rows. A
+        dissimilar sample gets the dissimilar rows, or the similar rows while
+        the dissimilar buffer is empty.
         """
-        if preference == BOTH:
-            return self.entries(SIMILAR, class_id) + self.entries(DISSIMILAR, class_id)
-        if preference not in SUBSETS:
-            raise ValueError(f"unknown preference {preference!r}")
-        own = self.entries(preference, class_id)
-        if own:
-            return own
-        other = DISSIMILAR if preference == SIMILAR else SIMILAR
-        return self.entries(other, class_id)
+        if sample_subset not in SUBSETS:
+            raise ValueError(f"unknown subset {sample_subset!r}")
+        similar = self._buffers.get((SIMILAR, class_id), ())
+        dissimilar = self._buffers.get((DISSIMILAR, class_id), ())
+        if sample_subset == SIMILAR:
+            return (*similar, *dissimilar)
+        return tuple(dissimilar or similar)
 
 
 @dataclass
@@ -88,15 +87,18 @@ def sample_pair(
     base_class: int,
     is_majority: bool,
     bank: Cropbank,
-    subset_preference: str,
+    sample_subset: str,
     rng: np.random.Generator,
-) -> CropEntry | None:
-    """Draw a MixUp partner for a base instance, or None if no crop exists.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Draw a MixUp partner row (feature, class vector) for a base instance of
+    a `sample_subset` sample from `bank.pool`, or None if no row exists.
 
     Majority bases sample over the relation column with the self entry zeroed
-    (classes commonly mistaken *for* the base class, self-pairing excluded);
-    minority bases sample over their own row unmasked, so self-augmentation is
-    allowed. Classes with empty pools are dropped before renormalizing.
+    (classes commonly mistaken *for* the base class); minority bases sample
+    over their own row unmasked, so self-augmentation is allowed. Classes with
+    empty pools are dropped before renormalizing. If every remaining weight is
+    zero, the class is drawn uniformly, and then a majority base can draw its
+    own class too. One draw picks the class, a second the row.
     """
     num = relation.num_classes
     if is_majority:
@@ -107,7 +109,7 @@ def sample_pair(
     candidates = []
     pools = []
     for k in range(num):
-        pool = bank.pool(subset_preference, k)
+        pool = bank.pool(sample_subset, k)
         if pool:
             candidates.append(k)
             pools.append(pool)
@@ -122,19 +124,6 @@ def sample_pair(
     pick = int(rng.choice(len(candidates), p=probs))
     pool = pools[pick]
     return pool[int(rng.integers(len(pool)))]
-
-
-def mixup(base: CropEntry, pair: CropEntry, mix_ratio: float) -> CropEntry:
-    """Convex blend of features and class vectors; geometry stays the base's.
-
-    Resizing the pair to the base is an identity in feature space, so no box
-    enters the blend.
-    """
-    keep = mix_ratio
-    return CropEntry(
-        feature=keep * base.feature + (1.0 - keep) * pair.feature,
-        class_vec=keep * base.class_vec + (1.0 - keep) * pair.class_vec,
-    )
 
 
 def augment_sample(
@@ -152,18 +141,20 @@ def augment_sample(
     """Independently blend each labeled instance with probability p_aug.
 
     Minority bases inside source-dissimilar samples are never blended (their
-    appearance is the only evidence of the true target distribution). Samples
-    from the similar subset draw partners from both banks; dissimilar samples
-    prioritize the dissimilar bank. Instances are drawn in label order. The
-    matched proposal's feature is replaced in the returned sample and the
-    label's class vector turns soft in the returned labels; the inputs are
-    not modified. Labels keep their boxes, so `matches` (`match_labels` of
-    the labels, when the caller has it) holds for the returned labels too.
+    appearance is the only evidence of the true target distribution). Partners
+    come from `sample_pair`, from the pools `sample_subset` may draw. A blend
+    keeps `mix_ratio` of the base: the matched proposal's feature and the
+    label's class vector become `keep * base + (1 - keep) * pair`, so the
+    class vector turns soft; geometry stays the base's, as resizing the pair
+    to the base is an identity in feature space. Instances are drawn in label
+    order, and the inputs are not modified. Labels keep their boxes, so
+    `matches` (`match_labels` of the labels, when the caller has it) holds for
+    the returned labels too.
     """
     features = sample.proposal_features.copy()
     if matches is None:
         matches = match_labels(sample.proposal_boxes, labels.boxes)
-    preference = BOTH if sample_subset == SIMILAR else DISSIMILAR
+    keep = policy.mix_ratio
 
     classes = labels.classes.copy()
     for i, class_vec in enumerate(labels.classes):
@@ -171,10 +162,10 @@ def augment_sample(
         protected = sample_subset == DISSIMILAR and base_class in split.minority
         if not protected and rng.random() < policy.p_aug:
             pair = sample_pair(relation, base_class, base_class in split.majority,
-                               bank, preference, rng)
+                               bank, sample_subset, rng)
             if pair is not None:
                 j = int(matches[i])
-                blended = mixup(CropEntry(features[j].copy(), class_vec), pair, policy.mix_ratio)
-                features[j] = blended.feature
-                classes[i] = blended.class_vec
+                pair_feature, pair_vec = pair
+                features[j] = keep * features[j] + (1.0 - keep) * pair_feature
+                classes[i] = keep * class_vec + (1.0 - keep) * pair_vec
     return sample.with_features(features), Labels(labels.boxes, classes)

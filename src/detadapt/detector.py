@@ -146,10 +146,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
-
-
 def _check_features(params: ModelParams, sample: DetectionSample) -> np.ndarray:
     x = sample.proposal_features
     if x.shape[1] != params.feature_dim:
@@ -397,17 +393,26 @@ def targets(sample: DetectionSample, labels: Labels, weights=None,
     `matches` defaults to `match_labels` of the labels. `background` selects
     which unmatched proposals get a background target: "auto" for all of them,
     None for none, or an index list, kept in order and with its repeats.
+    Match and background indices must lie in [0, P): in a packed block any
+    other index would reach another sample's rows.
     """
+    num_proposals = sample.num_proposals
     if matches is None:
         matches = match_labels(sample.proposal_boxes, labels.boxes)
+    matches = np.asarray(matches, dtype=int)
     weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (len(labels),):
         raise ValueError("weights must align with labels")
     if isinstance(background, str):
-        background = np.arange(sample.num_proposals)
+        background = np.arange(num_proposals)
     background = np.asarray([] if background is None else background, dtype=int)
+    for name, index in (("match", matches), ("background", background)):
+        if len(index) and (index.min() < 0 or index.max() >= num_proposals):
+            raise ValueError(f"{name} index outside [0, {num_proposals})")
+    unmatched = np.ones(num_proposals, dtype=bool)
+    unmatched[matches] = False
     return Targets(matches, labels.classes, labels.boxes, weights,
-                   background[~np.isin(background, matches)])
+                   background[unmatched[background]])
 
 
 def _mean(terms: np.ndarray) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import AdaptationConfig
-from .cropbank import SIMILAR, AugmentPolicy, CropEntry, Cropbank, augment_sample
+from .cropbank import SIMILAR, AugmentPolicy, Cropbank, augment_sample
 from .detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
                        match_labels, save_params, sgd_step, supervised_losses, targets)
 from .expert import expert_predict
@@ -216,12 +216,12 @@ def adapt(
     batch, since neither model moves within a batch. Sample by sample, the
     teacher's rows of its pass give the confident proposals, which become
     hard `Labels`, and the background proposals; the crop bank absorbs sample
-    k's pseudo-labels before sample k + 1 is augmented, and `aug_rng` draws in
-    that order. The student's pass over the strong views gives the predicted
-    classes of the label and expert pairs and feeds one `supervised_losses`
-    call per loss. Each label set is matched to the proposals once;
-    augmentation keeps label and proposal boxes, so the matches serve the
-    pairs and the losses too.
+    k's pseudo-labels, in one push, before sample k + 1 is augmented, and
+    `aug_rng` draws in that order. The student's pass over the strong views
+    gives the predicted classes of the label and expert pairs and feeds one
+    `supervised_losses` call per loss. Each label set is matched to the
+    proposals once; augmentation keeps label and proposal boxes, so the
+    matches serve the pairs and the losses too.
     """
     config.validate()
     num_classes = config.num_classes
@@ -276,10 +276,8 @@ def adapt(
                 views.append((strong, labels, matches, bg, elabels))
 
                 # bank absorbs the clean features of confident instances
-                for j, class_id, class_vec in zip(pseudo.tolist(),
-                                                  rows.class_ids[pseudo].tolist(), clean.classes):
-                    bank.push(subset, class_id,
-                              CropEntry(sample.proposal_features[j].copy(), class_vec))
+                bank.push(subset, rows.class_ids[pseudo], sample.proposal_features[pseudo],
+                          clean.classes)
 
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored.packed(student, [view[0] for view in views])

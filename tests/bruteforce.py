@@ -7,21 +7,22 @@ full threshold enumeration for FROC, the per-proposal object path (one
 per-class object matching for a whole evaluation, the supervised losses
 one label at a time, with a scalar GIoU, for the loss kernel and
 pretraining, and the whole adaptation loop sample by sample, with labels as
-(`BBox`, class vector) pairs. Apart from that loop, none of it shares code
-with the package implementations beyond the raw forward pass, the matching
-rule, the smooth-L1 helpers and the SGD step they both define; the loop
-reuses the package's partition, relation matrix, crop bank, weighting, EMA
-and evaluation, which have tests of their own.
+(`BBox`, class vector) pairs and a crop bank of one `CropEntry` per instance,
+read through a subset preference. Apart from that loop, none of it shares
+code with the package implementations beyond the raw forward pass, the
+matching rule, the smooth-L1 helpers and the SGD step they both define; the
+loop reuses the package's partition, relation matrix, weighting, EMA and
+evaluation, which have tests of their own.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 
 import numpy as np
 
-from detadapt.cropbank import (BOTH, DISSIMILAR, SIMILAR, AugmentPolicy, CropEntry, Cropbank,
-                               mixup, sample_pair)
+from detadapt.cropbank import DISSIMILAR, SIMILAR, SUBSETS, AugmentPolicy
 from detadapt.detector import (Detection, GradientSet, ModelParams, forward_arrays,
                                match_labels, sgd_step, smooth_l1, smooth_l1_grad)
 from detadapt.metrics import FPI_POINTS, EvalResult, evaluate
@@ -294,23 +295,103 @@ def oracle_expert_predict(spec, sample, rng, num_classes):
     return labels
 
 
+BOTH = "both"
+
+
+@dataclasses.dataclass(frozen=True)
+class CropEntry:
+    """One bank instance as an object, its class vector checked on its own."""
+
+    feature: np.ndarray
+    class_vec: np.ndarray  # (C,), simplex point
+
+    def __post_init__(self):
+        vec = self.class_vec
+        if np.any(vec < 0) or abs(float(vec.sum()) - 1.0) > 1e-9:
+            raise ValueError("class_vec must be a simplex point")
+
+
+class OracleCropbank:
+    """Per (subset, class) FIFO buffers of `CropEntry` objects, one push per
+    instance, read through a subset preference."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._buffers: dict[tuple[str, int], deque[CropEntry]] = {}
+
+    def push(self, subset: str, class_id: int, entry: CropEntry) -> None:
+        if subset not in SUBSETS:
+            raise ValueError(f"unknown subset {subset!r}")
+        self._buffers.setdefault((subset, class_id), deque(maxlen=self.capacity)).append(entry)
+
+    def entries(self, subset: str, class_id: int) -> tuple[CropEntry, ...]:
+        return tuple(self._buffers.get((subset, class_id), ()))
+
+    def pool(self, preference: str, class_id: int) -> tuple[CropEntry, ...]:
+        """"both" unions the two subsets, similar first; a specific subset
+        falls back to the other one only when its own buffer is empty."""
+        if preference == BOTH:
+            return self.entries(SIMILAR, class_id) + self.entries(DISSIMILAR, class_id)
+        own = self.entries(preference, class_id)
+        if own:
+            return own
+        return self.entries(DISSIMILAR if preference == SIMILAR else SIMILAR, class_id)
+
+
+def oracle_preference(sample_subset: str) -> str:
+    """Similar samples draw from both subsets; dissimilar ones prefer their own."""
+    return BOTH if sample_subset == SIMILAR else DISSIMILAR
+
+
+def oracle_sample_pair(relation, base_class, is_majority, bank, preference, rng):
+    """`sample_pair` over an `OracleCropbank`: the same weights and draws, one
+    `CropEntry` out."""
+    if is_majority:
+        vec = relation.matrix[:, base_class].copy()
+        vec[base_class] = 0.0
+    else:
+        vec = relation.matrix[base_class, :].copy()
+    candidates, pools = [], []
+    for k in range(relation.num_classes):
+        pool = bank.pool(preference, k)
+        if pool:
+            candidates.append(k)
+            pools.append(pool)
+    if not candidates:
+        return None
+    w = vec[candidates]
+    total = float(w.sum())
+    probs = w / total if total > 0 else np.full(len(candidates), 1.0 / len(candidates))
+    pool = pools[int(rng.choice(len(candidates), p=probs))]
+    return pool[int(rng.integers(len(pool)))]
+
+
+def oracle_mixup(base: CropEntry, pair: CropEntry, mix_ratio: float) -> CropEntry:
+    """Convex blend of features and class vectors, as a checked `CropEntry`."""
+    keep = mix_ratio
+    return CropEntry(keep * base.feature + (1.0 - keep) * pair.feature,
+                     keep * base.class_vec + (1.0 - keep) * pair.class_vec)
+
+
 def oracle_augment_sample(sample, labels, relation, split, bank, policy, sample_subset, rng):
-    """`augment_sample` over (`BBox`, class vector) pairs, one label at a time."""
+    """`augment_sample` over (`BBox`, class vector) pairs, one label at a time,
+    drawing from an `OracleCropbank`."""
     if not labels:
         return sample, []
     features = sample.proposal_features.copy()
     matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
-    preference = BOTH if sample_subset == SIMILAR else DISSIMILAR
+    preference = oracle_preference(sample_subset)
     new_labels = []
     for i, (box, class_vec) in enumerate(labels):
         base_class = int(np.argmax(class_vec))
         protected = sample_subset == DISSIMILAR and base_class in split.minority
         if not protected and rng.random() < policy.p_aug:
-            pair = sample_pair(relation, base_class, base_class in split.majority,
-                               bank, preference, rng)
+            pair = oracle_sample_pair(relation, base_class, base_class in split.majority,
+                                      bank, preference, rng)
             if pair is not None:
                 j = int(matches[i])
-                blended = mixup(CropEntry(features[j].copy(), class_vec), pair, policy.mix_ratio)
+                blended = oracle_mixup(CropEntry(features[j].copy(), class_vec), pair,
+                                       policy.mix_ratio)
                 features[j] = blended.feature
                 new_labels.append((box, blended.class_vec))
                 continue
@@ -333,8 +414,9 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
 
     Each sample gets its own teacher and student forward passes, one
     `Detection` per proposal; pseudo-labels, augmented labels and expert
-    labels are (`BBox`, class vector) pairs; each sample's losses come from
-    the per-label loop oracles.
+    labels are (`BBox`, class vector) pairs; the crop bank, an
+    `OracleCropbank`, takes one `CropEntry` per pseudo-label; each sample's
+    losses come from the per-label loop oracles.
     """
     config.validate()
     num_classes = config.num_classes
@@ -344,7 +426,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
     student = source_params.copy()
     teacher = source_params.copy()
     relation = RelationMatrix.identity(num_classes, config.relation_ema)
-    bank = Cropbank(config.bank_capacity)
+    bank = OracleCropbank(config.bank_capacity)
     policy = AugmentPolicy(config.p_aug, config.mix_ratio)
     eval_spec = dataclasses.replace(config.target, size=config.eval_size)
     eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))

@@ -8,13 +8,14 @@ import pytest
 
 import detadapt
 
-from detadapt import cli
+from detadapt import cli, trainer
 from detadapt.cli import run_cli
 from detadapt.config import default_config
 from detadapt.detector import save_params
 from detadapt.trainer import pretrain_source
 from detadapt.util import derive_seed
 from detadapt.world import generate_domain, save_dataset
+from test_trainer import busy_config
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +69,26 @@ def test_eval_mode_rejects_invalid_ground_truth_box(row, tmp_path, tiny_config_f
     assert not (out / "eval.json").exists()
 
 
-def test_adapt_mode_outputs_are_deterministic(tmp_path, tiny_config_file):
-    config_path, _ = tiny_config_file
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli(["--mode", "adapt", "--config", config_path, "--out", str(out1)]) == 0
-    assert run_cli(["--mode", "adapt", "--config", config_path, "--out", str(out2)]) == 0
-    assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-    assert (out1 / "teacher_params.json").read_bytes() == (out2 / "teacher_params.json").read_bytes()
+def test_adapt_mode_outputs_are_deterministic(tmp_path, tiny_config_file, monkeypatch):
+    # the tiny config never augments; the busy one does (see `busy_config`)
+    busy_path = tmp_path / "busy.json"
+    busy_config().save_json(busy_path)
+    soft_labels = []
+    augment = trainer.augment_sample
+
+    def counted_augment(*args, **kwargs):
+        out = augment(*args, **kwargs)
+        soft_labels.extend(vec for _, vec in out[1] if vec.max() < 1.0)
+        return out
+
+    monkeypatch.setattr(trainer, "augment_sample", counted_augment)
+    for name, config_path in (("tiny", tiny_config_file[0]), ("busy", str(busy_path))):
+        out1, out2 = tmp_path / name / "a", tmp_path / name / "b"
+        assert run_cli(["--mode", "adapt", "--config", config_path, "--out", str(out1)]) == 0
+        assert run_cli(["--mode", "adapt", "--config", config_path, "--out", str(out2)]) == 0
+        for file in ("history.csv", "summary.json", "teacher_params.json"):
+            assert (out1 / file).read_bytes() == (out2 / file).read_bytes(), (name, file)
+    assert soft_labels
 
 
 def test_ablation_suite_produces_four_runs(tmp_path, tiny_config_file, monkeypatch):

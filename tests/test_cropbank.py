@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
 
-from detadapt.cropbank import (BOTH, DISSIMILAR, SIMILAR, AugmentPolicy,
-                               CropEntry, Cropbank, augment_sample, mixup,
-                               sample_pair)
+from bruteforce import CropEntry, OracleCropbank, oracle_preference, oracle_sample_pair
+from detadapt.cropbank import (DISSIMILAR, SIMILAR, SUBSETS, AugmentPolicy, Cropbank,
+                               augment_sample, sample_pair)
 from detadapt.detector import Labels
 from detadapt.relation import ClassSplit, RelationMatrix
 from detadapt.world import DetectionSample
 
 
-def entry(value, class_id, num_classes=2, dim=3):
-    return CropEntry(np.full(dim, float(value)), np.eye(num_classes)[class_id])
+def row(value, class_id, num_classes=2, dim=3):
+    return np.full(dim, float(value)), np.eye(num_classes)[class_id]
+
+
+def push(bank, subset, class_id, value, num_classes=2, dim=3):
+    """Push one instance, `row(value, class_id)`, as a sample of its own."""
+    feature, class_vec = row(value, class_id, num_classes, dim)
+    bank.push(subset, [class_id], [feature], [class_vec])
+
+
+def same_row(got, want):
+    return all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def relation_from(rows):
@@ -20,37 +30,45 @@ def relation_from(rows):
 
 def test_entry_requires_simplex_class_vector():
     with pytest.raises(ValueError):
-        CropEntry(np.zeros(3), np.array([0.5, 0.6]))
+        Cropbank(4).push(SIMILAR, [0], [np.zeros(3)], [np.array([0.5, 0.6])])
     with pytest.raises(ValueError):
-        CropEntry(np.zeros(3), np.array([-0.1, 1.1]))
+        Cropbank(4).push(SIMILAR, [0], [np.zeros(3)], [np.array([-0.1, 1.1])])
+
+
+def test_rows_changed_by_the_caller_after_push_stay_unchanged():
+    bank = Cropbank(capacity=4)
+    class_ids, features, class_vecs = np.array([1, 0]), np.ones((2, 3)), np.eye(2)[[1, 0]]
+    bank.push(SIMILAR, class_ids, features, class_vecs)
+    class_ids[:], features[:], class_vecs[:] = 0, 5.0, 0.5
+    assert same_row(bank.pool(SIMILAR, 1)[0], (np.ones(3), np.eye(2)[1]))
+    assert same_row(bank.pool(SIMILAR, 0)[0], (np.ones(3), np.eye(2)[0]))
 
 
 def test_fifo_eviction_order():
     bank = Cropbank(capacity=2)
-    a, b, c = entry(1, 0), entry(2, 0), entry(3, 0)
-    for e in (a, b, c):
-        bank.push(SIMILAR, 0, e)
-    held = bank.entries(SIMILAR, 0)
+    for value in (1, 2, 3):
+        push(bank, SIMILAR, 0, value)
+    held = bank.pool(SIMILAR, 0)
     assert len(held) == 2
-    assert held[0] is b and held[1] is c
+    assert same_row(held[0], row(2, 0)) and same_row(held[1], row(3, 0))
 
 
 def test_capacity_exactly_filled_no_eviction():
     bank = Cropbank(capacity=4)
-    pushed = [entry(i, 1) for i in range(4)]
-    for e in pushed:
-        bank.push(DISSIMILAR, 1, e)
-    assert bank.entries(DISSIMILAR, 1) == tuple(pushed)
+    for i in range(4):
+        push(bank, DISSIMILAR, 1, i)
+    held = bank.pool(DISSIMILAR, 1)
+    assert len(held) == 4
+    assert all(same_row(got, row(i, 1)) for i, got in enumerate(held))
 
 
 def test_single_entry_sample_returns_it():
     bank = Cropbank(capacity=4)
-    only = entry(7, 1)
-    bank.push(SIMILAR, 1, only)
+    push(bank, SIMILAR, 1, 7)
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
     rng = np.random.default_rng(0)
-    picked = sample_pair(rel, 0, False, bank, BOTH, rng)
-    assert picked is only
+    picked = sample_pair(rel, 0, False, bank, SIMILAR, rng)
+    assert same_row(picked, row(7, 1))
 
 
 def test_majority_masking_excludes_self():
@@ -58,70 +76,124 @@ def test_majority_masking_excludes_self():
     # the other class even though its buffer is available
     rel = relation_from([[0.3, 0.9], [1.0, 0.1]])
     bank = Cropbank(capacity=4)
-    bank.push(SIMILAR, 0, entry(1, 0))
-    bank.push(SIMILAR, 1, entry(2, 1))
+    push(bank, SIMILAR, 0, 1)
+    push(bank, SIMILAR, 1, 2)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        picked = sample_pair(rel, 0, True, bank, BOTH, rng)
-        assert np.argmax(picked.class_vec) == 1
+        picked = sample_pair(rel, 0, True, bank, SIMILAR, rng)
+        assert np.argmax(picked[1]) == 1
 
 
 def test_minority_row_allows_self_augmentation():
     rel = relation_from([[1.0, 0.0], [0.0, 1.0]])
     bank = Cropbank(capacity=4)
-    bank.push(SIMILAR, 0, entry(1, 0))
-    bank.push(SIMILAR, 1, entry(2, 1))
+    push(bank, SIMILAR, 0, 1)
+    push(bank, SIMILAR, 1, 2)
     rng = np.random.default_rng(2)
     for _ in range(50):
-        picked = sample_pair(rel, 0, False, bank, BOTH, rng)
-        assert np.argmax(picked.class_vec) == 0
+        picked = sample_pair(rel, 0, False, bank, SIMILAR, rng)
+        assert np.argmax(picked[1]) == 0
 
 
 def test_sampling_frequencies_match_relation_weights():
     rel = relation_from([[0.75, 0.25], [0.5, 0.5]])
     bank = Cropbank(capacity=2)
-    bank.push(SIMILAR, 0, entry(1, 0))
-    bank.push(SIMILAR, 1, entry(2, 1))
+    push(bank, SIMILAR, 0, 1)
+    push(bank, SIMILAR, 1, 2)
     rng = np.random.default_rng(3)
     draws = 10000
     hits = 0
     for _ in range(draws):
-        picked = sample_pair(rel, 0, False, bank, BOTH, rng)
-        hits += int(np.argmax(picked.class_vec) == 0)
+        picked = sample_pair(rel, 0, False, bank, SIMILAR, rng)
+        hits += int(np.argmax(picked[1]) == 0)
     assert abs(hits / draws - 0.75) < 0.02
 
 
 def test_empty_buffers_signal_no_pair():
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
-    assert sample_pair(rel, 0, False, Cropbank(4), BOTH, np.random.default_rng(0)) is None
+    assert sample_pair(rel, 0, False, Cropbank(4), SIMILAR, np.random.default_rng(0)) is None
 
 
 def test_dissimilar_preference_with_fallback():
     rel = relation_from([[1.0, 0.0], [0.0, 1.0]])
     bank = Cropbank(capacity=4)
-    sim_entry, dis_entry = entry(1, 0), entry(2, 0)
-    bank.push(SIMILAR, 0, sim_entry)
-    bank.push(DISSIMILAR, 0, dis_entry)
+    push(bank, SIMILAR, 0, 1)
+    push(bank, DISSIMILAR, 0, 2)
     rng = np.random.default_rng(4)
     for _ in range(20):
-        assert sample_pair(rel, 0, False, bank, DISSIMILAR, rng) is dis_entry
+        assert same_row(sample_pair(rel, 0, False, bank, DISSIMILAR, rng), row(2, 0))
     # fallback once the dissimilar buffer is empty
     empty_dis = Cropbank(capacity=4)
-    empty_dis.push(SIMILAR, 0, sim_entry)
-    assert sample_pair(rel, 0, False, empty_dis, DISSIMILAR, rng) is sim_entry
+    push(empty_dis, SIMILAR, 0, 1)
+    assert same_row(sample_pair(rel, 0, False, empty_dis, DISSIMILAR, rng), row(1, 0))
+
+
+def test_pools_and_draws_match_per_entry_oracle_bank():
+    rng = np.random.default_rng(40)
+    num_classes, dim = 4, 3
+    bank, oracle = Cropbank(capacity=3), OracleCropbank(capacity=3)
+    # under the identity a majority base has only zero weights: the uniform fallback
+    relations = (relation_from(rng.dirichlet(np.ones(num_classes), num_classes)),
+                 relation_from(np.eye(num_classes)))
+    bank_rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
+    drawn, fallbacks = 0, 0
+    for _ in range(600):
+        subset = SUBSETS[int(rng.integers(2))]
+        if rng.random() < 0.4:
+            n = int(rng.integers(0, 5))
+            class_ids = rng.integers(num_classes, size=n)
+            features = rng.standard_normal((n, dim))
+            class_vecs = rng.dirichlet(np.ones(num_classes), n)
+            bank.push(subset, class_ids, features, class_vecs)
+            for class_id, feature, class_vec in zip(class_ids.tolist(), features, class_vecs):
+                oracle.push(subset, class_id, CropEntry(feature.copy(), class_vec.copy()))
+        else:
+            base, is_majority = int(rng.integers(num_classes)), bool(rng.integers(2))
+            which = int(rng.integers(2))
+            got = sample_pair(relations[which], base, is_majority, bank, subset, bank_rng)
+            want = oracle_sample_pair(relations[which], base, is_majority, oracle,
+                                      oracle_preference(subset), oracle_rng)
+            if want is None:
+                assert got is None
+            else:
+                assert same_row(got, (want.feature, want.class_vec))
+                drawn += 1
+                fallbacks += which == 1 and is_majority
+        for sample_subset in SUBSETS:
+            for k in range(num_classes):
+                want_pool = oracle.pool(oracle_preference(sample_subset), k)
+                got_pool = bank.pool(sample_subset, k)
+                assert len(got_pool) == len(want_pool)
+                assert all(same_row(g, (w.feature, w.class_vec))
+                           for g, w in zip(got_pool, want_pool))
+    assert drawn > 100 and fallbacks > 10
+
+
+def blend(ratio):
+    """One majority label on one proposal, blended at p_aug 1 with the bank's only row."""
+    boxes = np.array([[0.0, 0.0, 4.0, 4.0]])
+    sample = DetectionSample(0, boxes, np.array([[1.0, 1.0]]), np.zeros((0, 4)),
+                             np.zeros(0, dtype=int))
+    bank = Cropbank(capacity=1)
+    bank.push(SIMILAR, [1], [np.array([3.0, -1.0])], [np.array([0.0, 1.0])])
+    rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
+    split = ClassSplit(frozenset({0}), frozenset({1}), 0.5)
+    out_sample, out_labels = augment_sample(
+        sample, Labels.one_hot(boxes, [0], 2), rel, split, bank,
+        AugmentPolicy(p_aug=1.0, mix_ratio=ratio), SIMILAR, np.random.default_rng(0))
+    return out_sample.proposal_features[0], out_labels.classes[0]
 
 
 def test_mixup_blend_rules():
-    base = CropEntry(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-    pair = CropEntry(np.array([3.0, -1.0]), np.array([0.0, 1.0]))
-    assert np.array_equal(mixup(base, pair, 1.0).feature, base.feature)
-    half = mixup(base, pair, 0.5)
-    assert np.allclose(half.feature, [2.0, 0.0])
-    assert half.class_vec.sum() == pytest.approx(1.0)
+    feature, _ = blend(1.0)
+    assert np.array_equal(feature, [1.0, 1.0])
+    feature, class_vec = blend(0.5)
+    assert np.allclose(feature, [2.0, 0.0])
+    assert class_vec.sum() == pytest.approx(1.0)
     for ratio in (0.3, 0.7, 0.9):
-        blended = mixup(base, pair, ratio)
-        assert blended.class_vec.sum() == pytest.approx(1.0)
-        assert np.all(blended.class_vec >= 0)
+        _, class_vec = blend(ratio)
+        assert class_vec.sum() == pytest.approx(1.0)
+        assert np.all(class_vec >= 0)
 
 
 def make_sample_with_labels(num_classes=2, dim=3):
@@ -135,7 +207,7 @@ def full_bank(num_classes=2, dim=3):
     bank = Cropbank(capacity=4)
     for subset in (SIMILAR, DISSIMILAR):
         for c in range(num_classes):
-            bank.push(subset, c, entry(9, c, num_classes, dim))
+            push(bank, subset, c, 9, num_classes, dim)
     return bank
 
 

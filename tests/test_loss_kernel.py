@@ -68,6 +68,17 @@ def test_background_list_with_matched_and_repeated_indices():
         check_sample(params, sample, labels, background=background)
 
 
+@pytest.mark.parametrize("matches,background", [
+    (None, [6]), (None, [-1]), ([6], None), ([-1], "auto")],
+    ids=["background_P", "background_negative", "match_P", "match_negative"])
+def test_targets_reject_indices_outside_the_sample(matches, background):
+    # in a packed block such an index would reach another sample's rows
+    sample = random_sample(np.random.default_rng(36), num_proposals=6)
+    labels = Labels(sample.proposal_boxes[1:2], [np.eye(3)[0]])
+    with pytest.raises(ValueError):
+        targets(sample, labels, background=background, matches=matches)
+
+
 @pytest.mark.parametrize("background", [None, "auto"])
 def test_no_labels(background):
     rng = np.random.default_rng(33)
