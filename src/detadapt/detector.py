@@ -2,9 +2,11 @@
 
 The model is linear in the input features so every gradient below is derived by
 hand and checked against finite differences. Class index C (the last logit) is
-the background class. Training scores a batch in one packed pass and computes
-every sample's supervised loss in one array kernel, `supervised_losses`;
-`detection_loss` and the expert's `expert_loss` are its one-sample case.
+the background class. `Scored` is the one forward pass: it scores a block of
+samples, and a sample alone is a block of one. Training scores a batch in one
+block and computes every sample's supervised loss in one array kernel,
+`supervised_losses`; `detection_loss` and the expert's `expert_loss` are its
+one-sample case.
 """
 
 from __future__ import annotations
@@ -146,30 +148,15 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _check_features(params: ModelParams, sample: DetectionSample) -> np.ndarray:
-    x = sample.proposal_features
-    if x.shape[1] != params.feature_dim:
-        raise ValueError(f"feature dim {x.shape[1]} != model dim {params.feature_dim}")
-    return x
-
-
-def _dropped(params: ModelParams, x: np.ndarray, dropout_seed: int | None) -> np.ndarray:
-    if dropout_seed is not None and params.dropout_rate > 0.0:
-        rng = np.random.default_rng(dropout_seed)
-        mask = rng.random(x.shape) >= params.dropout_rate
-        return x * mask / (1.0 - params.dropout_rate)
-    return x
-
-
-def _heads(params: ModelParams, h: np.ndarray, proposal_boxes: np.ndarray, single=()):
+def _heads(params: ModelParams, h: np.ndarray, proposal_boxes: np.ndarray, single):
     """Both heads over the rows of h, (rows, D) or a stack of passes (M, rows, D).
 
     Every op acts per pass and per row, so a row's outputs do not depend on the
-    rows packed around it, with one exception that `single` handles: BLAS takes
+    block it is packed in, with one exception that `single` handles: BLAS takes
     a one-row product through a matrix-vector kernel whose last bits differ
     from the matrix-matrix one. `single` lists the rows of one-proposal samples
-    in a pack; their products are redone one row at a time, as the sample's own
-    (1, D) pass would compute them.
+    in a block; their products are redone one row at a time, so a one-proposal
+    sample scores the same alone and among others.
     """
     logits = h @ params.w_cls.T
     deltas = h @ params.w_reg.T
@@ -180,48 +167,28 @@ def _heads(params: ModelParams, h: np.ndarray, proposal_boxes: np.ndarray, singl
     return h, log_scores, np.exp(log_scores), proposal_boxes + (deltas + params.b_reg)
 
 
-def forward_arrays(params: ModelParams, sample: DetectionSample,
-                   dropout_seed: int | None = None):
-    """Raw forward pass.
-
-    Returns (h, log_scores, scores, refined) where h is the (possibly dropped)
-    feature matrix and refined the (P, 4) refined box coordinates. Inverted
-    dropout scales retained activations by 1/(1-p), so inference (no seed)
-    needs no rescaling.
-    """
-    x = _check_features(params, sample)
-    return _heads(params, _dropped(params, x, dropout_seed), sample.proposal_boxes)
-
-
 class Scored:
-    """One forward pass of a model on a sample, or on a packed block of samples, as arrays.
+    """One forward pass of a model on a block of samples, as arrays.
 
-    Holds the outputs of `forward_arrays` (h, log_scores, scores, refined)
-    and the `offsets` of its samples' rows, [0, P] for one sample.
-    The foreground argmax class and score and the valid refined boxes are
-    derived on first use, so a caller that needs only the loss pays for none
-    of them, and one that needs them twice computes them once.
+    The heads run once over the samples' proposals, concatenated; a sample
+    alone is the block `[sample]`. Holds their outputs (h, log_scores, scores,
+    refined), h being the (possibly dropped) features, and the `offsets` of
+    the samples' rows: sample i owns rows `offsets[i]:offsets[i + 1]`, equal
+    bit for bit to those of its own block of one.
+
+    With an (n, M) array of dropout seeds the outputs are stacks of M passes,
+    (M, rows, ...), and the mask of pass m of sample i is drawn from seed
+    [i, m] alone. Inverted dropout scales retained activations by 1/(1-p), so
+    inference (no seeds) needs no rescaling. The foreground argmax class and
+    score and the valid refined boxes of a one-pass block are derived on first
+    use, so a caller that needs only the loss pays for none of them.
     """
 
-    def __init__(self, params: ModelParams, sample: DetectionSample,
-                 dropout_seed: int | None = None):
-        self.num_classes = params.num_classes
-        self.offsets = np.array([0, sample.num_proposals])
-        self.h, self.log_scores, self.scores, self.refined = \
-            forward_arrays(params, sample, dropout_seed)
-
-    @classmethod
-    def packed(cls, params: ModelParams, samples: list[DetectionSample],
-               dropout_seeds=None) -> "Scored":
-        """The heads run once over a block of samples, proposals concatenated.
-
-        Sample i owns rows `offsets[i]:offsets[i + 1]`, which equal its own
-        `forward_arrays` outputs bit for bit. With an (n, M) array of dropout
-        seeds the outputs are stacks of M passes, (M, rows, ...): pass m of
-        sample i equals `forward_arrays(params, samples[i], dropout_seeds[i, m])`.
-        Its mask is drawn from that seed alone, straight into the pass's rows.
-        """
-        counts = [_check_features(params, s).shape[0] for s in samples]
+    def __init__(self, params: ModelParams, samples: list[DetectionSample],
+                 dropout_seeds=None):
+        for dim in {s.proposal_features.shape[1] for s in samples} - {params.feature_dim}:
+            raise ValueError(f"feature dim {dim} != model dim {params.feature_dim}")
+        counts = [len(s.proposal_features) for s in samples]
         offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
         x = np.concatenate([s.proposal_features for s in samples])
         boxes = np.concatenate([s.proposal_boxes for s in samples])
@@ -231,8 +198,8 @@ class Scored:
             rate = params.dropout_rate
             h = np.broadcast_to(x, (seeds.shape[1],) + x.shape)
             if rate > 0.0:
-                # the uniform draws become the dropped features in place: `_dropped`'s
-                # x * mask / (1 - rate), with one (M, rows, D) buffer instead of three
+                # the uniform draws become the dropped features in place,
+                # x * mask / (1 - rate), with one (M, rows, D) buffer
                 h = np.empty(h.shape)
                 for a, b, row in zip(offsets[:-1], offsets[1:], seeds):
                     for m, seed in enumerate(row):
@@ -240,11 +207,9 @@ class Scored:
                 np.multiply(x, h >= rate, out=h)
                 h /= 1.0 - rate
         single = offsets[:-1][np.asarray(counts) == 1]
-        out = cls.__new__(cls)
-        out.num_classes = params.num_classes
-        out.offsets = offsets
-        out.h, out.log_scores, out.scores, out.refined = _heads(params, h, boxes, single)
-        return out
+        self.num_classes = params.num_classes
+        self.offsets = offsets
+        self.h, self.log_scores, self.scores, self.refined = _heads(params, h, boxes, single)
 
     def sample(self, i: int) -> "Scored":
         """Sample i's rows of a one-pass block as its own `Scored`, whose arrays,
@@ -274,15 +239,26 @@ class Scored:
         return boxes_from_raw(self.refined)
 
 
-def forward(params: ModelParams, sample: DetectionSample,
-            dropout_seed: int | None = None) -> list[Detection]:
+def forward_arrays(params: ModelParams, sample: DetectionSample,
+                   dropout_seed: int | None = None):
+    """(h, log_scores, scores, refined) of one sample: the arrays of its block
+    of one, `Scored(params, [sample])`, or with a seed the one pass of
+    `Scored(params, [sample], [[dropout_seed]])`.
+    """
+    seeds = None if dropout_seed is None else [[dropout_seed]]
+    scored = Scored(params, [sample], seeds)
+    arrays = scored.h, scored.log_scores, scored.scores, scored.refined
+    return arrays if seeds is None else tuple(a[0] for a in arrays)
+
+
+def forward(params: ModelParams, sample: DetectionSample) -> list[Detection]:
     """One Detection per proposal, in proposal order.
 
-    The object view of one `Scored`: its boxes, foreground classes and scores,
-    one `Detection` each, for callers that want objects. Training, the
-    partition and evaluation work on the arrays and build none.
+    The object view of `Scored(params, [sample])`: its boxes, foreground
+    classes and scores, one `Detection` each, for callers that want objects.
+    Training, the partition and evaluation work on the arrays and build none.
     """
-    scored = Scored(params, sample, dropout_seed)
+    scored = Scored(params, [sample])
     boxes = scored.boxes.tolist()
     class_ids = scored.class_ids.tolist()
     fg_scores = scored.fg_scores.tolist()
@@ -501,7 +477,7 @@ def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     `targets`. The one-sample case of `supervised_losses`, whose docstring
     gives the terms.
     """
-    return supervised_losses(Scored(params, sample),
+    return supervised_losses(Scored(params, [sample]),
                              [targets(sample, labels, weights, background)])[0]
 
 

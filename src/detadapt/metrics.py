@@ -265,7 +265,7 @@ def _match_samples(params: ModelParams, samples: list[DetectionSample],
     score = np.empty(offsets[-1])
     for start in range(0, len(samples), BLOCK_SAMPLES):
         stop = min(start + BLOCK_SAMPLES, len(samples))
-        scored = Scored.packed(params, samples[start:stop])
+        scored = Scored(params, samples[start:stop])
         rows = slice(offsets[start], offsets[stop])
         boxes[rows], cls[rows], score[rows] = scored.boxes, scored.class_ids, scored.fg_scores
     return _match(np.repeat(np.arange(len(samples)), counts), boxes, cls, score,

@@ -72,7 +72,7 @@ def mc_passes(params: ModelParams, sample: DetectionSample, num_passes: int,
     """
     if num_passes < 2:
         raise ValueError("need at least 2 passes for a variance estimate")
-    scored = Scored.packed(params, [sample], _draw_seeds(rng, 1, num_passes))
+    scored = Scored(params, [sample], _draw_seeds(rng, 1, num_passes))
     return scored.boxes, scored.scores
 
 
@@ -139,7 +139,7 @@ def partition(
     per_sample = {}
     for start in range(0, len(ordered), BLOCK_SAMPLES):
         block = ordered[start:start + BLOCK_SAMPLES]
-        scored = Scored.packed(params, block, _draw_seeds(rng, len(block), num_passes))
+        scored = Scored(params, block, _draw_seeds(rng, len(block), num_passes))
         boxes, scores, offsets = scored.boxes, scored.scores, scored.offsets
         for i, sample in enumerate(block):
             rows = slice(offsets[i], offsets[i + 1])

@@ -1,6 +1,7 @@
 """Mean-teacher self-training: confidence-filtered pseudo-labels, EMA teacher.
 
-The teacher's verdicts are proposal indices into its `Scored` of a sample.
+The teacher's verdicts are proposal indices into its `Scored` of a sample:
+the sample's rows of a block, or its own block of one.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ def pseudo_label(teacher: ModelParams, sample: DetectionSample, conf_threshold: 
     """Indices of the proposals whose max foreground score reaches the threshold.
 
     `scored` (a `Scored` of the teacher on the sample, such as one sample's
-    rows of a packed pass) skips the forward pass. Its boxes and foreground
-    classes at these indices are the pseudo-labels.
+    rows of a block) skips the forward pass; without it the teacher scores
+    `[sample]`. Its boxes and foreground classes at these indices are the
+    pseudo-labels.
     """
     if not 0.0 < conf_threshold <= 1.0:
         raise ValueError("conf_threshold must lie in (0, 1]")
     if scored is None:
-        scored = Scored(teacher, sample)
+        scored = Scored(teacher, [sample])
     return np.flatnonzero(scored.fg_scores >= conf_threshold)
 
 
@@ -51,5 +53,5 @@ def background_indices(teacher: ModelParams, sample: DetectionSample, bar: float
     `scored` works as in `pseudo_label`.
     """
     if scored is None:
-        scored = Scored(teacher, sample)
+        scored = Scored(teacher, [sample])
     return np.flatnonzero(scored.fg_scores < bar)

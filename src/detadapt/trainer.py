@@ -179,7 +179,7 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
         order = shuffle_rng.permutation(len(source_data))
         for batch in _batches(order, config.batch_size):
             batch = batch.tolist()
-            scored = Scored.packed(params, [source_data[i] for i in batch])
+            scored = Scored(params, [source_data[i] for i in batch])
             total = GradientSet.zeros_like(params)
             for loss, grads in supervised_losses(scored, [source_targets[i] for i in batch]):
                 if not np.isfinite(loss):
@@ -254,7 +254,7 @@ def adapt(
         for batch in _batches(order, config.batch_size):
             split = relation.split() if relation.ready else None
             samples = [by_id[ids[int(pos)]] for pos in batch]
-            scored_t = Scored.packed(teacher, samples)
+            scored_t = Scored(teacher, samples)
             views = []
             for i, sample in enumerate(samples):
                 subset = report.subset_of(sample.id)
@@ -280,7 +280,7 @@ def adapt(
                           clean.classes)
 
             # the student does not move within a batch: one pass scores every view
-            scored_s = Scored.packed(student, [view[0] for view in views])
+            scored_s = Scored(student, [view[0] for view in views])
             predicted = scored_s.class_ids
             stu_targets, exp_targets, batch_pairs = [], [], []
             for start, (strong, labels, matches, bg, elabels) in zip(scored_s.offsets, views):

@@ -2,15 +2,15 @@
 
 Everything here recomputes from first principles with plain loops: central
 finite differences for gradients, per-prefix rescored matching for AP, a
-full threshold enumeration for FROC, the per-proposal object path (one
-`BBox.from_raw` and one argmax per proposal, per pass) for scoring, the
+full threshold enumeration for FROC, a one-sample forward pass with its own
+dropout draw and the per-proposal object path (one `BBox.from_raw` and one
+argmax per proposal, per pass) for scoring, the
 per-class object matching for a whole evaluation, the supervised losses
 one label at a time, with a scalar GIoU, for the loss kernel and
 pretraining, and the whole adaptation loop sample by sample, with labels as
 (`BBox`, class vector) pairs and a crop bank of one `CropEntry` per instance,
 read through a subset preference. Apart from that loop, none of it shares
-code with the package implementations beyond the raw forward pass, the
-matching rule, the smooth-L1 helpers and the SGD step they both define; the
+code with the package implementations beyond the matching rule, the smooth-L1 helpers and the SGD step they both define; the
 loop reuses the package's partition, relation matrix, weighting, EMA and
 evaluation, which have tests of their own.
 """
@@ -23,8 +23,8 @@ from collections import deque
 import numpy as np
 
 from detadapt.cropbank import DISSIMILAR, SIMILAR, SUBSETS, AugmentPolicy
-from detadapt.detector import (Detection, GradientSet, ModelParams, forward_arrays,
-                               match_labels, sgd_step, smooth_l1, smooth_l1_grad)
+from detadapt.detector import (Detection, GradientSet, ModelParams, match_labels, sgd_step,
+                               smooth_l1, smooth_l1_grad)
 from detadapt.metrics import FPI_POINTS, EvalResult, evaluate
 from detadapt.partition import partition
 from detadapt.relation import RelationMatrix, batch_confusion
@@ -45,9 +45,27 @@ def oracle_box(row, min_size: float = 1e-6) -> np.ndarray:
     return BBox.from_raw(*row, min_size=min_size).as_array()
 
 
+def oracle_forward_arrays(params: ModelParams, sample, dropout_seed=None):
+    """(h, log_scores, scores, refined) of one sample on its own, as `Scored`
+    gives them for `[sample]` (one pass if seeded): the (P, D) features, their
+    inverted-dropout mask drawn from the seed alone, then both heads.
+    """
+    x = sample.proposal_features
+    if x.shape[1] != params.feature_dim:
+        raise ValueError(f"feature dim {x.shape[1]} != model dim {params.feature_dim}")
+    if dropout_seed is not None and params.dropout_rate > 0.0:
+        mask = np.random.default_rng(dropout_seed).random(x.shape) >= params.dropout_rate
+        x = x * mask / (1.0 - params.dropout_rate)
+    logits = x @ params.w_cls.T + params.b_cls
+    z = logits - logits.max(axis=-1, keepdims=True)
+    log_scores = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    refined = sample.proposal_boxes + (x @ params.w_reg.T + params.b_reg)
+    return x, log_scores, np.exp(log_scores), refined
+
+
 def oracle_detections(params: ModelParams, sample, dropout_seed=None) -> list[Detection]:
     """One Detection per proposal, each boxed and argmaxed on its own."""
-    _, _, scores, refined = forward_arrays(params, sample, dropout_seed)
+    _, _, scores, refined = oracle_forward_arrays(params, sample, dropout_seed)
     out = []
     for j in range(sample.num_proposals):
         fg = scores[j, :params.num_classes]
@@ -143,7 +161,7 @@ def oracle_detection_loss(
     if weights.shape != (n_labels,):
         raise ValueError("weights must align with labels")
 
-    h, log_scores, scores, refined = forward_arrays(params, sample)
+    h, log_scores, scores, refined = oracle_forward_arrays(params, sample)
     n_prop = sample.num_proposals
     matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
 
@@ -220,7 +238,7 @@ def oracle_expert_loss(
     if weights.shape != (n,):
         raise ValueError("weights must align with expert labels")
 
-    h, log_scores, scores, refined = forward_arrays(params, sample)
+    h, log_scores, scores, refined = oracle_forward_arrays(params, sample)
     num_fg = params.num_classes
     matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bruteforce import max_relative_error, numeric_gradient, oracle_detections
+from bruteforce import (max_relative_error, numeric_gradient, oracle_detections,
+                        oracle_forward_arrays)
 from detadapt.detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
                                detection_loss, forward, forward_arrays, giou_and_grad,
                                load_params, save_params, sgd_step)
@@ -73,8 +74,11 @@ def test_forward_matches_per_proposal_oracle():
         params = random_params(rng, dropout=0.3 if trial % 2 else 0.0)
         sample = random_sample(rng, num_proposals=int(rng.integers(1, 8)))
         seed = None if trial % 3 == 0 else int(rng.integers(1000))
-        got = forward(params, sample, dropout_seed=seed)
-        want = oracle_detections(params, sample, dropout_seed=seed)
+        for got, want in zip(forward_arrays(params, sample, dropout_seed=seed),
+                             oracle_forward_arrays(params, sample, dropout_seed=seed)):
+            assert np.array_equal(got, want)
+        got = forward(params, sample)
+        want = oracle_detections(params, sample)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.proposal_index == w.proposal_index
@@ -88,9 +92,9 @@ def test_sample_rows_of_a_packed_pass_are_its_own_scored():
     rng = np.random.default_rng(21)
     params = random_params(rng)
     samples = mixed_samples(rng, [1, 2, 7, 13, 1, 5])
-    packed = Scored.packed(params, samples)
+    packed = Scored(params, samples)
     for i, sample in enumerate(samples):
-        rows, one = packed.sample(i), Scored(params, sample)
+        rows, one = packed.sample(i), Scored(params, [sample])
         assert rows.offsets.tolist() == one.offsets.tolist()
         for name in ("h", "log_scores", "scores", "refined", "class_ids", "fg_scores", "boxes"):
             got = getattr(rows, name)
@@ -123,21 +127,21 @@ def test_packed_pass_matches_per_sample_forward(dropout):
     sizes = [1, 2, 7, 13, 1, 1, 13, 2, 7, 1]
     samples = mixed_samples(rng, sizes)
     seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=(len(samples), 4))
-    packed = Scored.packed(params, samples)
-    stacked = Scored.packed(params, samples, seeds)
+    packed = Scored(params, samples)
+    stacked = Scored(params, samples, seeds)
     assert packed.offsets.tolist() == [0, *np.cumsum(sizes).tolist()]
     assert stacked.scores.shape == (4, sum(sizes), params.num_classes + 1)
     for i, sample in enumerate(samples):
         rows = slice(packed.offsets[i], packed.offsets[i + 1])
-        one = Scored(params, sample)
         for got, want in zip((packed.h, packed.log_scores, packed.scores, packed.refined),
-                             (one.h, one.log_scores, one.scores, one.refined)):
+                             oracle_forward_arrays(params, sample)):
             assert np.array_equal(got[rows], want)
-        assert np.array_equal(packed.class_ids[rows], one.class_ids)
-        assert np.array_equal(packed.fg_scores[rows], one.fg_scores)
-        assert np.array_equal(packed.boxes[rows], one.boxes)
+        dets = oracle_detections(params, sample)
+        assert packed.class_ids[rows].tolist() == [d.class_id for d in dets]
+        assert packed.fg_scores[rows].tolist() == [d.score for d in dets]
+        assert np.array_equal(packed.boxes[rows], [d.box.as_array() for d in dets])
         for m in range(seeds.shape[1]):
-            want = forward_arrays(params, sample, dropout_seed=int(seeds[i, m]))
+            want = oracle_forward_arrays(params, sample, dropout_seed=int(seeds[i, m]))
             for got, w in zip((stacked.h, stacked.log_scores, stacked.scores, stacked.refined),
                               want):
                 assert np.array_equal(got[m, rows], w)
@@ -147,10 +151,12 @@ def test_zero_dropout_rate_ignores_seed():
     rng = np.random.default_rng(2)
     params = random_params(rng, dropout=0.0)
     sample = random_sample(rng)
-    with_seed = forward(params, sample, dropout_seed=123)
-    without = forward(params, sample)
-    for da, db in zip(with_seed, without):
-        assert np.array_equal(da.scores, db.scores)
+    stacked = Scored(params, [sample], [[123, 124]])
+    want = oracle_forward_arrays(params, sample)
+    for got, w in zip(forward_arrays(params, sample, dropout_seed=123), want):
+        assert np.array_equal(got, w)
+    for got, w in zip((stacked.h, stacked.log_scores, stacked.scores, stacked.refined), want):
+        assert np.array_equal(got[0], w) and np.array_equal(got[1], w)
 
 
 def test_dropout_seed_reproducible_and_varied():
@@ -286,4 +292,4 @@ def test_feature_dim_mismatch_raises():
     with pytest.raises(ValueError):
         forward_arrays(params, sample)
     with pytest.raises(ValueError):
-        Scored.packed(params, [sample], [[1, 2]])
+        Scored(params, [sample], [[1, 2]])

@@ -107,7 +107,7 @@ def test_packed_block_matches_per_sample_oracles():
         labels = [random_labels(rng, count=int(rng.integers(0, 4)), soft=True) for _ in sizes]
         weights = [rng.uniform(0.2, 2.0, len(lab)) for lab in labels]
         background = [["auto", None, [0, 0]][i % 3] for i in range(len(sizes))]
-        scored = Scored.packed(params, samples)
+        scored = Scored(params, samples)
         got = supervised_losses(scored, [targets(s, lab, w, bg) for s, lab, w, bg
                                          in zip(samples, labels, weights, background)])
         got_expert = supervised_losses(

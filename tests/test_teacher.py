@@ -38,10 +38,10 @@ def test_shared_teacher_scoring_matches_object_oracle():
         teacher = random_params(rng)
         samples = mixed_samples(rng, rng.integers(1, 8, size=3))
         conf, bar = float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.2, 0.6))
-        packed = Scored.packed(teacher, samples)
+        packed = Scored(teacher, samples)
         for i, sample in enumerate(samples):
-            for shared in (None, Scored(teacher, sample), packed.sample(i)):
-                rows = Scored(teacher, sample) if shared is None else shared
+            for shared in (None, Scored(teacher, [sample]), packed.sample(i)):
+                rows = Scored(teacher, [sample]) if shared is None else shared
                 index = pseudo_label(teacher, sample, conf, scored=shared)
                 got = [(j, BBox(*rows.boxes[j]), int(rows.class_ids[j]), float(rows.fg_scores[j]))
                        for j in index.tolist()]
@@ -54,7 +54,7 @@ def test_threshold_above_all_scores_gives_empty():
     rng = np.random.default_rng(0)
     params, sample = random_params(rng), random_sample(rng)
     pseudo = pseudo_label(params, sample, 1.0)
-    assert len(pseudo) == 0 or all(Scored(params, sample).fg_scores[pseudo] >= 1.0)
+    assert len(pseudo) == 0 or all(Scored(params, [sample]).fg_scores[pseudo] >= 1.0)
 
 
 def test_tiny_threshold_labels_every_proposal():
@@ -62,7 +62,7 @@ def test_tiny_threshold_labels_every_proposal():
     params, sample = random_params(rng), random_sample(rng)
     pseudo = pseudo_label(params, sample, 1e-9)
     assert len(pseudo) == 5
-    scored = Scored(params, sample)
+    scored = Scored(params, [sample])
     for class_vec in Labels.one_hot(scored.boxes[pseudo], scored.class_ids[pseudo], 3).classes:
         assert class_vec.sum() == pytest.approx(1.0)
         assert class_vec.max() == 1.0  # hard one-hot
@@ -86,7 +86,7 @@ def test_converged_teacher_pseudo_labels_match_ground_truth():
     params, data = train_supervised(spec, seed=3, epochs=20)
     correct = total = 0
     for sample in data[:80]:
-        scored = Scored(params, sample)
+        scored = Scored(params, [sample])
         for j in pseudo_label(params, sample, 0.7).tolist():
             ious = box_iou(scored.boxes[j], sample.gt_boxes)
             best = int(np.argmax(ious))
@@ -141,7 +141,7 @@ def test_student_converges_to_frozen_perfect_teacher():
         for sample in data:
             # one SGD step of the student on the clean sample: pseudo-labels
             # plus the proposals the teacher calls background
-            scored = Scored(teacher, sample)
+            scored = Scored(teacher, [sample])
             pseudo = pseudo_label(teacher, sample, 0.7, scored=scored)
             labels = Labels.one_hot(scored.boxes[pseudo], scored.class_ids[pseudo], 3)
             bg = background_indices(teacher, sample, 0.1, scored=scored)

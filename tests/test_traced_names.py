@@ -54,7 +54,7 @@ def test_tracer_observers_on_a_traced_adaptation():
         traced = trainer.pseudo_label
 
         def counting(teacher, sample, conf_threshold, *, scored=None):
-            rows = Scored(teacher, sample) if scored is None else scored
+            rows = Scored(teacher, [sample]) if scored is None else scored
             confident.append(int(np.count_nonzero(rows.fg_scores >= conf_threshold)))
             scored_proposals.append(sample.num_proposals)
             return traced(teacher, sample, conf_threshold, scored=scored)

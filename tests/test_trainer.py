@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -212,27 +211,20 @@ def test_frozen_teacher_under_unit_ema():
 
 @pytest.mark.parametrize("variant", ["full", "base"])
 def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch):
-    # each model scores a batch in one packed pass: the teacher the clean
+    # each model scores a batch in one `Scored` block: the teacher the clean
     # samples, the student their views, so each sample twice per epoch and no
-    # one-sample forward pass
+    # other pass, one-sample blocks included
     config = ablation_variants(tiny_config(epochs=2))[variant]
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
-    real_forward = detector.forward_arrays
-    real_packed = detector.Scored.packed.__func__
-    passes = []
-    packed_calls = []
+    real_init = detector.Scored.__init__
+    scored_calls = []
     outside_loop = []
 
-    def counted_forward(*args, **kwargs):
+    def counted_init(self, params, samples, *args, **kwargs):
         if not outside_loop:
-            passes.append(1)
-        return real_forward(*args, **kwargs)
-
-    def counted_packed(cls, params, samples, *args, **kwargs):
-        if not outside_loop:
-            packed_calls.append([s.id for s in samples])
-        return real_packed(cls, params, samples, *args, **kwargs)
+            scored_calls.append([s.id for s in samples])
+        real_init(self, params, samples, *args, **kwargs)
 
     def not_counted(fn):
         def wrapper(*args, **kwargs):
@@ -243,17 +235,12 @@ def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch
                 outside_loop.pop()
         return wrapper
 
-    for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("detadapt") \
-                and getattr(module, "forward_arrays", None) is real_forward:
-            monkeypatch.setattr(module, "forward_arrays", counted_forward)
-    monkeypatch.setattr(detector.Scored, "packed", classmethod(counted_packed))
+    monkeypatch.setattr(detector.Scored, "__init__", counted_init)
     monkeypatch.setattr(trainer, "partition", not_counted(trainer.partition))
     monkeypatch.setattr(trainer, "evaluate", not_counted(trainer.evaluate))
     adapt(params, target, config)
-    assert passes == []
     # per batch the teacher's pass, then the student's over the same samples
-    teacher_calls, student_calls = packed_calls[0::2], packed_calls[1::2]
+    teacher_calls, student_calls = scored_calls[0::2], scored_calls[1::2]
     assert teacher_calls == student_calls
     assert sorted(sum(teacher_calls, [])) == sorted([s.id for s in target] * config.epochs)
 
