@@ -14,6 +14,11 @@ from .world import ConfigError, DomainSpec, make_domain_spec, shift_domain
 
 DEFAULT_FREQUENCY = (0.35, 0.25, 0.20, 0.15, 0.05)
 
+# the JSON values a scalar field takes, by its annotation; a bool is a Python
+# int, so only a bool field takes one
+JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float),
+              "float | None": (int, float, type(None))}
+
 
 @dataclass
 class AdaptationConfig:
@@ -111,8 +116,13 @@ class AdaptationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AdaptationConfig":
-        """Build from a (possibly partial) plain dict; omitted fields keep defaults."""
-        base = default_config(seed=int(data.get("seed", 0))).to_dict()
+        """Build from a (possibly partial) plain dict; omitted fields keep defaults.
+
+        Each scalar value must have the JSON type of its field: a bool field
+        takes a bool, an int field an integer, a float field any number.
+        """
+        _check_types(cls, data, "")
+        base = default_config(seed=data.get("seed", 0)).to_dict()
         unknown = set(data) - set(base)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -122,6 +132,7 @@ class AdaptationConfig:
                 extra = set(value) - set(merged)
                 if extra:
                     raise ConfigError(f"unknown {key} fields: {sorted(extra)}")
+                _check_types(ExpertSpec if key == "expert" else DomainSpec, value, f"{key}.")
                 merged.update(value)
                 base[key] = merged
             else:
@@ -141,6 +152,16 @@ class AdaptationConfig:
     def load_json(cls, path) -> "AdaptationConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _check_types(cls, data: dict, prefix: str) -> None:
+    """Raise `ConfigError` for a scalar field of `cls` whose value has the wrong JSON type."""
+    for f in dataclasses.fields(cls):
+        if f.name in data and f.type in JSON_TYPES:
+            value = data[f.name]
+            if isinstance(value, bool) != (f.type == "bool") \
+                    or not isinstance(value, JSON_TYPES[f.type]):
+                raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
 
 
 def shift_vector(feature_dim: int, magnitude: float, direction_seed: int = 11) -> np.ndarray:

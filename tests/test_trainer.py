@@ -294,3 +294,12 @@ def test_config_dict_roundtrip_and_unknown_fields():
     from detadapt.world import ConfigError
     with pytest.raises(ConfigError):
         AdaptationConfig.from_dict({"bogus_field": 1})
+    # each scalar takes only its field's JSON type
+    for bad in ({"enable_sa": "false"}, {"enable_sal": 1}, {"epochs": 2.5}, {"batch_size": 16.0},
+                {"seed": 1.5}, {"epochs": True}, {"learning_rate": True},
+                {"background_bar": "0.1"}, {"expert": {"flip_rate": False}},
+                {"source": {"size": 40.0}}, {"target": {"box_jitter": None}}):
+        with pytest.raises(ConfigError):
+            AdaptationConfig.from_dict(bad)
+    loose = AdaptationConfig.from_dict({"learning_rate": 1, "background_bar": None})
+    assert loose.learning_rate == 1 and loose.background_bar is None
