@@ -18,7 +18,7 @@ import os
 import sys
 
 from .config import AdaptationConfig, default_config
-from .detector import load_params, save_params
+from .detector import ModelParams, load_params, save_params
 from .metrics import evaluate
 from .trainer import ablation_variants, adapt, pretrain_source
 from .util import derive_seed, write_atomic
@@ -55,6 +55,17 @@ def _write_json(path, payload) -> None:
     write_atomic(path, json.dumps(payload, indent=2))
 
 
+def _load_model(path: str, config: AdaptationConfig) -> ModelParams:
+    """Saved params whose class count and feature dimension are the config's."""
+    params = load_params(path)
+    got = (params.num_classes, params.feature_dim)
+    want = (config.num_classes, config.target.feature_dim)
+    if got != want:
+        raise ConfigError(f"model has {got[0]} classes and feature dim {got[1]}; "
+                          f"the config has {want[0]} and {want[1]}")
+    return params
+
+
 def _mode_pretrain(config: AdaptationConfig, out: str) -> None:
     params, _ = pretrain_source(config)
     save_params(os.path.join(out, "source_params.json"), params)
@@ -66,7 +77,7 @@ def _mode_pretrain(config: AdaptationConfig, out: str) -> None:
 
 def _mode_adapt(config: AdaptationConfig, out: str, params_path: str | None) -> None:
     if params_path:
-        source_params = load_params(params_path)
+        source_params = _load_model(params_path, config)
     else:
         source_params, _ = pretrain_source(config)
     save_params(os.path.join(out, "source_params.json"), source_params)
@@ -88,7 +99,7 @@ def _mode_eval(config: AdaptationConfig, out: str, params_path: str | None,
                dataset_path: str | None) -> None:
     if not params_path:
         raise ConfigError("eval mode needs --params")
-    params = load_params(params_path)
+    params = _load_model(params_path, config)
     if dataset_path:
         _, samples = load_dataset(dataset_path)
     else:

@@ -85,13 +85,16 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelParams":
-        return cls(
-            w_cls=np.array(data["w_cls"], dtype=float),
-            b_cls=np.array(data["b_cls"], dtype=float),
-            w_reg=np.array(data["w_reg"], dtype=float),
-            b_reg=np.array(data["b_reg"], dtype=float),
-            dropout_rate=float(data["dropout_rate"]),
-        )
+        """Rebuild saved weights; their shapes must be (C+1, D), (C+1,), (4, D), (4,)."""
+        arrays = {name: np.array(data[name], dtype=float)
+                  for name in ("w_cls", "b_cls", "w_reg", "b_reg")}
+        shape = arrays["w_cls"].shape
+        if len(shape) != 2 or shape[0] < 2 or shape[1] < 1:
+            raise ValueError(f"w_cls has shape {shape}, not (C+1, D) with C, D >= 1")
+        for name, want in (("b_cls", shape[:1]), ("w_reg", (4, shape[1])), ("b_reg", (4,))):
+            if arrays[name].shape != want:
+                raise ValueError(f"{name} has shape {arrays[name].shape}, not {want}")
+        return cls(**arrays, dropout_rate=float(data["dropout_rate"]))
 
 
 def save_params(path, params: ModelParams) -> None:

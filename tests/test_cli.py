@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import detadapt
@@ -11,7 +12,7 @@ import detadapt
 from detadapt import cli, trainer
 from detadapt.cli import run_cli
 from detadapt.config import default_config
-from detadapt.detector import save_params
+from detadapt.detector import ModelParams, save_params
 from detadapt.trainer import pretrain_source
 from detadapt.util import derive_seed
 from detadapt.world import generate_domain, save_dataset
@@ -129,6 +130,17 @@ def test_bad_config_exits_two(tmp_path):
     missing = tmp_path / "missing.json"
     assert run_cli(["--mode", "adapt", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
     assert run_cli(["--mode", "eval", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_model_that_does_not_fit_the_config_exits_two_and_writes_nothing(tmp_path, capsys):
+    # a 3-class model under the default 5-class config
+    params_path = tmp_path / "params.json"
+    save_params(params_path, ModelParams.init(3, 16, np.random.default_rng(0)))
+    for mode in ("eval", "adapt"):
+        out = tmp_path / mode
+        assert run_cli(["--mode", mode, "--out", str(out), "--params", str(params_path)]) == 2
+        assert "3 classes" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("field", ["enable_dis", "disc_weight", "decay_disc", "decay_unsup",

@@ -283,6 +283,19 @@ def test_params_roundtrip_bit_exact(tmp_path):
     assert json.dumps(params.to_dict()) == json.dumps(loaded.to_dict())
 
 
+@pytest.mark.parametrize("name,value", [
+    ("b_cls", [0.0]), ("b_reg", [0.0]), ("w_reg", np.zeros((4, 5))), ("w_cls", np.zeros(6)),
+    ("w_cls", np.zeros((1, 6)))])
+def test_load_params_rejects_shapes_that_do_not_fit(name, value, tmp_path):
+    # (C+1, D), (C+1,), (4, D), (4,): a bias of the wrong length must not broadcast
+    doc = random_params(np.random.default_rng(10)).to_dict()
+    doc[name] = np.asarray(value).tolist()
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=name):
+        load_params(path)
+
+
 def test_feature_dim_mismatch_raises():
     rng = np.random.default_rng(11)
     params = random_params(rng, feature_dim=5)
