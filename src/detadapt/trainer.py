@@ -215,9 +215,10 @@ def adapt(
     Per sample-step each model runs forward once, in one packed pass per
     batch, since neither model moves within a batch. Sample by sample, the
     teacher's rows of its pass give the confident proposals, which become
-    hard `Labels`, and the background proposals; the crop bank absorbs sample
-    k's pseudo-labels, in one push, before sample k + 1 is augmented, and
-    `aug_rng` draws in that order. The student's pass over the strong views
+    hard `Labels`, and the background proposals. With SA on, the crop bank
+    absorbs sample k's pseudo-labels, in one push, before sample k + 1 is
+    augmented, and `aug_rng` draws in that order; with SA off nothing reads
+    the bank or the class split, so neither is filled nor computed. The student's pass over the strong views
     gives the predicted classes of the label and expert pairs and feeds one
     `supervised_losses` call per loss. Each label set is matched to the
     proposals once; augmentation keeps label and proposal boxes, so the
@@ -252,7 +253,7 @@ def adapt(
         stu_losses, expert_losses = [], []
         order = shuffle_rng.permutation(len(ids))
         for batch in _batches(order, config.batch_size):
-            split = relation.split() if relation.ready else None
+            split = relation.split() if config.enable_sa and relation.ready else None
             samples = [by_id[ids[int(pos)]] for pos in batch]
             scored_t = Scored(teacher, samples)
             views = []
@@ -263,7 +264,7 @@ def adapt(
                 clean = Labels.one_hot(rows.boxes[pseudo], rows.class_ids[pseudo], num_classes)
                 matches = match_labels(sample.proposal_boxes, clean.boxes)
                 strong, labels = sample, clean
-                if config.enable_sa and split is not None:
+                if split is not None:
                     strong, labels = augment_sample(sample, clean, relation, split, bank,
                                                     policy, subset, aug_rng, matches=matches)
                 strong = perturb_features(strong, config.noise_scale, noise_rng)
@@ -275,9 +276,10 @@ def adapt(
                     elabels = expert_predict(config.expert, sample, expert_rng, num_classes)
                 views.append((strong, labels, matches, bg, elabels))
 
-                # bank absorbs the clean features of confident instances
-                bank.push(subset, rows.class_ids[pseudo], sample.proposal_features[pseudo],
-                          clean.classes)
+                # bank absorbs the clean features of confident instances, for SA alone
+                if config.enable_sa:
+                    bank.push(subset, rows.class_ids[pseudo], sample.proposal_features[pseudo],
+                              clean.classes)
 
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored(student, [view[0] for view in views])

@@ -266,6 +266,24 @@ def test_adapt_matches_per_sample_object_loop_oracle(variant, background_bar, bu
     assert history.to_csv_text() == want_history.to_csv_text()
 
 
+def test_crop_bank_and_class_split_serve_augmentation_alone(busy_run, monkeypatch):
+    # the busy run's relation matrix becomes ready, so the +SA run splits the
+    # classes and fills the bank; the base run, which reads neither, does neither
+    config, params, target = busy_run
+    calls = []
+    for cls, name in ((trainer.Cropbank, "push"), (trainer.RelationMatrix, "split")):
+        def counted(*args, real=getattr(cls, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    variants = ablation_variants(config)
+    adapt(params, target, variants["sa"])
+    assert {"push", "split"} <= set(calls)
+    calls.clear()
+    adapt(params, target, variants["base"])
+    assert calls == []
+
+
 def test_ablation_variants_switch_matrix():
     variants = ablation_variants(tiny_config())
     assert set(variants) == {"base", "sa", "sal", "full"}
