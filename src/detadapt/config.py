@@ -13,6 +13,9 @@ from .util import write_atomic
 from .world import ConfigError, DomainSpec, make_domain_spec, shift_domain
 
 DEFAULT_FREQUENCY = (0.35, 0.25, 0.20, 0.15, 0.05)
+# the default target domain: shift length, rare-class pull toward the anchor
+# class, and the seed of the shift direction
+SHIFT_MAGNITUDE, CONTRACTION, ANCHOR_CLASS, DIRECTION_SEED = 2.0, 0.35, 0, 11
 
 # the JSON values a scalar field takes, by its annotation; a bool is a Python
 # int, so only a bool field takes one
@@ -164,20 +167,20 @@ def _check_types(cls, data: dict, prefix: str) -> None:
                 raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
 
 
-def shift_vector(feature_dim: int, magnitude: float, direction_seed: int = 11) -> np.ndarray:
+def shift_vector(feature_dim: int, magnitude: float) -> np.ndarray:
     """Deterministic unit direction scaled to `magnitude`."""
-    rng = np.random.default_rng(direction_seed)
+    rng = np.random.default_rng(DIRECTION_SEED)
     v = rng.standard_normal(feature_dim)
     return magnitude * v / np.linalg.norm(v)
 
 
 def biased_target_spec(source: DomainSpec, shift_magnitude: float,
-                       contraction: float, anchor_class: int = 0) -> DomainSpec:
+                       contraction: float) -> DomainSpec:
     """Target spec with a covariate shift plus class-context bias.
 
     Every feature center moves by a common shift vector; on top of that the
     centers of rare classes (frequency below the uniform share) are pulled
-    `contraction` of the way toward the dominant anchor class. Rare classes
+    `contraction` of the way toward the dominant `ANCHOR_CLASS`. Rare classes
     therefore get systematically mistaken for the anchor on the target domain,
     which is the bias self-training amplifies.
     """
@@ -188,16 +191,15 @@ def biased_target_spec(source: DomainSpec, shift_magnitude: float,
     fair_share = 1.0 / source.num_classes
     for c in range(source.num_classes):
         if source.frequency[c] < fair_share:
-            means[c] = means[c] + contraction * (means[anchor_class] - means[c])
+            means[c] = means[c] + contraction * (means[ANCHOR_CLASS] - means[c])
     return dataclasses.replace(spec, class_means=means)
 
 
-def default_config(seed: int = 0, shift_magnitude: float = 2.0,
-                   contraction: float = 0.35) -> AdaptationConfig:
+def default_config(seed: int = 0) -> AdaptationConfig:
     """The default imbalanced, shifted world (C=5, D=16, N=500 per domain)."""
     source = make_domain_spec(
         num_classes=5, feature_dim=16, size=500,
         frequency=DEFAULT_FREQUENCY, separation=4.0, layout_seed=7,
     )
-    target = biased_target_spec(source, shift_magnitude, contraction)
+    target = biased_target_spec(source, SHIFT_MAGNITUDE, CONTRACTION)
     return AdaptationConfig(source=source, target=target, seed=seed)
