@@ -19,7 +19,7 @@ SHIFT_MAGNITUDE, CONTRACTION, ANCHOR_CLASS, DIRECTION_SEED = 2.0, 0.35, 0, 11
 
 # the JSON values a scalar field takes, by its annotation; a bool is a Python
 # int, so only a bool field takes one
-JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float),
+_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float),
               "float | None": (int, float, type(None))}
 
 
@@ -124,13 +124,17 @@ class AdaptationConfig:
         Each scalar value must have the JSON type of its field: a bool field
         takes a bool, an int field an integer, a float field any number.
         """
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be a JSON object")
         _check_types(cls, data, "")
         base = default_config(seed=data.get("seed", 0)).to_dict()
         unknown = set(data) - set(base)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         for key, value in data.items():
-            if key in ("source", "target", "expert") and isinstance(value, dict):
+            if key in ("source", "target", "expert"):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{key} must be a JSON object")
                 merged = dict(base[key])
                 extra = set(value) - set(merged)
                 if extra:
@@ -160,10 +164,10 @@ class AdaptationConfig:
 def _check_types(cls, data: dict, prefix: str) -> None:
     """Raise `ConfigError` for a scalar field of `cls` whose value has the wrong JSON type."""
     for f in dataclasses.fields(cls):
-        if f.name in data and f.type in JSON_TYPES:
+        if f.name in data and f.type in _JSON_TYPES:
             value = data[f.name]
             if isinstance(value, bool) != (f.type == "bool") \
-                    or not isinstance(value, JSON_TYPES[f.type]):
+                    or not isinstance(value, _JSON_TYPES[f.type]):
                 raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
 
 

@@ -123,7 +123,7 @@ def test_bad_config_exits_two(tmp_path):
     # a value of the wrong JSON type, on a config that would otherwise run in a moment
     for value in ({"enable_sa": "false"}, {"epochs": 2.5}, {"batch_size": 16.0}, {"seed": 1.5},
                   {"background_bar": True}, {"expert": {"miss_rate": "0.1"}},
-                  {"target": {"size": 30.0}}):
+                  {"target": {"size": 30.0}}, {"source": 3}):
         bad.write_text(json.dumps({"pretrain_epochs": 0, "epochs": 0, **value}))
         assert run_cli(["--mode", "adapt", "--config", str(bad),
                         "--out", str(tmp_path / "o")]) == 2, value

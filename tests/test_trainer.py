@@ -316,7 +316,8 @@ def test_config_dict_roundtrip_and_unknown_fields():
     for bad in ({"enable_sa": "false"}, {"enable_sal": 1}, {"epochs": 2.5}, {"batch_size": 16.0},
                 {"seed": 1.5}, {"epochs": True}, {"learning_rate": True},
                 {"background_bar": "0.1"}, {"expert": {"flip_rate": False}},
-                {"source": {"size": 40.0}}, {"target": {"box_jitter": None}}):
+                {"source": {"size": 40.0}}, {"target": {"box_jitter": None}},
+                {"source": 3}, {"expert": [0.1]}, [1, 2]):
         with pytest.raises(ConfigError):
             AdaptationConfig.from_dict(bad)
     loose = AdaptationConfig.from_dict({"learning_rate": 1, "background_bar": None})
