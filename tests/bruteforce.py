@@ -4,15 +4,15 @@ Everything here recomputes from first principles with plain loops: central
 finite differences for gradients, per-prefix rescored matching for AP, a
 full threshold enumeration for FROC, a one-sample forward pass with its own
 dropout draw and the per-proposal object path (one `BBox.from_raw` and one
-argmax per proposal, per pass) for scoring, the
-per-class object matching for a whole evaluation, the supervised losses
-one label at a time, with a scalar GIoU, for the loss kernel and
-pretraining, and the whole adaptation loop sample by sample, with labels as
-(`BBox`, class vector) pairs and a crop bank of one `CropEntry` per instance,
-read through a subset preference. Apart from that loop, none of it shares
-code with the package implementations beyond the matching rule, the smooth-L1 helpers and the SGD step they both define; the
-loop reuses the package's partition, relation matrix, weighting, EMA and
-evaluation, which have tests of their own.
+argmax per proposal, per pass) for scoring, the per-class object matching
+for a whole evaluation, the supervised losses one label at a time, with a
+scalar GIoU, for the loss kernel and pretraining, and the whole adaptation
+loop sample by sample, with labels as (`BBox`, class vector) pairs and a
+crop bank of one `CropEntry` per instance, read through a subset
+preference. Apart from that loop, none of it shares code with the package
+implementations beyond the matching rule, the smooth-L1 helpers and the SGD
+step they both define; the loop reuses the package's partition, relation
+matrix, weighting, EMA and evaluation, which have tests of their own.
 """
 
 from __future__ import annotations
