@@ -22,8 +22,7 @@ from .teacher import ema_update, pseudo_label
 from .trainer import (DiscriminatorParams, SealedDataset, SourceAccessError,
                       TrainHistory, ablation_variants, adapt, discriminator_loss,
                       pretrain_source)
-from .weighting import (DegenerateBatchError, instance_weight, normalize_foreground,
-                        regularize, relation_weights)
+from .weighting import relation_weights
 from .world import (BBox, ConfigError, DetectionSample, DomainSpec, generate_domain,
                     load_dataset, make_domain_spec, save_dataset, shift_domain)
 

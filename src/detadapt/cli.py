@@ -55,14 +55,18 @@ def _write_json(path, payload) -> None:
     write_atomic(path, json.dumps(payload, indent=2))
 
 
+def _check_fit(what: str, got: tuple[int, int], config: AdaptationConfig) -> None:
+    """Raise `ConfigError` unless (class count, feature dim) `got` is the config's."""
+    want = (config.num_classes, config.target.feature_dim)
+    if got != want:
+        raise ConfigError(f"{what} has {got[0]} classes and feature dim {got[1]}; "
+                          f"the config has {want[0]} and {want[1]}")
+
+
 def _load_model(path: str, config: AdaptationConfig) -> ModelParams:
     """Saved params whose class count and feature dimension are the config's."""
     params = load_params(path)
-    got = (params.num_classes, params.feature_dim)
-    want = (config.num_classes, config.target.feature_dim)
-    if got != want:
-        raise ConfigError(f"model has {got[0]} classes and feature dim {got[1]}; "
-                          f"the config has {want[0]} and {want[1]}")
+    _check_fit("model", (params.num_classes, params.feature_dim), config)
     return params
 
 
@@ -101,7 +105,8 @@ def _mode_eval(config: AdaptationConfig, out: str, params_path: str | None,
         raise ConfigError("eval mode needs --params")
     params = _load_model(params_path, config)
     if dataset_path:
-        _, samples = load_dataset(dataset_path)
+        spec, samples = load_dataset(dataset_path)
+        _check_fit("dataset", (spec.num_classes, spec.feature_dim), config)
     else:
         samples = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
         save_dataset(os.path.join(out, "eval_dataset.json"), config.target, samples)

@@ -54,20 +54,25 @@ class Cropbank:
                 self._buffers[key] = deque(maxlen=self.capacity)
             self._buffers[key].append(row)
 
-    def pool(self, sample_subset: str, class_id: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The rows of one class that a sample of `sample_subset` may draw.
+    def sources(self, sample_subset: str, class_id: int) -> tuple[deque, ...]:
+        """The buffers of one class that a sample of `sample_subset` may draw.
 
-        A similar sample gets the similar rows, then the dissimilar rows. A
-        dissimilar sample gets the dissimilar rows, or the similar rows while
-        the dissimilar buffer is empty.
+        A similar sample gets the similar buffer, then the dissimilar one. A
+        dissimilar sample gets the dissimilar buffer, or the similar one while
+        the dissimilar buffer is empty. The buffers are the bank's own.
         """
         if sample_subset not in SUBSETS:
             raise ValueError(f"unknown subset {sample_subset!r}")
         similar = self._buffers.get((SIMILAR, class_id), ())
         dissimilar = self._buffers.get((DISSIMILAR, class_id), ())
         if sample_subset == SIMILAR:
-            return (*similar, *dissimilar)
-        return tuple(dissimilar or similar)
+            return similar, dissimilar
+        return (dissimilar or similar,)
+
+    def pool(self, sample_subset: str, class_id: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The rows of one class that a sample of `sample_subset` may draw:
+        those of its `sources`, in order."""
+        return tuple(row for buffer in self.sources(sample_subset, class_id) for row in buffer)
 
 
 @dataclass
@@ -100,19 +105,14 @@ def sample_pair(
     zero, the class is drawn uniformly, and then a majority base can draw its
     own class too. One draw picks the class, a second the row.
     """
-    num = relation.num_classes
     if is_majority:
         vec = relation.matrix[:, base_class].copy()
         vec[base_class] = 0.0
     else:
         vec = relation.matrix[base_class, :].copy()
-    candidates = []
-    pools = []
-    for k in range(num):
-        pool = bank.pool(sample_subset, k)
-        if pool:
-            candidates.append(k)
-            pools.append(pool)
+    sources = [bank.sources(sample_subset, k) for k in range(relation.num_classes)]
+    sizes = [sum(map(len, buffers)) for buffers in sources]
+    candidates = [k for k, size in enumerate(sizes) if size]
     if not candidates:
         return None
     w = vec[candidates]
@@ -121,9 +121,10 @@ def sample_pair(
         probs = w / total
     else:
         probs = np.full(len(candidates), 1.0 / len(candidates))
-    pick = int(rng.choice(len(candidates), p=probs))
-    pool = pools[pick]
-    return pool[int(rng.integers(len(pool)))]
+    pick = candidates[int(rng.choice(len(candidates), p=probs))]
+    index = int(rng.integers(sizes[pick]))
+    first, *rest = sources[pick]
+    return first[index] if index < len(first) else rest[0][index - len(first)]
 
 
 def augment_sample(

@@ -19,14 +19,21 @@ class NotReadyError(RuntimeError):
     """Raised when a derived quantity needs rows that were never updated."""
 
 
-def batch_confusion(pairs: list[tuple[int, int]], num_classes: int) -> np.ndarray:
-    """Count matrix: entry (c, x) is the number of (true c, predicted x) pairs."""
-    counts = np.zeros((num_classes, num_classes))
-    for true_cls, pred_cls in pairs:
-        if not (0 <= true_cls < num_classes and 0 <= pred_cls < num_classes):
-            raise ValueError(f"class pair ({true_cls}, {pred_cls}) out of range")
-        counts[true_cls, pred_cls] += 1.0
-    return counts
+def batch_confusion(true_cls, pred_cls, num_classes: int) -> np.ndarray:
+    """Count matrix of one batch: entry (c, x) counts the labels of class c on
+    which the student predicted class x.
+
+    The two class arrays are 1-D, of one length, with every class in
+    [0, num_classes); anything else raises `ValueError`.
+    """
+    true_cls, pred_cls = np.asarray(true_cls, dtype=int), np.asarray(pred_cls, dtype=int)
+    if true_cls.ndim != 1 or true_cls.shape != pred_cls.shape:
+        raise ValueError(f"class arrays of shapes {true_cls.shape} and {pred_cls.shape}")
+    both = np.concatenate((true_cls, pred_cls))
+    if np.any((both < 0) | (both >= num_classes)):
+        raise ValueError(f"class ids outside [0, {num_classes})")
+    counts = np.bincount(true_cls * num_classes + pred_cls, minlength=num_classes ** 2)
+    return counts.reshape(num_classes, num_classes).astype(float)
 
 
 @dataclass
@@ -64,23 +71,23 @@ class RelationMatrix:
         return bool(np.all(self.update_counts > 0))
 
     def update(self, counts: np.ndarray) -> "RelationMatrix":
-        """Fold a batch count matrix into the running estimate, row by row.
+        """Fold a batch count matrix into the running estimate.
 
-        Rows with no observations are skipped entirely (normalizing them would
-        divide by zero), so every batch may cover only a subset of classes.
+        Each row with observations moves toward its normalized counts. Rows
+        with none are left alone (normalizing them would divide by zero), so a
+        batch may cover only a subset of classes and all-zero counts change
+        nothing.
         """
         counts = np.asarray(counts, dtype=float)
         if counts.shape != self.matrix.shape:
             raise ValueError("count matrix shape mismatch")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        for c in range(self.num_classes):
-            row_sum = counts[c].sum()
-            if row_sum <= 0:
-                continue
-            batch_row = counts[c] / row_sum
-            self.matrix[c] = self.ema_rate * self.matrix[c] + (1.0 - self.ema_rate) * batch_row
-            self.update_counts[c] += 1
+        sums = counts.sum(axis=1)
+        seen = sums > 0
+        self.matrix[seen] = (self.ema_rate * self.matrix[seen]
+                             + (1.0 - self.ema_rate) * (counts[seen] / sums[seen, None]))
+        self.update_counts += seen
         return self
 
     def split(self) -> ClassSplit:

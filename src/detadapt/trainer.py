@@ -191,14 +191,6 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
     return params, sealed
 
 
-def _relation_pairs(labels, predicted, relation, config):
-    """(label class, student class) pairs, and their relation weights when SAL is on."""
-    pairs = list(zip(np.argmax(labels.classes, axis=1).tolist(), predicted.tolist()))
-    weights = relation_weights(relation, pairs, config.weight_reg) \
-        if (config.enable_sal and pairs) else None
-    return pairs, weights
-
-
 def adapt(
     source_params: ModelParams,
     target_data: list[DetectionSample],
@@ -218,11 +210,17 @@ def adapt(
     hard `Labels`, and the background proposals. With SA on, the crop bank
     absorbs sample k's pseudo-labels, in one push, before sample k + 1 is
     augmented, and `aug_rng` draws in that order; with SA off nothing reads
-    the bank or the class split, so neither is filled nor computed. The student's pass over the strong views
-    gives the predicted classes of the label and expert pairs and feeds one
-    `supervised_losses` call per loss. Each label set is matched to the
-    proposals once; augmentation keeps label and proposal boxes, so the
-    matches serve the pairs and the losses too.
+    the bank or the class split, so neither is filled nor computed.
+
+    The student's pass over the strong views feeds one `supervised_losses`
+    call per loss. Each label set is matched to the proposals once;
+    augmentation keeps label and proposal boxes, so the matches serve the
+    losses and the relation statistics alike. A label's class and the
+    student's class at its matched proposal travel as two int arrays: with
+    SAL on they give each sample's `relation_weights`, and the student
+    labels' arrays of the whole batch give one `batch_confusion` and one
+    relation update per batch (a batch without labels counts zero, which
+    leaves the matrix as it is).
     """
     config.validate()
     num_classes = config.num_classes
@@ -284,16 +282,18 @@ def adapt(
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored(student, [view[0] for view in views])
             predicted = scored_s.class_ids
-            stu_targets, exp_targets, batch_pairs = [], [], []
+            stu_targets, exp_targets, true_cls, pred_cls = [], [], [], []
             for start, (strong, labels, matches, bg, elabels) in zip(scored_s.offsets, views):
-                pairs, weights = _relation_pairs(labels, predicted[start + matches], relation,
-                                                 config)
+                true_cls.append(np.argmax(labels.classes, axis=1))
+                pred_cls.append(predicted[start + matches])
+                weights = relation_weights(relation, true_cls[-1], pred_cls[-1],
+                                           config.weight_reg) if config.enable_sal else None
                 stu_targets.append(targets(strong, labels, weights, bg, matches))
-                batch_pairs.extend(pairs)
                 if config.enable_expert:
                     ematches = match_labels(strong.proposal_boxes, elabels.boxes)
-                    _, eweights = _relation_pairs(elabels, predicted[start + ematches],
-                                                  relation, config)
+                    eweights = relation_weights(relation, np.argmax(elabels.classes, axis=1),
+                                                predicted[start + ematches], config.weight_reg) \
+                        if config.enable_sal else None
                     exp_targets.append(targets(strong, elabels, eweights, None, ematches))
 
             # one kernel call per loss; gradients add up per sample, student then expert
@@ -313,8 +313,8 @@ def adapt(
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             student = sgd_step(student, total.scaled(1.0 / len(batch)), config.learning_rate)
             teacher = ema_update(teacher, student, config.teacher_ema)
-            if batch_pairs:
-                relation.update(batch_confusion(batch_pairs, num_classes))
+            relation.update(batch_confusion(np.concatenate(true_cls), np.concatenate(pred_cls),
+                                            num_classes))
 
         teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)
         student_eval = evaluate(student, eval_data, num_classes=num_classes)

@@ -1,9 +1,11 @@
 """Per-instance loss weights derived from the class-relation matrix.
 
-Correctly classified instances of well-learned classes get small weights;
-instances confused toward dominant classes get large ones. Foreground weights
-are mean-normalized to match the constant background weight of 1, then pulled
-toward 1 by a regularizer so no single instance dominates the loss.
+A label of class c on which the student predicts class x gets the raw weight
+sqrt(1 - R[c,c]) when x == c and sqrt(R[c,x] / R[c,c]) otherwise: correct
+instances of well-learned classes weigh little, instances confused toward
+dominant classes weigh much. A sample's foreground weights are then divided by
+their mean, to match the constant background weight of 1, and pulled toward 1
+by a regularizer so no single instance dominates the loss.
 """
 
 from __future__ import annotations
@@ -15,47 +17,22 @@ from .relation import RelationMatrix
 DENOM_FLOOR = 1e-6
 
 
-class DegenerateBatchError(ValueError):
-    """Raised when foreground weights cannot be mean-normalized."""
+def relation_weights(relation: RelationMatrix, true_cls, pred_cls, reg: float) -> np.ndarray:
+    """Weights of one sample's labels, from their label and predicted classes.
 
-
-def instance_weight(relation: RelationMatrix, true_cls: int, pred_cls: int) -> float:
-    """sqrt(1 - R[c,c]) when correct, sqrt(R[c,x] / R[c,c]) when confused."""
-    r = relation.matrix
-    if true_cls == pred_cls:
-        return float(np.sqrt(max(1.0 - r[true_cls, true_cls], 0.0)))
-    denom = max(r[true_cls, true_cls], DENOM_FLOOR)
-    return float(np.sqrt(r[true_cls, pred_cls] / denom))
-
-
-def normalize_foreground(weights) -> np.ndarray:
-    """Rescale so the mean is exactly 1; degenerate input raises."""
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0:
-        raise DegenerateBatchError("no foreground weights to normalize")
-    mean = float(w.mean())
-    if mean <= 0.0:
-        raise DegenerateBatchError(f"foreground weight mean {mean} is not positive")
-    return w / mean
-
-
-def regularize(weights, reg: float) -> np.ndarray:
-    """(w + reg) / (1 + reg): pulls weights toward 1, preserving a mean of 1."""
+    One gather from the matrix gives each label's R[c,x] and R[c,c]. The raw
+    weights (R[c,c] floored at `DENOM_FLOOR` as a divisor) are divided by
+    their mean, or set to 1 when the mean is not positive, so a fresh
+    identity matrix with all-correct predictions does not stall training.
+    They then become (w + reg) / (1 + reg), which keeps a mean of 1. No
+    labels give no weights; a negative `reg` raises `ValueError`.
+    """
     if reg < 0:
         raise ValueError("regularizer must be non-negative")
-    w = np.asarray(weights, dtype=float)
+    true_cls, pred_cls = np.asarray(true_cls, dtype=int), np.asarray(pred_cls, dtype=int)
+    pair, diag = relation.matrix[true_cls, np.array((pred_cls, true_cls))]
+    raw = np.sqrt(np.maximum(np.where(true_cls == pred_cls, 1.0 - pair,
+                                      pair / np.maximum(diag, DENOM_FLOOR)), 0.0))
+    mean = raw.sum() / len(raw) if len(raw) else 0.0  # as `raw.mean()`, bit for bit, at less cost
+    w = raw / mean if mean > 0.0 else np.ones(len(raw))
     return (w + reg) / (1.0 + reg)
-
-
-def relation_weights(relation: RelationMatrix, pairs: list[tuple[int, int]], reg: float) -> np.ndarray:
-    """Full weighting pipeline for a batch of (label, prediction) class pairs.
-
-    Falls back to uniform weights when the raw weights all vanish (e.g. a fresh
-    identity matrix with all-correct predictions), so training never stalls.
-    """
-    raw = np.array([instance_weight(relation, c, x) for c, x in pairs])
-    try:
-        normalized = normalize_foreground(raw)
-    except DegenerateBatchError:
-        normalized = np.ones(len(pairs))
-    return regularize(normalized, reg)

@@ -160,13 +160,13 @@ class DomainSpec:
     min_proposal_iou: float = 0.5
 
     def __post_init__(self):
-        self.class_means = np.asarray(self.class_means, dtype=float)
-        self.class_covs = np.asarray(self.class_covs, dtype=float)
-        self.frequency = np.asarray(self.frequency, dtype=float)
         if self.background_mean is None:
             self.background_mean = np.zeros(self.feature_dim)
-        else:
-            self.background_mean = np.asarray(self.background_mean, dtype=float)
+        for name in ("class_means", "class_covs", "frequency", "background_mean"):
+            try:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name} must be an array of numbers ({exc})") from None
 
     def validate(self) -> None:
         if self.num_classes < 1 or self.feature_dim < 1 or self.size < 0:

@@ -9,10 +9,13 @@ for a whole evaluation, the supervised losses one label at a time, with a
 scalar GIoU, for the loss kernel and pretraining, and the whole adaptation
 loop sample by sample, with labels as (`BBox`, class vector) pairs and a
 crop bank of one `CropEntry` per instance, read through a subset
-preference. Apart from that loop, none of it shares code with the package
+preference, its relation statistics as (label class, predicted class)
+pairs, weighted, counted and folded into the matrix one pair and one row at a
+time. Apart from that loop, none of it shares code with the package
 implementations beyond the matching rule, the smooth-L1 helpers and the SGD
 step they both define; the loop reuses the package's partition, relation
-matrix, weighting, EMA and evaluation, which have tests of their own.
+matrix container (its start, readiness and class split), EMA and evaluation,
+which have tests of their own.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from detadapt.detector import (Detection, GradientSet, ModelParams, match_labels
                                smooth_l1, smooth_l1_grad)
 from detadapt.metrics import FPI_POINTS, EvalResult, evaluate
 from detadapt.partition import partition
-from detadapt.relation import RelationMatrix, batch_confusion
+from detadapt.relation import RelationMatrix
 from detadapt.teacher import ema_update
 from detadapt.trainer import EpochRecord, TrainHistory
 from detadapt.util import derive_seed, rng_stream
-from detadapt.weighting import relation_weights
+from detadapt.weighting import DENOM_FLOOR
 from detadapt.world import (BBox, DetectionSample, box_array, generate_domain,
                             perturb_features)
 
@@ -417,12 +420,59 @@ def oracle_augment_sample(sample, labels, relation, split, bank, policy, sample_
     return sample.with_features(features), new_labels
 
 
+def oracle_instance_weight(relation, true_cls: int, pred_cls: int) -> float:
+    """sqrt(1 - R[c,c]) when correct, sqrt(R[c,x] / R[c,c]) when confused, one pair."""
+    r = relation.matrix
+    if true_cls == pred_cls:
+        return float(np.sqrt(max(1.0 - r[true_cls, true_cls], 0.0)))
+    denom = max(r[true_cls, true_cls], DENOM_FLOOR)
+    return float(np.sqrt(r[true_cls, pred_cls] / denom))
+
+
+def oracle_relation_weights(relation, pairs: list[tuple[int, int]], reg: float) -> np.ndarray:
+    """`relation_weights` over (label class, predicted class) pairs, one scalar
+    weight per pair, then mean-normalized (uniform when the mean is not
+    positive or there are no pairs) and regularized."""
+    raw = np.array([oracle_instance_weight(relation, c, x) for c, x in pairs])
+    if len(raw) == 0 or float(raw.mean()) <= 0.0:
+        normalized = np.ones(len(pairs))
+    else:
+        normalized = raw / float(raw.mean())
+    if reg < 0:
+        raise ValueError("regularizer must be non-negative")
+    return (normalized + reg) / (1.0 + reg)
+
+
+def oracle_batch_confusion(pairs: list[tuple[int, int]], num_classes: int) -> np.ndarray:
+    """`batch_confusion` of (label class, predicted class) pairs, one pair at a time."""
+    counts = np.zeros((num_classes, num_classes))
+    for true_cls, pred_cls in pairs:
+        if not (0 <= true_cls < num_classes and 0 <= pred_cls < num_classes):
+            raise ValueError(f"class pair ({true_cls}, {pred_cls}) out of range")
+        counts[true_cls, pred_cls] += 1.0
+    return counts
+
+
+def oracle_update(relation, counts: np.ndarray):
+    """`RelationMatrix.update`, one row at a time; rows without counts are skipped."""
+    counts = np.asarray(counts, dtype=float)
+    for c in range(relation.num_classes):
+        row_sum = counts[c].sum()
+        if row_sum <= 0:
+            continue
+        batch_row = counts[c] / row_sum
+        relation.matrix[c] = relation.ema_rate * relation.matrix[c] \
+            + (1.0 - relation.ema_rate) * batch_row
+        relation.update_counts[c] += 1
+    return relation
+
+
 def _oracle_pairs(model, strong, labels, relation, config):
     """(label class, predicted class) pairs of labels on a view, and their relation weights."""
     classes = [det.class_id for det in oracle_detections(model, strong)]
     matches = match_labels(strong.proposal_boxes, box_array(box for box, _ in labels))
     pairs = [(int(np.argmax(vec)), classes[j]) for (_, vec), j in zip(labels, matches.tolist())]
-    weights = relation_weights(relation, pairs, config.weight_reg) \
+    weights = oracle_relation_weights(relation, pairs, config.weight_reg) \
         if (config.enable_sal and pairs) else None
     return pairs, weights
 
@@ -434,7 +484,9 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
     `Detection` per proposal; pseudo-labels, augmented labels and expert
     labels are (`BBox`, class vector) pairs; the crop bank, an
     `OracleCropbank`, takes one `CropEntry` per pseudo-label; each sample's
-    losses come from the per-label loop oracles.
+    losses come from the per-label loop oracles; the relation weights, the
+    batch's confusion counts and the matrix update come from the per-pair
+    and per-row oracles, the update skipped for a batch without labels.
     """
     config.validate()
     num_classes = config.num_classes
@@ -505,7 +557,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
             student = sgd_step(student, total.scaled(1.0 / len(batch)), config.learning_rate)
             teacher = ema_update(teacher, student, config.teacher_ema)
             if batch_pairs:
-                relation.update(batch_confusion(batch_pairs, num_classes))
+                oracle_update(relation, oracle_batch_confusion(batch_pairs, num_classes))
 
         teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)
         student_eval = evaluate(student, eval_data, num_classes=num_classes)

@@ -15,7 +15,7 @@ from detadapt.config import default_config
 from detadapt.detector import ModelParams, save_params
 from detadapt.trainer import pretrain_source
 from detadapt.util import derive_seed
-from detadapt.world import generate_domain, save_dataset
+from detadapt.world import generate_domain, make_domain_spec, save_dataset
 from test_trainer import busy_config
 
 
@@ -123,7 +123,8 @@ def test_bad_config_exits_two(tmp_path):
     # a value of the wrong JSON type, on a config that would otherwise run in a moment
     for value in ({"enable_sa": "false"}, {"epochs": 2.5}, {"batch_size": 16.0}, {"seed": 1.5},
                   {"background_bar": True}, {"expert": {"miss_rate": "0.1"}},
-                  {"target": {"size": 30.0}}, {"source": 3}):
+                  {"target": {"size": 30.0}}, {"source": 3},
+                  {"target": {"frequency": "x"}}, {"source": {"background_mean": "a"}}):
         bad.write_text(json.dumps({"pretrain_epochs": 0, "epochs": 0, **value}))
         assert run_cli(["--mode", "adapt", "--config", str(bad),
                         "--out", str(tmp_path / "o")]) == 2, value
@@ -141,6 +142,24 @@ def test_model_that_does_not_fit_the_config_exits_two_and_writes_nothing(tmp_pat
         assert run_cli(["--mode", mode, "--out", str(out), "--params", str(params_path)]) == 2
         assert "3 classes" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("num_classes, feature_dim", [(7, 16), (5, 12)])
+def test_dataset_that_does_not_fit_the_config_exits_two_and_writes_nothing(
+        num_classes, feature_dim, tmp_path, capsys):
+    # a default-config model scored on a dataset of another class count or feature dimension
+    params_path = tmp_path / "params.json"
+    save_params(params_path, ModelParams.init(5, 16, np.random.default_rng(0)))
+    spec = make_domain_spec(num_classes, feature_dim, size=5,
+                            frequency=np.full(num_classes, 1 / num_classes))
+    dataset_path = tmp_path / "data.json"
+    save_dataset(dataset_path, spec, generate_domain(spec, 0))
+    out = tmp_path / "out"
+    assert run_cli(["--mode", "eval", "--out", str(out), "--params", str(params_path),
+                    "--dataset", str(dataset_path)]) == 2
+    assert f"dataset has {num_classes} classes and feature dim {feature_dim}" \
+        in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("field", ["enable_dis", "disc_weight", "decay_disc", "decay_unsup",

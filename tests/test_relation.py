@@ -3,29 +3,64 @@ import json
 import numpy as np
 import pytest
 
+from bruteforce import oracle_batch_confusion, oracle_update
 from detadapt.relation import (NotReadyError, RelationMatrix, batch_confusion)
 
 
 def test_batch_confusion_hand_count():
-    counts = batch_confusion([(0, 0), (0, 1), (1, 1)], 2)
+    counts = batch_confusion([0, 0, 1], [0, 1, 1], 2)
     assert np.array_equal(counts, [[1, 1], [0, 1]])
 
 
 def test_batch_confusion_diagonal_and_empty():
-    counts = batch_confusion([(c, c) for c in range(3) for _ in range(2)], 3)
+    classes = np.repeat(np.arange(3), 2)
+    counts = batch_confusion(classes, classes, 3)
     assert np.array_equal(counts, 2 * np.eye(3))
-    assert np.array_equal(batch_confusion([], 3), np.zeros((3, 3)))
+    assert np.array_equal(batch_confusion([], [], 3), np.zeros((3, 3)))
 
 
 def test_batch_confusion_rejects_out_of_range():
     with pytest.raises(ValueError):
-        batch_confusion([(0, 3)], 3)
+        batch_confusion([0], [3], 3)
     with pytest.raises(ValueError):
-        batch_confusion([(-1, 0)], 3)
+        batch_confusion([-1], [0], 3)
+
+
+@pytest.mark.parametrize("true_cls, pred_cls", [([0, 1], [0]), ([[0, 1]], [[0, 1]])])
+def test_batch_confusion_rejects_misshapen_class_arrays(true_cls, pred_cls):
+    with pytest.raises(ValueError):
+        batch_confusion(true_cls, pred_cls, 3)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_counts_and_update_equal_per_pair_and_per_row_oracles(seed):
+    # batches of 0 to 12 labels over 4 classes leave some rows without counts
+    rng = np.random.default_rng(seed)
+    rel = RelationMatrix.identity(4, ema_rate=0.9)
+    want = RelationMatrix.identity(4, ema_rate=0.9)
+    for _ in range(60):
+        size = int(rng.integers(0, 13))
+        true_cls = rng.integers(4, size=size)
+        pred_cls = rng.integers(4, size=size)
+        counts = batch_confusion(true_cls, pred_cls, 4)
+        want_counts = oracle_batch_confusion(list(zip(true_cls.tolist(), pred_cls.tolist())), 4)
+        assert np.array_equal(counts, want_counts)
+        rel.update(counts)
+        oracle_update(want, want_counts)
+        assert np.array_equal(rel.matrix, want.matrix)
+        assert np.array_equal(rel.update_counts, want.update_counts)
+
+
+def test_update_of_all_zero_counts_is_an_exact_no_op():
+    rel = RelationMatrix(np.array([[0.3, 0.7], [0.6, 0.4]]), ema_rate=0.9)
+    before = rel.matrix.copy()
+    rel.update(np.zeros((2, 2)))
+    assert np.array_equal(rel.matrix, before)
+    assert list(rel.update_counts) == [0, 0]
 
 
 def test_update_endpoints():
-    counts = batch_confusion([(0, 1), (1, 1)], 2)
+    counts = batch_confusion([0, 1], [1, 1], 2)
     frozen = RelationMatrix.identity(2, ema_rate=1.0).update(counts)
     assert np.array_equal(frozen.matrix, np.eye(2))
     replaced = RelationMatrix.identity(2, ema_rate=0.0).update(counts)
@@ -42,7 +77,7 @@ def test_update_blend_arithmetic():
 
 def test_zero_count_rows_entirely_skipped():
     rel = RelationMatrix.identity(3, ema_rate=0.5)
-    rel.update(batch_confusion([(1, 2)], 3))
+    rel.update(batch_confusion([1], [2], 3))
     assert np.array_equal(rel.matrix[0], [1, 0, 0])
     assert np.array_equal(rel.matrix[2], [0, 0, 1])
     assert np.allclose(rel.matrix[1], [0, 0.5, 0.5])
@@ -116,10 +151,10 @@ def test_split_requires_every_row_updated():
     rel = RelationMatrix.identity(3)
     with pytest.raises(NotReadyError):
         rel.split()
-    rel.update(batch_confusion([(0, 0), (1, 1)], 3))
+    rel.update(batch_confusion([0, 1], [0, 1], 3))
     with pytest.raises(NotReadyError):
         rel.split()
-    rel.update(batch_confusion([(2, 0)], 3))
+    rel.update(batch_confusion([2], [0], 3))
     rel.split()
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from bruteforce import oracle_relation_weights
 from detadapt.relation import RelationMatrix
-from detadapt.weighting import (DegenerateBatchError, instance_weight,
-                                normalize_foreground, regularize,
-                                relation_weights)
+from detadapt.weighting import relation_weights
 
 
 def matrix(rows):
@@ -12,52 +11,64 @@ def matrix(rows):
                           update_counts=np.ones(len(rows), dtype=int))
 
 
+def normalized(rel, true_cls, pred_cls):
+    """The mean-normalized weights alone: `reg` 0 leaves them as they are."""
+    return relation_weights(rel, true_cls, pred_cls, reg=0.0)
+
+
 def test_instance_weight_examples():
+    # at reg 0 the weights are the raw weights over their mean
     rel = matrix([[0.75, 0.25], [0.2, 0.8]])
-    assert instance_weight(rel, 0, 0) == pytest.approx(0.5)      # sqrt(1 - 0.75)
-    rel = matrix([[1.0, 0.0], [0.0, 1.0]])
-    assert instance_weight(rel, 0, 0) == 0.0                      # perfect class
+    raw = np.array([0.5, np.sqrt(0.2)])                          # sqrt(1 - 0.75), sqrt(1 - 0.8)
+    assert np.allclose(normalized(rel, [0, 1], [0, 1]), raw / raw.mean())
+    rel = matrix([[1.0, 0.0], [0.3, 0.7]])
+    assert normalized(rel, [0, 1], [0, 1])[0] == 0.0              # perfect class
     rel = matrix([[0.8, 0.2], [0.3, 0.7]])
-    assert instance_weight(rel, 0, 1) == pytest.approx(0.5)      # sqrt(0.2 / 0.8)
+    raw = np.array([0.5, np.sqrt(0.3)])                          # sqrt(0.2 / 0.8), sqrt(1 - 0.7)
+    assert np.allclose(normalized(rel, [0, 1], [1, 1]), raw / raw.mean())
 
 
 def test_instance_weight_clamps_zero_diagonal():
     rel = matrix([[0.0, 1.0], [0.5, 0.5]])
-    value = instance_weight(rel, 0, 1)
-    assert value == pytest.approx(np.sqrt(1.0 / 1e-6))
+    w = normalized(rel, [0, 1], [1, 1])
+    assert w[0] / w[1] == pytest.approx(np.sqrt(1.0 / 1e-6) / np.sqrt(0.5))
 
 
 def test_misclassification_weight_monotone_in_confusion():
+    # the correct label of class 1 is a fixed reference weight
     previous = -1.0
     for off in (0.1, 0.2, 0.4, 0.6):
         rel = matrix([[0.4, off], [0.3, 0.7]])
-        value = instance_weight(rel, 0, 1)
-        assert value > previous
-        previous = value
+        w = normalized(rel, [0, 1], [1, 1])
+        assert w[0] / w[1] > previous
+        previous = w[0] / w[1]
 
 
 def test_normalize_foreground():
-    assert np.allclose(normalize_foreground([1.0, 3.0]), [0.5, 1.5])
-    assert np.allclose(normalize_foreground([0.2, 0.2]), [1.0, 1.0])
-    with pytest.raises(DegenerateBatchError):
-        normalize_foreground([0.0])
-    with pytest.raises(DegenerateBatchError):
-        normalize_foreground([])
+    # raw weights [1, 3]: sqrt(1 - 0) and sqrt(0.9 / 0.1)
+    rel = matrix([[0.0, 1.0], [0.9, 0.1]])
+    assert np.allclose(normalized(rel, [0, 1], [0, 0]), [0.5, 1.5])
+    assert np.allclose(normalized(rel, [1, 1], [0, 0]), [1.0, 1.0])
+    # a zero mean and no labels at all take the uniform fallback
+    identity = matrix(np.eye(2))
+    assert np.array_equal(normalized(identity, [0], [0]), [1.0])
+    assert normalized(identity, [], []).shape == (0,)
 
 
 def test_regularize():
-    assert regularize([0.0], 0.5)[0] == pytest.approx(1 / 3)
-    values = np.array([0.3, 1.7, 0.9])
-    assert np.allclose(regularize(values, 0.0), values)
+    # normalized weights [0, 2]: a perfect class and sqrt(1 - 0.7)
+    rel = matrix([[1.0, 0.0], [0.3, 0.7]])
+    assert relation_weights(rel, [0, 1], [0, 1], 0.5)[0] == pytest.approx(1 / 3)
+    assert np.allclose(normalized(rel, [0, 1], [0, 1]), [0.0, 2.0])
     for reg in (0.2, 0.5, 2.0):
-        out = regularize([0.5, 1.5], reg)  # mean-1 input
-        assert out.mean() == pytest.approx(1.0)
+        assert relation_weights(rel, [0, 1], [0, 1], reg).mean() == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        relation_weights(rel, [0, 1], [0, 1], -0.1)
 
 
 def test_pipeline_mean_one_and_positive():
     rel = matrix([[0.7, 0.2, 0.1], [0.3, 0.6, 0.1], [0.4, 0.4, 0.2]])
-    pairs = [(0, 0), (0, 1), (1, 1), (2, 0), (2, 2)]
-    weights = relation_weights(rel, pairs, reg=0.5)
+    weights = relation_weights(rel, [0, 0, 1, 2, 2], [0, 1, 1, 0, 2], reg=0.5)
     assert np.all(weights > 0)
     assert weights.mean() == pytest.approx(1.0)
     # adding unit background weights keeps the combined mean at one
@@ -67,5 +78,32 @@ def test_pipeline_mean_one_and_positive():
 
 def test_pipeline_degenerate_falls_back_to_uniform():
     rel = matrix([[1.0, 0.0], [0.0, 1.0]])  # identity: every raw weight is zero
-    weights = relation_weights(rel, [(0, 0), (1, 1)], reg=0.5)
+    weights = relation_weights(rel, [0, 1], [0, 1], reg=0.5)
     assert np.allclose(weights, 1.0)
+
+
+def random_relation(rng, num_classes):
+    """A row-stochastic matrix; some rows get a zero diagonal, the floored case."""
+    rows = rng.dirichlet(np.ones(num_classes), size=num_classes)
+    zero = rng.random(num_classes) < 0.3
+    rows[zero, np.flatnonzero(zero)] = 0.0
+    rows[zero] /= rows[zero].sum(axis=1, keepdims=True)
+    return matrix(rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weights_equal_per_pair_oracle(seed):
+    rng = np.random.default_rng(seed)
+    num_classes = 4
+    relations = [random_relation(rng, num_classes) for _ in range(20)]
+    relations.append(matrix(np.eye(num_classes)))  # all-correct labels: the uniform fallback
+    for rel in relations:
+        for size in (0, 1, 2, 7):
+            true_cls = rng.integers(num_classes, size=size)
+            pred_cls = np.where(rng.random(size) < 0.5, true_cls,
+                                rng.integers(num_classes, size=size))
+            for reg in (0.0, 0.5, 2.0):
+                got = relation_weights(rel, true_cls, pred_cls, reg)
+                want = oracle_relation_weights(
+                    rel, list(zip(true_cls.tolist(), pred_cls.tolist())), reg)
+                assert np.array_equal(got, want), (size, reg)
