@@ -10,14 +10,14 @@ linear in the raw features, so it has no trunk for the reversed gradients.
 """
 
 from .config import AdaptationConfig, default_config
-from .cropbank import (DISSIMILAR, SIMILAR, AugmentPolicy, Cropbank, augment_sample,
-                       sample_pair)
+from .cropbank import AugmentPolicy, Cropbank, augment_sample, sample_pair
 from .detector import (Detection, GradientSet, Labels, ModelParams, Scored, TrainingError,
                        detection_loss, forward, load_params, save_params, sgd_step)
 from .expert import ExpertSpec, expert_loss, expert_predict
 from .metrics import EvalResult, evaluate, f1_auc, froc, map_at_iou
-from .partition import VarianceReport, box_variance, cls_variance, mc_passes, partition
-from .relation import ClassSplit, NotReadyError, RelationMatrix, batch_confusion
+from .partition import (DISSIMILAR, SIMILAR, VarianceReport, box_variance, cls_variance,
+                        mc_passes, partition)
+from .relation import NotReadyError, RelationMatrix, batch_confusion
 from .teacher import ema_update, pseudo_label
 from .trainer import (DiscriminatorParams, SealedDataset, SourceAccessError,
                       TrainHistory, ablation_variants, adapt, discriminator_loss,

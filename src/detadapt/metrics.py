@@ -277,12 +277,15 @@ def _match_samples(params: ModelParams, samples: list[DetectionSample],
 def evaluate(params: ModelParams, samples: list[DetectionSample],
              iou_threshold: float = 0.5, fpi_points=FPI_POINTS,
              num_classes: int | None = None) -> EvalResult:
-    """Full metric sweep of a model over a labeled dataset."""
+    """Full metric sweep of a model over a labeled dataset. A ground-truth class
+    outside [0, num_classes), which the per-class list would drop, raises ValueError."""
     _check_threshold(iou_threshold)
-    matched = _match_samples(params, samples, iou_threshold)
-    map50, per_class = _map(matched)
     if num_classes is None:
         num_classes = params.num_classes
+    matched = _match_samples(params, samples, iou_threshold)
+    if np.any((matched.gt_cls < 0) | (matched.gt_cls >= num_classes)):
+        raise ValueError(f"ground-truth class outside [0, {num_classes})")
+    map50, per_class = _map(matched)
     while len(per_class) < num_classes:
         per_class.append(float("nan"))
     return EvalResult(map50, per_class[:num_classes], _froc(matched, fpi_points),

@@ -17,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cropbank import DISSIMILAR, SIMILAR
 from .detector import BLOCK_SAMPLES, ModelParams, Scored
 from .util import write_atomic
 from .world import DetectionSample
+
+SIMILAR = "similar"
+DISSIMILAR = "dissimilar"
+SUBSETS = (SIMILAR, DISSIMILAR)
 
 
 @dataclass(frozen=True)
@@ -36,9 +39,10 @@ class VarianceRow:
 
 @dataclass
 class VarianceReport:
+    """Rows in rank order, and the source-similar sample ids; the rest are dissimilar."""
+
     rows: list[VarianceRow]
     similar: frozenset[int]
-    dissimilar: frozenset[int]
 
     def subset_of(self, sample_id: int) -> str:
         return SIMILAR if sample_id in self.similar else DISSIMILAR
@@ -155,5 +159,4 @@ def partition(
         rows.append(VarianceRow(sample_id, v_b, v_c, v, rank, level, subset))
         if subset == SIMILAR:
             similar.add(sample_id)
-    dissimilar = frozenset(per_sample) - similar
-    return VarianceReport(rows, frozenset(similar), dissimilar)
+    return VarianceReport(rows, frozenset(similar))

@@ -37,13 +37,6 @@ def batch_confusion(true_cls, pred_cls, num_classes: int) -> np.ndarray:
 
 
 @dataclass
-class ClassSplit:
-    majority: frozenset[int]
-    minority: frozenset[int]
-    rcm_avg: float
-
-
-@dataclass
 class RelationMatrix:
     matrix: np.ndarray        # (C, C), updated rows stay row-stochastic
     ema_rate: float           # weight kept on the old row at each update
@@ -90,20 +83,17 @@ class RelationMatrix:
         self.update_counts += seen
         return self
 
-    def split(self) -> ClassSplit:
-        """Majority/minority partition around the mean diagonal value.
-
-        Classes strictly above the mean are majority; ties count as minority so
-        borderline classes stay eligible for augmentation.
+    def majority(self) -> frozenset[int]:
+        """The majority classes: those whose diagonal entry lies strictly above
+        the mean diagonal value. Every other class is minority, ties included,
+        so borderline classes stay eligible for augmentation. Raises
+        `NotReadyError` while any row has never been updated.
         """
         if not self.ready:
             missing = [c for c in range(self.num_classes) if self.update_counts[c] == 0]
             raise NotReadyError(f"rows never updated: {missing}")
         diag = np.diag(self.matrix)
-        avg = float(diag.mean())
-        majority = frozenset(int(c) for c in range(self.num_classes) if diag[c] > avg)
-        minority = frozenset(range(self.num_classes)) - majority
-        return ClassSplit(majority, minority, avg)
+        return frozenset(np.flatnonzero(diag > diag.mean()).tolist())
 
     def to_dict(self) -> dict:
         return {

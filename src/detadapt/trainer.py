@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import AdaptationConfig
-from .cropbank import SIMILAR, AugmentPolicy, Cropbank, augment_sample
+from .cropbank import AugmentPolicy, Cropbank, augment_sample
 from .detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
                        match_labels, save_params, sgd_step, supervised_losses, targets)
 from .expert import expert_predict
 from .metrics import evaluate
-from .partition import partition
+from .partition import SIMILAR, partition
 from .relation import RelationMatrix, batch_confusion
 from .teacher import background_indices, ema_update, pseudo_label
 from .util import derive_seed, rng_stream, write_atomic
@@ -207,10 +207,12 @@ def adapt(
     Per sample-step each model runs forward once, in one packed pass per
     batch, since neither model moves within a batch. Sample by sample, the
     teacher's rows of its pass give the confident proposals, which become
-    hard `Labels`, and the background proposals. With SA on, the crop bank
-    absorbs sample k's pseudo-labels, in one push, before sample k + 1 is
-    augmented, and `aug_rng` draws in that order; with SA off nothing reads
-    the bank or the class split, so neither is filled nor computed.
+    hard `Labels`, and the background proposals. With SA on, each batch takes
+    `relation.majority()` once the matrix is ready, and the crop bank files
+    sample k's confident features under their pseudo-label classes, in one
+    push, before sample k + 1 is augmented; `aug_rng` draws in that order.
+    With SA off nothing reads the bank or the majority set, so neither is
+    filled nor computed.
 
     The student's pass over the strong views feeds one `supervised_losses`
     call per loss. Each label set is matched to the proposals once;
@@ -251,7 +253,7 @@ def adapt(
         stu_losses, expert_losses = [], []
         order = shuffle_rng.permutation(len(ids))
         for batch in _batches(order, config.batch_size):
-            split = relation.split() if config.enable_sa and relation.ready else None
+            majority = relation.majority() if config.enable_sa and relation.ready else None
             samples = [by_id[ids[int(pos)]] for pos in batch]
             scored_t = Scored(teacher, samples)
             views = []
@@ -262,8 +264,8 @@ def adapt(
                 clean = Labels.one_hot(rows.boxes[pseudo], rows.class_ids[pseudo], num_classes)
                 matches = match_labels(sample.proposal_boxes, clean.boxes)
                 strong, labels = sample, clean
-                if split is not None:
-                    strong, labels = augment_sample(sample, clean, relation, split, bank,
+                if majority is not None:
+                    strong, labels = augment_sample(sample, clean, relation, majority, bank,
                                                     policy, subset, aug_rng, matches=matches)
                 strong = perturb_features(strong, config.noise_scale, noise_rng)
                 bg = None if config.background_bar is None else \
@@ -276,8 +278,7 @@ def adapt(
 
                 # bank absorbs the clean features of confident instances, for SA alone
                 if config.enable_sa:
-                    bank.push(subset, rows.class_ids[pseudo], sample.proposal_features[pseudo],
-                              clean.classes)
+                    bank.push(subset, rows.class_ids[pseudo], sample.proposal_features[pseudo])
 
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored(student, [view[0] for view in views])

@@ -70,7 +70,8 @@ def boxes_from_raw(raw: np.ndarray, min_size: float = 1e-6) -> np.ndarray:
     first, second = raw[..., :2], raw[..., 2:]
     lo = np.where(second < first, second, first)
     hi = np.where(second > first, second, first)
-    hi = np.where(hi - lo < min_size, lo + min_size, hi)
+    with np.errstate(invalid="ignore"):  # inf - inf; the finiteness check rejects it
+        hi = np.where(hi - lo < min_size, lo + min_size, hi)
     boxes = np.concatenate([lo, hi], axis=-1)
     if not np.isfinite(boxes).all():
         raise ValueError("non-finite box coordinates")
@@ -312,22 +313,32 @@ def save_dataset(path, spec: DomainSpec, samples: list[DetectionSample]) -> None
 
 
 def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
-    """Load a saved dataset.
+    """Load a saved dataset, checking every sample against the file's own spec.
 
-    Raises ValueError on a ground-truth box that is not finite with x1 < x2
-    and y1 < y2. The file stores no object features: in a generated sample
-    they are the first G proposal rows (see `DetectionSample`).
+    Raises `ConfigError` on a proposal row that is not 4 + `spec.feature_dim`
+    values wide, on an object class that is not an integer in
+    [0, `spec.num_classes`), and on a ground-truth box that is not finite with
+    x1 < x2 and y1 < y2. The file stores no object features: in a generated
+    sample they are the first G proposal rows (see `DetectionSample`).
     """
     with open(path) as fh:
         doc = json.load(fh)
     spec = DomainSpec.from_dict(doc["spec"])
+    width = 4 + spec.feature_dim
     samples = []
     for rec in doc["samples"]:
+        if any(len(row) != width for row in rec["proposals"]):
+            raise ConfigError(f"proposal row not {width} values wide in sample {rec['id']}")
         rows = np.array(rec["proposals"], dtype=float)
         gt_boxes = np.array([obj[:4] for obj in rec["objects"]], dtype=float).reshape(-1, 4)
         if not (np.isfinite(gt_boxes).all() and (gt_boxes[:, :2] < gt_boxes[:, 2:]).all()):
-            raise ValueError(f"invalid ground-truth box in sample {rec['id']}")
-        gt_classes = np.array([int(obj[4]) for obj in rec["objects"]], dtype=int)
+            raise ConfigError(f"invalid ground-truth box in sample {rec['id']}")
+        classes = [obj[4] for obj in rec["objects"]]
+        # `type` is exact: a JSON true loads as a bool, which is also an int
+        if not all(type(c) is int and 0 <= c < spec.num_classes for c in classes):
+            raise ConfigError(f"object class not an integer in [0, {spec.num_classes}) "
+                              f"in sample {rec['id']}")
+        gt_classes = np.array(classes, dtype=int)
         samples.append(DetectionSample(int(rec["id"]), rows[:, :4], rows[:, 4:],
                                        gt_boxes, gt_classes))
     return spec, samples

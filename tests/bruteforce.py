@@ -14,8 +14,8 @@ pairs, weighted, counted and folded into the matrix one pair and one row at a
 time. Apart from that loop, none of it shares code with the package
 implementations beyond the matching rule, the smooth-L1 helpers and the SGD
 step they both define; the loop reuses the package's partition, relation
-matrix container (its start, readiness and class split), EMA and evaluation,
-which have tests of their own.
+matrix container (its start and readiness), EMA and evaluation, which have
+tests of their own, and takes its class split from `oracle_split`.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from collections import deque
 
 import numpy as np
 
-from detadapt.cropbank import DISSIMILAR, SIMILAR, SUBSETS, AugmentPolicy
+from detadapt.cropbank import AugmentPolicy
 from detadapt.detector import (Detection, GradientSet, ModelParams, match_labels, sgd_step,
                                smooth_l1, smooth_l1_grad)
 from detadapt.metrics import FPI_POINTS, EvalResult, evaluate
-from detadapt.partition import partition
+from detadapt.partition import DISSIMILAR, SIMILAR, SUBSETS, partition
 from detadapt.relation import RelationMatrix
 from detadapt.teacher import ema_update
 from detadapt.trainer import EpochRecord, TrainHistory
@@ -394,20 +394,30 @@ def oracle_mixup(base: CropEntry, pair: CropEntry, mix_ratio: float) -> CropEntr
                      keep * base.class_vec + (1.0 - keep) * pair.class_vec)
 
 
+def oracle_split(relation) -> tuple[set[int], set[int]]:
+    """(majority, minority) classes, one diagonal entry at a time: majority when
+    strictly above the mean diagonal entry, minority otherwise."""
+    diag = [float(relation.matrix[c, c]) for c in range(relation.num_classes)]
+    mean = float(np.mean(diag))
+    majority = {c for c, value in enumerate(diag) if value > mean}
+    return majority, set(range(relation.num_classes)) - majority
+
+
 def oracle_augment_sample(sample, labels, relation, split, bank, policy, sample_subset, rng):
     """`augment_sample` over (`BBox`, class vector) pairs, one label at a time,
-    drawing from an `OracleCropbank`."""
+    drawing from an `OracleCropbank`; `split` is `oracle_split`'s pair."""
     if not labels:
         return sample, []
+    majority, minority = split
     features = sample.proposal_features.copy()
     matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
     preference = oracle_preference(sample_subset)
     new_labels = []
     for i, (box, class_vec) in enumerate(labels):
         base_class = int(np.argmax(class_vec))
-        protected = sample_subset == DISSIMILAR and base_class in split.minority
+        protected = sample_subset == DISSIMILAR and base_class in minority
         if not protected and rng.random() < policy.p_aug:
-            pair = oracle_sample_pair(relation, base_class, base_class in split.majority,
+            pair = oracle_sample_pair(relation, base_class, base_class in majority,
                                       bank, preference, rng)
             if pair is not None:
                 j = int(matches[i])
@@ -511,7 +521,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
         order = shuffle_rng.permutation(len(ids))
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            split = relation.split() if relation.ready else None
+            split = oracle_split(relation) if relation.ready else None
             views = []
             for pos in batch:
                 sample = by_id[ids[int(pos)]]

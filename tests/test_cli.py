@@ -50,9 +50,10 @@ def test_eval_mode_writes_result(tmp_path, tiny_config_file):
     assert set(doc["recall_at_fpi"]) == {"0.05", "0.3", "0.5", "1.0"}
 
 
-@pytest.mark.parametrize("row", [[1.0, float("nan"), 5.0, 5.0], [5.0, 1.0, 1.0, 5.0],
-                                 [3.0, 1.0, 3.0, 5.0]], ids=["nan", "inverted", "zero_width"])
-def test_eval_mode_rejects_invalid_ground_truth_box(row, tmp_path, tiny_config_file, capsys):
+def eval_corrupted_dataset(tmp_path, tiny_config_file, corrupt):
+    """`--mode eval` of an untrained model on the saved target set after
+    `corrupt` edits its first sample's JSON record; returns the exit code and
+    the output directory."""
     config_path, config = tiny_config_file
     params_path = tmp_path / "params.json"
     save_params(params_path, pretrain_source(dataclasses.replace(config, pretrain_epochs=0))[0])
@@ -60,14 +61,47 @@ def test_eval_mode_rejects_invalid_ground_truth_box(row, tmp_path, tiny_config_f
     save_dataset(dataset_path, config.target,
                  generate_domain(config.target, derive_seed(0, "world", "target")))
     doc = json.loads(dataset_path.read_text())
-    doc["samples"][0]["objects"][0][:4] = row
+    corrupt(doc["samples"][0])
     dataset_path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     code = run_cli(["--mode", "eval", "--config", config_path, "--out", str(out),
                     "--params", str(params_path), "--dataset", str(dataset_path)])
-    assert code == 1
-    assert "run failed" in capsys.readouterr().err
-    assert not (out / "eval.json").exists()
+    return code, out
+
+
+@pytest.mark.parametrize("row", [[1.0, float("nan"), 5.0, 5.0], [5.0, 1.0, 1.0, 5.0],
+                                 [3.0, 1.0, 3.0, 5.0]], ids=["nan", "inverted", "zero_width"])
+def test_eval_mode_rejects_invalid_ground_truth_box(row, tmp_path, tiny_config_file, capsys):
+    def corrupt(sample):
+        sample["objects"][0][:4] = row
+
+    code, out = eval_corrupted_dataset(tmp_path, tiny_config_file, corrupt)
+    assert code == 2
+    assert "config error: invalid ground-truth box" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def object_class(value):
+    def corrupt(sample):
+        sample["objects"][0][4] = value
+    return corrupt
+
+
+def drop_last_proposal_value(sample):
+    sample["proposals"][0].pop()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (object_class(6), "object class"), (object_class(-1), "object class"),
+    (object_class(1.5), "object class"), (drop_last_proposal_value, "proposal row")],
+    ids=["class_6", "class_-1", "class_1.5", "short_proposal_row"])
+def test_eval_mode_rejects_a_dataset_row_outside_its_own_spec(
+        corrupt, message, tmp_path, tiny_config_file, capsys):
+    # the file's spec has 5 classes and 16-value features
+    code, out = eval_corrupted_dataset(tmp_path, tiny_config_file, corrupt)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_adapt_mode_outputs_are_deterministic(tmp_path, tiny_config_file, monkeypatch):

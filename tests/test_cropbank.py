@@ -2,25 +2,30 @@ import numpy as np
 import pytest
 
 from bruteforce import CropEntry, OracleCropbank, oracle_preference, oracle_sample_pair
-from detadapt.cropbank import (DISSIMILAR, SIMILAR, SUBSETS, AugmentPolicy, Cropbank,
-                               augment_sample, sample_pair)
-from detadapt.detector import Labels
-from detadapt.relation import ClassSplit, RelationMatrix
+from detadapt.cropbank import AugmentPolicy, Cropbank, augment_sample, sample_pair
+from detadapt.detector import Labels, match_labels
+from detadapt.partition import DISSIMILAR, SIMILAR, SUBSETS
+from detadapt.relation import RelationMatrix
 from detadapt.world import DetectionSample
 
 
-def row(value, class_id, num_classes=2, dim=3):
-    return np.full(dim, float(value)), np.eye(num_classes)[class_id]
+def row(value, class_id, dim=3):
+    """The (class, feature) pair `sample_pair` returns for `push(..., class_id, value)`."""
+    return class_id, np.full(dim, float(value))
 
 
-def push(bank, subset, class_id, value, num_classes=2, dim=3):
-    """Push one instance, `row(value, class_id)`, as a sample of its own."""
-    feature, class_vec = row(value, class_id, num_classes, dim)
-    bank.push(subset, [class_id], [feature], [class_vec])
+def push(bank, subset, class_id, value, dim=3):
+    """Push one instance, of feature `np.full(dim, value)`, as a sample of its own."""
+    bank.push(subset, [class_id], [np.full(dim, float(value))])
 
 
 def same_row(got, want):
-    return all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    return got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+def held(bank, sample_subset, class_id):
+    """The feature rows of one class that a `sample_subset` sample may draw, in order."""
+    return [feature for buffer in bank.sources(sample_subset, class_id) for feature in buffer]
 
 
 def relation_from(rows):
@@ -28,38 +33,33 @@ def relation_from(rows):
     return RelationMatrix(rows, 0.9, update_counts=np.ones(len(rows), dtype=int))
 
 
-def test_entry_requires_simplex_class_vector():
-    with pytest.raises(ValueError):
-        Cropbank(4).push(SIMILAR, [0], [np.zeros(3)], [np.array([0.5, 0.6])])
-    with pytest.raises(ValueError):
-        Cropbank(4).push(SIMILAR, [0], [np.zeros(3)], [np.array([-0.1, 1.1])])
+def augment(sample, labels, rel, majority, bank, policy, subset, rng):
+    """`augment_sample` given the labels' own matches, as `adapt` gives them."""
+    return augment_sample(sample, labels, rel, majority, bank, policy, subset, rng,
+                          matches=match_labels(sample.proposal_boxes, labels.boxes))
 
 
 def test_rows_changed_by_the_caller_after_push_stay_unchanged():
     bank = Cropbank(capacity=4)
-    class_ids, features, class_vecs = np.array([1, 0]), np.ones((2, 3)), np.eye(2)[[1, 0]]
-    bank.push(SIMILAR, class_ids, features, class_vecs)
-    class_ids[:], features[:], class_vecs[:] = 0, 5.0, 0.5
-    assert same_row(bank.pool(SIMILAR, 1)[0], (np.ones(3), np.eye(2)[1]))
-    assert same_row(bank.pool(SIMILAR, 0)[0], (np.ones(3), np.eye(2)[0]))
+    class_ids, features = np.array([1, 0]), np.ones((2, 3))
+    bank.push(SIMILAR, class_ids, features)
+    class_ids[:], features[:] = 0, 5.0
+    assert np.array_equal(held(bank, SIMILAR, 1), [np.ones(3)])
+    assert np.array_equal(held(bank, SIMILAR, 0), [np.ones(3)])
 
 
 def test_fifo_eviction_order():
     bank = Cropbank(capacity=2)
     for value in (1, 2, 3):
         push(bank, SIMILAR, 0, value)
-    held = bank.pool(SIMILAR, 0)
-    assert len(held) == 2
-    assert same_row(held[0], row(2, 0)) and same_row(held[1], row(3, 0))
+    assert np.array_equal(held(bank, SIMILAR, 0), [np.full(3, 2.0), np.full(3, 3.0)])
 
 
 def test_capacity_exactly_filled_no_eviction():
     bank = Cropbank(capacity=4)
     for i in range(4):
         push(bank, DISSIMILAR, 1, i)
-    held = bank.pool(DISSIMILAR, 1)
-    assert len(held) == 4
-    assert all(same_row(got, row(i, 1)) for i, got in enumerate(held))
+    assert np.array_equal(held(bank, DISSIMILAR, 1), [np.full(3, float(i)) for i in range(4)])
 
 
 def test_single_entry_sample_returns_it():
@@ -81,7 +81,7 @@ def test_majority_masking_excludes_self():
     rng = np.random.default_rng(1)
     for _ in range(50):
         picked = sample_pair(rel, 0, True, bank, SIMILAR, rng)
-        assert np.argmax(picked[1]) == 1
+        assert picked[0] == 1
 
 
 def test_minority_row_allows_self_augmentation():
@@ -92,7 +92,7 @@ def test_minority_row_allows_self_augmentation():
     rng = np.random.default_rng(2)
     for _ in range(50):
         picked = sample_pair(rel, 0, False, bank, SIMILAR, rng)
-        assert np.argmax(picked[1]) == 0
+        assert picked[0] == 0
 
 
 def test_sampling_frequencies_match_relation_weights():
@@ -105,7 +105,7 @@ def test_sampling_frequencies_match_relation_weights():
     hits = 0
     for _ in range(draws):
         picked = sample_pair(rel, 0, False, bank, SIMILAR, rng)
-        hits += int(np.argmax(picked[1]) == 0)
+        hits += int(picked[0] == 0)
     assert abs(hits / draws - 0.75) < 0.02
 
 
@@ -143,10 +143,10 @@ def test_pools_and_draws_match_per_entry_oracle_bank():
             n = int(rng.integers(0, 5))
             class_ids = rng.integers(num_classes, size=n)
             features = rng.standard_normal((n, dim))
-            class_vecs = rng.dirichlet(np.ones(num_classes), n)
-            bank.push(subset, class_ids, features, class_vecs)
-            for class_id, feature, class_vec in zip(class_ids.tolist(), features, class_vecs):
-                oracle.push(subset, class_id, CropEntry(feature.copy(), class_vec.copy()))
+            bank.push(subset, class_ids, features)
+            for class_id, feature in zip(class_ids.tolist(), features):
+                oracle.push(subset, class_id,
+                            CropEntry(feature.copy(), np.eye(num_classes)[class_id]))
         else:
             base, is_majority = int(rng.integers(num_classes)), bool(rng.integers(2))
             which = int(rng.integers(2))
@@ -156,16 +156,15 @@ def test_pools_and_draws_match_per_entry_oracle_bank():
             if want is None:
                 assert got is None
             else:
-                assert same_row(got, (want.feature, want.class_vec))
+                assert same_row(got, (int(np.argmax(want.class_vec)), want.feature))
                 drawn += 1
                 fallbacks += which == 1 and is_majority
         for sample_subset in SUBSETS:
             for k in range(num_classes):
                 want_pool = oracle.pool(oracle_preference(sample_subset), k)
-                got_pool = bank.pool(sample_subset, k)
+                got_pool = held(bank, sample_subset, k)
                 assert len(got_pool) == len(want_pool)
-                assert all(same_row(g, (w.feature, w.class_vec))
-                           for g, w in zip(got_pool, want_pool))
+                assert all(np.array_equal(g, w.feature) for g, w in zip(got_pool, want_pool))
     assert drawn > 100 and fallbacks > 10
 
 
@@ -175,11 +174,10 @@ def blend(ratio):
     sample = DetectionSample(0, boxes, np.array([[1.0, 1.0]]), np.zeros((0, 4)),
                              np.zeros(0, dtype=int))
     bank = Cropbank(capacity=1)
-    bank.push(SIMILAR, [1], [np.array([3.0, -1.0])], [np.array([0.0, 1.0])])
+    bank.push(SIMILAR, [1], [np.array([3.0, -1.0])])
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
-    split = ClassSplit(frozenset({0}), frozenset({1}), 0.5)
-    out_sample, out_labels = augment_sample(
-        sample, Labels.one_hot(boxes, [0], 2), rel, split, bank,
+    out_sample, out_labels = augment(
+        sample, Labels.one_hot(boxes, [0], 2), rel, frozenset({0}), bank,
         AugmentPolicy(p_aug=1.0, mix_ratio=ratio), SIMILAR, np.random.default_rng(0))
     return out_sample.proposal_features[0], out_labels.classes[0]
 
@@ -189,7 +187,8 @@ def test_mixup_blend_rules():
     assert np.array_equal(feature, [1.0, 1.0])
     feature, class_vec = blend(0.5)
     assert np.allclose(feature, [2.0, 0.0])
-    assert class_vec.sum() == pytest.approx(1.0)
+    # the partner's class vector is the one-hot vector of its buffer's class
+    assert np.array_equal(class_vec, [0.5, 0.5])
     for ratio in (0.3, 0.7, 0.9):
         _, class_vec = blend(ratio)
         assert class_vec.sum() == pytest.approx(1.0)
@@ -207,16 +206,15 @@ def full_bank(num_classes=2, dim=3):
     bank = Cropbank(capacity=4)
     for subset in (SIMILAR, DISSIMILAR):
         for c in range(num_classes):
-            push(bank, subset, c, 9, num_classes, dim)
+            push(bank, subset, c, 9, dim)
     return bank
 
 
 def test_augment_p_zero_is_identity():
     sample, labels = make_sample_with_labels()
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
-    split = ClassSplit(frozenset({0}), frozenset({1}), 0.6)
-    out_sample, out_labels = augment_sample(
-        sample, labels, rel, split, full_bank(), AugmentPolicy(p_aug=0.0),
+    out_sample, out_labels = augment(
+        sample, labels, rel, frozenset({0}), full_bank(), AugmentPolicy(p_aug=0.0),
         SIMILAR, np.random.default_rng(0))
     assert np.array_equal(out_sample.proposal_features, sample.proposal_features)
     assert all(np.array_equal(a[1], b[1]) for a, b in zip(labels, out_labels))
@@ -225,11 +223,10 @@ def test_augment_p_zero_is_identity():
 def test_minority_base_protected_in_dissimilar_samples():
     sample, labels = make_sample_with_labels()
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
-    split = ClassSplit(frozenset({0}), frozenset({1}), 0.6)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        out_sample, out_labels = augment_sample(
-            sample, labels, rel, split, full_bank(), AugmentPolicy(p_aug=1.0),
+        out_sample, out_labels = augment(
+            sample, labels, rel, frozenset({0}), full_bank(), AugmentPolicy(p_aug=1.0),
             DISSIMILAR, rng)
         # label 1 is a minority base in a dissimilar sample: never blended
         assert np.array_equal(out_labels.classes[1], labels.classes[1])
@@ -241,10 +238,9 @@ def test_minority_base_protected_in_dissimilar_samples():
 def test_always_augment_majority_in_similar_sample():
     sample, labels = make_sample_with_labels()
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
-    split = ClassSplit(frozenset({0}), frozenset({1}), 0.6)
     policy = AugmentPolicy(p_aug=1.0, mix_ratio=0.7)
-    out_sample, out_labels = augment_sample(
-        sample, labels, rel, split, full_bank(), policy, SIMILAR,
+    out_sample, out_labels = augment(
+        sample, labels, rel, frozenset({0}), full_bank(), policy, SIMILAR,
         np.random.default_rng(2))
     # every instance blended; majority soft label peaks at the mix ratio
     assert out_labels.classes[0].max() == pytest.approx(0.7)
@@ -258,13 +254,12 @@ def test_always_augment_majority_in_similar_sample():
 def test_class_vectors_stay_simplex_under_repeated_augmentation():
     sample, labels = make_sample_with_labels()
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
-    split = ClassSplit(frozenset({0}), frozenset({1}), 0.6)
     bank = full_bank()
     rng = np.random.default_rng(3)
     current_sample, current_labels = sample, labels
     for _ in range(10):
-        current_sample, current_labels = augment_sample(
-            current_sample, current_labels, rel, split, bank,
+        current_sample, current_labels = augment(
+            current_sample, current_labels, rel, frozenset({0}), bank,
             AugmentPolicy(p_aug=1.0), SIMILAR, rng)
         for _, vec in current_labels:
             assert vec.sum() == pytest.approx(1.0)

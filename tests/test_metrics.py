@@ -210,6 +210,19 @@ def test_evaluate_matches_object_oracle_on_missing_classes():
     assert ap[2] == 0.0 and np.isnan(ap[3]) and ap[0] > 0.0
 
 
+def test_evaluate_rejects_a_ground_truth_class_it_does_not_report():
+    # the per-class list has num_classes entries, so a class outside it must not
+    # enter the mAP either
+    samples, params = eval_world(0)
+    for bad in (3, -1):
+        samples[0].gt_classes = np.array([bad, *samples[0].gt_classes[1:]])
+        with pytest.raises(ValueError, match="ground-truth class"):
+            evaluate(params, samples)
+    samples[0].gt_classes[0] = 3
+    doc = evaluate(params, samples, num_classes=5).to_dict()
+    assert np.isnan(doc["per_class_ap"][4]) and not np.isnan(doc["per_class_ap"][3])
+
+
 def test_evaluate_of_no_samples_matches_object_oracle():
     _, params = eval_world(0)
     doc = assert_evaluate_matches_oracle(params, [])

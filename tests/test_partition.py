@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from detadapt.cropbank import DISSIMILAR, SIMILAR
 from bruteforce import oracle_mc_passes
 from detadapt.detector import BLOCK_SAMPLES
-from detadapt.partition import (VarianceReport, box_variance, cls_variance,
-                                mc_passes, partition, split_by_variance)
+from detadapt.partition import (DISSIMILAR, SIMILAR, VarianceReport, box_variance,
+                                cls_variance, mc_passes, partition, split_by_variance)
 from test_detector import mixed_samples, random_params, random_sample
 
 
@@ -150,7 +149,8 @@ def test_partition_end_to_end_is_deterministic():
     b = partition(samples, params, 4, 0.5, np.random.default_rng(0))
     assert a.similar == b.similar
     assert a.to_csv_text() == b.to_csv_text()
-    assert len(a.similar) + len(a.dissimilar) == 8
+    assert a.similar == {r.sample_id for r in a.rows if r.subset == SIMILAR}
+    assert sorted(r.sample_id for r in a.rows) == list(range(8))
     with pytest.raises(ValueError):
         partition(samples, params, 4, 1.5, np.random.default_rng(0))
 
@@ -176,7 +176,7 @@ def test_report_csv_layout():
     from detadapt.partition import VarianceRow
     for sid, rank, level, subset in ranked:
         report_rows.append(VarianceRow(sid, 1.0, 2.0, dict(rows)[sid], rank, level, subset))
-    report = VarianceReport(report_rows, frozenset({0}), frozenset({1}))
+    report = VarianceReport(report_rows, frozenset({0}))
     text = report.to_csv_text()
     header = text.splitlines()[0]
     assert header == "sample_id,v_b,v_c,v,rank,level,subset"

@@ -6,9 +6,9 @@ import pytest
 from bruteforce import oracle_adapt
 from detadapt import detector, trainer
 from detadapt.config import AdaptationConfig, default_config
-from detadapt.cropbank import DISSIMILAR, SIMILAR
 from detadapt.detector import ModelParams
 from detadapt.metrics import evaluate
+from detadapt.partition import DISSIMILAR, SIMILAR
 from detadapt.trainer import (DiscriminatorParams, SealedDataset,
                               SourceAccessError, ablation_variants, adapt,
                               discriminator_loss, pretrain_source)
@@ -267,18 +267,19 @@ def test_adapt_matches_per_sample_object_loop_oracle(variant, background_bar, bu
 
 
 def test_crop_bank_and_class_split_serve_augmentation_alone(busy_run, monkeypatch):
-    # the busy run's relation matrix becomes ready, so the +SA run splits the
-    # classes and fills the bank; the base run, which reads neither, does neither
+    # the busy run's relation matrix becomes ready, so the +SA run takes the
+    # majority classes and fills the bank; the base run, which reads neither,
+    # does neither
     config, params, target = busy_run
     calls = []
-    for cls, name in ((trainer.Cropbank, "push"), (trainer.RelationMatrix, "split")):
+    for cls, name in ((trainer.Cropbank, "push"), (trainer.RelationMatrix, "majority")):
         def counted(*args, real=getattr(cls, name), name=name, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
     variants = ablation_variants(config)
     adapt(params, target, variants["sa"])
-    assert {"push", "split"} <= set(calls)
+    assert {"push", "majority"} <= set(calls)
     calls.clear()
     adapt(params, target, variants["base"])
     assert calls == []

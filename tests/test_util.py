@@ -22,7 +22,7 @@ def _history(version):
 
 def _report(version):
     row = VarianceRow(7, 0.1, 0.2 + version, 0.3, 1, 1.0, "similar")
-    return VarianceReport([row], frozenset({7}), frozenset())
+    return VarianceReport([row], frozenset({7}))
 
 
 def _dataset(path, version):
