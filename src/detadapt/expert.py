@@ -3,7 +3,10 @@ pretrained vision model, plus the supervision loss it induces on the student.
 
 The oracle reads ground truth and corrupts it with configurable miss, flip and
 jitter rates, so label fidelity is an experimental knob rather than a model.
-Its labels are hard `Labels`, like the teacher's pseudo-labels.
+Its labels are hard `Labels`, like the teacher's pseudo-labels. The expert is
+frozen, as the foundation model it stands for: adaptation draws its labels
+once per sample, before the first epoch, from the sample's own sub-stream
+`rng_stream(seed, "expert", sample_id)`, and reuses them every epoch.
 """
 
 from __future__ import annotations

@@ -223,6 +223,12 @@ def adapt(
     labels' arrays of the whole batch give one `batch_confusion` and one
     relation update per batch (a batch without labels counts zero, which
     leaves the matrix as it is).
+
+    The expert is frozen: before epoch 0 each target sample's expert labels
+    are drawn once, from `rng_stream(seed, "expert", sample id)`, and matched
+    to its proposals once; augmentation and noise keep the proposal boxes, so
+    those matches hold in every epoch. Only their relation weights follow the
+    student, step by step.
     """
     config.validate()
     num_classes = config.num_classes
@@ -245,6 +251,14 @@ def adapt(
         report.save_csv(os.path.join(out_dir, "partition.csv"))
 
     ids = sorted(by_id)
+    # the expert is frozen: its labels, and their matches, are drawn once per sample
+    expert = {}
+    if config.enable_expert:
+        for sample_id in ids:
+            sample = by_id[sample_id]
+            elabels = expert_predict(config.expert, sample,
+                                     rng_stream(config.seed, "expert", sample_id), num_classes)
+            expert[sample_id] = elabels, match_labels(sample.proposal_boxes, elabels.boxes)
     for epoch in range(config.epochs):
         shuffle_rng = rng_stream(config.seed, "shuffle", epoch)
         aug_rng = rng_stream(config.seed, "augment", epoch)
@@ -270,11 +284,7 @@ def adapt(
                 strong = perturb_features(strong, config.noise_scale, noise_rng)
                 bg = None if config.background_bar is None else \
                     background_indices(teacher, sample, config.background_bar, scored=rows)
-                elabels = None
-                if config.enable_expert:
-                    expert_rng = rng_stream(config.seed, "expert", epoch, sample.id)
-                    elabels = expert_predict(config.expert, sample, expert_rng, num_classes)
-                views.append((strong, labels, matches, bg, elabels))
+                views.append((strong, labels, matches, bg, expert.get(sample.id)))
 
                 # bank absorbs the clean features of confident instances, for SA alone
                 if config.enable_sa:
@@ -284,14 +294,14 @@ def adapt(
             scored_s = Scored(student, [view[0] for view in views])
             predicted = scored_s.class_ids
             stu_targets, exp_targets, true_cls, pred_cls = [], [], [], []
-            for start, (strong, labels, matches, bg, elabels) in zip(scored_s.offsets, views):
+            for start, (strong, labels, matches, bg, frozen) in zip(scored_s.offsets, views):
                 true_cls.append(np.argmax(labels.classes, axis=1))
                 pred_cls.append(predicted[start + matches])
                 weights = relation_weights(relation, true_cls[-1], pred_cls[-1],
                                            config.weight_reg) if config.enable_sal else None
                 stu_targets.append(targets(strong, labels, weights, bg, matches))
                 if config.enable_expert:
-                    ematches = match_labels(strong.proposal_boxes, elabels.boxes)
+                    elabels, ematches = frozen
                     eweights = relation_weights(relation, np.argmax(elabels.classes, axis=1),
                                                 predicted[start + ematches], config.weight_reg) \
                         if config.enable_sal else None

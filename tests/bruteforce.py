@@ -492,7 +492,9 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
 
     Each sample gets its own teacher and student forward passes, one
     `Detection` per proposal; pseudo-labels, augmented labels and expert
-    labels are (`BBox`, class vector) pairs; the crop bank, an
+    labels are (`BBox`, class vector) pairs, the expert's drawn once per
+    sample before the first epoch from `rng_stream(seed, "expert", sample
+    id)` and matched anew each step; the crop bank, an
     `OracleCropbank`, takes one `CropEntry` per pseudo-label; each sample's
     losses come from the per-label loop oracles; the relation weights, the
     batch's confusion counts and the matrix update come from the per-pair
@@ -513,6 +515,11 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
     history = TrainHistory(num_classes)
 
     ids = sorted(by_id)
+    # the frozen expert labels each sample once, from the sample's own stream
+    expert = {sample.id: oracle_expert_predict(config.expert, sample,
+                                               rng_stream(config.seed, "expert", sample.id),
+                                               num_classes)
+              for sample in target_data} if config.enable_expert else {}
     for epoch in range(config.epochs):
         shuffle_rng = rng_stream(config.seed, "shuffle", epoch)
         aug_rng = rng_stream(config.seed, "augment", epoch)
@@ -537,12 +544,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                     strong = perturb_features(strong, config.noise_scale, noise_rng)
                 bg = None if config.background_bar is None else \
                     [det.proposal_index for det in dets if det.score < config.background_bar]
-                elabels = None
-                if config.enable_expert:
-                    elabels = oracle_expert_predict(
-                        config.expert, sample, rng_stream(config.seed, "expert", epoch, sample.id),
-                        num_classes)
-                views.append((strong, labels, bg, elabels))
+                views.append((strong, labels, bg, expert.get(sample.id)))
                 for det in pseudo:
                     bank.push(subset, det.class_id,
                               CropEntry(sample.proposal_features[det.proposal_index].copy(),

@@ -323,3 +323,58 @@ def test_config_dict_roundtrip_and_unknown_fields():
             AdaptationConfig.from_dict(bad)
     loose = AdaptationConfig.from_dict({"learning_rate": 1, "background_bar": None})
     assert loose.learning_rate == 1 and loose.background_bar is None
+
+
+def expert_label_sets(targets, count):
+    """The (boxes, classes) of each of a block's `count` samples in its expert targets."""
+    return [(t.boxes, t.classes) for t in targets[:count]]
+
+
+def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatch):
+    # the expert stands for a frozen model: one draw per target sample, all
+    # before training starts, and the same labels reach the loss every epoch
+    config = ablation_variants(tiny_config(epochs=3))["full"]
+    params, _ = pretrain_source(config)
+    target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
+    events, drawn, seen = [], {}, [{} for _ in range(config.epochs)]
+    block = []
+    real_predict, real_losses = trainer.expert_predict, trainer.supervised_losses
+    real_init, real_evaluate = detector.Scored.__init__, trainer.evaluate
+
+    def predict(spec, sample, rng, num_classes):
+        events.append("predict")
+        drawn[sample.id] = real_predict(spec, sample, rng, num_classes)
+        return drawn[sample.id]
+
+    def losses(scored, targets, expert=None):
+        if expert is not None:
+            epoch = events.count("epoch end")
+            for sample_id, labels in zip(block[-1], expert_label_sets(targets, len(block[-1]))):
+                seen[epoch].setdefault(sample_id, []).append(labels)
+        events.append("loss")
+        return real_losses(scored, targets, expert)
+
+    def init(self, params, samples, *args, **kwargs):
+        block.append([s.id for s in samples])
+        real_init(self, params, samples, *args, **kwargs)
+
+    def evaluate(*args, **kwargs):
+        if events[-1] != "epoch end":
+            events.append("epoch end")
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "expert_predict", predict)
+    monkeypatch.setattr(trainer, "supervised_losses", losses)
+    monkeypatch.setattr(detector.Scored, "__init__", init)
+    monkeypatch.setattr(trainer, "evaluate", evaluate)
+    adapt(params, target, config)
+    assert events.count("predict") == len(target)
+    assert events.index("loss") > max(i for i, e in enumerate(events) if e == "predict")
+    assert sorted(drawn) == sorted(s.id for s in target)
+    for epoch_labels in seen:
+        assert sorted(epoch_labels) == sorted(drawn)
+        for sample_id, sets in epoch_labels.items():
+            assert len(sets) == 1
+            boxes, classes = sets[0]
+            assert np.array_equal(boxes, drawn[sample_id].boxes)
+            assert np.array_equal(classes, drawn[sample_id].classes)
