@@ -4,9 +4,10 @@ The model is linear in the input features so every gradient below is derived by
 hand and checked against finite differences. Class index C (the last logit) is
 the background class. `Scored` is the one forward pass: it scores a block of
 samples, and a sample alone is a block of one. Training scores a batch in one
-block and computes every sample's supervised loss in one array kernel,
-`supervised_losses`; `detection_loss` and the expert's `expert_loss` are its
-one-sample case.
+block, matches and targets the batch's labels as one block (`match_labels`,
+`targets`, arrays with per-sample offsets) and computes every sample's
+supervised loss in one array kernel, `supervised_losses`; `detection_loss`
+and the expert's `expert_loss` are its one-sample case.
 """
 
 from __future__ import annotations
@@ -324,29 +325,72 @@ def smooth_l1_grad(diff: np.ndarray) -> np.ndarray:
     return np.where(np.abs(diff) < 1.0, diff, np.sign(diff))
 
 
-def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray) -> np.ndarray:
-    """Highest-IoU proposal per label; ties resolve to the lowest index."""
+def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray,
+                 offsets=None, label_offsets=None) -> np.ndarray:
+    """Each label's highest-IoU proposal of its own sample; ties resolve to the
+    lowest index, and a label overlapping none gets its sample's first row.
+
+    A block: sample i owns proposal rows offsets[i]:offsets[i + 1] and label
+    rows label_offsets[i]:label_offsets[i + 1]; without offsets all rows are
+    one sample's. Returns block rows. Each label's IoU is taken against its
+    own sample's rows alone, so memory grows with the pairs, not with the
+    block squared, and a sample matches as it does in its block of one.
+    """
+    proposal_boxes = np.reshape(proposal_boxes, (-1, 4))
+    label_boxes = np.reshape(label_boxes, (-1, 4))
+    offsets = np.array([0, len(proposal_boxes)] if offsets is None else offsets, dtype=int)
+    label_offsets = np.array([0, len(label_boxes)] if label_offsets is None else label_offsets,
+                             dtype=int)
     if len(label_boxes) == 0:
         return np.zeros(0, dtype=int)
-    return np.argmax(box_iou(np.reshape(label_boxes, (-1, 1, 4)),
-                             np.reshape(proposal_boxes, (1, -1, 4))), axis=1)
+    sample_of = np.repeat(np.arange(len(offsets) - 1), np.diff(label_offsets))
+    start, counts = offsets[sample_of], np.diff(offsets)[sample_of]
+    if counts.min() < 1:
+        raise ValueError("a label's sample has no proposals")
+    # one (label, proposal) pair per label and proposal of its sample, label by label
+    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    label = np.repeat(np.arange(len(counts)), counts)
+    local = np.arange(counts.sum()) - first[label]
+    iou = box_iou(label_boxes[label], proposal_boxes[start[label] + local])
+    best = np.maximum.reduceat(iou, first)
+    return start + np.minimum.reduceat(np.where(iou == best[label], local, counts[label]), first)
+
+
+def _segment_rows(offsets: np.ndarray, picks) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of segments `picks` of a packed array, segment i being rows
+    offsets[i]:offsets[i + 1], in pick order, and the picked segments' offsets."""
+    picks = np.asarray(picks, dtype=int)
+    starts, lengths = offsets[picks], offsets[picks + 1] - offsets[picks]
+    out = np.concatenate(([0], np.cumsum(lengths, dtype=int)))
+    return np.arange(out[-1]) + np.repeat(starts - out[:-1], lengths), out
 
 
 class Labels:
-    """A sample's label set as arrays: (n, 4) boxes and (n, C) class vectors.
+    """A block's label sets as arrays: (n, 4) boxes and (n, C) class vectors.
 
-    Class vectors are over the C foreground classes and may be soft. A label
-    set has its label count as length and iterates as (box, class_vec) rows.
+    Sample i's labels are rows offsets[i]:offsets[i + 1]; without offsets the
+    n labels are one sample's. Class vectors are over the C foreground classes
+    and may be soft. Labels have their label count as length and iterate as
+    (box, class_vec) rows.
     """
 
-    def __init__(self, boxes: np.ndarray, classes: np.ndarray):
+    def __init__(self, boxes: np.ndarray, classes: np.ndarray, offsets=None):
         self.boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
         self.classes = np.asarray(classes, dtype=float)
+        self.offsets = np.array([0, len(self.boxes)] if offsets is None else offsets, dtype=int)
 
     @classmethod
-    def one_hot(cls, boxes, class_ids, num_classes: int) -> "Labels":
+    def one_hot(cls, boxes, class_ids, num_classes: int, offsets=None) -> "Labels":
         """Hard labels: each class id becomes a one-hot class vector."""
-        return cls(boxes, np.eye(num_classes)[np.asarray(class_ids, dtype=int)])
+        return cls(boxes, np.eye(num_classes)[np.asarray(class_ids, dtype=int)], offsets)
+
+    @classmethod
+    def pack(cls, label_sets) -> "Labels":
+        """The label sets of consecutive samples, one each, as one block."""
+        label_sets = list(label_sets)
+        return cls(np.concatenate([s.boxes for s in label_sets] or [np.zeros((0, 4))]),
+                   np.concatenate([s.classes for s in label_sets] or [np.zeros((0, 0))]),
+                   np.cumsum([0] + [len(s) for s in label_sets]))
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -356,42 +400,78 @@ class Labels:
 
 
 class Targets(NamedTuple):
-    """One sample's supervision as arrays; `targets` builds it from labels."""
+    """A block's supervision as arrays; `targets` builds it from labels.
 
-    matches: np.ndarray     # (n,) the proposal each label supervises
-    classes: np.ndarray     # (n, C) foreground class vectors, possibly soft
-    boxes: np.ndarray       # (n, 4) label boxes
-    weights: np.ndarray     # (n,) cross-entropy weights
-    background: np.ndarray  # (b,) unmatched proposals with a background target
-
-
-def targets(sample: DetectionSample, labels: Labels, weights=None,
-            background="auto", matches: np.ndarray | None = None) -> Targets:
-    """The `Targets` of a label set on a sample, sharing the label arrays.
-
-    `matches` defaults to `match_labels` of the labels. `background` selects
-    which unmatched proposals get a background target: "auto" for all of them,
-    None for none, or an index list, kept in order and with its repeats.
-    Match and background indices must lie in [0, P): in a packed block any
-    other index would reach another sample's rows.
+    Indices are proposal indices within each sample. Sample i's labels are
+    rows offsets[i]:offsets[i + 1] of the label arrays and its background
+    proposals entries background_offsets[i]:background_offsets[i + 1], so a
+    block's targets are its samples' targets laid end to end.
     """
-    num_proposals = sample.num_proposals
+
+    matches: np.ndarray             # (n,) the proposal each label supervises
+    classes: np.ndarray             # (n, C) foreground class vectors, possibly soft
+    boxes: np.ndarray               # (n, 4) label boxes
+    weights: np.ndarray             # (n,) cross-entropy weights
+    background: np.ndarray          # (b,) unmatched proposals with a background target
+    offsets: np.ndarray             # (samples + 1,) label offsets
+    background_offsets: np.ndarray  # (samples + 1,) background offsets
+
+    def label_rows(self, offsets: np.ndarray) -> np.ndarray:
+        """Block rows of the labels' proposals in a pass whose sample i owns
+        rows offsets[i]:offsets[i + 1]."""
+        return np.repeat(offsets[:-1], np.diff(self.offsets)) + self.matches
+
+    def take(self, picks) -> "Targets":
+        """The targets of samples `picks`, in that order, as a block."""
+        lab, offsets = _segment_rows(self.offsets, picks)
+        bg, background_offsets = _segment_rows(self.background_offsets, picks)
+        return Targets(self.matches[lab], self.classes[lab], self.boxes[lab], self.weights[lab],
+                       self.background[bg], offsets, background_offsets)
+
+
+def targets(samples: list[DetectionSample], labels: Labels, weights=None,
+            background="auto", matches: np.ndarray | None = None) -> Targets:
+    """The `Targets` of a block's labels, one label set per sample.
+
+    Indices in are block rows: sample i owns rows offsets[i]:offsets[i + 1]
+    of its proposals laid end to end. `matches` defaults to `match_labels`
+    of the labels, and each must lie in its own label's sample. `background`
+    selects which unmatched proposals get a background target: "auto" for all
+    of them, None for none, or rows of the block (such as `background_indices`
+    of the block's pass), kept in order and with their repeats within each
+    sample; each must lie in the block. Any other index would supervise
+    another sample's proposal, or wrap around the block, so it raises
+    `ValueError`. A sample alone is the block `[sample]`.
+    """
+    counts = np.array([s.num_proposals for s in samples], dtype=int)
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
+    if len(labels.offsets) != len(samples) + 1:
+        raise ValueError("labels must hold one label set per sample")
     if matches is None:
-        matches = match_labels(sample.proposal_boxes, labels.boxes)
+        boxes = np.concatenate([s.proposal_boxes for s in samples] or [np.zeros((0, 4))])
+        matches = match_labels(boxes, labels.boxes, offsets, labels.offsets)
     matches = np.asarray(matches, dtype=int)
     weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
-    if weights.shape != (len(labels),):
-        raise ValueError("weights must align with labels")
+    if weights.shape != (len(labels),) or matches.shape != (len(labels),):
+        raise ValueError("weights and matches must align with labels")
     if isinstance(background, str):
-        background = np.arange(num_proposals)
+        background = np.arange(offsets[-1])
     background = np.asarray([] if background is None else background, dtype=int)
-    for name, index in (("match", matches), ("background", background)):
-        if len(index) and (index.min() < 0 or index.max() >= num_proposals):
-            raise ValueError(f"{name} index outside [0, {num_proposals})")
-    unmatched = np.ones(num_proposals, dtype=bool)
+    sample_of = np.repeat(np.arange(len(samples)), np.diff(labels.offsets))
+    local = matches - offsets[sample_of]
+    if len(local) and (local.min() < 0 or np.any(local >= counts[sample_of])):
+        raise ValueError("match index outside its label's sample")
+    if len(background) and (background.min() < 0 or background.max() >= offsets[-1]):
+        raise ValueError(f"background index outside the block [0, {offsets[-1]})")
+    unmatched = np.ones(offsets[-1], dtype=bool)
     unmatched[matches] = False
-    return Targets(matches, labels.classes, labels.boxes, weights,
-                   background[unmatched[background]])
+    background = background[unmatched[background]]
+    owner = np.searchsorted(offsets, background, side="right") - 1
+    grouped = np.argsort(owner, kind="stable")
+    background, owner = background[grouped], owner[grouped]
+    background_offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(samples)))))
+    return Targets(local, labels.classes, labels.boxes, weights, background - offsets[owner],
+                   labels.offsets, background_offsets)
 
 
 def _mean(terms: np.ndarray) -> float:
@@ -399,14 +479,14 @@ def _mean(terms: np.ndarray) -> float:
     return float(np.cumsum(terms)[-1]) / len(terms) if len(terms) else 0.0
 
 
-def supervised_losses(scored: Scored, targets: list[Targets],
+def supervised_losses(scored: Scored, targets: Targets,
                       expert: tuple[float, float] | None = None
                       ) -> list[tuple[float, GradientSet]]:
     """Supervised loss and its exact gradients for each sample of a packed block.
 
     Sample i of `scored` (rows `offsets[i]:offsets[i + 1]`) is supervised by
-    `targets[i]`: each label by weighted cross-entropy and smooth-L1 on the
-    refined coordinates of its matched proposal.
+    its part of the block's `targets`: each label by weighted cross-entropy
+    and smooth-L1 on the refined coordinates of its matched proposal.
 
     - `expert` None gives the detection loss. Each background proposal adds a
       CE term toward the background class, with weight 1. CE averages over
@@ -420,22 +500,23 @@ def supervised_losses(scored: Scored, targets: list[Targets],
     bit for bit, in that loop's order: CE rows are a sample's labels, then its
     background proposals; `np.add.at` accumulates rows that repeat in order.
     """
-    num_fg, n = scored.num_classes, len(targets)
+    num_fg, n = scored.num_classes, len(scored.offsets) - 1
+    if len(targets.offsets) != n + 1 or len(targets.background_offsets) != n + 1:
+        raise ValueError(f"targets of {len(targets.offsets) - 1} samples for a block of {n}")
     starts, counts = scored.offsets[:-1], np.diff(scored.offsets)
-    n_lab = np.array([len(t.matches) for t in targets])
-    n_bg = np.array([len(t.background) for t in targets])
+    n_lab, n_bg = np.diff(targets.offsets), np.diff(targets.background_offsets)
     lab_of, bg_of = np.repeat(np.arange(n), n_lab), np.repeat(np.arange(n), n_bg)
-    lab_rows = starts[lab_of] + np.concatenate([t.matches for t in targets])
-    boxes = np.concatenate([t.boxes for t in targets])
+    lab_rows = targets.label_rows(scored.offsets)
+    boxes = targets.boxes
 
     # CE rows, sample by sample: the labels, then the background proposals
     order = np.argsort(np.concatenate((lab_of, bg_of)), kind="stable")
-    bg_rows = starts[bg_of] + np.concatenate([t.background for t in targets])
+    bg_rows = starts[bg_of] + targets.background
     rows = np.concatenate((lab_rows, bg_rows))
     target = np.zeros((len(rows), num_fg + 1))
-    target[:len(lab_rows), :num_fg] = np.concatenate([t.classes for t in targets])
+    target[:len(lab_rows), :num_fg] = targets.classes
     target[len(lab_rows):, num_fg] = 1.0
-    w = np.concatenate([t.weights for t in targets] + [np.ones(len(bg_of))])
+    w = np.concatenate((targets.weights, np.ones(len(bg_of))))
     rows, target, w = rows[order], target[order], w[order]
     # a stack of (1, K) @ (K, 1) products is one BLAS dot per row, like `target @ row`
     ce = -w * (target[:, None, :] @ scored.log_scores[rows][:, :, None])[:, 0, 0]
@@ -458,8 +539,8 @@ def supervised_losses(scored: Scored, targets: list[Targets],
         d_logits *= expert[0] / per_row
         d_refined *= expert[1] / per_row
 
-    ce_off = np.concatenate(([0], np.cumsum(n_lab + n_bg)))
-    lab_off = np.concatenate(([0], np.cumsum(n_lab)))
+    ce_off = targets.offsets + targets.background_offsets
+    lab_off = targets.offsets
     out = []
     for i, (a, b) in enumerate(zip(starts, scored.offsets[1:])):
         loss_cls = _mean(ce[ce_off[i]:ce_off[i + 1]])
@@ -481,7 +562,7 @@ def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     gives the terms.
     """
     return supervised_losses(Scored(params, [sample]),
-                             [targets(sample, labels, weights, background)])[0]
+                             targets([sample], labels, weights, background))[0]
 
 
 def sgd_step(params: ModelParams, grads: GradientSet, lr: float) -> ModelParams:

@@ -71,5 +71,5 @@ def expert_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     The one-sample case of `supervised_losses`; no labels give zero.
     """
     return supervised_losses(Scored(params, [sample]),
-                             [targets(sample, labels, weights, background=None)],
+                             targets([sample], labels, weights, background=None),
                              expert=(cls_weight, reg_weight))[0]

@@ -1,7 +1,8 @@
 """Mean-teacher self-training: confidence-filtered pseudo-labels, EMA teacher.
 
-The teacher's verdicts are proposal indices into its `Scored` of a sample:
-the sample's rows of a block, or its own block of one.
+The teacher's verdicts are row indices into its `Scored`: `pseudo_label` reads
+one sample's rows of a block, or its own block of one; `background_indices`
+reads a whole block.
 """
 
 from __future__ import annotations
@@ -45,13 +46,16 @@ def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> M
     )
 
 
-def background_indices(teacher: ModelParams, sample: DetectionSample, bar: float,
+def background_indices(teacher: ModelParams, samples: list[DetectionSample], bar: float,
                        *, scored: Scored | None = None) -> np.ndarray:
-    """Proposals the teacher is confident are background (max fg score below bar).
+    """Rows of a block the teacher is confident are background (max fg score
+    below bar).
 
     Proposals between the bar and the pseudo-label threshold stay unsupervised.
-    `scored` works as in `pseudo_label`.
+    `scored` (the teacher's `Scored` of the block) skips the forward pass;
+    without it the teacher scores `samples`. A sample alone is the block
+    `[sample]`, whose rows are its proposal indices.
     """
     if scored is None:
-        scored = Scored(teacher, [sample])
+        scored = Scored(teacher, samples)
     return np.flatnonzero(scored.fg_scores < bar)

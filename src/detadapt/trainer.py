@@ -8,8 +8,9 @@ The teacher only ever moves by EMA; gradients touch only the student. Each
 batch's losses come from one packed pass of the model being trained and one
 call of the `supervised_losses` kernel per loss; in adaptation one packed
 teacher pass gives the batch's pseudo-labels. Labels reach the kernel as
-`Labels` arrays. All randomness flows from the single config seed through
-named sub-streams, so a run is a pure function of its config.
+`Targets` of the whole batch, arrays with per-sample offsets. All randomness
+flows from the single config seed through named sub-streams, so a run is a
+pure function of its config.
 """
 
 from __future__ import annotations
@@ -160,9 +161,10 @@ def _batches(order: np.ndarray, batch_size: int):
 def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDataset]:
     """Supervised training on freshly generated source data, then seal it.
 
-    Ground-truth targets and their matches are built once; each batch is then
-    one packed pass and one `supervised_losses` call, its per-sample gradients
-    summed in batch order. With pretrain_epochs=0 the randomly initialized
+    Ground-truth targets and their matches are built once, as one `Targets`
+    block of the source set; each batch takes its samples' part
+    (`Targets.take`) for one packed pass and one `supervised_losses` call,
+    its per-sample gradients summed in batch order. With pretrain_epochs=0 the randomly initialized
     model is returned as-is. The sealed handle is returned so callers can
     prove the source stays closed.
     """
@@ -171,17 +173,16 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
     params = ModelParams.init(config.num_classes, config.source.feature_dim,
                               rng_stream(config.seed, "init"),
                               dropout_rate=config.dropout_rate)
-    # ground-truth matches never change, so the targets are built once
-    source_targets = [targets(s, Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes))
-                      for s in source_data]
+    # ground-truth matches never change, so the targets are built once, as one block
+    source_targets = targets(source_data, Labels.pack(
+        Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes) for s in source_data))
     shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
     for epoch in range(config.pretrain_epochs):
         order = shuffle_rng.permutation(len(source_data))
         for batch in _batches(order, config.batch_size):
-            batch = batch.tolist()
-            scored = Scored(params, [source_data[i] for i in batch])
+            scored = Scored(params, [source_data[i] for i in batch.tolist()])
             total = GradientSet.zeros_like(params)
-            for loss, grads in supervised_losses(scored, [source_targets[i] for i in batch]):
+            for loss, grads in supervised_losses(scored, source_targets.take(batch)):
                 if not np.isfinite(loss):
                     raise TrainingError(f"non-finite pretrain loss at epoch {epoch}")
                 total = total + grads
@@ -205,30 +206,35 @@ def adapt(
     banks absorb the batch statistics.
 
     Per sample-step each model runs forward once, in one packed pass per
-    batch, since neither model moves within a batch. Sample by sample, the
-    teacher's rows of its pass give the confident proposals, which become
-    hard `Labels`, and the background proposals. With SA on, each batch takes
-    `relation.majority()` once the matrix is ready, and the crop bank files
-    sample k's confident features under their pseudo-label classes, in one
-    push, before sample k + 1 is augmented; `aug_rng` draws in that order.
-    With SA off nothing reads the bank or the majority set, so neither is
-    filled nor computed.
-
-    The student's pass over the strong views feeds one `supervised_losses`
-    call per loss. Each label set is matched to the proposals once;
-    augmentation keeps label and proposal boxes, so the matches serve the
-    losses and the relation statistics alike. A label's class and the
-    student's class at its matched proposal travel as two int arrays: with
-    SAL on they give each sample's `relation_weights`, and the student
-    labels' arrays of the whole batch give one `batch_confusion` and one
-    relation update per batch (a batch without labels counts zero, which
-    leaves the matrix as it is).
+    batch, since neither model moves within a batch. The batch's labels,
+    targets and weights are arrays over the whole batch, with per-sample
+    offsets; Python loops over samples only where the order demands it:
+    - The teacher's pass gives each sample's confident rows (`pseudo_label`
+      on the sample's rows) and the batch's background rows
+      (`background_indices`, once). The confident rows become the batch's
+      hard `Labels`, matched to the proposals in one `match_labels` call.
+      Augmentation keeps label and proposal boxes, so the matches serve the
+      losses and the relation statistics alike.
+    - With SA on, each batch takes `relation.majority()` once the matrix is
+      ready; sample k's labels are augmented, then the crop bank files its
+      confident features under their pseudo-label classes, in one push,
+      before sample k + 1 is augmented; `aug_rng` draws in that order. With
+      SA off nothing reads the bank or the majority set, so neither is
+      filled nor computed. The batch's noise is one draw.
+    - The student's pass over the strong views feeds one `targets` and one
+      `supervised_losses` call per loss. A label's class and the student's
+      class at its matched proposal travel as two int arrays: with SAL on
+      they give one `relation_weights` call per loss, normalised per sample,
+      and the student labels' arrays give one `batch_confusion` and one
+      relation update per batch (a batch without labels counts zero, which
+      leaves the matrix as it is).
 
     The expert is frozen: before epoch 0 each target sample's expert labels
     are drawn once, from `rng_stream(seed, "expert", sample id)`, and matched
-    to its proposals once; augmentation and noise keep the proposal boxes, so
-    those matches hold in every epoch. Only their relation weights follow the
-    student, step by step.
+    to its proposals once, as one `Targets` block of the whole target set;
+    augmentation and noise keep the proposal boxes, so those matches hold in
+    every epoch. Each batch takes its samples' part (`Targets.take`); only
+    their relation weights follow the student, step by step.
     """
     config.validate()
     num_classes = config.num_classes
@@ -252,13 +258,12 @@ def adapt(
 
     ids = sorted(by_id)
     # the expert is frozen: its labels, and their matches, are drawn once per sample
-    expert = {}
+    expert = None
     if config.enable_expert:
-        for sample_id in ids:
-            sample = by_id[sample_id]
-            elabels = expert_predict(config.expert, sample,
-                                     rng_stream(config.seed, "expert", sample_id), num_classes)
-            expert[sample_id] = elabels, match_labels(sample.proposal_boxes, elabels.boxes)
+        ordered = [by_id[sample_id] for sample_id in ids]
+        expert = targets(ordered, Labels.pack(
+            expert_predict(config.expert, s, rng_stream(config.seed, "expert", s.id), num_classes)
+            for s in ordered), background=None)
     for epoch in range(config.epochs):
         shuffle_rng = rng_stream(config.seed, "shuffle", epoch)
         aug_rng = rng_stream(config.seed, "augment", epoch)
@@ -270,47 +275,58 @@ def adapt(
             majority = relation.majority() if config.enable_sa and relation.ready else None
             samples = [by_id[ids[int(pos)]] for pos in batch]
             scored_t = Scored(teacher, samples)
-            views = []
-            for i, sample in enumerate(samples):
-                subset = report.subset_of(sample.id)
-                rows = scored_t.sample(i)
-                pseudo = pseudo_label(teacher, sample, config.conf_threshold, scored=rows)
-                clean = Labels.one_hot(rows.boxes[pseudo], rows.class_ids[pseudo], num_classes)
-                matches = match_labels(sample.proposal_boxes, clean.boxes)
-                strong, labels = sample, clean
-                if majority is not None:
-                    strong, labels = augment_sample(sample, clean, relation, majority, bank,
-                                                    policy, subset, aug_rng, matches=matches)
-                strong = perturb_features(strong, config.noise_scale, noise_rng)
-                bg = None if config.background_bar is None else \
-                    background_indices(teacher, sample, config.background_bar, scored=rows)
-                views.append((strong, labels, matches, bg, expert.get(sample.id)))
+            offsets = scored_t.offsets
+            # the teacher's confident rows become the batch's hard labels, one block
+            confident = [offsets[i] + pseudo_label(teacher, sample, config.conf_threshold,
+                                                   scored=scored_t.sample(i))
+                         for i, sample in enumerate(samples)]
+            rows = np.concatenate(confident)
+            label_offsets = np.cumsum([0] + [len(c) for c in confident])
+            labels = Labels.one_hot(scored_t.boxes[rows], scored_t.class_ids[rows], num_classes,
+                                    label_offsets)
+            matches = match_labels(np.concatenate([s.proposal_boxes for s in samples]),
+                                   labels.boxes, offsets, label_offsets)
 
-                # bank absorbs the clean features of confident instances, for SA alone
-                if config.enable_sa:
-                    bank.push(subset, rows.class_ids[pseudo], sample.proposal_features[pseudo])
+            strong = samples
+            if config.enable_sa:
+                strong = []
+                for i, sample in enumerate(samples):
+                    subset = report.subset_of(sample.id)
+                    own = slice(label_offsets[i], label_offsets[i + 1])
+                    view = sample
+                    if majority is not None:
+                        view, mixed = augment_sample(
+                            sample, Labels(labels.boxes[own], labels.classes[own]), relation,
+                            majority, bank, policy, subset, aug_rng,
+                            matches=matches[own] - offsets[i])
+                        labels.classes[own] = mixed.classes
+                    strong.append(view)
+                    # the bank absorbs the clean features of confident instances
+                    bank.push(subset, scored_t.class_ids[rows[own]],
+                              sample.proposal_features[rows[own] - offsets[i]])
+            strong = perturb_features(strong, config.noise_scale, noise_rng)
+            bg = None if config.background_bar is None else \
+                background_indices(teacher, samples, config.background_bar, scored=scored_t)
 
             # the student does not move within a batch: one pass scores every view
-            scored_s = Scored(student, [view[0] for view in views])
+            scored_s = Scored(student, strong)
             predicted = scored_s.class_ids
-            stu_targets, exp_targets, true_cls, pred_cls = [], [], [], []
-            for start, (strong, labels, matches, bg, frozen) in zip(scored_s.offsets, views):
-                true_cls.append(np.argmax(labels.classes, axis=1))
-                pred_cls.append(predicted[start + matches])
-                weights = relation_weights(relation, true_cls[-1], pred_cls[-1],
-                                           config.weight_reg) if config.enable_sal else None
-                stu_targets.append(targets(strong, labels, weights, bg, matches))
-                if config.enable_expert:
-                    elabels, ematches = frozen
-                    eweights = relation_weights(relation, np.argmax(elabels.classes, axis=1),
-                                                predicted[start + ematches], config.weight_reg) \
-                        if config.enable_sal else None
-                    exp_targets.append(targets(strong, elabels, eweights, None, ematches))
-
+            true_cls, pred_cls = np.argmax(labels.classes, axis=1), predicted[matches]
+            weights = relation_weights(relation, true_cls, pred_cls, config.weight_reg,
+                                       label_offsets) if config.enable_sal else None
+            stu_targets = targets(strong, labels, weights, bg, matches)
             # one kernel call per loss; gradients add up per sample, student then expert
-            expert_terms = supervised_losses(scored_s, exp_targets, (config.expert_cls_weight,
-                                                                     config.expert_reg_weight)) \
-                if config.enable_expert else []
+            expert_terms = []
+            if expert is not None:
+                exp_targets = expert.take(batch)
+                if config.enable_sal:
+                    exp_targets = exp_targets._replace(weights=relation_weights(
+                        relation, np.argmax(exp_targets.classes, axis=1),
+                        predicted[exp_targets.label_rows(offsets)], config.weight_reg,
+                        exp_targets.offsets))
+                expert_terms = supervised_losses(scored_s, exp_targets,
+                                                 (config.expert_cls_weight,
+                                                  config.expert_reg_weight))
             total = GradientSet.zeros_like(student)
             for i, (loss_stu, g_stu) in enumerate(supervised_losses(scored_s, stu_targets)):
                 total = total + g_stu.scaled(config.unsup_weight)
@@ -324,8 +340,7 @@ def adapt(
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             student = sgd_step(student, total.scaled(1.0 / len(batch)), config.learning_rate)
             teacher = ema_update(teacher, student, config.teacher_ema)
-            relation.update(batch_confusion(np.concatenate(true_cls), np.concatenate(pred_cls),
-                                            num_classes))
+            relation.update(batch_confusion(true_cls, pred_cls, num_classes))
 
         teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)
         student_eval = evaluate(student, eval_data, num_classes=num_classes)

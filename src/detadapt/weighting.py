@@ -17,22 +17,34 @@ from .relation import RelationMatrix
 DENOM_FLOOR = 1e-6
 
 
-def relation_weights(relation: RelationMatrix, true_cls, pred_cls, reg: float) -> np.ndarray:
-    """Weights of one sample's labels, from their label and predicted classes.
+def relation_weights(relation: RelationMatrix, true_cls, pred_cls, reg: float,
+                     offsets=None) -> np.ndarray:
+    """Weights of a block's labels, from their label and predicted classes.
 
-    One gather from the matrix gives each label's R[c,x] and R[c,c]. The raw
-    weights (R[c,c] floored at `DENOM_FLOOR` as a divisor) are divided by
-    their mean, or set to 1 when the mean is not positive, so a fresh
-    identity matrix with all-correct predictions does not stall training.
-    They then become (w + reg) / (1 + reg), which keeps a mean of 1. No
-    labels give no weights; a negative `reg` raises `ValueError`.
+    Sample i's labels are entries offsets[i]:offsets[i + 1]; without offsets
+    all are one sample's. One gather from the matrix gives each label's R[c,x]
+    and R[c,c]. The raw weights (R[c,c] floored at `DENOM_FLOOR` as a divisor)
+    are divided by their sample's mean, or set to 1 where that mean is not
+    positive, so a fresh identity matrix with all-correct predictions does not
+    stall training. They then become (w + reg) / (1 + reg), which keeps each
+    sample's mean at 1. No labels give no weights; a negative `reg` raises
+    `ValueError`.
     """
     if reg < 0:
         raise ValueError("regularizer must be non-negative")
     true_cls, pred_cls = np.asarray(true_cls, dtype=int), np.asarray(pred_cls, dtype=int)
+    offsets = np.array([0, len(true_cls)] if offsets is None else offsets, dtype=int)
     pair, diag = relation.matrix[true_cls, np.array((pred_cls, true_cls))]
     raw = np.sqrt(np.maximum(np.where(true_cls == pred_cls, 1.0 - pair,
                                       pair / np.maximum(diag, DENOM_FLOOR)), 0.0))
-    mean = raw.sum() / len(raw) if len(raw) else 0.0  # as `raw.mean()`, bit for bit, at less cost
-    w = raw / mean if mean > 0.0 else np.ones(len(raw))
+    # each sample's mean as its `raw.mean()`, bit for bit: the row sums of a
+    # (samples, count) gather add up as a sample's own sum does
+    counts = np.diff(offsets)
+    sums = np.zeros(len(counts))
+    for count in set(counts.tolist()) - {0}:
+        same = np.flatnonzero(counts == count)
+        sums[same] = raw[offsets[same, None] + np.arange(count)].sum(axis=1)
+    mean = np.repeat(sums / np.maximum(counts, 1), counts)
+    w = np.ones(len(raw))
+    np.divide(raw, mean, out=w, where=mean > 0.0)
     return (w + reg) / (1.0 + reg)

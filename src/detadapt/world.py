@@ -126,12 +126,20 @@ class DetectionSample:
                                self.gt_boxes, self.gt_classes)
 
 
-def perturb_features(sample: DetectionSample, scale: float, rng: np.random.Generator) -> DetectionSample:
-    """Strong-view augmentation: additive Gaussian noise on every proposal feature."""
-    if scale <= 0.0:
-        return sample
-    noise = scale * rng.standard_normal(sample.proposal_features.shape)
-    return sample.with_features(sample.proposal_features + noise)
+def perturb_features(samples: list[DetectionSample], scale: float,
+                     rng: np.random.Generator) -> list[DetectionSample]:
+    """Strong-view augmentation: additive Gaussian noise on every proposal
+    feature of a block of samples.
+
+    The noise of the whole block is one draw, in sample order, which equals
+    one draw per sample in turn. A sample alone is the block `[sample]`.
+    """
+    if scale <= 0.0 or not samples:
+        return list(samples)
+    features = np.concatenate([s.proposal_features for s in samples])
+    noisy = features + scale * rng.standard_normal(features.shape)
+    ends = np.cumsum([s.num_proposals for s in samples])
+    return [s.with_features(noisy[end - s.num_proposals:end]) for s, end in zip(samples, ends)]
 
 
 @dataclass

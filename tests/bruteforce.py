@@ -26,8 +26,8 @@ from collections import deque
 import numpy as np
 
 from detadapt.cropbank import AugmentPolicy
-from detadapt.detector import (Detection, GradientSet, ModelParams, match_labels, sgd_step,
-                               smooth_l1, smooth_l1_grad)
+from detadapt.detector import (Detection, GradientSet, ModelParams, sgd_step, smooth_l1,
+                               smooth_l1_grad)
 from detadapt.metrics import FPI_POINTS, EvalResult, evaluate
 from detadapt.partition import DISSIMILAR, SIMILAR, SUBSETS, partition
 from detadapt.relation import RelationMatrix
@@ -35,8 +35,33 @@ from detadapt.teacher import ema_update
 from detadapt.trainer import EpochRecord, TrainHistory
 from detadapt.util import derive_seed, rng_stream
 from detadapt.weighting import DENOM_FLOOR
-from detadapt.world import (BBox, DetectionSample, box_array, generate_domain,
+from detadapt.world import (BBox, DetectionSample, box_array, box_iou, generate_domain,
                             perturb_features)
+
+
+def oracle_match_labels(proposal_boxes, label_boxes) -> np.ndarray:
+    """One sample's `match_labels`: the argmax of each row of its full (labels,
+    proposals) IoU matrix, ties to the lowest index."""
+    if len(label_boxes) == 0:
+        return np.zeros(0, dtype=int)
+    return np.argmax(box_iou(np.reshape(label_boxes, (-1, 1, 4)),
+                             np.reshape(proposal_boxes, (1, -1, 4))), axis=1)
+
+
+def oracle_targets(sample, labels, weights=None, background="auto", matches=None):
+    """One sample's `targets` as (matches, classes, boxes, weights, background):
+    proposal indices of the sample, the background list in order with its
+    repeats, less the matched proposals."""
+    if matches is None:
+        matches = oracle_match_labels(sample.proposal_boxes, labels.boxes)
+    matches = np.asarray(matches, dtype=int)
+    weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
+    if isinstance(background, str):
+        background = np.arange(sample.num_proposals)
+    background = np.asarray([] if background is None else background, dtype=int)
+    unmatched = np.ones(sample.num_proposals, dtype=bool)
+    unmatched[matches] = False
+    return matches, labels.classes, labels.boxes, weights, background[unmatched[background]]
 
 
 def bbox_pairs(labels) -> list[tuple[BBox, np.ndarray]]:
@@ -166,7 +191,7 @@ def oracle_detection_loss(
 
     h, log_scores, scores, refined = oracle_forward_arrays(params, sample)
     n_prop = sample.num_proposals
-    matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
+    matches = oracle_match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
 
     matched = set(matches.tolist())
     if background == "auto":
@@ -243,7 +268,7 @@ def oracle_expert_loss(
 
     h, log_scores, scores, refined = oracle_forward_arrays(params, sample)
     num_fg = params.num_classes
-    matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
+    matches = oracle_match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
 
     d_logits = np.zeros_like(scores)
     d_refined = np.zeros_like(refined)
@@ -410,7 +435,7 @@ def oracle_augment_sample(sample, labels, relation, split, bank, policy, sample_
         return sample, []
     majority, minority = split
     features = sample.proposal_features.copy()
-    matches = match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
+    matches = oracle_match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
     preference = oracle_preference(sample_subset)
     new_labels = []
     for i, (box, class_vec) in enumerate(labels):
@@ -480,7 +505,7 @@ def oracle_update(relation, counts: np.ndarray):
 def _oracle_pairs(model, strong, labels, relation, config):
     """(label class, predicted class) pairs of labels on a view, and their relation weights."""
     classes = [det.class_id for det in oracle_detections(model, strong)]
-    matches = match_labels(strong.proposal_boxes, box_array(box for box, _ in labels))
+    matches = oracle_match_labels(strong.proposal_boxes, box_array(box for box, _ in labels))
     pairs = [(int(np.argmax(vec)), classes[j]) for (_, vec), j in zip(labels, matches.tolist())]
     weights = oracle_relation_weights(relation, pairs, config.weight_reg) \
         if (config.enable_sal and pairs) else None
@@ -541,7 +566,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                     strong, labels = oracle_augment_sample(sample, labels, relation, split, bank,
                                                            policy, subset, aug_rng)
                 if config.noise_scale > 0:
-                    strong = perturb_features(strong, config.noise_scale, noise_rng)
+                    strong = perturb_features([strong], config.noise_scale, noise_rng)[0]
                 bg = None if config.background_bar is None else \
                     [det.proposal_index for det in dets if det.score < config.background_bar]
                 views.append((strong, labels, bg, expert.get(sample.id)))

@@ -63,20 +63,30 @@ def test_background_list_with_matched_and_repeated_indices():
         sample = random_sample(rng, num_proposals=6)
         labels = Labels(sample.proposal_boxes[1:2], [rng.dirichlet(np.ones(3))])
         background = [4, 1, 4, 0, 1, 5, 4]
-        assert targets(sample, labels, background=background).background.tolist() == \
+        assert targets([sample], labels, background=background).background.tolist() == \
             [4, 4, 0, 5, 4]
         check_sample(params, sample, labels, background=background)
 
 
-@pytest.mark.parametrize("matches,background", [
-    (None, [6]), (None, [-1]), ([6], None), ([-1], "auto")],
+@pytest.mark.parametrize("matches,background,lead,trail", [
+    (None, [6], 1, 0), (None, [-1], 0, 1), ([6], None, 1, 1), ([-1], "auto", 1, 1)],
     ids=["background_P", "background_negative", "match_P", "match_negative"])
-def test_targets_reject_indices_outside_the_sample(matches, background):
-    # in a packed block such an index would reach another sample's rows
-    sample = random_sample(np.random.default_rng(36), num_proposals=6)
-    labels = Labels(sample.proposal_boxes[1:2], [np.eye(3)[0]])
-    with pytest.raises(ValueError):
-        targets(sample, labels, background=background, matches=matches)
+def test_targets_reject_indices_outside_the_sample(matches, background, lead, trail):
+    # alone, and in a block with `lead` samples before it and `trail` after,
+    # where its indices are block rows, shifted by the rows before it: a match
+    # reaching a neighbour's rows would supervise that sample's proposal, and
+    # a background row, owned by the sample whose rows it indexes, would leave
+    # the block (or wrap around it, if negative)
+    rng = np.random.default_rng(36)
+    sample = random_sample(rng, num_proposals=6)
+    for before, after in ((0, 0), (lead, trail)):
+        others = [random_sample(rng, num_proposals=3) for _ in range(before + after)]
+        block = others[:before] + [sample] + others[before:]
+        labels = Labels(sample.proposal_boxes[1:2], [np.eye(3)[0]],
+                        [0] * (before + 1) + [1] * (after + 1))
+        shift = lambda index: index if index in (None, "auto") else [3 * before + index[0]]
+        with pytest.raises(ValueError):
+            targets(block, labels, background=shift(background), matches=shift(matches))
 
 
 @pytest.mark.parametrize("background", [None, "auto"])
@@ -106,17 +116,21 @@ def test_packed_block_matches_per_sample_oracles():
         samples = mixed_samples(rng, sizes)
         labels = [random_labels(rng, count=int(rng.integers(0, 4)), soft=True) for _ in sizes]
         weights = [rng.uniform(0.2, 2.0, len(lab)) for lab in labels]
-        background = [["auto", None, [0, 0]][i % 3] for i in range(len(sizes))]
+        background = [["auto", None, "repeat"][i % 3] for i in range(len(sizes))]
         scored = Scored(params, samples)
-        got = supervised_losses(scored, [targets(s, lab, w, bg) for s, lab, w, bg
-                                         in zip(samples, labels, weights, background)])
-        got_expert = supervised_losses(
-            scored, [targets(s, lab, w, None) for s, lab, w in zip(samples, labels, weights)],
-            (1.3, 0.7))
+        # each sample's background choice as rows of the block
+        rows = np.concatenate([{"auto": np.arange(a, b), None: [], "repeat": [a, a]}[bg]
+                               for a, b, bg in zip(scored.offsets, scored.offsets[1:],
+                                                   background)]).astype(int)
+        packed, packed_weights = Labels.pack(labels), np.concatenate(weights)
+        got = supervised_losses(scored, targets(samples, packed, packed_weights, rows))
+        got_expert = supervised_losses(scored, targets(samples, packed, packed_weights, None),
+                                       (1.3, 0.7))
         for i, sample in enumerate(samples):
             pairs = bbox_pairs(labels[i])
-            assert_same(got[i], oracle_detection_loss(params, sample, pairs, weights[i],
-                                                      background=background[i]))
+            assert_same(got[i], oracle_detection_loss(
+                params, sample, pairs, weights[i],
+                background={"repeat": [0, 0]}.get(background[i], background[i])))
             assert_same(got_expert[i], oracle_expert_loss(
                 params, sample, pairs, 1.3, 0.7, weights[i]))
 

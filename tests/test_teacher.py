@@ -46,8 +46,12 @@ def test_shared_teacher_scoring_matches_object_oracle():
                 got = [(j, BBox(*rows.boxes[j]), int(rows.class_ids[j]), float(rows.fg_scores[j]))
                        for j in index.tolist()]
                 assert got == oracle_pseudo_labels(teacher, sample, conf)
-                assert background_indices(teacher, sample, bar, scored=shared).tolist() == \
+                assert background_indices(teacher, [sample], bar, scored=shared).tolist() == \
                     oracle_background_indices(teacher, sample, bar)
+        # the block's rows: each sample's indices shifted by the rows before it
+        assert background_indices(teacher, samples, bar, scored=packed).tolist() == [
+            a + j for a, sample in zip(packed.offsets, samples)
+            for j in oracle_background_indices(teacher, sample, bar)]
 
 
 def test_threshold_above_all_scores_gives_empty():
@@ -144,7 +148,7 @@ def test_student_converges_to_frozen_perfect_teacher():
             scored = Scored(teacher, [sample])
             pseudo = pseudo_label(teacher, sample, 0.7, scored=scored)
             labels = Labels.one_hot(scored.boxes[pseudo], scored.class_ids[pseudo], 3)
-            bg = background_indices(teacher, sample, 0.1, scored=scored)
+            bg = background_indices(teacher, [sample], 0.1, scored=scored)
             _, grads = detection_loss(student, sample, labels, np.ones(len(labels)),
                                       background=bg)
             student = sgd_step(student, grads, 0.05)

@@ -327,7 +327,8 @@ def test_config_dict_roundtrip_and_unknown_fields():
 
 def expert_label_sets(targets, count):
     """The (boxes, classes) of each of a block's `count` samples in its expert targets."""
-    return [(t.boxes, t.classes) for t in targets[:count]]
+    return [(targets.boxes[a:b], targets.classes[a:b])
+            for a, b in zip(targets.offsets[:count], targets.offsets[1:count + 1])]
 
 
 def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatch):
