@@ -321,22 +321,32 @@ def save_dataset(path, spec: DomainSpec, samples: list[DetectionSample]) -> None
 
 
 def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
-    """Load a saved dataset, checking every sample against the file's own spec.
+    """Load a saved dataset, checking its spec and every sample against it.
 
-    Raises `ConfigError` on a proposal row that is not 4 + `spec.feature_dim`
-    values wide, on an object class that is not an integer in
-    [0, `spec.num_classes`), and on a ground-truth box that is not finite with
-    x1 < x2 and y1 < y2. The file stores no object features: in a generated
-    sample they are the first G proposal rows (see `DetectionSample`).
+    Raises `ConfigError` on a spec that `DomainSpec.validate` rejects or whose
+    `size` is not the file's sample count, on a sample without proposals, on
+    a proposal row that is not 4 + `spec.feature_dim` values wide, on an
+    object row that is not 5 values (box, class), on an object class that is
+    not an integer in [0, `spec.num_classes`), and on a ground-truth box that
+    is not finite with x1 < x2 and y1 < y2. The file stores no object
+    features: in a generated sample they are the first G proposal rows (see
+    `DetectionSample`).
     """
     with open(path) as fh:
         doc = json.load(fh)
     spec = DomainSpec.from_dict(doc["spec"])
+    spec.validate()
+    if spec.size != len(doc["samples"]):
+        raise ConfigError(f"spec size {spec.size} but {len(doc['samples'])} samples")
     width = 4 + spec.feature_dim
     samples = []
     for rec in doc["samples"]:
+        if not rec["proposals"]:
+            raise ConfigError(f"no proposals in sample {rec['id']}")
         if any(len(row) != width for row in rec["proposals"]):
             raise ConfigError(f"proposal row not {width} values wide in sample {rec['id']}")
+        if any(len(obj) != 5 for obj in rec["objects"]):
+            raise ConfigError(f"object row not 5 values (box, class) in sample {rec['id']}")
         rows = np.array(rec["proposals"], dtype=float)
         gt_boxes = np.array([obj[:4] for obj in rec["objects"]], dtype=float).reshape(-1, 4)
         if not (np.isfinite(gt_boxes).all() and (gt_boxes[:, :2] < gt_boxes[:, 2:]).all()):

@@ -54,6 +54,13 @@ def eval_corrupted_dataset(tmp_path, tiny_config_file, corrupt):
     """`--mode eval` of an untrained model on the saved target set after
     `corrupt` edits its first sample's JSON record; returns the exit code and
     the output directory."""
+    return eval_corrupted_document(tmp_path, tiny_config_file,
+                                   lambda doc: corrupt(doc["samples"][0]))
+
+
+def eval_corrupted_document(tmp_path, tiny_config_file, corrupt):
+    """As `eval_corrupted_dataset`, with `corrupt` editing the whole JSON
+    document of the saved target set."""
     config_path, config = tiny_config_file
     params_path = tmp_path / "params.json"
     save_params(params_path, pretrain_source(dataclasses.replace(config, pretrain_epochs=0))[0])
@@ -61,7 +68,7 @@ def eval_corrupted_dataset(tmp_path, tiny_config_file, corrupt):
     save_dataset(dataset_path, config.target,
                  generate_domain(config.target, derive_seed(0, "world", "target")))
     doc = json.loads(dataset_path.read_text())
-    corrupt(doc["samples"][0])
+    corrupt(doc)
     dataset_path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     code = run_cli(["--mode", "eval", "--config", config_path, "--out", str(out),
@@ -98,6 +105,46 @@ def drop_last_proposal_value(sample):
 def test_eval_mode_rejects_a_dataset_row_outside_its_own_spec(
         corrupt, message, tmp_path, tiny_config_file, capsys):
     # the file's spec has 5 classes and 16-value features
+    code, out = eval_corrupted_dataset(tmp_path, tiny_config_file, corrupt)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def drop_class_mean_row(doc):
+    doc["spec"]["class_means"].pop()
+
+
+def shrink_spec_size(doc):
+    doc["spec"]["size"] = 3
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (drop_class_mean_row, "class_means must be (5, 16)"),
+    (shrink_spec_size, "spec size 3 but 30 samples")],
+    ids=["4_class_means_for_5_classes", "size_3_for_30_samples"])
+def test_eval_mode_rejects_a_dataset_whose_spec_is_invalid(
+        corrupt, message, tmp_path, tiny_config_file, capsys):
+    code, out = eval_corrupted_document(tmp_path, tiny_config_file, corrupt)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def empty_proposals(sample):
+    sample["proposals"] = []
+
+
+def drop_object_class(sample):
+    sample["objects"][0].pop()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (empty_proposals, "no proposals in sample"),
+    (drop_object_class, "object row not 5 values")],
+    ids=["no_proposals", "object_row_of_4"])
+def test_eval_mode_rejects_a_malformed_sample_with_exit_two(
+        corrupt, message, tmp_path, tiny_config_file, capsys):
     code, out = eval_corrupted_dataset(tmp_path, tiny_config_file, corrupt)
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err

@@ -231,7 +231,7 @@ def test_evaluate_of_no_samples_matches_object_oracle():
 
 def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeypatch, tmp_path):
     samples, params = eval_world(5)
-    spec = make_domain_spec(3, 6, 40, (0.5, 0.3, 0.2), layout_seed=5)
+    spec = make_domain_spec(3, 6, len(samples), (0.5, 0.3, 0.2), layout_seed=5)
     dataset_path = tmp_path / "data.json"
     save_dataset(dataset_path, spec, samples)
     params.dropout_rate = 0.3
