@@ -469,7 +469,7 @@ def targets(samples: list[DetectionSample], labels: Labels, weights=None,
     owner = np.searchsorted(offsets, background, side="right") - 1
     grouped = np.argsort(owner, kind="stable")
     background, owner = background[grouped], owner[grouped]
-    background_offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(samples)))))
+    background_offsets = np.cumsum(np.bincount(owner + 1, minlength=len(samples) + 1))
     return Targets(local, labels.classes, labels.boxes, weights, background - offsets[owner],
                    labels.offsets, background_offsets)
 
@@ -507,7 +507,6 @@ def supervised_losses(scored: Scored, targets: Targets,
     n_lab, n_bg = np.diff(targets.offsets), np.diff(targets.background_offsets)
     lab_of, bg_of = np.repeat(np.arange(n), n_lab), np.repeat(np.arange(n), n_bg)
     lab_rows = targets.label_rows(scored.offsets)
-    boxes = targets.boxes
 
     # CE rows, sample by sample: the labels, then the background proposals
     order = np.argsort(np.concatenate((lab_of, bg_of)), kind="stable")
@@ -525,11 +524,11 @@ def supervised_losses(scored: Scored, targets: Targets,
 
     # normalise as the loops did: detection divides box gradients by the label
     # count before adding up and CE rows after; the expert scales after adding up
-    diff = scored.refined[lab_rows] - boxes
+    diff = scored.refined[lab_rows] - targets.boxes
     box = smooth_l1(diff).sum(axis=1)
     d_box = smooth_l1_grad(diff)
     if expert is None:
-        value, grad = giou_and_grad(scored.refined[lab_rows], boxes)
+        value, grad = giou_and_grad(scored.refined[lab_rows], targets.boxes)
         d_box = (d_box - grad) / n_lab[lab_of][:, None]
         d_logits /= np.repeat(np.maximum(n_lab + n_bg, 1), counts)[:, None]
     d_refined = np.zeros_like(scored.refined)
@@ -539,8 +538,7 @@ def supervised_losses(scored: Scored, targets: Targets,
         d_logits *= expert[0] / per_row
         d_refined *= expert[1] / per_row
 
-    ce_off = targets.offsets + targets.background_offsets
-    lab_off = targets.offsets
+    ce_off, lab_off = targets.offsets + targets.background_offsets, targets.offsets
     out = []
     for i, (a, b) in enumerate(zip(starts, scored.offsets[1:])):
         loss_cls = _mean(ce[ce_off[i]:ce_off[i + 1]])

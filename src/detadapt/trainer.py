@@ -164,9 +164,9 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
     Ground-truth targets and their matches are built once, as one `Targets`
     block of the source set; each batch takes its samples' part
     (`Targets.take`) for one packed pass and one `supervised_losses` call,
-    its per-sample gradients summed in batch order. With pretrain_epochs=0 the randomly initialized
-    model is returned as-is. The sealed handle is returned so callers can
-    prove the source stays closed.
+    its per-sample gradients summed in batch order. With pretrain_epochs=0
+    the randomly initialized model is returned as-is. The sealed handle is
+    returned so callers can prove the source stays closed.
     """
     config.validate()
     source_data = generate_domain(config.source, derive_seed(config.seed, "world", "source"))
