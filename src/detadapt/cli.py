@@ -90,9 +90,12 @@ def _mode_adapt(config: AdaptationConfig, out: str, params_path: str | None) -> 
                              out_dir=os.path.join(out, "checkpoints"))
     history.save_csv(os.path.join(out, "history.csv"))
     save_params(os.path.join(out, "teacher_params.json"), teacher)
-    eval_spec = dataclasses.replace(config.target, size=config.eval_size)
-    eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
-    result = evaluate(teacher, eval_data, num_classes=config.num_classes)
+    # the last epoch has evaluated this teacher on the same eval set already
+    result = history.final_teacher_eval
+    if result is None:
+        eval_spec = dataclasses.replace(config.target, size=config.eval_size)
+        eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
+        result = evaluate(teacher, eval_data, num_classes=config.num_classes)
     summary = {"final_teacher": result.to_dict(),
                "final_teacher_map": history.final_teacher_map(),
                "epochs": config.epochs}

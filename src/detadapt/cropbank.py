@@ -25,7 +25,8 @@ class Cropbank:
     """Per (subset, class) ring buffers of feature rows.
 
     One `push` takes one sample's instances; the oldest row of a full buffer
-    is evicted first. `sources` gives the buffers a sample may draw.
+    is evicted first. `sources` gives the buffers a sample may draw, and
+    `sizes` their row counts, which the bank keeps up to date on `push`.
     """
 
     def __init__(self, capacity: int):
@@ -33,19 +34,33 @@ class Cropbank:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._buffers: dict[tuple[str, int], deque[np.ndarray]] = {}
+        # the row count of each buffer, one row per subset (`SUBSETS` order), one column per class
+        self._sizes = np.zeros((len(SUBSETS), 0), dtype=int)
 
     def push(self, subset: str, class_ids, features) -> None:
         """Append instance i's feature row, features[i], to the `subset`
         buffer of class class_ids[i], in order. The bank stores copies.
+        Class ids are non-negative integers.
         """
         if subset not in SUBSETS:
             raise ValueError(f"unknown subset {subset!r}")
         features = np.array(features, dtype=float)
-        for class_id, feature in zip(np.asarray(class_ids).tolist(), features, strict=True):
+        class_ids = np.asarray(class_ids)
+        if len(class_ids) != len(features):
+            raise ValueError(f"{len(class_ids)} class ids for {len(features)} feature rows")
+        if len(class_ids) and (class_ids.dtype.kind not in "iu" or class_ids.min() < 0):
+            raise ValueError("class ids must be non-negative integers")
+        class_ids = class_ids.tolist()
+        for class_id, feature in zip(class_ids, features):
             key = (subset, class_id)
             if key not in self._buffers:
                 self._buffers[key] = deque(maxlen=self.capacity)
             self._buffers[key].append(feature)
+        grow = max(class_ids, default=-1) + 1 - self._sizes.shape[1]
+        if grow > 0:
+            self._sizes = np.pad(self._sizes, ((0, 0), (0, grow)))
+        for class_id in set(class_ids):
+            self._sizes[SUBSETS.index(subset), class_id] = len(self._buffers[(subset, class_id)])
 
     def sources(self, sample_subset: str, class_id: int) -> tuple[deque, ...]:
         """The buffers of one class that a sample of `sample_subset` may draw.
@@ -61,6 +76,18 @@ class Cropbank:
         if sample_subset == SIMILAR:
             return similar, dissimilar
         return (dissimilar or similar,)
+
+    def sizes(self, sample_subset: str, num_classes: int) -> np.ndarray:
+        """(num_classes,) rows that `sources(sample_subset, k)` holds, class by class."""
+        if sample_subset not in SUBSETS:
+            raise ValueError(f"unknown subset {sample_subset!r}")
+        counts = np.zeros((len(SUBSETS), num_classes), dtype=int)
+        known = min(num_classes, self._sizes.shape[1])
+        counts[:, :known] = self._sizes[:, :known]
+        similar, dissimilar = counts[SUBSETS.index(SIMILAR)], counts[SUBSETS.index(DISSIMILAR)]
+        if sample_subset == SIMILAR:
+            return similar + dissimilar
+        return np.where(dissimilar > 0, dissimilar, similar)
 
 
 @dataclass
@@ -98,10 +125,9 @@ def sample_pair(
         vec[base_class] = 0.0
     else:
         vec = relation.matrix[base_class, :].copy()
-    sources = [bank.sources(sample_subset, k) for k in range(relation.num_classes)]
-    sizes = [sum(map(len, buffers)) for buffers in sources]
-    candidates = [k for k, size in enumerate(sizes) if size]
-    if not candidates:
+    sizes = bank.sizes(sample_subset, relation.num_classes)
+    candidates = np.flatnonzero(sizes)
+    if not len(candidates):
         return None
     w = vec[candidates]
     total = float(w.sum())
@@ -109,9 +135,9 @@ def sample_pair(
         probs = w / total
     else:
         probs = np.full(len(candidates), 1.0 / len(candidates))
-    pick = candidates[int(rng.choice(len(candidates), p=probs))]
-    index = int(rng.integers(sizes[pick]))
-    first, *rest = sources[pick]
+    pick = int(candidates[int(rng.choice(len(candidates), p=probs))])
+    index = int(rng.integers(int(sizes[pick])))
+    first, *rest = bank.sources(sample_subset, pick)
     return pick, (first[index] if index < len(first) else rest[0][index - len(first)])
 
 

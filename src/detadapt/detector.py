@@ -6,8 +6,12 @@ the background class. `Scored` is the one forward pass: it scores a block of
 samples, and a sample alone is a block of one. Training scores a batch in one
 block, matches and targets the batch's labels as one block (`match_labels`,
 `targets`, arrays with per-sample offsets) and computes every sample's
-supervised loss in one array kernel, `supervised_losses`; `detection_loss`
-and the expert's `expert_loss` are its one-sample case.
+supervised loss, and the batch's summed gradients, in one array kernel,
+`supervised_losses`; `detection_loss` and the expert's `expert_loss` are its
+one-sample case. The losses equal those of a per-label loop bit for bit, and
+so do the gradients of a block of one; a larger block's gradients are one
+product over its rows, equal to the in-order sum of its samples' gradients
+up to rounding.
 """
 
 from __future__ import annotations
@@ -474,15 +478,28 @@ def targets(samples: list[DetectionSample], labels: Labels, weights=None,
                    labels.offsets, background_offsets)
 
 
-def _mean(terms: np.ndarray) -> float:
-    """A loop's running sum over the count (`np.sum` adds in another order); 0.0 if empty."""
-    return float(np.cumsum(terms)[-1]) / len(terms) if len(terms) else 0.0
+def _segment_means(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each segment's mean, segment i being terms[offsets[i]:offsets[i + 1]]; 0.0 if empty.
+
+    A loop's running sum over each segment, divided by its count (`np.sum`
+    adds in another order): `np.cumsum` along the rows of a zero-padded
+    (segments, longest) array adds each row in order, and a row is read at
+    its segment's last term, so each mean has the bits of its segment's own
+    `np.cumsum`.
+    """
+    counts = np.diff(offsets)
+    segment = np.repeat(np.arange(len(counts)), counts)
+    padded = np.zeros((len(counts), max(int(counts.max(initial=0)), 1)))
+    padded[segment, np.arange(len(terms)) - offsets[segment]] = terms
+    sums = np.cumsum(padded, axis=1)[np.arange(len(counts)), np.maximum(counts - 1, 0)]
+    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
 
 
 def supervised_losses(scored: Scored, targets: Targets,
                       expert: tuple[float, float] | None = None
-                      ) -> list[tuple[float, GradientSet]]:
-    """Supervised loss and its exact gradients for each sample of a packed block.
+                      ) -> tuple[np.ndarray, GradientSet]:
+    """Each sample's supervised loss over a packed block, and the block's
+    exact gradients, summed over its samples.
 
     Sample i of `scored` (rows `offsets[i]:offsets[i + 1]`) is supervised by
     its part of the block's `targets`: each label by weighted cross-entropy
@@ -496,9 +513,16 @@ def supervised_losses(scored: Scored, targets: Targets,
       cls_weight times the mean CE plus reg_weight times the mean smooth-L1,
       both over the labels.
 
-    Each sample's loss and gradients equal those of a loop over its labels
-    bit for bit, in that loop's order: CE rows are a sample's labels, then its
-    background proposals; `np.add.at` accumulates rows that repeat in order.
+    Returns the (n,) losses and one `GradientSet` (its `loss` their sum).
+    Each sample's loss equals that of a loop over its labels bit for bit, in
+    that loop's order: CE rows are a sample's labels, then its background
+    proposals. Per-row gradients are exact too (`np.add.at` accumulates rows
+    that repeat in order), and the weight gradients are one product over the
+    whole block. For a block of one that is the loop's own product, so the
+    gradients are the loop's bit for bit. For a larger block BLAS adds the
+    samples in another order than a per-sample sum would, so an entry may
+    differ from the in-order sum by rounding: under 1e-15 of the array's
+    largest entry in random blocks of 11 samples.
     """
     num_fg, n = scored.num_classes, len(scored.offsets) - 1
     if len(targets.offsets) != n + 1 or len(targets.background_offsets) != n + 1:
@@ -538,17 +562,13 @@ def supervised_losses(scored: Scored, targets: Targets,
         d_logits *= expert[0] / per_row
         d_refined *= expert[1] / per_row
 
-    ce_off, lab_off = targets.offsets + targets.background_offsets, targets.offsets
-    out = []
-    for i, (a, b) in enumerate(zip(starts, scored.offsets[1:])):
-        loss_cls = _mean(ce[ce_off[i]:ce_off[i + 1]])
-        own = slice(lab_off[i], lab_off[i + 1])
-        loss = (_mean(box[own]) + _mean(1.0 - value[own]) + loss_cls if expert is None
-                else expert[0] * loss_cls + expert[1] * _mean(box[own]))
-        # one product per sample: over the whole block, BLAS would sum in another order
-        h, dl, dr = scored.h[a:b], d_logits[a:b], d_refined[a:b]
-        out.append((loss, GradientSet(dl.T @ h, dl.sum(axis=0), dr.T @ h, dr.sum(axis=0), loss)))
-    return out
+    loss_cls = _segment_means(ce, targets.offsets + targets.background_offsets)
+    loss_box = _segment_means(box, targets.offsets)
+    losses = (loss_box + _segment_means(1.0 - value, targets.offsets) + loss_cls
+              if expert is None else expert[0] * loss_cls + expert[1] * loss_box)
+    h = scored.h
+    return losses, GradientSet(d_logits.T @ h, d_logits.sum(axis=0), d_refined.T @ h,
+                               d_refined.sum(axis=0), float(losses.sum()))
 
 
 def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
@@ -557,10 +577,11 @@ def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
 
     Each label supervises its highest-IoU proposal; `background` works as in
     `targets`. The one-sample case of `supervised_losses`, whose docstring
-    gives the terms.
+    gives the terms; a block of one gives the loop's bits.
     """
-    return supervised_losses(Scored(params, [sample]),
-                             targets([sample], labels, weights, background))[0]
+    losses, grads = supervised_losses(Scored(params, [sample]),
+                                      targets([sample], labels, weights, background))
+    return float(losses[0]), grads
 
 
 def sgd_step(params: ModelParams, grads: GradientSet, lr: float) -> ModelParams:

@@ -70,6 +70,7 @@ def expert_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     nothing about the rest of the image, so there is no background term here.
     The one-sample case of `supervised_losses`; no labels give zero.
     """
-    return supervised_losses(Scored(params, [sample]),
-                             targets([sample], labels, weights, background=None),
-                             expert=(cls_weight, reg_weight))[0]
+    losses, grads = supervised_losses(Scored(params, [sample]),
+                                      targets([sample], labels, weights, background=None),
+                                      expert=(cls_weight, reg_weight))
+    return float(losses[0]), grads

@@ -12,7 +12,8 @@ import detadapt
 from detadapt import cli, trainer
 from detadapt.cli import run_cli
 from detadapt.config import default_config
-from detadapt.detector import ModelParams, save_params
+from detadapt.detector import ModelParams, load_params, save_params
+from detadapt.metrics import evaluate
 from detadapt.trainer import pretrain_source
 from detadapt.util import derive_seed
 from detadapt.world import generate_domain, make_domain_spec, save_dataset
@@ -171,6 +172,38 @@ def test_adapt_mode_outputs_are_deterministic(tmp_path, tiny_config_file, monkey
         for file in ("history.csv", "summary.json", "teacher_params.json"):
             assert (out1 / file).read_bytes() == (out2 / file).read_bytes(), (name, file)
     assert soft_labels
+
+
+@pytest.mark.parametrize("epochs", [2, 0])
+def test_adapt_mode_summary_reuses_the_last_epochs_teacher_eval(
+        epochs, tmp_path, tiny_config_file, monkeypatch):
+    # the last epoch has already scored the final teacher on the eval set, so
+    # the summary takes that result; with no epochs it evaluates the teacher
+    _, config = tiny_config_file
+    config = dataclasses.replace(config, epochs=epochs)
+    config_path = tmp_path / "config.json"
+    config.save_json(config_path)
+    calls = []
+
+    def counted(evaluate):
+        def wrapper(*args, **kwargs):
+            calls.append(evaluate)
+            return evaluate(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(trainer, "evaluate", counted(trainer.evaluate))
+    monkeypatch.setattr(cli, "evaluate", counted(cli.evaluate))
+    out = tmp_path / "out"
+    assert run_cli(["--mode", "adapt", "--config", str(config_path), "--out", str(out)]) == 0
+    assert len(calls) == 2 * epochs + (epochs == 0)
+    teacher = load_params(out / "teacher_params.json")
+    eval_spec = dataclasses.replace(config.target, size=config.eval_size)
+    eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
+    want = evaluate(teacher, eval_data, num_classes=config.num_classes)
+    summary = json.loads((out / "summary.json").read_text())
+    # compared as JSON text, where a NaN AP equals itself
+    assert json.dumps(summary["final_teacher"]) == json.dumps(want.to_dict())
+    assert summary["epochs"] == epochs
 
 
 def test_ablation_suite_produces_four_runs(tmp_path, tiny_config_file, monkeypatch):

@@ -168,6 +168,51 @@ def test_pools_and_draws_match_per_entry_oracle_bank():
     assert drawn > 100 and fallbacks > 10
 
 
+def test_kept_sizes_follow_pushes_and_draws_match_oracle():
+    # the bank keeps each buffer's row count between pushes; pushes that evict
+    # within one call, that skip classes or that file classes beyond the
+    # relation's range interleave with draws, which must stay the oracle's,
+    # in the same order from the same stream
+    rng = np.random.default_rng(42)
+    num_classes, dim = 3, 2
+    bank, oracle = Cropbank(capacity=2), OracleCropbank(capacity=2)
+    relation = relation_from(rng.dirichlet(np.ones(num_classes), num_classes))
+    bank_rng, oracle_rng = np.random.default_rng(43), np.random.default_rng(43)
+    drawn = 0
+    for step in range(400):
+        subset = SUBSETS[int(rng.integers(2))]
+        if step % 3 == 0:
+            class_ids = rng.integers(num_classes + 2, size=int(rng.integers(0, 6)))
+            features = rng.standard_normal((len(class_ids), dim))
+            bank.push(subset, class_ids, features)
+            for class_id, feature in zip(class_ids.tolist(), features):
+                oracle.push(subset, class_id,
+                            CropEntry(feature.copy(), np.eye(num_classes + 2)[class_id]))
+        for sample_subset in SUBSETS:
+            want = [len(oracle.pool(oracle_preference(sample_subset), k))
+                    for k in range(num_classes)]
+            assert bank.sizes(sample_subset, num_classes).tolist() == want
+        base, is_majority = int(rng.integers(num_classes)), bool(rng.integers(2))
+        got = sample_pair(relation, base, is_majority, bank, subset, bank_rng)
+        want = oracle_sample_pair(relation, base, is_majority, oracle,
+                                  oracle_preference(subset), oracle_rng)
+        if want is None:
+            assert got is None
+        else:
+            assert same_row(got, (int(np.argmax(want.class_vec)), want.feature))
+            drawn += 1
+    assert drawn > 200
+
+
+@pytest.mark.parametrize("class_ids,rows", [([-1], 1), ([0.0], 1), ([0, 1], 1)],
+                         ids=["negative", "float", "count"])
+def test_push_rejects_bad_class_ids_and_leaves_the_bank_empty(class_ids, rows):
+    bank = Cropbank(capacity=2)
+    with pytest.raises(ValueError):
+        bank.push(SIMILAR, class_ids, np.zeros((rows, 3)))
+    assert bank.sizes(SIMILAR, 2).tolist() == [0, 0] and held(bank, SIMILAR, 0) == []
+
+
 def blend(ratio):
     """One majority label on one proposal, blended at p_aug 1 with the bank's only row."""
     boxes = np.array([[0.0, 0.0, 4.0, 4.0]])

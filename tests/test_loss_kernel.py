@@ -5,8 +5,8 @@ import pytest
 
 from bruteforce import (bbox_pairs, oracle_detection_loss, oracle_expert_loss, oracle_giou,
                         oracle_pretrain)
-from detadapt.detector import (Labels, Scored, detection_loss, giou_and_grad,
-                               supervised_losses, targets)
+from detadapt.detector import (GradientSet, Labels, Scored, _segment_means, detection_loss,
+                               giou_and_grad, supervised_losses, targets)
 from detadapt.expert import expert_loss
 from detadapt.trainer import pretrain_source
 from test_detector import (mixed_samples, no_labels, random_labels, random_params,
@@ -108,6 +108,21 @@ def test_one_proposal_samples():
                      background=["auto", None, [0, 0]][trial % 3])
 
 
+def assert_block_sum(grads, per_sample):
+    """The block's gradients against the in-order sum of per-sample ones: one
+    BLAS product over the block adds the samples in another order, so entries
+    differ by rounding, within 1e-14 of the array's largest entry (under 1e-15
+    measured); an entry whose terms cancel may differ more relative to itself."""
+    total = GradientSet.zeros_like(grads)
+    for _, sample_grads in per_sample:
+        total = total + sample_grads
+    for name in GRADIENTS:
+        want = getattr(total, name)
+        np.testing.assert_allclose(getattr(grads, name), want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max(), err_msg=name)
+    assert grads.loss == pytest.approx(total.loss, rel=1e-12)
+
+
 def test_packed_block_matches_per_sample_oracles():
     rng = np.random.default_rng(35)
     params = random_params(rng)
@@ -126,13 +141,30 @@ def test_packed_block_matches_per_sample_oracles():
         got = supervised_losses(scored, targets(samples, packed, packed_weights, rows))
         got_expert = supervised_losses(scored, targets(samples, packed, packed_weights, None),
                                        (1.3, 0.7))
-        for i, sample in enumerate(samples):
-            pairs = bbox_pairs(labels[i])
-            assert_same(got[i], oracle_detection_loss(
-                params, sample, pairs, weights[i],
-                background={"repeat": [0, 0]}.get(background[i], background[i])))
-            assert_same(got_expert[i], oracle_expert_loss(
-                params, sample, pairs, 1.3, 0.7, weights[i]))
+        want = [oracle_detection_loss(params, sample, bbox_pairs(labels[i]), weights[i],
+                                      background={"repeat": [0, 0]}.get(background[i],
+                                                                        background[i]))
+                for i, sample in enumerate(samples)]
+        want_expert = [oracle_expert_loss(params, sample, bbox_pairs(labels[i]), 1.3, 0.7,
+                                          weights[i])
+                       for i, sample in enumerate(samples)]
+        for (losses, grads), oracles in ((got, want), (got_expert, want_expert)):
+            # each sample's loss bit for bit; the gradients summed over the block
+            assert losses.tolist() == [loss for loss, _ in oracles]
+            assert_block_sum(grads, oracles)
+
+
+def test_segment_means_are_each_segments_running_sum():
+    # a loop adds a segment's terms in order, as its own `np.cumsum` does; the
+    # padded reduction must give those bits for every segment, empty ones 0.0
+    rng = np.random.default_rng(37)
+    for _ in range(2000):
+        counts = rng.integers(0, 9, int(rng.integers(1, 7)))
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        terms = rng.standard_normal(offsets[-1]) * 10.0 ** rng.integers(-3, 4, offsets[-1])
+        want = [float(np.cumsum(terms[a:b])[-1]) / (b - a) if b > a else 0.0
+                for a, b in zip(offsets, offsets[1:])]
+        assert _segment_means(terms, offsets).tolist() == want
 
 
 def test_giou_matches_scalar_oracle_on_inverted_and_degenerate_boxes():
@@ -154,8 +186,16 @@ def test_giou_matches_scalar_oracle_on_inverted_and_degenerate_boxes():
 
 
 def test_pretrain_matches_per_sample_loop_oracle():
-    config = tiny_config()
-    params, _ = pretrain_source(config)
-    want = oracle_pretrain(tiny_config())
-    for name in GRADIENTS:
-        assert np.array_equal(getattr(params, name), getattr(want, name)), name
+    # one sample per batch is one product, the oracle's own, so the parameters
+    # are its bits; a batch of 16, the default, sums its gradients in one BLAS
+    # product, whose order moves the last bits only (a relative 1.1e-14 at
+    # most measured)
+    for batch_size in (1, 16):
+        params, _ = pretrain_source(tiny_config(batch_size=batch_size))
+        want = oracle_pretrain(tiny_config(batch_size=batch_size))
+        for name in GRADIENTS:
+            if batch_size == 1:
+                assert np.array_equal(getattr(params, name), getattr(want, name)), name
+            else:
+                np.testing.assert_allclose(getattr(params, name), getattr(want, name),
+                                           rtol=1e-9, atol=1e-12, err_msg=name)

@@ -12,11 +12,23 @@ and the CLI ablation suite (seed 0, 3 epochs), whose +SA and +SAL runs no
 benchmark workload makes.
 Prints one line per file that differs or exists in one tree only, then a
 summary. Exits 1 on any difference.
+
+    python3 tools/compare_outputs.py --rtol 1e-9 TREE_A TREE_B
+
+compares the numbers of each file that differs instead: every JSON number
+and every CSV cell that parses as one, in order. It prints the largest
+relative difference, |a - b| / max(|a|, |b|), of each such file, and exits 1
+only if one exceeds RTOL, if anything but those numbers differs (keys,
+text cells, counts) or if a file exists in one tree only.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import filecmp
+import json
+import math
 import os
 import subprocess
 import sys
@@ -77,23 +89,86 @@ def files_under(root: str) -> set[str]:
             for d, _, names in os.walk(root) for f in names}
 
 
+def _split(node, numbers: list[float]):
+    """A parsed JSON value with each number replaced by None, its numbers appended in order."""
+    if isinstance(node, dict):
+        return {key: _split(value, numbers) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_split(value, numbers) for value in node]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        numbers.append(float(node))
+        return None
+    return node
+
+
+def _cell(text: str, numbers: list[float]):
+    try:
+        numbers.append(float(text))
+    except ValueError:
+        return text
+    return None
+
+
+def numbers_of(path: str):
+    """(the file's content with each number replaced by None, its numbers in
+    order) for a JSON or CSV file; None for any other file."""
+    numbers: list[float] = []
+    with open(path, newline="") as fh:
+        if path.endswith(".json"):
+            rest = _split(json.load(fh), numbers)
+        elif path.endswith(".csv"):
+            rest = [[_cell(text, numbers) for text in row] for row in csv.reader(fh)]
+        else:
+            return None
+    return rest, numbers
+
+
+def relative_difference(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def largest_difference(path_a: str, path_b: str) -> float:
+    """The largest relative difference of two files' numbers; inf if anything
+    else differs or the files are neither JSON nor CSV."""
+    split_a, split_b = numbers_of(path_a), numbers_of(path_b)
+    if split_a is None or split_b is None or split_a[0] != split_b[0]:
+        return math.inf
+    return max(map(relative_difference, split_a[1], split_b[1]), default=0.0)
+
+
 def main() -> int:
-    if len(sys.argv) != 3:
-        sys.exit(__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a")
+    parser.add_argument("tree_b")
+    parser.add_argument("--rtol", type=float, help="compare differing files' numbers to this "
+                                                   "relative tolerance instead of their bytes")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         outs = [os.path.join(tmp, side) for side in ("a", "b")]
-        for tree, out in zip(sys.argv[1:], outs):
+        for tree, out in zip((args.tree_a, args.tree_b), outs):
             run_tree(tree, out)
         names = [files_under(out) for out in outs]
         differ = [n for n in sorted(names[0] & names[1])
                   if not filecmp.cmp(*(os.path.join(o, n) for o in outs), shallow=False)]
+        drift = {} if args.rtol is None else \
+            {n: largest_difference(*(os.path.join(o, n) for o in outs)) for n in differ}
     only = sorted(names[0] ^ names[1])
     for name in differ:
-        print(f"differs: {name}")
+        print(f"differs: {name}" if args.rtol is None else
+              f"differs: {name} (largest relative difference {drift[name]:.3g})")
     for name in only:
         print(f"only in {'A' if name in names[0] else 'B'}: {name}")
-    print(f"{len(names[0] | names[1])} files, {len(differ)} differ, {len(only)} in one tree only")
-    return 1 if differ or only else 0
+    summary = f"{len(names[0] | names[1])} files, {len(differ)} differ, {len(only)} in one tree only"
+    if args.rtol is None:
+        print(summary)
+        return 1 if differ or only else 0
+    beyond = [name for name in differ if not drift[name] <= args.rtol]
+    print(f"{summary}, {len(beyond)} beyond rtol {args.rtol:g}")
+    return 1 if beyond or only else 0
 
 
 if __name__ == "__main__":
