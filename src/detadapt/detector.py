@@ -184,16 +184,20 @@ class Scored:
     the samples' rows: sample i owns rows `offsets[i]:offsets[i + 1]`, equal
     bit for bit to those of its own block of one.
 
-    With an (n, M) array of dropout seeds the outputs are stacks of M passes,
-    (M, rows, ...), and the mask of pass m of sample i is drawn from seed
-    [i, m] alone. Inverted dropout scales retained activations by 1/(1-p), so
-    inference (no seeds) needs no rescaling. The foreground argmax class and
+    With a Generator `rng` the outputs are stacks of `passes` dropout passes,
+    (M, rows, ...). The block's masks come from one `rng.random` draw of
+    M * rows * D uniforms, laid out sample by sample: sample i's (M, P_i, D)
+    draws, in pass, row and feature order, then sample i + 1's. So a block's
+    masks are the draws its samples would make one block of one at a time, in
+    block order, from the same Generator. A model without dropout draws
+    nothing. Inverted dropout scales retained activations by 1/(1-p), so
+    inference (no `rng`) needs no rescaling. The foreground argmax class and
     score and the valid refined boxes of a one-pass block are derived on first
     use, so a caller that needs only the loss pays for none of them.
     """
 
     def __init__(self, params: ModelParams, samples: list[DetectionSample],
-                 dropout_seeds=None):
+                 rng: np.random.Generator | None = None, passes: int = 1):
         for dim in {s.proposal_features.shape[1] for s in samples} - {params.feature_dim}:
             raise ValueError(f"feature dim {dim} != model dim {params.feature_dim}")
         counts = [len(s.proposal_features) for s in samples]
@@ -201,17 +205,18 @@ class Scored:
         x = np.concatenate([s.proposal_features for s in samples])
         boxes = np.concatenate([s.proposal_boxes for s in samples])
         h = x
-        if dropout_seeds is not None:
-            seeds = np.asarray(dropout_seeds).reshape(len(samples), -1)
+        if rng is not None:
             rate = params.dropout_rate
-            h = np.broadcast_to(x, (seeds.shape[1],) + x.shape)
+            h = np.broadcast_to(x, (passes,) + x.shape)
             if rate > 0.0:
-                # the uniform draws become the dropped features in place,
-                # x * mask / (1 - rate), with one (M, rows, D) buffer
-                h = np.empty(h.shape)
-                for a, b, row in zip(offsets[:-1], offsets[1:], seeds):
-                    for m, seed in enumerate(row):
-                        np.random.default_rng(seed).random(out=h[m, a:b])
+                # block row r of sample i (rows a_i:a_i + P_i) reads draw row
+                # M * a_i + m * P_i + (r - a_i) in pass m
+                start, size = np.repeat(offsets[:-1], counts), np.repeat(counts, counts)
+                order = ((passes - 1) * start + np.arange(len(x))
+                         + np.arange(passes)[:, None] * size)
+                # the gathered uniforms become the dropped features in place,
+                # x * mask / (1 - rate), in one (M, rows, D) buffer
+                h = rng.random((passes * len(x), x.shape[1]))[order]
                 np.multiply(x, h >= rate, out=h)
                 h /= 1.0 - rate
         single = offsets[:-1][np.asarray(counts) == 1]
@@ -251,12 +256,12 @@ def forward_arrays(params: ModelParams, sample: DetectionSample,
                    dropout_seed: int | None = None):
     """(h, log_scores, scores, refined) of one sample: the arrays of its block
     of one, `Scored(params, [sample])`, or with a seed the one pass of
-    `Scored(params, [sample], [[dropout_seed]])`.
+    `Scored(params, [sample], np.random.default_rng(dropout_seed))`.
     """
-    seeds = None if dropout_seed is None else [[dropout_seed]]
-    scored = Scored(params, [sample], seeds)
+    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    scored = Scored(params, [sample], rng)
     arrays = scored.h, scored.log_scores, scored.scores, scored.refined
-    return arrays if seeds is None else tuple(a[0] for a in arrays)
+    return arrays if rng is None else tuple(a[0] for a in arrays)
 
 
 def forward(params: ModelParams, sample: DetectionSample) -> list[Detection]:

@@ -3,10 +3,12 @@
 The source-pretrained model runs M stochastic forward passes per sample;
 box-coordinate and class-score variances of the stacked outputs multiply into
 a single detection variance. The passes run in blocks of `BLOCK_SAMPLES`
-samples, one packed (M, rows, D) computation per block. Samples are
-ranked ascending by variance and the top fraction (variance level >= sigma)
-is tagged source-similar: the pretrained model is most uncertain exactly
-where the data resembles its training domain.
+samples, one packed (M, rows, D) computation per block: its dropout masks
+are one draw from the partition's Generator, and its samples' variances one
+segmented reduction over its rows. Samples are ranked ascending by variance
+and the top fraction (variance level >= sigma) is tagged source-similar: the
+pretrained model is most uncertain exactly where the data resembles its
+training domain.
 """
 
 from __future__ import annotations
@@ -60,42 +62,47 @@ class VarianceReport:
         write_atomic(path, self.to_csv_text())
 
 
-def _draw_seeds(rng: np.random.Generator, num_samples: int, num_passes: int) -> np.ndarray:
-    # one draw of the (n, M) shape gives the n*M scalar draws in the same order
-    return rng.integers(0, 2**63 - 1, size=(num_samples, num_passes))
-
-
 def mc_passes(params: ModelParams, sample: DetectionSample, num_passes: int,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Independent-dropout forward passes of one sample, stacked.
 
     Returns (boxes, scores): the (M, P, 4) valid refined boxes and the
-    (M, P, C+1) softmax scores, one slice per pass in proposal order. The M
-    dropout seeds are drawn from `rng` in pass order. This is `partition`'s
-    pass over a block of one sample.
+    (M, P, C+1) softmax scores, one slice per pass in proposal order. The
+    masks are one draw of M * P * D uniforms from `rng`, pass by pass. This is
+    `partition`'s pass over a block of one sample: called on the samples in id
+    order with one Generator, it gives the partition's passes.
     """
     if num_passes < 2:
         raise ValueError("need at least 2 passes for a variance estimate")
-    scored = Scored(params, [sample], _draw_seeds(rng, 1, num_passes))
+    scored = Scored(params, [sample], rng, num_passes)
     return scored.boxes, scored.scores
 
 
-def _mean_sq_deviation(stack: np.ndarray) -> float:
+def _sq_deviation(stack: np.ndarray, offsets) -> np.ndarray:
+    """Mean squared deviation of each sample's (M, P_i, K) slice of a block's
+    (M, rows, K) stack around its per-row mean over passes; sample i owns rows
+    offsets[i]:offsets[i + 1]. Each row's sum is taken over its own values
+    alone, so a sample's value does not depend on the block it is packed in.
+    """
     # centering on the first pass keeps identical passes at exactly zero
     centered = stack - stack[:1]
     dev = centered - centered.mean(axis=0, keepdims=True)
-    m, p = stack.shape[0], stack.shape[1]
-    return float((dev**2).sum() / (m * p))
+    m, rows = stack.shape[0], stack.shape[1]
+    per_row = np.square(dev).transpose(1, 0, 2).reshape(rows, -1).sum(axis=1)
+    offsets = np.asarray(offsets)
+    return np.add.reduceat(per_row, offsets[:-1]) / (m * np.diff(offsets))
 
 
 def box_variance(boxes: np.ndarray) -> float:
     """Mean squared deviation of (M, P, 4) box coordinates around their per-proposal mean."""
-    return _mean_sq_deviation(np.asarray(boxes, dtype=float))
+    boxes = np.asarray(boxes, dtype=float)
+    return float(_sq_deviation(boxes, [0, boxes.shape[1]])[0])
 
 
 def cls_variance(scores: np.ndarray) -> float:
     """Same statistic over (M, P, C+1) softmax score vectors."""
-    return _mean_sq_deviation(np.asarray(scores, dtype=float))
+    scores = np.asarray(scores, dtype=float)
+    return float(_sq_deviation(scores, [0, scores.shape[1]])[0])
 
 
 def split_by_variance(variances: list[tuple[int, float]], sigma: float) -> list[tuple[int, int, float, str]]:
@@ -127,13 +134,14 @@ def partition(
 ) -> VarianceReport:
     """One-time split of the target set into source-similar and dissimilar subsets.
 
-    Samples are visited in id order, in blocks of `BLOCK_SAMPLES`. A block
-    draws the M dropout seeds of each of its samples from `rng`, in id order
-    and pass order, so the seeds are those that one `mc_passes` call per
-    sample would draw and do not depend on the input order. Then the heads run
-    once over the block's packed proposals and M masks, and each sample's
-    variances are taken over its own rows, equal bit for bit to its
-    `mc_passes` outputs.
+    Samples are visited in id order, in blocks of `BLOCK_SAMPLES`. Each block
+    draws its dropout masks from `rng` in one call, sample by sample in id
+    order, so the passes equal those of `mc_passes` called on each sample in
+    id order with `rng`, whatever the block size and the input order. The
+    heads run once over the block's packed proposals and M masks, and every
+    sample's box and class variances come from one segmented reduction over
+    the block's rows; `box_variance` and `cls_variance` are its one-sample
+    case, and give the same values on `mc_passes`'s outputs.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to partition")
@@ -143,13 +151,11 @@ def partition(
     per_sample = {}
     for start in range(0, len(ordered), BLOCK_SAMPLES):
         block = ordered[start:start + BLOCK_SAMPLES]
-        scored = Scored(params, block, _draw_seeds(rng, len(block), num_passes))
-        boxes, scores, offsets = scored.boxes, scored.scores, scored.offsets
-        for i, sample in enumerate(block):
-            rows = slice(offsets[i], offsets[i + 1])
-            v_b = box_variance(boxes[:, rows])
-            v_c = cls_variance(scores[:, rows])
-            per_sample[sample.id] = (v_b, v_c, v_b * v_c)
+        scored = Scored(params, block, rng, num_passes)
+        v_b = _sq_deviation(scored.boxes, scored.offsets)
+        v_c = _sq_deviation(scored.scores, scored.offsets)
+        for sample, b, c in zip(block, v_b.tolist(), v_c.tolist()):
+            per_sample[sample.id] = (b, c, b * c)
 
     ranked = split_by_variance([(sid, v[2]) for sid, v in per_sample.items()], sigma)
     rows = []

@@ -2,9 +2,10 @@
 
 Everything here recomputes from first principles with plain loops: central
 finite differences for gradients, per-prefix rescored matching for AP, a
-full threshold enumeration for FROC, a one-sample forward pass with its own
-dropout draw and the per-proposal object path (one `BBox.from_raw` and one
-argmax per proposal, per pass) for scoring, the per-class object matching
+full threshold enumeration for FROC, a one-sample forward pass whose dropout
+uniforms come from a seed or a shared stream, the per-proposal object path
+(one `BBox.from_raw` and one argmax per proposal, per pass) for scoring, a
+one-reduction variance per sample, the per-class object matching
 for a whole evaluation, the supervised losses one label at a time, with a
 scalar GIoU, for the loss kernel and pretraining, and the whole adaptation
 loop sample by sample, with labels as (`BBox`, class vector) pairs and a
@@ -73,16 +74,19 @@ def oracle_box(row, min_size: float = 1e-6) -> np.ndarray:
     return BBox.from_raw(*row, min_size=min_size).as_array()
 
 
-def oracle_forward_arrays(params: ModelParams, sample, dropout_seed=None):
+def oracle_forward_arrays(params: ModelParams, sample, dropout_seed=None, uniforms=None):
     """(h, log_scores, scores, refined) of one sample on its own, as `Scored`
     gives them for `[sample]` (one pass if seeded): the (P, D) features, their
-    inverted-dropout mask drawn from the seed alone, then both heads.
+    inverted-dropout mask drawn from the seed alone, or read from the (P, D)
+    `uniforms` given, then both heads.
     """
     x = sample.proposal_features
     if x.shape[1] != params.feature_dim:
         raise ValueError(f"feature dim {x.shape[1]} != model dim {params.feature_dim}")
-    if dropout_seed is not None and params.dropout_rate > 0.0:
-        mask = np.random.default_rng(dropout_seed).random(x.shape) >= params.dropout_rate
+    if dropout_seed is not None:
+        uniforms = np.random.default_rng(dropout_seed).random(x.shape)
+    if uniforms is not None and params.dropout_rate > 0.0:
+        mask = uniforms >= params.dropout_rate
         x = x * mask / (1.0 - params.dropout_rate)
     logits = x @ params.w_cls.T + params.b_cls
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -91,9 +95,10 @@ def oracle_forward_arrays(params: ModelParams, sample, dropout_seed=None):
     return x, log_scores, np.exp(log_scores), refined
 
 
-def oracle_detections(params: ModelParams, sample, dropout_seed=None) -> list[Detection]:
+def oracle_detections(params: ModelParams, sample, dropout_seed=None,
+                      uniforms=None) -> list[Detection]:
     """One Detection per proposal, each boxed and argmaxed on its own."""
-    _, _, scores, refined = oracle_forward_arrays(params, sample, dropout_seed)
+    _, _, scores, refined = oracle_forward_arrays(params, sample, dropout_seed, uniforms)
     out = []
     for j in range(sample.num_proposals):
         fg = scores[j, :params.num_classes]
@@ -102,12 +107,30 @@ def oracle_detections(params: ModelParams, sample, dropout_seed=None) -> list[De
     return out
 
 
-def oracle_mc_passes(params: ModelParams, sample, seeds):
-    """(M, P, 4) boxes and (M, P, C+1) scores from one forward pass per seed."""
-    passes = [oracle_detections(params, sample, seed) for seed in seeds]
+def oracle_uniforms(params: ModelParams, sample, num_passes: int, rng):
+    """A sample's (M, P, D) dropout uniforms, drawn from the shared `rng` in
+    pass, row and feature order; a model without dropout draws none."""
+    if params.dropout_rate == 0.0:
+        return [None] * num_passes
+    return list(rng.random((num_passes,) + sample.proposal_features.shape))
+
+
+def oracle_mc_passes(params: ModelParams, sample, num_passes: int, rng):
+    """(M, P, 4) boxes and (M, P, C+1) scores from one forward pass per pass,
+    each pass's mask read from its slice of the sample's draw from `rng`."""
+    passes = [oracle_detections(params, sample, uniforms=u)
+              for u in oracle_uniforms(params, sample, num_passes, rng)]
     boxes = np.array([[det.box.as_array() for det in dets] for dets in passes])
     scores = np.array([[det.scores for det in dets] for dets in passes])
     return boxes, scores
+
+
+def oracle_variance(stack) -> float:
+    """Mean squared deviation of an (M, P, K) stack around its per-row mean over
+    passes, centred on the first pass and summed in one reduction."""
+    centered = stack - stack[:1]
+    dev = centered - centered.mean(axis=0, keepdims=True)
+    return float((dev**2).sum() / (stack.shape[0] * stack.shape[1]))
 
 
 def oracle_pseudo_labels(teacher: ModelParams, sample, conf_threshold):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bruteforce import (max_relative_error, numeric_gradient, oracle_detections,
-                        oracle_forward_arrays)
+                        oracle_forward_arrays, oracle_uniforms)
 from detadapt.detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
                                detection_loss, forward, forward_arrays, giou_and_grad,
                                load_params, save_params, sgd_step)
@@ -126,9 +126,10 @@ def test_packed_pass_matches_per_sample_forward(dropout):
     params = random_params(rng, dropout=dropout)
     sizes = [1, 2, 7, 13, 1, 1, 13, 2, 7, 1]
     samples = mixed_samples(rng, sizes)
-    seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=(len(samples), 4))
     packed = Scored(params, samples)
-    stacked = Scored(params, samples, seeds)
+    stacked = Scored(params, samples, np.random.default_rng(5), 4)
+    # each sample's masks are the next draws of the block's one Generator
+    draws = np.random.default_rng(5)
     assert packed.offsets.tolist() == [0, *np.cumsum(sizes).tolist()]
     assert stacked.scores.shape == (4, sum(sizes), params.num_classes + 1)
     for i, sample in enumerate(samples):
@@ -140,8 +141,8 @@ def test_packed_pass_matches_per_sample_forward(dropout):
         assert packed.class_ids[rows].tolist() == [d.class_id for d in dets]
         assert packed.fg_scores[rows].tolist() == [d.score for d in dets]
         assert np.array_equal(packed.boxes[rows], [d.box.as_array() for d in dets])
-        for m in range(seeds.shape[1]):
-            want = oracle_forward_arrays(params, sample, dropout_seed=int(seeds[i, m]))
+        for m, uniforms in enumerate(oracle_uniforms(params, sample, 4, draws)):
+            want = oracle_forward_arrays(params, sample, uniforms=uniforms)
             for got, w in zip((stacked.h, stacked.log_scores, stacked.scores, stacked.refined),
                               want):
                 assert np.array_equal(got[m, rows], w)
@@ -151,12 +152,15 @@ def test_zero_dropout_rate_ignores_seed():
     rng = np.random.default_rng(2)
     params = random_params(rng, dropout=0.0)
     sample = random_sample(rng)
-    stacked = Scored(params, [sample], [[123, 124]])
+    rng = np.random.default_rng(123)
+    stacked = Scored(params, [sample], rng, 2)
     want = oracle_forward_arrays(params, sample)
     for got, w in zip(forward_arrays(params, sample, dropout_seed=123), want):
         assert np.array_equal(got, w)
     for got, w in zip((stacked.h, stacked.log_scores, stacked.scores, stacked.refined), want):
         assert np.array_equal(got[0], w) and np.array_equal(got[1], w)
+    # without dropout no mask is drawn
+    assert rng.random() == np.random.default_rng(123).random()
 
 
 def test_dropout_seed_reproducible_and_varied():
@@ -305,4 +309,4 @@ def test_feature_dim_mismatch_raises():
     with pytest.raises(ValueError):
         forward_arrays(params, sample)
     with pytest.raises(ValueError):
-        Scored(params, [sample], [[1, 2]])
+        Scored(params, [sample], np.random.default_rng(1), 2)

@@ -1,11 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from bruteforce import oracle_mc_passes
+from bruteforce import oracle_mc_passes, oracle_variance
 from detadapt.detector import BLOCK_SAMPLES
 from detadapt.partition import (DISSIMILAR, SIMILAR, VarianceReport, box_variance,
                                 cls_variance, mc_passes, partition, split_by_variance)
 from test_detector import mixed_samples, random_params, random_sample
+
+partition_module = importlib.import_module("detadapt.partition")
 
 
 def make_passes(rng, dropout, num_passes=6, seed=0):
@@ -20,36 +24,78 @@ def test_stacked_passes_match_per_pass_oracle(num_proposals, dropout):
     rng = np.random.default_rng(10 + num_proposals)
     params = random_params(rng, dropout=dropout)
     sample = random_sample(rng, num_proposals=num_proposals)
-    boxes, scores = mc_passes(params, sample, 6, np.random.default_rng(3))
-    seed_rng = np.random.default_rng(3)
-    seeds = [int(seed_rng.integers(0, 2**63 - 1)) for _ in range(6)]
-    want_boxes, want_scores = oracle_mc_passes(params, sample, seeds)
-    assert boxes.shape == (6, num_proposals, 4)
-    assert scores.shape == (6, num_proposals, params.num_classes + 1)
-    assert np.array_equal(boxes, want_boxes)
-    assert np.array_equal(scores, want_scores)
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(2):  # the second call reads the shared Generator on
+        boxes, scores = mc_passes(params, sample, 6, got_rng)
+        want_boxes, want_scores = oracle_mc_passes(params, sample, 6, want_rng)
+        assert boxes.shape == (6, num_proposals, 4)
+        assert scores.shape == (6, num_proposals, params.num_classes + 1)
+        assert np.array_equal(boxes, want_boxes)
+        assert np.array_equal(scores, want_scores)
+    assert got_rng.random() == want_rng.random()
+
+
+def mixed_block_samples(rng):
+    """Samples of mixed sizes, not a multiple of the block size, with
+    one-proposal samples either side of a block edge."""
+    sizes = rng.choice([1, 2, 7, 13], size=2 * BLOCK_SAMPLES + 5)
+    sizes[BLOCK_SAMPLES - 1] = sizes[BLOCK_SAMPLES] = 1
+    return mixed_samples(rng, sizes)
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_partition_rows_match_per_sample_oracle(dropout):
     rng = np.random.default_rng(30)
     params = random_params(rng, dropout=dropout)
-    # not a multiple of the block size; one-proposal samples either side of a block edge
-    sizes = rng.choice([1, 2, 7, 13], size=2 * BLOCK_SAMPLES + 5)
-    sizes[BLOCK_SAMPLES - 1] = sizes[BLOCK_SAMPLES] = 1
-    samples = mixed_samples(rng, sizes)
+    samples = mixed_block_samples(rng)
     report = partition(samples[::-1], params, 4, 0.5, np.random.default_rng(7))
+    got = {r.sample_id: (r.box_var, r.cls_var, r.variance) for r in report.rows}
 
-    seed_rng = np.random.default_rng(7)
+    # the passes are mc_passes' on the samples in id order, from one Generator;
+    # the variances are box_variance's and cls_variance's of them bit for bit,
+    # and those of a per-sample loop that sums in another order up to rounding
+    passes_rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
     want = {}
-    for sample in samples:  # seeds are drawn in id order
-        seeds = [int(seed_rng.integers(0, 2**63 - 1)) for _ in range(4)]
-        boxes, scores = oracle_mc_passes(params, sample, seeds)
+    for sample in samples:
+        boxes, scores = mc_passes(params, sample, 4, passes_rng)
+        want_boxes, want_scores = oracle_mc_passes(params, sample, 4, oracle_rng)
+        assert np.array_equal(boxes, want_boxes) and np.array_equal(scores, want_scores)
         v_b, v_c = box_variance(boxes), cls_variance(scores)
         want[sample.id] = (v_b, v_c, v_b * v_c)
-    assert {r.sample_id: (r.box_var, r.cls_var, r.variance) for r in report.rows} == want
+        loop = (oracle_variance(want_boxes), oracle_variance(want_scores))
+        np.testing.assert_allclose(got[sample.id][:2], loop, rtol=1e-12, atol=1e-300)
+    assert got == want
     ranked = split_by_variance([(sid, v[2]) for sid, v in want.items()], 0.5)
     assert [(r.sample_id, r.rank, r.level, r.subset) for r in report.rows] == ranked
+
+
+def test_partition_csv_does_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(31)
+    params = random_params(rng, dropout=0.3)
+    samples = mixed_block_samples(rng)
+    texts = set()
+    for block_samples in (1, 7, 32):
+        monkeypatch.setattr(partition_module, "BLOCK_SAMPLES", block_samples)
+        texts.add(partition(samples, params, 10, 0.5, np.random.default_rng(8)).to_csv_text())
+    assert len(texts) == 1
+
+
+def test_partition_builds_no_generator(monkeypatch):
+    rng = np.random.default_rng(32)
+    params = random_params(rng, dropout=0.3)
+    samples = mixed_block_samples(rng)
+    shared = np.random.default_rng(9)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return default_rng(*args, **kwargs)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    monkeypatch.setattr(np.random, "Generator", counted)
+    report = partition(samples, params, 10, 0.5, shared)
+    assert built == [] and len(report.rows) == len(samples)
 
 
 def test_mc_passes_require_at_least_two():
