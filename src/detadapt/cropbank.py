@@ -111,21 +111,22 @@ def sample_pair(
     rng: np.random.Generator,
 ) -> tuple[int, np.ndarray] | None:
     """Draw a MixUp partner `(class_id, feature)` for a base instance of a
-    `sample_subset` sample from `bank.sources`, or None if no source holds a row.
+    `sample_subset` sample from `bank.sources`, or None if no candidate class
+    holds a row.
 
-    Majority bases sample over the relation column with the self entry zeroed
-    (classes commonly mistaken *for* the base class); minority bases sample
-    over their own row unmasked, so self-augmentation is allowed. Classes with
-    empty sources are dropped before renormalizing. If every remaining weight
-    is zero, the class is drawn uniformly, and then a majority base can draw
-    its own class too. One draw picks the class, a second the row.
+    Majority bases sample over the relation column, their own class left
+    out (classes commonly mistaken *for* the base class); minority bases
+    sample over their own row unmasked, so self-augmentation is allowed.
+    Classes with empty sources are dropped before renormalizing. If every
+    remaining weight is zero, the class is drawn uniformly. One draw picks the
+    class, a second the row.
     """
-    if is_majority:
-        vec = relation.matrix[:, base_class].copy()
-        vec[base_class] = 0.0
-    else:
-        vec = relation.matrix[base_class, :].copy()
     sizes = bank.sizes(sample_subset, relation.num_classes)
+    if is_majority:
+        vec = relation.matrix[:, base_class]
+        sizes[base_class] = 0
+    else:
+        vec = relation.matrix[base_class, :]
     candidates = np.flatnonzero(sizes)
     if not len(candidates):
         return None

@@ -414,16 +414,12 @@ def oracle_preference(sample_subset: str) -> str:
 
 def oracle_sample_pair(relation, base_class, is_majority, bank, preference, rng):
     """`sample_pair` over an `OracleCropbank`: the same weights and draws, one
-    `CropEntry` out."""
-    if is_majority:
-        vec = relation.matrix[:, base_class].copy()
-        vec[base_class] = 0.0
-    else:
-        vec = relation.matrix[base_class, :].copy()
+    `CropEntry` out; a majority base never draws its own class."""
+    vec = relation.matrix[:, base_class] if is_majority else relation.matrix[base_class, :]
     candidates, pools = [], []
     for k in range(relation.num_classes):
         pool = bank.pool(preference, k)
-        if pool:
+        if pool and not (is_majority and k == base_class):
             candidates.append(k)
             pools.append(pool)
     if not candidates:

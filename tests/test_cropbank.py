@@ -84,6 +84,21 @@ def test_majority_masking_excludes_self():
         assert picked[0] == 1
 
 
+def test_majority_base_never_draws_its_own_class_in_the_uniform_fallback():
+    # under the identity the base's column, its own entry left out, is all
+    # zero, so the partner class is drawn uniformly over the other classes
+    # with rows, and there is no partner when the base's class alone has rows
+    rel = relation_from(np.eye(3))
+    bank = Cropbank(capacity=4)
+    push(bank, SIMILAR, 0, 1)
+    rng = np.random.default_rng(3)
+    assert sample_pair(rel, 0, True, bank, SIMILAR, rng) is None
+    push(bank, SIMILAR, 1, 2)
+    push(bank, SIMILAR, 2, 3)
+    picks = [sample_pair(rel, 0, True, bank, SIMILAR, rng)[0] for _ in range(200)]
+    assert set(picks) == {1, 2}
+
+
 def test_minority_row_allows_self_augmentation():
     rel = relation_from([[1.0, 0.0], [0.0, 1.0]])
     bank = Cropbank(capacity=4)
