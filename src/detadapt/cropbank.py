@@ -119,7 +119,7 @@ def sample_pair(
     sample over their own row unmasked, so self-augmentation is allowed.
     Classes with empty sources are dropped before renormalizing. If every
     remaining weight is zero, the class is drawn uniformly. One draw picks the
-    class, a second the row.
+    class, as `rng.choice` with those probabilities would, and a second the row.
     """
     sizes = bank.sizes(sample_subset, relation.num_classes)
     if is_majority:
@@ -136,7 +136,8 @@ def sample_pair(
         probs = w / total
     else:
         probs = np.full(len(candidates), 1.0 / len(candidates))
-    pick = int(candidates[int(rng.choice(len(candidates), p=probs))])
+    cdf = np.cumsum(probs)
+    pick = int(candidates[np.searchsorted(cdf / cdf[-1], rng.random(), side="right")])
     index = int(rng.integers(int(sizes[pick])))
     first, *rest = bank.sources(sample_subset, pick)
     return pick, (first[index] if index < len(first) else rest[0][index - len(first)])

@@ -124,6 +124,30 @@ def test_sampling_frequencies_match_relation_weights():
     assert abs(hits / draws - 0.75) < 0.02
 
 
+def test_class_draw_matches_generator_choice_with_zero_weights():
+    # a minority base draws over its relation row; the pick and the stream
+    # after it are those of `Generator.choice` with the renormalized weights
+    rng = np.random.default_rng(44)
+    num_classes = 5
+    bank = Cropbank(capacity=1)
+    for k in range(num_classes):
+        push(bank, DISSIMILAR, k, k)
+    got_rng, want_rng = np.random.default_rng(45), np.random.default_rng(45)
+    zeros = 0
+    for _ in range(300):
+        weights = rng.random(num_classes) * (rng.random(num_classes) < 0.6)
+        zeros += int((weights == 0).sum())
+        if weights.sum() == 0:
+            weights[int(rng.integers(num_classes))] = 1.0
+        rel = relation_from(np.tile(weights, (num_classes, 1)))
+        got = sample_pair(rel, 0, False, bank, DISSIMILAR, got_rng)
+        want = int(want_rng.choice(num_classes, p=weights / weights.sum()))
+        assert int(want_rng.integers(1)) == 0
+        assert same_row(got, row(want, want))
+    assert zeros > 300
+    assert got_rng.random() == want_rng.random()
+
+
 def test_empty_buffers_signal_no_pair():
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
     assert sample_pair(rel, 0, False, Cropbank(4), SIMILAR, np.random.default_rng(0)) is None
