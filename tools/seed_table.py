@@ -27,11 +27,9 @@ RARE = (3, 4)
 
 
 def parse_seeds(text: str) -> list[int]:
-    """"0-4" is seeds 0 to 4; "0,2,7" lists them."""
-    if "-" in text:
-        first, last = text.split("-")
-        return list(range(int(first), int(last) + 1))
-    return [int(part) for part in text.split(",")]
+    """"0-4" is seeds 0 to 4; "3" is seed 3 alone."""
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
 
 
 def run_seed(tree: str, seed: int, epochs: int, config: dict, out: str) -> dict:
@@ -60,26 +58,24 @@ def render(results: dict[int, dict]) -> str:
     header = ["seed"] + list(VARIANTS.values()) + [f"{v} {rare}" for v in VARIANTS.values()]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
 
-    def row(label, maps, aps):
-        cells = [label] + [f"{m:.4f}" for m in maps]
-        cells += [" / ".join(f"{ap:.3f}" for ap in v) for v in aps]
+    def row(label, finals):
+        cells = [label] + [f"{finals[n][0]:.4f}" for n in VARIANTS]
+        cells += [" / ".join(f"{ap:.3f}" for ap in finals[n][1]) for n in VARIANTS]
         lines.append("| " + " | ".join(cells) + " |")
 
+    runs = list(results.values())
     for seed, finals in results.items():
-        row(str(seed), [finals[n][0] for n in VARIANTS], [finals[n][1] for n in VARIANTS])
-    means = {n: (statistics.fmean(r[n][0] for r in results.values()),
-                 tuple(statistics.fmean(r[n][1][k] for r in results.values())
-                       for k in range(len(RARE))))
-             for n in VARIANTS}
-    row("mean", [means[n][0] for n in VARIANTS], [means[n][1] for n in VARIANTS])
+        row(str(seed), finals)
+    row("mean", {n: (statistics.fmean(r[n][0] for r in runs),
+                     [statistics.fmean(aps) for aps in zip(*(r[n][1] for r in runs))])
+                 for n in VARIANTS})
 
-    diffs = [r["full"][0] - r["sa"][0] for r in results.values()]
+    diffs = [r["full"][0] - r["sa"][0] for r in runs]
     sd = statistics.stdev(diffs) if len(diffs) > 1 else float("nan")
     lines.append("")
     lines.append("full - +SA: " + ", ".join(f"{d:+.4f}" for d in diffs)
                  + f"; mean {statistics.fmean(diffs):+.4f}, SD {sd:.4f}")
-    rescued = all(sa > base for r in results.values()
-                  for sa, base in zip(r["sa"][1], r["base"][1]))
+    rescued = all(sa > base for r in runs for sa, base in zip(r["sa"][1], r["base"][1]))
     lines.append(f"+SA lifts AP{' and AP'.join(map(str, RARE))} above base on every seed: "
                  f"{'yes' if rescued else 'no'}")
     return "\n".join(lines)
@@ -88,7 +84,7 @@ def render(results: dict[int, dict]) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree")
-    parser.add_argument("--seeds", default="0-4", help='"0-4" or "0,2,7"')
+    parser.add_argument("--seeds", default="0-4", help='a range, "0-4", or one seed')
     parser.add_argument("--epochs", type=int, default=50)
     parser.add_argument("--config", help="JSON config whose fields replace the defaults")
     args = parser.parse_args(argv)
