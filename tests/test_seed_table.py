@@ -37,11 +37,12 @@ def test_runs_read_each_variants_last_history_row(tmp_path, tiny_config):
                                 (float(rows[-1]["ap_class_3"]), float(rows[-1]["ap_class_4"])))
 
 
-def test_table_rows_means_differences_and_rescue(tmp_path, tiny_config, capsys):
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(tiny_config))
-    assert seed_table.main([REPO, "--seeds", "0-1", "--epochs", "2",
-                            "--config", str(config_path)]) == 0
+def test_table_rows_means_differences_and_rescue(tiny_config, monkeypatch, capsys):
+    run_seed = seed_table.run_seed
+    monkeypatch.setattr(seed_table, "run_seed",
+                        lambda tree, seed, epochs, config, out:
+                        run_seed(tree, seed, epochs, tiny_config, out))
+    assert seed_table.main([REPO, "--seeds", "0-1", "--epochs", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("| seed | base | +SA | +SAL | full | base AP3 / AP4 |")
     assert [line.split(" | ")[0] for line in lines[2:5]] == ["| 0", "| 1", "| mean"]

@@ -1,14 +1,13 @@
 """Run the CLI ablation suite of one source tree over several seeds and print its seed table.
 
-    python3 tools/seed_table.py TREE [--seeds 0-4] [--epochs 50] [--config CONFIG]
+    python3 tools/seed_table.py TREE [--seeds 0-4] [--epochs 50]
 
 For each seed, TREE's own `src/` runs `--mode ablation-suite` with one BLAS
-thread, on the default config (or CONFIG's fields) with `--epochs` adapt
-epochs. The table has one row per seed and a row of means: each variant's
-final teacher mAP50, then each variant's final AP of the rare classes 3 and
-4 (the default world's contracted classes). Below it come full - +SA per
-seed, with its mean and sample SD, and whether +SA lifts both rare classes
-above base on every seed.
+thread, on the default config with `--epochs` adapt epochs. The table has one
+row per seed and a row of means: each variant's final teacher mAP50, then each
+variant's final AP of the rare classes 3 and 4 (the default world's contracted
+classes). Below it come full - +SA per seed, with its mean and sample SD, and
+whether +SA lifts both rare classes above base on every seed.
 """
 
 from __future__ import annotations
@@ -86,14 +85,9 @@ def main(argv=None) -> int:
     parser.add_argument("tree")
     parser.add_argument("--seeds", default="0-4", help='a range, "0-4", or one seed')
     parser.add_argument("--epochs", type=int, default=50)
-    parser.add_argument("--config", help="JSON config whose fields replace the defaults")
     args = parser.parse_args(argv)
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
     with tempfile.TemporaryDirectory() as tmp:
-        results = {seed: run_seed(args.tree, seed, args.epochs, config,
+        results = {seed: run_seed(args.tree, seed, args.epochs, {},
                                   os.path.join(tmp, f"seed_{seed}"))
                    for seed in parse_seeds(args.seeds)}
     print(render(results))
