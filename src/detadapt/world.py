@@ -3,8 +3,10 @@
 A "sample" is a fixed, ordered list of proposals (box + feature vector) plus the
 ground truth that generated some of them, all as arrays: boxes are (..., 4)
 corner rows (x1, y1, x2, y2). Features are class-conditional Gaussian draws, so
-class overlap and domain shift are fully controllable. `box_iou` is the one
-IoU of the package.
+class overlap and domain shift are fully controllable. `box_iou` is the IoU
+of the package. The jitter check of `generate_domain` computes its IoU on
+Python floats, following `box_iou` operation for operation; the oracle test of
+`generate_domain` pins that the two agree.
 """
 
 from __future__ import annotations
@@ -174,12 +176,22 @@ class DomainSpec:
         for name in ("class_means", "class_covs", "frequency", "background_mean"):
             try:
                 setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{name} must be an array of numbers ({exc})") from None
 
     def validate(self) -> None:
         if self.num_classes < 1 or self.feature_dim < 1 or self.size < 0:
             raise ConfigError("num_classes, feature_dim must be >= 1 and size >= 0")
+        # the range checks below let NaN through, and generation would turn a
+        # non-finite value into NaN features or garbage classes
+        for name in ("class_means", "class_covs", "frequency", "background_mean",
+                     "background_rate", "background_cov", "box_jitter", "image_size"):
+            try:
+                finite = np.isfinite(np.asarray(getattr(self, name), dtype=float)).all()
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
+                raise ConfigError(f"{name} must be finite")
         if self.class_means.shape != (self.num_classes, self.feature_dim):
             raise ConfigError(f"class_means must be ({self.num_classes}, {self.feature_dim})")
         if self.class_covs.shape != (self.num_classes,) or np.any(self.class_covs <= 0):
@@ -256,40 +268,68 @@ def shift_domain(base: DomainSpec, mean_shift) -> DomainSpec:
     return spec
 
 
-def _random_box(spec: DomainSpec, rng: np.random.Generator) -> np.ndarray:
-    w = rng.uniform(spec.min_box, spec.max_box)
-    h = rng.uniform(spec.min_box, spec.max_box)
-    x1 = rng.uniform(0.0, spec.image_size - w)
-    y1 = rng.uniform(0.0, spec.image_size - h)
-    return np.array([x1, y1, x1 + w, y1 + h])
+def _random_box(spec: DomainSpec, rng: np.random.Generator) -> list[float]:
+    # `Generator.uniform(low, high)` is `low + (high - low) * random()`, so one
+    # `random(4)` gives the draws of four `uniform` calls: w, h, x1, y1
+    u_w, u_h, u_x, u_y = rng.random(4).tolist()
+    low, image_size = float(spec.min_box), float(spec.image_size)
+    span = float(spec.max_box) - low
+    w = low + span * u_w
+    h = low + span * u_h
+    x1 = (image_size - w) * u_x
+    y1 = (image_size - h) * u_y
+    return [x1, y1, x1 + w, y1 + h]
 
 
-def _jittered_proposal(box: np.ndarray, spec: DomainSpec, rng: np.random.Generator) -> np.ndarray:
+def _jittered_proposal(box: list[float], spec: DomainSpec,
+                       rng: np.random.Generator) -> list[float]:
     # Retry until the proposal keeps IoU above the detectability floor; the GT
-    # box itself is the fallback, so the floor always holds.
-    size = box[2:] - box[:2]
-    scale = np.concatenate((size, size))
+    # box itself is the fallback, so the floor always holds. The IoU is
+    # `box_iou(cand, box)` on floats, operation for operation.
+    x1, y1, x2, y2 = box
+    w, h = x2 - x1, y2 - y1
+    area = w * h
     for _ in range(20):
-        cand = box + rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale
-        if cand[0] >= cand[2] or cand[1] >= cand[3]:
+        d1, d2, d3, d4 = rng.uniform(-spec.box_jitter, spec.box_jitter, 4).tolist()
+        c1, c2, c3, c4 = x1 + d1 * w, y1 + d2 * h, x2 + d3 * w, y2 + d4 * h
+        if c1 >= c3 or c2 >= c4:
             continue
-        if box_iou(cand, box) > spec.min_proposal_iou:
-            return cand
+        iw = min(c3, x2) - max(c1, x1)
+        ih = min(c4, y2) - max(c2, y1)
+        if iw > 0.0 and ih > 0.0:
+            inter = iw * ih
+            if inter / ((c3 - c1) * (c4 - c2) + area - inter) > spec.min_proposal_iou:
+                return [c1, c2, c3, c4]
     return box
 
 
 def generate_domain(spec: DomainSpec, seed: int) -> list[DetectionSample]:
-    """Draw a full dataset; a pure function of (spec, seed)."""
+    """Draw a full dataset; a pure function of (spec, seed).
+
+    Every output depends on the order of the draws from the one Generator.
+    Per sample, in turn:
+    - the object count G, `integers(min_objects, max_objects + 1)`;
+    - the G classes, `random(G)` through the frequency CDF, as
+      `Generator.choice` with `p` does;
+    - per object: its box, `random(4)` (w, h, x1, y1); its feature noise,
+      `standard_normal(D)`; then its proposal's jitter tries, one
+      `uniform(-box_jitter, box_jitter, 4)` each, up to 20;
+    - the background count, `poisson(background_rate)`;
+    - per background proposal: its box, `random(4)`; its feature noise,
+      `standard_normal(D)`.
+    """
     spec.validate()
     rng = np.random.default_rng(seed)
+    cdf = spec.frequency.cumsum()
+    cdf /= cdf[-1]
     samples = []
     for sample_id in range(spec.size):
         n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
-        classes = rng.choice(spec.num_classes, size=n_obj, p=spec.frequency)
+        classes = cdf.searchsorted(rng.random(n_obj), side="right")
         gt_boxes = []
         boxes = []
         feats = []
-        for c in classes:
+        for c in classes.tolist():
             box = _random_box(spec, rng)
             feats.append(spec.class_means[c]
                          + spec.class_covs[c] * rng.standard_normal(spec.feature_dim))
@@ -307,11 +347,8 @@ def dataset_to_dict(spec: DomainSpec, samples: list[DetectionSample]) -> dict:
     """JSON-ready dataset document with stable field order."""
     docs = []
     for s in samples:
-        proposals = [
-            [*map(float, s.proposal_boxes[j])] + [*map(float, s.proposal_features[j])]
-            for j in range(s.num_proposals)
-        ]
-        objects = [[*map(float, box), int(c)] for box, c in zip(s.gt_boxes, s.gt_classes)]
+        proposals = np.hstack((s.proposal_boxes, s.proposal_features)).tolist()
+        objects = [[*box, int(c)] for box, c in zip(s.gt_boxes.tolist(), s.gt_classes.tolist())]
         docs.append({"id": s.id, "proposals": proposals, "objects": objects})
     return {"spec": spec.to_dict(), "samples": docs}
 

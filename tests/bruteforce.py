@@ -1,9 +1,10 @@
 """Independent slow-path oracles used by the test suite.
 
 Everything here recomputes from first principles with plain loops: central
-finite differences for gradients, per-prefix rescored matching for AP, a
-full threshold enumeration for FROC, a one-sample forward pass whose dropout
-uniforms come from a seed or a shared stream, the per-proposal object path
+finite differences for gradients, the world generator with one NumPy draw
+per box coordinate and an array IoU per jitter try, per-prefix rescored
+matching for AP, a full threshold enumeration for FROC, a one-sample forward
+pass whose dropout uniforms come from a seed or a shared stream, the per-proposal object path
 (one `BBox.from_raw` and one argmax per proposal, per pass) for scoring, a
 one-reduction variance per sample, the per-class object matching
 for a whole evaluation, the supervised losses one label at a time, with a
@@ -36,8 +37,8 @@ from detadapt.teacher import ema_update
 from detadapt.trainer import EpochRecord, TrainHistory
 from detadapt.util import derive_seed, rng_stream
 from detadapt.weighting import DENOM_FLOOR
-from detadapt.world import (BBox, DetectionSample, box_array, box_iou, generate_domain,
-                            perturb_features)
+from detadapt.world import (BBox, DetectionSample, DomainSpec, box_array, box_iou,
+                            generate_domain, perturb_features)
 
 
 def oracle_match_labels(proposal_boxes, label_boxes) -> np.ndarray:
@@ -362,6 +363,56 @@ def oracle_expert_predict(spec, sample, rng, num_classes):
         labels.append((BBox.from_raw(*(box.as_array() + offsets)),
                        np.eye(num_classes)[class_id]))
     return labels
+
+
+def _oracle_random_box(spec: DomainSpec, rng: np.random.Generator) -> np.ndarray:
+    w = rng.uniform(spec.min_box, spec.max_box)
+    h = rng.uniform(spec.min_box, spec.max_box)
+    x1 = rng.uniform(0.0, spec.image_size - w)
+    y1 = rng.uniform(0.0, spec.image_size - h)
+    return np.array([x1, y1, x1 + w, y1 + h])
+
+
+def _oracle_jittered_proposal(box: np.ndarray, spec: DomainSpec,
+                              rng: np.random.Generator) -> np.ndarray:
+    # Retry until the proposal keeps IoU above the detectability floor; the GT
+    # box itself is the fallback, so the floor always holds.
+    size = box[2:] - box[:2]
+    scale = np.concatenate((size, size))
+    for _ in range(20):
+        cand = box + rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale
+        if cand[0] >= cand[2] or cand[1] >= cand[3]:
+            continue
+        if box_iou(cand, box) > spec.min_proposal_iou:
+            return cand
+    return box
+
+
+def oracle_generate_domain(spec: DomainSpec, seed: int) -> list[DetectionSample]:
+    """`generate_domain` with one `Generator.uniform` per box coordinate, a
+    (4,)-array `box_iou` per jitter try and `Generator.choice` for the classes."""
+    spec.validate()
+    rng = np.random.default_rng(seed)
+    samples = []
+    for sample_id in range(spec.size):
+        n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
+        classes = rng.choice(spec.num_classes, size=n_obj, p=spec.frequency)
+        gt_boxes = []
+        boxes = []
+        feats = []
+        for c in classes:
+            box = _oracle_random_box(spec, rng)
+            feats.append(spec.class_means[c]
+                         + spec.class_covs[c] * rng.standard_normal(spec.feature_dim))
+            gt_boxes.append(box)
+            boxes.append(_oracle_jittered_proposal(box, spec, rng))
+        for _ in range(int(rng.poisson(spec.background_rate))):
+            boxes.append(_oracle_random_box(spec, rng))
+            feats.append(spec.background_mean
+                         + spec.background_cov * rng.standard_normal(spec.feature_dim))
+        samples.append(DetectionSample(sample_id, np.array(boxes), np.array(feats),
+                                       np.array(gt_boxes), classes))
+    return samples
 
 
 BOTH = "both"

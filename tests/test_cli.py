@@ -247,6 +247,15 @@ def test_bad_config_exits_two(tmp_path):
     assert run_cli(["--mode", "eval", "--out", str(tmp_path / "o")]) == 2
 
 
+def test_nan_in_a_json_config_exits_two(tmp_path, capsys):
+    # Python's json reads the NaN literal; a NaN frequency passes the sum check
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"pretrain_epochs": 0, "epochs": 0, '
+                   '"target": {"frequency": [NaN, 0.25, 0.2, 0.15, 0.05]}}')
+    assert run_cli(["--mode", "adapt", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: frequency must be finite" in capsys.readouterr().err
+
+
 def test_model_that_does_not_fit_the_config_exits_two_and_writes_nothing(tmp_path, capsys):
     # a 3-class model under the default 5-class config
     params_path = tmp_path / "params.json"

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from bruteforce import _iou, oracle_box
+from bruteforce import _iou, oracle_box, oracle_generate_domain
+from detadapt.config import AdaptationConfig, default_config
 from detadapt.world import (BBox, ConfigError, box_iou, boxes_from_raw, dataset_to_dict,
                             generate_domain, load_dataset, make_domain_spec,
                             save_dataset, shift_domain)
@@ -107,6 +108,50 @@ def test_generation_deterministic_byte_identical():
     assert first != third
 
 
+def assert_same_world(spec, seed):
+    """`generate_domain` equals the oracle in every array's dtype, shape and bytes;
+    returns the samples."""
+    got, want = generate_domain(spec, seed), oracle_generate_domain(spec, seed)
+    assert len(got) == len(want) == spec.size
+    for a, b in zip(got, want):
+        assert a.id == b.id
+        for name in ("proposal_boxes", "proposal_features", "gt_boxes", "gt_classes"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+            assert x.tobytes() == y.tobytes(), name
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_generation_equals_oracle_on_the_default_domains(seed):
+    config = default_config(seed=0)
+    for spec in (config.source, config.target):
+        assert_same_world(spec, seed)
+
+
+def test_generation_equals_oracle_when_the_gt_box_fallback_fires():
+    spec = small_spec(size=200, box_jitter=0.6, min_proposal_iou=0.9)
+    samples = assert_same_world(spec, 4)
+    # a jittered proposal equal to its ground-truth box is the fallback
+    fallbacks = sum(int((s.proposal_boxes[:len(s.gt_boxes)] == s.gt_boxes).all(axis=1).sum())
+                    for s in samples)
+    assert fallbacks > 0
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(box_jitter=0.0),
+    dict(background_rate=0.0),
+    dict(frequency=(0.6, 0.0, 0.4)),
+    dict(frequency=(0.5, 0.5, 0.0)),
+    dict(min_objects=2, max_objects=2),
+    dict(size=0),
+], ids=["no-jitter", "no-background", "zero-frequency-class", "zero-frequency-last-class",
+        "fixed-object-count", "empty"])
+def test_generation_equals_oracle_on_edge_specs(overrides):
+    for seed in (3, 11):
+        assert_same_world(small_spec(**{"size": 60, **overrides}), seed)
+
+
 def test_degenerate_frequency_all_one_class():
     spec = small_spec(frequency=(1.0, 0.0, 0.0), size=100)
     for sample in generate_domain(spec, 0):
@@ -169,6 +214,49 @@ def test_invalid_specs_raise():
     spec.class_covs = np.zeros(3)
     with pytest.raises(ConfigError):
         spec.validate()
+
+
+NON_FINITE_FIELDS = ["class_means", "class_covs", "frequency", "background_mean",
+                     "background_rate", "background_cov", "box_jitter", "image_size"]
+
+
+def with_last(value, bad):
+    """`value` with its last number, at any nesting depth, replaced by `bad`."""
+    return value[:-1] + [with_last(value[-1], bad)] if isinstance(value, list) else bad
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
+@pytest.mark.parametrize("name", NON_FINITE_FIELDS)
+def test_non_finite_spec_values_are_config_errors(name, bad):
+    value = with_last(default_config(seed=0).target.to_dict()[name], bad)
+    with pytest.raises(ConfigError, match=name):
+        AdaptationConfig.from_dict({"target": {name: value}})
+
+
+def old_dataset_to_dict(spec, samples):
+    """`dataset_to_dict` with one `float` per proposal value."""
+    docs = []
+    for s in samples:
+        proposals = [
+            [*map(float, s.proposal_boxes[j])] + [*map(float, s.proposal_features[j])]
+            for j in range(s.num_proposals)
+        ]
+        objects = [[*map(float, box), int(c)] for box, c in zip(s.gt_boxes, s.gt_classes)]
+        docs.append({"id": s.id, "proposals": proposals, "objects": objects})
+    return {"spec": spec.to_dict(), "samples": docs}
+
+
+def test_dataset_json_text_is_the_per_value_form(tmp_path):
+    spec = small_spec(size=30)
+    samples = generate_domain(spec, 8)
+    assert json.dumps(dataset_to_dict(spec, samples)) == \
+        json.dumps(old_dataset_to_dict(spec, samples))
+    # and on a reloaded set, whose arrays come from the JSON reader
+    path = tmp_path / "data.json"
+    save_dataset(path, spec, samples)
+    loaded_spec, loaded = load_dataset(path)
+    assert path.read_text() == json.dumps(old_dataset_to_dict(loaded_spec, loaded))
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -9,7 +9,10 @@ model on a target set ten times the default size), CLI eval of that source
 model twice (once generating and saving the target set, once reloading the
 saved set with --dataset, so the dataset writer and reader are both diffed),
 and the CLI ablation suite (seed 0, 3 epochs), whose +SA and +SAL runs no
-benchmark workload makes.
+benchmark workload makes. It also saves two generated worlds as dataset
+JSON, the seed-0 source set (`source_dataset.json`) and the score-large
+target set (`score-large/target_dataset.json`), so a generator change is
+diffed on the worlds themselves, not only through the outputs built on them.
 Prints one line per file that differs or exists in one tree only, then a
 summary. Exits 1 on any difference.
 
@@ -62,9 +65,14 @@ config = default_config(seed=0)
 params = load_params(source_params)
 large = dataclasses.replace(config.target, size=10 * config.target.size)
 samples = world.generate_domain(large, util.derive_seed(config.seed, "world", "target"))
+os.makedirs(os.path.join(out, "score-large"))
+# the worlds themselves, so a generator change is diffed before any model reads it
+world.save_dataset(os.path.join(out, "score-large", "target_dataset.json"), large, samples)
+world.save_dataset(os.path.join(out, "source_dataset.json"), config.source,
+                   world.generate_domain(config.source,
+                                         util.derive_seed(config.seed, "world", "source")))
 report = partition(samples, params, config.mc_passes, config.variance_threshold,
                    util.rng_stream(config.seed, "partition"))
-os.makedirs(os.path.join(out, "score-large"))
 report.save_csv(os.path.join(out, "score-large", "partition.csv"))
 result = evaluate(params, samples, num_classes=config.num_classes)
 with open(os.path.join(out, "score-large", "eval.json"), "w") as fh:
