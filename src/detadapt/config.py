@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,13 @@ class AdaptationConfig:
         self.target.validate()
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        # the range checks below let NaN, and some of them infinity, through; an
+        # integer beyond the float range counts as infinite
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", "float | None") and value is not None \
+                    and not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ConfigError(f"{f.name} must be finite")
         if self.epochs < 0 or self.pretrain_epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.learning_rate < 0:
@@ -147,7 +155,10 @@ class AdaptationConfig:
         kwargs = dict(base)
         kwargs["source"] = DomainSpec.from_dict(kwargs["source"])
         kwargs["target"] = DomainSpec.from_dict(kwargs["target"])
-        kwargs["expert"] = ExpertSpec.from_dict(kwargs["expert"])
+        try:
+            kwargs["expert"] = ExpertSpec.from_dict(kwargs["expert"])
+        except ValueError as exc:
+            raise ConfigError(f"expert: {exc}") from None
         config = cls(**kwargs)
         config.validate()
         return config

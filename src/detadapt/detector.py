@@ -226,15 +226,10 @@ class Scored:
 
     def sample(self, i: int) -> "Scored":
         """Sample i's rows of a one-pass block as its own `Scored`, whose arrays,
-        derived class ids, scores and boxes included, are views of the block's.
+        derived class ids, scores and boxes included, are views of the block's,
+        each taken when first read.
         """
-        rows = slice(self.offsets[i], self.offsets[i + 1])
-        out = Scored.__new__(Scored)
-        out.num_classes = self.num_classes
-        out.offsets = np.array([0, rows.stop - rows.start])
-        for name in ("h", "log_scores", "scores", "refined", "class_ids", "fg_scores", "boxes"):
-            setattr(out, name, getattr(self, name)[rows])
-        return out
+        return _SampleRows(self, slice(self.offsets[i], self.offsets[i + 1]))
 
     @cached_property
     def class_ids(self) -> np.ndarray:
@@ -250,6 +245,25 @@ class Scored:
     def boxes(self) -> np.ndarray:
         """(P, 4) refined boxes made valid by the `BBox.from_raw` rule."""
         return boxes_from_raw(self.refined)
+
+
+def _block_rows(name: str) -> cached_property:
+    return cached_property(lambda self: getattr(self._block, name)[self._rows])
+
+
+class _SampleRows(Scored):
+    """Rows `rows` of a one-pass block `block`, as `Scored.sample` gives them."""
+
+    def __init__(self, block: Scored, rows: slice):
+        self.num_classes = block.num_classes
+        self._block, self._rows = block, rows
+
+    h, log_scores, scores, refined, class_ids, fg_scores, boxes = map(
+        _block_rows, ("h", "log_scores", "scores", "refined", "class_ids", "fg_scores", "boxes"))
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.array([0, self._rows.stop - self._rows.start])
 
 
 def forward_arrays(params: ModelParams, sample: DetectionSample,

@@ -11,6 +11,7 @@ once per sample, before the first epoch, from the sample's own sub-stream
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class ExpertSpec:
     def __post_init__(self):
         if not 0.0 <= self.miss_rate <= 1.0 or not 0.0 <= self.flip_rate <= 1.0:
             raise ValueError("miss_rate and flip_rate must lie in [0, 1]")
-        if self.box_jitter < 0:
-            raise ValueError("box_jitter must be non-negative")
+        if not 0 <= self.box_jitter <= sys.float_info.max:
+            raise ValueError("box_jitter must be finite and non-negative")
 
     def to_dict(self) -> dict:
         return {"miss_rate": self.miss_rate, "flip_rate": self.flip_rate,

@@ -222,12 +222,15 @@ def adapt(
       hard `Labels`, matched to the proposals in one `match_labels` call.
       Augmentation keeps label and proposal boxes, so the matches serve the
       losses and the relation statistics alike.
-    - With SA on, each batch takes `relation.majority()` once the matrix is
-      ready; sample k's labels are augmented, then the crop bank files its
-      confident features under their pseudo-label classes, in one push,
-      before sample k + 1 is augmented; `aug_rng` draws in that order. With
-      SA off nothing reads the bank or the majority set, so neither is
-      filled nor computed. The batch's noise is one draw.
+    - With SA on, the crop bank files the batch's confident features under
+      their pseudo-label classes in one push, and once the matrix is ready
+      the batch takes `relation.majority()` and augments its labels in one
+      `augment_sample` call. Sample k draws from the bank as it stood after
+      the rows of samples 0..k-1 were filed, not its own or later ones, so
+      the bank and the `aug_rng` draws are those of augmenting sample k and
+      then filing its rows, one sample at a time. With SA off nothing reads
+      the bank or the majority set, so neither is filled nor computed. The
+      batch's noise is one draw.
     - The student's pass over the strong views feeds one `targets` and one
       `supervised_losses` call per loss. A label's class and the student's
       class at its matched proposal travel as two int arrays: with SAL on
@@ -296,21 +299,13 @@ def adapt(
 
             strong = samples
             if config.enable_sa:
-                strong = []
-                for i, sample in enumerate(samples):
-                    subset = report.subset_of(sample.id)
-                    own = slice(label_offsets[i], label_offsets[i + 1])
-                    view = sample
-                    if majority is not None:
-                        view, mixed = augment_sample(
-                            sample, Labels(labels.boxes[own], labels.classes[own]), relation,
-                            majority, bank, policy, subset, aug_rng,
-                            matches=matches[own] - offsets[i])
-                        labels.classes[own] = mixed.classes
-                    strong.append(view)
-                    # the bank absorbs the clean features of confident instances
-                    bank.push(subset, scored_t.class_ids[rows[own]],
-                              sample.proposal_features[rows[own] - offsets[i]])
+                subsets = [report.subset_of(s.id) for s in samples]
+                # the bank files the clean features of confident instances, the
+                # teacher's unperturbed pass rows, one push per batch
+                bank.push(subsets, scored_t.class_ids[rows], scored_t.h[rows], label_offsets)
+                if majority is not None:
+                    strong, labels = augment_sample(samples, labels, relation, majority, bank,
+                                                    policy, subsets, aug_rng, matches=matches)
             strong = perturb_features(strong, config.noise_scale, noise_rng)
             bg = None if config.background_bar is None else \
                 background_indices(teacher, samples, config.background_bar, scored=scored_t)

@@ -322,23 +322,29 @@ def generate_domain(spec: DomainSpec, seed: int) -> list[DetectionSample]:
     rng = np.random.default_rng(seed)
     cdf = spec.frequency.cumsum()
     cdf /= cdf[-1]
+    # row c of the feature centers and scales is class c's; row C is the background's
+    means = np.vstack((spec.class_means, spec.background_mean))
+    scales = np.append(spec.class_covs, spec.background_cov)
     samples = []
     for sample_id in range(spec.size):
         n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
         classes = cdf.searchsorted(rng.random(n_obj), side="right")
         gt_boxes = []
         boxes = []
-        feats = []
-        for c in classes.tolist():
+        noise = []
+        for _ in range(n_obj):
             box = _random_box(spec, rng)
-            feats.append(spec.class_means[c]
-                         + spec.class_covs[c] * rng.standard_normal(spec.feature_dim))
+            noise.append(rng.standard_normal(spec.feature_dim))
             gt_boxes.append(box)
             boxes.append(_jittered_proposal(box, spec, rng))
-        for _ in range(int(rng.poisson(spec.background_rate))):
+        n_background = int(rng.poisson(spec.background_rate))
+        for _ in range(n_background):
             boxes.append(_random_box(spec, rng))
-            feats.append(spec.background_mean + spec.background_cov * rng.standard_normal(spec.feature_dim))
-        samples.append(DetectionSample(sample_id, np.array(boxes), np.array(feats),
+            noise.append(rng.standard_normal(spec.feature_dim))
+        # each row's mean + scale * noise, the per-row arithmetic done once per sample
+        rows = np.concatenate((classes, np.full(n_background, spec.num_classes)))
+        feats = means[rows] + scales[rows][:, None] * np.array(noise)
+        samples.append(DetectionSample(sample_id, np.array(boxes), feats,
                                        np.array(gt_boxes), classes))
     return samples
 

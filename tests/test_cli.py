@@ -256,6 +256,16 @@ def test_nan_in_a_json_config_exits_two(tmp_path, capsys):
     assert "config error: frequency must be finite" in capsys.readouterr().err
 
 
+def test_nan_in_a_scalar_config_field_exits_two_and_writes_nothing(tmp_path, capsys):
+    # a NaN learning rate passes `learning_rate < 0`; it must not reach training
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"pretrain_epochs": 0, "epochs": 1, "learning_rate": NaN}')
+    out = tmp_path / "o"
+    assert run_cli(["--mode", "adapt", "--config", str(bad), "--out", str(out)]) == 2
+    assert "config error: learning_rate must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_that_does_not_fit_the_config_exits_two_and_writes_nothing(tmp_path, capsys):
     # a 3-class model under the default 5-class config
     params_path = tmp_path / "params.json"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from bruteforce import CropEntry, OracleCropbank, oracle_preference, oracle_sample_pair
-from detadapt.cropbank import AugmentPolicy, Cropbank, augment_sample, sample_pair
+import bruteforce
+from bruteforce import (CropEntry, OracleCropbank, bbox_pairs, oracle_augment_sample,
+                        oracle_preference, oracle_sample_pair, oracle_split)
+from detadapt.cropbank import AugmentPolicy, Cropbank, augment_sample
 from detadapt.detector import Labels, match_labels
 from detadapt.partition import DISSIMILAR, SIMILAR, SUBSETS
 from detadapt.relation import RelationMatrix
@@ -10,22 +12,34 @@ from detadapt.world import DetectionSample
 
 
 def row(value, class_id, dim=3):
-    """The (class, feature) pair `sample_pair` returns for `push(..., class_id, value)`."""
+    """The (class, feature) pair `draw` returns for `push(..., class_id, value)`."""
     return class_id, np.full(dim, float(value))
 
 
 def push(bank, subset, class_id, value, dim=3):
-    """Push one instance, of feature `np.full(dim, value)`, as a sample of its own."""
-    bank.push(subset, [class_id], [np.full(dim, float(value))])
+    """Push one instance, of feature `np.full(dim, value)`, as a batch of one sample."""
+    bank.push([subset], [class_id], [np.full(dim, float(value))], [0, 1])
+
+
+def push_rows(bank, subset, class_ids, features):
+    """Push one sample's instances as a batch of one sample."""
+    bank.push([subset], class_ids, features, [0, len(class_ids)])
 
 
 def same_row(got, want):
     return got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
+def probe(bank, sample_subset):
+    """Push a batch of one `sample_subset` sample without rows: it sees the whole bank."""
+    bank.push([sample_subset], np.zeros(0, dtype=int), np.zeros((0, 0)), [0, 0])
+
+
 def held(bank, sample_subset, class_id):
     """The feature rows of one class that a `sample_subset` sample may draw, in order."""
-    return [feature for buffer in bank.sources(sample_subset, class_id) for feature in buffer]
+    probe(bank, sample_subset)
+    count = bank.sizes(class_id + 1)[0, class_id]
+    return [bank.row(0, class_id, index).copy() for index in range(count)]
 
 
 def relation_from(rows):
@@ -33,16 +47,48 @@ def relation_from(rows):
     return RelationMatrix(rows, 0.9, update_counts=np.ones(len(rows), dtype=int))
 
 
+def partners(rel, base_class, is_majority, bank, sample_subset, rng, count=1, dim=3):
+    """The partners `augment_sample` blends into `count` labels of class
+    `base_class` in a batch of one `sample_subset` sample at p_aug 1, label by
+    label: (class, feature), or None without one.
+
+    Each label has a proposal of its own, of zero feature, and keeps half of
+    it, so a blend is half the partner's feature and half the two one-hot
+    class vectors, exactly.
+    """
+    probe(bank, sample_subset)
+    boxes = np.zeros((count, 4)) + [0.0, 0.0, 4.0, 4.0]
+    sample = DetectionSample(0, boxes, np.zeros((count, dim)), np.zeros((0, 4)),
+                             np.zeros(0, dtype=int))
+    labels = Labels.one_hot(boxes, [base_class] * count, rel.num_classes)
+    majority = frozenset({base_class} if is_majority else ())
+    (view,), out = augment_sample([sample], labels, rel, majority, bank,
+                                  AugmentPolicy(p_aug=1.0, mix_ratio=0.5), [sample_subset],
+                                  rng, matches=np.arange(count))
+    if view is sample:
+        return [None] * count
+    pair_classes = np.argmax(out.classes - 0.5 * labels.classes, axis=1)
+    return [(int(c), f / 0.5) for c, f in zip(pair_classes, view.proposal_features)]
+
+
+def draw(rel, base_class, is_majority, bank, sample_subset, rng, dim=3):
+    """One label's partner, as `partners` gives it."""
+    return partners(rel, base_class, is_majority, bank, sample_subset, rng, dim=dim)[0]
+
+
 def augment(sample, labels, rel, majority, bank, policy, subset, rng):
-    """`augment_sample` given the labels' own matches, as `adapt` gives them."""
-    return augment_sample(sample, labels, rel, majority, bank, policy, subset, rng,
-                          matches=match_labels(sample.proposal_boxes, labels.boxes))
+    """`augment_sample` of a batch of one sample, given the labels' own
+    matches, as `adapt` gives them, after a push of no rows."""
+    probe(bank, subset)
+    (view,), out = augment_sample([sample], labels, rel, majority, bank, policy, [subset], rng,
+                                  matches=match_labels(sample.proposal_boxes, labels.boxes))
+    return view, out
 
 
 def test_rows_changed_by_the_caller_after_push_stay_unchanged():
     bank = Cropbank(capacity=4)
     class_ids, features = np.array([1, 0]), np.ones((2, 3))
-    bank.push(SIMILAR, class_ids, features)
+    push_rows(bank, SIMILAR, class_ids, features)
     class_ids[:], features[:] = 0, 5.0
     assert np.array_equal(held(bank, SIMILAR, 1), [np.ones(3)])
     assert np.array_equal(held(bank, SIMILAR, 0), [np.ones(3)])
@@ -53,6 +99,12 @@ def test_fifo_eviction_order():
     for value in (1, 2, 3):
         push(bank, SIMILAR, 0, value)
     assert np.array_equal(held(bank, SIMILAR, 0), [np.full(3, 2.0), np.full(3, 3.0)])
+    # within one batch, each sample sees the rows filed before its own
+    bank = Cropbank(capacity=2)
+    bank.push([SIMILAR] * 4, [0, 0, 0], np.arange(3.0)[:, None] + np.zeros(3), [0, 1, 2, 3, 3])
+    assert bank.sizes(1).tolist() == [[0], [1], [2], [2]]
+    assert [bank.row(3, 0, i).tolist() for i in range(2)] == [[1.0] * 3, [2.0] * 3]
+    assert [bank.row(2, 0, i).tolist() for i in range(2)] == [[0.0] * 3, [1.0] * 3]
 
 
 def test_capacity_exactly_filled_no_eviction():
@@ -67,7 +119,7 @@ def test_single_entry_sample_returns_it():
     push(bank, SIMILAR, 1, 7)
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
     rng = np.random.default_rng(0)
-    picked = sample_pair(rel, 0, False, bank, SIMILAR, rng)
+    picked = draw(rel, 0, False, bank, SIMILAR, rng)
     assert same_row(picked, row(7, 1))
 
 
@@ -79,9 +131,8 @@ def test_majority_masking_excludes_self():
     push(bank, SIMILAR, 0, 1)
     push(bank, SIMILAR, 1, 2)
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        picked = sample_pair(rel, 0, True, bank, SIMILAR, rng)
-        assert picked[0] == 1
+    picks = partners(rel, 0, True, bank, SIMILAR, rng, count=50)
+    assert all(picked[0] == 1 for picked in picks)
 
 
 def test_majority_base_never_draws_its_own_class_in_the_uniform_fallback():
@@ -92,10 +143,10 @@ def test_majority_base_never_draws_its_own_class_in_the_uniform_fallback():
     bank = Cropbank(capacity=4)
     push(bank, SIMILAR, 0, 1)
     rng = np.random.default_rng(3)
-    assert sample_pair(rel, 0, True, bank, SIMILAR, rng) is None
+    assert draw(rel, 0, True, bank, SIMILAR, rng) is None
     push(bank, SIMILAR, 1, 2)
     push(bank, SIMILAR, 2, 3)
-    picks = [sample_pair(rel, 0, True, bank, SIMILAR, rng)[0] for _ in range(200)]
+    picks = [picked[0] for picked in partners(rel, 0, True, bank, SIMILAR, rng, count=200)]
     assert set(picks) == {1, 2}
 
 
@@ -105,9 +156,8 @@ def test_minority_row_allows_self_augmentation():
     push(bank, SIMILAR, 0, 1)
     push(bank, SIMILAR, 1, 2)
     rng = np.random.default_rng(2)
-    for _ in range(50):
-        picked = sample_pair(rel, 0, False, bank, SIMILAR, rng)
-        assert picked[0] == 0
+    picks = partners(rel, 0, False, bank, SIMILAR, rng, count=50)
+    assert all(picked[0] == 0 for picked in picks)
 
 
 def test_sampling_frequencies_match_relation_weights():
@@ -117,21 +167,20 @@ def test_sampling_frequencies_match_relation_weights():
     push(bank, SIMILAR, 1, 2)
     rng = np.random.default_rng(3)
     draws = 10000
-    hits = 0
-    for _ in range(draws):
-        picked = sample_pair(rel, 0, False, bank, SIMILAR, rng)
-        hits += int(picked[0] == 0)
+    hits = sum(picked[0] == 0
+               for picked in partners(rel, 0, False, bank, SIMILAR, rng, count=draws))
     assert abs(hits / draws - 0.75) < 0.02
 
 
 def test_class_draw_matches_generator_choice_with_zero_weights():
     # a minority base draws over its relation row; the pick and the stream
-    # after it are those of `Generator.choice` with the renormalized weights
+    # after it are those of `Generator.choice` with the renormalized weights,
+    # after the label's p_aug draw
     rng = np.random.default_rng(44)
     num_classes = 5
     bank = Cropbank(capacity=1)
     for k in range(num_classes):
-        push(bank, DISSIMILAR, k, k)
+        push(bank, SIMILAR, k, k)
     got_rng, want_rng = np.random.default_rng(45), np.random.default_rng(45)
     zeros = 0
     for _ in range(300):
@@ -140,7 +189,8 @@ def test_class_draw_matches_generator_choice_with_zero_weights():
         if weights.sum() == 0:
             weights[int(rng.integers(num_classes))] = 1.0
         rel = relation_from(np.tile(weights, (num_classes, 1)))
-        got = sample_pair(rel, 0, False, bank, DISSIMILAR, got_rng)
+        got = draw(rel, 0, False, bank, SIMILAR, got_rng)
+        assert want_rng.random() < 1.0
         want = int(want_rng.choice(num_classes, p=weights / weights.sum()))
         assert int(want_rng.integers(1)) == 0
         assert same_row(got, row(want, want))
@@ -150,21 +200,27 @@ def test_class_draw_matches_generator_choice_with_zero_weights():
 
 def test_empty_buffers_signal_no_pair():
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
-    assert sample_pair(rel, 0, False, Cropbank(4), SIMILAR, np.random.default_rng(0)) is None
+    rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
+    assert draw(rel, 0, False, Cropbank(4), SIMILAR, rng) is None
+    # the label's p_aug draw, and nothing after it
+    want_rng.random()
+    assert rng.random() == want_rng.random()
 
 
 def test_dissimilar_preference_with_fallback():
+    # a majority base of class 1 may draw only class 0: from the dissimilar
+    # buffer while it holds a row, else from the similar one
     rel = relation_from([[1.0, 0.0], [0.0, 1.0]])
     bank = Cropbank(capacity=4)
     push(bank, SIMILAR, 0, 1)
     push(bank, DISSIMILAR, 0, 2)
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        assert same_row(sample_pair(rel, 0, False, bank, DISSIMILAR, rng), row(2, 0))
+    for picked in partners(rel, 1, True, bank, DISSIMILAR, rng, count=20):
+        assert same_row(picked, row(2, 0))
     # fallback once the dissimilar buffer is empty
     empty_dis = Cropbank(capacity=4)
     push(empty_dis, SIMILAR, 0, 1)
-    assert same_row(sample_pair(rel, 0, False, empty_dis, DISSIMILAR, rng), row(1, 0))
+    assert same_row(draw(rel, 1, True, empty_dis, DISSIMILAR, rng), row(1, 0))
 
 
 def test_pools_and_draws_match_per_entry_oracle_bank():
@@ -182,14 +238,16 @@ def test_pools_and_draws_match_per_entry_oracle_bank():
             n = int(rng.integers(0, 5))
             class_ids = rng.integers(num_classes, size=n)
             features = rng.standard_normal((n, dim))
-            bank.push(subset, class_ids, features)
+            push_rows(bank, subset, class_ids, features)
             for class_id, feature in zip(class_ids.tolist(), features):
                 oracle.push(subset, class_id,
                             CropEntry(feature.copy(), np.eye(num_classes)[class_id]))
         else:
-            base, is_majority = int(rng.integers(num_classes)), bool(rng.integers(2))
-            which = int(rng.integers(2))
-            got = sample_pair(relations[which], base, is_majority, bank, subset, bank_rng)
+            base, which = int(rng.integers(num_classes)), int(rng.integers(2))
+            # a minority base in a dissimilar sample is never blended
+            is_majority = subset == DISSIMILAR or bool(rng.integers(2))
+            oracle_rng.random()
+            got = draw(relations[which], base, is_majority, bank, subset, bank_rng, dim=dim)
             want = oracle_sample_pair(relations[which], base, is_majority, oracle,
                                       oracle_preference(subset), oracle_rng)
             if want is None:
@@ -223,16 +281,19 @@ def test_kept_sizes_follow_pushes_and_draws_match_oracle():
         if step % 3 == 0:
             class_ids = rng.integers(num_classes + 2, size=int(rng.integers(0, 6)))
             features = rng.standard_normal((len(class_ids), dim))
-            bank.push(subset, class_ids, features)
+            push_rows(bank, subset, class_ids, features)
             for class_id, feature in zip(class_ids.tolist(), features):
                 oracle.push(subset, class_id,
                             CropEntry(feature.copy(), np.eye(num_classes + 2)[class_id]))
         for sample_subset in SUBSETS:
             want = [len(oracle.pool(oracle_preference(sample_subset), k))
                     for k in range(num_classes)]
-            assert bank.sizes(sample_subset, num_classes).tolist() == want
-        base, is_majority = int(rng.integers(num_classes)), bool(rng.integers(2))
-        got = sample_pair(relation, base, is_majority, bank, subset, bank_rng)
+            probe(bank, sample_subset)
+            assert bank.sizes(num_classes).tolist() == [want]
+        base = int(rng.integers(num_classes))
+        is_majority = subset == DISSIMILAR or bool(rng.integers(2))
+        oracle_rng.random()
+        got = draw(relation, base, is_majority, bank, subset, bank_rng, dim=dim)
         want = oracle_sample_pair(relation, base, is_majority, oracle,
                                   oracle_preference(subset), oracle_rng)
         if want is None:
@@ -248,8 +309,37 @@ def test_kept_sizes_follow_pushes_and_draws_match_oracle():
 def test_push_rejects_bad_class_ids_and_leaves_the_bank_empty(class_ids, rows):
     bank = Cropbank(capacity=2)
     with pytest.raises(ValueError):
-        bank.push(SIMILAR, class_ids, np.zeros((rows, 3)))
-    assert bank.sizes(SIMILAR, 2).tolist() == [0, 0] and held(bank, SIMILAR, 0) == []
+        bank.push([SIMILAR], class_ids, np.zeros((rows, 3)), [0, len(class_ids)])
+    assert held(bank, SIMILAR, 0) == [] and bank.sizes(2).tolist() == [[0, 0]]
+
+
+@pytest.mark.parametrize("subsets,offsets", [
+    (["elsewhere"], [0, 1]), ([SIMILAR], [0, 0]), ([SIMILAR], [0, 1, 1]),
+    ([SIMILAR, SIMILAR], [0, 2, 1]), ([SIMILAR], [0.0, 1.0])],
+    ids=["subset", "short", "long", "falling", "float"])
+def test_push_rejects_bad_subsets_and_offsets(subsets, offsets):
+    bank = Cropbank(capacity=2)
+    with pytest.raises(ValueError):
+        bank.push(subsets, [0], np.zeros((1, 3)), offsets)
+    assert held(bank, SIMILAR, 0) == []
+
+
+def test_push_rejects_feature_rows_of_another_dimension():
+    bank = Cropbank(capacity=2)
+    push(bank, SIMILAR, 0, 1, dim=3)
+    with pytest.raises(ValueError):
+        push(bank, SIMILAR, 0, 2, dim=2)
+    assert np.array_equal(held(bank, SIMILAR, 0), [np.ones(3)])
+
+
+def test_augment_rejects_a_batch_the_bank_was_not_given():
+    bank = Cropbank(capacity=2)
+    push(bank, SIMILAR, 0, 1)
+    sample, labels = make_sample_with_labels()
+    with pytest.raises(ValueError, match="last push"):
+        augment_sample([sample], labels, relation_from(np.eye(2)), frozenset({0}), bank,
+                       AugmentPolicy(), [DISSIMILAR], np.random.default_rng(0),
+                       matches=np.arange(2))
 
 
 def blend(ratio):
@@ -258,7 +348,7 @@ def blend(ratio):
     sample = DetectionSample(0, boxes, np.array([[1.0, 1.0]]), np.zeros((0, 4)),
                              np.zeros(0, dtype=int))
     bank = Cropbank(capacity=1)
-    bank.push(SIMILAR, [1], [np.array([3.0, -1.0])])
+    push_rows(bank, SIMILAR, [1], [np.array([3.0, -1.0])])
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
     out_sample, out_labels = augment(
         sample, Labels.one_hot(boxes, [0], 2), rel, frozenset({0}), bank,
@@ -348,3 +438,81 @@ def test_class_vectors_stay_simplex_under_repeated_augmentation():
         for _, vec in current_labels:
             assert vec.sum() == pytest.approx(1.0)
             assert np.all(vec >= -1e-12)
+
+
+def random_batch(rng, num_samples, num_classes, dim, first_id):
+    """Samples with distinct proposal boxes; hard labels on some of their
+    proposals, a proposal at times labeled twice; and each sample's pushes,
+    rows of its proposals under random classes."""
+    samples, label_sets, pushes = [], [], []
+    for n in range(num_samples):
+        count = int(rng.integers(1, 6))
+        corners = rng.uniform(0, 80, (count, 2)) + 90.0 * np.arange(count)[:, None]
+        boxes = np.hstack((corners, corners + rng.uniform(4, 12, (count, 2))))
+        samples.append(DetectionSample(first_id + n, boxes, rng.standard_normal((count, dim)),
+                                       np.zeros((0, 4)), np.zeros(0, dtype=int)))
+        rows = rng.integers(count, size=int(rng.integers(0, 5)))
+        label_sets.append(Labels.one_hot(boxes[rows], rng.integers(num_classes, size=len(rows)),
+                                         num_classes))
+        rows = rng.integers(count, size=int(rng.integers(0, 4)))
+        pushes.append((rng.integers(num_classes, size=len(rows)),
+                       samples[-1].proposal_features[rows]))
+    return samples, Labels.pack(label_sets), pushes
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 64])
+def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeypatch):
+    # one push and one augment_sample call per batch equal augmenting each
+    # sample, then filing its rows, in turn, on the per-entry oracle bank:
+    # the same bytes and the same stream
+    rng = np.random.default_rng(capacity)
+    num_classes, dim = 3, 4
+    bank, oracle = Cropbank(capacity), OracleCropbank(capacity)
+    policy = AugmentPolicy(p_aug=0.7, mix_ratio=0.7)
+    bank_rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+    filed_this_batch, own_batch_draws, evicted_within_batch, blends = set(), 0, 0, 0
+
+    def recording_pair(*args):
+        nonlocal own_batch_draws
+        pair = oracle_sample_pair(*args)
+        own_batch_draws += pair is not None and id(pair) in filed_this_batch
+        return pair
+
+    monkeypatch.setattr(bruteforce, "oracle_sample_pair", recording_pair)
+    for batch in range(80):
+        samples, labels, pushes = random_batch(rng, int(rng.integers(1, 8)), num_classes, dim,
+                                               100 * batch)
+        subsets = [SUBSETS[int(s)] for s in rng.integers(2, size=len(samples))]
+        relation = relation_from(np.eye(num_classes) if batch % 5 == 0 else
+                                 rng.dirichlet(np.ones(num_classes), num_classes))
+        proposal_offsets = np.cumsum([0] + [s.num_proposals for s in samples])
+        matches = match_labels(np.concatenate([s.proposal_boxes for s in samples]),
+                               labels.boxes, proposal_offsets, labels.offsets)
+        bank.push(subsets, np.concatenate([c for c, _ in pushes]),
+                  np.concatenate([f for _, f in pushes]),
+                  np.cumsum([0] + [len(c) for c, _ in pushes]))
+        strong, mixed = augment_sample(samples, labels, relation, relation.majority(), bank,
+                                       policy, subsets, bank_rng, matches=matches)
+
+        filed_this_batch.clear()
+        split = oracle_split(relation)
+        assert split[0] == relation.majority()
+        for k, (sample, subset, (class_ids, features)) in enumerate(zip(samples, subsets, pushes)):
+            own = slice(labels.offsets[k], labels.offsets[k + 1])
+            want_sample, want_labels = oracle_augment_sample(
+                sample, bbox_pairs(Labels(labels.boxes[own], labels.classes[own])), relation,
+                split, oracle, policy, subset, oracle_rng)
+            assert strong[k].proposal_features.tobytes() == want_sample.proposal_features.tobytes()
+            want_classes = np.array([vec for _, vec in want_labels]).reshape(-1, num_classes)
+            assert mixed.classes[own].tobytes() == want_classes.tobytes()
+            blends += int(np.sum(mixed.classes[own].max(axis=1) < 1.0))
+            for class_id, feature in zip(class_ids.tolist(), features):
+                before = oracle.entries(subset, class_id)
+                entry = CropEntry(feature.copy(), np.eye(num_classes)[class_id])
+                oracle.push(subset, class_id, entry)
+                filed_this_batch.add(id(entry))
+                evicted_within_batch += len(before) == capacity and k < len(samples) - 1
+        assert mixed.offsets.tolist() == labels.offsets.tolist()
+        assert bank_rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert blends > 100
+    assert own_batch_draws > 0 and evicted_within_batch > 0

@@ -261,17 +261,21 @@ def history_columns(history, names):
     return [[row[name] for name in names] for row in rows]
 
 
-@pytest.mark.parametrize("variant,background_bar", [
-    ("base", 0.1), ("sa", 0.1), ("sal", 0.1), ("full", 0.1), ("full", None)])
-def test_adapt_matches_per_sample_object_loop_oracle(variant, background_bar, busy_run):
+@pytest.mark.parametrize("variant,background_bar,bank_capacity", [
+    ("base", 0.1, 64), ("sa", 0.1, 64), ("sal", 0.1, 64), ("full", 0.1, 64), ("full", None, 64),
+    ("sa", 0.1, 2)], ids=["base-0.1", "sa-0.1", "sal-0.1", "full-0.1", "full-None",
+                          "sa-0.1-capacity2"])
+def test_adapt_matches_per_sample_object_loop_oracle(variant, background_bar, bank_capacity,
+                                                     busy_run):
     # one sample per batch is one gradient product, the oracle's own, so the
     # run is the oracle's bit for bit; a batch of 16, the default, sums its
     # gradients in one BLAS product, whose order moves the parameters' last
     # bits only (a relative 2.6e-13 at most measured) and the losses with
-    # them, while every mAP and AP of the history stays exact
+    # them, while every mAP and AP of the history stays exact. A two-row
+    # bank evicts, within a batch, rows that later samples would have drawn
     config, params, target = busy_run
     config = dataclasses.replace(ablation_variants(config)[variant],
-                                 background_bar=background_bar)
+                                 background_bar=background_bar, bank_capacity=bank_capacity)
     for batch_size in (1, 16):
         run = dataclasses.replace(config, batch_size=batch_size)
         teacher, history = adapt(params, target, run)
@@ -351,6 +355,29 @@ def test_config_dict_roundtrip_and_unknown_fields():
             AdaptationConfig.from_dict(bad)
     loose = AdaptationConfig.from_dict({"learning_rate": 1, "background_bar": None})
     assert loose.learning_rate == 1 and loose.background_bar is None
+
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(AdaptationConfig)
+                if f.type in ("float", "float | None")]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "huge"])
+@pytest.mark.parametrize("field", FLOAT_FIELDS + ["expert.miss_rate", "expert.flip_rate",
+                                                  "expert.box_jitter"])
+def test_non_finite_scalar_config_values_are_config_errors(field, value):
+    # a range check alone lets NaN through, and infinity through a lower bound
+    from detadapt.world import ConfigError
+    section, _, name = field.rpartition(".")
+    with pytest.raises(ConfigError, match=name):
+        AdaptationConfig.from_dict({section: {name: value}} if section else {name: value})
+
+
+def test_out_of_range_expert_rates_are_config_errors():
+    from detadapt.world import ConfigError
+    for bad in ({"miss_rate": 2.0}, {"flip_rate": -0.1}, {"box_jitter": -1}):
+        with pytest.raises(ConfigError, match="expert"):
+            AdaptationConfig.from_dict({"expert": bad})
 
 
 def expert_label_sets(targets, count):

@@ -4,8 +4,11 @@
 
 Each tree runs, from its own `src/`, with one BLAS thread: CLI pretrain, then
 CLI adapt of the full method and of the base variant from that source model
-(seed 0, 10 epochs), the score-large partition and evaluation (that source
-model on a target set ten times the default size), CLI eval of that source
+(seed 0, 10 epochs) and of the +SA variant with a crop bank of two rows per
+buffer (3 epochs), where a push often evicts rows that samples later in the
+same batch would have drawn (the default capacity rarely does), the
+score-large partition and evaluation (that source model on a target set ten
+times the default size), CLI eval of that source
 model twice (once generating and saving the target set, once reloading the
 saved set with --dataset, so the dataset writer and reader are both diffed),
 and the CLI ablation suite (seed 0, 3 epochs), whose +SA and +SAL runs no
@@ -50,9 +53,12 @@ variants = trainer.ablation_variants(base)
 os.makedirs(out)
 assert cli.run_cli(["--mode", "pretrain", "--out", os.path.join(out, "pretrain")]) == 0
 source_params = os.path.join(out, "pretrain", "source_params.json")
-for name in ("full", "base"):
+# a two-row bank evicts rows that samples later in the same batch would have drawn
+runs = {"full": variants["full"], "base": variants["base"],
+        "sa-capacity2": dataclasses.replace(variants["sa"], bank_capacity=2, epochs=3)}
+for name, variant in runs.items():
     config_path = os.path.join(out, f"config_{name}.json")
-    variants[name].save_json(config_path)
+    variant.save_json(config_path)
     assert cli.run_cli(["--mode", "adapt", "--config", config_path,
                         "--out", os.path.join(out, f"adapt-{name}"),
                         "--params", source_params]) == 0
