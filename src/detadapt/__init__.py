@@ -2,11 +2,13 @@
 
 A mean-teacher self-training pipeline hardened against class-context bias and
 mode collapse: an EMA-smoothed class-relation matrix drives instance-level loss
-reweighting and relation-guided MixUp from FIFO crop banks, a dropout-variance
-split separates source-similar from dissimilar target samples, and a simulated
-frozen expert supplies auxiliary pseudo-supervision. The subset discriminator
-loss (with gradient reversal) is provided but not trained: the detector is
-linear in the raw features, so it has no trunk for the reversed gradients.
+reweighting and relation-guided MixUp from per-class FIFO crop banks, and a
+simulated frozen expert supplies auxiliary pseudo-supervision. A
+dropout-variance split of the target set into source-similar and dissimilar
+samples is written as a diagnostic; training does not read it. The subset
+discriminator loss (with gradient reversal) is provided but not trained: the
+detector is linear in the raw features, so it has no trunk for the reversed
+gradients.
 """
 
 from .config import AdaptationConfig, default_config

@@ -1,4 +1,4 @@
-"""Target-set partitioning by Monte-Carlo-dropout detection variance.
+"""Target-set partitioning by Monte-Carlo-dropout detection variance, a diagnostic.
 
 The source-pretrained model runs M stochastic forward passes per sample;
 box-coordinate and class-score variances of the stacked outputs multiply into
@@ -6,9 +6,14 @@ a single detection variance. The passes run in blocks of `BLOCK_SAMPLES`
 samples, one packed (M, rows, D) computation per block: its dropout masks
 are one draw from the partition's Generator, and its samples' variances one
 segmented reduction over its rows. Samples are ranked ascending by variance
-and the top fraction (variance level >= sigma) is tagged source-similar: the
-pretrained model is most uncertain exactly where the data resembles its
-training domain.
+and the top fraction (variance level >= sigma) is tagged source-similar.
+
+That is A2SFOD's rule (Chu et al., AAAI 2023). It is kept as a diagnostic:
+`adapt` writes the split to `partition.csv`, and nothing in training reads it.
+In this world the rule does not find the source-like samples. On a target
+set of half near-source samples, 32-39% of the high-variance half were
+near-source, against 50% by chance, and no split direction moved the
+adapted teacher's mAP beyond the noise between seeds.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .world import DetectionSample
 
 SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
-SUBSETS = (SIMILAR, DISSIMILAR)
 
 
 @dataclass(frozen=True)
@@ -41,13 +45,9 @@ class VarianceRow:
 
 @dataclass
 class VarianceReport:
-    """Rows in rank order, and the source-similar sample ids; the rest are dissimilar."""
+    """Rows in rank order, each tagged source-similar or dissimilar."""
 
     rows: list[VarianceRow]
-    similar: frozenset[int]
-
-    def subset_of(self, sample_id: int) -> str:
-        return SIMILAR if sample_id in self.similar else DISSIMILAR
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -134,20 +134,23 @@ def partition(
 ) -> VarianceReport:
     """One-time split of the target set into source-similar and dissimilar subsets.
 
-    Samples are visited in id order, in blocks of `BLOCK_SAMPLES`. Each block
-    draws its dropout masks from `rng` in one call, sample by sample in id
-    order, so the passes equal those of `mc_passes` called on each sample in
-    id order with `rng`, whatever the block size and the input order. The
-    heads run once over the block's packed proposals and M masks, and every
-    sample's box and class variances come from one segmented reduction over
-    the block's rows; `box_variance` and `cls_variance` are its one-sample
-    case, and give the same values on `mc_passes`'s outputs.
+    Sample ids must be distinct. Samples are visited in id order, in blocks
+    of `BLOCK_SAMPLES`. Each block draws its dropout masks from `rng` in one
+    call, sample by sample in id order, so the passes equal those of
+    `mc_passes` called on each sample in id order with `rng`, whatever the
+    block size and the input order. The heads run once over the block's
+    packed proposals and M masks, and every sample's box and class variances
+    come from one segmented reduction over the block's rows; `box_variance`
+    and `cls_variance` are its one-sample case, and give the same values on
+    `mc_passes`'s outputs.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to partition")
     if num_passes < 2:
         raise ValueError("need at least 2 passes for a variance estimate")
     ordered = sorted(samples, key=lambda s: s.id)
+    if any(a.id == b.id for a, b in zip(ordered, ordered[1:])):
+        raise ValueError("sample ids repeat")
     per_sample = {}
     for start in range(0, len(ordered), BLOCK_SAMPLES):
         block = ordered[start:start + BLOCK_SAMPLES]
@@ -158,11 +161,5 @@ def partition(
             per_sample[sample.id] = (b, c, b * c)
 
     ranked = split_by_variance([(sid, v[2]) for sid, v in per_sample.items()], sigma)
-    rows = []
-    similar = set()
-    for sample_id, rank, level, subset in ranked:
-        v_b, v_c, v = per_sample[sample_id]
-        rows.append(VarianceRow(sample_id, v_b, v_c, v, rank, level, subset))
-        if subset == SIMILAR:
-            similar.add(sample_id)
-    return VarianceReport(rows, frozenset(similar))
+    return VarianceReport([VarianceRow(sample_id, *per_sample[sample_id], rank, level, subset)
+                           for sample_id, rank, level, subset in ranked])

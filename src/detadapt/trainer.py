@@ -210,7 +210,11 @@ def adapt(
     Per batch: teacher pseudo-labels each clean sample, the student trains on
     the augmented noisy view with relation-derived instance weights plus expert
     supervision, the teacher follows by EMA, and the relation matrix and crop
-    banks absorb the batch statistics.
+    banks absorb the batch statistics. Target sample ids must be distinct.
+    With `out_dir`, the MC-dropout split of the target set (`partition`) is
+    written to `partition.csv` as a diagnostic: nothing in training reads it,
+    so `mc_passes`, `variance_threshold` and `dropout_rate` change no weight
+    of the adapted teacher.
 
     Per sample-step each model runs forward once, in one packed pass per
     batch, since neither model moves within a batch. The batch's labels,
@@ -248,9 +252,9 @@ def adapt(
     """
     config.validate()
     num_classes = config.num_classes
-    report = partition(target_data, source_params, config.mc_passes,
-                       config.variance_threshold, rng_stream(config.seed, "partition"))
     by_id = {s.id: s for s in target_data}
+    if len(by_id) != len(target_data):
+        raise ValueError(f"{len(target_data) - len(by_id)} target samples repeat an id")
 
     student = source_params.copy()
     teacher = source_params.copy()
@@ -264,6 +268,8 @@ def adapt(
     history = TrainHistory(num_classes)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+        report = partition(target_data, source_params, config.mc_passes,
+                           config.variance_threshold, rng_stream(config.seed, "partition"))
         report.save_csv(os.path.join(out_dir, "partition.csv"))
 
     ids = sorted(by_id)
@@ -299,13 +305,12 @@ def adapt(
 
             strong = samples
             if config.enable_sa:
-                subsets = [report.subset_of(s.id) for s in samples]
                 # the bank files the clean features of confident instances, the
                 # teacher's unperturbed pass rows, one push per batch
-                bank.push(subsets, scored_t.class_ids[rows], scored_t.h[rows], label_offsets)
+                bank.push(scored_t.class_ids[rows], scored_t.h[rows], label_offsets)
                 if majority is not None:
                     strong, labels = augment_sample(samples, labels, relation, majority, bank,
-                                                    policy, subsets, aug_rng, matches=matches)
+                                                    policy, aug_rng, matches=matches)
             strong = perturb_features(strong, config.noise_scale, noise_rng)
             bg = None if config.background_bar is None else \
                 background_indices(teacher, samples, config.background_bar, scored=scored_t)

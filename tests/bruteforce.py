@@ -10,14 +10,14 @@ one-reduction variance per sample, the per-class object matching
 for a whole evaluation, the supervised losses one label at a time, with a
 scalar GIoU, for the loss kernel and pretraining, and the whole adaptation
 loop sample by sample, with labels as (`BBox`, class vector) pairs and a
-crop bank of one `CropEntry` per instance, read through a subset
-preference, its relation statistics as (label class, predicted class)
-pairs, weighted, counted and folded into the matrix one pair and one row at a
-time. Apart from that loop, none of it shares code with the package
-implementations beyond the matching rule, the smooth-L1 helpers and the SGD
-step they both define; the loop reuses the package's partition, relation
-matrix container (its start and readiness), EMA and evaluation, which have
-tests of their own, and takes its class split from `oracle_split`.
+crop bank of one `CropEntry` per instance in per-class buffers, its relation
+statistics as (label class, predicted class) pairs, weighted, counted and
+folded into the matrix one pair and one row at a time. Apart from that loop,
+none of it shares code with the package implementations beyond the matching
+rule, the smooth-L1 helpers and the SGD step they both define; the loop
+reuses the package's relation matrix container (its start and readiness),
+EMA and evaluation, which have tests of their own, and takes its majority
+classes from `oracle_majority`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from detadapt.cropbank import AugmentPolicy
 from detadapt.detector import (Detection, GradientSet, ModelParams, sgd_step, smooth_l1,
                                smooth_l1_grad)
 from detadapt.metrics import FPI_POINTS, EvalResult, evaluate
-from detadapt.partition import DISSIMILAR, SIMILAR, SUBSETS, partition
 from detadapt.relation import RelationMatrix
 from detadapt.teacher import ema_update
 from detadapt.trainer import EpochRecord, TrainHistory
@@ -415,9 +414,6 @@ def oracle_generate_domain(spec: DomainSpec, seed: int) -> list[DetectionSample]
     return samples
 
 
-BOTH = "both"
-
-
 @dataclasses.dataclass(frozen=True)
 class CropEntry:
     """One bank instance as an object, its class vector checked on its own."""
@@ -432,44 +428,26 @@ class CropEntry:
 
 
 class OracleCropbank:
-    """Per (subset, class) FIFO buffers of `CropEntry` objects, one push per
-    instance, read through a subset preference."""
+    """Per-class FIFO buffers of `CropEntry` objects, one push per instance."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._buffers: dict[tuple[str, int], deque[CropEntry]] = {}
+        self._buffers: dict[int, deque[CropEntry]] = {}
 
-    def push(self, subset: str, class_id: int, entry: CropEntry) -> None:
-        if subset not in SUBSETS:
-            raise ValueError(f"unknown subset {subset!r}")
-        self._buffers.setdefault((subset, class_id), deque(maxlen=self.capacity)).append(entry)
+    def push(self, class_id: int, entry: CropEntry) -> None:
+        self._buffers.setdefault(class_id, deque(maxlen=self.capacity)).append(entry)
 
-    def entries(self, subset: str, class_id: int) -> tuple[CropEntry, ...]:
-        return tuple(self._buffers.get((subset, class_id), ()))
-
-    def pool(self, preference: str, class_id: int) -> tuple[CropEntry, ...]:
-        """"both" unions the two subsets, similar first; a specific subset
-        falls back to the other one only when its own buffer is empty."""
-        if preference == BOTH:
-            return self.entries(SIMILAR, class_id) + self.entries(DISSIMILAR, class_id)
-        own = self.entries(preference, class_id)
-        if own:
-            return own
-        return self.entries(DISSIMILAR if preference == SIMILAR else SIMILAR, class_id)
+    def entries(self, class_id: int) -> tuple[CropEntry, ...]:
+        return tuple(self._buffers.get(class_id, ()))
 
 
-def oracle_preference(sample_subset: str) -> str:
-    """Similar samples draw from both subsets; dissimilar ones prefer their own."""
-    return BOTH if sample_subset == SIMILAR else DISSIMILAR
-
-
-def oracle_sample_pair(relation, base_class, is_majority, bank, preference, rng):
+def oracle_sample_pair(relation, base_class, is_majority, bank, rng):
     """`sample_pair` over an `OracleCropbank`: the same weights and draws, one
     `CropEntry` out; a majority base never draws its own class."""
     vec = relation.matrix[:, base_class] if is_majority else relation.matrix[base_class, :]
     candidates, pools = [], []
     for k in range(relation.num_classes):
-        pool = bank.pool(preference, k)
+        pool = bank.entries(k)
         if pool and not (is_majority and k == base_class):
             candidates.append(k)
             pools.append(pool)
@@ -489,31 +467,26 @@ def oracle_mixup(base: CropEntry, pair: CropEntry, mix_ratio: float) -> CropEntr
                      keep * base.class_vec + (1.0 - keep) * pair.class_vec)
 
 
-def oracle_split(relation) -> tuple[set[int], set[int]]:
-    """(majority, minority) classes, one diagonal entry at a time: majority when
-    strictly above the mean diagonal entry, minority otherwise."""
+def oracle_majority(relation) -> set[int]:
+    """Majority classes, one diagonal entry at a time: strictly above the mean
+    diagonal entry."""
     diag = [float(relation.matrix[c, c]) for c in range(relation.num_classes)]
     mean = float(np.mean(diag))
-    majority = {c for c, value in enumerate(diag) if value > mean}
-    return majority, set(range(relation.num_classes)) - majority
+    return {c for c, value in enumerate(diag) if value > mean}
 
 
-def oracle_augment_sample(sample, labels, relation, split, bank, policy, sample_subset, rng):
+def oracle_augment_sample(sample, labels, relation, majority, bank, policy, rng):
     """`augment_sample` over (`BBox`, class vector) pairs, one label at a time,
-    drawing from an `OracleCropbank`; `split` is `oracle_split`'s pair."""
+    drawing from an `OracleCropbank`; `majority` is `oracle_majority`'s set."""
     if not labels:
         return sample, []
-    majority, minority = split
     features = sample.proposal_features.copy()
     matches = oracle_match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
-    preference = oracle_preference(sample_subset)
     new_labels = []
     for i, (box, class_vec) in enumerate(labels):
         base_class = int(np.argmax(class_vec))
-        protected = sample_subset == DISSIMILAR and base_class in minority
-        if not protected and rng.random() < policy.p_aug:
-            pair = oracle_sample_pair(relation, base_class, base_class in majority,
-                                      bank, preference, rng)
+        if rng.random() < policy.p_aug:
+            pair = oracle_sample_pair(relation, base_class, base_class in majority, bank, rng)
             if pair is not None:
                 j = int(matches[i])
                 blended = oracle_mixup(CropEntry(features[j].copy(), class_vec), pair,
@@ -597,8 +570,6 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
     """
     config.validate()
     num_classes = config.num_classes
-    report = partition(target_data, source_params, config.mc_passes,
-                       config.variance_threshold, rng_stream(config.seed, "partition"))
     by_id = {s.id: s for s in target_data}
     student = source_params.copy()
     teacher = source_params.copy()
@@ -623,25 +594,24 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
         order = shuffle_rng.permutation(len(ids))
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            split = oracle_split(relation) if relation.ready else None
+            majority = oracle_majority(relation) if relation.ready else None
             views = []
             for pos in batch:
                 sample = by_id[ids[int(pos)]]
-                subset = report.subset_of(sample.id)
                 dets = oracle_detections(teacher, sample)
                 pseudo = [det for det in dets if det.score >= config.conf_threshold]
                 labels = [(det.box, np.eye(num_classes)[det.class_id]) for det in pseudo]
                 strong = sample
-                if config.enable_sa and split is not None:
-                    strong, labels = oracle_augment_sample(sample, labels, relation, split, bank,
-                                                           policy, subset, aug_rng)
+                if config.enable_sa and majority is not None:
+                    strong, labels = oracle_augment_sample(sample, labels, relation, majority,
+                                                           bank, policy, aug_rng)
                 if config.noise_scale > 0:
                     strong = perturb_features([strong], config.noise_scale, noise_rng)[0]
                 bg = None if config.background_bar is None else \
                     [det.proposal_index for det in dets if det.score < config.background_bar]
                 views.append((strong, labels, bg, expert.get(sample.id)))
                 for det in pseudo:
-                    bank.push(subset, det.class_id,
+                    bank.push(det.class_id,
                               CropEntry(sample.proposal_features[det.proposal_index].copy(),
                                         np.eye(num_classes)[det.class_id]))
 

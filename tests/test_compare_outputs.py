@@ -37,11 +37,11 @@ def test_csv_cells_compare_as_numbers_and_text_must_match(tmp_path):
 
 
 @pytest.mark.parametrize("other", [
-    json.dumps({"w": [1.0, 2.0, 3.0]}),     # another count of numbers
-    json.dumps({"v": [1.0, 2.0]}),          # another key
-    json.dumps({"w": [1.0, "2.0"]}),        # a number turned text
+    json.dumps({"w": [1.0, 2.0, 3.0]}),
+    json.dumps({"v": [1.0, 2.0]}),
+    json.dumps({"w": [1.0, "2.0"]}),
     json.dumps({"w": [1.0, float("inf")]}),
-])
+], ids=["another-count", "another-key", "number-turned-text", "infinity"])
 def test_anything_but_the_numbers_differing_is_infinite(tmp_path, other):
     a = write(tmp_path, "a.json", json.dumps({"w": [1.0, 2.0]}))
     assert compare_outputs.largest_difference(a, write(tmp_path, "b.json", other)) == math.inf

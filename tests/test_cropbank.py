@@ -3,10 +3,9 @@ import pytest
 
 import bruteforce
 from bruteforce import (CropEntry, OracleCropbank, bbox_pairs, oracle_augment_sample,
-                        oracle_preference, oracle_sample_pair, oracle_split)
+                        oracle_majority, oracle_sample_pair)
 from detadapt.cropbank import AugmentPolicy, Cropbank, augment_sample
 from detadapt.detector import Labels, match_labels
-from detadapt.partition import DISSIMILAR, SIMILAR, SUBSETS
 from detadapt.relation import RelationMatrix
 from detadapt.world import DetectionSample
 
@@ -16,28 +15,28 @@ def row(value, class_id, dim=3):
     return class_id, np.full(dim, float(value))
 
 
-def push(bank, subset, class_id, value, dim=3):
+def push(bank, class_id, value, dim=3):
     """Push one instance, of feature `np.full(dim, value)`, as a batch of one sample."""
-    bank.push([subset], [class_id], [np.full(dim, float(value))], [0, 1])
+    bank.push([class_id], [np.full(dim, float(value))], [0, 1])
 
 
-def push_rows(bank, subset, class_ids, features):
+def push_rows(bank, class_ids, features):
     """Push one sample's instances as a batch of one sample."""
-    bank.push([subset], class_ids, features, [0, len(class_ids)])
+    bank.push(class_ids, features, [0, len(class_ids)])
 
 
 def same_row(got, want):
     return got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
-def probe(bank, sample_subset):
-    """Push a batch of one `sample_subset` sample without rows: it sees the whole bank."""
-    bank.push([sample_subset], np.zeros(0, dtype=int), np.zeros((0, 0)), [0, 0])
+def probe(bank):
+    """Push a batch of one sample without rows: it sees the whole bank."""
+    bank.push(np.zeros(0, dtype=int), np.zeros((0, 0)), [0, 0])
 
 
-def held(bank, sample_subset, class_id):
-    """The feature rows of one class that a `sample_subset` sample may draw, in order."""
-    probe(bank, sample_subset)
+def held(bank, class_id):
+    """The feature rows of one class that a sample may draw, in order."""
+    probe(bank)
     count = bank.sizes(class_id + 1)[0, class_id]
     return [bank.row(0, class_id, index).copy() for index in range(count)]
 
@@ -47,40 +46,40 @@ def relation_from(rows):
     return RelationMatrix(rows, 0.9, update_counts=np.ones(len(rows), dtype=int))
 
 
-def partners(rel, base_class, is_majority, bank, sample_subset, rng, count=1, dim=3):
+def partners(rel, base_class, is_majority, bank, rng, count=1, dim=3):
     """The partners `augment_sample` blends into `count` labels of class
-    `base_class` in a batch of one `sample_subset` sample at p_aug 1, label by
-    label: (class, feature), or None without one.
+    `base_class` in a batch of one sample at p_aug 1, label by label:
+    (class, feature), or None without one.
 
     Each label has a proposal of its own, of zero feature, and keeps half of
     it, so a blend is half the partner's feature and half the two one-hot
     class vectors, exactly.
     """
-    probe(bank, sample_subset)
+    probe(bank)
     boxes = np.zeros((count, 4)) + [0.0, 0.0, 4.0, 4.0]
     sample = DetectionSample(0, boxes, np.zeros((count, dim)), np.zeros((0, 4)),
                              np.zeros(0, dtype=int))
     labels = Labels.one_hot(boxes, [base_class] * count, rel.num_classes)
     majority = frozenset({base_class} if is_majority else ())
     (view,), out = augment_sample([sample], labels, rel, majority, bank,
-                                  AugmentPolicy(p_aug=1.0, mix_ratio=0.5), [sample_subset],
-                                  rng, matches=np.arange(count))
+                                  AugmentPolicy(p_aug=1.0, mix_ratio=0.5), rng,
+                                  matches=np.arange(count))
     if view is sample:
         return [None] * count
     pair_classes = np.argmax(out.classes - 0.5 * labels.classes, axis=1)
     return [(int(c), f / 0.5) for c, f in zip(pair_classes, view.proposal_features)]
 
 
-def draw(rel, base_class, is_majority, bank, sample_subset, rng, dim=3):
+def draw(rel, base_class, is_majority, bank, rng, dim=3):
     """One label's partner, as `partners` gives it."""
-    return partners(rel, base_class, is_majority, bank, sample_subset, rng, dim=dim)[0]
+    return partners(rel, base_class, is_majority, bank, rng, dim=dim)[0]
 
 
-def augment(sample, labels, rel, majority, bank, policy, subset, rng):
+def augment(sample, labels, rel, majority, bank, policy, rng):
     """`augment_sample` of a batch of one sample, given the labels' own
     matches, as `adapt` gives them, after a push of no rows."""
-    probe(bank, subset)
-    (view,), out = augment_sample([sample], labels, rel, majority, bank, policy, [subset], rng,
+    probe(bank)
+    (view,), out = augment_sample([sample], labels, rel, majority, bank, policy, rng,
                                   matches=match_labels(sample.proposal_boxes, labels.boxes))
     return view, out
 
@@ -88,20 +87,20 @@ def augment(sample, labels, rel, majority, bank, policy, subset, rng):
 def test_rows_changed_by_the_caller_after_push_stay_unchanged():
     bank = Cropbank(capacity=4)
     class_ids, features = np.array([1, 0]), np.ones((2, 3))
-    push_rows(bank, SIMILAR, class_ids, features)
+    push_rows(bank, class_ids, features)
     class_ids[:], features[:] = 0, 5.0
-    assert np.array_equal(held(bank, SIMILAR, 1), [np.ones(3)])
-    assert np.array_equal(held(bank, SIMILAR, 0), [np.ones(3)])
+    assert np.array_equal(held(bank, 1), [np.ones(3)])
+    assert np.array_equal(held(bank, 0), [np.ones(3)])
 
 
 def test_fifo_eviction_order():
     bank = Cropbank(capacity=2)
     for value in (1, 2, 3):
-        push(bank, SIMILAR, 0, value)
-    assert np.array_equal(held(bank, SIMILAR, 0), [np.full(3, 2.0), np.full(3, 3.0)])
+        push(bank, 0, value)
+    assert np.array_equal(held(bank, 0), [np.full(3, 2.0), np.full(3, 3.0)])
     # within one batch, each sample sees the rows filed before its own
     bank = Cropbank(capacity=2)
-    bank.push([SIMILAR] * 4, [0, 0, 0], np.arange(3.0)[:, None] + np.zeros(3), [0, 1, 2, 3, 3])
+    bank.push([0, 0, 0], np.arange(3.0)[:, None] + np.zeros(3), [0, 1, 2, 3, 3])
     assert bank.sizes(1).tolist() == [[0], [1], [2], [2]]
     assert [bank.row(3, 0, i).tolist() for i in range(2)] == [[1.0] * 3, [2.0] * 3]
     assert [bank.row(2, 0, i).tolist() for i in range(2)] == [[0.0] * 3, [1.0] * 3]
@@ -110,16 +109,16 @@ def test_fifo_eviction_order():
 def test_capacity_exactly_filled_no_eviction():
     bank = Cropbank(capacity=4)
     for i in range(4):
-        push(bank, DISSIMILAR, 1, i)
-    assert np.array_equal(held(bank, DISSIMILAR, 1), [np.full(3, float(i)) for i in range(4)])
+        push(bank, 1, i)
+    assert np.array_equal(held(bank, 1), [np.full(3, float(i)) for i in range(4)])
 
 
 def test_single_entry_sample_returns_it():
     bank = Cropbank(capacity=4)
-    push(bank, SIMILAR, 1, 7)
+    push(bank, 1, 7)
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
     rng = np.random.default_rng(0)
-    picked = draw(rel, 0, False, bank, SIMILAR, rng)
+    picked = draw(rel, 0, False, bank, rng)
     assert same_row(picked, row(7, 1))
 
 
@@ -128,10 +127,10 @@ def test_majority_masking_excludes_self():
     # the other class even though its buffer is available
     rel = relation_from([[0.3, 0.9], [1.0, 0.1]])
     bank = Cropbank(capacity=4)
-    push(bank, SIMILAR, 0, 1)
-    push(bank, SIMILAR, 1, 2)
+    push(bank, 0, 1)
+    push(bank, 1, 2)
     rng = np.random.default_rng(1)
-    picks = partners(rel, 0, True, bank, SIMILAR, rng, count=50)
+    picks = partners(rel, 0, True, bank, rng, count=50)
     assert all(picked[0] == 1 for picked in picks)
 
 
@@ -141,34 +140,34 @@ def test_majority_base_never_draws_its_own_class_in_the_uniform_fallback():
     # with rows, and there is no partner when the base's class alone has rows
     rel = relation_from(np.eye(3))
     bank = Cropbank(capacity=4)
-    push(bank, SIMILAR, 0, 1)
+    push(bank, 0, 1)
     rng = np.random.default_rng(3)
-    assert draw(rel, 0, True, bank, SIMILAR, rng) is None
-    push(bank, SIMILAR, 1, 2)
-    push(bank, SIMILAR, 2, 3)
-    picks = [picked[0] for picked in partners(rel, 0, True, bank, SIMILAR, rng, count=200)]
+    assert draw(rel, 0, True, bank, rng) is None
+    push(bank, 1, 2)
+    push(bank, 2, 3)
+    picks = [picked[0] for picked in partners(rel, 0, True, bank, rng, count=200)]
     assert set(picks) == {1, 2}
 
 
 def test_minority_row_allows_self_augmentation():
     rel = relation_from([[1.0, 0.0], [0.0, 1.0]])
     bank = Cropbank(capacity=4)
-    push(bank, SIMILAR, 0, 1)
-    push(bank, SIMILAR, 1, 2)
+    push(bank, 0, 1)
+    push(bank, 1, 2)
     rng = np.random.default_rng(2)
-    picks = partners(rel, 0, False, bank, SIMILAR, rng, count=50)
+    picks = partners(rel, 0, False, bank, rng, count=50)
     assert all(picked[0] == 0 for picked in picks)
 
 
 def test_sampling_frequencies_match_relation_weights():
     rel = relation_from([[0.75, 0.25], [0.5, 0.5]])
     bank = Cropbank(capacity=2)
-    push(bank, SIMILAR, 0, 1)
-    push(bank, SIMILAR, 1, 2)
+    push(bank, 0, 1)
+    push(bank, 1, 2)
     rng = np.random.default_rng(3)
     draws = 10000
     hits = sum(picked[0] == 0
-               for picked in partners(rel, 0, False, bank, SIMILAR, rng, count=draws))
+               for picked in partners(rel, 0, False, bank, rng, count=draws))
     assert abs(hits / draws - 0.75) < 0.02
 
 
@@ -180,7 +179,7 @@ def test_class_draw_matches_generator_choice_with_zero_weights():
     num_classes = 5
     bank = Cropbank(capacity=1)
     for k in range(num_classes):
-        push(bank, SIMILAR, k, k)
+        push(bank, k, k)
     got_rng, want_rng = np.random.default_rng(45), np.random.default_rng(45)
     zeros = 0
     for _ in range(300):
@@ -189,7 +188,7 @@ def test_class_draw_matches_generator_choice_with_zero_weights():
         if weights.sum() == 0:
             weights[int(rng.integers(num_classes))] = 1.0
         rel = relation_from(np.tile(weights, (num_classes, 1)))
-        got = draw(rel, 0, False, bank, SIMILAR, got_rng)
+        got = draw(rel, 0, False, bank, got_rng)
         assert want_rng.random() < 1.0
         want = int(want_rng.choice(num_classes, p=weights / weights.sum()))
         assert int(want_rng.integers(1)) == 0
@@ -201,26 +200,10 @@ def test_class_draw_matches_generator_choice_with_zero_weights():
 def test_empty_buffers_signal_no_pair():
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
     rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
-    assert draw(rel, 0, False, Cropbank(4), SIMILAR, rng) is None
+    assert draw(rel, 0, False, Cropbank(4), rng) is None
     # the label's p_aug draw, and nothing after it
     want_rng.random()
     assert rng.random() == want_rng.random()
-
-
-def test_dissimilar_preference_with_fallback():
-    # a majority base of class 1 may draw only class 0: from the dissimilar
-    # buffer while it holds a row, else from the similar one
-    rel = relation_from([[1.0, 0.0], [0.0, 1.0]])
-    bank = Cropbank(capacity=4)
-    push(bank, SIMILAR, 0, 1)
-    push(bank, DISSIMILAR, 0, 2)
-    rng = np.random.default_rng(4)
-    for picked in partners(rel, 1, True, bank, DISSIMILAR, rng, count=20):
-        assert same_row(picked, row(2, 0))
-    # fallback once the dissimilar buffer is empty
-    empty_dis = Cropbank(capacity=4)
-    push(empty_dis, SIMILAR, 0, 1)
-    assert same_row(draw(rel, 1, True, empty_dis, DISSIMILAR, rng), row(1, 0))
 
 
 def test_pools_and_draws_match_per_entry_oracle_bank():
@@ -233,35 +216,30 @@ def test_pools_and_draws_match_per_entry_oracle_bank():
     bank_rng, oracle_rng = np.random.default_rng(41), np.random.default_rng(41)
     drawn, fallbacks = 0, 0
     for _ in range(600):
-        subset = SUBSETS[int(rng.integers(2))]
         if rng.random() < 0.4:
             n = int(rng.integers(0, 5))
             class_ids = rng.integers(num_classes, size=n)
             features = rng.standard_normal((n, dim))
-            push_rows(bank, subset, class_ids, features)
+            push_rows(bank, class_ids, features)
             for class_id, feature in zip(class_ids.tolist(), features):
-                oracle.push(subset, class_id,
-                            CropEntry(feature.copy(), np.eye(num_classes)[class_id]))
+                oracle.push(class_id, CropEntry(feature.copy(), np.eye(num_classes)[class_id]))
         else:
             base, which = int(rng.integers(num_classes)), int(rng.integers(2))
-            # a minority base in a dissimilar sample is never blended
-            is_majority = subset == DISSIMILAR or bool(rng.integers(2))
+            is_majority = bool(rng.integers(2))
             oracle_rng.random()
-            got = draw(relations[which], base, is_majority, bank, subset, bank_rng, dim=dim)
-            want = oracle_sample_pair(relations[which], base, is_majority, oracle,
-                                      oracle_preference(subset), oracle_rng)
+            got = draw(relations[which], base, is_majority, bank, bank_rng, dim=dim)
+            want = oracle_sample_pair(relations[which], base, is_majority, oracle, oracle_rng)
             if want is None:
                 assert got is None
             else:
                 assert same_row(got, (int(np.argmax(want.class_vec)), want.feature))
                 drawn += 1
                 fallbacks += which == 1 and is_majority
-        for sample_subset in SUBSETS:
-            for k in range(num_classes):
-                want_pool = oracle.pool(oracle_preference(sample_subset), k)
-                got_pool = held(bank, sample_subset, k)
-                assert len(got_pool) == len(want_pool)
-                assert all(np.array_equal(g, w.feature) for g, w in zip(got_pool, want_pool))
+        for k in range(num_classes):
+            want_pool = oracle.entries(k)
+            got_pool = held(bank, k)
+            assert len(got_pool) == len(want_pool)
+            assert all(np.array_equal(g, w.feature) for g, w in zip(got_pool, want_pool))
     assert drawn > 100 and fallbacks > 10
 
 
@@ -277,25 +255,21 @@ def test_kept_sizes_follow_pushes_and_draws_match_oracle():
     bank_rng, oracle_rng = np.random.default_rng(43), np.random.default_rng(43)
     drawn = 0
     for step in range(400):
-        subset = SUBSETS[int(rng.integers(2))]
         if step % 3 == 0:
             class_ids = rng.integers(num_classes + 2, size=int(rng.integers(0, 6)))
             features = rng.standard_normal((len(class_ids), dim))
-            push_rows(bank, subset, class_ids, features)
+            push_rows(bank, class_ids, features)
             for class_id, feature in zip(class_ids.tolist(), features):
-                oracle.push(subset, class_id,
+                oracle.push(class_id,
                             CropEntry(feature.copy(), np.eye(num_classes + 2)[class_id]))
-        for sample_subset in SUBSETS:
-            want = [len(oracle.pool(oracle_preference(sample_subset), k))
-                    for k in range(num_classes)]
-            probe(bank, sample_subset)
-            assert bank.sizes(num_classes).tolist() == [want]
+        probe(bank)
+        assert bank.sizes(num_classes).tolist() == [[len(oracle.entries(k))
+                                                     for k in range(num_classes)]]
         base = int(rng.integers(num_classes))
-        is_majority = subset == DISSIMILAR or bool(rng.integers(2))
+        is_majority = bool(rng.integers(2))
         oracle_rng.random()
-        got = draw(relation, base, is_majority, bank, subset, bank_rng, dim=dim)
-        want = oracle_sample_pair(relation, base, is_majority, oracle,
-                                  oracle_preference(subset), oracle_rng)
+        got = draw(relation, base, is_majority, bank, bank_rng, dim=dim)
+        want = oracle_sample_pair(relation, base, is_majority, oracle, oracle_rng)
         if want is None:
             assert got is None
         else:
@@ -309,37 +283,37 @@ def test_kept_sizes_follow_pushes_and_draws_match_oracle():
 def test_push_rejects_bad_class_ids_and_leaves_the_bank_empty(class_ids, rows):
     bank = Cropbank(capacity=2)
     with pytest.raises(ValueError):
-        bank.push([SIMILAR], class_ids, np.zeros((rows, 3)), [0, len(class_ids)])
-    assert held(bank, SIMILAR, 0) == [] and bank.sizes(2).tolist() == [[0, 0]]
+        bank.push(class_ids, np.zeros((rows, 3)), [0, len(class_ids)])
+    assert held(bank, 0) == [] and bank.sizes(2).tolist() == [[0, 0]]
 
 
-@pytest.mark.parametrize("subsets,offsets", [
-    (["elsewhere"], [0, 1]), ([SIMILAR], [0, 0]), ([SIMILAR], [0, 1, 1]),
-    ([SIMILAR, SIMILAR], [0, 2, 1]), ([SIMILAR], [0.0, 1.0])],
-    ids=["subset", "short", "long", "falling", "float"])
-def test_push_rejects_bad_subsets_and_offsets(subsets, offsets):
+@pytest.mark.parametrize("offsets", [[0, 0], [0, 1, 2], [0, 2, 1], [0.0, 1.0], [], [[0, 1]]],
+                         ids=["short", "long", "falling", "float", "empty", "matrix"])
+def test_push_rejects_bad_subsets_and_offsets(offsets):
+    # the offsets cut the rows into the samples' subsets of rows
     bank = Cropbank(capacity=2)
     with pytest.raises(ValueError):
-        bank.push(subsets, [0], np.zeros((1, 3)), offsets)
-    assert held(bank, SIMILAR, 0) == []
+        bank.push([0], np.zeros((1, 3)), offsets)
+    assert held(bank, 0) == []
 
 
 def test_push_rejects_feature_rows_of_another_dimension():
     bank = Cropbank(capacity=2)
-    push(bank, SIMILAR, 0, 1, dim=3)
+    push(bank, 0, 1, dim=3)
     with pytest.raises(ValueError):
-        push(bank, SIMILAR, 0, 2, dim=2)
-    assert np.array_equal(held(bank, SIMILAR, 0), [np.ones(3)])
+        push(bank, 0, 2, dim=2)
+    assert np.array_equal(held(bank, 0), [np.ones(3)])
 
 
 def test_augment_rejects_a_batch_the_bank_was_not_given():
     bank = Cropbank(capacity=2)
-    push(bank, SIMILAR, 0, 1)
+    push(bank, 0, 1)
     sample, labels = make_sample_with_labels()
+    # the last push filed one sample; the batch has two
     with pytest.raises(ValueError, match="last push"):
-        augment_sample([sample], labels, relation_from(np.eye(2)), frozenset({0}), bank,
-                       AugmentPolicy(), [DISSIMILAR], np.random.default_rng(0),
-                       matches=np.arange(2))
+        augment_sample([sample, sample], Labels.pack([labels, labels]), relation_from(np.eye(2)),
+                       frozenset({0}), bank, AugmentPolicy(), np.random.default_rng(0),
+                       matches=np.arange(4))
 
 
 def blend(ratio):
@@ -348,11 +322,11 @@ def blend(ratio):
     sample = DetectionSample(0, boxes, np.array([[1.0, 1.0]]), np.zeros((0, 4)),
                              np.zeros(0, dtype=int))
     bank = Cropbank(capacity=1)
-    push_rows(bank, SIMILAR, [1], [np.array([3.0, -1.0])])
+    push_rows(bank, [1], [np.array([3.0, -1.0])])
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
     out_sample, out_labels = augment(
         sample, Labels.one_hot(boxes, [0], 2), rel, frozenset({0}), bank,
-        AugmentPolicy(p_aug=1.0, mix_ratio=ratio), SIMILAR, np.random.default_rng(0))
+        AugmentPolicy(p_aug=1.0, mix_ratio=ratio), np.random.default_rng(0))
     return out_sample.proposal_features[0], out_labels.classes[0]
 
 
@@ -378,9 +352,8 @@ def make_sample_with_labels(num_classes=2, dim=3):
 
 def full_bank(num_classes=2, dim=3):
     bank = Cropbank(capacity=4)
-    for subset in (SIMILAR, DISSIMILAR):
-        for c in range(num_classes):
-            push(bank, subset, c, 9, dim)
+    for c in range(num_classes):
+        push(bank, c, 9, dim)
     return bank
 
 
@@ -389,24 +362,9 @@ def test_augment_p_zero_is_identity():
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
     out_sample, out_labels = augment(
         sample, labels, rel, frozenset({0}), full_bank(), AugmentPolicy(p_aug=0.0),
-        SIMILAR, np.random.default_rng(0))
+        np.random.default_rng(0))
     assert np.array_equal(out_sample.proposal_features, sample.proposal_features)
     assert all(np.array_equal(a[1], b[1]) for a, b in zip(labels, out_labels))
-
-
-def test_minority_base_protected_in_dissimilar_samples():
-    sample, labels = make_sample_with_labels()
-    rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        out_sample, out_labels = augment(
-            sample, labels, rel, frozenset({0}), full_bank(), AugmentPolicy(p_aug=1.0),
-            DISSIMILAR, rng)
-        # label 1 is a minority base in a dissimilar sample: never blended
-        assert np.array_equal(out_labels.classes[1], labels.classes[1])
-        assert np.array_equal(out_sample.proposal_features[1], sample.proposal_features[1])
-        # label 0 is majority: always blended at p_aug=1
-        assert out_labels.classes[0].max() == pytest.approx(0.7)
 
 
 def test_always_augment_majority_in_similar_sample():
@@ -414,11 +372,12 @@ def test_always_augment_majority_in_similar_sample():
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
     policy = AugmentPolicy(p_aug=1.0, mix_ratio=0.7)
     out_sample, out_labels = augment(
-        sample, labels, rel, frozenset({0}), full_bank(), policy, SIMILAR,
-        np.random.default_rng(2))
+        sample, labels, rel, frozenset({0}), full_bank(), policy, np.random.default_rng(2))
     # every instance blended; majority soft label peaks at the mix ratio
     assert out_labels.classes[0].max() == pytest.approx(0.7)
     assert np.all(np.abs(out_labels.classes[1].sum() - 1.0) < 1e-9)
+    # the minority base too: 0.7 of its 5 and 0.3 of the bank's 9, whichever class is drawn
+    assert np.allclose(out_sample.proposal_features[1], 6.2)
     assert not np.array_equal(out_sample.proposal_features[0], sample.proposal_features[0])
     # the inputs keep their hard labels and features
     assert np.array_equal(labels.classes, np.eye(2))
@@ -434,7 +393,7 @@ def test_class_vectors_stay_simplex_under_repeated_augmentation():
     for _ in range(10):
         current_sample, current_labels = augment(
             current_sample, current_labels, rel, frozenset({0}), bank,
-            AugmentPolicy(p_aug=1.0), SIMILAR, rng)
+            AugmentPolicy(p_aug=1.0), rng)
         for _, vec in current_labels:
             assert vec.sum() == pytest.approx(1.0)
             assert np.all(vec >= -1e-12)
@@ -482,34 +441,33 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeyp
     for batch in range(80):
         samples, labels, pushes = random_batch(rng, int(rng.integers(1, 8)), num_classes, dim,
                                                100 * batch)
-        subsets = [SUBSETS[int(s)] for s in rng.integers(2, size=len(samples))]
         relation = relation_from(np.eye(num_classes) if batch % 5 == 0 else
                                  rng.dirichlet(np.ones(num_classes), num_classes))
         proposal_offsets = np.cumsum([0] + [s.num_proposals for s in samples])
         matches = match_labels(np.concatenate([s.proposal_boxes for s in samples]),
                                labels.boxes, proposal_offsets, labels.offsets)
-        bank.push(subsets, np.concatenate([c for c, _ in pushes]),
+        bank.push(np.concatenate([c for c, _ in pushes]),
                   np.concatenate([f for _, f in pushes]),
                   np.cumsum([0] + [len(c) for c, _ in pushes]))
         strong, mixed = augment_sample(samples, labels, relation, relation.majority(), bank,
-                                       policy, subsets, bank_rng, matches=matches)
+                                       policy, bank_rng, matches=matches)
 
         filed_this_batch.clear()
-        split = oracle_split(relation)
-        assert split[0] == relation.majority()
-        for k, (sample, subset, (class_ids, features)) in enumerate(zip(samples, subsets, pushes)):
+        majority = oracle_majority(relation)
+        assert majority == relation.majority()
+        for k, (sample, (class_ids, features)) in enumerate(zip(samples, pushes)):
             own = slice(labels.offsets[k], labels.offsets[k + 1])
             want_sample, want_labels = oracle_augment_sample(
                 sample, bbox_pairs(Labels(labels.boxes[own], labels.classes[own])), relation,
-                split, oracle, policy, subset, oracle_rng)
+                majority, oracle, policy, oracle_rng)
             assert strong[k].proposal_features.tobytes() == want_sample.proposal_features.tobytes()
             want_classes = np.array([vec for _, vec in want_labels]).reshape(-1, num_classes)
             assert mixed.classes[own].tobytes() == want_classes.tobytes()
             blends += int(np.sum(mixed.classes[own].max(axis=1) < 1.0))
             for class_id, feature in zip(class_ids.tolist(), features):
-                before = oracle.entries(subset, class_id)
+                before = oracle.entries(class_id)
                 entry = CropEntry(feature.copy(), np.eye(num_classes)[class_id])
-                oracle.push(subset, class_id, entry)
+                oracle.push(class_id, entry)
                 filed_this_batch.add(id(entry))
                 evicted_within_batch += len(before) == capacity and k < len(samples) - 1
         assert mixed.offsets.tolist() == labels.offsets.tolist()

@@ -193,12 +193,20 @@ def test_partition_end_to_end_is_deterministic():
         s.id = i
     a = partition(samples, params, 4, 0.5, np.random.default_rng(0))
     b = partition(samples, params, 4, 0.5, np.random.default_rng(0))
-    assert a.similar == b.similar
     assert a.to_csv_text() == b.to_csv_text()
-    assert a.similar == {r.sample_id for r in a.rows if r.subset == SIMILAR}
     assert sorted(r.sample_id for r in a.rows) == list(range(8))
     with pytest.raises(ValueError):
         partition(samples, params, 4, 1.5, np.random.default_rng(0))
+
+
+def test_partition_rejects_repeated_sample_ids():
+    # 50 samples reusing 10 ids would give 10 rows, not 50
+    rng = np.random.default_rng(12)
+    samples = mixed_samples(rng, [3] * 50)
+    for i, sample in enumerate(samples):
+        sample.id = i % 10
+    with pytest.raises(ValueError, match="repeat"):
+        partition(samples, random_params(rng, dropout=0.3), 4, 0.5, np.random.default_rng(0))
 
 
 def test_higher_dropout_gives_larger_variance():
@@ -222,7 +230,7 @@ def test_report_csv_layout():
     from detadapt.partition import VarianceRow
     for sid, rank, level, subset in ranked:
         report_rows.append(VarianceRow(sid, 1.0, 2.0, dict(rows)[sid], rank, level, subset))
-    report = VarianceReport(report_rows, frozenset({0}))
+    report = VarianceReport(report_rows)
     text = report.to_csv_text()
     header = text.splitlines()[0]
     assert header == "sample_id,v_b,v_c,v,rank,level,subset"

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 
 import pytest
@@ -33,8 +34,10 @@ def test_runs_read_each_variants_last_history_row(tmp_path, tiny_config):
         with open(out / f"history_{name}.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
+        dominant = [float(rows[-1][f"ap_class_{c}"]) for c in (0, 1, 2)]
         assert finals[name] == (float(rows[-1]["teacher_map"]),
-                                (float(rows[-1]["ap_class_3"]), float(rows[-1]["ap_class_4"])))
+                                (float(rows[-1]["ap_class_3"]), float(rows[-1]["ap_class_4"])),
+                                math.fsum(dominant) / 3)
 
 
 def test_table_rows_means_differences_and_rescue(tiny_config, monkeypatch, capsys):
@@ -45,20 +48,23 @@ def test_table_rows_means_differences_and_rescue(tiny_config, monkeypatch, capsy
     assert seed_table.main([REPO, "--seeds", "0-1", "--epochs", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("| seed | base | +SA | +SAL | full | base AP3 / AP4 |")
+    assert lines[0].endswith("| base AP0-2 | +SA AP0-2 | +SAL AP0-2 | full AP0-2 |")
     assert [line.split(" | ")[0] for line in lines[2:5]] == ["| 0", "| 1", "| mean"]
     assert lines[6].startswith("full - +SA: ") and ", SD " in lines[6]
     assert lines[7].startswith("+SA lifts AP3 and AP4 above base on every seed: ")
 
 
 def test_render_by_hand():
-    results = {0: {"base": (0.5, (0.0, 0.1)), "sa": (0.8, (0.5, 0.6)),
-                   "sal": (0.6, (0.1, 0.1)), "full": (0.9, (0.5, 0.7))},
-               1: {"base": (0.6, (0.2, 0.0)), "sa": (0.7, (0.4, 0.0)),
-                   "sal": (0.6, (0.2, 0.0)), "full": (0.7, (0.4, 0.1))}}
+    results = {0: {"base": (0.5, (0.0, 0.1), 0.9), "sa": (0.8, (0.5, 0.6), 0.95),
+                   "sal": (0.6, (0.1, 0.1), 0.875), "full": (0.9, (0.5, 0.7), 1.0)},
+               1: {"base": (0.6, (0.2, 0.0), 0.8), "sa": (0.7, (0.4, 0.0), 0.85),
+                   "sal": (0.6, (0.2, 0.0), 0.625), "full": (0.7, (0.4, 0.1), 0.75)}}
     lines = seed_table.render(results).splitlines()
     assert lines[2] == ("| 0 | 0.5000 | 0.8000 | 0.6000 | 0.9000 | 0.000 / 0.100 | "
-                        "0.500 / 0.600 | 0.100 / 0.100 | 0.500 / 0.700 |")
+                        "0.500 / 0.600 | 0.100 / 0.100 | 0.500 / 0.700 | "
+                        "0.900 | 0.950 | 0.875 | 1.000 |")
     assert lines[4].startswith("| mean | 0.5500 | 0.7500 | 0.6000 | 0.8000 | 0.100 / 0.050 |")
+    assert lines[4].endswith("| 0.850 | 0.900 | 0.750 | 0.875 |")
     assert lines[6] == "full - +SA: +0.1000, +0.0000; mean +0.0500, SD 0.0707"
     # seed 1's +SA leaves AP4 at base's 0.0
     assert lines[7] == "+SA lifts AP3 and AP4 above base on every seed: no"

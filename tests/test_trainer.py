@@ -10,7 +10,7 @@ from detadapt import detector, trainer
 from detadapt.config import AdaptationConfig, default_config
 from detadapt.detector import ModelParams
 from detadapt.metrics import evaluate
-from detadapt.partition import DISSIMILAR, SIMILAR
+from detadapt.partition import DISSIMILAR, SIMILAR, VarianceReport
 from detadapt.trainer import (DiscriminatorParams, SealedDataset,
                               SourceAccessError, ablation_variants, adapt,
                               discriminator_loss, pretrain_source)
@@ -315,6 +315,38 @@ def test_crop_bank_and_class_split_serve_augmentation_alone(busy_run, monkeypatc
     calls.clear()
     adapt(params, target, variants["base"])
     assert calls == []
+
+
+def test_adapt_rejects_repeated_sample_ids():
+    # 50 samples reusing 10 ids would train on 10 of them
+    config = tiny_config(epochs=1)
+    params, _ = pretrain_source(config)
+    target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
+    for i, sample in enumerate(target):
+        sample.id = i % 10
+    with pytest.raises(ValueError, match="repeat an id"):
+        adapt(params, target, config)
+
+
+def test_target_split_is_a_diagnostic_only(busy_run, tmp_path, monkeypatch):
+    # tagging every sample dissimilar changes partition.csv and nothing that
+    # +SA trains: its history, written as history.csv, stays byte-identical
+    config, params, target = busy_run
+    config = ablation_variants(config)["sa"]
+    _, want = adapt(params, target, config, out_dir=str(tmp_path / "split"))
+    real_partition = trainer.partition
+
+    def all_dissimilar(*args, **kwargs):
+        report = real_partition(*args, **kwargs)
+        return VarianceReport([dataclasses.replace(r, subset=DISSIMILAR) for r in report.rows])
+
+    monkeypatch.setattr(trainer, "partition", all_dissimilar)
+    _, got = adapt(params, target, config, out_dir=str(tmp_path / "dissimilar"))
+    tags = {name: {line.rsplit(",", 1)[1] for line in
+                   (tmp_path / name / "partition.csv").read_text().splitlines()[1:]}
+            for name in ("split", "dissimilar")}
+    assert tags == {"split": {SIMILAR, DISSIMILAR}, "dissimilar": {DISSIMILAR}}
+    assert got.to_csv_text() == want.to_csv_text()
 
 
 def test_ablation_variants_switch_matrix():

@@ -6,7 +6,8 @@ For each seed, TREE's own `src/` runs `--mode ablation-suite` with one BLAS
 thread, on the default config with `--epochs` adapt epochs. The table has one
 row per seed and a row of means: each variant's final teacher mAP50, then each
 variant's final AP of the rare classes 3 and 4 (the default world's contracted
-classes). Below it come full - +SA per seed, with its mean and sample SD, and
+classes), then each variant's final AP of the dominant classes 0-2, averaged
+over the three, to show what augmentation costs them. Below it come full - +SA per seed, with its mean and sample SD, and
 whether +SA lifts both rare classes above base on every seed.
 """
 
@@ -23,6 +24,7 @@ import tempfile
 
 VARIANTS = {"base": "base", "sa": "+SA", "sal": "+SAL", "full": "full"}
 RARE = (3, 4)
+DOMINANT = (0, 1, 2)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -33,7 +35,8 @@ def parse_seeds(text: str) -> list[int]:
 
 def run_seed(tree: str, seed: int, epochs: int, config: dict, out: str) -> dict:
     """Run the suite for one seed into `out`; {variant: (final teacher mAP50,
-    final AP of each rare class)} from its histories."""
+    final AP of each rare class, mean final AP of the dominant classes)} from
+    its histories."""
     os.makedirs(out)
     config_path = os.path.join(out, "config.json")
     with open(config_path, "w") as fh:
@@ -47,26 +50,31 @@ def run_seed(tree: str, seed: int, epochs: int, config: dict, out: str) -> dict:
         with open(os.path.join(out, f"history_{name}.csv"), newline="") as fh:
             last = list(csv.DictReader(fh))[-1]
         finals[name] = (float(last["teacher_map"]),
-                        tuple(float(last[f"ap_class_{c}"]) for c in RARE))
+                        tuple(float(last[f"ap_class_{c}"]) for c in RARE),
+                        statistics.fmean(float(last[f"ap_class_{c}"]) for c in DOMINANT))
     return finals
 
 
 def render(results: dict[int, dict]) -> str:
     """The markdown seed table of `run_seed` results by seed, and its summary lines."""
     rare = " / ".join(f"AP{c}" for c in RARE)
+    dominant = f"AP{DOMINANT[0]}-{DOMINANT[-1]}"
     header = ["seed"] + list(VARIANTS.values()) + [f"{v} {rare}" for v in VARIANTS.values()]
+    header += [f"{v} {dominant}" for v in VARIANTS.values()]
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
 
     def row(label, finals):
         cells = [label] + [f"{finals[n][0]:.4f}" for n in VARIANTS]
         cells += [" / ".join(f"{ap:.3f}" for ap in finals[n][1]) for n in VARIANTS]
+        cells += [f"{finals[n][2]:.3f}" for n in VARIANTS]
         lines.append("| " + " | ".join(cells) + " |")
 
     runs = list(results.values())
     for seed, finals in results.items():
         row(str(seed), finals)
     row("mean", {n: (statistics.fmean(r[n][0] for r in runs),
-                     [statistics.fmean(aps) for aps in zip(*(r[n][1] for r in runs))])
+                     [statistics.fmean(aps) for aps in zip(*(r[n][1] for r in runs))],
+                     statistics.fmean(r[n][2] for r in runs))
                  for n in VARIANTS})
 
     diffs = [r["full"][0] - r["sa"][0] for r in runs]
