@@ -17,8 +17,7 @@ from .detector import (Detection, GradientSet, Labels, ModelParams, Scored, Trai
                        detection_loss, forward, load_params, save_params, sgd_step)
 from .expert import ExpertSpec, expert_loss, expert_predict
 from .metrics import EvalResult, evaluate, f1_auc, froc, map_at_iou
-from .partition import (DISSIMILAR, SIMILAR, VarianceReport, box_variance, cls_variance,
-                        mc_passes, partition)
+from .partition import DISSIMILAR, SIMILAR, VarianceReport, mc_passes, partition
 from .relation import NotReadyError, RelationMatrix, batch_confusion
 from .teacher import ema_update, pseudo_label
 from .trainer import (DiscriminatorParams, SealedDataset, SourceAccessError,

@@ -2,7 +2,8 @@
 
 Modes:
   pretrain        train on generated source data, save the model
-  adapt           pretrain (or load --params), adapt, save history/checkpoints
+  adapt           pretrain (or load --params), write the source model's
+                  MC-dropout split, adapt, save history/checkpoints
   eval            score saved params against a saved dataset
   ablation-suite  base / +SA / +SAL / full runs from one shared source model
 """
@@ -20,8 +21,9 @@ import sys
 from .config import AdaptationConfig, default_config
 from .detector import ModelParams, load_params, save_params
 from .metrics import evaluate
+from .partition import partition
 from .trainer import ablation_variants, adapt, pretrain_source
-from .util import derive_seed, write_atomic
+from .util import derive_seed, rng_stream, write_atomic
 from .world import ConfigError, generate_domain, load_dataset, save_dataset
 
 
@@ -80,14 +82,22 @@ def _mode_pretrain(config: AdaptationConfig, out: str) -> None:
 
 
 def _mode_adapt(config: AdaptationConfig, out: str, params_path: str | None) -> None:
+    # the split ranks at least two samples; fail before anything is trained or written
+    if config.target.size < 2:
+        raise ConfigError(f"adapt mode needs at least 2 target samples to partition, "
+                          f"got {config.target.size}")
     if params_path:
         source_params = _load_model(params_path, config)
     else:
         source_params, _ = pretrain_source(config)
     save_params(os.path.join(out, "source_params.json"), source_params)
     target_data = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
-    teacher, history = adapt(source_params, target_data, config,
-                             out_dir=os.path.join(out, "checkpoints"))
+    checkpoints = os.path.join(out, "checkpoints")
+    os.makedirs(checkpoints, exist_ok=True)
+    report = partition(target_data, source_params, config.mc_passes, config.variance_threshold,
+                       rng_stream(config.seed, "partition"))
+    report.save_csv(os.path.join(checkpoints, "partition.csv"))
+    teacher, history = adapt(source_params, target_data, config, out_dir=checkpoints)
     history.save_csv(os.path.join(out, "history.csv"))
     save_params(os.path.join(out, "teacher_params.json"), teacher)
     # the last epoch has evaluated this teacher on the same eval set already

@@ -22,7 +22,6 @@ import numpy as np
 
 from .detector import Labels
 from .relation import RelationMatrix
-from .world import DetectionSample
 
 
 class Cropbank:
@@ -160,7 +159,7 @@ def _partner_cdf(relation: RelationMatrix, base_class: int, is_majority: bool,
 
 
 def augment_sample(
-    samples: list[DetectionSample],
+    features: np.ndarray,
     labels: Labels,
     relation: RelationMatrix,
     majority: frozenset[int],
@@ -169,31 +168,31 @@ def augment_sample(
     rng: np.random.Generator,
     *,
     matches: np.ndarray,
-) -> tuple[list[DetectionSample], Labels]:
+) -> tuple[np.ndarray, Labels]:
     """Independently blend each labeled instance of a batch with probability p_aug.
 
-    `labels` is the batch's block (sample i owns rows offsets[i]:offsets[i + 1])
-    and `matches` (`match_labels` of the labels) the block rows of the
-    labels' proposals, the samples' proposals laid end to end. `bank`'s last
-    push must be this batch's: sample i draws what `bank.sizes` and
-    `bank.row` give sample i, the bank before sample i's own rows were filed.
+    `features` are the (rows, D) features of the batch's proposals, laid end
+    to end, `labels` its block (sample i owns rows offsets[i]:offsets[i + 1])
+    and `matches` (`match_labels` of the labels) the labels' feature rows.
+    `bank`'s last push must be this batch's: sample i draws what `bank.sizes`
+    and `bank.row` give sample i, the bank before its own rows were filed.
 
     Classes outside `majority` (`RelationMatrix.majority`) are minority.
     Labels are drawn in order: one `rng.random()` per label against p_aug,
     then for each blend one `rng.random()` for the partner class
     (`_partner_cdf`) and one `rng.integers` for the partner row. A blend
-    keeps `mix_ratio` of the base: the feature of proposal `matches[i]` and
-    label i's class vector become `keep * base + (1 - keep) * pair`, with the
-    partner class's one-hot vector as the pair's, so the class vector turns
-    soft; geometry stays the base's, as resizing the pair to the base is an
-    identity in feature space. A proposal matched by two labels is blended
-    twice, in label order. The inputs are not modified; a sample without a
-    blend is returned as it is. Labels keep their boxes and offsets, so
-    `matches` holds for the returned labels too.
+    keeps `mix_ratio` of the base: feature row `matches[i]` and label i's
+    class vector become `keep * base + (1 - keep) * pair`, with the partner
+    class's one-hot vector as the pair's, so the class vector turns soft;
+    geometry stays the base's, as resizing the pair to the base is an
+    identity in feature space. A row matched by two labels is blended twice,
+    in label order. Returns a blended copy of the features and the labels
+    (the input labels if nothing was blended); the inputs are not modified.
+    Labels keep their boxes and offsets, so `matches` holds for them too.
     """
     num_classes = relation.num_classes
     sizes = bank.sizes(num_classes)
-    if len(sizes) != len(samples):
+    if len(sizes) != len(labels.offsets) - 1:
         raise ValueError("the bank's last push is not this batch")
     size_rows = sizes.tolist()
     # the relation does not change within the batch: one CDF per base, flag and set of classes
@@ -202,10 +201,10 @@ def augment_sample(
     base_classes = np.argmax(labels.classes, axis=1).tolist()
     offsets, proposals = labels.offsets.tolist(), matches.tolist()
     p_aug, keep = policy.p_aug, policy.mix_ratio
-    features = np.concatenate([s.proposal_features for s in samples])
+    strong = features.copy()
 
-    blended, pair_classes, touched = [], [], set()
-    for k in range(len(samples)):
+    blended, pair_classes = [], []
+    for k in range(len(offsets) - 1):
         for i in range(offsets[k], offsets[k + 1]):
             if not rng.random() < p_aug:
                 continue
@@ -220,17 +219,13 @@ def augment_sample(
             pick = candidates[bisect_right(cdf, rng.random())]
             pair = bank.row(k, pick, int(rng.integers(size_rows[k][pick])))
             j = proposals[i]
-            features[j] = keep * features[j] + (1.0 - keep) * pair
+            strong[j] = keep * strong[j] + (1.0 - keep) * pair
             blended.append(i)
             pair_classes.append(pick)
-            touched.add(k)
     if not blended:
-        return list(samples), labels
+        return strong, labels
 
     classes = labels.classes.copy()
     classes[blended] = keep * labels.classes[blended] \
         + (1.0 - keep) * np.eye(num_classes)[pair_classes]
-    ends = np.cumsum([s.num_proposals for s in samples]).tolist()
-    strong = [s.with_features(features[end - s.num_proposals:end]) if k in touched else s
-              for k, (s, end) in enumerate(zip(samples, ends))]
     return strong, Labels(labels.boxes, classes, labels.offsets)

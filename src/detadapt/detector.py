@@ -179,10 +179,12 @@ class Scored:
     """One forward pass of a model on a block of samples, as arrays.
 
     The heads run once over the samples' proposals, concatenated; a sample
-    alone is the block `[sample]`. Holds their outputs (h, log_scores, scores,
-    refined), h being the (possibly dropped) features, and the `offsets` of
-    the samples' rows: sample i owns rows `offsets[i]:offsets[i + 1]`, equal
-    bit for bit to those of its own block of one.
+    alone is the block `[sample]`. `features`, (rows, D), stands in for the
+    proposal features, such as a strong view of them. Holds the outputs (h,
+    log_scores, scores, refined), h being the (possibly dropped) features,
+    and the `offsets` of the samples' rows: sample i owns rows
+    `offsets[i]:offsets[i + 1]`, equal bit for bit to those of its own block
+    of one.
 
     With a Generator `rng` the outputs are stacks of `passes` dropout passes,
     (M, rows, ...). The block's masks come from one `rng.random` draw of
@@ -197,12 +199,15 @@ class Scored:
     """
 
     def __init__(self, params: ModelParams, samples: list[DetectionSample],
-                 rng: np.random.Generator | None = None, passes: int = 1):
-        for dim in {s.proposal_features.shape[1] for s in samples} - {params.feature_dim}:
-            raise ValueError(f"feature dim {dim} != model dim {params.feature_dim}")
-        counts = [len(s.proposal_features) for s in samples]
+                 rng: np.random.Generator | None = None, passes: int = 1, *,
+                 features: np.ndarray | None = None):
+        counts = [s.num_proposals for s in samples]
         offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
-        x = np.concatenate([s.proposal_features for s in samples])
+        x = np.concatenate([s.proposal_features for s in samples]) if features is None \
+            else features
+        if x.shape != (offsets[-1], params.feature_dim):
+            raise ValueError(f"feature rows {x.shape} for {offsets[-1]} proposals "
+                             f"and model dim {params.feature_dim}")
         boxes = np.concatenate([s.proposal_boxes for s in samples])
         h = x
         if rng is not None:

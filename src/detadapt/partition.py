@@ -9,7 +9,8 @@ segmented reduction over its rows. Samples are ranked ascending by variance
 and the top fraction (variance level >= sigma) is tagged source-similar.
 
 That is A2SFOD's rule (Chu et al., AAAI 2023). It is kept as a diagnostic:
-`adapt` writes the split to `partition.csv`, and nothing in training reads it.
+the CLI's adapt mode writes the source model's split to
+`checkpoints/partition.csv`, and `adapt` does not read it.
 In this world the rule does not find the source-like samples. On a target
 set of half near-source samples, 32-39% of the high-variance half were
 near-source, against 50% by chance, and no split direction moved the
@@ -32,30 +33,25 @@ SIMILAR = "similar"
 DISSIMILAR = "dissimilar"
 
 
-@dataclass(frozen=True)
-class VarianceRow:
-    sample_id: int
-    box_var: float
-    cls_var: float
-    variance: float
-    rank: int    # 1 = smallest variance
-    level: float  # rank / N
-    subset: str
-
-
 @dataclass
 class VarianceReport:
-    """Rows in rank order, each tagged source-similar or dissimilar."""
+    """Sample ids and variances in rank order, ascending by `box_var * cls_var`
+    with ties by id; rank k of N has level k / N, source-similar from sigma on."""
 
-    rows: list[VarianceRow]
+    sample_ids: np.ndarray
+    box_var: np.ndarray
+    cls_var: np.ndarray
+    sigma: float
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["sample_id", "v_b", "v_c", "v", "rank", "level", "subset"])
-        for r in self.rows:
-            writer.writerow([r.sample_id, repr(r.box_var), repr(r.cls_var),
-                             repr(r.variance), r.rank, repr(r.level), r.subset])
+        rows = zip(self.sample_ids.tolist(), self.box_var.tolist(), self.cls_var.tolist())
+        for rank, (sample_id, v_b, v_c) in enumerate(rows, start=1):
+            level = rank / len(self.sample_ids)
+            writer.writerow([sample_id, repr(v_b), repr(v_c), repr(v_b * v_c), rank, repr(level),
+                             SIMILAR if level >= self.sigma else DISSIMILAR])
         return buf.getvalue()
 
     def save_csv(self, path) -> None:
@@ -93,38 +89,6 @@ def _sq_deviation(stack: np.ndarray, offsets) -> np.ndarray:
     return np.add.reduceat(per_row, offsets[:-1]) / (m * np.diff(offsets))
 
 
-def box_variance(boxes: np.ndarray) -> float:
-    """Mean squared deviation of (M, P, 4) box coordinates around their per-proposal mean."""
-    boxes = np.asarray(boxes, dtype=float)
-    return float(_sq_deviation(boxes, [0, boxes.shape[1]])[0])
-
-
-def cls_variance(scores: np.ndarray) -> float:
-    """Same statistic over (M, P, C+1) softmax score vectors."""
-    scores = np.asarray(scores, dtype=float)
-    return float(_sq_deviation(scores, [0, scores.shape[1]])[0])
-
-
-def split_by_variance(variances: list[tuple[int, float]], sigma: float) -> list[tuple[int, int, float, str]]:
-    """Rank (sample_id, variance) pairs and tag subsets.
-
-    Pure ranking step: ascending by variance with ties broken by sample id, so
-    the partition depends only on the variance ordering, never its scale.
-    Returns (sample_id, rank, level, subset) tuples in rank order.
-    """
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie in (0, 1)")
-    n = len(variances)
-    ordered = sorted(variances, key=lambda item: (item[1], item[0]))
-    out = []
-    for rank0, (sample_id, _) in enumerate(ordered):
-        rank = rank0 + 1
-        level = rank / n
-        subset = SIMILAR if level >= sigma else DISSIMILAR
-        out.append((sample_id, rank, level, subset))
-    return out
-
-
 def partition(
     samples: list[DetectionSample],
     params: ModelParams,
@@ -134,32 +98,30 @@ def partition(
 ) -> VarianceReport:
     """One-time split of the target set into source-similar and dissimilar subsets.
 
-    Sample ids must be distinct. Samples are visited in id order, in blocks
-    of `BLOCK_SAMPLES`. Each block draws its dropout masks from `rng` in one
-    call, sample by sample in id order, so the passes equal those of
-    `mc_passes` called on each sample in id order with `rng`, whatever the
-    block size and the input order. The heads run once over the block's
-    packed proposals and M masks, and every sample's box and class variances
-    come from one segmented reduction over the block's rows; `box_variance`
-    and `cls_variance` are its one-sample case, and give the same values on
-    `mc_passes`'s outputs.
+    Sample ids must be distinct, and sigma must lie in (0, 1). Samples are
+    visited in id order, in blocks of `BLOCK_SAMPLES`. Each block draws its
+    dropout masks from `rng` in one call, sample by sample in id order, so
+    the passes equal those of `mc_passes` called on each sample in id order
+    with `rng`, whatever the block size and the input order. The heads run
+    once over the block's packed proposals and M masks, and every sample's
+    box and class variances come from one segmented reduction over the
+    block's rows (`_sq_deviation`). One `np.lexsort` ranks the samples.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to partition")
     if num_passes < 2:
         raise ValueError("need at least 2 passes for a variance estimate")
+    if not 0.0 < sigma < 1.0:
+        raise ValueError("sigma must lie in (0, 1)")
     ordered = sorted(samples, key=lambda s: s.id)
     if any(a.id == b.id for a, b in zip(ordered, ordered[1:])):
         raise ValueError("sample ids repeat")
-    per_sample = {}
+    v_b, v_c = [], []
     for start in range(0, len(ordered), BLOCK_SAMPLES):
-        block = ordered[start:start + BLOCK_SAMPLES]
-        scored = Scored(params, block, rng, num_passes)
-        v_b = _sq_deviation(scored.boxes, scored.offsets)
-        v_c = _sq_deviation(scored.scores, scored.offsets)
-        for sample, b, c in zip(block, v_b.tolist(), v_c.tolist()):
-            per_sample[sample.id] = (b, c, b * c)
-
-    ranked = split_by_variance([(sid, v[2]) for sid, v in per_sample.items()], sigma)
-    return VarianceReport([VarianceRow(sample_id, *per_sample[sample_id], rank, level, subset)
-                           for sample_id, rank, level, subset in ranked])
+        scored = Scored(params, ordered[start:start + BLOCK_SAMPLES], rng, num_passes)
+        v_b.append(_sq_deviation(scored.boxes, scored.offsets))
+        v_c.append(_sq_deviation(scored.scores, scored.offsets))
+    ids = np.array([s.id for s in ordered])
+    v_b, v_c = np.concatenate(v_b), np.concatenate(v_c)
+    rank = np.lexsort((ids, v_b * v_c))
+    return VarianceReport(ids[rank], v_b[rank], v_c[rank], sigma)

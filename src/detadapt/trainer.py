@@ -34,7 +34,6 @@ from .detector import (Labels, ModelParams, Scored, TrainingError, match_labels,
                        sgd_step, supervised_losses, targets)
 from .expert import expert_predict
 from .metrics import EvalResult, evaluate
-from .partition import SIMILAR, partition
 from .relation import RelationMatrix, batch_confusion
 from .teacher import background_indices, ema_update, pseudo_label
 from .util import derive_seed, rng_stream, write_atomic
@@ -107,7 +106,7 @@ def discriminator_loss(disc: DiscriminatorParams, features: np.ndarray, subset_t
     (zero loss and gradients). Tags may be subset strings or 0/1 labels.
     """
     feats = np.asarray(features, dtype=float).reshape(len(subset_tags), -1)
-    y = np.array([1.0 if t in (SIMILAR, 1, 1.0, True) else 0.0 for t in subset_tags])
+    y = np.array([1.0 if t in ("similar", 1, 1.0, True) else 0.0 for t in subset_tags])
     zeros = (np.zeros_like(disc.w), 0.0)
     if len(y) == 0 or y.min() == y.max():
         return 0.0, zeros, np.zeros_like(feats)
@@ -211,10 +210,7 @@ def adapt(
     the augmented noisy view with relation-derived instance weights plus expert
     supervision, the teacher follows by EMA, and the relation matrix and crop
     banks absorb the batch statistics. Target sample ids must be distinct.
-    With `out_dir`, the MC-dropout split of the target set (`partition`) is
-    written to `partition.csv` as a diagnostic: nothing in training reads it,
-    so `mc_passes`, `variance_threshold` and `dropout_rate` change no weight
-    of the adapted teacher.
+    With `out_dir`, each epoch's teacher and relation rows are saved there.
 
     Per sample-step each model runs forward once, in one packed pass per
     batch, since neither model moves within a batch. The batch's labels,
@@ -226,22 +222,23 @@ def adapt(
       hard `Labels`, matched to the proposals in one `match_labels` call.
       Augmentation keeps label and proposal boxes, so the matches serve the
       losses and the relation statistics alike.
-    - With SA on, the crop bank files the batch's confident features under
-      their pseudo-label classes in one push, and once the matrix is ready
-      the batch takes `relation.majority()` and augments its labels in one
+    - The strong view is one array, from the teacher pass's features `h`.
+      With SA on, the crop bank files the confident rows under their
+      pseudo-label classes in one push, and once the matrix is ready the
+      batch takes `relation.majority()` and blends labels and rows in one
       `augment_sample` call. Sample k draws from the bank as it stood after
       the rows of samples 0..k-1 were filed, not its own or later ones, so
       the bank and the `aug_rng` draws are those of augmenting sample k and
       then filing its rows, one sample at a time. With SA off nothing reads
       the bank or the majority set, so neither is filled nor computed. The
       batch's noise is one draw.
-    - The student's pass over the strong views feeds one `targets` and one
-      `supervised_losses` call per loss. A label's class and the student's
-      class at its matched proposal travel as two int arrays: with SAL on
-      they give one `relation_weights` call per loss, normalised per sample,
-      and the student labels' arrays give one `batch_confusion` and one
-      relation update per batch (a batch without labels counts zero, which
-      leaves the matrix as it is).
+    - The student's pass over that array (`Scored`'s `features`) feeds one
+      `targets` and one `supervised_losses` call per loss. A label's class
+      and the student's class at its matched proposal travel as two int
+      arrays: with SAL on they give one `relation_weights` call per loss,
+      normalised per sample, and the student labels' arrays give one
+      `batch_confusion` and one relation update per batch (a batch without
+      labels counts zero, which leaves the matrix as it is).
 
     The expert is frozen: before epoch 0 each target sample's expert labels
     are drawn once, from `rng_stream(seed, "expert", sample id)`, and matched
@@ -268,9 +265,6 @@ def adapt(
     history = TrainHistory(num_classes)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        report = partition(target_data, source_params, config.mc_passes,
-                           config.variance_threshold, rng_stream(config.seed, "partition"))
-        report.save_csv(os.path.join(out_dir, "partition.csv"))
 
     ids = sorted(by_id)
     # the expert is frozen: its labels, and their matches, are drawn once per sample
@@ -303,25 +297,25 @@ def adapt(
             matches = match_labels(np.concatenate([s.proposal_boxes for s in samples]),
                                    labels.boxes, offsets, label_offsets)
 
-            strong = samples
+            strong = scored_t.h
             if config.enable_sa:
                 # the bank files the clean features of confident instances, the
                 # teacher's unperturbed pass rows, one push per batch
                 bank.push(scored_t.class_ids[rows], scored_t.h[rows], label_offsets)
                 if majority is not None:
-                    strong, labels = augment_sample(samples, labels, relation, majority, bank,
+                    strong, labels = augment_sample(strong, labels, relation, majority, bank,
                                                     policy, aug_rng, matches=matches)
             strong = perturb_features(strong, config.noise_scale, noise_rng)
             bg = None if config.background_bar is None else \
                 background_indices(teacher, samples, config.background_bar, scored=scored_t)
 
             # the student does not move within a batch: one pass scores every view
-            scored_s = Scored(student, strong)
+            scored_s = Scored(student, samples, features=strong)
             predicted = scored_s.class_ids
             true_cls, pred_cls = np.argmax(labels.classes, axis=1), predicted[matches]
             weights = relation_weights(relation, true_cls, pred_cls, config.weight_reg,
                                        label_offsets) if config.enable_sal else None
-            stu_targets = targets(strong, labels, weights, bg, matches)
+            stu_targets = targets(samples, labels, weights, bg, matches)
             # one kernel call per loss, each giving the batch's summed gradients
             loss_stu, g_stu = supervised_losses(scored_s, stu_targets)
             total = g_stu.scaled(config.unsup_weight)

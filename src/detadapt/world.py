@@ -120,28 +120,15 @@ class DetectionSample:
     def num_proposals(self) -> int:
         return self.proposal_boxes.shape[0]
 
-    def with_features(self, features: np.ndarray) -> "DetectionSample":
-        """Copy of the sample with proposal features replaced (boxes shared)."""
-        if features.shape != self.proposal_features.shape:
-            raise ValueError("feature array shape mismatch")
-        return DetectionSample(self.id, self.proposal_boxes, np.array(features),
-                               self.gt_boxes, self.gt_classes)
 
-
-def perturb_features(samples: list[DetectionSample], scale: float,
-                     rng: np.random.Generator) -> list[DetectionSample]:
-    """Strong-view augmentation: additive Gaussian noise on every proposal
-    feature of a block of samples.
-
-    The noise of the whole block is one draw, in sample order, which equals
-    one draw per sample in turn. A sample alone is the block `[sample]`.
-    """
-    if scale <= 0.0 or not samples:
-        return list(samples)
-    features = np.concatenate([s.proposal_features for s in samples])
-    noisy = features + scale * rng.standard_normal(features.shape)
-    ends = np.cumsum([s.num_proposals for s in samples])
-    return [s.with_features(noisy[end - s.num_proposals:end]) for s, end in zip(samples, ends)]
+def perturb_features(features: np.ndarray, scale: float,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Strong-view augmentation: a block's (rows, D) proposal features plus
+    Gaussian noise, one `standard_normal(features.shape)` draw, which equals
+    one draw per sample in turn; at scale 0 the features themselves."""
+    if scale <= 0.0:
+        return features
+    return features + scale * rng.standard_normal(features.shape)
 
 
 @dataclass
@@ -367,7 +354,8 @@ def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
     """Load a saved dataset, checking its spec and every sample against it.
 
     Raises `ConfigError` on a spec that `DomainSpec.validate` rejects or whose
-    `size` is not the file's sample count, on a sample without proposals, on
+    `size` is not the file's sample count, on a sample id that is not a JSON
+    integer or that repeats an earlier one, on a sample without proposals, on
     a proposal row that is not 4 + `spec.feature_dim` values wide, on an
     object row that is not 5 values (box, class), on an object class that is
     not an integer in [0, `spec.num_classes`), and on a ground-truth box that
@@ -382,8 +370,14 @@ def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
     if spec.size != len(doc["samples"]):
         raise ConfigError(f"spec size {spec.size} but {len(doc['samples'])} samples")
     width = 4 + spec.feature_dim
-    samples = []
+    samples, ids = [], set()
     for rec in doc["samples"]:
+        # `type` is exact: a JSON true loads as a bool, which is also an int
+        if type(rec["id"]) is not int:
+            raise ConfigError(f"sample id {rec['id']!r} is not an integer")
+        if rec["id"] in ids:
+            raise ConfigError(f"sample id {rec['id']} repeats")
+        ids.add(rec["id"])
         if not rec["proposals"]:
             raise ConfigError(f"no proposals in sample {rec['id']}")
         if any(len(row) != width for row in rec["proposals"]):
@@ -395,11 +389,10 @@ def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
         if not (np.isfinite(gt_boxes).all() and (gt_boxes[:, :2] < gt_boxes[:, 2:]).all()):
             raise ConfigError(f"invalid ground-truth box in sample {rec['id']}")
         classes = [obj[4] for obj in rec["objects"]]
-        # `type` is exact: a JSON true loads as a bool, which is also an int
         if not all(type(c) is int and 0 <= c < spec.num_classes for c in classes):
             raise ConfigError(f"object class not an integer in [0, {spec.num_classes}) "
                               f"in sample {rec['id']}")
         gt_classes = np.array(classes, dtype=int)
-        samples.append(DetectionSample(int(rec["id"]), rows[:, :4], rows[:, 4:],
+        samples.append(DetectionSample(rec["id"], rows[:, :4], rows[:, 4:],
                                        gt_boxes, gt_classes))
     return spec, samples

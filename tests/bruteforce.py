@@ -37,7 +37,7 @@ from detadapt.trainer import EpochRecord, TrainHistory
 from detadapt.util import derive_seed, rng_stream
 from detadapt.weighting import DENOM_FLOOR
 from detadapt.world import (BBox, DetectionSample, DomainSpec, box_array, box_iou,
-                            generate_domain, perturb_features)
+                            generate_domain)
 
 
 def oracle_match_labels(proposal_boxes, label_boxes) -> np.ndarray:
@@ -495,7 +495,7 @@ def oracle_augment_sample(sample, labels, relation, majority, bank, policy, rng)
                 new_labels.append((box, blended.class_vec))
                 continue
         new_labels.append((box, class_vec))
-    return sample.with_features(features), new_labels
+    return dataclasses.replace(sample, proposal_features=features), new_labels
 
 
 def oracle_instance_weight(relation, true_cls: int, pred_cls: int) -> float:
@@ -606,7 +606,11 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                     strong, labels = oracle_augment_sample(sample, labels, relation, majority,
                                                            bank, policy, aug_rng)
                 if config.noise_scale > 0:
-                    strong = perturb_features([strong], config.noise_scale, noise_rng)[0]
+                    # one noise draw per sample in turn
+                    features = strong.proposal_features
+                    strong = dataclasses.replace(strong, proposal_features=features
+                                                 + config.noise_scale
+                                                 * noise_rng.standard_normal(features.shape))
                 bg = None if config.background_bar is None else \
                     [det.proposal_index for det in dets if det.score < config.background_bar]
                 views.append((strong, labels, bg, expert.get(sample.id)))

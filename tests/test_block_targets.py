@@ -175,12 +175,14 @@ def test_block_relation_weights_equal_per_sample_weights():
 
 def test_block_noise_equals_one_draw_per_sample_in_turn():
     samples = mixed_samples(np.random.default_rng(43), [1, 4, 2, 7, 1])
-    got = perturb_features(samples, 0.4, np.random.default_rng(7))
+    features = np.concatenate([s.proposal_features for s in samples])
+    got = perturb_features(features, 0.4, np.random.default_rng(7))
     rng = np.random.default_rng(7)
-    for view, sample in zip(got, samples):
-        want = sample.proposal_features + 0.4 * rng.standard_normal(
-            sample.proposal_features.shape)
-        assert np.array_equal(view.proposal_features, want)
-        assert view.proposal_boxes is sample.proposal_boxes and view.id == sample.id
-    assert all(view is sample for view, sample in
-               zip(perturb_features(samples, 0.0, np.random.default_rng(7)), samples))
+    want = [s.proposal_features + 0.4 * rng.standard_normal(s.proposal_features.shape)
+            for s in samples]
+    assert np.array_equal(got, np.concatenate(want))
+    assert np.array_equal(features, np.concatenate([s.proposal_features for s in samples]))
+    # no noise returns the array itself and draws nothing
+    state = rng.bit_generator.state
+    assert perturb_features(features, 0.0, rng) is features
+    assert rng.bit_generator.state == state

@@ -140,10 +140,20 @@ def drop_object_class(sample):
     sample["objects"][0].pop()
 
 
+def sample_id(value):
+    def corrupt(sample):
+        sample["id"] = value
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (empty_proposals, "no proposals in sample"),
-    (drop_object_class, "object row not 5 values")],
-    ids=["no_proposals", "object_row_of_4"])
+    (drop_object_class, "object row not 5 values"),
+    (sample_id(0.9), "sample id 0.9 is not an integer"),
+    (sample_id(True), "sample id True is not an integer"),
+    (sample_id("3"), "sample id '3' is not an integer"),
+    (sample_id(1), "sample id 1 repeats")],
+    ids=["no_proposals", "object_row_of_4", "id_0.9", "id_true", "id_text", "id_repeated"])
 def test_eval_mode_rejects_a_malformed_sample_with_exit_two(
         corrupt, message, tmp_path, tiny_config_file, capsys):
     code, out = eval_corrupted_dataset(tmp_path, tiny_config_file, corrupt)
@@ -254,6 +264,22 @@ def test_nan_in_a_json_config_exits_two(tmp_path, capsys):
                    '"target": {"frequency": [NaN, 0.25, 0.2, 0.15, 0.05]}}')
     assert run_cli(["--mode", "adapt", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "config error: frequency must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [0, 1])
+@pytest.mark.parametrize("params", [None, "missing.json"], ids=["pretrain", "params"])
+def test_adapt_on_fewer_than_two_target_samples_exits_two_and_writes_nothing(
+        size, params, tmp_path, capsys):
+    # the split ranks at least two samples; the check comes before pretraining
+    # or loading the source model
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"target": {"size": size}}))
+    out = tmp_path / "o"
+    args = ["--mode", "adapt", "--config", str(config), "--out", str(out)]
+    assert run_cli(args + ([] if params is None else ["--params", str(tmp_path / params)])) == 2
+    assert f"config error: adapt mode needs at least 2 target samples to partition, got {size}" \
+        in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_nan_in_a_scalar_config_field_exits_two_and_writes_nothing(tmp_path, capsys):

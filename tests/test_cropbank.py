@@ -51,23 +51,21 @@ def partners(rel, base_class, is_majority, bank, rng, count=1, dim=3):
     `base_class` in a batch of one sample at p_aug 1, label by label:
     (class, feature), or None without one.
 
-    Each label has a proposal of its own, of zero feature, and keeps half of
+    Each label has a feature row of its own, of zeros, and keeps half of
     it, so a blend is half the partner's feature and half the two one-hot
     class vectors, exactly.
     """
     probe(bank)
     boxes = np.zeros((count, 4)) + [0.0, 0.0, 4.0, 4.0]
-    sample = DetectionSample(0, boxes, np.zeros((count, dim)), np.zeros((0, 4)),
-                             np.zeros(0, dtype=int))
     labels = Labels.one_hot(boxes, [base_class] * count, rel.num_classes)
     majority = frozenset({base_class} if is_majority else ())
-    (view,), out = augment_sample([sample], labels, rel, majority, bank,
-                                  AugmentPolicy(p_aug=1.0, mix_ratio=0.5), rng,
-                                  matches=np.arange(count))
-    if view is sample:
+    strong, out = augment_sample(np.zeros((count, dim)), labels, rel, majority, bank,
+                                 AugmentPolicy(p_aug=1.0, mix_ratio=0.5), rng,
+                                 matches=np.arange(count))
+    if out is labels:
         return [None] * count
     pair_classes = np.argmax(out.classes - 0.5 * labels.classes, axis=1)
-    return [(int(c), f / 0.5) for c, f in zip(pair_classes, view.proposal_features)]
+    return [(int(c), f / 0.5) for c, f in zip(pair_classes, strong)]
 
 
 def draw(rel, base_class, is_majority, bank, rng, dim=3):
@@ -75,13 +73,14 @@ def draw(rel, base_class, is_majority, bank, rng, dim=3):
     return partners(rel, base_class, is_majority, bank, rng, dim=dim)[0]
 
 
-def augment(sample, labels, rel, majority, bank, policy, rng):
-    """`augment_sample` of a batch of one sample, given the labels' own
-    matches, as `adapt` gives them, after a push of no rows."""
+def augment(sample, labels, rel, majority, bank, policy, rng, features=None):
+    """`augment_sample` of a batch of one sample, on `features` (by default
+    the sample's own), given the labels' own matches, as `adapt` gives them,
+    after a push of no rows: the blended features and the labels."""
     probe(bank)
-    (view,), out = augment_sample([sample], labels, rel, majority, bank, policy, rng,
-                                  matches=match_labels(sample.proposal_boxes, labels.boxes))
-    return view, out
+    features = sample.proposal_features if features is None else features
+    return augment_sample(features, labels, rel, majority, bank, policy, rng,
+                          matches=match_labels(sample.proposal_boxes, labels.boxes))
 
 
 def test_rows_changed_by_the_caller_after_push_stay_unchanged():
@@ -311,7 +310,8 @@ def test_augment_rejects_a_batch_the_bank_was_not_given():
     sample, labels = make_sample_with_labels()
     # the last push filed one sample; the batch has two
     with pytest.raises(ValueError, match="last push"):
-        augment_sample([sample, sample], Labels.pack([labels, labels]), relation_from(np.eye(2)),
+        augment_sample(np.vstack([sample.proposal_features] * 2), Labels.pack([labels, labels]),
+                       relation_from(np.eye(2)),
                        frozenset({0}), bank, AugmentPolicy(), np.random.default_rng(0),
                        matches=np.arange(4))
 
@@ -324,10 +324,10 @@ def blend(ratio):
     bank = Cropbank(capacity=1)
     push_rows(bank, [1], [np.array([3.0, -1.0])])
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
-    out_sample, out_labels = augment(
+    features, out_labels = augment(
         sample, Labels.one_hot(boxes, [0], 2), rel, frozenset({0}), bank,
         AugmentPolicy(p_aug=1.0, mix_ratio=ratio), np.random.default_rng(0))
-    return out_sample.proposal_features[0], out_labels.classes[0]
+    return features[0], out_labels.classes[0]
 
 
 def test_mixup_blend_rules():
@@ -360,10 +360,10 @@ def full_bank(num_classes=2, dim=3):
 def test_augment_p_zero_is_identity():
     sample, labels = make_sample_with_labels()
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
-    out_sample, out_labels = augment(
+    features, out_labels = augment(
         sample, labels, rel, frozenset({0}), full_bank(), AugmentPolicy(p_aug=0.0),
         np.random.default_rng(0))
-    assert np.array_equal(out_sample.proposal_features, sample.proposal_features)
+    assert np.array_equal(features, sample.proposal_features)
     assert all(np.array_equal(a[1], b[1]) for a, b in zip(labels, out_labels))
 
 
@@ -371,14 +371,14 @@ def test_always_augment_majority_in_similar_sample():
     sample, labels = make_sample_with_labels()
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
     policy = AugmentPolicy(p_aug=1.0, mix_ratio=0.7)
-    out_sample, out_labels = augment(
+    features, out_labels = augment(
         sample, labels, rel, frozenset({0}), full_bank(), policy, np.random.default_rng(2))
     # every instance blended; majority soft label peaks at the mix ratio
     assert out_labels.classes[0].max() == pytest.approx(0.7)
     assert np.all(np.abs(out_labels.classes[1].sum() - 1.0) < 1e-9)
     # the minority base too: 0.7 of its 5 and 0.3 of the bank's 9, whichever class is drawn
-    assert np.allclose(out_sample.proposal_features[1], 6.2)
-    assert not np.array_equal(out_sample.proposal_features[0], sample.proposal_features[0])
+    assert np.allclose(features[1], 6.2)
+    assert not np.array_equal(features[0], sample.proposal_features[0])
     # the inputs keep their hard labels and features
     assert np.array_equal(labels.classes, np.eye(2))
     assert np.array_equal(sample.proposal_features[0], [1.0, 1.0, 1.0])
@@ -389,11 +389,11 @@ def test_class_vectors_stay_simplex_under_repeated_augmentation():
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
     bank = full_bank()
     rng = np.random.default_rng(3)
-    current_sample, current_labels = sample, labels
+    features, current_labels = sample.proposal_features, labels
     for _ in range(10):
-        current_sample, current_labels = augment(
-            current_sample, current_labels, rel, frozenset({0}), bank,
-            AugmentPolicy(p_aug=1.0), rng)
+        features, current_labels = augment(
+            sample, current_labels, rel, frozenset({0}), bank, AugmentPolicy(p_aug=1.0), rng,
+            features)
         for _, vec in current_labels:
             assert vec.sum() == pytest.approx(1.0)
             assert np.all(vec >= -1e-12)
@@ -449,8 +449,11 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeyp
         bank.push(np.concatenate([c for c, _ in pushes]),
                   np.concatenate([f for _, f in pushes]),
                   np.cumsum([0] + [len(c) for c, _ in pushes]))
-        strong, mixed = augment_sample(samples, labels, relation, relation.majority(), bank,
+        features = np.concatenate([s.proposal_features for s in samples])
+        clean = features.copy()
+        strong, mixed = augment_sample(features, labels, relation, relation.majority(), bank,
                                        policy, bank_rng, matches=matches)
+        assert np.array_equal(features, clean)
 
         filed_this_batch.clear()
         majority = oracle_majority(relation)
@@ -460,7 +463,8 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeyp
             want_sample, want_labels = oracle_augment_sample(
                 sample, bbox_pairs(Labels(labels.boxes[own], labels.classes[own])), relation,
                 majority, oracle, policy, oracle_rng)
-            assert strong[k].proposal_features.tobytes() == want_sample.proposal_features.tobytes()
+            rows = slice(proposal_offsets[k], proposal_offsets[k + 1])
+            assert strong[rows].tobytes() == want_sample.proposal_features.tobytes()
             want_classes = np.array([vec for _, vec in want_labels]).reshape(-1, num_classes)
             assert mixed.classes[own].tobytes() == want_classes.tobytes()
             blends += int(np.sum(mixed.classes[own].max(axis=1) < 1.0))

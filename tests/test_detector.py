@@ -102,6 +102,23 @@ def test_sample_rows_of_a_packed_pass_are_its_own_scored():
             assert np.shares_memory(got, getattr(packed, name)), name
 
 
+def test_feature_rows_stand_in_for_the_samples_features():
+    # a strong view scored on the same proposals: as samples that carry those
+    # rows would score, and `h` is the given array itself
+    rng = np.random.default_rng(22)
+    params = random_params(rng)
+    samples = mixed_samples(rng, [1, 2, 7, 1])
+    ends = np.cumsum([0] + [s.num_proposals for s in samples])
+    features = rng.standard_normal((ends[-1], params.feature_dim))
+    got = Scored(params, samples, features=features)
+    want = Scored(params, [DetectionSample(s.id, s.proposal_boxes, features[a:b], s.gt_boxes,
+                                           s.gt_classes)
+                           for s, a, b in zip(samples, ends, ends[1:])])
+    for name in ("log_scores", "scores", "refined", "boxes"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.h is features
+
+
 def test_labels_iterate_as_box_and_class_rows():
     labels = Labels.one_hot([[0.0, 0.0, 1.0, 2.0], [3.0, 3.0, 5.0, 4.0]], [2, 0], 3)
     assert len(labels) == 2 and len(no_labels()) == 0
@@ -310,3 +327,7 @@ def test_feature_dim_mismatch_raises():
         forward_arrays(params, sample)
     with pytest.raises(ValueError):
         Scored(params, [sample], np.random.default_rng(1), 2)
+    # feature rows must be the model's width, one per proposal
+    for shape in ((5, 6), (4, 5), (6, 5)):
+        with pytest.raises(ValueError, match="feature rows"):
+            Scored(params, [sample], features=np.zeros(shape))

@@ -5,11 +5,34 @@ import pytest
 
 from bruteforce import oracle_mc_passes, oracle_variance
 from detadapt.detector import BLOCK_SAMPLES
-from detadapt.partition import (DISSIMILAR, SIMILAR, VarianceReport, box_variance,
-                                cls_variance, mc_passes, partition, split_by_variance)
+from detadapt.partition import (DISSIMILAR, SIMILAR, VarianceReport, _sq_deviation, mc_passes,
+                                partition)
 from test_detector import mixed_samples, random_params, random_sample
 
 partition_module = importlib.import_module("detadapt.partition")
+
+
+def variance(stack):
+    """`_sq_deviation` of one sample's (M, P, K) stack."""
+    return float(_sq_deviation(stack, [0, stack.shape[1]])[0])
+
+
+def ranked(monkeypatch, variances, sigma):
+    """`partition`'s (sample id, rank, level, subset) CSV rows, in rank order,
+    for samples whose detection variances are `variances` ((sample id,
+    variance) pairs): their box variances, with class variances of 1."""
+    rng = np.random.default_rng(14)
+    samples = mixed_samples(rng, [2] * len(variances))
+    for sample, (sample_id, _) in zip(samples, variances):
+        sample.id = sample_id
+    by_id = dict(variances)
+    # one block, whose box variances come first, then its class variances
+    stacks = iter([np.array([by_id[i] for i in sorted(by_id)]), np.ones(len(by_id))])
+    monkeypatch.setattr(partition_module, "BLOCK_SAMPLES", len(variances))
+    monkeypatch.setattr(partition_module, "_sq_deviation", lambda stack, offsets: next(stacks))
+    report = partition(samples, random_params(rng, dropout=0.3), 2, sigma, rng)
+    rows = [line.split(",") for line in report.to_csv_text().splitlines()[1:]]
+    return [(int(r[0]), int(r[4]), float(r[5]), r[6]) for r in rows]
 
 
 def make_passes(rng, dropout, num_passes=6, seed=0):
@@ -49,24 +72,25 @@ def test_partition_rows_match_per_sample_oracle(dropout):
     params = random_params(rng, dropout=dropout)
     samples = mixed_block_samples(rng)
     report = partition(samples[::-1], params, 4, 0.5, np.random.default_rng(7))
-    got = {r.sample_id: (r.box_var, r.cls_var, r.variance) for r in report.rows}
+    got = dict(zip(report.sample_ids.tolist(),
+                   zip(report.box_var.tolist(), report.cls_var.tolist())))
 
     # the passes are mc_passes' on the samples in id order, from one Generator;
-    # the variances are box_variance's and cls_variance's of them bit for bit,
-    # and those of a per-sample loop that sums in another order up to rounding
+    # the variances are `_sq_deviation`'s of each alone bit for bit, and those
+    # of a per-sample loop that sums in another order up to rounding
     passes_rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
     want = {}
     for sample in samples:
         boxes, scores = mc_passes(params, sample, 4, passes_rng)
         want_boxes, want_scores = oracle_mc_passes(params, sample, 4, oracle_rng)
         assert np.array_equal(boxes, want_boxes) and np.array_equal(scores, want_scores)
-        v_b, v_c = box_variance(boxes), cls_variance(scores)
-        want[sample.id] = (v_b, v_c, v_b * v_c)
+        want[sample.id] = (variance(boxes), variance(scores))
         loop = (oracle_variance(want_boxes), oracle_variance(want_scores))
-        np.testing.assert_allclose(got[sample.id][:2], loop, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(got[sample.id], loop, rtol=1e-12, atol=1e-300)
     assert got == want
-    ranked = split_by_variance([(sid, v[2]) for sid, v in want.items()], 0.5)
-    assert [(r.sample_id, r.rank, r.level, r.subset) for r in report.rows] == ranked
+    # ascending by v_b * v_c, ties by id
+    order = sorted(want, key=lambda sid: (want[sid][0] * want[sid][1], sid))
+    assert report.sample_ids.tolist() == order and report.sigma == 0.5
 
 
 def test_partition_csv_does_not_depend_on_the_block_size(monkeypatch):
@@ -95,7 +119,7 @@ def test_partition_builds_no_generator(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counted)
     monkeypatch.setattr(np.random, "Generator", counted)
     report = partition(samples, params, 10, 0.5, shared)
-    assert built == [] and len(report.rows) == len(samples)
+    assert built == [] and len(report.sample_ids) == len(samples)
 
 
 def test_mc_passes_require_at_least_two():
@@ -107,8 +131,8 @@ def test_mc_passes_require_at_least_two():
 def test_no_dropout_passes_identical():
     rng = np.random.default_rng(1)
     boxes, scores = make_passes(rng, dropout=0.0)
-    assert box_variance(boxes) == 0.0
-    assert cls_variance(scores) == 0.0
+    assert variance(boxes) == 0.0
+    assert variance(scores) == 0.0
 
 
 def test_same_rng_seed_reproduces_pass_set():
@@ -124,23 +148,23 @@ def test_same_rng_seed_reproduces_pass_set():
 def test_dropout_passes_differ():
     rng = np.random.default_rng(3)
     boxes, scores = make_passes(rng, dropout=0.3, num_passes=10)
-    assert box_variance(boxes) > 0.0
-    assert cls_variance(scores) > 0.0
+    assert variance(boxes) > 0.0
+    assert variance(scores) > 0.0
 
 
 def test_box_variance_two_pass_hand_value():
     d = np.array([0.4, -0.2, 0.6, 0.8])
     base = np.array([0.0, 0.0, 4.0, 4.0])
     boxes = np.array([[base], [base + d]])  # (M=2, P=1, 4)
-    assert box_variance(boxes) == pytest.approx(float(d @ d) / 4, abs=1e-12)
+    assert variance(boxes) == pytest.approx(float(d @ d) / 4, abs=1e-12)
 
 
 def test_box_variance_scales_quadratically():
     def boxes(scale):
         return np.array([[[0, 0, 2 * scale, 2 * scale]],
                          [[scale, scale, 3 * scale, 3 * scale]]], dtype=float)
-    v1 = box_variance(boxes(1.0))
-    v3 = box_variance(boxes(3.0))
+    v1 = variance(boxes(1.0))
+    v3 = variance(boxes(3.0))
     assert v3 == pytest.approx(9 * v1)
 
 
@@ -149,40 +173,42 @@ def test_cls_variance_two_pass_hand_value_and_symmetry():
     q = np.array([0.1, 0.6, 0.3])
     scores = np.array([[p], [q]])  # (M=2, P=1, C+1)
     expected = float(np.sum((p - q) ** 2)) / 4
-    assert cls_variance(scores) == pytest.approx(expected, abs=1e-12)
-    assert cls_variance(scores[::-1]) == pytest.approx(expected, abs=1e-12)
+    assert variance(scores) == pytest.approx(expected, abs=1e-12)
+    assert variance(scores[::-1]) == pytest.approx(expected, abs=1e-12)
 
 
-def test_split_by_variance_examples():
-    rows = split_by_variance([(0, 0.1), (1, 0.2), (2, 0.3), (3, 0.4)], 0.5)
+def test_split_by_variance_examples(monkeypatch):
+    rows = ranked(monkeypatch, [(0, 0.1), (1, 0.2), (2, 0.3), (3, 0.4)], 0.5)
     subsets = {sid: subset for sid, _, _, subset in rows}
     assert sum(1 for s in subsets.values() if s == SIMILAR) == 3
     assert subsets[0] == DISSIMILAR
 
-    rows = split_by_variance([(0, 0.1), (1, 0.2), (2, 0.3), (3, 0.4)], 0.99)
+    rows = ranked(monkeypatch, [(0, 0.1), (1, 0.2), (2, 0.3), (3, 0.4)], 0.99)
     similar = [sid for sid, _, _, s in rows if s == SIMILAR]
     assert similar == [3]  # only the max-variance sample
 
 
-def test_tied_variances_rank_by_id():
-    rows = split_by_variance([(5, 1.0), (2, 1.0), (9, 1.0), (0, 1.0)], 0.5)
+def test_tied_variances_rank_by_id(monkeypatch):
+    rows = ranked(monkeypatch, [(5, 1.0), (2, 1.0), (9, 1.0), (0, 1.0)], 0.5)
     assert [sid for sid, _, _, _ in rows] == [0, 2, 5, 9]
     assert sum(1 for _, _, _, s in rows if s == SIMILAR) == 3
 
 
-def test_partition_counts_and_scale_invariance():
+def test_partition_counts_and_scale_invariance(monkeypatch):
     rng = np.random.default_rng(4)
     for _ in range(20):
         n = int(rng.integers(2, 40))
         sigma = float(rng.uniform(0.05, 0.95))
         variances = [(i, float(v)) for i, v in enumerate(rng.random(n))]
-        rows = split_by_variance(variances, sigma)
+        rows = ranked(monkeypatch, variances, sigma)
+        assert [r[1] for r in rows] == list(range(1, n + 1))
+        assert [r[0] for r in rows] == sorted(range(n), key=lambda i: variances[i][1])
         similar = {sid for sid, _, _, s in rows if s == SIMILAR}
         expected = {sid for sid, rank, level, _ in rows if level >= sigma}
         assert similar == expected
         assert len(similar) == sum(1 for r in range(1, n + 1) if r / n >= sigma)
         scaled = [(i, 17.3 * v) for i, v in variances]
-        assert split_by_variance(scaled, sigma) == rows
+        assert ranked(monkeypatch, scaled, sigma) == rows
 
 
 def test_partition_end_to_end_is_deterministic():
@@ -194,7 +220,7 @@ def test_partition_end_to_end_is_deterministic():
     a = partition(samples, params, 4, 0.5, np.random.default_rng(0))
     b = partition(samples, params, 4, 0.5, np.random.default_rng(0))
     assert a.to_csv_text() == b.to_csv_text()
-    assert sorted(r.sample_id for r in a.rows) == list(range(8))
+    assert sorted(a.sample_ids.tolist()) == list(range(8))
     with pytest.raises(ValueError):
         partition(samples, params, 4, 1.5, np.random.default_rng(0))
 
@@ -218,20 +244,17 @@ def test_higher_dropout_gives_larger_variance():
         p_high = random_params(np.random.default_rng(i), dropout=0.5)
         boxes_low, scores_low = mc_passes(p_low, sample, 6, np.random.default_rng(i))
         boxes_high, scores_high = mc_passes(p_high, sample, 6, np.random.default_rng(i))
-        low.append(box_variance(boxes_low) * cls_variance(scores_low))
-        high.append(box_variance(boxes_high) * cls_variance(scores_high))
+        low.append(variance(boxes_low) * variance(scores_low))
+        high.append(variance(boxes_high) * variance(scores_high))
     assert np.median(high) > np.median(low)
 
 
 def test_report_csv_layout():
-    rows = [(0, 0.5), (1, 0.2)]
-    ranked = split_by_variance(rows, 0.5)
-    report_rows = []
-    from detadapt.partition import VarianceRow
-    for sid, rank, level, subset in ranked:
-        report_rows.append(VarianceRow(sid, 1.0, 2.0, dict(rows)[sid], rank, level, subset))
-    report = VarianceReport(report_rows)
-    text = report.to_csv_text()
-    header = text.splitlines()[0]
-    assert header == "sample_id,v_b,v_c,v,rank,level,subset"
-    assert len(text.splitlines()) == 3
+    report = VarianceReport(np.array([1, 0]), np.array([1.0, 0.5]), np.array([2.0, 0.25]), 0.5)
+    assert report.to_csv_text().splitlines() == [
+        "sample_id,v_b,v_c,v,rank,level,subset",
+        "1,1.0,2.0,2.0,1,0.5,similar",
+        "0,0.5,0.25,0.125,2,1.0,similar"]
+    report.sigma = 0.75
+    assert [line.rsplit(",", 1)[1] for line in report.to_csv_text().splitlines()[1:]] == \
+        [DISSIMILAR, SIMILAR]

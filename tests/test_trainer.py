@@ -1,21 +1,22 @@
 import csv
 import dataclasses
 import io
+import os
 
 import numpy as np
 import pytest
 
 from bruteforce import oracle_adapt
-from detadapt import detector, trainer
+from detadapt import cli, detector, trainer
 from detadapt.config import AdaptationConfig, default_config
-from detadapt.detector import ModelParams
+from detadapt.detector import ModelParams, save_params
 from detadapt.metrics import evaluate
-from detadapt.partition import DISSIMILAR, SIMILAR, VarianceReport
+from detadapt.partition import DISSIMILAR, SIMILAR
 from detadapt.trainer import (DiscriminatorParams, SealedDataset,
                               SourceAccessError, ablation_variants, adapt,
                               discriminator_loss, pretrain_source)
 from detadapt.util import derive_seed, rng_stream
-from detadapt.world import generate_domain, make_domain_spec
+from detadapt.world import DetectionSample, generate_domain, make_domain_spec
 
 
 def tiny_config(seed=0, **overrides):
@@ -238,13 +239,36 @@ def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch
         return wrapper
 
     monkeypatch.setattr(detector.Scored, "__init__", counted_init)
-    monkeypatch.setattr(trainer, "partition", not_counted(trainer.partition))
     monkeypatch.setattr(trainer, "evaluate", not_counted(trainer.evaluate))
     adapt(params, target, config)
     # per batch the teacher's pass, then the student's over the same samples
     teacher_calls, student_calls = scored_calls[0::2], scored_calls[1::2]
     assert teacher_calls == student_calls
     assert sorted(sum(teacher_calls, [])) == sorted([s.id for s in target] * config.epochs)
+
+
+@pytest.mark.parametrize("variant", ["full", "base"])
+def test_adapt_builds_no_sample_after_its_eval_set(variant, busy_run, monkeypatch):
+    # a batch's features travel as one array from the teacher's pass through
+    # augmentation and noise to the student's: no view is a new sample
+    config, params, target = busy_run
+    config = ablation_variants(config)[variant]
+    built = []
+    real_init, real_generate = DetectionSample.__init__, trainer.generate_domain
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    def generate_then_count(*args, **kwargs):
+        samples = real_generate(*args, **kwargs)
+        monkeypatch.setattr(DetectionSample, "__init__", counted_init)
+        return samples
+
+    monkeypatch.setattr(trainer, "generate_domain", generate_then_count)
+    _, history = adapt(params, target, config)
+    assert DetectionSample.__init__ is counted_init and len(history.records) == config.epochs
+    assert built == []
 
 
 @pytest.fixture(scope="module")
@@ -261,21 +285,25 @@ def history_columns(history, names):
     return [[row[name] for name in names] for row in rows]
 
 
-@pytest.mark.parametrize("variant,background_bar,bank_capacity", [
-    ("base", 0.1, 64), ("sa", 0.1, 64), ("sal", 0.1, 64), ("full", 0.1, 64), ("full", None, 64),
-    ("sa", 0.1, 2)], ids=["base-0.1", "sa-0.1", "sal-0.1", "full-0.1", "full-None",
-                          "sa-0.1-capacity2"])
+@pytest.mark.parametrize("variant,background_bar,bank_capacity,noise_scale", [
+    ("base", 0.1, 64, 0.4), ("sa", 0.1, 64, 0.4), ("sal", 0.1, 64, 0.4), ("full", 0.1, 64, 0.4),
+    ("full", None, 64, 0.4), ("sa", 0.1, 2, 0.4), ("full", 0.1, 64, 0.0)],
+    ids=["base-0.1", "sa-0.1", "sal-0.1", "full-0.1", "full-None", "sa-0.1-capacity2",
+         "full-0.1-noise0"])
 def test_adapt_matches_per_sample_object_loop_oracle(variant, background_bar, bank_capacity,
-                                                     busy_run):
+                                                     noise_scale, busy_run):
     # one sample per batch is one gradient product, the oracle's own, so the
     # run is the oracle's bit for bit; a batch of 16, the default, sums its
     # gradients in one BLAS product, whose order moves the parameters' last
     # bits only (a relative 2.6e-13 at most measured) and the losses with
     # them, while every mAP and AP of the history stays exact. A two-row
-    # bank evicts, within a batch, rows that later samples would have drawn
+    # bank evicts, within a batch, rows that later samples would have drawn.
+    # Without noise the student scores the blended copy, or the teacher
+    # pass's own feature rows where nothing was blended
     config, params, target = busy_run
     config = dataclasses.replace(ablation_variants(config)[variant],
-                                 background_bar=background_bar, bank_capacity=bank_capacity)
+                                 background_bar=background_bar, bank_capacity=bank_capacity,
+                                 noise_scale=noise_scale)
     for batch_size in (1, 16):
         run = dataclasses.replace(config, batch_size=batch_size)
         teacher, history = adapt(params, target, run)
@@ -329,24 +357,30 @@ def test_adapt_rejects_repeated_sample_ids():
 
 
 def test_target_split_is_a_diagnostic_only(busy_run, tmp_path, monkeypatch):
+    # the CLI writes the source model's split, and `adapt` never sees it:
     # tagging every sample dissimilar changes partition.csv and nothing that
-    # +SA trains: its history, written as history.csv, stays byte-identical
-    config, params, target = busy_run
-    config = ablation_variants(config)["sa"]
-    _, want = adapt(params, target, config, out_dir=str(tmp_path / "split"))
-    real_partition = trainer.partition
+    # +SA trains, whose history.csv stays byte-identical
+    config, params, _ = busy_run
+    config_path, params_path = tmp_path / "config.json", tmp_path / "params.json"
+    ablation_variants(config)["sa"].save_json(config_path)
+    save_params(params_path, params)
+    real_partition = cli.partition
 
-    def all_dissimilar(*args, **kwargs):
-        report = real_partition(*args, **kwargs)
-        return VarianceReport([dataclasses.replace(r, subset=DISSIMILAR) for r in report.rows])
+    def run(name):
+        assert cli.run_cli(["--mode", "adapt", "--config", str(config_path),
+                            "--out", str(tmp_path / name), "--params", str(params_path)]) == 0
+        return {line.rsplit(",", 1)[1] for line in (tmp_path / name / "checkpoints" /
+                                                    "partition.csv").read_text().splitlines()[1:]}
 
-    monkeypatch.setattr(trainer, "partition", all_dissimilar)
-    _, got = adapt(params, target, config, out_dir=str(tmp_path / "dissimilar"))
-    tags = {name: {line.rsplit(",", 1)[1] for line in
-                   (tmp_path / name / "partition.csv").read_text().splitlines()[1:]}
-            for name in ("split", "dissimilar")}
+    tags = {"split": run("split")}
+    # no rank level reaches a sigma of 2
+    monkeypatch.setattr(cli, "partition", lambda *args: dataclasses.replace(
+        real_partition(*args), sigma=2.0))
+    tags["dissimilar"] = run("dissimilar")
     assert tags == {"split": {SIMILAR, DISSIMILAR}, "dissimilar": {DISSIMILAR}}
-    assert got.to_csv_text() == want.to_csv_text()
+    assert (tmp_path / "split" / "history.csv").read_bytes() == \
+        (tmp_path / "dissimilar" / "history.csv").read_bytes()
+    assert not hasattr(trainer, "partition")
 
 
 def test_ablation_variants_switch_matrix():
@@ -365,9 +399,9 @@ def test_adapt_writes_checkpoints(tmp_path):
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
     adapt(params, target, config, out_dir=str(tmp_path))
-    assert (tmp_path / "partition.csv").exists()
-    assert (tmp_path / "epoch_000_teacher.json").exists()
-    assert (tmp_path / "epoch_001_relation.json").exists()
+    # each epoch's teacher and relation rows; the CLI adds the split (see above)
+    assert sorted(os.listdir(tmp_path)) == [f"epoch_{epoch:03d}_{name}.json" for epoch in (0, 1)
+                                            for name in ("relation", "teacher")]
 
 
 def test_config_dict_roundtrip_and_unknown_fields():

@@ -6,7 +6,7 @@ import pytest
 from detadapt import cli, util
 from detadapt.config import default_config
 from detadapt.detector import ModelParams, save_params
-from detadapt.partition import VarianceReport, VarianceRow
+from detadapt.partition import VarianceReport
 from detadapt.relation import RelationMatrix
 from detadapt.trainer import EpochRecord, TrainHistory
 from detadapt.world import generate_domain, make_domain_spec, save_dataset
@@ -21,8 +21,7 @@ def _history(version):
 
 
 def _report(version):
-    row = VarianceRow(7, 0.1, 0.2 + version, 0.3, 1, 1.0, "similar")
-    return VarianceReport([row])
+    return VarianceReport(np.array([7]), np.array([0.1]), np.array([0.2 + version]), 0.5)
 
 
 def _dataset(path, version):
