@@ -31,7 +31,7 @@ class Cropbank:
     class c's at [c]. A `push` first drops the rows that the previous batch
     evicted, so a buffer holds at most `capacity` rows plus one batch's rows;
     a buffer's rows as sample k of the last batch sees them are the last
-    `capacity` of those filed before sample k's. `sizes` and `row` read the
+    `capacity` of those filed before sample k's. `sizes` and `rows` read the
     bank as each sample of the last push sees it.
     """
 
@@ -63,7 +63,7 @@ class Cropbank:
             raise ValueError("class ids must be non-negative integers")
         if offsets.ndim != 1 or not len(offsets) or offsets.dtype.kind not in "iu" \
                 or offsets[0] != 0 or offsets[-1] != len(class_ids) \
-                or np.any(np.diff(offsets) < 0):
+                or np.any(offsets[1:] < offsets[:-1]):
             raise ValueError(f"offsets must rise from 0 to {len(class_ids)}, one per sample + 1")
 
         cap = self.capacity
@@ -74,9 +74,11 @@ class Cropbank:
             self._storage[c, :cap] = self._storage[c, end - cap:end]
         num_samples = len(offsets) - 1
         num_classes = max(len(held), int(class_ids.max(initial=-1)) + 1)
-        held = np.pad(np.minimum(held, cap), (0, num_classes - len(held)))
+        held = np.minimum(held, cap)
+        if num_classes > len(held):
+            held = np.pad(held, (0, num_classes - len(held)))
         # ends[i + 1, c]: rows of class c stored once samples 0..i are filed
-        sample_of_row = np.repeat(np.arange(num_samples), np.diff(offsets))
+        sample_of_row = np.repeat(np.arange(num_samples), offsets[1:] - offsets[:-1])
         filed = np.bincount((sample_of_row + 1) * num_classes + class_ids,
                             minlength=(num_samples + 1) * num_classes)
         self._ends = held + filed.reshape(num_samples + 1, num_classes).cumsum(axis=0)
@@ -100,18 +102,23 @@ class Cropbank:
         """(samples, num_classes) rows each sample of the last push may draw,
         class by class."""
         seen = np.minimum(self._ends[:-1, :num_classes], self.capacity)
-        return np.pad(seen, ((0, 0), (0, num_classes - seen.shape[1])))
+        if num_classes > seen.shape[1]:
+            seen = np.pad(seen, ((0, 0), (0, num_classes - seen.shape[1])))
+        return seen
 
-    def row(self, sample: int, class_id: int, index: int) -> np.ndarray:
-        """Row `index` of the `sizes(...)[sample, class_id]` rows that sample
-        `sample` of the last push may draw of class `class_id`, as a view of
-        the bank's storage that holds until the next push."""
-        end = int(self._ends[sample, class_id])
-        count = min(end, self.capacity)
-        if not 0 <= index < count:
-            raise IndexError(f"sample {sample} may draw {count} rows of class {class_id}, "
-                             f"not row {index}")
-        return self._storage[class_id, end - count + index]
+    def rows(self, samples, classes, indices) -> np.ndarray:
+        """(n, D) copies: row indices[j] of the `sizes(...)[samples[j], classes[j]]`
+        rows that sample samples[j] of the last push may draw of class
+        classes[j], for each j; `IndexError` for an index outside them."""
+        samples, classes, indices = (np.asarray(a, dtype=int) for a in (samples, classes, indices))
+        ends = self._ends[samples, classes]
+        counts = np.minimum(ends, self.capacity)
+        outside = (indices < 0) | (indices >= counts)
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise IndexError(f"sample {samples[j]} may draw {counts[j]} rows of class "
+                             f"{classes[j]}, not row {indices[j]}")
+        return self._storage[classes, ends - counts + indices]
 
 
 @dataclass
@@ -175,20 +182,21 @@ def augment_sample(
     to end, `labels` its block (sample i owns rows offsets[i]:offsets[i + 1])
     and `matches` (`match_labels` of the labels) the labels' feature rows.
     `bank`'s last push must be this batch's: sample i draws what `bank.sizes`
-    and `bank.row` give sample i, the bank before its own rows were filed.
+    and `bank.rows` give sample i, the bank before its own rows were filed.
 
     Classes outside `majority` (`RelationMatrix.majority`) are minority.
     Labels are drawn in order: one `rng.random()` per label against p_aug,
     then for each blend one `rng.random()` for the partner class
-    (`_partner_cdf`) and one `rng.integers` for the partner row. A blend
-    keeps `mix_ratio` of the base: feature row `matches[i]` and label i's
-    class vector become `keep * base + (1 - keep) * pair`, with the partner
-    class's one-hot vector as the pair's, so the class vector turns soft;
-    geometry stays the base's, as resizing the pair to the base is an
-    identity in feature space. A row matched by two labels is blended twice,
-    in label order. Returns a blended copy of the features and the labels
-    (the input labels if nothing was blended); the inputs are not modified.
-    Labels keep their boxes and offsets, so `matches` holds for them too.
+    (`_partner_cdf`) and one `rng.integers` for the partner row, all gathered
+    by one `bank.rows` call. A blend keeps `mix_ratio` of the base: feature
+    row `matches[i]` and label i's class vector become `keep * base + (1 -
+    keep) * pair`, with the partner class's one-hot vector as the pair's, so
+    the class vector turns soft; geometry stays the base's, as resizing the
+    pair to the base is an identity in feature space. A row matched by two
+    labels is blended twice, in label order. Returns a blended copy of the
+    features and the labels (the input labels if nothing was blended); the
+    inputs are not modified. Labels keep their boxes and offsets, so
+    `matches` holds for them too.
     """
     num_classes = relation.num_classes
     sizes = bank.sizes(num_classes)
@@ -199,11 +207,10 @@ def augment_sample(
     cdfs: dict[tuple[int, bool, bytes], tuple[list[int], list[float]] | None] = {}
     nonempty = [row.tobytes() for row in sizes > 0]
     base_classes = np.argmax(labels.classes, axis=1).tolist()
-    offsets, proposals = labels.offsets.tolist(), matches.tolist()
+    offsets = labels.offsets.tolist()
     p_aug, keep = policy.p_aug, policy.mix_ratio
-    strong = features.copy()
 
-    blended, pair_classes = [], []
+    draws = []  # (label, sample, partner class, partner row) of each blend
     for k in range(len(offsets) - 1):
         for i in range(offsets[k], offsets[k + 1]):
             if not rng.random() < p_aug:
@@ -217,14 +224,18 @@ def augment_sample(
                 continue
             candidates, cdf = cdfs[key]
             pick = candidates[bisect_right(cdf, rng.random())]
-            pair = bank.row(k, pick, int(rng.integers(size_rows[k][pick])))
-            j = proposals[i]
-            strong[j] = keep * strong[j] + (1.0 - keep) * pair
-            blended.append(i)
-            pair_classes.append(pick)
-    if not blended:
+            draws.append((i, k, pick, int(rng.integers(size_rows[k][pick]))))
+    strong = features.copy()
+    if not draws:
         return strong, labels
 
+    blended, pair_samples, pair_classes, pair_rows = np.array(draws).T
+    pairs = bank.rows(pair_samples, pair_classes, pair_rows)
+    base_rows = matches[blended]
+    while len(base_rows):  # each round blends the first of each row's remaining pairs
+        j, first = np.unique(base_rows, return_index=True)
+        strong[j] = keep * strong[j] + (1.0 - keep) * pairs[first]
+        base_rows, pairs = np.delete(base_rows, first), np.delete(pairs, first, axis=0)
     classes = labels.classes.copy()
     classes[blended] = keep * labels.classes[blended] \
         + (1.0 - keep) * np.eye(num_classes)[pair_classes]

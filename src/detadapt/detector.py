@@ -182,9 +182,9 @@ class Scored:
     alone is the block `[sample]`. `features`, (rows, D), stands in for the
     proposal features, such as a strong view of them. Holds the outputs (h,
     log_scores, scores, refined), h being the (possibly dropped) features,
-    and the `offsets` of the samples' rows: sample i owns rows
-    `offsets[i]:offsets[i + 1]`, equal bit for bit to those of its own block
-    of one.
+    the block's row count `num_proposals` and the `offsets` of the samples'
+    rows: sample i owns rows `offsets[i]:offsets[i + 1]`, equal bit for bit
+    to those of its own block of one.
 
     With a Generator `rng` the outputs are stacks of `passes` dropout passes,
     (M, rows, ...). The block's masks come from one `rng.random` draw of
@@ -226,15 +226,8 @@ class Scored:
                 h /= 1.0 - rate
         single = offsets[:-1][np.asarray(counts) == 1]
         self.num_classes = params.num_classes
-        self.offsets = offsets
+        self.offsets, self.num_proposals = offsets, int(offsets[-1])
         self.h, self.log_scores, self.scores, self.refined = _heads(params, h, boxes, single)
-
-    def sample(self, i: int) -> "Scored":
-        """Sample i's rows of a one-pass block as its own `Scored`, whose arrays,
-        derived class ids, scores and boxes included, are views of the block's,
-        each taken when first read.
-        """
-        return _SampleRows(self, slice(self.offsets[i], self.offsets[i + 1]))
 
     @cached_property
     def class_ids(self) -> np.ndarray:
@@ -250,25 +243,6 @@ class Scored:
     def boxes(self) -> np.ndarray:
         """(P, 4) refined boxes made valid by the `BBox.from_raw` rule."""
         return boxes_from_raw(self.refined)
-
-
-def _block_rows(name: str) -> cached_property:
-    return cached_property(lambda self: getattr(self._block, name)[self._rows])
-
-
-class _SampleRows(Scored):
-    """Rows `rows` of a one-pass block `block`, as `Scored.sample` gives them."""
-
-    def __init__(self, block: Scored, rows: slice):
-        self.num_classes = block.num_classes
-        self._block, self._rows = block, rows
-
-    h, log_scores, scores, refined, class_ids, fg_scores, boxes = map(
-        _block_rows, ("h", "log_scores", "scores", "refined", "class_ids", "fg_scores", "boxes"))
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        return np.array([0, self._rows.stop - self._rows.start])
 
 
 def forward_arrays(params: ModelParams, sample: DetectionSample,
@@ -371,8 +345,8 @@ def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray,
                              dtype=int)
     if len(label_boxes) == 0:
         return np.zeros(0, dtype=int)
-    sample_of = np.repeat(np.arange(len(offsets) - 1), np.diff(label_offsets))
-    start, counts = offsets[sample_of], np.diff(offsets)[sample_of]
+    sample_of = np.repeat(np.arange(len(offsets) - 1), label_offsets[1:] - label_offsets[:-1])
+    start, counts = offsets[sample_of], (offsets[1:] - offsets[:-1])[sample_of]
     if counts.min() < 1:
         raise ValueError("a label's sample has no proposals")
     # one (label, proposal) pair per label and proposal of its sample, label by label
@@ -447,7 +421,7 @@ class Targets(NamedTuple):
     def label_rows(self, offsets: np.ndarray) -> np.ndarray:
         """Block rows of the labels' proposals in a pass whose sample i owns
         rows offsets[i]:offsets[i + 1]."""
-        return np.repeat(offsets[:-1], np.diff(self.offsets)) + self.matches
+        return np.repeat(offsets[:-1], self.offsets[1:] - self.offsets[:-1]) + self.matches
 
     def take(self, picks) -> "Targets":
         """The targets of samples `picks`, in that order, as a block."""
@@ -485,7 +459,7 @@ def targets(samples: list[DetectionSample], labels: Labels, weights=None,
     if isinstance(background, str):
         background = np.arange(offsets[-1])
     background = np.asarray([] if background is None else background, dtype=int)
-    sample_of = np.repeat(np.arange(len(samples)), np.diff(labels.offsets))
+    sample_of = np.repeat(np.arange(len(samples)), labels.offsets[1:] - labels.offsets[:-1])
     local = matches - offsets[sample_of]
     if len(local) and (local.min() < 0 or np.any(local >= counts[sample_of])):
         raise ValueError("match index outside its label's sample")
@@ -505,18 +479,17 @@ def targets(samples: list[DetectionSample], labels: Labels, weights=None,
 def _segment_means(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Each segment's mean, segment i being terms[offsets[i]:offsets[i + 1]]; 0.0 if empty.
 
-    A loop's running sum over each segment, divided by its count (`np.sum`
-    adds in another order): `np.cumsum` along the rows of a zero-padded
-    (segments, longest) array adds each row in order, and a row is read at
-    its segment's last term, so each mean has the bits of its segment's own
-    `np.cumsum`.
+    `terms` is (n,) or (n, k), k columns averaged side by side. A loop's
+    running sum over each segment, divided by its count (`np.sum` adds in
+    another order): `np.cumsum` along axis 1 of a zero-padded (segments,
+    longest, ...) array adds each segment in order, read at its last term.
     """
-    counts = np.diff(offsets)
+    counts = offsets[1:] - offsets[:-1]
     segment = np.repeat(np.arange(len(counts)), counts)
-    padded = np.zeros((len(counts), max(int(counts.max(initial=0)), 1)))
+    padded = np.zeros((len(counts), max(int(counts.max(initial=0)), 1)) + terms.shape[1:])
     padded[segment, np.arange(len(terms)) - offsets[segment]] = terms
     sums = np.cumsum(padded, axis=1)[np.arange(len(counts)), np.maximum(counts - 1, 0)]
-    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    return np.where(counts > 0, sums.T / np.maximum(counts, 1), 0.0).T
 
 
 def supervised_losses(scored: Scored, targets: Targets,
@@ -551,10 +524,11 @@ def supervised_losses(scored: Scored, targets: Targets,
     num_fg, n = scored.num_classes, len(scored.offsets) - 1
     if len(targets.offsets) != n + 1 or len(targets.background_offsets) != n + 1:
         raise ValueError(f"targets of {len(targets.offsets) - 1} samples for a block of {n}")
-    starts, counts = scored.offsets[:-1], np.diff(scored.offsets)
-    n_lab, n_bg = np.diff(targets.offsets), np.diff(targets.background_offsets)
+    starts, counts = scored.offsets[:-1], scored.offsets[1:] - scored.offsets[:-1]
+    lab_offsets, bg_offsets = targets.offsets, targets.background_offsets
+    n_lab, n_bg = lab_offsets[1:] - lab_offsets[:-1], bg_offsets[1:] - bg_offsets[:-1]
     lab_of, bg_of = np.repeat(np.arange(n), n_lab), np.repeat(np.arange(n), n_bg)
-    lab_rows = targets.label_rows(scored.offsets)
+    lab_rows = starts[lab_of] + targets.matches
 
     # CE rows, sample by sample: the labels, then the background proposals
     order = np.argsort(np.concatenate((lab_of, bg_of)), kind="stable")
@@ -586,10 +560,12 @@ def supervised_losses(scored: Scored, targets: Targets,
         d_logits *= expert[0] / per_row
         d_refined *= expert[1] / per_row
 
-    loss_cls = _segment_means(ce, targets.offsets + targets.background_offsets)
-    loss_box = _segment_means(box, targets.offsets)
-    losses = (loss_box + _segment_means(1.0 - value, targets.offsets) + loss_cls
-              if expert is None else expert[0] * loss_cls + expert[1] * loss_box)
+    loss_cls = _segment_means(ce, lab_offsets + bg_offsets)
+    if expert is None:
+        loss_box, loss_giou = _segment_means(np.column_stack((box, 1.0 - value)), lab_offsets).T
+        losses = loss_box + loss_giou + loss_cls
+    else:
+        losses = expert[0] * loss_cls + expert[1] * _segment_means(box, lab_offsets)
     h = scored.h
     return losses, GradientSet(d_logits.T @ h, d_logits.sum(axis=0), d_refined.T @ h,
                                d_refined.sum(axis=0), float(losses.sum()))

@@ -1,8 +1,8 @@
 """Mean-teacher self-training: confidence-filtered pseudo-labels, EMA teacher.
 
-The teacher's verdicts are row indices into its `Scored`: `pseudo_label` reads
-one sample's rows of a block, or its own block of one; `background_indices`
-reads a whole block.
+The teacher's verdicts are row indices into its `Scored` of a block, sample i
+owning rows offsets[i]:offsets[i + 1]: `pseudo_label` and `background_indices`
+each read a whole block in one call, and score a sample alone as `[sample]`.
 """
 
 from __future__ import annotations
@@ -13,19 +13,19 @@ from .detector import ModelParams, Scored
 from .world import DetectionSample
 
 
-def pseudo_label(teacher: ModelParams, sample: DetectionSample, conf_threshold: float,
-                 *, scored: Scored | None = None) -> np.ndarray:
-    """Indices of the proposals whose max foreground score reaches the threshold.
+def pseudo_label(teacher: ModelParams, block: Scored | DetectionSample,
+                 conf_threshold: float) -> np.ndarray:
+    """Rows of a block whose max foreground score reaches the threshold, in order.
 
-    `scored` (a `Scored` of the teacher on the sample, such as one sample's
-    rows of a block) skips the forward pass; without it the teacher scores
-    `[sample]`. Its boxes and foreground classes at these indices are the
-    pseudo-labels.
+    `block` is the teacher's `Scored` of a block of samples, or one sample,
+    which the teacher then scores as `[sample]`. The block's boxes and
+    foreground classes at these rows are the pseudo-labels. Sample i's are
+    the rows in offsets[i]:offsets[i + 1], so `np.searchsorted(rows,
+    offsets)` gives the labels' per-sample offsets.
     """
     if not 0.0 < conf_threshold <= 1.0:
         raise ValueError("conf_threshold must lie in (0, 1]")
-    if scored is None:
-        scored = Scored(teacher, [sample])
+    scored = block if isinstance(block, Scored) else Scored(teacher, [block])
     return np.flatnonzero(scored.fg_scores >= conf_threshold)
 
 
@@ -46,16 +46,12 @@ def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> M
     )
 
 
-def background_indices(teacher: ModelParams, samples: list[DetectionSample], bar: float,
-                       *, scored: Scored | None = None) -> np.ndarray:
+def background_indices(teacher: ModelParams, block: Scored | DetectionSample,
+                       bar: float) -> np.ndarray:
     """Rows of a block the teacher is confident are background (max fg score
-    below bar).
+    below bar), of a `block` as `pseudo_label` takes it.
 
     Proposals between the bar and the pseudo-label threshold stay unsupervised.
-    `scored` (the teacher's `Scored` of the block) skips the forward pass;
-    without it the teacher scores `samples`. A sample alone is the block
-    `[sample]`, whose rows are its proposal indices.
     """
-    if scored is None:
-        scored = Scored(teacher, samples)
+    scored = block if isinstance(block, Scored) else Scored(teacher, [block])
     return np.flatnonzero(scored.fg_scores < bar)

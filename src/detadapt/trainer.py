@@ -216,12 +216,12 @@ def adapt(
     batch, since neither model moves within a batch. The batch's labels,
     targets and weights are arrays over the whole batch, with per-sample
     offsets; Python loops over samples only where the order demands it:
-    - The teacher's pass gives each sample's confident rows (`pseudo_label`
-      on the sample's rows) and the batch's background rows
-      (`background_indices`, once). The confident rows become the batch's
-      hard `Labels`, matched to the proposals in one `match_labels` call.
-      Augmentation keeps label and proposal boxes, so the matches serve the
-      losses and the relation statistics alike.
+    - The teacher's pass gives the batch's confident rows (`pseudo_label`,
+      cut into samples by `np.searchsorted` at the pass's offsets) and its
+      background rows (`background_indices`), one call each. The confident
+      rows become the batch's hard `Labels`, matched to the proposals in one
+      `match_labels` call. Augmentation keeps label and proposal boxes, so
+      the matches serve the losses and the relation statistics alike.
     - The strong view is one array, from the teacher pass's features `h`.
       With SA on, the crop bank files the confident rows under their
       pseudo-label classes in one push, and once the matrix is ready the
@@ -287,11 +287,8 @@ def adapt(
             scored_t = Scored(teacher, samples)
             offsets = scored_t.offsets
             # the teacher's confident rows become the batch's hard labels, one block
-            confident = [offsets[i] + pseudo_label(teacher, sample, config.conf_threshold,
-                                                   scored=scored_t.sample(i))
-                         for i, sample in enumerate(samples)]
-            rows = np.concatenate(confident)
-            label_offsets = np.cumsum([0] + [len(c) for c in confident])
+            rows = pseudo_label(teacher, scored_t, config.conf_threshold)
+            label_offsets = np.searchsorted(rows, offsets)
             labels = Labels.one_hot(scored_t.boxes[rows], scored_t.class_ids[rows], num_classes,
                                     label_offsets)
             matches = match_labels(np.concatenate([s.proposal_boxes for s in samples]),
@@ -307,7 +304,7 @@ def adapt(
                                                     policy, aug_rng, matches=matches)
             strong = perturb_features(strong, config.noise_scale, noise_rng)
             bg = None if config.background_bar is None else \
-                background_indices(teacher, samples, config.background_bar, scored=scored_t)
+                background_indices(teacher, scored_t, config.background_bar)
 
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored(student, samples, features=strong)

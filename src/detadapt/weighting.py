@@ -39,7 +39,7 @@ def relation_weights(relation: RelationMatrix, true_cls, pred_cls, reg: float,
                                       pair / np.maximum(diag, DENOM_FLOOR)), 0.0))
     # each sample's mean as its `raw.mean()`, bit for bit: the row sums of a
     # (samples, count) gather add up as a sample's own sum does
-    counts = np.diff(offsets)
+    counts = offsets[1:] - offsets[:-1]
     sums = np.zeros(len(counts))
     for count in set(counts.tolist()) - {0}:
         same = np.flatnonzero(counts == count)

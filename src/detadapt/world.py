@@ -353,46 +353,66 @@ def save_dataset(path, spec: DomainSpec, samples: list[DetectionSample]) -> None
 def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
     """Load a saved dataset, checking its spec and every sample against it.
 
-    Raises `ConfigError` on a spec that `DomainSpec.validate` rejects or whose
-    `size` is not the file's sample count, on a sample id that is not a JSON
-    integer or that repeats an earlier one, on a sample without proposals, on
-    a proposal row that is not 4 + `spec.feature_dim` values wide, on an
-    object row that is not 5 values (box, class), on an object class that is
-    not an integer in [0, `spec.num_classes`), and on a ground-truth box that
-    is not finite with x1 < x2 and y1 < y2. The file stores no object
-    features: in a generated sample they are the first G proposal rows (see
+    Raises `ConfigError` on a document or sample record that is not a JSON
+    object with its keys ("spec", "samples"; "id", "proposals", "objects";
+    the last of each a list), a spec that is not a whole `DomainSpec`, that
+    `validate` rejects or whose `size` is not the sample count, a sample id
+    that is not a JSON integer or that repeats, a sample without proposals,
+    a proposal row not a list of 4 + `spec.feature_dim` values, an object
+    row not a list of 5 values (box, class), an object class not an integer
+    in [0, `spec.num_classes`), and a ground-truth box that is not finite
+    with x1 < x2 and y1 < y2. The file stores no object features: in a
+    generated sample they are the first G proposal rows (see
     `DetectionSample`).
     """
     with open(path) as fh:
         doc = json.load(fh)
-    spec = DomainSpec.from_dict(doc["spec"])
+    spec_doc = _field(doc, "spec", "the dataset")
+    try:
+        spec = DomainSpec.from_dict(spec_doc)
+    except TypeError as exc:  # a missing or unknown field
+        raise ConfigError(f"invalid dataset spec: {exc}") from None
     spec.validate()
-    if spec.size != len(doc["samples"]):
-        raise ConfigError(f"spec size {spec.size} but {len(doc['samples'])} samples")
+    records = _field(doc, "samples", "the dataset", list)
+    if spec.size != len(records):
+        raise ConfigError(f"spec size {spec.size} but {len(records)} samples")
     width = 4 + spec.feature_dim
     samples, ids = [], set()
-    for rec in doc["samples"]:
+    for index, rec in enumerate(records):
+        sample_id = _field(rec, "id", f"sample record {index}")
         # `type` is exact: a JSON true loads as a bool, which is also an int
-        if type(rec["id"]) is not int:
-            raise ConfigError(f"sample id {rec['id']!r} is not an integer")
-        if rec["id"] in ids:
-            raise ConfigError(f"sample id {rec['id']} repeats")
-        ids.add(rec["id"])
-        if not rec["proposals"]:
-            raise ConfigError(f"no proposals in sample {rec['id']}")
-        if any(len(row) != width for row in rec["proposals"]):
-            raise ConfigError(f"proposal row not {width} values wide in sample {rec['id']}")
-        if any(len(obj) != 5 for obj in rec["objects"]):
-            raise ConfigError(f"object row not 5 values (box, class) in sample {rec['id']}")
-        rows = np.array(rec["proposals"], dtype=float)
-        gt_boxes = np.array([obj[:4] for obj in rec["objects"]], dtype=float).reshape(-1, 4)
+        if type(sample_id) is not int:
+            raise ConfigError(f"sample id {sample_id!r} is not an integer")
+        if sample_id in ids:
+            raise ConfigError(f"sample id {sample_id} repeats")
+        ids.add(sample_id)
+        proposals = _field(rec, "proposals", f"sample {sample_id}", list)
+        objects = _field(rec, "objects", f"sample {sample_id}", list)
+        if not proposals:
+            raise ConfigError(f"no proposals in sample {sample_id}")
+        if any(not isinstance(row, list) or len(row) != width for row in proposals):
+            raise ConfigError(f"proposal row not {width} values wide in sample {sample_id}")
+        if any(not isinstance(obj, list) or len(obj) != 5 for obj in objects):
+            raise ConfigError(f"object row not 5 values (box, class) in sample {sample_id}")
+        rows = np.array(proposals, dtype=float)
+        gt_boxes = np.array([obj[:4] for obj in objects], dtype=float).reshape(-1, 4)
         if not (np.isfinite(gt_boxes).all() and (gt_boxes[:, :2] < gt_boxes[:, 2:]).all()):
-            raise ConfigError(f"invalid ground-truth box in sample {rec['id']}")
-        classes = [obj[4] for obj in rec["objects"]]
+            raise ConfigError(f"invalid ground-truth box in sample {sample_id}")
+        classes = [obj[4] for obj in objects]
         if not all(type(c) is int and 0 <= c < spec.num_classes for c in classes):
             raise ConfigError(f"object class not an integer in [0, {spec.num_classes}) "
-                              f"in sample {rec['id']}")
+                              f"in sample {sample_id}")
         gt_classes = np.array(classes, dtype=int)
-        samples.append(DetectionSample(rec["id"], rows[:, :4], rows[:, 4:],
+        samples.append(DetectionSample(sample_id, rows[:, :4], rows[:, 4:],
                                        gt_boxes, gt_classes))
     return spec, samples
+
+
+def _field(record, key: str, where: str, kind=object):
+    """record[key], of type `kind`; `ConfigError` unless `where`, the record,
+    is a JSON object with that key."""
+    if not isinstance(record, dict) or key not in record:
+        raise ConfigError(f"{where} has no {key!r} key")
+    if not isinstance(record[key], kind):
+        raise ConfigError(f"{key!r} of {where} is not a {kind.__name__}")
+    return record[key]

@@ -120,10 +120,15 @@ def shrink_spec_size(doc):
     doc["spec"]["size"] = 3
 
 
+def drop_spec_size(doc):
+    del doc["spec"]["size"]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (drop_class_mean_row, "class_means must be (5, 16)"),
-    (shrink_spec_size, "spec size 3 but 30 samples")],
-    ids=["4_class_means_for_5_classes", "size_3_for_30_samples"])
+    (shrink_spec_size, "spec size 3 but 30 samples"),
+    (drop_spec_size, "invalid dataset spec")],
+    ids=["4_class_means_for_5_classes", "size_3_for_30_samples", "no_size"])
 def test_eval_mode_rejects_a_dataset_whose_spec_is_invalid(
         corrupt, message, tmp_path, tiny_config_file, capsys):
     code, out = eval_corrupted_document(tmp_path, tiny_config_file, corrupt)
@@ -157,6 +162,38 @@ def sample_id(value):
 def test_eval_mode_rejects_a_malformed_sample_with_exit_two(
         corrupt, message, tmp_path, tiny_config_file, capsys):
     code, out = eval_corrupted_dataset(tmp_path, tiny_config_file, corrupt)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def drop_key(key):
+    def corrupt(doc):
+        del doc[key]
+    return corrupt
+
+
+def first_sample(corrupt_sample):
+    def corrupt(doc):
+        corrupt_sample(doc["samples"][0])
+    return corrupt
+
+
+def objects_of_5(sample):
+    sample["objects"] = 5
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (drop_key("spec"), "the dataset has no 'spec' key"),
+    (drop_key("samples"), "the dataset has no 'samples' key"),
+    (first_sample(drop_key("id")), "sample record 0 has no 'id' key"),
+    (first_sample(drop_key("proposals")), "sample 0 has no 'proposals' key"),
+    (first_sample(drop_key("objects")), "sample 0 has no 'objects' key"),
+    (first_sample(objects_of_5), "'objects' of sample 0 is not a list")],
+    ids=["no_spec", "no_samples", "no_id", "no_proposals", "no_objects", "objects_5"])
+def test_eval_mode_rejects_a_dataset_without_a_key_or_list_with_exit_two(
+        corrupt, message, tmp_path, tiny_config_file, capsys):
+    code, out = eval_corrupted_document(tmp_path, tiny_config_file, corrupt)
     assert code == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert list(out.iterdir()) == []

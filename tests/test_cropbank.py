@@ -38,7 +38,7 @@ def held(bank, class_id):
     """The feature rows of one class that a sample may draw, in order."""
     probe(bank)
     count = bank.sizes(class_id + 1)[0, class_id]
-    return [bank.row(0, class_id, index).copy() for index in range(count)]
+    return list(bank.rows([0] * count, [class_id] * count, range(count)))
 
 
 def relation_from(rows):
@@ -101,8 +101,22 @@ def test_fifo_eviction_order():
     bank = Cropbank(capacity=2)
     bank.push([0, 0, 0], np.arange(3.0)[:, None] + np.zeros(3), [0, 1, 2, 3, 3])
     assert bank.sizes(1).tolist() == [[0], [1], [2], [2]]
-    assert [bank.row(3, 0, i).tolist() for i in range(2)] == [[1.0] * 3, [2.0] * 3]
-    assert [bank.row(2, 0, i).tolist() for i in range(2)] == [[0.0] * 3, [1.0] * 3]
+    assert bank.rows([3, 3], [0, 0], [0, 1]).tolist() == [[1.0] * 3, [2.0] * 3]
+    assert bank.rows([2, 2], [0, 0], [0, 1]).tolist() == [[0.0] * 3, [1.0] * 3]
+    # one gather of several samples' rows, in the order asked
+    assert bank.rows([3, 1, 2], [0, 0, 0], [1, 0, 0]).tolist() == [[2.0] * 3, [0.0] * 3,
+                                                                  [0.0] * 3]
+
+
+@pytest.mark.parametrize("sample,index", [(0, 0), (1, 1), (1, -1), (3, 2)],
+                         ids=["none_seen", "past_the_end", "negative", "past_capacity"])
+def test_rows_rejects_a_row_the_sample_may_not_draw(sample, index):
+    # sample k of the last push sees min(k, capacity) rows of class 0
+    bank = Cropbank(capacity=2)
+    bank.push([0, 0, 0], np.arange(3.0)[:, None] + np.zeros(3), [0, 1, 2, 3, 3])
+    with pytest.raises(IndexError, match=f"sample {sample} may draw"):
+        bank.rows([2, sample], [0, 0], [0, index])
+    assert bank.rows([], [], []).shape == (0, 3)
 
 
 def test_capacity_exactly_filled_no_eviction():
@@ -430,6 +444,7 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeyp
     policy = AugmentPolicy(p_aug=0.7, mix_ratio=0.7)
     bank_rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
     filed_this_batch, own_batch_draws, evicted_within_batch, blends = set(), 0, 0, 0
+    rows_blended_twice = 0
 
     def recording_pair(*args):
         nonlocal own_batch_draws
@@ -454,6 +469,8 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeyp
         strong, mixed = augment_sample(features, labels, relation, relation.majority(), bank,
                                        policy, bank_rng, matches=matches)
         assert np.array_equal(features, clean)
+        soft = matches[mixed.classes.max(axis=1) < 1.0]
+        rows_blended_twice += len(soft) - len(np.unique(soft))
 
         filed_this_batch.clear()
         majority = oracle_majority(relation)
@@ -476,5 +493,5 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeyp
                 evicted_within_batch += len(before) == capacity and k < len(samples) - 1
         assert mixed.offsets.tolist() == labels.offsets.tolist()
         assert bank_rng.bit_generator.state == oracle_rng.bit_generator.state
-    assert blends > 100
+    assert blends > 100 and rows_blended_twice > 0
     assert own_batch_draws > 0 and evicted_within_batch > 0

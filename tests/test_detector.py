@@ -93,13 +93,12 @@ def test_sample_rows_of_a_packed_pass_are_its_own_scored():
     params = random_params(rng)
     samples = mixed_samples(rng, [1, 2, 7, 13, 1, 5])
     packed = Scored(params, samples)
+    assert packed.num_proposals == sum(s.num_proposals for s in samples)
     for i, sample in enumerate(samples):
-        rows, one = packed.sample(i), Scored(params, [sample])
-        assert rows.offsets.tolist() == one.offsets.tolist()
+        rows, one = slice(packed.offsets[i], packed.offsets[i + 1]), Scored(params, [sample])
+        assert one.offsets.tolist() == [0, sample.num_proposals] == [0, one.num_proposals]
         for name in ("h", "log_scores", "scores", "refined", "class_ids", "fg_scores", "boxes"):
-            got = getattr(rows, name)
-            assert np.array_equal(got, getattr(one, name)), name
-            assert np.shares_memory(got, getattr(packed, name)), name
+            assert np.array_equal(getattr(packed, name)[rows], getattr(one, name)), name
 
 
 def test_feature_rows_stand_in_for_the_samples_features():

@@ -31,27 +31,64 @@ def train_supervised(spec, seed, epochs, lr=0.05):
     return params, data
 
 
+def block_oracle(teacher, samples, offsets, conf):
+    """Each sample's `oracle_pseudo_labels`, its proposal indices shifted by
+    the sample's first block row, laid end to end."""
+    return [(a + j, box, class_id, score) for a, sample in zip(offsets.tolist(), samples)
+            for j, box, class_id, score in oracle_pseudo_labels(teacher, sample, conf)]
+
+
+def labeled(scored, rows):
+    """(row, box, class, score) of each row of a `Scored`."""
+    return [(j, BBox(*scored.boxes[j]), int(scored.class_ids[j]), float(scored.fg_scores[j]))
+            for j in rows.tolist()]
+
+
 def test_shared_teacher_scoring_matches_object_oracle():
-    # one sample alone, and each sample's rows of a packed block
+    # one sample alone, its own block of one, and a packed block
     rng = np.random.default_rng(9)
     for _ in range(30):
         teacher = random_params(rng)
         samples = mixed_samples(rng, rng.integers(1, 8, size=3))
         conf, bar = float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.2, 0.6))
         packed = Scored(teacher, samples)
-        for i, sample in enumerate(samples):
-            for shared in (None, Scored(teacher, [sample]), packed.sample(i)):
-                rows = Scored(teacher, [sample]) if shared is None else shared
-                index = pseudo_label(teacher, sample, conf, scored=shared)
-                got = [(j, BBox(*rows.boxes[j]), int(rows.class_ids[j]), float(rows.fg_scores[j]))
-                       for j in index.tolist()]
-                assert got == oracle_pseudo_labels(teacher, sample, conf)
-                assert background_indices(teacher, [sample], bar, scored=shared).tolist() == \
+        for sample in samples:
+            one = Scored(teacher, [sample])
+            for block in (sample, one):
+                assert labeled(one, pseudo_label(teacher, block, conf)) == \
+                    oracle_pseudo_labels(teacher, sample, conf)
+                assert background_indices(teacher, block, bar).tolist() == \
                     oracle_background_indices(teacher, sample, bar)
         # the block's rows: each sample's indices shifted by the rows before it
-        assert background_indices(teacher, samples, bar, scored=packed).tolist() == [
+        assert labeled(packed, pseudo_label(teacher, packed, conf)) == \
+            block_oracle(teacher, samples, packed.offsets, conf)
+        assert background_indices(teacher, packed, bar).tolist() == [
             a + j for a, sample in zip(packed.offsets, samples)
             for j in oracle_background_indices(teacher, sample, bar)]
+
+
+@pytest.mark.parametrize("scale,threshold", [(0.5, None), (400.0, 1.0)],
+                         ids=["between_samples", "threshold_1"])
+def test_block_pseudo_labels_are_each_samples_own_shifted_and_concatenated(scale, threshold):
+    # one-proposal samples among others; with `None` the threshold is the
+    # second-lowest of the samples' best scores, so the sample of the lowest
+    # has no confident row. Saturated heads reach a score of exactly 1.0.
+    rng = np.random.default_rng(12)
+    empty_samples = labels = 0
+    for _ in range(20):
+        teacher = random_params(rng, scale=scale)
+        samples = mixed_samples(rng, [3, 1, 6, 1, 4, 2])
+        packed = Scored(teacher, samples)
+        conf = threshold or sorted(float(Scored(teacher, [s]).fg_scores.max())
+                                   for s in samples)[1]
+        rows = pseudo_label(teacher, packed, conf)
+        assert labeled(packed, rows) == block_oracle(teacher, samples, packed.offsets, conf)
+        counts = [len(oracle_pseudo_labels(teacher, s, conf)) for s in samples]
+        assert np.searchsorted(rows, packed.offsets).tolist() == np.cumsum([0] + counts).tolist()
+        assert packed.num_proposals == 17 == packed.offsets[-1]
+        empty_samples += counts.count(0)
+        labels += len(rows)
+    assert empty_samples > 0 and labels > 20
 
 
 def test_threshold_above_all_scores_gives_empty():
@@ -146,9 +183,9 @@ def test_student_converges_to_frozen_perfect_teacher():
             # one SGD step of the student on the clean sample: pseudo-labels
             # plus the proposals the teacher calls background
             scored = Scored(teacher, [sample])
-            pseudo = pseudo_label(teacher, sample, 0.7, scored=scored)
+            pseudo = pseudo_label(teacher, scored, 0.7)
             labels = Labels.one_hot(scored.boxes[pseudo], scored.class_ids[pseudo], 3)
-            bg = background_indices(teacher, [sample], 0.1, scored=scored)
+            bg = background_indices(teacher, scored, 0.1)
             _, grads = detection_loss(student, sample, labels, np.ones(len(labels)),
                                       background=bg)
             student = sgd_step(student, grads, 0.05)

@@ -6,6 +6,7 @@ adaptation checks that they still count what they claim to."""
 
 import importlib
 import importlib.util
+import math
 import os
 
 import numpy as np
@@ -53,11 +54,11 @@ def test_tracer_observers_on_a_traced_adaptation():
     try:
         traced = trainer.pseudo_label
 
-        def counting(teacher, sample, conf_threshold, *, scored=None):
-            rows = Scored(teacher, [sample]) if scored is None else scored
+        def counting(teacher, block, conf_threshold):
+            rows = block if isinstance(block, Scored) else Scored(teacher, [block])
             confident.append(int(np.count_nonzero(rows.fg_scores >= conf_threshold)))
-            scored_proposals.append(sample.num_proposals)
-            return traced(teacher, sample, conf_threshold, scored=scored)
+            scored_proposals.append(block.num_proposals)
+            return traced(teacher, block, conf_threshold)
 
         trainer.pseudo_label = counting
         try:
@@ -67,6 +68,8 @@ def test_tracer_observers_on_a_traced_adaptation():
     finally:
         tracer.uninstall()
     layers = tracer.layer_metrics(config.epochs * len(target))
-    assert tracer.calls["teacher.pseudo_label"] == config.epochs * len(target)
+    # one call per batch, on the teacher's pass of the whole batch
+    batches = config.epochs * math.ceil(len(target) / config.batch_size)
+    assert tracer.calls["teacher.pseudo_label"] == len(confident) == batches
     assert layers["teacher.pseudo_label.yield"] == sum(confident) / sum(scored_proposals)
     assert layers["cropbank.augment_sample.mixed_share"] > 0
