@@ -6,9 +6,9 @@ the background class. `Scored` is the one forward pass: it scores a block of
 samples, and a sample alone is a block of one. Training scores a batch in one
 block, matches and targets the batch's labels as one block (`match_labels`,
 `targets`, arrays with per-sample offsets) and computes every sample's
-supervised loss, and the batch's summed gradients, in one array kernel,
-`supervised_losses`; `detection_loss` and the expert's `expert_loss` are its
-one-sample case. The losses equal those of a per-label loop bit for bit, and
+losses, and the batch's summed gradients per loss, in one pass of one array
+kernel, `supervised_losses`; `detection_loss` and the expert's `expert_loss`
+are its one-sample, one-term case. The losses equal those of a per-label loop bit for bit, and
 so do the gradients of a block of one; a larger block's gradients are one
 product over its rows, equal to the in-order sum of its samples' gradients
 up to rounding.
@@ -281,13 +281,6 @@ def _min(a, b):
     return np.where(b < a, b, a)
 
 
-def _corner_grad(lo: np.ndarray, hi: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """(L, 4) gradient of a (w, h) box's area in (x1, y1, x2, y2), where the
-    (L, 2) masks `lo` and `hi` tell which corner coordinates move it."""
-    other = sides[:, ::-1]
-    return np.where(np.concatenate([lo, hi], 1), np.concatenate([-other, other], 1), 0.0)
-
-
 def giou_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GIoU of (L, 4) predicted boxes, possibly degenerate, against valid targets.
 
@@ -295,19 +288,25 @@ def giou_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.
     predicted coordinates. Widths are clamped at zero so the value stays
     defined for arbitrary predicted coordinates. Squares go through
     `float_power`, as a float64 scalar's `** 2` does; `x * x` rounds differently.
+    The predicted box, intersection and enclosure are one (3, L, 4) stack of
+    [lo, -hi] corners (negation is exact), so each step is one op for all three.
     """
-    p_lo, p_hi, t_lo, t_hi = pred[:, :2], pred[:, 2:], target[:, :2], target[:, 2:]
-    size = _max(p_hi - p_lo, 0.0)
-    d_area = _corner_grad(p_hi - p_lo > 0, p_hi - p_lo > 0, size)
-    overlap = _max(_min(p_hi, t_hi) - _max(p_lo, t_lo), 0.0)
-    both = (overlap > 0).all(axis=1, keepdims=True)
-    d_inter = _corner_grad((p_lo >= t_lo) & both, (p_hi <= t_hi) & both, overlap)
-    span = _max(p_hi, t_hi) - _min(p_lo, t_lo)
-    d_enc = _corner_grad(p_lo <= t_lo, p_hi >= t_hi, span)
-    area_p, area_t, inter, enclosure = (s[:, 0] * s[:, 1]
-                                        for s in (size, t_hi - t_lo, overlap, span))
-
-    union = area_p + area_t - inter
+    p, t = -pred, -target
+    p[:, :2], t[:, :2] = pred[:, :2], target[:, :2]
+    corners = np.stack((p, _max(p, t), _min(p, t)))
+    sides = -corners[..., 2:] - corners[..., :2]
+    sides[:2] = _max(sides[:2], 0.0)
+    # a side moves an area at the corners of a non-empty predicted box or
+    # intersection that the target does not bound, and of an enclosure's
+    positive = sides[:2] > 0
+    moves = np.stack((np.concatenate((positive[0], positive[0]), 1),
+                      (p >= t) & positive[1].all(axis=1, keepdims=True), p <= t))
+    d_sides = sides[..., [1, 0, 1, 0]]
+    np.negative(d_sides[..., :2], out=d_sides[..., :2])
+    d_area, d_inter, d_enc = np.where(moves, d_sides, 0.0)
+    area_p, inter, enclosure = sides[..., 0] * sides[..., 1]
+    t_sides = target[:, 2:] - target[:, :2]
+    union = area_p + t_sides[:, 0] * t_sides[:, 1] - inter
     d_union = d_area - d_inter
     value = inter / union - (enclosure - union) / enclosure
     union, inter, enclosure = union[:, None], inter[:, None], enclosure[:, None]
@@ -479,22 +478,16 @@ def targets(samples: list[DetectionSample], labels: Labels, weights=None,
 def _segment_means(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Each segment's mean, segment i being terms[offsets[i]:offsets[i + 1]]; 0.0 if empty.
 
-    `terms` is (n,) or (n, k), k columns averaged side by side. A loop's
-    running sum over each segment, divided by its count (`np.sum` adds in
-    another order): `np.cumsum` along axis 1 of a zero-padded (segments,
-    longest, ...) array adds each segment in order, read at its last term.
+    A loop's running sum over each segment, divided by its count (`np.sum`
+    adds in another order): `np.bincount` adds each segment's terms in
+    order, from 0.0, so a segment of -0.0 terms alone sums to +0.0.
     """
     counts = offsets[1:] - offsets[:-1]
     segment = np.repeat(np.arange(len(counts)), counts)
-    padded = np.zeros((len(counts), max(int(counts.max(initial=0)), 1)) + terms.shape[1:])
-    padded[segment, np.arange(len(terms)) - offsets[segment]] = terms
-    sums = np.cumsum(padded, axis=1)[np.arange(len(counts)), np.maximum(counts - 1, 0)]
-    return np.where(counts > 0, sums.T / np.maximum(counts, 1), 0.0).T
+    return np.bincount(segment, terms, len(counts)) / np.maximum(counts, 1)
 
 
-def supervised_losses(scored: Scored, targets: Targets,
-                      expert: tuple[float, float] | None = None
-                      ) -> tuple[np.ndarray, GradientSet]:
+def supervised_losses(scored: Scored, targets, expert: tuple[float, float] | None = None):
     """Each sample's supervised loss over a packed block, and the block's
     exact gradients, summed over its samples.
 
@@ -511,6 +504,12 @@ def supervised_losses(scored: Scored, targets: Targets,
       both over the labels.
 
     Returns the (n,) losses and one `GradientSet` (its `loss` their sum).
+    `targets` may instead be a list of terms, (`Targets`, expert) pairs, for
+    a list of those results, each the bits of its term's own call, from one
+    pass: term t's sample i is segment t * n + i and owns rows t * P + r of
+    the gradient buffers, so each row op runs once over every term's rows and
+    one stacked product gives every term's weight gradients.
+
     Each sample's loss equals that of a loop over its labels bit for bit, in
     that loop's order: CE rows are a sample's labels, then its background
     proposals. Per-row gradients are exact too (`np.add.at` accumulates rows
@@ -521,54 +520,70 @@ def supervised_losses(scored: Scored, targets: Targets,
     differ from the in-order sum by rounding: under 1e-15 of the array's
     largest entry in random blocks of 11 samples.
     """
-    num_fg, n = scored.num_classes, len(scored.offsets) - 1
-    if len(targets.offsets) != n + 1 or len(targets.background_offsets) != n + 1:
-        raise ValueError(f"targets of {len(targets.offsets) - 1} samples for a block of {n}")
-    starts, counts = scored.offsets[:-1], scored.offsets[1:] - scored.offsets[:-1]
-    lab_offsets, bg_offsets = targets.offsets, targets.background_offsets
-    n_lab, n_bg = lab_offsets[1:] - lab_offsets[:-1], bg_offsets[1:] - bg_offsets[:-1]
-    lab_of, bg_of = np.repeat(np.arange(n), n_lab), np.repeat(np.arange(n), n_bg)
-    lab_rows = starts[lab_of] + targets.matches
+    terms = [(targets, expert)] if isinstance(targets, Targets) else targets
+    num_fg, n, size = scored.num_classes, len(scored.offsets) - 1, scored.num_proposals
+    if any(len(t.offsets) != n + 1 or len(t.background_offsets) != n + 1 for t, _ in terms):
+        raise ValueError(f"targets of another sample count than the block's {n}")
+    counts = scored.offsets[1:] - scored.offsets[:-1]
+    matches, classes, boxes, weights, background = (np.concatenate(
+        [getattr(t, name) for t, _ in terms]) for name in Targets._fields[:5])
+    n_lab, n_bg = (np.concatenate([getattr(t, name)[1:] - getattr(t, name)[:-1] for t, _ in terms])
+                   for name in ("offsets", "background_offsets"))
+    segment = np.arange(len(n_lab))
+    lab_of, bg_of = np.repeat(segment, n_lab), np.repeat(segment, n_bg)
+    # each segment's first row in the pass, and its term's first row in the buffers
+    first, shift = scored.offsets[segment % n], segment // n * size
+    lab_rows = first[lab_of] + matches
 
-    # CE rows, sample by sample: the labels, then the background proposals
-    order = np.argsort(np.concatenate((lab_of, bg_of)), kind="stable")
-    bg_rows = starts[bg_of] + targets.background
-    rows = np.concatenate((lab_rows, bg_rows))
+    # CE rows, segment by segment: the labels, then the background proposals
+    keys = np.concatenate((lab_of, bg_of))
+    order = np.argsort(keys, kind="stable")
+    rows = np.concatenate((lab_rows, first[bg_of] + background))[order]
     target = np.zeros((len(rows), num_fg + 1))
-    target[:len(lab_rows), :num_fg] = targets.classes
+    target[:len(lab_rows), :num_fg] = classes
     target[len(lab_rows):, num_fg] = 1.0
-    w = np.concatenate((targets.weights, np.ones(len(bg_of))))
-    rows, target, w = rows[order], target[order], w[order]
+    w = np.concatenate((weights, np.ones(len(bg_of))))
+    target, w = target[order], w[order]
     # a stack of (1, K) @ (K, 1) products is one BLAS dot per row, like `target @ row`
     ce = -w * (target[:, None, :] @ scored.log_scores[rows][:, :, None])[:, 0, 0]
-    d_logits = np.zeros_like(scored.scores)
-    np.add.at(d_logits, rows, w[:, None] * (scored.scores[rows] - target))
+    d_logits = np.zeros((len(terms), size, num_fg + 1))
+    np.add.at(d_logits.reshape(-1, num_fg + 1), rows + shift[keys[order]],
+              w[:, None] * (scored.scores[rows] - target))
 
     # normalise as the loops did: detection divides box gradients by the label
     # count before adding up and CE rows after; the expert scales after adding up
-    diff = scored.refined[lab_rows] - targets.boxes
+    refined = scored.refined[lab_rows]
+    diff = refined - boxes
     box = smooth_l1(diff).sum(axis=1)
     d_box = smooth_l1_grad(diff)
-    if expert is None:
-        value, grad = giou_and_grad(scored.refined[lab_rows], targets.boxes)
-        d_box = (d_box - grad) / n_lab[lab_of][:, None]
-        d_logits /= np.repeat(np.maximum(n_lab + n_bg, 1), counts)[:, None]
-    d_refined = np.zeros_like(scored.refined)
-    np.add.at(d_refined, lab_rows, d_box)
-    if expert is not None:
-        per_row = np.repeat(np.maximum(n_lab, 1), counts)[:, None]
-        d_logits *= expert[0] / per_row
-        d_refined *= expert[1] / per_row
-
-    loss_cls = _segment_means(ce, lab_offsets + bg_offsets)
-    if expert is None:
-        loss_box, loss_giou = _segment_means(np.column_stack((box, 1.0 - value)), lab_offsets).T
-        losses = loss_box + loss_giou + loss_cls
-    else:
-        losses = expert[0] * loss_cls + expert[1] * _segment_means(box, lab_offsets)
-    h = scored.h
-    return losses, GradientSet(d_logits.T @ h, d_logits.sum(axis=0), d_refined.T @ h,
-                               d_refined.sum(axis=0), float(losses.sum()))
+    giou = np.zeros(len(box))  # 1 - GIoU, of detection labels only
+    ends = np.cumsum(np.concatenate(([0], n_lab)))[::n]
+    for (_, scale), a, b in zip(terms, ends, ends[1:]):
+        if scale is None:
+            value, grad = giou_and_grad(refined[a:b], boxes[a:b])
+            giou[a:b] = 1.0 - value
+            d_box[a:b] = (d_box[a:b] - grad) / n_lab[lab_of[a:b]][:, None]
+    d_refined = np.zeros((len(terms), size, 4))
+    np.add.at(d_refined.reshape(-1, 4), lab_rows + shift[lab_of], d_box)
+    # one reduction: the CE rows' segments, then the labels' twice, laid end to end
+    loss_cls, loss_box, loss_giou = _segment_means(np.concatenate((ce, box, giou)), np.cumsum(
+        np.concatenate(([0], n_lab + n_bg, n_lab, n_lab)))).reshape(3, -1)
+    losses = []
+    for (_, scale), seg, logits, coords in zip(terms, segment.reshape(-1, n), d_logits,
+                                               d_refined):
+        if scale is None:
+            logits /= np.repeat(np.maximum(n_lab[seg] + n_bg[seg], 1), counts)[:, None]
+            losses.append(loss_box[seg] + loss_giou[seg] + loss_cls[seg])
+        else:
+            per_row = np.repeat(np.maximum(n_lab[seg], 1), counts)[:, None]
+            logits *= scale[0] / per_row
+            coords *= scale[1] / per_row
+            losses.append(scale[0] * loss_cls[seg] + scale[1] * loss_box[seg])
+    w_cls, w_reg = (grads.transpose(0, 2, 1) @ scored.h for grads in (d_logits, d_refined))
+    b_cls, b_reg = d_logits.sum(axis=1), d_refined.sum(axis=1)
+    results = [(loss, GradientSet(w_cls[t], b_cls[t], w_reg[t], b_reg[t], float(loss.sum())))
+               for t, loss in enumerate(losses)]
+    return results[0] if isinstance(targets, Targets) else results
 
 
 def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,

@@ -6,12 +6,12 @@ there is no feature trunk for its reversed gradients to align.
 
 The teacher only ever moves by EMA; gradients touch only the student. Each
 batch's losses come from one packed pass of the model being trained and one
-call of the `supervised_losses` kernel per loss; in adaptation one packed
-teacher pass gives the batch's pseudo-labels. Labels reach the kernel as
-`Targets` of the whole batch, arrays with per-sample offsets, and the kernel
-returns each sample's loss and the batch's gradients, summed by one product
-over the batch. At batch size 1 a run equals a per-sample loop bit for bit.
-At larger batches the product adds the samples in another order than a
+pass of the `supervised_losses` kernel for all of them; in adaptation one
+packed teacher pass gives the batch's pseudo-labels. Labels reach the kernel
+as `Targets` of the whole batch, arrays with per-sample offsets, and the
+kernel returns each sample's loss and the batch's gradients, summed by one
+product over the batch. At batch size 1 a run equals a per-sample loop bit for
+bit. At larger batches the product adds the samples in another order than a
 per-sample sum (see `supervised_losses`), which moves the parameters' last
 bits: within a relative 2e-12 of the loop's after 10 default epochs. All
 randomness flows from the single config seed through named sub-streams, so a
@@ -233,12 +233,12 @@ def adapt(
       the bank or the majority set, so neither is filled nor computed. The
       batch's noise is one draw.
     - The student's pass over that array (`Scored`'s `features`) feeds one
-      `targets` and one `supervised_losses` call per loss. A label's class
-      and the student's class at its matched proposal travel as two int
-      arrays: with SAL on they give one `relation_weights` call per loss,
-      normalised per sample, and the student labels' arrays give one
-      `batch_confusion` and one relation update per batch (a batch without
-      labels counts zero, which leaves the matrix as it is).
+      `supervised_losses` call, its terms the student's `targets` and the
+      expert's. Each label's class and the student's class at its proposal
+      travel as two int arrays: with SAL on, one `relation_weights` call
+      weighs both terms' labels, each sample's of each term alone, and the
+      student's give one `batch_confusion` and one relation update per batch
+      (a batch without labels counts zero, which leaves the matrix as is).
 
     The expert is frozen: before epoch 0 each target sample's expert labels
     are drawn once, from `rng_stream(seed, "expert", sample id)`, and matched
@@ -308,25 +308,25 @@ def adapt(
 
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored(student, samples, features=strong)
-            predicted = scored_s.class_ids
-            true_cls, pred_cls = np.argmax(labels.classes, axis=1), predicted[matches]
-            weights = relation_weights(relation, true_cls, pred_cls, config.weight_reg,
-                                       label_offsets) if config.enable_sal else None
-            stu_targets = targets(samples, labels, weights, bg, matches)
-            # one kernel call per loss, each giving the batch's summed gradients
-            loss_stu, g_stu = supervised_losses(scored_s, stu_targets)
+            parts = [targets(samples, labels, None, bg, matches)]
+            if expert is not None:
+                parts.append(expert.take(batch))
+            # each part's label classes and the student's classes at their
+            # proposals; part t's sample i is segment t * n + i of one weights call
+            true_cls = np.argmax(np.concatenate([p.classes for p in parts]), axis=1)
+            pred_cls = scored_s.class_ids[np.concatenate([p.label_rows(offsets) for p in parts])]
+            if config.enable_sal:
+                sizes = np.concatenate([[0]] + [p.offsets[1:] - p.offsets[:-1] for p in parts])
+                weights = relation_weights(relation, true_cls, pred_cls, config.weight_reg,
+                                           np.cumsum(sizes))
+                parts = [p._replace(weights=w) for p, w in
+                         zip(parts, np.split(weights, [len(matches)]))]
+            # one kernel pass for both losses, each giving the batch's summed gradients
+            (loss_stu, g_stu), *expert_term = supervised_losses(scored_s, list(zip(
+                parts, [None, (config.expert_cls_weight, config.expert_reg_weight)])))
             total = g_stu.scaled(config.unsup_weight)
             stu_losses.extend(loss_stu)
-            if expert is not None:
-                exp_targets = expert.take(batch)
-                if config.enable_sal:
-                    exp_targets = exp_targets._replace(weights=relation_weights(
-                        relation, np.argmax(exp_targets.classes, axis=1),
-                        predicted[exp_targets.label_rows(offsets)], config.weight_reg,
-                        exp_targets.offsets))
-                loss_exp, g_exp = supervised_losses(scored_s, exp_targets,
-                                                    (config.expert_cls_weight,
-                                                     config.expert_reg_weight))
+            for loss_exp, g_exp in expert_term:
                 total = total + g_exp
                 expert_losses.extend(loss_exp)
 
@@ -334,7 +334,8 @@ def adapt(
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             student = sgd_step(student, total.scaled(1.0 / len(batch)), config.learning_rate)
             teacher = ema_update(teacher, student, config.teacher_ema)
-            relation.update(batch_confusion(true_cls, pred_cls, num_classes))
+            relation.update(batch_confusion(true_cls[:len(matches)], pred_cls[:len(matches)],
+                                            num_classes))
 
         teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)
         student_eval = evaluate(student, eval_data, num_classes=num_classes)

@@ -5,7 +5,9 @@ sqrt(1 - R[c,c]) when x == c and sqrt(R[c,x] / R[c,c]) otherwise: correct
 instances of well-learned classes weigh little, instances confused toward
 dominant classes weigh much. A sample's foreground weights are then divided by
 their mean, to match the constant background weight of 1, and pulled toward 1
-by a regularizer so no single instance dominates the loss.
+by a regularizer so no single instance dominates the loss. One call weighs
+a block's labels, each sample's alone: in adaptation, a batch's
+pseudo-labels and expert labels together.
 """
 
 from __future__ import annotations
@@ -27,23 +29,25 @@ def relation_weights(relation: RelationMatrix, true_cls, pred_cls, reg: float,
     are divided by their sample's mean, or set to 1 where that mean is not
     positive, so a fresh identity matrix with all-correct predictions does not
     stall training. They then become (w + reg) / (1 + reg), which keeps each
-    sample's mean at 1. No labels give no weights; a negative `reg` raises
-    `ValueError`.
+    sample's mean at 1. No labels give no weights. A negative `reg`, or
+    offsets that do not rise from 0 to the label count, raise `ValueError`.
     """
     if reg < 0:
         raise ValueError("regularizer must be non-negative")
     true_cls, pred_cls = np.asarray(true_cls, dtype=int), np.asarray(pred_cls, dtype=int)
     offsets = np.array([0, len(true_cls)] if offsets is None else offsets, dtype=int)
+    if offsets.ndim != 1 or offsets[:1].tolist() != [0] or offsets[-1] != len(true_cls) \
+            or np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError(f"offsets {offsets.tolist()} do not rise from 0 to {len(true_cls)}")
+    counts = offsets[1:] - offsets[:-1]
     pair, diag = relation.matrix[true_cls, np.array((pred_cls, true_cls))]
     raw = np.sqrt(np.maximum(np.where(true_cls == pred_cls, 1.0 - pair,
                                       pair / np.maximum(diag, DENOM_FLOOR)), 0.0))
-    # each sample's mean as its `raw.mean()`, bit for bit: the row sums of a
-    # (samples, count) gather add up as a sample's own sum does
-    counts = offsets[1:] - offsets[:-1]
-    sums = np.zeros(len(counts))
-    for count in set(counts.tolist()) - {0}:
-        same = np.flatnonzero(counts == count)
-        sums[same] = raw[offsets[same, None] + np.arange(count)].sum(axis=1)
+    # each sample's mean as its `raw.mean()`, bit for bit: `np.sum` adds fewer
+    # than 8 terms in order, as `np.bincount` does, and more pairwise
+    sums = np.bincount(np.repeat(np.arange(len(counts)), counts), raw, len(counts))
+    long = np.flatnonzero(counts >= 8)
+    sums[long] = [raw[a:b].sum() for a, b in zip(offsets[long], offsets[long + 1])]
     mean = np.repeat(sums / np.maximum(counts, 1), counts)
     w = np.ones(len(raw))
     np.divide(raw, mean, out=w, where=mean > 0.0)

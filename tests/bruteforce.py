@@ -4,13 +4,14 @@ Everything here recomputes from first principles with plain loops: central
 finite differences for gradients, the world generator with one NumPy draw
 per box coordinate and an array IoU per jitter try, per-prefix rescored
 matching for AP, a full threshold enumeration for FROC, a one-sample forward
-pass whose dropout uniforms come from a seed or a shared stream, the per-proposal object path
-(one `BBox.from_raw` and one argmax per proposal, per pass) for scoring, a
-one-reduction variance per sample, the per-class object matching
-for a whole evaluation, the supervised losses one label at a time, with a
-scalar GIoU, for the loss kernel and pretraining, and the whole adaptation
-loop sample by sample, with labels as (`BBox`, class vector) pairs and a
-crop bank of one `CropEntry` per instance in per-class buffers, its relation
+pass whose dropout uniforms come from a seed or a shared stream, the
+per-proposal object path (one `BBox.from_raw` and one argmax per proposal,
+per pass) for scoring, a one-reduction variance per sample, the per-class
+object matching for a whole evaluation, the supervised losses one label at a
+time, with a scalar GIoU, for the loss kernel and pretraining, the array
+GIoU that the kernel's stacked one replaced, and the whole adaptation loop
+sample by sample, with labels as (`BBox`, class vector) pairs and a crop
+bank of one `CropEntry` per instance in per-class buffers, its relation
 statistics as (label class, predicted class) pairs, weighted, counted and
 folded into the matrix one pair and one row at a time. Apart from that loop,
 none of it shares code with the package implementations beyond the matching
@@ -184,6 +185,43 @@ def oracle_giou(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray
     grad += (d_inter * union - inter * d_union) / union**2
     grad += (d_union * enclosure - union * d_enc) / enclosure**2
     return float(value), grad
+
+
+def _where_max(a, b):
+    return np.where(b > a, b, a)
+
+
+def _where_min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _oracle_corner_grad(lo: np.ndarray, hi: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    other = sides[:, ::-1]
+    return np.where(np.concatenate([lo, hi], 1), np.concatenate([-other, other], 1), 0.0)
+
+
+def oracle_giou_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`giou_and_grad` on (L, 4) arrays, one `_max`/`_min` per (L, 2) corner
+    pair and one concatenated mask and value per corner gradient: the array
+    form whose bits, NaN signs included, the stacked one keeps."""
+    p_lo, p_hi, t_lo, t_hi = pred[:, :2], pred[:, 2:], target[:, :2], target[:, 2:]
+    size = _where_max(p_hi - p_lo, 0.0)
+    d_area = _oracle_corner_grad(p_hi - p_lo > 0, p_hi - p_lo > 0, size)
+    overlap = _where_max(_where_min(p_hi, t_hi) - _where_max(p_lo, t_lo), 0.0)
+    both = (overlap > 0).all(axis=1, keepdims=True)
+    d_inter = _oracle_corner_grad((p_lo >= t_lo) & both, (p_hi <= t_hi) & both, overlap)
+    span = _where_max(p_hi, t_hi) - _where_min(p_lo, t_lo)
+    d_enc = _oracle_corner_grad(p_lo <= t_lo, p_hi >= t_hi, span)
+    area_p, area_t, inter, enclosure = (s[:, 0] * s[:, 1]
+                                        for s in (size, t_hi - t_lo, overlap, span))
+    union = area_p + area_t - inter
+    d_union = d_area - d_inter
+    value = inter / union - (enclosure - union) / enclosure
+    union, inter, enclosure = union[:, None], inter[:, None], enclosure[:, None]
+    grad = np.zeros(pred.shape)
+    grad += (d_inter * union - inter * d_union) / np.float_power(union, 2)
+    grad += (d_union * enclosure - union * d_enc) / np.float_power(enclosure, 2)
+    return value, grad
 
 
 def oracle_detection_loss(

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from bruteforce import (bbox_pairs, oracle_detection_loss, oracle_expert_loss, oracle_giou,
-                        oracle_pretrain)
+                        oracle_giou_and_grad, oracle_pretrain)
 from detadapt.detector import (GradientSet, Labels, Scored, _segment_means, detection_loss,
                                giou_and_grad, supervised_losses, targets)
 from detadapt.expert import expert_loss
-from detadapt.trainer import pretrain_source
+from detadapt import trainer
+from detadapt.trainer import ablation_variants, adapt, pretrain_source
 from test_detector import (mixed_samples, no_labels, random_labels, random_params,
                            random_sample)
+from detadapt.util import derive_seed
+from detadapt.world import generate_domain
 from test_trainer import tiny_config
 
 GRADIENTS = ("w_cls", "b_cls", "w_reg", "b_reg")
@@ -156,15 +159,19 @@ def test_packed_block_matches_per_sample_oracles():
 
 def test_segment_means_are_each_segments_running_sum():
     # a loop adds a segment's terms in order, as its own `np.cumsum` does; the
-    # padded reduction must give those bits for every segment, empty ones 0.0
+    # reduction must give those bits for every segment, empty ones 0.0, at 8
+    # terms and more too, where `np.sum` would add pairwise
     rng = np.random.default_rng(37)
     for _ in range(2000):
-        counts = rng.integers(0, 9, int(rng.integers(1, 7)))
+        counts = rng.integers(0, 31, int(rng.integers(1, 7)))
+        counts[rng.random(len(counts)) < 0.3] = 0
         offsets = np.concatenate(([0], np.cumsum(counts)))
         terms = rng.standard_normal(offsets[-1]) * 10.0 ** rng.integers(-3, 4, offsets[-1])
         want = [float(np.cumsum(terms[a:b])[-1]) / (b - a) if b > a else 0.0
                 for a, b in zip(offsets, offsets[1:])]
         assert _segment_means(terms, offsets).tolist() == want
+    # the one departure: a running sum of -0.0 terms alone is -0.0, a bincount +0.0
+    assert np.signbit(_segment_means(np.array([-0.0, -0.0]), np.array([0, 2]))).tolist() == [False]
 
 
 def test_giou_matches_scalar_oracle_on_inverted_and_degenerate_boxes():
@@ -199,3 +206,106 @@ def test_pretrain_matches_per_sample_loop_oracle():
             else:
                 np.testing.assert_allclose(getattr(params, name), getattr(want, name),
                                            rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+def giou_edge_cases(rng, n):
+    """Boxes with NaN of either sign, signed zeros, zero widths, inverted
+    sides, shared and touching corners, exact hits and tied coordinates."""
+    target = rng.uniform(0, 10, (n, 4))
+    target[:, 2:] = target[:, :2] + rng.uniform(0.5, 3, (n, 2))
+    pred = target + rng.normal(0, 1.5, (n, 4))
+    kind = rng.integers(0, 11, n)
+    for k, cols in ((0, [2, 1, 0, 3]), (1, [0, 1, 2, 1]), (2, [0, 1, 0, 1])):
+        pred[kind == k] = pred[kind == k][:, cols]          # inverted, zero height, a point
+    pred[kind == 3] = target[kind == 3]                       # exact hit
+    pred[kind == 4, :2] = target[kind == 4, :2]               # shared lo corner
+    pred[kind == 5, 2:] = target[kind == 5, 2:]               # shared hi corner
+    pred[kind == 6, :2] = target[kind == 6, 2:]               # touching corners
+    for k, nan in ((7, np.nan), (8, -np.nan)):
+        rows = np.flatnonzero(kind == k)
+        pred[rows, rng.integers(0, 4, len(rows))] = nan
+    zeros = kind == 9
+    pred[zeros] = rng.choice([0.0, -0.0], (zeros.sum(), 4))
+    target[zeros] = rng.choice([0.0, -0.0, 1.0], (zeros.sum(), 4))
+    ties = kind == 10
+    pred[ties], target[ties] = np.round(pred[ties]), np.round(target[ties])
+    return pred, target
+
+
+def test_giou_keeps_the_array_oracles_bits_on_edge_cases():
+    rng = np.random.default_rng(38)
+    with np.errstate(all="ignore"):
+        for _ in range(300):
+            pred, target = giou_edge_cases(rng, int(rng.integers(1, 40)))
+            for got, want in zip(giou_and_grad(pred, target), oracle_giou_and_grad(pred, target)):
+                # sign bits of zeros and NaNs included
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def random_block_terms(rng, params, samples, with_expert_labels=True):
+    """A block's student and expert `Targets`: some samples without labels,
+    without expert labels or without background, repeated matches and the
+    samples' own proposal counts, one-proposal samples included."""
+    offsets = Scored(params, samples).offsets
+    counts = [int(rng.integers(0, 4)) for _ in samples]
+    expert_counts = [int(rng.integers(0, 3)) * with_expert_labels for _ in samples]
+    parts = []
+    for label_counts, background in ((counts, "mixed"), (expert_counts, None)):
+        labels = Labels.pack(random_labels(rng, count=k, soft=True) for k in label_counts)
+        # repeated matches: each label on a random proposal of its sample
+        matches = np.concatenate([a + rng.integers(0, b - a, k) for a, b, k
+                                  in zip(offsets, offsets[1:], label_counts)]).astype(int)
+        if background == "mixed":
+            background = np.concatenate([[np.arange(a, b), [], [a, a]][i % 3] for i, (a, b)
+                                         in enumerate(zip(offsets, offsets[1:]))]).astype(int)
+        parts.append(targets(samples, labels, rng.uniform(0.2, 2.0, len(labels)), background,
+                             matches))
+    return parts
+
+
+@pytest.mark.parametrize("with_expert_labels", [True, False])
+def test_fused_terms_equal_separate_calls(with_expert_labels):
+    rng = np.random.default_rng(39)
+    params = random_params(rng)
+    for trial in range(40):
+        sizes = rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 9)))
+        samples = mixed_samples(rng, sizes)
+        scored = Scored(params, samples)
+        stu, exp = random_block_terms(rng, params, samples, with_expert_labels)
+        weights = (1.3, 0.7)
+        for terms in ([(stu, None), (exp, weights)], [(exp, weights), (stu, None)],
+                      [(stu, None)], [(exp, weights)], [(stu, None), (exp, weights), (stu, None)]):
+            fused = supervised_losses(scored, terms)
+            separate = [supervised_losses(scored, part, expert) for part, expert in terms]
+            assert len(fused) == len(terms)
+            for (losses, grads), (want_losses, want_grads) in zip(fused, separate):
+                assert np.array_equal(losses, want_losses)
+                assert_same((grads.loss, grads), (want_grads.loss, want_grads))
+        (_, g_stu), (_, g_exp) = supervised_losses(scored, [(stu, None), (exp, weights)])
+        (_, want_stu), (_, want_exp) = (supervised_losses(scored, stu),
+                                        supervised_losses(scored, exp, weights))
+        for u in (0.0, 0.5, 1.0):
+            got, want = g_stu.scaled(u) + g_exp, want_stu.scaled(u) + want_exp
+            assert_same((got.loss, got), (want.loss, want))
+
+
+def test_adapt_makes_one_kernel_pass_and_one_weights_call_per_batch(monkeypatch):
+    config = ablation_variants(tiny_config(epochs=2))["full"]
+    params, _ = pretrain_source(config)
+    target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
+    calls = {"loss": 0, "weights": 0}
+    real_losses, real_weights = trainer.supervised_losses, trainer.relation_weights
+
+    def losses(*args, **kwargs):
+        calls["loss"] += 1
+        return real_losses(*args, **kwargs)
+
+    def weights(*args, **kwargs):
+        calls["weights"] += 1
+        return real_weights(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "supervised_losses", losses)
+    monkeypatch.setattr(trainer, "relation_weights", weights)
+    adapt(params, target, config)
+    batches = config.epochs * -(-len(target) // config.batch_size)
+    assert calls == {"loss": batches, "weights": batches}

@@ -468,13 +468,17 @@ def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatc
         drawn[sample.id] = real_predict(spec, sample, rng, num_classes)
         return drawn[sample.id]
 
-    def losses(scored, targets, expert=None):
-        if expert is not None:
-            epoch = events.count("epoch end")
-            for sample_id, labels in zip(block[-1], expert_label_sets(targets, len(block[-1]))):
-                seen[epoch].setdefault(sample_id, []).append(labels)
+    def losses(scored, terms, expert=None):
+        # one call per batch, its terms the student's labels and the expert's
+        for targets, weights in ([(terms, expert)] if isinstance(terms, detector.Targets)
+                                 else terms):
+            if weights is not None:
+                epoch = events.count("epoch end")
+                for sample_id, labels in zip(block[-1],
+                                             expert_label_sets(targets, len(block[-1]))):
+                    seen[epoch].setdefault(sample_id, []).append(labels)
         events.append("loss")
-        return real_losses(scored, targets, expert)
+        return real_losses(scored, terms, expert)
 
     def init(self, params, samples, *args, **kwargs):
         block.append([s.id for s in samples])

@@ -98,7 +98,8 @@ def test_weights_equal_per_pair_oracle(seed):
     relations = [random_relation(rng, num_classes) for _ in range(20)]
     relations.append(matrix(np.eye(num_classes)))  # all-correct labels: the uniform fallback
     for rel in relations:
-        for size in (0, 1, 2, 7):
+        # 8 labels and more: `np.sum` adds them pairwise, in blocks of 128 past 128
+        for size in (0, 1, 2, 7, 8, 130):
             true_cls = rng.integers(num_classes, size=size)
             pred_cls = np.where(rng.random(size) < 0.5, true_cls,
                                 rng.integers(num_classes, size=size))
@@ -107,3 +108,16 @@ def test_weights_equal_per_pair_oracle(seed):
                 want = oracle_relation_weights(
                     rel, list(zip(true_cls.tolist(), pred_cls.tolist())), reg)
                 assert np.array_equal(got, want), (size, reg)
+
+
+@pytest.mark.parametrize("offsets", [[1, 3], [0, 2], [0, 4], [1, 4], [0, 2, 1, 3], [],
+                                     [[0, 3]]],
+                         ids=["starts_past_0", "ends_short", "ends_past", "shifted_by_one",
+                              "falls", "empty", "two_dimensional"])
+def test_offsets_must_rise_from_zero_to_the_label_count(offsets):
+    rel = matrix([[0.7, 0.2, 0.1], [0.3, 0.6, 0.1], [0.4, 0.4, 0.2]])
+    with pytest.raises(ValueError, match="do not rise from 0 to 3"):
+        relation_weights(rel, [0, 1, 2], [0, 2, 2], 0.5, offsets)
+    # the same labels with well-formed offsets, empty samples included
+    for good in ([0, 3], [0, 0, 1, 3, 3]):
+        assert relation_weights(rel, [0, 1, 2], [0, 2, 2], 0.5, good).shape == (3,)
