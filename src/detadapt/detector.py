@@ -152,8 +152,24 @@ class GradientSet:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis. With 2 to 7 entries the max and the
+    exp-sum run a column at a time, each op over all rows: `np.sum` adds
+    fewer than 8 terms in column order, so the bits are those of `.max` and
+    `.sum` over the axis. That form is kept for 8 on, which it adds pairwise.
+    """
+    k = logits.shape[-1]
+    if not 2 <= k < 8:
+        z = logits - logits.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    top = np.maximum(logits[..., 0], logits[..., 1])
+    for j in range(2, k):
+        np.maximum(top, logits[..., j], out=top)
+    z = logits - top[..., None]
+    e = np.exp(z)
+    total = e[..., 0] + e[..., 1]
+    for j in range(2, k):
+        total += e[..., j]
+    return z - np.log(total)[..., None]
 
 
 def _heads(params: ModelParams, h: np.ndarray, proposal_boxes: np.ndarray, single):
@@ -164,7 +180,8 @@ def _heads(params: ModelParams, h: np.ndarray, proposal_boxes: np.ndarray, singl
     a one-row product through a matrix-vector kernel whose last bits differ
     from the matrix-matrix one. `single` lists the rows of one-proposal samples
     in a block; their products are redone one row at a time, so a one-proposal
-    sample scores the same alone and among others.
+    sample scores the same alone and among others. `log_softmax` and
+    `boxes_from_raw` run a column at a time, each NumPy call over all rows.
     """
     logits = h @ params.w_cls.T
     deltas = h @ params.w_reg.T
@@ -191,9 +208,11 @@ class Scored:
     M * rows * D uniforms, laid out sample by sample: sample i's (M, P_i, D)
     draws, in pass, row and feature order, then sample i + 1's. So a block's
     masks are the draws its samples would make one block of one at a time, in
-    block order, from the same Generator. A model without dropout draws
-    nothing. Inverted dropout scales retained activations by 1/(1-p), so
-    inference (no `rng`) needs no rescaling. The foreground argmax class and
+    block order, from the same Generator, and `np.take` gathers them in pass
+    order. A model without dropout draws nothing. Inverted dropout scales
+    retained activations by 1/(1-p), so inference (no `rng`) needs no
+    rescaling; x / (1-p) times the 0/1 mask has the bits of x * mask / (1-p)
+    wherever x / (1-p) is finite. The foreground argmax class and
     score and the valid refined boxes of a one-pass block are derived on first
     use, so a caller that needs only the loss pays for none of them.
     """
@@ -219,11 +238,9 @@ class Scored:
                 start, size = np.repeat(offsets[:-1], counts), np.repeat(counts, counts)
                 order = ((passes - 1) * start + np.arange(len(x))
                          + np.arange(passes)[:, None] * size)
-                # the gathered uniforms become the dropped features in place,
-                # x * mask / (1 - rate), in one (M, rows, D) buffer
-                h = rng.random((passes * len(x), x.shape[1]))[order]
-                np.multiply(x, h >= rate, out=h)
-                h /= 1.0 - rate
+                # the gathered uniforms become the dropped features in place
+                h = np.take(rng.random((passes * len(x), x.shape[1])), order, axis=0)
+                np.multiply(x / (1.0 - rate), h >= rate, out=h)
         single = offsets[:-1][np.asarray(counts) == 1]
         self.num_classes = params.num_classes
         self.offsets, self.num_proposals = offsets, int(offsets[-1])
@@ -442,12 +459,16 @@ def targets(samples: list[DetectionSample], labels: Labels, weights=None,
     of the block's pass), kept in order and with their repeats within each
     sample; each must lie in the block. Any other index would supervise
     another sample's proposal, or wrap around the block, so it raises
-    `ValueError`. A sample alone is the block `[sample]`.
+    `ValueError`, as do label offsets that do not rise from 0 to the label
+    count. A sample alone is the block `[sample]`.
     """
     counts = np.array([s.num_proposals for s in samples], dtype=int)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
     if len(labels.offsets) != len(samples) + 1:
         raise ValueError("labels must hold one label set per sample")
+    lab = labels.offsets
+    if lab.ndim != 1 or lab[0] != 0 or lab[-1] != len(labels) or np.any(lab[1:] < lab[:-1]):
+        raise ValueError(f"label offsets {lab.tolist()} do not rise from 0 to {len(labels)}")
     if matches is None:
         boxes = np.concatenate([s.proposal_boxes for s in samples] or [np.zeros((0, 4))])
         matches = match_labels(boxes, labels.boxes, offsets, labels.offsets)

@@ -103,7 +103,9 @@ def _match(det_img, det_boxes, det_cls, det_score, gt_boxes, gt_cls, gt_counts,
     """Greedy matching of all detections at once.
 
     Detections come grouped by image in index order (`det_img` non-decreasing),
-    ground truth grouped by image with `gt_counts` objects each.
+    ground truth grouped by image with `gt_counts` objects each. An image's
+    score, `np.maximum.reduceat` of its detections', is Python's `max(scores,
+    default=0.0)` for scores that are not NaN, up to a zero's sign.
     """
     num_images = len(gt_counts)
     gt_counts = np.asarray(gt_counts, dtype=int)
@@ -129,9 +131,11 @@ def _match(det_img, det_boxes, det_cls, det_score, gt_boxes, gt_cls, gt_counts,
                 taken.add(best)
                 tp[start + hit] = True
 
-    scores = det_score.tolist()
-    ends = np.cumsum(np.bincount(det_img, minlength=num_images)).tolist()
-    image_score = np.array([max(scores[a:b], default=0.0) for a, b in zip([0] + ends[:-1], ends)])
+    # each image's best score, 0.0 without detections
+    counts = np.bincount(det_img, minlength=num_images)
+    held = np.flatnonzero(counts)
+    image_score = np.zeros(num_images)
+    image_score[held] = np.maximum.reduceat(det_score, (np.cumsum(counts) - counts)[held])
     return _Matched(det_cls[order], det_score[order], tp, gt_cls, image_score, gt_counts > 0)
 
 

@@ -62,23 +62,27 @@ def box_array(boxes) -> np.ndarray:
 
 
 def boxes_from_raw(raw: np.ndarray, min_size: float = 1e-6) -> np.ndarray:
-    """`BBox.from_raw` over the last axis of a (..., 4) array, as one array op.
+    """`BBox.from_raw` over the last axis of a (..., 4) array, as array ops.
 
     Gives the same coordinates as `BBox.from_raw(*row).as_array()` for every
     row, and raises ValueError whenever that would raise for any row. The
     selects copy Python's min/max, so NaN and signed zeros resolve the same way.
+    A transposed copy holds the rows' x1, y1, x2 and y2 as four contiguous
+    lines, so each NumPy call runs over all rows, not over a row's 4 entries.
     """
     raw = np.asarray(raw, dtype=float)
-    first, second = raw[..., :2], raw[..., 2:]
-    lo = np.where(second < first, second, first)
-    hi = np.where(second > first, second, first)
+    first, second = raw.reshape(-1, 2, 2).transpose(1, 2, 0).copy()
     with np.errstate(invalid="ignore"):  # inf - inf; the finiteness check rejects it
+        lo = np.where(second < first, second, first)
+        hi = np.where(second > first, second, first)
         hi = np.where(hi - lo < min_size, lo + min_size, hi)
-    boxes = np.concatenate([lo, hi], axis=-1)
-    if not np.isfinite(boxes).all():
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("non-finite box coordinates")
     if not (lo < hi).all():
         raise ValueError("degenerate box")
+    boxes = np.empty(raw.shape)
+    rows = boxes.reshape(-1, 4)
+    rows[:, :2], rows[:, 2:] = lo.T, hi.T
     return boxes
 
 

@@ -5,6 +5,7 @@ finite differences for gradients, the world generator with one NumPy draw
 per box coordinate and an array IoU per jitter try, per-prefix rescored
 matching for AP, a full threshold enumeration for FROC, a one-sample forward
 pass whose dropout uniforms come from a seed or a shared stream, the
+log-softmax and the box rule as whole-row reductions and selects, the
 per-proposal object path (one `BBox.from_raw` and one argmax per proposal,
 per pass) for scoring, a one-reduction variance per sample, the per-class
 object matching for a whole evaluation, the supervised losses one label at a
@@ -75,6 +76,29 @@ def oracle_box(row, min_size: float = 1e-6) -> np.ndarray:
     return BBox.from_raw(*row, min_size=min_size).as_array()
 
 
+def oracle_boxes_from_raw(raw, min_size: float = 1e-6) -> np.ndarray:
+    """`boxes_from_raw` as one set of ops over the (..., 4) array: each op
+    loops over a row's corner pair, not column by column."""
+    raw = np.asarray(raw, dtype=float)
+    first, second = raw[..., :2], raw[..., 2:]
+    lo = np.where(second < first, second, first)
+    hi = np.where(second > first, second, first)
+    with np.errstate(invalid="ignore"):
+        hi = np.where(hi - lo < min_size, lo + min_size, hi)
+    boxes = np.concatenate([lo, hi], axis=-1)
+    if not np.isfinite(boxes).all():
+        raise ValueError("non-finite box coordinates")
+    if not (lo < hi).all():
+        raise ValueError("degenerate box")
+    return boxes
+
+
+def oracle_log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax by `.max` and `.sum` over the last axis, row by row."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def oracle_forward_arrays(params: ModelParams, sample, dropout_seed=None, uniforms=None):
     """(h, log_scores, scores, refined) of one sample on its own, as `Scored`
     gives them for `[sample]` (one pass if seeded): the (P, D) features, their
@@ -89,9 +113,7 @@ def oracle_forward_arrays(params: ModelParams, sample, dropout_seed=None, unifor
     if uniforms is not None and params.dropout_rate > 0.0:
         mask = uniforms >= params.dropout_rate
         x = x * mask / (1.0 - params.dropout_rate)
-    logits = x @ params.w_cls.T + params.b_cls
-    z = logits - logits.max(axis=-1, keepdims=True)
-    log_scores = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    log_scores = oracle_log_softmax(x @ params.w_cls.T + params.b_cls)
     refined = sample.proposal_boxes + (x @ params.w_reg.T + params.b_reg)
     return x, log_scores, np.exp(log_scores), refined
 
@@ -829,6 +851,11 @@ def _interpolated_ap(tp_cum, fp_cum, npos):
     return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
 
 
+def oracle_image_scores(dets_by_img) -> np.ndarray:
+    """Each image's best detection score by Python's `max`, 0.0 without any."""
+    return np.array([max((score for _, _, score in img), default=0.0) for img in dets_by_img])
+
+
 def oracle_evaluate(params: ModelParams, samples, iou_threshold=0.5, fpi_points=FPI_POINTS,
                     num_classes=None) -> EvalResult:
     """`evaluate` through objects: one `Detection` per proposal, a separate
@@ -873,7 +900,7 @@ def oracle_evaluate(params: ModelParams, samples, iou_threshold=0.5, fpi_points=
         if 2 * tp + fp + (npos - tp) > 0:
             f1 = max(f1, 2 * tp / (2 * tp + fp + (npos - tp)))
 
-    image_scores = np.array([max((score for _, _, score in img), default=0.0) for img in dets])
+    image_scores = oracle_image_scores(dets)
     positive = np.array([bool(img) for img in gts], dtype=bool)
     pos, neg = image_scores[positive], image_scores[~positive]
     auc = None

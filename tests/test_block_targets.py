@@ -89,6 +89,18 @@ def test_match_labels_rejects_a_label_on_a_sample_without_proposals():
         match_labels(np.zeros((2, 4)) + [0, 0, 1, 1], [[0, 0, 1, 1]], [0, 2, 2], [0, 0, 1])
 
 
+@pytest.mark.parametrize("offsets", [[0, 2, 4], [0, 3, 2], [1, 2, 3], [1, 2, 4]],
+                         ids=["past-the-end", "falling", "not-from-zero", "shifted"])
+def test_targets_reject_label_offsets_that_do_not_rise_from_zero_to_the_count(offsets):
+    # the steps of [1, 2, 4] add up to the label count, yet sample 0 would
+    # read label 1 and sample 1 label 2 alone, leaving label 0 out
+    samples = mixed_samples(np.random.default_rng(3), [3, 4])
+    labels = random_labels(np.random.default_rng(4), count=3)
+    labels.offsets = np.array(offsets)
+    with pytest.raises(ValueError, match=r"label offsets \[.*\] do not rise from 0 to 3"):
+        targets(samples, labels)
+
+
 def background_choices(rng, samples):
     """Per sample: all unmatched proposals, none, or a list with repeats that
     may name matched proposals; and each choice as a list of its proposals."""

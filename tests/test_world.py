@@ -36,12 +36,12 @@ def test_boxes_from_raw_matches_from_raw_oracle():
     sub_min = np.column_stack([corner, corner + gap])
     signed_zeros = np.array([[0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, -0.0]])
     for rows in (random_rows, inverted, sub_min, signed_zeros):
-        got = boxes_from_raw(rows)
-        want = np.array([oracle_box(row) for row in rows])
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # bits, so -0.0 and +0.0 differ
+        want = np.array([oracle_box(row) for row in rows]).view(np.uint64)
+        assert np.array_equal(boxes_from_raw(rows).view(np.uint64), want)
         # any leading shape: a stack of passes boxes row by row
-        assert np.array_equal(boxes_from_raw(rows.reshape(2, -1, 4)), want.reshape(2, -1, 4))
+        assert np.array_equal(boxes_from_raw(rows.reshape(2, -1, 4)).view(np.uint64),
+                              want.reshape(2, -1, 4))
 
 
 def test_boxes_from_raw_raises_exactly_where_from_raw_raises():

@@ -13,10 +13,13 @@ times the default size), CLI eval of that source
 model twice (once generating and saving the target set, once reloading the
 saved set with --dataset, so the dataset writer and reader are both diffed),
 and the CLI ablation suite (seed 0, 3 epochs), whose +SA and +SAL runs no
-benchmark workload makes. It also saves two generated worlds as dataset
-JSON, the seed-0 source set (`source_dataset.json`) and the score-large
-target set (`score-large/target_dataset.json`), so a generator change is
-diffed on the worlds themselves, not only through the outputs built on them.
+benchmark workload makes. A small C = 8 world (60 samples, 3 pretrain epochs)
+is pretrained, partitioned and evaluated too, so score vectors of 9 entries
+are diffed as well as those of 6. It also saves two generated worlds as
+dataset JSON, the seed-0 source set (`source_dataset.json`) and the
+score-large target set (`score-large/target_dataset.json`), so a generator
+change is diffed on the worlds themselves, not only through the outputs
+built on them.
 Prints one line per file that differs or exists in one tree only, then a
 summary. Exits 1 on any difference.
 
@@ -45,7 +48,7 @@ RUN = r"""
 import dataclasses, json, os, sys
 from detadapt import cli, trainer, util, world
 from detadapt.config import default_config
-from detadapt.detector import load_params
+from detadapt.detector import load_params, save_params
 from detadapt.metrics import evaluate
 from detadapt.partition import partition
 out = sys.argv[1]
@@ -86,6 +89,20 @@ report.save_csv(os.path.join(out, "score-large", "partition.csv"))
 result = evaluate(params, samples, num_classes=config.num_classes)
 with open(os.path.join(out, "score-large", "eval.json"), "w") as fh:
     json.dump(result.to_dict(), fh, indent=2)
+# a C = 8 world: its C + 1 = 9 scores per proposal are past the 8-column
+# switch of the log-softmax, which the C = 5 runs above never reach
+spec8 = world.make_domain_spec(8, 6, 60, (0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05),
+                               layout_seed=3)
+config8 = dataclasses.replace(config, source=spec8, target=world.shift_domain(spec8, [0.5] * 6),
+                              pretrain_epochs=3)
+params8, _ = trainer.pretrain_source(config8)
+samples8 = world.generate_domain(config8.target, util.derive_seed(0, "world", "target"))
+os.makedirs(os.path.join(out, "classes8"))
+save_params(os.path.join(out, "classes8", "source_params.json"), params8)
+partition(samples8, params8, config8.mc_passes, config8.variance_threshold,
+          util.rng_stream(0, "partition")).save_csv(os.path.join(out, "classes8", "partition.csv"))
+with open(os.path.join(out, "classes8", "eval.json"), "w") as fh:
+    json.dump(evaluate(params8, samples8, num_classes=8).to_dict(), fh, indent=2)
 # a partial config: its bytes do not depend on the tree's config fields
 suite_config = os.path.join(out, "config_suite.json")
 with open(suite_config, "w") as fh:
