@@ -27,9 +27,13 @@ from .util import write_atomic
 from .world import BBox, DetectionSample, box_iou, boxes_from_raw
 
 
-# samples per packed forward in the partition and evaluation; a partition block
-# holds M passes of them, and larger blocks raise the adapt run's peak memory
-BLOCK_SAMPLES = 32
+# row-passes (proposal rows times passes) per packed forward of the partition
+# and the evaluation: about 80 default-world samples per 10-pass split block,
+# about 800 per evaluation block. A split block's traced peak is about 6 x
+# BLOCK_ROWS x D x 8 bytes (3.1 MB on the 500-sample default target set), and
+# it sets the CLI adapt run's peak RSS: 42.5 MiB, against 40.6 MiB with blocks
+# of 32 samples
+BLOCK_ROWS = 4096
 
 
 class TrainingError(RuntimeError):
@@ -197,11 +201,12 @@ class Scored:
 
     The heads run once over the samples' proposals, concatenated; a sample
     alone is the block `[sample]`. `features`, (rows, D), stands in for the
-    proposal features, such as a strong view of them. Holds the outputs (h,
-    log_scores, scores, refined), h being the (possibly dropped) features,
-    the block's row count `num_proposals` and the `offsets` of the samples'
-    rows: sample i owns rows `offsets[i]:offsets[i + 1]`, equal bit for bit
-    to those of its own block of one.
+    proposal features, such as a strong view of them, and `counts`, (n,), for
+    the samples' proposal counts, read from them when not given. Holds the
+    outputs (h, log_scores, scores, refined), h being the (possibly dropped)
+    features, the block's row count `num_proposals` and the `offsets` of the
+    samples' rows: sample i owns rows `offsets[i]:offsets[i + 1]`, equal bit
+    for bit to those of its own block of one.
 
     With a Generator `rng` the outputs are stacks of `passes` dropout passes,
     (M, rows, ...). The block's masks come from one `rng.random` draw of
@@ -219,8 +224,9 @@ class Scored:
 
     def __init__(self, params: ModelParams, samples: list[DetectionSample],
                  rng: np.random.Generator | None = None, passes: int = 1, *,
-                 features: np.ndarray | None = None):
-        counts = [s.num_proposals for s in samples]
+                 features: np.ndarray | None = None, counts: np.ndarray | None = None):
+        if counts is None:
+            counts = np.array([s.num_proposals for s in samples], dtype=int)
         offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
         x = np.concatenate([s.proposal_features for s in samples]) if features is None \
             else features
@@ -241,7 +247,7 @@ class Scored:
                 # the gathered uniforms become the dropped features in place
                 h = np.take(rng.random((passes * len(x), x.shape[1])), order, axis=0)
                 np.multiply(x / (1.0 - rate), h >= rate, out=h)
-        single = offsets[:-1][np.asarray(counts) == 1]
+        single = offsets[:-1][counts == 1]
         self.num_classes = params.num_classes
         self.offsets, self.num_proposals = offsets, int(offsets[-1])
         self.h, self.log_scores, self.scores, self.refined = _heads(params, h, boxes, single)
@@ -260,6 +266,21 @@ class Scored:
     def boxes(self) -> np.ndarray:
         """(P, 4) refined boxes made valid by the `BBox.from_raw` rule."""
         return boxes_from_raw(self.refined)
+
+
+def blocks(offsets: np.ndarray, passes: int = 1) -> list[tuple[int, int]]:
+    """(start, stop) sample ranges of the packed scoring calls over samples
+    whose rows are `offsets[i]:offsets[i + 1]`: from each start, the longest
+    run whose rows times `passes` fit `BLOCK_ROWS`, and at least one sample.
+    """
+    room = BLOCK_ROWS // passes
+    bounds, start, n = [], 0, len(offsets) - 1
+    while start < n:
+        stop = int(np.searchsorted(offsets, offsets[start] + room, side="right")) - 1
+        stop = max(stop, start + 1)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
 
 
 def forward_arrays(params: ModelParams, sample: DetectionSample,

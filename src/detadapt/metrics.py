@@ -19,8 +19,10 @@ already taken were taken by earlier detections of the same class, exactly as
 in the per-class pass. Per-class AP, FROC and F1 all read the same flags.
 
 `evaluate` builds the table straight from the model's packed forward passes,
-`BLOCK_SAMPLES` samples at a time, and the samples' `gt_boxes`/`gt_classes`
-arrays, without a box or detection object. Every IoU is `world.box_iou`.
+in blocks of at most `BLOCK_ROWS` proposal rows (`detector.blocks`), and the
+samples' `gt_boxes`/`gt_classes` arrays, without a box or detection object.
+Every IoU is `world.box_iou`. The greedy pass ranks each detection's eligible
+objects by IoU once and claims the first free one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .detector import BLOCK_SAMPLES, ModelParams, Scored
+from .detector import ModelParams, Scored, blocks
 from .world import DetectionSample, box_array, box_iou
 
 FPI_POINTS = (0.05, 0.3, 0.5, 1.0)
@@ -121,15 +123,19 @@ def _match(det_img, det_boxes, det_cls, det_score, gt_boxes, gt_cls, gt_counts,
         cand, ious = _candidates(det_boxes[rows], det_cls[rows], det_img[rows], gt_boxes,
                                  gt_cls, gt_offsets, gt_counts, iou_threshold)
         hits = np.flatnonzero(cand.max(axis=1, initial=-1) >= 0)
-        for hit, objs, overlaps in zip(hits.tolist(), cand[hits].tolist(), ious[hits].tolist()):
-            # the free eligible object of highest IoU, ties to the lower index
-            best, best_iou = -1, 0.0
-            for obj, overlap in zip(objs, overlaps):
-                if obj >= 0 and overlap > best_iou and obj not in taken:
-                    best, best_iou = obj, overlap
-            if best >= 0:
-                taken.add(best)
-                tp[start + hit] = True
+        cand = cand[hits]
+        # each hit's eligible objects by IoU, descending, ties to the lower
+        # index (slots run in index order), the ineligible ones (-1) last
+        rank = np.argsort(np.where(cand >= 0, -ious[hits], np.inf), axis=1, kind="stable")
+        for hit, objs in zip(hits.tolist(), np.take_along_axis(cand, rank, axis=1).tolist()):
+            # the first free one is the free eligible object of highest IoU
+            for obj in objs:
+                if obj < 0:
+                    break
+                if obj not in taken:
+                    taken.add(obj)
+                    tp[start + hit] = True
+                    break
 
     # each image's best score, 0.0 without detections
     counts = np.bincount(det_img, minlength=num_images)
@@ -255,14 +261,13 @@ def f1_auc(dets_by_img, gts_by_img, iou_threshold: float = 0.5) -> tuple[float, 
 def _match_samples(params: ModelParams, samples: list[DetectionSample],
                    iou_threshold: float) -> _Matched:
     """`_match` of one detection per proposal (foreground argmax, no threshold)."""
-    counts = [s.num_proposals for s in samples]
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
+    counts = np.fromiter((s.num_proposals for s in samples), int, len(samples))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
     boxes = np.empty((offsets[-1], 4))
     cls = np.empty(offsets[-1], dtype=int)
     score = np.empty(offsets[-1])
-    for start in range(0, len(samples), BLOCK_SAMPLES):
-        stop = min(start + BLOCK_SAMPLES, len(samples))
-        scored = Scored(params, samples[start:stop])
+    for start, stop in blocks(offsets):
+        scored = Scored(params, samples[start:stop], counts=counts[start:stop])
         rows = slice(offsets[start], offsets[stop])
         boxes[rows], cls[rows], score[rows] = scored.boxes, scored.class_ids, scored.fg_scores
     return _match(np.repeat(np.arange(len(samples)), counts), boxes, cls, score,

@@ -2,11 +2,12 @@
 
 The source-pretrained model runs M stochastic forward passes per sample;
 box-coordinate and class-score variances of the stacked outputs multiply into
-a single detection variance. The passes run in blocks of `BLOCK_SAMPLES`
-samples, one packed (M, rows, D) computation per block: its dropout masks
-are one draw from the partition's Generator, and its samples' variances one
-segmented reduction over its rows. Samples are ranked ascending by variance
-and the top fraction (variance level >= sigma) is tagged source-similar.
+a single detection variance. The passes run in blocks of samples, one packed
+(M, rows, D) computation per block of at most `BLOCK_ROWS` row-passes: its
+dropout masks are one draw from the partition's Generator, and its samples'
+variances one segmented reduction over its rows. Samples are ranked
+ascending by variance and the top fraction (variance level >= sigma) is
+tagged source-similar.
 
 That is A2SFOD's rule (Chu et al., AAAI 2023). It is kept as a diagnostic:
 the CLI's adapt mode writes the source model's split to
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import BLOCK_SAMPLES, ModelParams, Scored
+from .detector import ModelParams, Scored, blocks
 from .util import write_atomic
 from .world import DetectionSample
 
@@ -86,7 +87,7 @@ def _sq_deviation(stack: np.ndarray, offsets) -> np.ndarray:
     m, rows = stack.shape[0], stack.shape[1]
     per_row = np.square(dev).transpose(1, 0, 2).reshape(rows, -1).sum(axis=1)
     offsets = np.asarray(offsets)
-    return np.add.reduceat(per_row, offsets[:-1]) / (m * np.diff(offsets))
+    return np.add.reduceat(per_row, offsets[:-1]) / (m * (offsets[1:] - offsets[:-1]))
 
 
 def partition(
@@ -98,14 +99,16 @@ def partition(
 ) -> VarianceReport:
     """One-time split of the target set into source-similar and dissimilar subsets.
 
-    Sample ids must be distinct, and sigma must lie in (0, 1). Samples are
-    visited in id order, in blocks of `BLOCK_SAMPLES`. Each block draws its
-    dropout masks from `rng` in one call, sample by sample in id order, so
-    the passes equal those of `mc_passes` called on each sample in id order
-    with `rng`, whatever the block size and the input order. The heads run
-    once over the block's packed proposals and M masks, and every sample's
-    box and class variances come from one segmented reduction over the
-    block's rows (`_sq_deviation`). One `np.lexsort` ranks the samples.
+    Sample ids must be distinct, every sample must have a proposal, and sigma
+    must lie in (0, 1). Samples are visited in id order, in the blocks of
+    `detector.blocks`: the longest runs whose rows times M fit `BLOCK_ROWS`,
+    cut from one array of proposal counts. Each block draws its dropout masks
+    from `rng` in one call, sample by sample in id order, so the passes equal
+    those of `mc_passes` called on each sample in id order with `rng`,
+    whatever the budget and the input order. The heads run once over the
+    block's packed proposals and M masks, and every sample's box and class
+    variances come from one segmented reduction over the block's rows
+    (`_sq_deviation`). One `np.lexsort` ranks the samples.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 samples to partition")
@@ -116,9 +119,13 @@ def partition(
     ordered = sorted(samples, key=lambda s: s.id)
     if any(a.id == b.id for a, b in zip(ordered, ordered[1:])):
         raise ValueError("sample ids repeat")
+    counts = np.fromiter((s.num_proposals for s in ordered), int, len(ordered))
+    if not counts.all():
+        raise ValueError(f"sample {ordered[int(np.argmin(counts))].id} has no proposals")
+    offsets = np.concatenate(([0], np.cumsum(counts)))
     v_b, v_c = [], []
-    for start in range(0, len(ordered), BLOCK_SAMPLES):
-        scored = Scored(params, ordered[start:start + BLOCK_SAMPLES], rng, num_passes)
+    for start, stop in blocks(offsets, num_passes):
+        scored = Scored(params, ordered[start:stop], rng, num_passes, counts=counts[start:stop])
         v_b.append(_sq_deviation(scored.boxes, scored.offsets))
         v_c.append(_sq_deviation(scored.scores, scored.offsets))
     ids = np.array([s.id for s in ordered])

@@ -3,7 +3,8 @@
 Everything here recomputes from first principles with plain loops: central
 finite differences for gradients, the world generator with one NumPy draw
 per box coordinate and an array IoU per jitter try, per-prefix rescored
-matching for AP, a full threshold enumeration for FROC, a one-sample forward
+matching for AP, the greedy scan of all detections that checks every object
+of a detection's image, a full threshold enumeration for FROC, a one-sample forward
 pass whose dropout uniforms come from a seed or a shared stream, the
 log-softmax and the box rule as whole-row reductions and selects, the
 per-proposal object path (one `BBox.from_raw` and one argmax per proposal,
@@ -783,6 +784,31 @@ def _match_from_scratch(rows, gts_by_img, thr):
         else:
             flags.append(False)
     return flags
+
+
+def oracle_match(det_img, det_boxes, det_cls, det_score, gt_boxes, gt_cls, gt_counts,
+                 iou_threshold):
+    """`metrics._match`'s true-positive flags, in match order, and image
+    scores, by the scan that ranked no candidates: each detection, in
+    (-score, image, index) order, checks every object of its image and claims
+    the free one of its class with the highest IoU at or above the threshold
+    (and above 0), ties to the lower index."""
+    starts = np.concatenate(([0], np.cumsum(gt_counts, dtype=int)))
+    order = sorted(range(len(det_score)), key=lambda i: (-det_score[i], det_img[i], i))
+    taken, flags = set(), []
+    for i in order:
+        best, best_iou = -1, 0.0
+        for g in range(starts[det_img[i]], starts[det_img[i] + 1]):
+            overlap = float(box_iou(det_boxes[i], gt_boxes[g]))
+            if (gt_cls[g] == det_cls[i] and overlap >= iou_threshold and overlap > best_iou
+                    and g not in taken):
+                best, best_iou = g, overlap
+        if best >= 0:
+            taken.add(best)
+        flags.append(best >= 0)
+    image_score = [max((float(det_score[i]) for i in range(len(det_score)) if det_img[i] == img),
+                       default=0.0) for img in range(len(gt_counts))]
+    return np.array(flags, dtype=bool), np.array(image_score)
 
 
 def oracle_ap(dets_by_img, gts_by_img, class_id, thr=0.5):

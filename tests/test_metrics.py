@@ -4,11 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bruteforce import oracle_evaluate, oracle_froc, oracle_map
-from detadapt import detector, world
-from detadapt.detector import BLOCK_SAMPLES, ModelParams, forward
+from bruteforce import oracle_evaluate, oracle_froc, oracle_map, oracle_match
+from detadapt import detector, metrics, world
+from detadapt.detector import BLOCK_ROWS, ModelParams, blocks, forward
 from detadapt.expert import ExpertSpec, expert_predict
-from detadapt.metrics import EvalResult, evaluate, f1_auc, froc, map_at_iou
+from detadapt.metrics import EvalResult, _match, evaluate, f1_auc, froc, map_at_iou
 from detadapt.partition import partition
 from detadapt.trainer import pretrain_source
 from detadapt.world import (BBox, DetectionSample, generate_domain, load_dataset,
@@ -156,7 +156,7 @@ def test_map_counts_classes_without_detections():
     assert map50 == pytest.approx(0.5)
 
 
-def eval_world(world_seed, frequency=(0.5, 0.3, 0.2), size=2 * BLOCK_SAMPLES + 9):
+def eval_world(world_seed, frequency=(0.5, 0.3, 0.2), size=73):
     """A generated set plus one hand-built image without objects, and a model
     whose classifier points at the class means."""
     spec = make_domain_spec(len(frequency), 6, size, frequency, layout_seed=world_seed)
@@ -230,7 +230,7 @@ def test_evaluate_of_no_samples_matches_object_oracle():
 
 
 def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeypatch, tmp_path):
-    samples, params = eval_world(5)
+    samples, params = eval_world(5, size=1000)
     spec = make_domain_spec(3, 6, len(samples), (0.5, 0.3, 0.2), layout_seed=5)
     dataset_path = tmp_path / "data.json"
     save_dataset(dataset_path, spec, samples)
@@ -251,13 +251,16 @@ def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeyp
     assert counts["BBox"] == counts["Detection"] == samples[0].num_proposals
     assert counts["heads"] == 1
 
-    blocks = -(-len(samples) // BLOCK_SAMPLES)
-    assert blocks < len(samples)
-    for run in (lambda: partition(samples, params, 3, 0.5, np.random.default_rng(0)),
-                lambda: evaluate(params, samples)):
+    # the default budget's blocks: 3-pass split blocks of about 270 samples,
+    # evaluation blocks of about 800
+    offsets = np.concatenate(([0], np.cumsum([s.num_proposals for s in samples])))
+    for run, passes in ((lambda: partition(samples, params, 3, 0.5, np.random.default_rng(0)), 3),
+                        (lambda: evaluate(params, samples), 1)):
+        num_blocks = len(blocks(offsets, passes))
+        assert 1 < num_blocks < len(samples)
         counts.clear()
         run()
-        assert counts == Counter(heads=blocks)
+        assert counts == Counter(heads=num_blocks)
 
     # nor does the ground-truth path: generation, pretraining, expert, loading
     expert_rng = np.random.default_rng(0)
@@ -268,3 +271,97 @@ def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeyp
         counts.clear()
         run()
         assert counts["BBox"] == counts["Detection"] == 0
+
+
+def test_evaluate_does_not_depend_on_the_block_size(monkeypatch):
+    # class 3 has no ground truth (nan AP); pairs of one-proposal samples
+    # straddle block edges at the smaller budgets
+    samples, params = eval_world(4, frequency=(0.4, 0.3, 0.3, 0.0))
+    for sample in samples[:-1]:
+        if sample.id % 3 != 2:
+            sample.proposal_boxes = sample.proposal_boxes[:1]
+            sample.proposal_features = sample.proposal_features[:1]
+    offsets = np.concatenate(([0], np.cumsum([s.num_proposals for s in samples])))
+    largest = int(np.diff(offsets).max())
+    texts, num_blocks = set(), []
+    for budget in (1, largest - 1, BLOCK_ROWS, offsets[-1] + 1):
+        monkeypatch.setattr(detector, "BLOCK_ROWS", budget)
+        num_blocks.append(len(blocks(offsets)))
+        texts.add(json.dumps(evaluate(params, samples).to_dict()))
+    assert len(texts) == 1 and "NaN" in texts.pop()
+    assert num_blocks[0] == len(samples) and num_blocks[1] > num_blocks[2] == num_blocks[3] == 1
+
+
+def test_partition_and_evaluate_read_each_proposal_count_once(monkeypatch):
+    samples, params = eval_world(6)
+    params.dropout_rate = 0.3
+    reads = Counter()
+
+    def num_proposals(sample):
+        reads[sample.id] += 1
+        return sample.proposal_boxes.shape[0]
+
+    monkeypatch.setattr(detector, "BLOCK_ROWS", 64)  # several blocks per call
+    monkeypatch.setattr(world.DetectionSample, "num_proposals", property(num_proposals))
+    for run in (lambda: partition(samples, params, 3, 0.5, np.random.default_rng(0)),
+                lambda: evaluate(params, samples)):
+        reads.clear()
+        run()
+        assert set(reads) <= {s.id for s in samples} and max(reads.values()) == 1
+
+
+def match_case(det_img, det_boxes, det_cls, det_score, gt_img, gt_boxes, gt_cls, num_images):
+    """`_match`'s inputs: detections in image order, objects grouped by image."""
+    order = np.argsort(gt_img, kind="stable")
+    return (np.asarray(det_img, dtype=int), np.asarray(det_boxes, dtype=float).reshape(-1, 4),
+            np.asarray(det_cls, dtype=int), np.asarray(det_score, dtype=float),
+            np.asarray(gt_boxes, dtype=float).reshape(-1, 4)[order],
+            np.asarray(gt_cls, dtype=int)[order],
+            np.bincount(np.asarray(gt_img, dtype=int), minlength=num_images))
+
+
+def hand_match_case():
+    """Image 0: a box with equal IoU (0.6) with two class-0 objects, one of
+    the same score that can claim only the one of higher index, and the first
+    box again at a lower score. Image 1, of one score: a box whose
+    highest-IoU object has the higher index, one that can claim only the
+    other, and a class the image lacks. Image 2: an object wanted by two
+    detections of one score. Image 3 has an object and no detection, image 4
+    neither."""
+    a, b, c = [1, 0, 5, 4], [0, 0, 4, 4], [0, 0, 4, 5]
+    return match_case(
+        [0, 0, 0, 1, 1, 1, 2, 2], [a, a, [3, 0, 7, 4], a, [0, 0, 3, 4], a, c, b],
+        [0, 0, 0, 1, 1, 0, 0, 0], [0.9, 0.5, 0.9, 0.8, 0.8, 0.8, 0.7, 0.7],
+        [0, 0, 1, 1, 2, 3], [b, [2, 0, 6, 4], b, a, b, [0, 0, 2, 2]],
+        [0, 0, 1, 1, 0, 1], 5)
+
+
+def random_match_case(rng, num_images=4):
+    """Integer boxes on a small grid, so IoUs and scores tie often and a
+    detection often has several objects to choose from, and images without
+    detections or objects."""
+    def boxes(n):
+        corner = rng.integers(0, 4, (n, 2))
+        return np.hstack([corner, corner + rng.integers(1, 5, (n, 2))])
+
+    det_img = np.sort(rng.integers(0, num_images, rng.integers(0, 30)))
+    gt_img = rng.integers(0, num_images, rng.integers(0, 16))
+    return match_case(det_img, boxes(len(det_img)), rng.integers(0, 2, len(det_img)),
+                      rng.choice([0.9, 0.7, 0.5], len(det_img)), gt_img, boxes(len(gt_img)),
+                      rng.integers(0, 2, len(gt_img)), num_images)
+
+
+@pytest.mark.parametrize("chunk_rows", [2, metrics._CHUNK_ROWS])
+def test_match_flags_and_image_scores_match_the_scan_oracle(monkeypatch, chunk_rows):
+    monkeypatch.setattr(metrics, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(chunk_rows)
+    cases = [(hand_match_case(), 0.5)] + [(random_match_case(rng), thr)
+                                          for thr in (0.3, 0.5) for _ in range(100)]
+    for case, thr in cases:
+        got = _match(*case, thr)
+        tp, image_score = oracle_match(*case, thr)
+        assert np.array_equal(got.tp, tp) and np.array_equal(got.image_score, image_score)
+    got = _match(*cases[0][0], 0.5)
+    # match order: image 0's 0.9s, image 1, image 2, image 0's 0.5
+    assert got.tp.tolist() == [True, True, True, True, False, True, False, False]
+    assert got.image_score.tolist() == [0.9, 0.8, 0.7, 0.0, 0.0]

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from bruteforce import oracle_mc_passes, oracle_variance
-from detadapt.detector import BLOCK_SAMPLES
+from detadapt import detector
+from detadapt.detector import BLOCK_ROWS, blocks
 from detadapt.partition import (DISSIMILAR, SIMILAR, VarianceReport, _sq_deviation, mc_passes,
                                 partition)
 from test_detector import mixed_samples, random_params, random_sample
 
 partition_module = importlib.import_module("detadapt.partition")
+SIZES = [1, 2, 7, 13]
 
 
 def variance(stack):
@@ -26,9 +28,10 @@ def ranked(monkeypatch, variances, sigma):
     for sample, (sample_id, _) in zip(samples, variances):
         sample.id = sample_id
     by_id = dict(variances)
-    # one block, whose box variances come first, then its class variances
+    # one block (2 rows times 2 passes each fill the budget), whose box
+    # variances come first, then its class variances
     stacks = iter([np.array([by_id[i] for i in sorted(by_id)]), np.ones(len(by_id))])
-    monkeypatch.setattr(partition_module, "BLOCK_SAMPLES", len(variances))
+    monkeypatch.setattr(detector, "BLOCK_ROWS", 4 * len(variances))
     monkeypatch.setattr(partition_module, "_sq_deviation", lambda stack, offsets: next(stacks))
     report = partition(samples, random_params(rng, dropout=0.3), 2, sigma, rng)
     rows = [line.split(",") for line in report.to_csv_text().splitlines()[1:]]
@@ -58,19 +61,59 @@ def test_stacked_passes_match_per_pass_oracle(num_proposals, dropout):
     assert got_rng.random() == want_rng.random()
 
 
-def mixed_block_samples(rng):
-    """Samples of mixed sizes, not a multiple of the block size, with
-    one-proposal samples either side of a block edge."""
-    sizes = rng.choice([1, 2, 7, 13], size=2 * BLOCK_SAMPLES + 5)
-    sizes[BLOCK_SAMPLES - 1] = sizes[BLOCK_SAMPLES] = 1
-    return mixed_samples(rng, sizes)
+def offsets_of(samples):
+    return np.concatenate(([0], np.cumsum([s.num_proposals for s in samples])))
+
+
+def mixed_block_samples(rng, passes):
+    """Samples of mixed sizes over more than two blocks of `passes`-pass rows
+    at the default budget, with one-proposal samples either side of the first
+    block's edge: that block's rows fill the budget exactly."""
+    room = BLOCK_ROWS // passes
+    sizes = []
+    while sum(sizes) + max(SIZES) < room:
+        sizes.append(int(rng.choice(SIZES)))
+    sizes += [1] * (room - sum(sizes) + 1)
+    edge = len(sizes) - 1
+    while sum(sizes) < 2 * room + 50:
+        sizes.append(int(rng.choice(SIZES)))
+    samples = mixed_samples(rng, sizes)
+    cuts = blocks(offsets_of(samples), passes)
+    assert cuts[0] == (0, edge) and len(cuts) > 2 and sizes[edge - 1] == sizes[edge] == 1
+    return samples
+
+
+def budgets(samples, passes):
+    """Row budgets of one row, of less than the largest sample's rows times
+    passes, the default, and more than the whole set's."""
+    largest = max(s.num_proposals for s in samples)
+    return 1, largest * passes - 1, BLOCK_ROWS, offsets_of(samples)[-1] * passes + 1
+
+
+@pytest.mark.parametrize("passes", [1, 3, 10])
+def test_blocks_are_the_longest_runs_that_fit_the_budget(monkeypatch, passes):
+    rng = np.random.default_rng(passes)
+    counts = rng.choice([0, 1, 2, 7, 13], size=300)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    for budget in (1, 13 * passes - 1, 13 * passes, 40 * passes + 5, BLOCK_ROWS,
+                   offsets[-1] * passes):
+        monkeypatch.setattr(detector, "BLOCK_ROWS", budget)
+        want, start = [], 0
+        while start < len(counts):
+            stop = start + 1
+            while stop < len(counts) and counts[start:stop + 1].sum() * passes <= budget:
+                stop += 1
+            want.append((start, stop))
+            start = stop
+        assert blocks(offsets, passes) == want
+    assert blocks(np.zeros(1, dtype=int), passes) == []
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_partition_rows_match_per_sample_oracle(dropout):
     rng = np.random.default_rng(30)
     params = random_params(rng, dropout=dropout)
-    samples = mixed_block_samples(rng)
+    samples = mixed_block_samples(rng, 4)
     report = partition(samples[::-1], params, 4, 0.5, np.random.default_rng(7))
     got = dict(zip(report.sample_ids.tolist(),
                    zip(report.box_var.tolist(), report.cls_var.tolist())))
@@ -96,18 +139,38 @@ def test_partition_rows_match_per_sample_oracle(dropout):
 def test_partition_csv_does_not_depend_on_the_block_size(monkeypatch):
     rng = np.random.default_rng(31)
     params = random_params(rng, dropout=0.3)
-    samples = mixed_block_samples(rng)
-    texts = set()
-    for block_samples in (1, 7, 32):
-        monkeypatch.setattr(partition_module, "BLOCK_SAMPLES", block_samples)
+    samples = mixed_block_samples(rng, 10)
+    texts, num_blocks = set(), []
+    for budget in budgets(samples, 10):
+        monkeypatch.setattr(detector, "BLOCK_ROWS", budget)
+        num_blocks.append(len(blocks(offsets_of(samples), 10)))
         texts.add(partition(samples, params, 10, 0.5, np.random.default_rng(8)).to_csv_text())
     assert len(texts) == 1
+    assert num_blocks[0] == len(samples) and num_blocks[1] > num_blocks[2] > 2
+    assert num_blocks[3] == 1
+
+
+@pytest.mark.parametrize("where", ["mid-block", "first block's end", "last block's end"])
+def test_partition_rejects_a_sample_without_proposals(where):
+    rng = np.random.default_rng(33)
+    params = random_params(rng, dropout=0.3)
+    samples = mixed_block_samples(rng, 10)
+    # sample `edge` opens the second block; without rows it ends the first
+    edge = blocks(offsets_of(samples), 10)[0][1]
+    index = {"mid-block": 3, "first block's end": edge, "last block's end": len(samples) - 1}
+    empty = samples[index[where]]
+    empty.proposal_boxes = empty.proposal_boxes[:0]
+    empty.proposal_features = empty.proposal_features[:0]
+    stops = [stop for _, stop in blocks(offsets_of(samples), 10)]
+    assert (index[where] + 1 in stops) == (where != "mid-block")
+    with pytest.raises(ValueError, match=f"sample {empty.id} has no proposals"):
+        partition(samples[::-1], params, 10, 0.5, np.random.default_rng(0))
 
 
 def test_partition_builds_no_generator(monkeypatch):
     rng = np.random.default_rng(32)
     params = random_params(rng, dropout=0.3)
-    samples = mixed_block_samples(rng)
+    samples = mixed_block_samples(rng, 10)
     shared = np.random.default_rng(9)
     built = []
 
