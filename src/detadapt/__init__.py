@@ -12,7 +12,7 @@ gradients.
 """
 
 from .config import AdaptationConfig, default_config
-from .cropbank import AugmentPolicy, Cropbank, augment_sample
+from .cropbank import Cropbank, augment_sample
 from .detector import (Detection, GradientSet, Labels, ModelParams, Scored, TrainingError,
                        detection_loss, forward, load_params, save_params, sgd_step)
 from .expert import ExpertSpec, expert_loss, expert_predict

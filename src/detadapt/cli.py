@@ -100,14 +100,8 @@ def _mode_adapt(config: AdaptationConfig, out: str, params_path: str | None) -> 
     teacher, history = adapt(source_params, target_data, config, out_dir=checkpoints)
     history.save_csv(os.path.join(out, "history.csv"))
     save_params(os.path.join(out, "teacher_params.json"), teacher)
-    # the last epoch has evaluated this teacher on the same eval set already
-    result = history.final_teacher_eval
-    if result is None:
-        eval_spec = dataclasses.replace(config.target, size=config.eval_size)
-        eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
-        result = evaluate(teacher, eval_data, num_classes=config.num_classes)
-    summary = {"final_teacher": result.to_dict(),
-               "final_teacher_map": history.final_teacher_map(),
+    summary = {"final_teacher": history.final_teacher_eval.to_dict(),
+               "final_teacher_map": history.final_teacher_eval.map50,
                "epochs": config.epochs}
     _write_json(os.path.join(out, "summary.json"), summary)
 
@@ -138,7 +132,7 @@ def _mode_ablation(config: AdaptationConfig, out: str) -> None:
     for name, variant in ablation_variants(config).items():
         _, history = adapt(source_params, target_data, variant)
         history.save_csv(os.path.join(out, f"history_{name}.csv"))
-        writer.writerow([name, repr(history.final_teacher_map())])
+        writer.writerow([name, repr(history.final_teacher_eval.map50)])
     write_atomic(os.path.join(out, "ablation_summary.csv"), summary.getvalue())
 
 

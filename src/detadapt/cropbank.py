@@ -7,27 +7,29 @@ relation-weighted class sampling from the buffers, then blends the two
 features, and the base's class vector with the one-hot vector of the row's
 class, convexly.
 
-A batch is filed with one `Cropbank.push` and augmented with one
-`augment_sample` call. Sample k of the batch draws from the bank as it stood
-after the rows of samples 0..k-1 were filed, its own and later ones not yet,
-so the batch draws what filing and augmenting one sample at a time would.
+The bank is built for the relation's classes. A batch is filed with one
+`Cropbank.push` and augmented with one `augment_sample` call. Sample k of the
+batch draws from the bank as it stood after the rows of samples 0..k-1 were
+filed, its own and later ones not yet, so the batch draws what filing and
+augmenting one sample at a time would.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import Labels
-from .relation import RelationMatrix
+from .relation import RelationMatrix, check_class_ids
+from .util import check_offsets
 
 
 class Cropbank:
-    """Per-class FIFO buffers of feature rows, filed a batch at a time.
+    """Per-class FIFO buffers of feature rows, one per class in [0,
+    num_classes), filed a batch at a time.
 
-    The buffers are one preallocated (classes, rows, D) array of copies,
+    The buffers are one preallocated (num_classes, rows, D) array of copies,
     class c's at [c]. A `push` first drops the rows that the previous batch
     evicted, so a buffer holds at most `capacity` rows plus one batch's rows;
     a buffer's rows as sample k of the last batch sees them are the last
@@ -35,36 +37,35 @@ class Cropbank:
     bank as each sample of the last push sees it.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, num_classes: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._storage = np.zeros((0, capacity, 0))
+        self._storage = np.zeros((num_classes, capacity, 0))
         # the last push: (samples + 1, classes) rows stored per class before
         # each sample's rows, then after the batch
-        self._ends = np.zeros((1, 0), dtype=int)
+        self._ends = np.zeros((1, num_classes), dtype=int)
 
     def push(self, class_ids, features, offsets) -> None:
         """File a batch: sample i owns rows offsets[i]:offsets[i + 1] of
-        `class_ids` and `features`, and feature row r goes to the buffer of
-        class class_ids[r], in row order. The bank stores copies. Class ids
-        are non-negative integers.
+        `class_ids` and `features` (`check_offsets`), and feature row r goes
+        to the buffer of class class_ids[r], in row order. The bank stores
+        copies. Class ids are integers in [0, num_classes) (`check_class_ids`).
         """
         class_ids = np.asarray(class_ids)
         features = np.asarray(features, dtype=float)
         offsets = np.asarray(offsets)
+        num_classes = len(self._storage)
         if len(class_ids) != len(features):
             raise ValueError(f"{len(class_ids)} class ids for {len(features)} feature rows")
         if len(features) and (features.ndim != 2
                               or self._storage.shape[2] not in (0, features.shape[1])):
             raise ValueError(f"feature rows must be (rows, D), one D per bank, "
                              f"got {features.shape}")
-        if len(class_ids) and (class_ids.dtype.kind not in "iu" or class_ids.min() < 0):
-            raise ValueError("class ids must be non-negative integers")
-        if offsets.ndim != 1 or not len(offsets) or offsets.dtype.kind not in "iu" \
-                or offsets[0] != 0 or offsets[-1] != len(class_ids) \
-                or np.any(offsets[1:] < offsets[:-1]):
-            raise ValueError(f"offsets must rise from 0 to {len(class_ids)}, one per sample + 1")
+        if len(class_ids) and class_ids.dtype.kind not in "iu":
+            raise ValueError("class ids must be integers")
+        check_class_ids(class_ids, num_classes)
+        check_offsets(offsets, len(class_ids))
 
         cap = self.capacity
         held = self._ends[-1]
@@ -73,10 +74,7 @@ class Cropbank:
         for c, end in zip(over.tolist(), held[over].tolist()):
             self._storage[c, :cap] = self._storage[c, end - cap:end]
         num_samples = len(offsets) - 1
-        num_classes = max(len(held), int(class_ids.max(initial=-1)) + 1)
         held = np.minimum(held, cap)
-        if num_classes > len(held):
-            held = np.pad(held, (0, num_classes - len(held)))
         # ends[i + 1, c]: rows of class c stored once samples 0..i are filed
         sample_of_row = np.repeat(np.arange(num_samples), offsets[1:] - offsets[:-1])
         filed = np.bincount((sample_of_row + 1) * num_classes + class_ids,
@@ -98,16 +96,13 @@ class Cropbank:
                                                    in zip(shape, self._storage.shape)])
         self._storage[class_ids, slots] = features
 
-    def sizes(self, num_classes: int) -> np.ndarray:
+    def sizes(self) -> np.ndarray:
         """(samples, num_classes) rows each sample of the last push may draw,
         class by class."""
-        seen = np.minimum(self._ends[:-1, :num_classes], self.capacity)
-        if num_classes > seen.shape[1]:
-            seen = np.pad(seen, ((0, 0), (0, num_classes - seen.shape[1])))
-        return seen
+        return np.minimum(self._ends[:-1], self.capacity)
 
     def rows(self, samples, classes, indices) -> np.ndarray:
-        """(n, D) copies: row indices[j] of the `sizes(...)[samples[j], classes[j]]`
+        """(n, D) copies: row indices[j] of the `sizes()[samples[j], classes[j]]`
         rows that sample samples[j] of the last push may draw of class
         classes[j], for each j; `IndexError` for an index outside them."""
         samples, classes, indices = (np.asarray(a, dtype=int) for a in (samples, classes, indices))
@@ -119,18 +114,6 @@ class Cropbank:
             raise IndexError(f"sample {samples[j]} may draw {counts[j]} rows of class "
                              f"{classes[j]}, not row {indices[j]}")
         return self._storage[classes, ends - counts + indices]
-
-
-@dataclass
-class AugmentPolicy:
-    p_aug: float = 0.5       # per-instance augmentation probability
-    mix_ratio: float = 0.7   # weight kept on the base instance in the blend
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_aug <= 1.0:
-            raise ValueError("p_aug must lie in [0, 1]")
-        if not 0.0 < self.mix_ratio <= 1.0:
-            raise ValueError("mix_ratio must lie in (0, 1]")
 
 
 def _partner_cdf(relation: RelationMatrix, base_class: int, is_majority: bool,
@@ -171,44 +154,52 @@ def augment_sample(
     relation: RelationMatrix,
     majority: frozenset[int],
     bank: Cropbank,
-    policy: AugmentPolicy,
+    p_aug: float,
+    mix_ratio: float,
     rng: np.random.Generator,
     *,
     matches: np.ndarray,
 ) -> tuple[np.ndarray, Labels]:
-    """Independently blend each labeled instance of a batch with probability p_aug.
+    """Independently blend each labeled instance of a batch with probability
+    `p_aug`, in [0, 1], keeping `mix_ratio`, in (0, 1], of the base.
 
     `features` are the (rows, D) features of the batch's proposals, laid end
     to end, `labels` its block (sample i owns rows offsets[i]:offsets[i + 1])
     and `matches` (`match_labels` of the labels) the labels' feature rows.
-    `bank`'s last push must be this batch's: sample i draws what `bank.sizes`
-    and `bank.rows` give sample i, the bank before its own rows were filed.
+    `bank`, built for the relation's classes, must have this batch as its
+    last push: sample i draws what `bank.sizes` and `bank.rows` give sample
+    i, the bank before its own rows were filed. A rate out of its range,
+    another last push or a bank of other classes raises `ValueError`.
 
     Classes outside `majority` (`RelationMatrix.majority`) are minority.
     Labels are drawn in order: one `rng.random()` per label against p_aug,
     then for each blend one `rng.random()` for the partner class
     (`_partner_cdf`) and one `rng.integers` for the partner row, all gathered
-    by one `bank.rows` call. A blend keeps `mix_ratio` of the base: feature
-    row `matches[i]` and label i's class vector become `keep * base + (1 -
-    keep) * pair`, with the partner class's one-hot vector as the pair's, so
-    the class vector turns soft; geometry stays the base's, as resizing the
-    pair to the base is an identity in feature space. A row matched by two
+    by one `bank.rows` call. A blend: feature row `matches[i]` and label i's
+    class vector become `mix_ratio * base + (1 - mix_ratio) * pair`, with the
+    partner class's one-hot vector as the pair's, so the class vector turns
+    soft; geometry stays the base's, as resizing the pair to the base is an
+    identity in feature space. A row matched by two
     labels is blended twice, in label order. Returns a blended copy of the
     features and the labels (the input labels if nothing was blended); the
     inputs are not modified. Labels keep their boxes and offsets, so
     `matches` holds for them too.
     """
+    if not 0.0 <= p_aug <= 1.0:
+        raise ValueError("p_aug must lie in [0, 1]")
+    if not 0.0 < mix_ratio <= 1.0:
+        raise ValueError("mix_ratio must lie in (0, 1]")
     num_classes = relation.num_classes
-    sizes = bank.sizes(num_classes)
-    if len(sizes) != len(labels.offsets) - 1:
-        raise ValueError("the bank's last push is not this batch")
+    sizes = bank.sizes()
+    if sizes.shape != (len(labels.offsets) - 1, num_classes):
+        raise ValueError("the bank's last push is not this batch, or its classes "
+                         "are not the relation's")
     size_rows = sizes.tolist()
     # the relation does not change within the batch: one CDF per base, flag and set of classes
     cdfs: dict[tuple[int, bool, bytes], tuple[list[int], list[float]] | None] = {}
     nonempty = [row.tobytes() for row in sizes > 0]
     base_classes = np.argmax(labels.classes, axis=1).tolist()
     offsets = labels.offsets.tolist()
-    p_aug, keep = policy.p_aug, policy.mix_ratio
 
     draws = []  # (label, sample, partner class, partner row) of each blend
     for k in range(len(offsets) - 1):
@@ -234,9 +225,9 @@ def augment_sample(
     base_rows = matches[blended]
     while len(base_rows):  # each round blends the first of each row's remaining pairs
         j, first = np.unique(base_rows, return_index=True)
-        strong[j] = keep * strong[j] + (1.0 - keep) * pairs[first]
+        strong[j] = mix_ratio * strong[j] + (1.0 - mix_ratio) * pairs[first]
         base_rows, pairs = np.delete(base_rows, first), np.delete(pairs, first, axis=0)
     classes = labels.classes.copy()
-    classes[blended] = keep * labels.classes[blended] \
-        + (1.0 - keep) * np.eye(num_classes)[pair_classes]
+    classes[blended] = mix_ratio * labels.classes[blended] \
+        + (1.0 - mix_ratio) * np.eye(num_classes)[pair_classes]
     return strong, Labels(labels.boxes, classes, labels.offsets)

@@ -7,9 +7,10 @@ samples, and a sample alone is a block of one. Training scores a batch in one
 block, matches and targets the batch's labels as one block (`match_labels`,
 `targets`, arrays with per-sample offsets) and computes every sample's
 losses, and the batch's summed gradients per loss, in one pass of one array
-kernel, `supervised_losses`; `detection_loss` and the expert's `expert_loss`
-are its one-sample, one-term case. The losses equal those of a per-label loop bit for bit, and
-so do the gradients of a block of one; a larger block's gradients are one
+kernel, `supervised_losses`, over a list of (`Targets`, expert) terms;
+`detection_loss` and the expert's `expert_loss` call it on one sample and
+one term. The losses equal those of a per-label loop bit for bit, and so do
+the gradients of a block of one; a larger block's gradients are one
 product over its rows, equal to the in-order sum of its samples' gradients
 up to rounding.
 """
@@ -23,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import write_atomic
+from .util import check_offsets, write_atomic
 from .world import BBox, DetectionSample, box_iou, boxes_from_raw
 
 
@@ -34,6 +35,7 @@ from .world import BBox, DetectionSample, box_iou, boxes_from_raw
 # it sets the CLI adapt run's peak RSS: 42.5 MiB, against 40.6 MiB with blocks
 # of 32 samples
 BLOCK_ROWS = 4096
+INIT_SCALE = 0.01  # standard deviation of `ModelParams.init`'s normal draws
 
 
 class TrainingError(RuntimeError):
@@ -70,12 +72,12 @@ class ModelParams:
 
     @classmethod
     def init(cls, num_classes: int, feature_dim: int, rng: np.random.Generator,
-             scale: float = 0.01, dropout_rate: float = 0.0) -> "ModelParams":
+             dropout_rate: float = 0.0) -> "ModelParams":
         return cls(
-            w_cls=scale * rng.standard_normal((num_classes + 1, feature_dim)),
-            b_cls=scale * rng.standard_normal(num_classes + 1),
-            w_reg=scale * rng.standard_normal((4, feature_dim)),
-            b_reg=scale * rng.standard_normal(4),
+            w_cls=INIT_SCALE * rng.standard_normal((num_classes + 1, feature_dim)),
+            b_cls=INIT_SCALE * rng.standard_normal(num_classes + 1),
+            w_reg=INIT_SCALE * rng.standard_normal((4, feature_dim)),
+            b_reg=INIT_SCALE * rng.standard_normal(4),
             dropout_rate=dropout_rate,
         )
 
@@ -365,21 +367,20 @@ def smooth_l1_grad(diff: np.ndarray) -> np.ndarray:
 
 
 def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray,
-                 offsets=None, label_offsets=None) -> np.ndarray:
+                 offsets, label_offsets) -> np.ndarray:
     """Each label's highest-IoU proposal of its own sample; ties resolve to the
     lowest index, and a label overlapping none gets its sample's first row.
 
     A block: sample i owns proposal rows offsets[i]:offsets[i + 1] and label
-    rows label_offsets[i]:label_offsets[i + 1]; without offsets all rows are
-    one sample's. Returns block rows. Each label's IoU is taken against its
-    own sample's rows alone, so memory grows with the pairs, not with the
+    rows label_offsets[i]:label_offsets[i + 1] (a sample alone has offsets
+    [0, P] and [0, n]). Returns block rows. Each label's IoU is taken against
+    its own sample's rows alone, so memory grows with the pairs, not with the
     block squared, and a sample matches as it does in its block of one.
     """
     proposal_boxes = np.reshape(proposal_boxes, (-1, 4))
     label_boxes = np.reshape(label_boxes, (-1, 4))
-    offsets = np.array([0, len(proposal_boxes)] if offsets is None else offsets, dtype=int)
-    label_offsets = np.array([0, len(label_boxes)] if label_offsets is None else label_offsets,
-                             dtype=int)
+    offsets = np.array(offsets, dtype=int)
+    label_offsets = np.array(label_offsets, dtype=int)
     if len(label_boxes) == 0:
         return np.zeros(0, dtype=int)
     sample_of = np.repeat(np.arange(len(offsets) - 1), label_offsets[1:] - label_offsets[:-1])
@@ -481,15 +482,13 @@ def targets(samples: list[DetectionSample], labels: Labels, weights=None,
     sample; each must lie in the block. Any other index would supervise
     another sample's proposal, or wrap around the block, so it raises
     `ValueError`, as do label offsets that do not rise from 0 to the label
-    count. A sample alone is the block `[sample]`.
+    count (`check_offsets`). A sample alone is the block `[sample]`.
     """
     counts = np.array([s.num_proposals for s in samples], dtype=int)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
     if len(labels.offsets) != len(samples) + 1:
         raise ValueError("labels must hold one label set per sample")
-    lab = labels.offsets
-    if lab.ndim != 1 or lab[0] != 0 or lab[-1] != len(labels) or np.any(lab[1:] < lab[:-1]):
-        raise ValueError(f"label offsets {lab.tolist()} do not rise from 0 to {len(labels)}")
+    check_offsets(labels.offsets, len(labels))
     if matches is None:
         boxes = np.concatenate([s.proposal_boxes for s in samples] or [np.zeros((0, 4))])
         matches = match_labels(boxes, labels.boxes, offsets, labels.offsets)
@@ -529,13 +528,14 @@ def _segment_means(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.bincount(segment, terms, len(counts)) / np.maximum(counts, 1)
 
 
-def supervised_losses(scored: Scored, targets, expert: tuple[float, float] | None = None):
+def supervised_losses(scored: Scored, terms: list[tuple[Targets, tuple[float, float] | None]]):
     """Each sample's supervised loss over a packed block, and the block's
-    exact gradients, summed over its samples.
+    exact gradients, summed over its samples, for each of a list of terms.
 
-    Sample i of `scored` (rows `offsets[i]:offsets[i + 1]`) is supervised by
-    its part of the block's `targets`: each label by weighted cross-entropy
-    and smooth-L1 on the refined coordinates of its matched proposal.
+    A term is a (`Targets`, expert) pair. Sample i of `scored` (rows
+    `offsets[i]:offsets[i + 1]`) is supervised by its part of the term's
+    targets: each label by weighted cross-entropy and smooth-L1 on the
+    refined coordinates of its matched proposal.
 
     - `expert` None gives the detection loss. Each background proposal adds a
       CE term toward the background class, with weight 1. CE averages over
@@ -545,12 +545,11 @@ def supervised_losses(scored: Scored, targets, expert: tuple[float, float] | Non
       cls_weight times the mean CE plus reg_weight times the mean smooth-L1,
       both over the labels.
 
-    Returns the (n,) losses and one `GradientSet` (its `loss` their sum).
-    `targets` may instead be a list of terms, (`Targets`, expert) pairs, for
-    a list of those results, each the bits of its term's own call, from one
-    pass: term t's sample i is segment t * n + i and owns rows t * P + r of
-    the gradient buffers, so each row op runs once over every term's rows and
-    one stacked product gives every term's weight gradients.
+    Returns, per term, the (n,) losses and one `GradientSet` (its `loss`
+    their sum), each the bits of that term's own call, from one pass: term
+    t's sample i is segment t * n + i and owns rows t * P + r of the gradient
+    buffers, so each row op runs once over every term's rows and one stacked
+    product gives every term's weight gradients.
 
     Each sample's loss equals that of a loop over its labels bit for bit, in
     that loop's order: CE rows are a sample's labels, then its background
@@ -562,7 +561,6 @@ def supervised_losses(scored: Scored, targets, expert: tuple[float, float] | Non
     differ from the in-order sum by rounding: under 1e-15 of the array's
     largest entry in random blocks of 11 samples.
     """
-    terms = [(targets, expert)] if isinstance(targets, Targets) else targets
     num_fg, n, size = scored.num_classes, len(scored.offsets) - 1, scored.num_proposals
     if any(len(t.offsets) != n + 1 or len(t.background_offsets) != n + 1 for t, _ in terms):
         raise ValueError(f"targets of another sample count than the block's {n}")
@@ -623,9 +621,8 @@ def supervised_losses(scored: Scored, targets, expert: tuple[float, float] | Non
             losses.append(scale[0] * loss_cls[seg] + scale[1] * loss_box[seg])
     w_cls, w_reg = (grads.transpose(0, 2, 1) @ scored.h for grads in (d_logits, d_refined))
     b_cls, b_reg = d_logits.sum(axis=1), d_refined.sum(axis=1)
-    results = [(loss, GradientSet(w_cls[t], b_cls[t], w_reg[t], b_reg[t], float(loss.sum())))
-               for t, loss in enumerate(losses)]
-    return results[0] if isinstance(targets, Targets) else results
+    return [(loss, GradientSet(w_cls[t], b_cls[t], w_reg[t], b_reg[t], float(loss.sum())))
+            for t, loss in enumerate(losses)]
 
 
 def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
@@ -636,8 +633,8 @@ def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     `targets`. The one-sample case of `supervised_losses`, whose docstring
     gives the terms; a block of one gives the loop's bits.
     """
-    losses, grads = supervised_losses(Scored(params, [sample]),
-                                      targets([sample], labels, weights, background))
+    (losses, grads), = supervised_losses(Scored(params, [sample]),
+                                         [(targets([sample], labels, weights, background), None)])
     return float(losses[0]), grads
 
 

@@ -71,7 +71,6 @@ def expert_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     nothing about the rest of the image, so there is no background term here.
     The one-sample case of `supervised_losses`; no labels give zero.
     """
-    losses, grads = supervised_losses(Scored(params, [sample]),
-                                      targets([sample], labels, weights, background=None),
-                                      expert=(cls_weight, reg_weight))
+    (losses, grads), = supervised_losses(Scored(params, [sample]), [
+        (targets([sample], labels, weights, background=None), (cls_weight, reg_weight))])
     return float(losses[0]), grads

@@ -42,7 +42,7 @@ _CHUNK_ROWS = 4096
 @dataclass
 class EvalResult:
     map50: float
-    per_class_ap: list[float]        # nan for classes with no ground truth
+    per_class_ap: list[float]        # nan for classes with no ground truth, null in JSON
     recall_at_fpi: dict[float, float]
     f1: float
     auc: float | None                # None when one image class is absent
@@ -50,7 +50,7 @@ class EvalResult:
     def to_dict(self) -> dict:
         return {
             "map50": self.map50,
-            "per_class_ap": self.per_class_ap,
+            "per_class_ap": [None if np.isnan(ap) else ap for ap in self.per_class_ap],
             "recall_at_fpi": {repr(k): v for k, v in self.recall_at_fpi.items()},
             "f1": self.f1,
             "auc": self.auc,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import ModelParams, Scored, blocks
-from .util import write_atomic
+from .util import sorted_by_id, write_atomic
 from .world import DetectionSample
 
 SIMILAR = "similar"
@@ -116,9 +116,7 @@ def partition(
         raise ValueError("need at least 2 passes for a variance estimate")
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie in (0, 1)")
-    ordered = sorted(samples, key=lambda s: s.id)
-    if any(a.id == b.id for a, b in zip(ordered, ordered[1:])):
-        raise ValueError("sample ids repeat")
+    ordered = sorted_by_id(samples)
     counts = np.fromiter((s.num_proposals for s in ordered), int, len(ordered))
     if not counts.all():
         raise ValueError(f"sample {ordered[int(np.argmin(counts))].id} has no proposals")

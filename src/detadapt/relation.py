@@ -19,6 +19,12 @@ class NotReadyError(RuntimeError):
     """Raised when a derived quantity needs rows that were never updated."""
 
 
+def check_class_ids(class_ids: np.ndarray, num_classes: int) -> None:
+    """Raise `ValueError` unless every class id lies in [0, num_classes)."""
+    if np.any((class_ids < 0) | (class_ids >= num_classes)):
+        raise ValueError(f"class ids outside [0, {num_classes})")
+
+
 def batch_confusion(true_cls, pred_cls, num_classes: int) -> np.ndarray:
     """Count matrix of one batch: entry (c, x) counts the labels of class c on
     which the student predicted class x.
@@ -29,9 +35,7 @@ def batch_confusion(true_cls, pred_cls, num_classes: int) -> np.ndarray:
     true_cls, pred_cls = np.asarray(true_cls, dtype=int), np.asarray(pred_cls, dtype=int)
     if true_cls.ndim != 1 or true_cls.shape != pred_cls.shape:
         raise ValueError(f"class arrays of shapes {true_cls.shape} and {pred_cls.shape}")
-    both = np.concatenate((true_cls, pred_cls))
-    if np.any((both < 0) | (both >= num_classes)):
-        raise ValueError(f"class ids outside [0, {num_classes})")
+    check_class_ids(np.concatenate((true_cls, pred_cls)), num_classes)
     counts = np.bincount(true_cls * num_classes + pred_cls, minlength=num_classes ** 2)
     return counts.reshape(num_classes, num_classes).astype(float)
 
@@ -50,7 +54,7 @@ class RelationMatrix:
             self.update_counts = np.zeros(self.matrix.shape[0], dtype=int)
 
     @classmethod
-    def identity(cls, num_classes: int, ema_rate: float = 0.99) -> "RelationMatrix":
+    def identity(cls, num_classes: int, ema_rate: float) -> "RelationMatrix":
         # Identity start assumes every class is classified correctly, which
         # keeps early loss weights neutral until real statistics arrive.
         return cls(np.eye(num_classes), ema_rate)

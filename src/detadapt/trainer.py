@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import AdaptationConfig
-from .cropbank import AugmentPolicy, Cropbank, augment_sample
+from .cropbank import Cropbank, augment_sample
 from .detector import (Labels, ModelParams, Scored, TrainingError, match_labels, save_params,
                        sgd_step, supervised_losses, targets)
 from .expert import expert_predict
 from .metrics import EvalResult, evaluate
 from .relation import RelationMatrix, batch_confusion
 from .teacher import background_indices, ema_update, pseudo_label
-from .util import derive_seed, rng_stream, write_atomic
+from .util import derive_seed, rng_stream, sorted_by_id, write_atomic
 from .weighting import relation_weights
 from .world import DetectionSample, generate_domain, perturb_features
 
@@ -135,7 +135,7 @@ class EpochRecord:
 class TrainHistory:
     num_classes: int
     records: list[EpochRecord] = field(default_factory=list)
-    # the last epoch's evaluation of the teacher it returns; None before any epoch
+    # `adapt`'s eval of the teacher it returns (at 0 epochs, the source model's)
     final_teacher_eval: EvalResult | None = None
 
     def to_csv_text(self) -> str:
@@ -154,9 +154,6 @@ class TrainHistory:
 
     def save_csv(self, path) -> None:
         write_atomic(path, self.to_csv_text())
-
-    def final_teacher_map(self) -> float:
-        return self.records[-1].teacher_map if self.records else float("nan")
 
 
 def _batches(order: np.ndarray, batch_size: int):
@@ -188,7 +185,7 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
         order = shuffle_rng.permutation(len(source_data))
         for batch in _batches(order, config.batch_size):
             scored = Scored(params, [source_data[i] for i in batch.tolist()])
-            losses, grads = supervised_losses(scored, source_targets.take(batch))
+            (losses, grads), = supervised_losses(scored, [(source_targets.take(batch), None)])
             if not np.all(np.isfinite(losses)):
                 raise TrainingError(f"non-finite pretrain loss at epoch {epoch}")
             params = sgd_step(params, grads.scaled(1.0 / len(batch)), config.learning_rate)
@@ -204,7 +201,8 @@ def adapt(
     out_dir: str | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Source-free adaptation; returns the final teacher and the epoch history,
-    whose `final_teacher_eval` is the last epoch's evaluation of that teacher.
+    whose `final_teacher_eval` is that teacher's evaluation on the eval set:
+    the last epoch's, or at 0 epochs one of the source model it returns.
 
     Per batch: teacher pseudo-labels each clean sample, the student trains on
     the augmented noisy view with relation-derived instance weights plus expert
@@ -249,15 +247,12 @@ def adapt(
     """
     config.validate()
     num_classes = config.num_classes
-    by_id = {s.id: s for s in target_data}
-    if len(by_id) != len(target_data):
-        raise ValueError(f"{len(target_data) - len(by_id)} target samples repeat an id")
+    ordered = sorted_by_id(target_data)
 
     student = source_params.copy()
     teacher = source_params.copy()
     relation = RelationMatrix.identity(num_classes, config.relation_ema)
-    bank = Cropbank(config.bank_capacity)
-    policy = AugmentPolicy(config.p_aug, config.mix_ratio)
+    bank = Cropbank(config.bank_capacity, num_classes)
 
     eval_spec = dataclasses.replace(config.target, size=config.eval_size)
     eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
@@ -266,11 +261,9 @@ def adapt(
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    ids = sorted(by_id)
     # the expert is frozen: its labels, and their matches, are drawn once per sample
     expert = None
     if config.enable_expert:
-        ordered = [by_id[sample_id] for sample_id in ids]
         expert = targets(ordered, Labels.pack(
             expert_predict(config.expert, s, rng_stream(config.seed, "expert", s.id), num_classes)
             for s in ordered), background=None)
@@ -280,10 +273,10 @@ def adapt(
         noise_rng = rng_stream(config.seed, "noise", epoch)
 
         stu_losses, expert_losses = [], []
-        order = shuffle_rng.permutation(len(ids))
+        order = shuffle_rng.permutation(len(ordered))
         for batch in _batches(order, config.batch_size):
             majority = relation.majority() if config.enable_sa and relation.ready else None
-            samples = [by_id[ids[int(pos)]] for pos in batch]
+            samples = [ordered[int(pos)] for pos in batch]
             scored_t = Scored(teacher, samples)
             offsets = scored_t.offsets
             # the teacher's confident rows become the batch's hard labels, one block
@@ -301,7 +294,8 @@ def adapt(
                 bank.push(scored_t.class_ids[rows], scored_t.h[rows], label_offsets)
                 if majority is not None:
                     strong, labels = augment_sample(strong, labels, relation, majority, bank,
-                                                    policy, aug_rng, matches=matches)
+                                                    config.p_aug, config.mix_ratio, aug_rng,
+                                                    matches=matches)
             strong = perturb_features(strong, config.noise_scale, noise_rng)
             bg = None if config.background_bar is None else \
                 background_indices(teacher, scored_t, config.background_bar)
@@ -352,6 +346,8 @@ def adapt(
         if out_dir:
             save_params(os.path.join(out_dir, f"epoch_{epoch:03d}_teacher.json"), teacher)
             relation.save_rows(os.path.join(out_dir, f"epoch_{epoch:03d}_relation.json"))
+    if not config.epochs:
+        history.final_teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)
 
     return teacher, history
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded RNG sub-streams and atomic writes."""
+"""Small shared helpers: seeded RNG sub-streams, atomic writes, shared checks."""
 
 from __future__ import annotations
 
@@ -45,3 +45,20 @@ def write_atomic(path, text: str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def check_offsets(offsets: np.ndarray, total: int) -> None:
+    """Raise `ValueError` unless `offsets`, 1-D integers, rise from 0 to `total`:
+    the bounds of segments of `total` rows, segment i rows offsets[i]:offsets[i + 1]."""
+    if offsets.ndim != 1 or not len(offsets) or offsets.dtype.kind not in "iu" \
+            or offsets[0] != 0 or offsets[-1] != total or np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError(f"offsets {offsets.tolist()} do not rise from 0 to {total}")
+
+
+def sorted_by_id(samples: list) -> list:
+    """The samples in ascending `id` order; `ValueError` if two share an id."""
+    ordered = sorted(samples, key=lambda s: s.id)
+    repeats = sum(a.id == b.id for a, b in zip(ordered, ordered[1:]))
+    if repeats:
+        raise ValueError(f"{repeats} samples repeat an id")
+    return ordered

@@ -14,31 +14,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .relation import RelationMatrix
+from .relation import RelationMatrix, check_class_ids
+from .util import check_offsets
 
 DENOM_FLOOR = 1e-6
 
 
 def relation_weights(relation: RelationMatrix, true_cls, pred_cls, reg: float,
-                     offsets=None) -> np.ndarray:
+                     offsets) -> np.ndarray:
     """Weights of a block's labels, from their label and predicted classes.
 
-    Sample i's labels are entries offsets[i]:offsets[i + 1]; without offsets
-    all are one sample's. One gather from the matrix gives each label's R[c,x]
+    Sample i's labels are entries offsets[i]:offsets[i + 1] (a sample alone
+    has offsets [0, n]). One gather from the matrix gives each label's R[c,x]
     and R[c,c]. The raw weights (R[c,c] floored at `DENOM_FLOOR` as a divisor)
     are divided by their sample's mean, or set to 1 where that mean is not
     positive, so a fresh identity matrix with all-correct predictions does not
     stall training. They then become (w + reg) / (1 + reg), which keeps each
-    sample's mean at 1. No labels give no weights. A negative `reg`, or
-    offsets that do not rise from 0 to the label count, raise `ValueError`.
+    sample's mean at 1. No labels give no weights. A negative `reg`, a class
+    id outside [0, C) or offsets that do not rise from 0 to the label count
+    (`check_offsets`) raise `ValueError`.
     """
     if reg < 0:
         raise ValueError("regularizer must be non-negative")
     true_cls, pred_cls = np.asarray(true_cls, dtype=int), np.asarray(pred_cls, dtype=int)
-    offsets = np.array([0, len(true_cls)] if offsets is None else offsets, dtype=int)
-    if offsets.ndim != 1 or offsets[:1].tolist() != [0] or offsets[-1] != len(true_cls) \
-            or np.any(offsets[1:] < offsets[:-1]):
-        raise ValueError(f"offsets {offsets.tolist()} do not rise from 0 to {len(true_cls)}")
+    check_class_ids(np.concatenate((true_cls, pred_cls)), relation.num_classes)
+    offsets = np.array(offsets, dtype=int)
+    check_offsets(offsets, len(true_cls))
     counts = offsets[1:] - offsets[:-1]
     pair, diag = relation.matrix[true_cls, np.array((pred_cls, true_cls))]
     raw = np.sqrt(np.maximum(np.where(true_cls == pred_cls, 1.0 - pair,

@@ -30,7 +30,6 @@ from collections import deque
 
 import numpy as np
 
-from detadapt.cropbank import AugmentPolicy
 from detadapt.detector import (Detection, GradientSet, ModelParams, sgd_step, smooth_l1,
                                smooth_l1_grad)
 from detadapt.metrics import FPI_POINTS, EvalResult, evaluate
@@ -536,7 +535,7 @@ def oracle_majority(relation) -> set[int]:
     return {c for c, value in enumerate(diag) if value > mean}
 
 
-def oracle_augment_sample(sample, labels, relation, majority, bank, policy, rng):
+def oracle_augment_sample(sample, labels, relation, majority, bank, p_aug, mix_ratio, rng):
     """`augment_sample` over (`BBox`, class vector) pairs, one label at a time,
     drawing from an `OracleCropbank`; `majority` is `oracle_majority`'s set."""
     if not labels:
@@ -546,12 +545,12 @@ def oracle_augment_sample(sample, labels, relation, majority, bank, policy, rng)
     new_labels = []
     for i, (box, class_vec) in enumerate(labels):
         base_class = int(np.argmax(class_vec))
-        if rng.random() < policy.p_aug:
+        if rng.random() < p_aug:
             pair = oracle_sample_pair(relation, base_class, base_class in majority, bank, rng)
             if pair is not None:
                 j = int(matches[i])
                 blended = oracle_mixup(CropEntry(features[j].copy(), class_vec), pair,
-                                       policy.mix_ratio)
+                                       mix_ratio)
                 features[j] = blended.feature
                 new_labels.append((box, blended.class_vec))
                 continue
@@ -636,7 +635,6 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
     teacher = source_params.copy()
     relation = RelationMatrix.identity(num_classes, config.relation_ema)
     bank = OracleCropbank(config.bank_capacity)
-    policy = AugmentPolicy(config.p_aug, config.mix_ratio)
     eval_spec = dataclasses.replace(config.target, size=config.eval_size)
     eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
     history = TrainHistory(num_classes)
@@ -665,7 +663,8 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                 strong = sample
                 if config.enable_sa and majority is not None:
                     strong, labels = oracle_augment_sample(sample, labels, relation, majority,
-                                                           bank, policy, aug_rng)
+                                                           bank, config.p_aug,
+                                                           config.mix_ratio, aug_rng)
                 if config.noise_scale > 0:
                     # one noise draw per sample in turn
                     features = strong.proposal_features

@@ -80,7 +80,8 @@ def test_block_matches_equal_per_sample_matches(reverse):
                             offsets, labels.offsets)
         for i, (sample, own) in enumerate(zip(samples, label_sets)):
             local = rows[labels.offsets[i]:labels.offsets[i + 1]] - offsets[i]
-            assert np.array_equal(local, match_labels(sample.proposal_boxes, own.boxes))
+            assert np.array_equal(local, match_labels(sample.proposal_boxes, own.boxes,
+                                                      [0, sample.num_proposals], [0, len(own)]))
             assert np.array_equal(local, oracle_match_labels(sample.proposal_boxes, own.boxes))
 
 
@@ -97,7 +98,7 @@ def test_targets_reject_label_offsets_that_do_not_rise_from_zero_to_the_count(of
     samples = mixed_samples(np.random.default_rng(3), [3, 4])
     labels = random_labels(np.random.default_rng(4), count=3)
     labels.offsets = np.array(offsets)
-    with pytest.raises(ValueError, match=r"label offsets \[.*\] do not rise from 0 to 3"):
+    with pytest.raises(ValueError, match=r"offsets \[.*\] do not rise from 0 to 3"):
         targets(samples, labels)
 
 
@@ -180,7 +181,7 @@ def test_block_relation_weights_equal_per_sample_weights():
             got = relation_weights(relation, true_cls, pred_cls, reg, offsets)
             for a, b in zip(offsets, offsets[1:]):
                 assert np.array_equal(got[a:b], relation_weights(relation, true_cls[a:b],
-                                                                 pred_cls[a:b], reg))
+                                                                 pred_cls[a:b], reg, [0, b - a]))
                 assert np.array_equal(got[a:b], oracle_relation_weights(
                     relation, list(zip(true_cls[a:b].tolist(), pred_cls[a:b].tolist())), reg))
 

@@ -225,24 +225,32 @@ def test_adapt_mode_outputs_are_deterministic(tmp_path, tiny_config_file, monkey
 def test_adapt_mode_summary_reuses_the_last_epochs_teacher_eval(
         epochs, tmp_path, tiny_config_file, monkeypatch):
     # the last epoch has already scored the final teacher on the eval set, so
-    # the summary takes that result; with no epochs it evaluates the teacher
+    # the summary takes that result; with no epochs `adapt` evaluates the
+    # teacher it returns, and the CLI evaluates nothing itself
     _, config = tiny_config_file
     config = dataclasses.replace(config, epochs=epochs)
     config_path = tmp_path / "config.json"
     config.save_json(config_path)
     calls = []
 
-    def counted(evaluate):
+    def counted(module):
+        evaluate = module.evaluate
+
         def wrapper(*args, **kwargs):
-            calls.append(evaluate)
+            calls.append(module.__name__)
             return evaluate(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(trainer, "evaluate", counted(trainer.evaluate))
-    monkeypatch.setattr(cli, "evaluate", counted(cli.evaluate))
+    monkeypatch.setattr(trainer, "evaluate", counted(trainer))
+    monkeypatch.setattr(cli, "evaluate", counted(cli))
+    generate, generated = cli.generate_domain, []
+    monkeypatch.setattr(cli, "generate_domain",
+                        lambda spec, seed: generated.append(spec.size) or generate(spec, seed))
     out = tmp_path / "out"
     assert run_cli(["--mode", "adapt", "--config", str(config_path), "--out", str(out)]) == 0
-    assert len(calls) == 2 * epochs + (epochs == 0)
+    assert calls == ["detadapt.trainer"] * (2 * epochs + (epochs == 0))
+    # the CLI builds the target set alone, not the eval set of `eval_size` samples
+    assert generated == [config.target.size] and config.eval_size != config.target.size
     teacher = load_params(out / "teacher_params.json")
     eval_spec = dataclasses.replace(config.target, size=config.eval_size)
     eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
@@ -250,7 +258,7 @@ def test_adapt_mode_summary_reuses_the_last_epochs_teacher_eval(
     summary = json.loads((out / "summary.json").read_text())
     # compared as JSON text, where a NaN AP equals itself
     assert json.dumps(summary["final_teacher"]) == json.dumps(want.to_dict())
-    assert summary["epochs"] == epochs
+    assert summary["final_teacher_map"] == want.map50 and summary["epochs"] == epochs
 
 
 def test_ablation_suite_produces_four_runs(tmp_path, tiny_config_file, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 import bruteforce
 from bruteforce import (CropEntry, OracleCropbank, bbox_pairs, oracle_augment_sample,
                         oracle_majority, oracle_sample_pair)
-from detadapt.cropbank import AugmentPolicy, Cropbank, augment_sample
+from detadapt.cropbank import Cropbank, augment_sample
 from detadapt.detector import Labels, match_labels
 from detadapt.relation import RelationMatrix
 from detadapt.world import DetectionSample
@@ -37,7 +37,7 @@ def probe(bank):
 def held(bank, class_id):
     """The feature rows of one class that a sample may draw, in order."""
     probe(bank)
-    count = bank.sizes(class_id + 1)[0, class_id]
+    count = bank.sizes()[0, class_id]
     return list(bank.rows([0] * count, [class_id] * count, range(count)))
 
 
@@ -59,9 +59,8 @@ def partners(rel, base_class, is_majority, bank, rng, count=1, dim=3):
     boxes = np.zeros((count, 4)) + [0.0, 0.0, 4.0, 4.0]
     labels = Labels.one_hot(boxes, [base_class] * count, rel.num_classes)
     majority = frozenset({base_class} if is_majority else ())
-    strong, out = augment_sample(np.zeros((count, dim)), labels, rel, majority, bank,
-                                 AugmentPolicy(p_aug=1.0, mix_ratio=0.5), rng,
-                                 matches=np.arange(count))
+    strong, out = augment_sample(np.zeros((count, dim)), labels, rel, majority, bank, 1.0, 0.5,
+                                 rng, matches=np.arange(count))
     if out is labels:
         return [None] * count
     pair_classes = np.argmax(out.classes - 0.5 * labels.classes, axis=1)
@@ -73,18 +72,20 @@ def draw(rel, base_class, is_majority, bank, rng, dim=3):
     return partners(rel, base_class, is_majority, bank, rng, dim=dim)[0]
 
 
-def augment(sample, labels, rel, majority, bank, policy, rng, features=None):
+def augment(sample, labels, rel, majority, bank, p_aug, mix_ratio, rng, features=None):
     """`augment_sample` of a batch of one sample, on `features` (by default
     the sample's own), given the labels' own matches, as `adapt` gives them,
     after a push of no rows: the blended features and the labels."""
     probe(bank)
     features = sample.proposal_features if features is None else features
-    return augment_sample(features, labels, rel, majority, bank, policy, rng,
-                          matches=match_labels(sample.proposal_boxes, labels.boxes))
+    matches = match_labels(sample.proposal_boxes, labels.boxes, [0, sample.num_proposals],
+                           [0, len(labels)])
+    return augment_sample(features, labels, rel, majority, bank, p_aug, mix_ratio, rng,
+                          matches=matches)
 
 
 def test_rows_changed_by_the_caller_after_push_stay_unchanged():
-    bank = Cropbank(capacity=4)
+    bank = Cropbank(capacity=4, num_classes=2)
     class_ids, features = np.array([1, 0]), np.ones((2, 3))
     push_rows(bank, class_ids, features)
     class_ids[:], features[:] = 0, 5.0
@@ -93,14 +94,14 @@ def test_rows_changed_by_the_caller_after_push_stay_unchanged():
 
 
 def test_fifo_eviction_order():
-    bank = Cropbank(capacity=2)
+    bank = Cropbank(capacity=2, num_classes=1)
     for value in (1, 2, 3):
         push(bank, 0, value)
     assert np.array_equal(held(bank, 0), [np.full(3, 2.0), np.full(3, 3.0)])
     # within one batch, each sample sees the rows filed before its own
-    bank = Cropbank(capacity=2)
+    bank = Cropbank(capacity=2, num_classes=1)
     bank.push([0, 0, 0], np.arange(3.0)[:, None] + np.zeros(3), [0, 1, 2, 3, 3])
-    assert bank.sizes(1).tolist() == [[0], [1], [2], [2]]
+    assert bank.sizes().tolist() == [[0], [1], [2], [2]]
     assert bank.rows([3, 3], [0, 0], [0, 1]).tolist() == [[1.0] * 3, [2.0] * 3]
     assert bank.rows([2, 2], [0, 0], [0, 1]).tolist() == [[0.0] * 3, [1.0] * 3]
     # one gather of several samples' rows, in the order asked
@@ -112,7 +113,7 @@ def test_fifo_eviction_order():
                          ids=["none_seen", "past_the_end", "negative", "past_capacity"])
 def test_rows_rejects_a_row_the_sample_may_not_draw(sample, index):
     # sample k of the last push sees min(k, capacity) rows of class 0
-    bank = Cropbank(capacity=2)
+    bank = Cropbank(capacity=2, num_classes=1)
     bank.push([0, 0, 0], np.arange(3.0)[:, None] + np.zeros(3), [0, 1, 2, 3, 3])
     with pytest.raises(IndexError, match=f"sample {sample} may draw"):
         bank.rows([2, sample], [0, 0], [0, index])
@@ -120,14 +121,14 @@ def test_rows_rejects_a_row_the_sample_may_not_draw(sample, index):
 
 
 def test_capacity_exactly_filled_no_eviction():
-    bank = Cropbank(capacity=4)
+    bank = Cropbank(capacity=4, num_classes=2)
     for i in range(4):
         push(bank, 1, i)
     assert np.array_equal(held(bank, 1), [np.full(3, float(i)) for i in range(4)])
 
 
 def test_single_entry_sample_returns_it():
-    bank = Cropbank(capacity=4)
+    bank = Cropbank(capacity=4, num_classes=2)
     push(bank, 1, 7)
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
     rng = np.random.default_rng(0)
@@ -139,7 +140,7 @@ def test_majority_masking_excludes_self():
     # column weights [0.3 self, 1.0 other]; masking the self entry leaves only
     # the other class even though its buffer is available
     rel = relation_from([[0.3, 0.9], [1.0, 0.1]])
-    bank = Cropbank(capacity=4)
+    bank = Cropbank(capacity=4, num_classes=2)
     push(bank, 0, 1)
     push(bank, 1, 2)
     rng = np.random.default_rng(1)
@@ -152,7 +153,7 @@ def test_majority_base_never_draws_its_own_class_in_the_uniform_fallback():
     # zero, so the partner class is drawn uniformly over the other classes
     # with rows, and there is no partner when the base's class alone has rows
     rel = relation_from(np.eye(3))
-    bank = Cropbank(capacity=4)
+    bank = Cropbank(capacity=4, num_classes=3)
     push(bank, 0, 1)
     rng = np.random.default_rng(3)
     assert draw(rel, 0, True, bank, rng) is None
@@ -164,7 +165,7 @@ def test_majority_base_never_draws_its_own_class_in_the_uniform_fallback():
 
 def test_minority_row_allows_self_augmentation():
     rel = relation_from([[1.0, 0.0], [0.0, 1.0]])
-    bank = Cropbank(capacity=4)
+    bank = Cropbank(capacity=4, num_classes=2)
     push(bank, 0, 1)
     push(bank, 1, 2)
     rng = np.random.default_rng(2)
@@ -174,7 +175,7 @@ def test_minority_row_allows_self_augmentation():
 
 def test_sampling_frequencies_match_relation_weights():
     rel = relation_from([[0.75, 0.25], [0.5, 0.5]])
-    bank = Cropbank(capacity=2)
+    bank = Cropbank(capacity=2, num_classes=2)
     push(bank, 0, 1)
     push(bank, 1, 2)
     rng = np.random.default_rng(3)
@@ -190,7 +191,7 @@ def test_class_draw_matches_generator_choice_with_zero_weights():
     # after the label's p_aug draw
     rng = np.random.default_rng(44)
     num_classes = 5
-    bank = Cropbank(capacity=1)
+    bank = Cropbank(capacity=1, num_classes=num_classes)
     for k in range(num_classes):
         push(bank, k, k)
     got_rng, want_rng = np.random.default_rng(45), np.random.default_rng(45)
@@ -213,7 +214,7 @@ def test_class_draw_matches_generator_choice_with_zero_weights():
 def test_empty_buffers_signal_no_pair():
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
     rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
-    assert draw(rel, 0, False, Cropbank(4), rng) is None
+    assert draw(rel, 0, False, Cropbank(4, 2), rng) is None
     # the label's p_aug draw, and nothing after it
     want_rng.random()
     assert rng.random() == want_rng.random()
@@ -222,7 +223,7 @@ def test_empty_buffers_signal_no_pair():
 def test_pools_and_draws_match_per_entry_oracle_bank():
     rng = np.random.default_rng(40)
     num_classes, dim = 4, 3
-    bank, oracle = Cropbank(capacity=3), OracleCropbank(capacity=3)
+    bank, oracle = Cropbank(capacity=3, num_classes=num_classes), OracleCropbank(capacity=3)
     # under the identity a majority base has only zero weights: the uniform fallback
     relations = (relation_from(rng.dirichlet(np.ones(num_classes), num_classes)),
                  relation_from(np.eye(num_classes)))
@@ -258,26 +259,23 @@ def test_pools_and_draws_match_per_entry_oracle_bank():
 
 def test_kept_sizes_follow_pushes_and_draws_match_oracle():
     # the bank keeps each buffer's row count between pushes; pushes that evict
-    # within one call, that skip classes or that file classes beyond the
-    # relation's range interleave with draws, which must stay the oracle's,
-    # in the same order from the same stream
+    # within one call or that skip classes interleave with draws, which must
+    # stay the oracle's, in the same order from the same stream
     rng = np.random.default_rng(42)
     num_classes, dim = 3, 2
-    bank, oracle = Cropbank(capacity=2), OracleCropbank(capacity=2)
+    bank, oracle = Cropbank(capacity=2, num_classes=num_classes), OracleCropbank(capacity=2)
     relation = relation_from(rng.dirichlet(np.ones(num_classes), num_classes))
     bank_rng, oracle_rng = np.random.default_rng(43), np.random.default_rng(43)
     drawn = 0
     for step in range(400):
         if step % 3 == 0:
-            class_ids = rng.integers(num_classes + 2, size=int(rng.integers(0, 6)))
+            class_ids = rng.integers(num_classes, size=int(rng.integers(0, 6)))
             features = rng.standard_normal((len(class_ids), dim))
             push_rows(bank, class_ids, features)
             for class_id, feature in zip(class_ids.tolist(), features):
-                oracle.push(class_id,
-                            CropEntry(feature.copy(), np.eye(num_classes + 2)[class_id]))
+                oracle.push(class_id, CropEntry(feature.copy(), np.eye(num_classes)[class_id]))
         probe(bank)
-        assert bank.sizes(num_classes).tolist() == [[len(oracle.entries(k))
-                                                     for k in range(num_classes)]]
+        assert bank.sizes().tolist() == [[len(oracle.entries(k)) for k in range(num_classes)]]
         base = int(rng.integers(num_classes))
         is_majority = bool(rng.integers(2))
         oracle_rng.random()
@@ -291,27 +289,41 @@ def test_kept_sizes_follow_pushes_and_draws_match_oracle():
     assert drawn > 200
 
 
-@pytest.mark.parametrize("class_ids,rows", [([-1], 1), ([0.0], 1), ([0, 1], 1)],
-                         ids=["negative", "float", "count"])
-def test_push_rejects_bad_class_ids_and_leaves_the_bank_empty(class_ids, rows):
-    bank = Cropbank(capacity=2)
-    with pytest.raises(ValueError):
-        bank.push(class_ids, np.zeros((rows, 3)), [0, len(class_ids)])
-    assert held(bank, 0) == [] and bank.sizes(2).tolist() == [[0, 0]]
+@pytest.mark.parametrize("class_ids,rows,message",
+                         [([-1], 1, r"outside \[0, 2\)"), ([0.0], 1, "integers"),
+                          ([2], 1, r"outside \[0, 2\)"), ([2, 0], 2, r"outside \[0, 2\)"),
+                          ([0, 1], 1, "2 class ids for 1 feature rows")],
+                         ids=["negative", "float", "num_classes", "num_classes_then_0",
+                              "count"])
+def test_push_rejects_bad_class_ids_and_leaves_the_bank_empty(class_ids, rows, message):
+    # a bank of two classes does not grow to file a third; one row per sample
+    bank = Cropbank(capacity=2, num_classes=2)
+    with pytest.raises(ValueError, match=message):
+        bank.push(class_ids, np.zeros((rows, 3)), np.arange(len(class_ids) + 1))
+    assert held(bank, 0) == [] and bank.sizes().tolist() == [[0, 0]]
+
+
+def test_sizes_has_a_column_per_class_before_any_row_is_filed():
+    bank = Cropbank(capacity=2, num_classes=3)
+    assert bank.sizes().shape == (0, 3)
+    bank.push(np.zeros(0, dtype=int), np.zeros((0, 4)), [0, 0, 0])
+    assert bank.sizes().tolist() == [[0, 0, 0], [0, 0, 0]]
+    bank.push([2], np.ones((1, 4)), [0, 1, 1])
+    assert bank.sizes().tolist() == [[0, 0, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize("offsets", [[0, 0], [0, 1, 2], [0, 2, 1], [0.0, 1.0], [], [[0, 1]]],
                          ids=["short", "long", "falling", "float", "empty", "matrix"])
 def test_push_rejects_bad_subsets_and_offsets(offsets):
     # the offsets cut the rows into the samples' subsets of rows
-    bank = Cropbank(capacity=2)
+    bank = Cropbank(capacity=2, num_classes=1)
     with pytest.raises(ValueError):
         bank.push([0], np.zeros((1, 3)), offsets)
     assert held(bank, 0) == []
 
 
 def test_push_rejects_feature_rows_of_another_dimension():
-    bank = Cropbank(capacity=2)
+    bank = Cropbank(capacity=2, num_classes=1)
     push(bank, 0, 1, dim=3)
     with pytest.raises(ValueError):
         push(bank, 0, 2, dim=2)
@@ -319,15 +331,43 @@ def test_push_rejects_feature_rows_of_another_dimension():
 
 
 def test_augment_rejects_a_batch_the_bank_was_not_given():
-    bank = Cropbank(capacity=2)
+    bank = Cropbank(capacity=2, num_classes=2)
     push(bank, 0, 1)
     sample, labels = make_sample_with_labels()
     # the last push filed one sample; the batch has two
     with pytest.raises(ValueError, match="last push"):
         augment_sample(np.vstack([sample.proposal_features] * 2), Labels.pack([labels, labels]),
-                       relation_from(np.eye(2)),
-                       frozenset({0}), bank, AugmentPolicy(), np.random.default_rng(0),
-                       matches=np.arange(4))
+                       relation_from(np.eye(2)), frozenset({0}), bank, 0.5, 0.7,
+                       np.random.default_rng(0), matches=np.arange(4))
+    # a bank of three classes for a relation of two
+    bank = Cropbank(capacity=2, num_classes=3)
+    push(bank, 0, 1)
+    with pytest.raises(ValueError, match="classes"):
+        augment_sample(sample.proposal_features, labels, relation_from(np.eye(2)),
+                       frozenset({0}), bank, 0.5, 0.7, np.random.default_rng(0),
+                       matches=np.arange(2))
+
+
+@pytest.mark.parametrize("p_aug,mix_ratio,message",
+                         [(-0.1, 0.7, "p_aug"), (1.1, 0.7, "p_aug"), (np.nan, 0.7, "p_aug"),
+                          (0.5, 0.0, "mix_ratio"), (0.5, 1.5, "mix_ratio"),
+                          (0.5, np.nan, "mix_ratio")])
+def test_augment_rejects_rates_out_of_range_before_drawing(p_aug, mix_ratio, message):
+    sample, labels = make_sample_with_labels()
+    rng, fresh = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(ValueError, match=message):
+        augment(sample, labels, relation_from(np.eye(2)), frozenset({0}), full_bank(), p_aug,
+                mix_ratio, rng)
+    assert rng.random() == fresh.random()
+
+
+@pytest.mark.parametrize("p_aug,mix_ratio", [(0.0, 1.0), (1.0, 1.0), (1.0, 1e-9)])
+def test_augment_accepts_rates_at_the_ends_of_their_ranges(p_aug, mix_ratio):
+    sample, labels = make_sample_with_labels()
+    features, out = augment(sample, labels, relation_from([[0.6, 0.4], [0.4, 0.6]]),
+                            frozenset({0}), full_bank(), p_aug, mix_ratio,
+                            np.random.default_rng(0))
+    assert features.shape == sample.proposal_features.shape and len(out) == len(labels)
 
 
 def blend(ratio):
@@ -335,12 +375,11 @@ def blend(ratio):
     boxes = np.array([[0.0, 0.0, 4.0, 4.0]])
     sample = DetectionSample(0, boxes, np.array([[1.0, 1.0]]), np.zeros((0, 4)),
                              np.zeros(0, dtype=int))
-    bank = Cropbank(capacity=1)
+    bank = Cropbank(capacity=1, num_classes=2)
     push_rows(bank, [1], [np.array([3.0, -1.0])])
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
-    features, out_labels = augment(
-        sample, Labels.one_hot(boxes, [0], 2), rel, frozenset({0}), bank,
-        AugmentPolicy(p_aug=1.0, mix_ratio=ratio), np.random.default_rng(0))
+    features, out_labels = augment(sample, Labels.one_hot(boxes, [0], 2), rel, frozenset({0}),
+                                   bank, 1.0, ratio, np.random.default_rng(0))
     return features[0], out_labels.classes[0]
 
 
@@ -365,7 +404,7 @@ def make_sample_with_labels(num_classes=2, dim=3):
 
 
 def full_bank(num_classes=2, dim=3):
-    bank = Cropbank(capacity=4)
+    bank = Cropbank(capacity=4, num_classes=num_classes)
     for c in range(num_classes):
         push(bank, c, 9, dim)
     return bank
@@ -374,9 +413,8 @@ def full_bank(num_classes=2, dim=3):
 def test_augment_p_zero_is_identity():
     sample, labels = make_sample_with_labels()
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
-    features, out_labels = augment(
-        sample, labels, rel, frozenset({0}), full_bank(), AugmentPolicy(p_aug=0.0),
-        np.random.default_rng(0))
+    features, out_labels = augment(sample, labels, rel, frozenset({0}), full_bank(), 0.0, 0.7,
+                                   np.random.default_rng(0))
     assert np.array_equal(features, sample.proposal_features)
     assert all(np.array_equal(a[1], b[1]) for a, b in zip(labels, out_labels))
 
@@ -384,9 +422,8 @@ def test_augment_p_zero_is_identity():
 def test_always_augment_majority_in_similar_sample():
     sample, labels = make_sample_with_labels()
     rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
-    policy = AugmentPolicy(p_aug=1.0, mix_ratio=0.7)
-    features, out_labels = augment(
-        sample, labels, rel, frozenset({0}), full_bank(), policy, np.random.default_rng(2))
+    features, out_labels = augment(sample, labels, rel, frozenset({0}), full_bank(), 1.0, 0.7,
+                                   np.random.default_rng(2))
     # every instance blended; majority soft label peaks at the mix ratio
     assert out_labels.classes[0].max() == pytest.approx(0.7)
     assert np.all(np.abs(out_labels.classes[1].sum() - 1.0) < 1e-9)
@@ -405,9 +442,8 @@ def test_class_vectors_stay_simplex_under_repeated_augmentation():
     rng = np.random.default_rng(3)
     features, current_labels = sample.proposal_features, labels
     for _ in range(10):
-        features, current_labels = augment(
-            sample, current_labels, rel, frozenset({0}), bank, AugmentPolicy(p_aug=1.0), rng,
-            features)
+        features, current_labels = augment(sample, current_labels, rel, frozenset({0}), bank,
+                                           1.0, 0.7, rng, features)
         for _, vec in current_labels:
             assert vec.sum() == pytest.approx(1.0)
             assert np.all(vec >= -1e-12)
@@ -440,8 +476,7 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeyp
     # the same bytes and the same stream
     rng = np.random.default_rng(capacity)
     num_classes, dim = 3, 4
-    bank, oracle = Cropbank(capacity), OracleCropbank(capacity)
-    policy = AugmentPolicy(p_aug=0.7, mix_ratio=0.7)
+    bank, oracle = Cropbank(capacity, num_classes), OracleCropbank(capacity)
     bank_rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
     filed_this_batch, own_batch_draws, evicted_within_batch, blends = set(), 0, 0, 0
     rows_blended_twice = 0
@@ -467,7 +502,7 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeyp
         features = np.concatenate([s.proposal_features for s in samples])
         clean = features.copy()
         strong, mixed = augment_sample(features, labels, relation, relation.majority(), bank,
-                                       policy, bank_rng, matches=matches)
+                                       0.7, 0.7, bank_rng, matches=matches)
         assert np.array_equal(features, clean)
         soft = matches[mixed.classes.max(axis=1) < 1.0]
         rows_blended_twice += len(soft) - len(np.unique(soft))
@@ -479,7 +514,7 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeyp
             own = slice(labels.offsets[k], labels.offsets[k + 1])
             want_sample, want_labels = oracle_augment_sample(
                 sample, bbox_pairs(Labels(labels.boxes[own], labels.classes[own])), relation,
-                majority, oracle, policy, oracle_rng)
+                majority, oracle, 0.7, 0.7, oracle_rng)
             rows = slice(proposal_offsets[k], proposal_offsets[k + 1])
             assert strong[rows].tobytes() == want_sample.proposal_features.tobytes()
             want_classes = np.array([vec for _, vec in want_labels]).reshape(-1, num_classes)

@@ -141,9 +141,10 @@ def test_packed_block_matches_per_sample_oracles():
                                for a, b, bg in zip(scored.offsets, scored.offsets[1:],
                                                    background)]).astype(int)
         packed, packed_weights = Labels.pack(labels), np.concatenate(weights)
-        got = supervised_losses(scored, targets(samples, packed, packed_weights, rows))
-        got_expert = supervised_losses(scored, targets(samples, packed, packed_weights, None),
-                                       (1.3, 0.7))
+        (got,) = supervised_losses(scored, [(targets(samples, packed, packed_weights, rows),
+                                             None)])
+        (got_expert,) = supervised_losses(scored, [(targets(samples, packed, packed_weights,
+                                                            None), (1.3, 0.7))])
         want = [oracle_detection_loss(params, sample, bbox_pairs(labels[i]), weights[i],
                                       background={"repeat": [0, 0]}.get(background[i],
                                                                         background[i]))
@@ -276,14 +277,14 @@ def test_fused_terms_equal_separate_calls(with_expert_labels):
         for terms in ([(stu, None), (exp, weights)], [(exp, weights), (stu, None)],
                       [(stu, None)], [(exp, weights)], [(stu, None), (exp, weights), (stu, None)]):
             fused = supervised_losses(scored, terms)
-            separate = [supervised_losses(scored, part, expert) for part, expert in terms]
+            separate = [supervised_losses(scored, [term])[0] for term in terms]
             assert len(fused) == len(terms)
             for (losses, grads), (want_losses, want_grads) in zip(fused, separate):
                 assert np.array_equal(losses, want_losses)
                 assert_same((grads.loss, grads), (want_grads.loss, want_grads))
         (_, g_stu), (_, g_exp) = supervised_losses(scored, [(stu, None), (exp, weights)])
-        (_, want_stu), (_, want_exp) = (supervised_losses(scored, stu),
-                                        supervised_losses(scored, exp, weights))
+        ((_, want_stu),), ((_, want_exp),) = (supervised_losses(scored, [(stu, None)]),
+                                              supervised_losses(scored, [(exp, weights)]))
         for u in (0.0, 0.5, 1.0):
             got, want = g_stu.scaled(u) + g_exp, want_stu.scaled(u) + want_exp
             assert_same((got.loss, got), (want.loss, want))

@@ -201,13 +201,14 @@ def test_evaluate_matches_object_oracle_on_tied_scores():
 
 
 def test_evaluate_matches_object_oracle_on_missing_classes():
-    # class 3 has no ground truth (nan AP); class 2 has some but is never predicted (AP 0)
+    # class 3 has no ground truth (nan AP, null in JSON); class 2 has some but
+    # is never predicted (AP 0)
     samples, params = eval_world(4, frequency=(0.4, 0.3, 0.3, 0.0))
     params.b_cls[2] = -50.0
     params.w_cls[3] = params.w_cls[0]
     doc = assert_evaluate_matches_oracle(params, samples)
     ap = doc["per_class_ap"]
-    assert ap[2] == 0.0 and np.isnan(ap[3]) and ap[0] > 0.0
+    assert ap[2] == 0.0 and ap[3] is None and ap[0] > 0.0
 
 
 def test_evaluate_rejects_a_ground_truth_class_it_does_not_report():
@@ -220,7 +221,7 @@ def test_evaluate_rejects_a_ground_truth_class_it_does_not_report():
             evaluate(params, samples)
     samples[0].gt_classes[0] = 3
     doc = evaluate(params, samples, num_classes=5).to_dict()
-    assert np.isnan(doc["per_class_ap"][4]) and not np.isnan(doc["per_class_ap"][3])
+    assert doc["per_class_ap"][4] is None and doc["per_class_ap"][3] >= 0.0
 
 
 def test_evaluate_of_no_samples_matches_object_oracle():
@@ -274,7 +275,7 @@ def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeyp
 
 
 def test_evaluate_does_not_depend_on_the_block_size(monkeypatch):
-    # class 3 has no ground truth (nan AP); pairs of one-proposal samples
+    # class 3 has no ground truth (nan AP, null in JSON); pairs of one-proposal samples
     # straddle block edges at the smaller budgets
     samples, params = eval_world(4, frequency=(0.4, 0.3, 0.3, 0.0))
     for sample in samples[:-1]:
@@ -288,7 +289,7 @@ def test_evaluate_does_not_depend_on_the_block_size(monkeypatch):
         monkeypatch.setattr(detector, "BLOCK_ROWS", budget)
         num_blocks.append(len(blocks(offsets)))
         texts.add(json.dumps(evaluate(params, samples).to_dict()))
-    assert len(texts) == 1 and "NaN" in texts.pop()
+    assert len(texts) == 1 and "null" in texts.pop()
     assert num_blocks[0] == len(samples) and num_blocks[1] > num_blocks[2] == num_blocks[3] == 1
 
 

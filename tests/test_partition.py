@@ -294,7 +294,8 @@ def test_partition_rejects_repeated_sample_ids():
     samples = mixed_samples(rng, [3] * 50)
     for i, sample in enumerate(samples):
         sample.id = i % 10
-    with pytest.raises(ValueError, match="repeat"):
+    # the rule `adapt` applies too (`util.sorted_by_id`)
+    with pytest.raises(ValueError, match="^40 samples repeat an id$"):
         partition(samples, random_params(rng, dropout=0.3), 4, 0.5, np.random.default_rng(0))
 
 

@@ -148,7 +148,7 @@ def test_split_examples():
 
 
 def test_split_requires_every_row_updated():
-    rel = RelationMatrix.identity(3)
+    rel = RelationMatrix.identity(3, ema_rate=0.99)
     with pytest.raises(NotReadyError):
         rel.majority()
     rel.update(batch_confusion([0, 1], [0, 1], 3))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import json
 import os
 
 import numpy as np
@@ -352,8 +353,29 @@ def test_adapt_rejects_repeated_sample_ids():
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
     for i, sample in enumerate(target):
         sample.id = i % 10
-    with pytest.raises(ValueError, match="repeat an id"):
+    # the rule `partition` applies too (`util.sorted_by_id`)
+    with pytest.raises(ValueError, match="^40 samples repeat an id$"):
         adapt(params, target, config)
+
+
+def test_adapt_at_zero_epochs_evaluates_the_source_model_on_its_eval_set(tmp_path):
+    # one evaluation path: the CLI summary takes `final_teacher_eval` at any epoch count
+    config = tiny_config(epochs=0)
+    params, _ = pretrain_source(config)
+    target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
+    teacher, history = adapt(params, target, config)
+    eval_spec = dataclasses.replace(config.target, size=config.eval_size)
+    eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
+    want = evaluate(params, eval_data, num_classes=config.num_classes)
+    assert history.records == [] and teacher.to_dict() == params.to_dict()
+    assert history.final_teacher_eval.to_dict() == want.to_dict()
+    assert history.final_teacher_eval.map50 == want.map50
+    config_path = tmp_path / "config.json"
+    config.save_json(config_path)
+    assert cli.run_cli(["--mode", "adapt", "--config", str(config_path),
+                        "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["final_teacher"] == want.to_dict()
 
 
 def test_target_split_is_a_diagnostic_only(busy_run, tmp_path, monkeypatch):
@@ -468,17 +490,16 @@ def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatc
         drawn[sample.id] = real_predict(spec, sample, rng, num_classes)
         return drawn[sample.id]
 
-    def losses(scored, terms, expert=None):
+    def losses(scored, terms):
         # one call per batch, its terms the student's labels and the expert's
-        for targets, weights in ([(terms, expert)] if isinstance(terms, detector.Targets)
-                                 else terms):
+        for targets, weights in terms:
             if weights is not None:
                 epoch = events.count("epoch end")
                 for sample_id, labels in zip(block[-1],
                                              expert_label_sets(targets, len(block[-1]))):
                     seen[epoch].setdefault(sample_id, []).append(labels)
         events.append("loss")
-        return real_losses(scored, terms, expert)
+        return real_losses(scored, terms)
 
     def init(self, params, samples, *args, **kwargs):
         block.append([s.id for s in samples])

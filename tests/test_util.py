@@ -1,15 +1,18 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
 from detadapt import cli, util
 from detadapt.config import default_config
-from detadapt.detector import ModelParams, save_params
+from detadapt.cropbank import Cropbank
+from detadapt.detector import Labels, ModelParams, save_params, targets
 from detadapt.partition import VarianceReport
 from detadapt.relation import RelationMatrix
 from detadapt.trainer import EpochRecord, TrainHistory
-from detadapt.world import generate_domain, make_domain_spec, save_dataset
+from detadapt.weighting import relation_weights
+from detadapt.world import DetectionSample, generate_domain, make_domain_spec, save_dataset
 
 
 def _params(version):
@@ -67,3 +70,65 @@ def test_write_atomic_writes_text_verbatim(tmp_path):
     path = tmp_path / "rows.csv"
     util.write_atomic(path, "a,b\r\nc\n")
     assert path.read_bytes() == b"a,b\r\nc\n"
+
+
+def _offsets_callers():
+    """The three callers of `util.check_offsets`, each on a block of 3 rows cut
+    by the given offsets: `targets`' labels, `relation_weights`' labels and
+    `Cropbank.push`'s rows."""
+    def sample(i):
+        boxes = np.array([[0.0, 0.0, 4.0, 4.0], [10.0, 10.0, 14.0, 14.0]])
+        return DetectionSample(i, boxes, np.ones((2, 2)), np.zeros((0, 4)), np.zeros(0, int))
+
+    def with_targets(offsets):
+        labels = Labels.one_hot(np.tile([0.0, 0.0, 4.0, 4.0], (3, 1)), [0, 1, 0], 2, offsets)
+        targets([sample(i) for i in range(len(labels.offsets) - 1)], labels)
+
+    def with_weights(offsets):
+        relation_weights(RelationMatrix.identity(2, 0.9), [0, 1, 0], [0, 1, 1], 0.5, offsets)
+
+    def with_push(offsets):
+        Cropbank(2, 2).push([0, 1, 0], np.ones((3, 2)), offsets)
+
+    return {"targets": with_targets, "relation_weights": with_weights, "push": with_push}
+
+
+@pytest.mark.parametrize("caller", ["targets", "relation_weights", "push"])
+@pytest.mark.parametrize("offsets", [[1, 3], [0, 2], [0, 4], [1, 4], [0, 2, 1, 3], [],
+                                     [[0, 3]]],
+                         ids=["starts_past_0", "ends_short", "ends_past", "shifted_by_one",
+                              "falls", "empty", "two_dimensional"])
+def test_each_caller_rejects_malformed_offsets_with_one_message(caller, offsets):
+    if caller == "targets" and not offsets:
+        # a block needs offsets of one more entry than its samples, so no
+        # sample count admits empty offsets: `targets` rejects them before
+        with pytest.raises(ValueError, match="one label set per sample"):
+            _offsets_callers()[caller](offsets)
+        return
+    message = f"offsets {np.array(offsets, dtype=int).tolist()} do not rise from 0 to 3"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _offsets_callers()[caller](offsets)
+
+
+@pytest.mark.parametrize("caller", ["targets", "relation_weights", "push"])
+def test_each_caller_accepts_offsets_that_rise_from_zero_to_the_count(caller):
+    for offsets in ([0, 3], [0, 0, 1, 3, 3]):
+        _offsets_callers()[caller](offsets)
+
+
+def test_check_offsets_takes_integers_only():
+    util.check_offsets(np.array([0, 1, 3]), 3)
+    util.check_offsets(np.array([0], dtype=np.uint8), 0)
+    with pytest.raises(ValueError, match=r"^offsets \[0.0, 3.0\] do not rise from 0 to 3$"):
+        util.check_offsets(np.array([0.0, 3.0]), 3)
+
+
+def test_sorted_by_id_sorts_and_counts_repeated_ids():
+    samples = [DetectionSample(i, np.zeros((0, 4)), np.zeros((0, 2)), np.zeros((0, 4)),
+                               np.zeros(0, int)) for i in (3, 1, 2)]
+    assert [s.id for s in util.sorted_by_id(samples)] == [1, 2, 3]
+    assert util.sorted_by_id([]) == []
+    samples[0].id = 1
+    samples.append(samples[1])
+    with pytest.raises(ValueError, match="^2 samples repeat an id$"):
+        util.sorted_by_id(samples)

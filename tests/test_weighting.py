@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bruteforce import oracle_relation_weights
-from detadapt.relation import RelationMatrix
+from detadapt.relation import RelationMatrix, batch_confusion
 from detadapt.weighting import relation_weights
 
 
@@ -11,9 +11,14 @@ def matrix(rows):
                           update_counts=np.ones(len(rows), dtype=int))
 
 
+def one_sample(rel, true_cls, pred_cls, reg):
+    """`relation_weights` of one sample's labels."""
+    return relation_weights(rel, true_cls, pred_cls, reg, [0, len(true_cls)])
+
+
 def normalized(rel, true_cls, pred_cls):
     """The mean-normalized weights alone: `reg` 0 leaves them as they are."""
-    return relation_weights(rel, true_cls, pred_cls, reg=0.0)
+    return one_sample(rel, true_cls, pred_cls, 0.0)
 
 
 def test_instance_weight_examples():
@@ -58,17 +63,17 @@ def test_normalize_foreground():
 def test_regularize():
     # normalized weights [0, 2]: a perfect class and sqrt(1 - 0.7)
     rel = matrix([[1.0, 0.0], [0.3, 0.7]])
-    assert relation_weights(rel, [0, 1], [0, 1], 0.5)[0] == pytest.approx(1 / 3)
+    assert one_sample(rel, [0, 1], [0, 1], 0.5)[0] == pytest.approx(1 / 3)
     assert np.allclose(normalized(rel, [0, 1], [0, 1]), [0.0, 2.0])
     for reg in (0.2, 0.5, 2.0):
-        assert relation_weights(rel, [0, 1], [0, 1], reg).mean() == pytest.approx(1.0)
+        assert one_sample(rel, [0, 1], [0, 1], reg).mean() == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        relation_weights(rel, [0, 1], [0, 1], -0.1)
+        one_sample(rel, [0, 1], [0, 1], -0.1)
 
 
 def test_pipeline_mean_one_and_positive():
     rel = matrix([[0.7, 0.2, 0.1], [0.3, 0.6, 0.1], [0.4, 0.4, 0.2]])
-    weights = relation_weights(rel, [0, 0, 1, 2, 2], [0, 1, 1, 0, 2], reg=0.5)
+    weights = one_sample(rel, [0, 0, 1, 2, 2], [0, 1, 1, 0, 2], 0.5)
     assert np.all(weights > 0)
     assert weights.mean() == pytest.approx(1.0)
     # adding unit background weights keeps the combined mean at one
@@ -78,7 +83,7 @@ def test_pipeline_mean_one_and_positive():
 
 def test_pipeline_degenerate_falls_back_to_uniform():
     rel = matrix([[1.0, 0.0], [0.0, 1.0]])  # identity: every raw weight is zero
-    weights = relation_weights(rel, [0, 1], [0, 1], reg=0.5)
+    weights = one_sample(rel, [0, 1], [0, 1], 0.5)
     assert np.allclose(weights, 1.0)
 
 
@@ -104,7 +109,7 @@ def test_weights_equal_per_pair_oracle(seed):
             pred_cls = np.where(rng.random(size) < 0.5, true_cls,
                                 rng.integers(num_classes, size=size))
             for reg in (0.0, 0.5, 2.0):
-                got = relation_weights(rel, true_cls, pred_cls, reg)
+                got = one_sample(rel, true_cls, pred_cls, reg)
                 want = oracle_relation_weights(
                     rel, list(zip(true_cls.tolist(), pred_cls.tolist())), reg)
                 assert np.array_equal(got, want), (size, reg)
@@ -121,3 +126,16 @@ def test_offsets_must_rise_from_zero_to_the_label_count(offsets):
     # the same labels with well-formed offsets, empty samples included
     for good in ([0, 3], [0, 0, 1, 3, 3]):
         assert relation_weights(rel, [0, 1, 2], [0, 2, 2], 0.5, good).shape == (3,)
+
+
+@pytest.mark.parametrize("true_cls,pred_cls", [([-1, 0], [0, 0]), ([0, 3], [0, 0]),
+                                               ([0, 0], [-1, 0]), ([0, 0], [0, 3])],
+                         ids=["label_-1", "label_C", "predicted_-1", "predicted_C"])
+def test_class_ids_outside_the_relation_are_rejected_as_batch_confusion_does(true_cls, pred_cls):
+    # -1 would read class C - 1 by NumPy's negative index, and C past the matrix
+    rel = matrix([[0.7, 0.2, 0.1], [0.3, 0.6, 0.1], [0.4, 0.4, 0.2]])
+    with pytest.raises(ValueError, match=r"class ids outside \[0, 3\)"):
+        relation_weights(rel, true_cls, pred_cls, 0.5, [0, 2])
+    with pytest.raises(ValueError, match=r"class ids outside \[0, 3\)"):
+        batch_confusion(true_cls, pred_cls, 3)
+    assert one_sample(rel, [0, 2], [0, 2], 0.5).shape == (2,)
