@@ -5,26 +5,25 @@ mode collapse: an EMA-smoothed class-relation matrix drives instance-level loss
 reweighting and relation-guided MixUp from per-class FIFO crop banks, and a
 simulated frozen expert supplies auxiliary pseudo-supervision. A
 dropout-variance split of the target set into source-similar and dissimilar
-samples is written as a diagnostic; training does not read it. The subset
-discriminator loss (with gradient reversal) is provided but not trained: the
-detector is linear in the raw features, so it has no trunk for the reversed
-gradients.
+samples is written as a diagnostic; training does not read it. The package
+exports the array path that runs. The object view (`Detection`, `forward`,
+`BBox`), the list metrics, the one-sample wrappers and the untrained subset
+discriminator stay defined in their own modules only.
 """
 
 from .config import AdaptationConfig, default_config
 from .cropbank import Cropbank, augment_sample
-from .detector import (Detection, GradientSet, Labels, ModelParams, Scored, TrainingError,
-                       detection_loss, forward, load_params, save_params, sgd_step)
-from .expert import ExpertSpec, expert_loss, expert_predict
-from .metrics import EvalResult, evaluate, f1_auc, froc, map_at_iou
-from .partition import DISSIMILAR, SIMILAR, VarianceReport, mc_passes, partition
+from .detector import (GradientSet, Labels, ModelParams, Scored, TrainingError, load_params,
+                       save_params, sgd_step)
+from .expert import ExpertSpec, expert_predict
+from .metrics import EvalResult, evaluate
+from .partition import DISSIMILAR, SIMILAR, VarianceReport, partition
 from .relation import NotReadyError, RelationMatrix, batch_confusion
 from .teacher import ema_update, pseudo_label
-from .trainer import (DiscriminatorParams, SealedDataset, SourceAccessError,
-                      TrainHistory, ablation_variants, adapt, discriminator_loss,
+from .trainer import (SealedDataset, SourceAccessError, TrainHistory, ablation_variants, adapt,
                       pretrain_source)
 from .weighting import relation_weights
-from .world import (BBox, ConfigError, DetectionSample, DomainSpec, generate_domain,
-                    load_dataset, make_domain_spec, save_dataset, shift_domain)
+from .world import (ConfigError, DetectionSample, DomainSpec, generate_domain, load_dataset,
+                    make_domain_spec, save_dataset, shift_domain)
 
 __version__ = "0.1.0"

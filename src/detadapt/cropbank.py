@@ -51,6 +51,7 @@ class Cropbank:
         `class_ids` and `features` (`check_offsets`), and feature row r goes
         to the buffer of class class_ids[r], in row order. The bank stores
         copies. Class ids are integers in [0, num_classes) (`check_class_ids`).
+        An empty batch, in any form, files nothing.
         """
         class_ids = np.asarray(class_ids)
         features = np.asarray(features, dtype=float)
@@ -64,6 +65,7 @@ class Cropbank:
                              f"got {features.shape}")
         if len(class_ids) and class_ids.dtype.kind not in "iu":
             raise ValueError("class ids must be integers")
+        class_ids = class_ids.astype(int, copy=False)  # an empty list reads as float
         check_class_ids(class_ids, num_classes)
         check_offsets(offsets, len(class_ids))
 

@@ -53,7 +53,7 @@ class ModelParams:
     b_cls: np.ndarray
     w_reg: np.ndarray
     b_reg: np.ndarray
-    dropout_rate: float = 0.0
+    dropout_rate: float
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -72,7 +72,8 @@ class ModelParams:
 
     @classmethod
     def init(cls, num_classes: int, feature_dim: int, rng: np.random.Generator,
-             dropout_rate: float = 0.0) -> "ModelParams":
+             dropout_rate: float) -> "ModelParams":
+        """Heads of normal draws, standard deviation `INIT_SCALE`, at `dropout_rate`."""
         return cls(
             w_cls=INIT_SCALE * rng.standard_normal((num_classes + 1, feature_dim)),
             b_cls=INIT_SCALE * rng.standard_normal(num_classes + 1),
@@ -137,11 +138,6 @@ class GradientSet:
     w_reg: np.ndarray
     b_reg: np.ndarray
     loss: float = 0.0
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams, loss: float = 0.0) -> "GradientSet":
-        return cls(np.zeros_like(params.w_cls), np.zeros_like(params.b_cls),
-                   np.zeros_like(params.w_reg), np.zeros_like(params.b_reg), loss)
 
     def scaled(self, factor: float) -> "GradientSet":
         return GradientSet(factor * self.w_cls, factor * self.b_cls,
@@ -285,16 +281,11 @@ def blocks(offsets: np.ndarray, passes: int = 1) -> list[tuple[int, int]]:
     return bounds
 
 
-def forward_arrays(params: ModelParams, sample: DetectionSample,
-                   dropout_seed: int | None = None):
-    """(h, log_scores, scores, refined) of one sample: the arrays of its block
-    of one, `Scored(params, [sample])`, or with a seed the one pass of
-    `Scored(params, [sample], np.random.default_rng(dropout_seed))`.
-    """
-    rng = None if dropout_seed is None else np.random.default_rng(dropout_seed)
-    scored = Scored(params, [sample], rng)
-    arrays = scored.h, scored.log_scores, scored.scores, scored.refined
-    return arrays if rng is None else tuple(a[0] for a in arrays)
+def forward_arrays(params: ModelParams, sample: DetectionSample):
+    """(h, log_scores, scores, refined) of one sample, without dropout: the
+    arrays of its block of one, `Scored(params, [sample])`."""
+    scored = Scored(params, [sample])
+    return scored.h, scored.log_scores, scored.scores, scored.refined
 
 
 def forward(params: ModelParams, sample: DetectionSample) -> list[Detection]:
@@ -376,11 +367,17 @@ def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray,
     [0, P] and [0, n]). Returns block rows. Each label's IoU is taken against
     its own sample's rows alone, so memory grows with the pairs, not with the
     block squared, and a sample matches as it does in its block of one.
+    Each offset array must rise from 0 to its box count (`check_offsets`),
+    and both must have one entry per sample and one more.
     """
     proposal_boxes = np.reshape(proposal_boxes, (-1, 4))
     label_boxes = np.reshape(label_boxes, (-1, 4))
     offsets = np.array(offsets, dtype=int)
     label_offsets = np.array(label_offsets, dtype=int)
+    check_offsets(offsets, len(proposal_boxes))
+    check_offsets(label_offsets, len(label_boxes))
+    if len(offsets) != len(label_offsets):
+        raise ValueError(f"offsets of {len(offsets) - 1} and {len(label_offsets) - 1} samples")
     if len(label_boxes) == 0:
         return np.zeros(0, dtype=int)
     sample_of = np.repeat(np.arange(len(offsets) - 1), label_offsets[1:] - label_offsets[:-1])

@@ -1,5 +1,5 @@
 """Detection metrics: mAP at fixed IoU, FROC recall at FPI budgets, F1 and
-image-level AUC.
+image-level AUC. `evaluate` reports them all at IoU 0.5.
 
 The list API takes per-image lists: detections as (box, class_id, score) and
 ground truth as (box, class_id). Matching is greedy in score order (ties
@@ -36,6 +36,7 @@ from .detector import ModelParams, Scored, blocks
 from .world import DetectionSample, box_array, box_iou
 
 FPI_POINTS = (0.05, 0.3, 0.5, 1.0)
+EVAL_IOU = 0.5  # the IoU of `evaluate`'s matching: its mAP is mAP50
 _CHUNK_ROWS = 4096
 
 
@@ -173,11 +174,6 @@ def _ap_from_counts(tp_cum, fp_cum, npos):
     return float(np.sum((mrec[changed + 1] - mrec[changed]) * mpre[changed + 1]))
 
 
-def _check_threshold(iou_threshold: float) -> None:
-    if not 0.0 < iou_threshold < 1.0:
-        raise ValueError("iou_threshold must lie in (0, 1)")
-
-
 def _map(matched: _Matched) -> tuple[float, list[float]]:
     per_class = []
     for cls in range(matched.num_classes):
@@ -233,7 +229,8 @@ def _auc(matched: _Matched) -> float | None:
 
 def map_at_iou(dets_by_img, gts_by_img, iou_threshold: float = 0.5) -> tuple[float, list[float]]:
     """Mean AP over classes that have at least one ground-truth instance."""
-    _check_threshold(iou_threshold)
+    if not 0.0 < iou_threshold < 1.0:
+        raise ValueError("iou_threshold must lie in (0, 1)")
     return _map(_match_lists(dets_by_img, gts_by_img, iou_threshold))
 
 
@@ -258,8 +255,7 @@ def f1_auc(dets_by_img, gts_by_img, iou_threshold: float = 0.5) -> tuple[float, 
     return _f1(matched), _auc(matched)
 
 
-def _match_samples(params: ModelParams, samples: list[DetectionSample],
-                   iou_threshold: float) -> _Matched:
+def _match_samples(params: ModelParams, samples: list[DetectionSample]) -> _Matched:
     """`_match` of one detection per proposal (foreground argmax, no threshold)."""
     counts = np.fromiter((s.num_proposals for s in samples), int, len(samples))
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -273,22 +269,19 @@ def _match_samples(params: ModelParams, samples: list[DetectionSample],
     return _match(np.repeat(np.arange(len(samples)), counts), boxes, cls, score,
                   np.concatenate([np.empty((0, 4)), *(s.gt_boxes for s in samples)]),
                   np.concatenate([np.empty(0, dtype=int), *(s.gt_classes for s in samples)]),
-                  [len(s.gt_classes) for s in samples], iou_threshold)
+                  [len(s.gt_classes) for s in samples], EVAL_IOU)
 
 
 def evaluate(params: ModelParams, samples: list[DetectionSample],
-             iou_threshold: float = 0.5, fpi_points=FPI_POINTS,
-             num_classes: int | None = None) -> EvalResult:
-    """Full metric sweep of a model over a labeled dataset. A ground-truth class
-    outside [0, num_classes), which the per-class list would drop, raises ValueError."""
-    _check_threshold(iou_threshold)
-    if num_classes is None:
-        num_classes = params.num_classes
-    matched = _match_samples(params, samples, iou_threshold)
+             num_classes: int) -> EvalResult:
+    """Full metric sweep of a model over a labeled dataset, at IoU 0.5 and
+    the `FPI_POINTS` budgets. A ground-truth class outside [0, num_classes),
+    which the per-class list would drop, raises ValueError."""
+    matched = _match_samples(params, samples)
     if np.any((matched.gt_cls < 0) | (matched.gt_cls >= num_classes)):
         raise ValueError(f"ground-truth class outside [0, {num_classes})")
     map50, per_class = _map(matched)
     while len(per_class) < num_classes:
         per_class.append(float("nan"))
-    return EvalResult(map50, per_class[:num_classes], _froc(matched, fpi_points),
+    return EvalResult(map50, per_class[:num_classes], _froc(matched, FPI_POINTS),
                       _f1(matched), _auc(matched))

@@ -2,7 +2,7 @@
 
 The teacher's verdicts are row indices into its `Scored` of a block, sample i
 owning rows offsets[i]:offsets[i + 1]: `pseudo_label` and `background_indices`
-each read a whole block in one call, and score a sample alone as `[sample]`.
+each read a whole block in one call.
 """
 
 from __future__ import annotations
@@ -10,23 +10,20 @@ from __future__ import annotations
 import numpy as np
 
 from .detector import ModelParams, Scored
-from .world import DetectionSample
 
 
-def pseudo_label(teacher: ModelParams, block: Scored | DetectionSample,
-                 conf_threshold: float) -> np.ndarray:
-    """Rows of a block whose max foreground score reaches the threshold, in order.
+# `teacher` is unused; the benchmark's tracer reads the block as positional argument 1
+def pseudo_label(teacher: ModelParams, block: Scored, conf_threshold: float) -> np.ndarray:
+    """Rows of the teacher's `Scored` of a block whose max foreground score
+    reaches the threshold, in order.
 
-    `block` is the teacher's `Scored` of a block of samples, or one sample,
-    which the teacher then scores as `[sample]`. The block's boxes and
-    foreground classes at these rows are the pseudo-labels. Sample i's are
-    the rows in offsets[i]:offsets[i + 1], so `np.searchsorted(rows,
-    offsets)` gives the labels' per-sample offsets.
+    The block's boxes and foreground classes at these rows are the
+    pseudo-labels. Sample i's are the rows in offsets[i]:offsets[i + 1], so
+    `np.searchsorted(rows, offsets)` gives the labels' per-sample offsets.
     """
     if not 0.0 < conf_threshold <= 1.0:
         raise ValueError("conf_threshold must lie in (0, 1]")
-    scored = block if isinstance(block, Scored) else Scored(teacher, [block])
-    return np.flatnonzero(scored.fg_scores >= conf_threshold)
+    return np.flatnonzero(block.fg_scores >= conf_threshold)
 
 
 def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> ModelParams:
@@ -46,12 +43,11 @@ def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> M
     )
 
 
-def background_indices(teacher: ModelParams, block: Scored | DetectionSample,
-                       bar: float) -> np.ndarray:
-    """Rows of a block the teacher is confident are background (max fg score
-    below bar), of a `block` as `pseudo_label` takes it.
+# `teacher` is unused, kept in `pseudo_label`'s argument positions
+def background_indices(teacher: ModelParams, block: Scored, bar: float) -> np.ndarray:
+    """Rows of the teacher's `Scored` of a block that it is confident are
+    background (max fg score below bar).
 
     Proposals between the bar and the pseudo-label threshold stay unsupervised.
     """
-    scored = block if isinstance(block, Scored) else Scored(teacher, [block])
-    return np.flatnonzero(scored.fg_scores < bar)
+    return np.flatnonzero(block.fg_scores < bar)

@@ -20,6 +20,8 @@ import numpy as np
 
 from .util import write_atomic
 
+MIN_BOX_SIZE = 1e-6  # the side a valid box is padded to when shorter
+
 
 class ConfigError(ValueError):
     """Raised for invalid domain or run configuration."""
@@ -42,7 +44,8 @@ class BBox:
             raise ValueError(f"degenerate box {coords}")
 
     @classmethod
-    def from_raw(cls, x1: float, y1: float, x2: float, y2: float, min_size: float = 1e-6) -> "BBox":
+    def from_raw(cls, x1: float, y1: float, x2: float, y2: float,
+                 min_size: float = MIN_BOX_SIZE) -> "BBox":
         """Build a valid box from arbitrary finite coordinates (reorders, pads)."""
         lo_x, hi_x = min(x1, x2), max(x1, x2)
         lo_y, hi_y = min(y1, y2), max(y1, y2)
@@ -61,8 +64,10 @@ def box_array(boxes) -> np.ndarray:
     return np.array([box.as_array() for box in boxes]).reshape(-1, 4)
 
 
-def boxes_from_raw(raw: np.ndarray, min_size: float = 1e-6) -> np.ndarray:
-    """`BBox.from_raw` over the last axis of a (..., 4) array, as array ops.
+def boxes_from_raw(raw: np.ndarray) -> np.ndarray:
+    """Valid boxes of a (..., 4) array of arbitrary corners, as array ops:
+    each row's corners in order, and a side shorter than `MIN_BOX_SIZE`
+    padded to it.
 
     Gives the same coordinates as `BBox.from_raw(*row).as_array()` for every
     row, and raises ValueError whenever that would raise for any row. The
@@ -75,7 +80,7 @@ def boxes_from_raw(raw: np.ndarray, min_size: float = 1e-6) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # inf - inf; the finiteness check rejects it
         lo = np.where(second < first, second, first)
         hi = np.where(second > first, second, first)
-        hi = np.where(hi - lo < min_size, lo + min_size, hi)
+        hi = np.where(hi - lo < MIN_BOX_SIZE, lo + MIN_BOX_SIZE, hi)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("non-finite box coordinates")
     if not (lo < hi).all():

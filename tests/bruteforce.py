@@ -76,7 +76,7 @@ def oracle_box(row, min_size: float = 1e-6) -> np.ndarray:
     return BBox.from_raw(*row, min_size=min_size).as_array()
 
 
-def oracle_boxes_from_raw(raw, min_size: float = 1e-6) -> np.ndarray:
+def oracle_boxes_from_raw(raw) -> np.ndarray:
     """`boxes_from_raw` as one set of ops over the (..., 4) array: each op
     loops over a row's corner pair, not column by column."""
     raw = np.asarray(raw, dtype=float)
@@ -84,13 +84,20 @@ def oracle_boxes_from_raw(raw, min_size: float = 1e-6) -> np.ndarray:
     lo = np.where(second < first, second, first)
     hi = np.where(second > first, second, first)
     with np.errstate(invalid="ignore"):
-        hi = np.where(hi - lo < min_size, lo + min_size, hi)
+        hi = np.where(hi - lo < 1e-6, lo + 1e-6, hi)
     boxes = np.concatenate([lo, hi], axis=-1)
     if not np.isfinite(boxes).all():
         raise ValueError("non-finite box coordinates")
     if not (lo < hi).all():
         raise ValueError("degenerate box")
     return boxes
+
+
+def zero_grads(like) -> GradientSet:
+    """Zero gradients shaped as the four arrays of `like`, a `ModelParams` or
+    a `GradientSet`."""
+    return GradientSet(*(np.zeros_like(a) for a in (like.w_cls, like.b_cls, like.w_reg,
+                                                    like.b_reg)))
 
 
 def oracle_log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -341,7 +348,7 @@ def oracle_expert_loss(
 ) -> tuple[float, GradientSet]:
     """`expert_loss` as a loop over (box, class_vector) labels, one proposal row at a time."""
     if not labels:
-        return 0.0, GradientSet.zeros_like(params)
+        return 0.0, zero_grads(params)
     n = len(labels)
     if weights is None:
         weights = np.ones(n)
@@ -394,7 +401,7 @@ def oracle_pretrain(config) -> ModelParams:
         order = shuffle_rng.permutation(len(source_data))
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            total = GradientSet.zeros_like(params)
+            total = zero_grads(params)
             for idx in batch:
                 sample = source_data[int(idx)]
                 labels = [(BBox(*row), np.eye(config.num_classes)[class_id])
@@ -679,7 +686,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                               CropEntry(sample.proposal_features[det.proposal_index].copy(),
                                         np.eye(num_classes)[det.class_id]))
 
-            total = GradientSet.zeros_like(student)
+            total = zero_grads(student)
             batch_pairs = []
             for strong, labels, bg, elabels in views:
                 pairs, weights = _oracle_pairs(student, strong, labels, relation, config)
@@ -715,7 +722,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
 
 def numeric_gradient(loss_fn, params: ModelParams, h: float = 1e-5) -> GradientSet:
     """Central finite differences of loss_fn(params) over every coordinate."""
-    grads = GradientSet.zeros_like(params)
+    grads = zero_grads(params)
     for name in ("w_cls", "b_cls", "w_reg", "b_reg"):
         base = getattr(params, name)
         out = getattr(grads, name)
@@ -881,11 +888,11 @@ def oracle_image_scores(dets_by_img) -> np.ndarray:
     return np.array([max((score for _, _, score in img), default=0.0) for img in dets_by_img])
 
 
-def oracle_evaluate(params: ModelParams, samples, iou_threshold=0.5, fpi_points=FPI_POINTS,
-                    num_classes=None) -> EvalResult:
-    """`evaluate` through objects: one `Detection` per proposal, a separate
-    greedy match per class for AP, another over all classes for the FROC and
-    F1 sweep, and a pairwise count for the image AUC."""
+def oracle_evaluate(params: ModelParams, samples, num_classes: int) -> EvalResult:
+    """`evaluate` through objects, at IoU 0.5 and the `FPI_POINTS` budgets:
+    one `Detection` per proposal, a separate greedy match per class for AP,
+    another over all classes for the FROC and F1 sweep, and a pairwise count
+    for the image AUC."""
     dets = [[(d.box, d.class_id, d.score) for d in oracle_detections(params, s)] for s in samples]
     gts = [[(BBox(*row), int(class_id)) for row, class_id in zip(s.gt_boxes, s.gt_classes)]
            for s in samples]
@@ -899,17 +906,15 @@ def oracle_evaluate(params: ModelParams, samples, iou_threshold=0.5, fpi_points=
         elif not rows:
             per_class.append(0.0)
         else:
-            flags = _match_from_scratch(rows, gts, iou_threshold)
+            flags = _match_from_scratch(rows, gts, 0.5)
             per_class.append(_interpolated_ap(np.cumsum([1.0 if f else 0.0 for f in flags]),
                                               np.cumsum([0.0 if f else 1.0 for f in flags]), npos))
     valid = [ap for ap in per_class if not np.isnan(ap)]
     map50 = float(np.mean(valid)) if valid else 0.0
-    if num_classes is None:
-        num_classes = params.num_classes
     per_class = (per_class + [float("nan")] * num_classes)[:num_classes]
 
     rows = _canonical_order(dets)
-    flags = _match_from_scratch(rows, gts, iou_threshold)
+    flags = _match_from_scratch(rows, gts, 0.5)
     points = [(0, 0)]
     for i in range(len(rows)):
         if i + 1 == len(rows) or rows[i + 1][0] != rows[i][0]:
@@ -917,7 +922,7 @@ def oracle_evaluate(params: ModelParams, samples, iou_threshold=0.5, fpi_points=
             points.append((i + 1 - tp, tp))
     npos = sum(len(img) for img in gts)
     recalls = {}
-    for budget in fpi_points:
+    for budget in FPI_POINTS:
         ok = [tp / npos for fp, tp in points if samples and npos and fp / len(samples) <= budget]
         recalls[budget] = max(ok, default=0.0)
     f1 = 0.0

@@ -32,7 +32,7 @@ def default_set():
                               np.random.default_rng(0), dropout_rate=config.dropout_rate)
     runs = {"partition": lambda: partition(samples, params, config.mc_passes,
                                            config.variance_threshold, np.random.default_rng(0)),
-            "evaluate": lambda: evaluate(params, samples)}
+            "evaluate": lambda: evaluate(params, samples, config.num_classes)}
     return runs, PEAK_UNITS * UNIT_ROWS * params.feature_dim * 8
 
 

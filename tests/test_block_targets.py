@@ -90,6 +90,20 @@ def test_match_labels_rejects_a_label_on_a_sample_without_proposals():
         match_labels(np.zeros((2, 4)) + [0, 0, 1, 1], [[0, 0, 1, 1]], [0, 2, 2], [0, 0, 1])
 
 
+@pytest.mark.parametrize("offsets,label_offsets,message",
+                         [([0, 2], [0, 1], "do not rise from 0 to 2"),
+                          ([0, 1], [0, 2], "do not rise from 0 to 2"),
+                          ([0, 2, 1, 2], [0, 1, 1, 2], "do not rise from 0 to 2"),
+                          ([0, 1, 2], [0, 2], "offsets of 2 and 1 samples")],
+                         ids=["labels-short", "proposals-short", "falling", "sample-counts"])
+def test_match_labels_rejects_offsets_that_do_not_cut_the_boxes_alike(offsets, label_offsets,
+                                                                      message):
+    # two proposals and two labels: a short end drops a label or a proposal row
+    boxes = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0]])
+    with pytest.raises(ValueError, match=message):
+        match_labels(boxes, boxes, offsets, label_offsets)
+
+
 @pytest.mark.parametrize("offsets", [[0, 2, 4], [0, 3, 2], [1, 2, 3], [1, 2, 4]],
                          ids=["past-the-end", "falling", "not-from-zero", "shifted"])
 def test_targets_reject_label_offsets_that_do_not_rise_from_zero_to_the_count(offsets):

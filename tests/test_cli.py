@@ -340,7 +340,7 @@ def test_nan_in_a_scalar_config_field_exits_two_and_writes_nothing(tmp_path, cap
 def test_model_that_does_not_fit_the_config_exits_two_and_writes_nothing(tmp_path, capsys):
     # a 3-class model under the default 5-class config
     params_path = tmp_path / "params.json"
-    save_params(params_path, ModelParams.init(3, 16, np.random.default_rng(0)))
+    save_params(params_path, ModelParams.init(3, 16, np.random.default_rng(0), 0.0))
     for mode in ("eval", "adapt"):
         out = tmp_path / mode
         assert run_cli(["--mode", mode, "--out", str(out), "--params", str(params_path)]) == 2
@@ -353,7 +353,7 @@ def test_dataset_that_does_not_fit_the_config_exits_two_and_writes_nothing(
         num_classes, feature_dim, tmp_path, capsys):
     # a default-config model scored on a dataset of another class count or feature dimension
     params_path = tmp_path / "params.json"
-    save_params(params_path, ModelParams.init(5, 16, np.random.default_rng(0)))
+    save_params(params_path, ModelParams.init(5, 16, np.random.default_rng(0), 0.0))
     spec = make_domain_spec(num_classes, feature_dim, size=5,
                             frequency=np.full(num_classes, 1 / num_classes))
     dataset_path = tmp_path / "data.json"

@@ -312,6 +312,18 @@ def test_sizes_has_a_column_per_class_before_any_row_is_filed():
     assert bank.sizes().tolist() == [[0, 0, 0], [0, 0, 1]]
 
 
+@pytest.mark.parametrize("class_ids,features", [([], np.zeros((0, 3))), ([], []),
+                                                 (np.zeros(0), np.zeros((0, 3)))],
+                         ids=["list", "lists", "float-array"])
+def test_push_files_an_empty_batch_in_any_form(class_ids, features):
+    # the batch files nothing, yet its two samples see the whole bank
+    bank = Cropbank(capacity=2, num_classes=2)
+    push(bank, 1, 5)
+    bank.push(class_ids, features, [0, 0, 0])
+    assert bank.sizes().tolist() == [[0, 1], [0, 1]]
+    assert np.array_equal(bank.rows([1], [1], [0]), [np.full(3, 5.0)])
+
+
 @pytest.mark.parametrize("offsets", [[0, 0], [0, 1, 2], [0, 2, 1], [0.0, 1.0], [], [[0, 1]]],
                          ids=["short", "long", "falling", "float", "empty", "matrix"])
 def test_push_rejects_bad_subsets_and_offsets(offsets):

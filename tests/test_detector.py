@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bruteforce import (max_relative_error, numeric_gradient, oracle_detections,
-                        oracle_forward_arrays, oracle_uniforms)
+                        oracle_forward_arrays, oracle_uniforms, zero_grads)
 from detadapt.detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
                                detection_loss, forward, forward_arrays, giou_and_grad,
                                load_params, save_params, sgd_step)
@@ -50,7 +50,7 @@ def no_labels(num_classes=3):
 
 
 def test_zero_weights_give_uniform_scores():
-    params = ModelParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 6)), np.zeros(4))
+    params = ModelParams(np.zeros((4, 6)), np.zeros(4), np.zeros((4, 6)), np.zeros(4), 0.0)
     sample = random_sample(np.random.default_rng(0))
     for det in forward(params, sample):
         assert np.allclose(det.scores, 0.25)
@@ -68,13 +68,22 @@ def test_forward_deterministic_without_dropout():
         assert da.box == db.box
 
 
+def one_pass(params, sample, seed):
+    """`forward_arrays`, or with a seed the one dropout pass of the sample's
+    block of one, drawn from a Generator of that seed."""
+    if seed is None:
+        return forward_arrays(params, sample)
+    scored = Scored(params, [sample], np.random.default_rng(seed))
+    return tuple(a[0] for a in (scored.h, scored.log_scores, scored.scores, scored.refined))
+
+
 def test_forward_matches_per_proposal_oracle():
     rng = np.random.default_rng(12)
     for trial in range(30):
         params = random_params(rng, dropout=0.3 if trial % 2 else 0.0)
         sample = random_sample(rng, num_proposals=int(rng.integers(1, 8)))
         seed = None if trial % 3 == 0 else int(rng.integers(1000))
-        for got, want in zip(forward_arrays(params, sample, dropout_seed=seed),
+        for got, want in zip(one_pass(params, sample, seed),
                              oracle_forward_arrays(params, sample, dropout_seed=seed)):
             assert np.array_equal(got, want)
         got = forward(params, sample)
@@ -171,7 +180,7 @@ def test_zero_dropout_rate_ignores_seed():
     rng = np.random.default_rng(123)
     stacked = Scored(params, [sample], rng, 2)
     want = oracle_forward_arrays(params, sample)
-    for got, w in zip(forward_arrays(params, sample, dropout_seed=123), want):
+    for got, w in zip(one_pass(params, sample, 123), want):
         assert np.array_equal(got, w)
     for got, w in zip((stacked.h, stacked.log_scores, stacked.scores, stacked.refined), want):
         assert np.array_equal(got[0], w) and np.array_equal(got[1], w)
@@ -183,9 +192,9 @@ def test_dropout_seed_reproducible_and_varied():
     rng = np.random.default_rng(3)
     params = random_params(rng, dropout=0.4)
     sample = random_sample(rng)
-    a1 = forward_arrays(params, sample, dropout_seed=7)[0]
-    a2 = forward_arrays(params, sample, dropout_seed=7)[0]
-    b = forward_arrays(params, sample, dropout_seed=8)[0]
+    a1 = one_pass(params, sample, 7)[0]
+    a2 = one_pass(params, sample, 7)[0]
+    b = one_pass(params, sample, 8)[0]
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
 
@@ -214,7 +223,7 @@ def test_giou_range_on_random_boxes():
 def test_perfect_background_drives_ce_to_zero():
     # huge background logit for every proposal, no labels
     params = ModelParams(np.zeros((4, 6)), np.array([0.0, 0.0, 0.0, 50.0]),
-                         np.zeros((4, 6)), np.zeros(4))
+                         np.zeros((4, 6)), np.zeros(4), 0.0)
     sample = random_sample(np.random.default_rng(5))
     loss, grads = detection_loss(params, sample, no_labels())
     assert loss < 1e-9
@@ -259,17 +268,17 @@ def test_loss_terms_nonnegative_contract():
 
 
 def test_sgd_step_examples():
-    params = ModelParams(np.array([[1.0]]), np.zeros(1), np.zeros((4, 1)), np.zeros(4))
+    params = ModelParams(np.array([[1.0]]), np.zeros(1), np.zeros((4, 1)), np.zeros(4), 0.0)
     grads = GradientSet(np.array([[2.0]]), np.zeros(1), np.zeros((4, 1)), np.zeros(4))
     assert sgd_step(params, grads, 0.1).w_cls[0, 0] == pytest.approx(0.8)
     assert sgd_step(params, grads, 0.0).w_cls[0, 0] == pytest.approx(1.0)
-    zero = GradientSet.zeros_like(params)
+    zero = zero_grads(params)
     assert sgd_step(params, zero, 0.5).w_cls[0, 0] == pytest.approx(1.0)
 
 
 def test_sgd_rejects_nonfinite_grads():
-    params = ModelParams(np.zeros((2, 2)), np.zeros(2), np.zeros((4, 2)), np.zeros(4))
-    grads = GradientSet.zeros_like(params)
+    params = ModelParams(np.zeros((2, 2)), np.zeros(2), np.zeros((4, 2)), np.zeros(4), 0.0)
+    grads = zero_grads(params)
     grads.w_cls[0, 0] = np.inf
     with pytest.raises(TrainingError):
         sgd_step(params, grads, 0.1)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bruteforce import (bbox_pairs, oracle_detection_loss, oracle_expert_loss, oracle_giou,
-                        oracle_giou_and_grad, oracle_pretrain)
-from detadapt.detector import (GradientSet, Labels, Scored, _segment_means, detection_loss,
-                               giou_and_grad, supervised_losses, targets)
+                        oracle_giou_and_grad, oracle_pretrain, zero_grads)
+from detadapt.detector import (Labels, Scored, _segment_means, detection_loss, giou_and_grad,
+                               supervised_losses, targets)
 from detadapt.expert import expert_loss
 from detadapt import trainer
 from detadapt.trainer import ablation_variants, adapt, pretrain_source
@@ -116,7 +116,7 @@ def assert_block_sum(grads, per_sample):
     BLAS product over the block adds the samples in another order, so entries
     differ by rounding, within 1e-14 of the array's largest entry (under 1e-15
     measured); an entry whose terms cancel may differ more relative to itself."""
-    total = GradientSet.zeros_like(grads)
+    total = zero_grads(grads)
     for _, sample_grads in per_sample:
         total = total + sample_grads
     for name in GRADIENTS:

@@ -167,13 +167,14 @@ def eval_world(world_seed, frequency=(0.5, 0.3, 0.2), size=73):
                                    np.zeros((0, 4)), np.zeros(0, dtype=int)))
     params = ModelParams(np.vstack([0.5 * spec.class_means, np.zeros(6)]),
                          np.zeros(len(frequency) + 1),
-                         0.2 * rng.standard_normal((4, 6)), np.zeros(4))
+                         0.2 * rng.standard_normal((4, 6)), np.zeros(4), 0.0)
     return samples, params
 
 
-def assert_evaluate_matches_oracle(params, samples, **kwargs):
-    got = json.dumps(evaluate(params, samples, **kwargs).to_dict())
-    assert got == json.dumps(oracle_evaluate(params, samples, **kwargs).to_dict())
+def assert_evaluate_matches_oracle(params, samples, num_classes=None):
+    num_classes = num_classes or params.num_classes
+    got = json.dumps(evaluate(params, samples, num_classes).to_dict())
+    assert got == json.dumps(oracle_evaluate(params, samples, num_classes).to_dict())
     return json.loads(got)
 
 
@@ -182,7 +183,7 @@ def test_evaluate_matches_object_oracle(world_seed):
     samples, params = eval_world(world_seed)
     doc = assert_evaluate_matches_oracle(params, samples)
     assert doc["auc"] is not None and 0.0 < doc["map50"] < 1.0
-    assert_evaluate_matches_oracle(params, samples, iou_threshold=0.7, num_classes=5)
+    assert_evaluate_matches_oracle(params, samples, num_classes=5)
 
 
 def test_evaluate_matches_object_oracle_on_tied_scores():
@@ -195,7 +196,7 @@ def test_evaluate_matches_object_oracle_on_tied_scores():
     assert 0.0 < doc["map50"] < 1.0
     # every proposal of every image gets the same scores: the order is (image, index)
     flat = ModelParams(np.zeros_like(params.w_cls), np.array([0.3, 0.1, 0.2, 0.0]),
-                       params.w_reg, params.b_reg)
+                       params.w_reg, params.b_reg, 0.0)
     doc = assert_evaluate_matches_oracle(flat, samples)
     assert doc["per_class_ap"][0] > 0.0
 
@@ -218,7 +219,7 @@ def test_evaluate_rejects_a_ground_truth_class_it_does_not_report():
     for bad in (3, -1):
         samples[0].gt_classes = np.array([bad, *samples[0].gt_classes[1:]])
         with pytest.raises(ValueError, match="ground-truth class"):
-            evaluate(params, samples)
+            evaluate(params, samples, params.num_classes)
     samples[0].gt_classes[0] = 3
     doc = evaluate(params, samples, num_classes=5).to_dict()
     assert doc["per_class_ap"][4] is None and doc["per_class_ap"][3] >= 0.0
@@ -256,7 +257,7 @@ def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeyp
     # evaluation blocks of about 800
     offsets = np.concatenate(([0], np.cumsum([s.num_proposals for s in samples])))
     for run, passes in ((lambda: partition(samples, params, 3, 0.5, np.random.default_rng(0)), 3),
-                        (lambda: evaluate(params, samples), 1)):
+                        (lambda: evaluate(params, samples, params.num_classes), 1)):
         num_blocks = len(blocks(offsets, passes))
         assert 1 < num_blocks < len(samples)
         counts.clear()
@@ -288,7 +289,7 @@ def test_evaluate_does_not_depend_on_the_block_size(monkeypatch):
     for budget in (1, largest - 1, BLOCK_ROWS, offsets[-1] + 1):
         monkeypatch.setattr(detector, "BLOCK_ROWS", budget)
         num_blocks.append(len(blocks(offsets)))
-        texts.add(json.dumps(evaluate(params, samples).to_dict()))
+        texts.add(json.dumps(evaluate(params, samples, params.num_classes).to_dict()))
     assert len(texts) == 1 and "null" in texts.pop()
     assert num_blocks[0] == len(samples) and num_blocks[1] > num_blocks[2] == num_blocks[3] == 1
 
@@ -305,7 +306,7 @@ def test_partition_and_evaluate_read_each_proposal_count_once(monkeypatch):
     monkeypatch.setattr(detector, "BLOCK_ROWS", 64)  # several blocks per call
     monkeypatch.setattr(world.DetectionSample, "num_proposals", property(num_proposals))
     for run in (lambda: partition(samples, params, 3, 0.5, np.random.default_rng(0)),
-                lambda: evaluate(params, samples)):
+                lambda: evaluate(params, samples, params.num_classes)):
         reads.clear()
         run()
         assert set(reads) <= {s.id for s in samples} and max(reads.values()) == 1

@@ -159,14 +159,22 @@ def test_split_requires_every_row_updated():
 
 
 def test_serialization_roundtrip(tmp_path):
+    # the checkpoint dict through JSON, before and after every row is updated:
+    # the state and what it derives come back exactly
     rng = np.random.default_rng(1)
     rel = RelationMatrix.identity(3, ema_rate=0.95)
-    for _ in range(5):
-        rel.update(rng.integers(0, 4, size=(3, 3)).astype(float))
-    clone = RelationMatrix.from_dict(rel.to_dict())
-    assert np.array_equal(clone.matrix, rel.matrix)
-    assert np.array_equal(clone.update_counts, rel.update_counts)
+    for counts in ([[2, 1, 0], [0, 0, 0], [1, 0, 3]], *rng.integers(0, 4, size=(5, 3, 3))):
+        rel.update(np.array(counts, dtype=float))
+        clone = RelationMatrix.from_dict(json.loads(json.dumps(rel.to_dict())))
+        assert clone.matrix.tobytes() == rel.matrix.tobytes()
+        assert clone.ema_rate == rel.ema_rate
+        assert np.array_equal(clone.update_counts, rel.update_counts)
+        assert clone.ready == rel.ready
+        if rel.ready:
+            assert clone.majority() == rel.majority()
+    assert rel.ready
     path = tmp_path / "relation.json"
     rel.save_rows(path)
     rows = json.loads(path.read_text())
     assert np.array_equal(np.array(rows), rel.matrix)
+

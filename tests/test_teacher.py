@@ -20,7 +20,7 @@ def params_norm_diff(a, b):
 
 def train_supervised(spec, seed, epochs, lr=0.05):
     data = generate_domain(spec, seed)
-    params = ModelParams.init(spec.num_classes, spec.feature_dim, rng_stream(seed, "init"))
+    params = ModelParams.init(spec.num_classes, spec.feature_dim, rng_stream(seed, "init"), 0.0)
     shuffle = rng_stream(seed, "shuffle")
     for _ in range(epochs):
         for idx in shuffle.permutation(len(data)):
@@ -45,7 +45,7 @@ def labeled(scored, rows):
 
 
 def test_shared_teacher_scoring_matches_object_oracle():
-    # one sample alone, its own block of one, and a packed block
+    # a sample's block of one, and a packed block
     rng = np.random.default_rng(9)
     for _ in range(30):
         teacher = random_params(rng)
@@ -54,11 +54,10 @@ def test_shared_teacher_scoring_matches_object_oracle():
         packed = Scored(teacher, samples)
         for sample in samples:
             one = Scored(teacher, [sample])
-            for block in (sample, one):
-                assert labeled(one, pseudo_label(teacher, block, conf)) == \
-                    oracle_pseudo_labels(teacher, sample, conf)
-                assert background_indices(teacher, block, bar).tolist() == \
-                    oracle_background_indices(teacher, sample, bar)
+            assert labeled(one, pseudo_label(teacher, one, conf)) == \
+                oracle_pseudo_labels(teacher, sample, conf)
+            assert background_indices(teacher, one, bar).tolist() == \
+                oracle_background_indices(teacher, sample, bar)
         # the block's rows: each sample's indices shifted by the rows before it
         assert labeled(packed, pseudo_label(teacher, packed, conf)) == \
             block_oracle(teacher, samples, packed.offsets, conf)
@@ -94,16 +93,17 @@ def test_block_pseudo_labels_are_each_samples_own_shifted_and_concatenated(scale
 def test_threshold_above_all_scores_gives_empty():
     rng = np.random.default_rng(0)
     params, sample = random_params(rng), random_sample(rng)
-    pseudo = pseudo_label(params, sample, 1.0)
-    assert len(pseudo) == 0 or all(Scored(params, [sample]).fg_scores[pseudo] >= 1.0)
+    scored = Scored(params, [sample])
+    pseudo = pseudo_label(params, scored, 1.0)
+    assert len(pseudo) == 0 or all(scored.fg_scores[pseudo] >= 1.0)
 
 
 def test_tiny_threshold_labels_every_proposal():
     rng = np.random.default_rng(1)
     params, sample = random_params(rng), random_sample(rng)
-    pseudo = pseudo_label(params, sample, 1e-9)
-    assert len(pseudo) == 5
     scored = Scored(params, [sample])
+    pseudo = pseudo_label(params, scored, 1e-9)
+    assert len(pseudo) == 5
     for class_vec in Labels.one_hot(scored.boxes[pseudo], scored.class_ids[pseudo], 3).classes:
         assert class_vec.sum() == pytest.approx(1.0)
         assert class_vec.max() == 1.0  # hard one-hot
@@ -113,9 +113,9 @@ def test_pseudo_label_set_monotone_in_threshold():
     rng = np.random.default_rng(2)
     params = random_params(rng)
     sample = random_sample(rng)
-    prev = None
+    scored, prev = Scored(params, [sample]), None
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
-        current = set(pseudo_label(params, sample, tau).tolist())
+        current = set(pseudo_label(params, scored, tau).tolist())
         if prev is not None:
             assert current <= prev
         prev = current
@@ -128,7 +128,7 @@ def test_converged_teacher_pseudo_labels_match_ground_truth():
     correct = total = 0
     for sample in data[:80]:
         scored = Scored(params, [sample])
-        for j in pseudo_label(params, sample, 0.7).tolist():
+        for j in pseudo_label(params, scored, 0.7).tolist():
             ious = box_iou(scored.boxes[j], sample.gt_boxes)
             best = int(np.argmax(ious))
             if ious[best] >= 0.5:
@@ -145,8 +145,8 @@ def test_ema_endpoint_and_scalar_cases():
     assert np.array_equal(copied.w_cls, student.w_cls)
     frozen = ema_update(teacher, student, 1.0)
     assert np.array_equal(frozen.w_cls, teacher.w_cls)
-    t = ModelParams(np.array([[1.0]]), np.zeros(1), np.zeros((4, 1)), np.zeros(4))
-    s = ModelParams(np.array([[0.0]]), np.zeros(1), np.zeros((4, 1)), np.zeros(4))
+    t = ModelParams(np.array([[1.0]]), np.zeros(1), np.zeros((4, 1)), np.zeros(4), 0.0)
+    s = ModelParams(np.array([[0.0]]), np.zeros(1), np.zeros((4, 1)), np.zeros(4), 0.0)
     assert ema_update(t, s, 0.9).w_cls[0, 0] == pytest.approx(0.9)
 
 
@@ -177,7 +177,7 @@ def test_student_converges_to_frozen_perfect_teacher():
                             frequency=(0.5, 0.3, 0.2), layout_seed=5)
     teacher, data = train_supervised(spec, seed=8, epochs=20)
     holdout = generate_domain(dataclasses.replace(spec, size=120), 999)
-    student = ModelParams.init(3, 8, rng_stream(80, "init"))
+    student = ModelParams.init(3, 8, rng_stream(80, "init"), 0.0)
     for _ in range(25):
         for sample in data:
             # one SGD step of the student on the clean sample: pseudo-labels

@@ -16,7 +16,7 @@ from detadapt.world import DetectionSample, generate_domain, make_domain_spec, s
 
 
 def _params(version):
-    return ModelParams.init(2, 3, np.random.default_rng(version))
+    return ModelParams.init(2, 3, np.random.default_rng(version), 0.0)
 
 
 def _history(version):
