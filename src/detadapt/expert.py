@@ -46,14 +46,16 @@ def expert_predict(spec: ExpertSpec, sample: DetectionSample, rng: np.random.Gen
     """Corrupted ground truth: per object, maybe miss, maybe flip, always jitter.
 
     Reads the sample's `gt_boxes`/`gt_classes` rows one object at a time, in
-    order, so each object's draws follow the previous object's.
+    order, so each object's draws follow the previous object's. A flip draws
+    the new class uniformly over the other classes; with no other class, the
+    object keeps its own.
     `boxes_from_raw` makes each jittered box valid, by the `BBox.from_raw` rule.
     """
     raw, class_ids = [], []
     for box, class_id in zip(sample.gt_boxes, sample.gt_classes.tolist()):
         if rng.random() < spec.miss_rate:
             continue
-        if rng.random() < spec.flip_rate:
+        if rng.random() < spec.flip_rate and num_classes > 1:
             others = [k for k in range(num_classes) if k != class_id]
             class_id = int(others[rng.integers(len(others))])
         size = box[2:] - box[:2]

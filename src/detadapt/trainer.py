@@ -221,15 +221,14 @@ def adapt(
       `match_labels` call. Augmentation keeps label and proposal boxes, so
       the matches serve the losses and the relation statistics alike.
     - The strong view is one array, from the teacher pass's features `h`.
-      With SA on, the crop bank files the confident rows under their
-      pseudo-label classes in one push, and once the matrix is ready the
-      batch takes `relation.majority()` and blends labels and rows in one
-      `augment_sample` call. Sample k draws from the bank as it stood after
-      the rows of samples 0..k-1 were filed, not its own or later ones, so
-      the bank and the `aug_rng` draws are those of augmenting sample k and
-      then filing its rows, one sample at a time. With SA off nothing reads
-      the bank or the majority set, so neither is filled nor computed. The
-      batch's noise is one draw.
+      With SA on, once the matrix is ready the batch takes
+      `relation.majority()` and blends labels and rows in one
+      `augment_sample` call, which draws from the crop bank as it stood
+      before the batch; then the bank files the batch's confident rows under
+      their pseudo-label classes in one push. No batch draws its own rows,
+      the order of the MoCo queue. With SA off nothing reads the bank or the
+      majority set, so neither is filled nor computed. The batch's noise is
+      one draw.
     - The student's pass over that array (`Scored`'s `features`) feeds one
       `supervised_losses` call, its terms the student's `targets` and the
       expert's. Each label's class and the student's class at its proposal
@@ -289,13 +288,13 @@ def adapt(
 
             strong = scored_t.h
             if config.enable_sa:
-                # the bank files the clean features of confident instances, the
-                # teacher's unperturbed pass rows, one push per batch
-                bank.push(scored_t.class_ids[rows], scored_t.h[rows], label_offsets)
                 if majority is not None:
                     strong, labels = augment_sample(strong, labels, relation, majority, bank,
                                                     config.p_aug, config.mix_ratio, aug_rng,
                                                     matches=matches)
+                # then the bank files the clean features of confident instances,
+                # the teacher's unperturbed pass rows, one push per batch
+                bank.push(scored_t.class_ids[rows], scored_t.h[rows])
             strong = perturb_features(strong, config.noise_scale, noise_rng)
             bg = None if config.background_bar is None else \
                 background_indices(teacher, scored_t, config.background_bar)

@@ -367,11 +367,11 @@ def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
     the last of each a list), a spec that is not a whole `DomainSpec`, that
     `validate` rejects or whose `size` is not the sample count, a sample id
     that is not a JSON integer or that repeats, a sample without proposals,
-    a proposal row not a list of 4 + `spec.feature_dim` values, an object
-    row not a list of 5 values (box, class), an object class not an integer
-    in [0, `spec.num_classes`), and a ground-truth box that is not finite
-    with x1 < x2 and y1 < y2. The file stores no object features: in a
-    generated sample they are the first G proposal rows (see
+    a proposal row not a list of 4 + `spec.feature_dim` finite JSON numbers,
+    an object row not a list of 5 values (box, class), an object class not an
+    integer in [0, `spec.num_classes`), and a ground-truth box that is not
+    finite with x1 < x2 and y1 < y2. The file stores no object features: in
+    a generated sample they are the first G proposal rows (see
     `DetectionSample`).
     """
     with open(path) as fh:
@@ -401,9 +401,14 @@ def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
             raise ConfigError(f"no proposals in sample {sample_id}")
         if any(not isinstance(row, list) or len(row) != width for row in proposals):
             raise ConfigError(f"proposal row not {width} values wide in sample {sample_id}")
+        # `type` is exact: a JSON true is a bool, not a number
+        if not all(type(value) in (int, float) for row in proposals for value in row):
+            raise ConfigError(f"proposal row not all numbers in sample {sample_id}")
+        rows = np.array(proposals, dtype=float)
+        if not np.isfinite(rows).all():
+            raise ConfigError(f"proposal row not finite in sample {sample_id}")
         if any(not isinstance(obj, list) or len(obj) != 5 for obj in objects):
             raise ConfigError(f"object row not 5 values (box, class) in sample {sample_id}")
-        rows = np.array(proposals, dtype=float)
         gt_boxes = np.array([obj[:4] for obj in objects], dtype=float).reshape(-1, 4)
         if not (np.isfinite(gt_boxes).all() and (gt_boxes[:, :2] < gt_boxes[:, 2:]).all()):
             raise ConfigError(f"invalid ground-truth box in sample {sample_id}")

@@ -422,7 +422,8 @@ def oracle_expert_predict(spec, sample, rng, num_classes):
             continue
         if rng.random() < spec.flip_rate:
             others = [k for k in range(num_classes) if k != class_id]
-            class_id = int(others[rng.integers(len(others))])
+            if others:
+                class_id = int(others[rng.integers(len(others))])
         width, height = box.x2 - box.x1, box.y2 - box.y1
         scale = np.array([width, height, width, height])
         offsets = rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale
@@ -508,23 +509,19 @@ class OracleCropbank:
         return tuple(self._buffers.get(class_id, ()))
 
 
-def oracle_sample_pair(relation, base_class, is_majority, bank, rng):
-    """`sample_pair` over an `OracleCropbank`: the same weights and draws, one
-    `CropEntry` out; a majority base never draws its own class."""
+def oracle_partner_class(relation, base_class, is_majority, bank, rng):
+    """A base's partner class over an `OracleCropbank`, one `Generator.choice`
+    over the classes with entries; a majority base never draws its own
+    class. None, drawing nothing, without a candidate."""
     vec = relation.matrix[:, base_class] if is_majority else relation.matrix[base_class, :]
-    candidates, pools = [], []
-    for k in range(relation.num_classes):
-        pool = bank.entries(k)
-        if pool and not (is_majority and k == base_class):
-            candidates.append(k)
-            pools.append(pool)
+    candidates = [k for k in range(relation.num_classes)
+                  if bank.entries(k) and not (is_majority and k == base_class)]
     if not candidates:
         return None
     w = vec[candidates]
     total = float(w.sum())
     probs = w / total if total > 0 else np.full(len(candidates), 1.0 / len(candidates))
-    pool = pools[int(rng.choice(len(candidates), p=probs))]
-    return pool[int(rng.integers(len(pool)))]
+    return candidates[int(rng.choice(len(candidates), p=probs))]
 
 
 def oracle_mixup(base: CropEntry, pair: CropEntry, mix_ratio: float) -> CropEntry:
@@ -542,27 +539,39 @@ def oracle_majority(relation) -> set[int]:
     return {c for c, value in enumerate(diag) if value > mean}
 
 
-def oracle_augment_sample(sample, labels, relation, majority, bank, p_aug, mix_ratio, rng):
-    """`augment_sample` over (`BBox`, class vector) pairs, one label at a time,
-    drawing from an `OracleCropbank`; `majority` is `oracle_majority`'s set."""
-    if not labels:
-        return sample, []
-    features = sample.proposal_features.copy()
-    matches = oracle_match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
-    new_labels = []
-    for i, (box, class_vec) in enumerate(labels):
-        base_class = int(np.argmax(class_vec))
-        if rng.random() < p_aug:
-            pair = oracle_sample_pair(relation, base_class, base_class in majority, bank, rng)
-            if pair is not None:
-                j = int(matches[i])
-                blended = oracle_mixup(CropEntry(features[j].copy(), class_vec), pair,
-                                       mix_ratio)
-                features[j] = blended.feature
-                new_labels.append((box, blended.class_vec))
-                continue
-        new_labels.append((box, class_vec))
-    return dataclasses.replace(sample, proposal_features=features), new_labels
+def oracle_augment_sample(samples, label_sets, relation, majority, bank, p_aug, mix_ratio,
+                          rng):
+    """`augment_sample` of a batch over (`BBox`, class vector) pairs, one label
+    at a time, drawing from an `OracleCropbank`; `majority` is
+    `oracle_majority`'s set. The draws take three passes over the batch's
+    labels, in order: each label's blend uniform, then the partner class of
+    each label whose uniform falls below p_aug (`oracle_partner_class`; a
+    label without a candidate is not blended), then each blend's partner
+    entry, one `Generator.integers` each. Returns the samples, their matched
+    features blended, and their labels."""
+    labels = [(k, i, vec) for k, pairs in enumerate(label_sets)
+              for i, (_, vec) in enumerate(pairs)]
+    uniforms = [rng.random() for _ in labels]
+    blends = []
+    for (k, i, vec), uniform in zip(labels, uniforms):
+        if uniform < p_aug:
+            base_class = int(np.argmax(vec))
+            partner = oracle_partner_class(relation, base_class, base_class in majority, bank,
+                                           rng)
+            if partner is not None:
+                blends.append((k, i, bank.entries(partner)))
+    pairs = [pool[int(rng.integers(len(pool)))] for _, _, pool in blends]
+
+    features = [sample.proposal_features.copy() for sample in samples]
+    new_labels = [list(pairs_of_sample) for pairs_of_sample in label_sets]
+    for (k, i, _), pair in zip(blends, pairs):
+        box, class_vec = new_labels[k][i]
+        j = int(oracle_match_labels(samples[k].proposal_boxes, box_array([box]))[0])
+        blended = oracle_mixup(CropEntry(features[k][j].copy(), class_vec), pair, mix_ratio)
+        features[k][j] = blended.feature
+        new_labels[k][i] = (box, blended.class_vec)
+    return ([dataclasses.replace(sample, proposal_features=f)
+             for sample, f in zip(samples, features)], new_labels)
 
 
 def oracle_instance_weight(relation, true_cls: int, pred_cls: int) -> float:
@@ -630,7 +639,8 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
     labels are (`BBox`, class vector) pairs, the expert's drawn once per
     sample before the first epoch from `rng_stream(seed, "expert", sample
     id)` and matched anew each step; the crop bank, an
-    `OracleCropbank`, takes one `CropEntry` per pseudo-label; each sample's
+    `OracleCropbank`, takes one `CropEntry` per pseudo-label once the whole
+    batch has drawn from it (`oracle_augment_sample`); each sample's
     losses come from the per-label loop oracles; the relation weights, the
     batch's confusion counts and the matrix update come from the per-pair
     and per-row oracles, the update skipped for a batch without labels.
@@ -661,17 +671,19 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             majority = oracle_majority(relation) if relation.ready else None
+            samples = [by_id[ids[int(pos)]] for pos in batch]
+            dets = [oracle_detections(teacher, sample) for sample in samples]
+            pseudo = [[det for det in d if det.score >= config.conf_threshold] for d in dets]
+            label_sets = [[(det.box, np.eye(num_classes)[det.class_id]) for det in p]
+                          for p in pseudo]
+            strongs = samples
+            if config.enable_sa and majority is not None:
+                # the batch draws from the bank as it stood before the batch
+                strongs, label_sets = oracle_augment_sample(samples, label_sets, relation,
+                                                            majority, bank, config.p_aug,
+                                                            config.mix_ratio, aug_rng)
             views = []
-            for pos in batch:
-                sample = by_id[ids[int(pos)]]
-                dets = oracle_detections(teacher, sample)
-                pseudo = [det for det in dets if det.score >= config.conf_threshold]
-                labels = [(det.box, np.eye(num_classes)[det.class_id]) for det in pseudo]
-                strong = sample
-                if config.enable_sa and majority is not None:
-                    strong, labels = oracle_augment_sample(sample, labels, relation, majority,
-                                                           bank, config.p_aug,
-                                                           config.mix_ratio, aug_rng)
+            for sample, strong, labels, d in zip(samples, strongs, label_sets, dets):
                 if config.noise_scale > 0:
                     # one noise draw per sample in turn
                     features = strong.proposal_features
@@ -679,9 +691,11 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                                                  + config.noise_scale
                                                  * noise_rng.standard_normal(features.shape))
                 bg = None if config.background_bar is None else \
-                    [det.proposal_index for det in dets if det.score < config.background_bar]
+                    [det.proposal_index for det in d if det.score < config.background_bar]
                 views.append((strong, labels, bg, expert.get(sample.id)))
-                for det in pseudo:
+            # then the bank takes one entry per pseudo-label, sample by sample
+            for sample, p in zip(samples, pseudo):
+                for det in p:
                     bank.push(det.class_id,
                               CropEntry(sample.proposal_features[det.proposal_index].copy(),
                                         np.eye(num_classes)[det.class_id]))

@@ -13,6 +13,7 @@ from detadapt import cli, trainer
 from detadapt.cli import run_cli
 from detadapt.config import default_config
 from detadapt.detector import ModelParams, load_params, save_params
+from detadapt.expert import ExpertSpec
 from detadapt.metrics import evaluate
 from detadapt.trainer import pretrain_source
 from detadapt.util import derive_seed
@@ -99,10 +100,18 @@ def drop_last_proposal_value(sample):
     sample["proposals"][0].pop()
 
 
+def proposal_value(value):
+    def corrupt(sample):
+        sample["proposals"][0][5] = value
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (object_class(6), "object class"), (object_class(-1), "object class"),
-    (object_class(1.5), "object class"), (drop_last_proposal_value, "proposal row")],
-    ids=["class_6", "class_-1", "class_1.5", "short_proposal_row"])
+    (object_class(1.5), "object class"), (drop_last_proposal_value, "proposal row"),
+    (proposal_value("x"), "proposal row"), (proposal_value(float("nan")), "proposal row")],
+    ids=["class_6", "class_-1", "class_1.5", "short_proposal_row", "string_proposal_value",
+         "nan_proposal_value"])
 def test_eval_mode_rejects_a_dataset_row_outside_its_own_spec(
         corrupt, message, tmp_path, tiny_config_file, capsys):
     # the file's spec has 5 classes and 16-value features
@@ -283,6 +292,18 @@ def test_ablation_suite_produces_four_runs(tmp_path, tiny_config_file, monkeypat
     single = tmp_path / "single"
     assert run_cli(["--mode", "adapt", "--config", config_path, "--out", str(single)]) == 0
     assert (out / "history_full.csv").read_bytes() == (single / "history.csv").read_bytes()
+
+
+def test_adapt_with_expert_flips_in_a_one_class_world(tmp_path):
+    # a flipped object has no other class to take, so it keeps its own
+    spec = make_domain_spec(1, 4, size=20, frequency=[1.0])
+    config = dataclasses.replace(default_config(seed=0), source=spec, target=spec, epochs=1,
+                                 pretrain_epochs=1, eval_size=20, mc_passes=2,
+                                 expert=ExpertSpec(flip_rate=0.5))
+    config_path = tmp_path / "config.json"
+    config.save_json(config_path)
+    assert run_cli(["--mode", "adapt", "--config", str(config_path),
+                    "--out", str(tmp_path / "out")]) == 0
 
 
 def test_bad_config_exits_two(tmp_path):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-import bruteforce
 from bruteforce import (CropEntry, OracleCropbank, bbox_pairs, oracle_augment_sample,
-                        oracle_majority, oracle_sample_pair)
+                        oracle_majority, oracle_partner_class)
 from detadapt.cropbank import Cropbank, augment_sample
 from detadapt.detector import Labels, match_labels
 from detadapt.relation import RelationMatrix
@@ -16,29 +15,28 @@ def row(value, class_id, dim=3):
 
 
 def push(bank, class_id, value, dim=3):
-    """Push one instance, of feature `np.full(dim, value)`, as a batch of one sample."""
-    bank.push([class_id], [np.full(dim, float(value))], [0, 1])
-
-
-def push_rows(bank, class_ids, features):
-    """Push one sample's instances as a batch of one sample."""
-    bank.push(class_ids, features, [0, len(class_ids)])
+    """Push one instance, of feature `np.full(dim, value)`, as a batch."""
+    bank.push([class_id], [np.full(dim, float(value))])
 
 
 def same_row(got, want):
     return got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
-def probe(bank):
-    """Push a batch of one sample without rows: it sees the whole bank."""
-    bank.push(np.zeros(0, dtype=int), np.zeros((0, 0)), [0, 0])
-
-
 def held(bank, class_id):
-    """The feature rows of one class that a sample may draw, in order."""
-    probe(bank)
-    count = bank.sizes()[0, class_id]
-    return list(bank.rows([0] * count, [class_id] * count, range(count)))
+    """The feature rows the bank holds of one class, oldest first."""
+    count = bank.sizes()[class_id]
+    return list(bank.rows([class_id] * count, range(count)))
+
+
+def oracle_pair(relation, base_class, is_majority, bank, rng):
+    """One label's partner entry on the oracle bank, after its blend uniform:
+    its class, then its entry; None without one."""
+    partner = oracle_partner_class(relation, base_class, is_majority, bank, rng)
+    if partner is None:
+        return None
+    pool = bank.entries(partner)
+    return pool[int(rng.integers(len(pool)))]
 
 
 def relation_from(rows):
@@ -55,7 +53,6 @@ def partners(rel, base_class, is_majority, bank, rng, count=1, dim=3):
     it, so a blend is half the partner's feature and half the two one-hot
     class vectors, exactly.
     """
-    probe(bank)
     boxes = np.zeros((count, 4)) + [0.0, 0.0, 4.0, 4.0]
     labels = Labels.one_hot(boxes, [base_class] * count, rel.num_classes)
     majority = frozenset({base_class} if is_majority else ())
@@ -74,9 +71,8 @@ def draw(rel, base_class, is_majority, bank, rng, dim=3):
 
 def augment(sample, labels, rel, majority, bank, p_aug, mix_ratio, rng, features=None):
     """`augment_sample` of a batch of one sample, on `features` (by default
-    the sample's own), given the labels' own matches, as `adapt` gives them,
-    after a push of no rows: the blended features and the labels."""
-    probe(bank)
+    the sample's own), given the labels' own matches, as `adapt` gives them:
+    the blended features and the labels."""
     features = sample.proposal_features if features is None else features
     matches = match_labels(sample.proposal_boxes, labels.boxes, [0, sample.num_proposals],
                            [0, len(labels)])
@@ -87,7 +83,7 @@ def augment(sample, labels, rel, majority, bank, p_aug, mix_ratio, rng, features
 def test_rows_changed_by_the_caller_after_push_stay_unchanged():
     bank = Cropbank(capacity=4, num_classes=2)
     class_ids, features = np.array([1, 0]), np.ones((2, 3))
-    push_rows(bank, class_ids, features)
+    bank.push(class_ids, features)
     class_ids[:], features[:] = 0, 5.0
     assert np.array_equal(held(bank, 1), [np.ones(3)])
     assert np.array_equal(held(bank, 0), [np.ones(3)])
@@ -98,26 +94,32 @@ def test_fifo_eviction_order():
     for value in (1, 2, 3):
         push(bank, 0, value)
     assert np.array_equal(held(bank, 0), [np.full(3, 2.0), np.full(3, 3.0)])
-    # within one batch, each sample sees the rows filed before its own
-    bank = Cropbank(capacity=2, num_classes=1)
-    bank.push([0, 0, 0], np.arange(3.0)[:, None] + np.zeros(3), [0, 1, 2, 3, 3])
-    assert bank.sizes().tolist() == [[0], [1], [2], [2]]
-    assert bank.rows([3, 3], [0, 0], [0, 1]).tolist() == [[1.0] * 3, [2.0] * 3]
-    assert bank.rows([2, 2], [0, 0], [0, 1]).tolist() == [[0.0] * 3, [1.0] * 3]
-    # one gather of several samples' rows, in the order asked
-    assert bank.rows([3, 1, 2], [0, 0, 0], [1, 0, 0]).tolist() == [[2.0] * 3, [0.0] * 3,
-                                                                  [0.0] * 3]
+    # one gather of several classes' rows, in the order asked
+    bank = Cropbank(capacity=2, num_classes=2)
+    bank.push([0, 1, 0], np.arange(3.0)[:, None] + np.zeros(3))
+    assert bank.rows([1, 0, 0], [0, 1, 0]).tolist() == [[1.0] * 3, [2.0] * 3, [0.0] * 3]
 
 
-@pytest.mark.parametrize("sample,index", [(0, 0), (1, 1), (1, -1), (3, 2)],
+def test_one_push_over_capacity_keeps_its_last_rows_oldest_first():
+    # a batch's rows go in row order, so its last `capacity` of a class stay
+    bank = Cropbank(capacity=2, num_classes=2)
+    push(bank, 0, 9)
+    bank.push([0, 1, 0, 0, 1], np.arange(5.0)[:, None] + np.zeros(3))
+    assert bank.sizes().tolist() == [2, 2]
+    assert np.array_equal(held(bank, 0), [np.full(3, 2.0), np.full(3, 3.0)])
+    assert np.array_equal(held(bank, 1), [np.full(3, 1.0), np.full(3, 4.0)])
+
+
+@pytest.mark.parametrize("class_id,index", [(2, 0), (1, 1), (0, -1), (0, 2)],
                          ids=["none_seen", "past_the_end", "negative", "past_capacity"])
-def test_rows_rejects_a_row_the_sample_may_not_draw(sample, index):
-    # sample k of the last push sees min(k, capacity) rows of class 0
-    bank = Cropbank(capacity=2, num_classes=1)
-    bank.push([0, 0, 0], np.arange(3.0)[:, None] + np.zeros(3), [0, 1, 2, 3, 3])
-    with pytest.raises(IndexError, match=f"sample {sample} may draw"):
-        bank.rows([2, sample], [0, 0], [0, index])
-    assert bank.rows([], [], []).shape == (0, 3)
+def test_rows_rejects_a_row_the_sample_may_not_draw(class_id, index):
+    # a sample draws only the rows the bank holds: the last two of class 0's
+    # three, class 1's one and none of class 2
+    bank = Cropbank(capacity=2, num_classes=3)
+    bank.push([0, 0, 0, 1], np.arange(4.0)[:, None] + np.zeros(3))
+    with pytest.raises(IndexError, match=f"class {class_id} holds"):
+        bank.rows([0, class_id], [0, index])
+    assert bank.rows([], []).shape == (0, 3)
 
 
 def test_capacity_exactly_filled_no_eviction():
@@ -234,7 +236,7 @@ def test_pools_and_draws_match_per_entry_oracle_bank():
             n = int(rng.integers(0, 5))
             class_ids = rng.integers(num_classes, size=n)
             features = rng.standard_normal((n, dim))
-            push_rows(bank, class_ids, features)
+            bank.push(class_ids, features)
             for class_id, feature in zip(class_ids.tolist(), features):
                 oracle.push(class_id, CropEntry(feature.copy(), np.eye(num_classes)[class_id]))
         else:
@@ -242,7 +244,7 @@ def test_pools_and_draws_match_per_entry_oracle_bank():
             is_majority = bool(rng.integers(2))
             oracle_rng.random()
             got = draw(relations[which], base, is_majority, bank, bank_rng, dim=dim)
-            want = oracle_sample_pair(relations[which], base, is_majority, oracle, oracle_rng)
+            want = oracle_pair(relations[which], base, is_majority, oracle, oracle_rng)
             if want is None:
                 assert got is None
             else:
@@ -271,16 +273,15 @@ def test_kept_sizes_follow_pushes_and_draws_match_oracle():
         if step % 3 == 0:
             class_ids = rng.integers(num_classes, size=int(rng.integers(0, 6)))
             features = rng.standard_normal((len(class_ids), dim))
-            push_rows(bank, class_ids, features)
+            bank.push(class_ids, features)
             for class_id, feature in zip(class_ids.tolist(), features):
                 oracle.push(class_id, CropEntry(feature.copy(), np.eye(num_classes)[class_id]))
-        probe(bank)
-        assert bank.sizes().tolist() == [[len(oracle.entries(k)) for k in range(num_classes)]]
+        assert bank.sizes().tolist() == [len(oracle.entries(k)) for k in range(num_classes)]
         base = int(rng.integers(num_classes))
         is_majority = bool(rng.integers(2))
         oracle_rng.random()
         got = draw(relation, base, is_majority, bank, bank_rng, dim=dim)
-        want = oracle_sample_pair(relation, base, is_majority, oracle, oracle_rng)
+        want = oracle_pair(relation, base, is_majority, oracle, oracle_rng)
         if want is None:
             assert got is None
         else:
@@ -296,42 +297,32 @@ def test_kept_sizes_follow_pushes_and_draws_match_oracle():
                          ids=["negative", "float", "num_classes", "num_classes_then_0",
                               "count"])
 def test_push_rejects_bad_class_ids_and_leaves_the_bank_empty(class_ids, rows, message):
-    # a bank of two classes does not grow to file a third; one row per sample
+    # a bank of two classes does not grow to file a third
     bank = Cropbank(capacity=2, num_classes=2)
     with pytest.raises(ValueError, match=message):
-        bank.push(class_ids, np.zeros((rows, 3)), np.arange(len(class_ids) + 1))
-    assert held(bank, 0) == [] and bank.sizes().tolist() == [[0, 0]]
+        bank.push(class_ids, np.zeros((rows, 3)))
+    assert held(bank, 0) == [] and bank.sizes().tolist() == [0, 0]
 
 
 def test_sizes_has_a_column_per_class_before_any_row_is_filed():
     bank = Cropbank(capacity=2, num_classes=3)
-    assert bank.sizes().shape == (0, 3)
-    bank.push(np.zeros(0, dtype=int), np.zeros((0, 4)), [0, 0, 0])
-    assert bank.sizes().tolist() == [[0, 0, 0], [0, 0, 0]]
-    bank.push([2], np.ones((1, 4)), [0, 1, 1])
-    assert bank.sizes().tolist() == [[0, 0, 0], [0, 0, 1]]
+    assert bank.sizes().tolist() == [0, 0, 0]
+    bank.push(np.zeros(0, dtype=int), np.zeros((0, 4)))
+    assert bank.sizes().tolist() == [0, 0, 0]
+    bank.push([2], np.ones((1, 4)))
+    assert bank.sizes().tolist() == [0, 0, 1]
 
 
 @pytest.mark.parametrize("class_ids,features", [([], np.zeros((0, 3))), ([], []),
                                                  (np.zeros(0), np.zeros((0, 3)))],
                          ids=["list", "lists", "float-array"])
 def test_push_files_an_empty_batch_in_any_form(class_ids, features):
-    # the batch files nothing, yet its two samples see the whole bank
+    # the batch files nothing and leaves the bank's rows as they were
     bank = Cropbank(capacity=2, num_classes=2)
     push(bank, 1, 5)
-    bank.push(class_ids, features, [0, 0, 0])
-    assert bank.sizes().tolist() == [[0, 1], [0, 1]]
-    assert np.array_equal(bank.rows([1], [1], [0]), [np.full(3, 5.0)])
-
-
-@pytest.mark.parametrize("offsets", [[0, 0], [0, 1, 2], [0, 2, 1], [0.0, 1.0], [], [[0, 1]]],
-                         ids=["short", "long", "falling", "float", "empty", "matrix"])
-def test_push_rejects_bad_subsets_and_offsets(offsets):
-    # the offsets cut the rows into the samples' subsets of rows
-    bank = Cropbank(capacity=2, num_classes=1)
-    with pytest.raises(ValueError):
-        bank.push([0], np.zeros((1, 3)), offsets)
-    assert held(bank, 0) == []
+    bank.push(class_ids, features)
+    assert bank.sizes().tolist() == [0, 1]
+    assert np.array_equal(bank.rows([1], [0]), [np.full(3, 5.0)])
 
 
 def test_push_rejects_feature_rows_of_another_dimension():
@@ -342,15 +333,8 @@ def test_push_rejects_feature_rows_of_another_dimension():
     assert np.array_equal(held(bank, 0), [np.ones(3)])
 
 
-def test_augment_rejects_a_batch_the_bank_was_not_given():
-    bank = Cropbank(capacity=2, num_classes=2)
-    push(bank, 0, 1)
+def test_augment_rejects_a_bank_of_other_classes():
     sample, labels = make_sample_with_labels()
-    # the last push filed one sample; the batch has two
-    with pytest.raises(ValueError, match="last push"):
-        augment_sample(np.vstack([sample.proposal_features] * 2), Labels.pack([labels, labels]),
-                       relation_from(np.eye(2)), frozenset({0}), bank, 0.5, 0.7,
-                       np.random.default_rng(0), matches=np.arange(4))
     # a bank of three classes for a relation of two
     bank = Cropbank(capacity=2, num_classes=3)
     push(bank, 0, 1)
@@ -388,7 +372,7 @@ def blend(ratio):
     sample = DetectionSample(0, boxes, np.array([[1.0, 1.0]]), np.zeros((0, 4)),
                              np.zeros(0, dtype=int))
     bank = Cropbank(capacity=1, num_classes=2)
-    push_rows(bank, [1], [np.array([3.0, -1.0])])
+    bank.push([1], [np.array([3.0, -1.0])])
     rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
     features, out_labels = augment(sample, Labels.one_hot(boxes, [0], 2), rel, frozenset({0}),
                                    bank, 1.0, ratio, np.random.default_rng(0))
@@ -481,64 +465,84 @@ def random_batch(rng, num_samples, num_classes, dim, first_id):
     return samples, Labels.pack(label_sets), pushes
 
 
+def test_a_batch_never_draws_its_own_rows():
+    # the batch reads the bank as it stood before it: an empty bank blends
+    # nothing, and once the batch's rows are filed, the next batch draws them
+    sample, labels = make_sample_with_labels()
+    rel = relation_from([[0.6, 0.4], [0.4, 0.6]])
+    bank = Cropbank(capacity=4, num_classes=2)
+    rng = np.random.default_rng(5)
+    features, out = augment(sample, labels, rel, frozenset({0}), bank, 1.0, 0.5, rng)
+    assert out is labels and np.array_equal(features, sample.proposal_features)
+    bank.push([0, 1], [np.full(3, 7.0), np.full(3, 7.0)])
+    features, out = augment(sample, labels, rel, frozenset({0}), bank, 1.0, 0.5, rng)
+    # every label blended, with half of a pushed row
+    assert np.array_equal(features, 0.5 * sample.proposal_features + 3.5)
+    assert np.all(out.classes.max(axis=1) < 1.0)
+
+
+def random_batch(rng, num_samples, num_classes, dim, first_id):
+    """Samples with distinct proposal boxes; hard labels on some of their
+    proposals, a proposal at times labeled twice; and the batch's push, rows
+    of its proposals under random classes."""
+    samples, label_sets = [], []
+    for n in range(num_samples):
+        count = int(rng.integers(1, 6))
+        corners = rng.uniform(0, 80, (count, 2)) + 90.0 * np.arange(count)[:, None]
+        boxes = np.hstack((corners, corners + rng.uniform(4, 12, (count, 2))))
+        samples.append(DetectionSample(first_id + n, boxes, rng.standard_normal((count, dim)),
+                                       np.zeros((0, 4)), np.zeros(0, dtype=int)))
+        rows = rng.integers(count, size=int(rng.integers(0, 5)))
+        label_sets.append(Labels.one_hot(boxes[rows], rng.integers(num_classes, size=len(rows)),
+                                         num_classes))
+    features = np.concatenate([s.proposal_features for s in samples])
+    rows = rng.integers(len(features), size=int(rng.integers(0, 4 * num_samples)))
+    return samples, Labels.pack(label_sets), (rng.integers(num_classes, size=len(rows)),
+                                              features[rows])
+
+
 @pytest.mark.parametrize("capacity", [1, 2, 64])
-def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity, monkeypatch):
-    # one push and one augment_sample call per batch equal augmenting each
-    # sample, then filing its rows, in turn, on the per-entry oracle bank:
-    # the same bytes and the same stream
+def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity):
+    # one augment_sample call, then one push, per batch equal the scalar
+    # oracle's three passes over the batch's labels, then its pushes one
+    # entry at a time, on the per-entry oracle bank: the same bytes and the
+    # same stream
     rng = np.random.default_rng(capacity)
     num_classes, dim = 3, 4
     bank, oracle = Cropbank(capacity, num_classes), OracleCropbank(capacity)
     bank_rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
-    filed_this_batch, own_batch_draws, evicted_within_batch, blends = set(), 0, 0, 0
-    rows_blended_twice = 0
-
-    def recording_pair(*args):
-        nonlocal own_batch_draws
-        pair = oracle_sample_pair(*args)
-        own_batch_draws += pair is not None and id(pair) in filed_this_batch
-        return pair
-
-    monkeypatch.setattr(bruteforce, "oracle_sample_pair", recording_pair)
+    blends, rows_blended_twice, evicted = 0, 0, 0
     for batch in range(80):
-        samples, labels, pushes = random_batch(rng, int(rng.integers(1, 8)), num_classes, dim,
-                                               100 * batch)
+        samples, labels, (class_ids, features) = random_batch(
+            rng, int(rng.integers(1, 8)), num_classes, dim, 100 * batch)
         relation = relation_from(np.eye(num_classes) if batch % 5 == 0 else
                                  rng.dirichlet(np.ones(num_classes), num_classes))
         proposal_offsets = np.cumsum([0] + [s.num_proposals for s in samples])
         matches = match_labels(np.concatenate([s.proposal_boxes for s in samples]),
                                labels.boxes, proposal_offsets, labels.offsets)
-        bank.push(np.concatenate([c for c, _ in pushes]),
-                  np.concatenate([f for _, f in pushes]),
-                  np.cumsum([0] + [len(c) for c, _ in pushes]))
-        features = np.concatenate([s.proposal_features for s in samples])
-        clean = features.copy()
-        strong, mixed = augment_sample(features, labels, relation, relation.majority(), bank,
+        clean = np.concatenate([s.proposal_features for s in samples])
+        strong, mixed = augment_sample(clean.copy(), labels, relation, relation.majority(), bank,
                                        0.7, 0.7, bank_rng, matches=matches)
-        assert np.array_equal(features, clean)
+        bank.push(class_ids, features)
         soft = matches[mixed.classes.max(axis=1) < 1.0]
         rows_blended_twice += len(soft) - len(np.unique(soft))
+        blends += len(soft)
 
-        filed_this_batch.clear()
         majority = oracle_majority(relation)
         assert majority == relation.majority()
-        for k, (sample, (class_ids, features)) in enumerate(zip(samples, pushes)):
-            own = slice(labels.offsets[k], labels.offsets[k + 1])
-            want_sample, want_labels = oracle_augment_sample(
-                sample, bbox_pairs(Labels(labels.boxes[own], labels.classes[own])), relation,
-                majority, oracle, 0.7, 0.7, oracle_rng)
-            rows = slice(proposal_offsets[k], proposal_offsets[k + 1])
-            assert strong[rows].tobytes() == want_sample.proposal_features.tobytes()
-            want_classes = np.array([vec for _, vec in want_labels]).reshape(-1, num_classes)
-            assert mixed.classes[own].tobytes() == want_classes.tobytes()
-            blends += int(np.sum(mixed.classes[own].max(axis=1) < 1.0))
-            for class_id, feature in zip(class_ids.tolist(), features):
-                before = oracle.entries(class_id)
-                entry = CropEntry(feature.copy(), np.eye(num_classes)[class_id])
-                oracle.push(class_id, entry)
-                filed_this_batch.add(id(entry))
-                evicted_within_batch += len(before) == capacity and k < len(samples) - 1
+        label_sets = [bbox_pairs(Labels(labels.boxes[a:b], labels.classes[a:b]))
+                      for a, b in zip(labels.offsets[:-1], labels.offsets[1:])]
+        want_samples, want_labels = oracle_augment_sample(samples, label_sets, relation,
+                                                          majority, oracle, 0.7, 0.7, oracle_rng)
+        want_classes = [vec for pairs in want_labels for _, vec in pairs]
+        assert strong.tobytes() == np.concatenate(
+            [s.proposal_features for s in want_samples]).tobytes()
+        assert mixed.classes.tobytes() == \
+            np.array(want_classes).reshape(-1, num_classes).tobytes()
+        for class_id, feature in zip(class_ids.tolist(), features):
+            evicted += len(oracle.entries(class_id)) == capacity
+            oracle.push(class_id, CropEntry(feature.copy(), np.eye(num_classes)[class_id]))
+        assert bank.sizes().tolist() == [len(oracle.entries(k)) for k in range(num_classes)]
         assert mixed.offsets.tolist() == labels.offsets.tolist()
         assert bank_rng.bit_generator.state == oracle_rng.bit_generator.state
-    assert blends > 100 and rows_blended_twice > 0
-    assert own_batch_draws > 0 and evicted_within_batch > 0
+    assert blends > 100 and rows_blended_twice > 0 and evicted > 0

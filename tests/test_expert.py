@@ -117,3 +117,19 @@ def test_gradients_match_finite_differences():
         numeric = numeric_gradient(
             lambda p: expert_loss(p, sample, labels, 1.3, 0.7, weights)[0], params)
         assert max_relative_error(grads, numeric) < 1e-4
+
+
+def test_a_flip_in_a_one_class_world_keeps_the_class_and_its_draw():
+    # with no other class a flip has nothing to flip to: the object keeps
+    # its class, and the flip's uniform is still drawn, so the jitter that
+    # follows takes the stream's next values
+    sample = sample_with_objects(np.random.default_rng(13), num_classes=1)
+    spec = ExpertSpec(miss_rate=0.0, flip_rate=1.0, box_jitter=0.1)
+    labels = expert_predict(spec, sample, np.random.default_rng(14), 1)
+    assert np.array_equal(labels.classes, np.ones((3, 1)))
+    want_rng = np.random.default_rng(14)
+    for box in sample.gt_boxes:
+        want_rng.random(2)
+        size = box[2:] - box[:2]
+        jittered = box + want_rng.uniform(-0.1, 0.1, 4) * np.concatenate((size, size))
+    assert np.array_equal(labels.boxes[-1], jittered)

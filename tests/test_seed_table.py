@@ -68,3 +68,27 @@ def test_render_by_hand():
     assert lines[6] == "full - +SA: +0.1000, +0.0000; mean +0.0500, SD 0.0707"
     # seed 1's +SA leaves AP4 at base's 0.0
     assert lines[7] == "+SA lifts AP3 and AP4 above base on every seed: no"
+
+
+def test_render_against_by_hand():
+    # `test_render_by_hand`'s two seeds, each paired with its parent's run
+    results = {0: {"base": (0.5, (0.0, 0.1), 0.9), "sa": (0.8, (0.5, 0.6), 0.95),
+                   "sal": (0.6, (0.1, 0.1), 0.875), "full": (0.9, (0.5, 0.7), 1.0)},
+               1: {"base": (0.6, (0.2, 0.0), 0.8), "sa": (0.7, (0.4, 0.0), 0.85),
+                   "sal": (0.6, (0.2, 0.0), 0.625), "full": (0.7, (0.4, 0.1), 0.75)}}
+    parents = {0: {"base": (0.5, (0.0, 0.1), 0.9), "sa": (0.7, (0.5, 0.4), 0.95),
+                   "sal": (0.6, (0.1, 0.1), 0.875), "full": (1.0, (0.5, 0.9), 1.0)},
+               1: {"base": (0.6, (0.2, 0.0), 0.8), "sa": (0.7, (0.4, 0.0), 0.85),
+                   "sal": (0.5, (0.0, 0.0), 0.625), "full": (0.6, (0.4, 0.3), 0.75)}}
+    lines = seed_table.render_against(results, parents).splitlines()
+    assert lines == [
+        "base change - parent: mAP50 +0.0000 (SE 0.0000, higher on 0 of 2), "
+        "mean AP3/AP4 +0.0000 (SE 0.0000, higher on 0 of 2)",
+        # diffs +0.1, 0.0 and +0.1, 0.0: SD 0.0707, SE 0.05
+        "+SA change - parent: mAP50 +0.0500 (SE 0.0500, higher on 1 of 2), "
+        "mean AP3/AP4 +0.0500 (SE 0.0500, higher on 1 of 2)",
+        "+SAL change - parent: mAP50 +0.0500 (SE 0.0500, higher on 1 of 2), "
+        "mean AP3/AP4 +0.0500 (SE 0.0500, higher on 1 of 2)",
+        # diffs -0.1, +0.1 and -0.1, -0.1
+        "full change - parent: mAP50 +0.0000 (SE 0.1000, higher on 1 of 2), "
+        "mean AP3/AP4 -0.1000 (SE 0.0000, higher on 0 of 2)"]

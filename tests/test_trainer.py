@@ -298,8 +298,7 @@ def test_adapt_matches_per_sample_object_loop_oracle(variant, background_bar, ba
     # gradients in one BLAS product, whose order moves the parameters' last
     # bits only (a relative 2.6e-13 at most measured) and the losses with
     # them, while every mAP and AP of the history stays exact. A two-row
-    # bank evicts, within a batch, rows that later samples would have drawn.
-    # Without noise the student scores the blended copy, or the teacher
+    # bank evicts on almost every push. Without noise the student scores the blended copy, or the teacher
     # pass's own feature rows where nothing was blended
     config, params, target = busy_run
     config = dataclasses.replace(ablation_variants(config)[variant],

@@ -6,8 +6,7 @@ import pytest
 
 from detadapt import cli, util
 from detadapt.config import default_config
-from detadapt.cropbank import Cropbank
-from detadapt.detector import Labels, ModelParams, save_params, targets
+from detadapt.detector import Labels, ModelParams, match_labels, save_params, targets
 from detadapt.partition import VarianceReport
 from detadapt.relation import RelationMatrix
 from detadapt.trainer import EpochRecord, TrainHistory
@@ -73,9 +72,9 @@ def test_write_atomic_writes_text_verbatim(tmp_path):
 
 
 def _offsets_callers():
-    """The three callers of `util.check_offsets`, each on a block of 3 rows cut
-    by the given offsets: `targets`' labels, `relation_weights`' labels and
-    `Cropbank.push`'s rows."""
+    """Three callers of `util.check_offsets`, each on a block of 3 labels cut
+    by the given offsets: `targets`, `relation_weights` and `match_labels`,
+    the last against one proposal per sample."""
     def sample(i):
         boxes = np.array([[0.0, 0.0, 4.0, 4.0], [10.0, 10.0, 14.0, 14.0]])
         return DetectionSample(i, boxes, np.ones((2, 2)), np.zeros((0, 4)), np.zeros(0, int))
@@ -87,13 +86,16 @@ def _offsets_callers():
     def with_weights(offsets):
         relation_weights(RelationMatrix.identity(2, 0.9), [0, 1, 0], [0, 1, 1], 0.5, offsets)
 
-    def with_push(offsets):
-        Cropbank(2, 2).push([0, 1, 0], np.ones((3, 2)), offsets)
+    def with_matches(offsets):
+        proposal_offsets = np.arange(max(len(offsets), 2))
+        match_labels(np.tile([0.0, 0.0, 4.0, 4.0], (proposal_offsets[-1], 1)),
+                     np.tile([0.0, 0.0, 4.0, 4.0], (3, 1)), proposal_offsets, offsets)
 
-    return {"targets": with_targets, "relation_weights": with_weights, "push": with_push}
+    return {"targets": with_targets, "relation_weights": with_weights,
+            "match_labels": with_matches}
 
 
-@pytest.mark.parametrize("caller", ["targets", "relation_weights", "push"])
+@pytest.mark.parametrize("caller", ["targets", "relation_weights", "match_labels"])
 @pytest.mark.parametrize("offsets", [[1, 3], [0, 2], [0, 4], [1, 4], [0, 2, 1, 3], [],
                                      [[0, 3]]],
                          ids=["starts_past_0", "ends_short", "ends_past", "shifted_by_one",
@@ -110,7 +112,7 @@ def test_each_caller_rejects_malformed_offsets_with_one_message(caller, offsets)
         _offsets_callers()[caller](offsets)
 
 
-@pytest.mark.parametrize("caller", ["targets", "relation_weights", "push"])
+@pytest.mark.parametrize("caller", ["targets", "relation_weights", "match_labels"])
 def test_each_caller_accepts_offsets_that_rise_from_zero_to_the_count(caller):
     for offsets in ([0, 3], [0, 0, 1, 3, 3]):
         _offsets_callers()[caller](offsets)

@@ -5,9 +5,8 @@
 Each tree runs, from its own `src/`, with one BLAS thread: CLI pretrain, then
 CLI adapt of the full method and of the base variant from that source model
 (seed 0, 10 epochs), of the +SA variant with a crop bank of two rows per
-buffer (3 epochs), where a push often evicts rows that samples later in the
-same batch would have drawn (the default capacity rarely does), and of the
-+SA variant without feature noise (3 epochs), the
+buffer (3 epochs), which evicts on almost every push (the default capacity
+rarely does), and of the +SA variant without feature noise (3 epochs), the
 score-large partition and evaluation (that source model on a target set ten
 times the default size), CLI eval of that source
 model twice (once generating and saving the target set, once reloading the
@@ -57,7 +56,7 @@ variants = trainer.ablation_variants(base)
 os.makedirs(out)
 assert cli.run_cli(["--mode", "pretrain", "--out", os.path.join(out, "pretrain")]) == 0
 source_params = os.path.join(out, "pretrain", "source_params.json")
-# a two-row bank evicts rows that samples later in the same batch would have drawn;
+# a two-row bank evicts on almost every push;
 # without noise the student scores the augmented or the teacher's own feature rows
 runs = {"full": variants["full"], "base": variants["base"],
         "sa-capacity2": dataclasses.replace(variants["sa"], bank_capacity=2, epochs=3),

@@ -1,14 +1,20 @@
 """Run the CLI ablation suite of one source tree over several seeds and print its seed table.
 
-    python3 tools/seed_table.py TREE [--seeds 0-4] [--epochs 50]
+    python3 tools/seed_table.py TREE [--against PARENT] [--seeds 0-4] [--epochs 50]
 
 For each seed, TREE's own `src/` runs `--mode ablation-suite` with one BLAS
 thread, on the default config with `--epochs` adapt epochs. The table has one
 row per seed and a row of means: each variant's final teacher mAP50, then each
 variant's final AP of the rare classes 3 and 4 (the default world's contracted
 classes), then each variant's final AP of the dominant classes 0-2, averaged
-over the three, to show what augmentation costs them. Below it come full - +SA per seed, with its mean and sample SD, and
-whether +SA lifts both rare classes above base on every seed.
+over the three, to show what augmentation costs them. Below it come full - +SA
+per seed, with its mean and sample SD, and whether +SA lifts both rare classes
+above base on every seed.
+
+With `--against PARENT`, PARENT runs the same seeds too, and one line per
+variant follows: the paired difference TREE - PARENT, seed by seed, in final
+mAP50 and in the mean of AP3 and AP4, each as its mean, its standard error
+(sample SD / sqrt(seeds)) and the number of seeds on which TREE is higher.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -88,17 +95,45 @@ def render(results: dict[int, dict]) -> str:
     return "\n".join(lines)
 
 
+def render_against(results: dict[int, dict], parents: dict[int, dict]) -> str:
+    """One line per variant: the paired differences of `run_seed` results
+    minus the parent's, seed by seed, in final mAP50 and in mean rare-class AP."""
+    rare = "/".join(f"AP{c}" for c in RARE)
+    measures = {"mAP50": lambda finals: finals[0],
+                f"mean {rare}": lambda finals: statistics.fmean(finals[1])}
+    lines = []
+    for name, label in VARIANTS.items():
+        cells = []
+        for measure, value in measures.items():
+            diffs = [value(results[seed][name]) - value(parents[seed][name]) for seed in results]
+            se = statistics.stdev(diffs) / math.sqrt(len(diffs)) if len(diffs) > 1 \
+                else float("nan")
+            cells.append(f"{measure} {statistics.fmean(diffs):+.4f} (SE {se:.4f}, "
+                         f"higher on {sum(d > 0 for d in diffs)} of {len(diffs)})")
+        lines.append(f"{label} change - parent: " + ", ".join(cells))
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree")
+    parser.add_argument("--against", metavar="PARENT",
+                        help="a second tree, run on the same seeds, to pair with TREE")
     parser.add_argument("--seeds", default="0-4", help='a range, "0-4", or one seed')
     parser.add_argument("--epochs", type=int, default=50)
     args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
     with tempfile.TemporaryDirectory() as tmp:
         results = {seed: run_seed(args.tree, seed, args.epochs, {},
                                   os.path.join(tmp, f"seed_{seed}"))
-                   for seed in parse_seeds(args.seeds)}
+                   for seed in seeds}
+        parents = {seed: run_seed(args.against, seed, args.epochs, {},
+                                  os.path.join(tmp, f"parent_seed_{seed}"))
+                   for seed in seeds} if args.against else None
     print(render(results))
+    if parents:
+        print()
+        print(render_against(results, parents))
     return 0
 
 
