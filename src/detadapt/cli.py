@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .config import AdaptationConfig, default_config
+from .config import AdaptationConfig
 from .detector import ModelParams, load_params, save_params
 from .metrics import evaluate
 from .partition import partition
@@ -42,15 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> AdaptationConfig:
+    data = {}
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
-        if args.seed is not None:
-            data["seed"] = args.seed
-        return AdaptationConfig.from_dict(data)
-    config = default_config(seed=args.seed if args.seed is not None else 0)
-    config.validate()
-    return config
+    if args.seed is not None and isinstance(data, dict):
+        data["seed"] = args.seed
+    return AdaptationConfig.from_dict(data)
 
 
 def _write_json(path, payload) -> None:

@@ -10,18 +10,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expert import ExpertSpec
-from .util import write_atomic
-from .world import ConfigError, DomainSpec, make_domain_spec, shift_domain
+from .util import ConfigError, from_json, to_json, write_atomic
+from .world import DomainSpec, make_domain_spec, shift_domain
 
 DEFAULT_FREQUENCY = (0.35, 0.25, 0.20, 0.15, 0.05)
 # the default target domain: shift length, rare-class pull toward the anchor
 # class, and the seed of the shift direction
 SHIFT_MAGNITUDE, CONTRACTION, ANCHOR_CLASS, DIRECTION_SEED = 2.0, 0.35, 0, 11
-
-# the JSON values a scalar field takes, by its annotation; a bool is a Python
-# int, so only a bool field takes one
-_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float),
-              "float | None": (int, float, type(None))}
 
 
 @dataclass
@@ -117,69 +112,32 @@ class AdaptationConfig:
         return self.source.num_classes
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (DomainSpec, ExpertSpec)):
-                value = value.to_dict()
-            out[f.name] = value
-        return out
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AdaptationConfig":
-        """Build from a (possibly partial) plain dict; omitted fields keep defaults.
-
-        Each scalar value must have the JSON type of its field: a bool field
-        takes a bool, an int field an integer, a float field any number.
+        """Build from a (possibly partial) plain dict and validate it; omitted
+        fields, also those of the source, target and expert sections, keep
+        the defaults of `default_config`. `util.from_json` gives the JSON
+        type each field takes.
         """
         if not isinstance(data, dict):
             raise ConfigError("a config must be a JSON object")
-        _check_types(cls, data, "")
-        base = default_config(seed=data.get("seed", 0)).to_dict()
-        unknown = set(data) - set(base)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        doc = to_json(default_config())
         for key, value in data.items():
-            if key in ("source", "target", "expert"):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{key} must be a JSON object")
-                merged = dict(base[key])
-                extra = set(value) - set(merged)
-                if extra:
-                    raise ConfigError(f"unknown {key} fields: {sorted(extra)}")
-                _check_types(ExpertSpec if key == "expert" else DomainSpec, value, f"{key}.")
-                merged.update(value)
-                base[key] = merged
-            else:
-                base[key] = value
-        kwargs = dict(base)
-        kwargs["source"] = DomainSpec.from_dict(kwargs["source"])
-        kwargs["target"] = DomainSpec.from_dict(kwargs["target"])
-        try:
-            kwargs["expert"] = ExpertSpec.from_dict(kwargs["expert"])
-        except ValueError as exc:
-            raise ConfigError(f"expert: {exc}") from None
-        config = cls(**kwargs)
+            section = isinstance(doc.get(key), dict) and isinstance(value, dict)
+            doc[key] = {**doc[key], **value} if section else value
+        config = from_json(cls, doc, "config")
         config.validate()
         return config
 
     def save_json(self, path) -> None:
-        write_atomic(path, json.dumps(self.to_dict(), indent=2))
+        write_atomic(path, json.dumps(to_json(self), indent=2))
 
     @classmethod
     def load_json(cls, path) -> "AdaptationConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _check_types(cls, data: dict, prefix: str) -> None:
-    """Raise `ConfigError` for a scalar field of `cls` whose value has the wrong JSON type."""
-    for f in dataclasses.fields(cls):
-        if f.name in data and f.type in _JSON_TYPES:
-            value = data[f.name]
-            if isinstance(value, bool) != (f.type == "bool") \
-                    or not isinstance(value, _JSON_TYPES[f.type]):
-                raise ConfigError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
 
 
 def shift_vector(feature_dim: int, magnitude: float) -> np.ndarray:

@@ -11,6 +11,14 @@ The bank is built for the relation's classes. A batch is augmented with one
 `augment_sample` call, which reads the bank as it stood before the batch, and
 then filed with one `Cropbank.push`, so no batch draws its own rows: the
 order of the MoCo queue (He et al., CVPR 2020).
+
+The majority set carries SA's rescue. With an empty set in its place, so that
+every base draws over its own relation row as a minority base does, seeds
+0-19 of the default world at 50 epochs give, against `majority()`, final
+mAP50 -.1454 (SE .0118, higher on 0 of 20 seeds) and mean AP3/AP4 -.3707
+(SE .0290) on +SA, and mAP50 -.0078 (SE .0022) and mean AP3/AP4 -.0076
+(SE .0046) on full. Majority bases drawing partners from their relation
+column are what lifts the rare classes.
 """
 
 from __future__ import annotations

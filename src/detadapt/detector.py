@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import check_offsets, write_atomic
+from .util import ConfigError, check_offsets, from_json, to_json, write_atomic
 from .world import BBox, DetectionSample, box_iou, boxes_from_raw
 
 
@@ -86,36 +86,24 @@ class ModelParams:
         return ModelParams(self.w_cls.copy(), self.b_cls.copy(),
                            self.w_reg.copy(), self.b_reg.copy(), self.dropout_rate)
 
-    def to_dict(self) -> dict:
-        return {
-            "w_cls": self.w_cls.tolist(),
-            "b_cls": self.b_cls.tolist(),
-            "w_reg": self.w_reg.tolist(),
-            "b_reg": self.b_reg.tolist(),
-            "dropout_rate": self.dropout_rate,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelParams":
-        """Rebuild saved weights; their shapes must be (C+1, D), (C+1,), (4, D), (4,)."""
-        arrays = {name: np.array(data[name], dtype=float)
-                  for name in ("w_cls", "b_cls", "w_reg", "b_reg")}
-        shape = arrays["w_cls"].shape
-        if len(shape) != 2 or shape[0] < 2 or shape[1] < 1:
-            raise ValueError(f"w_cls has shape {shape}, not (C+1, D) with C, D >= 1")
-        for name, want in (("b_cls", shape[:1]), ("w_reg", (4, shape[1])), ("b_reg", (4,))):
-            if arrays[name].shape != want:
-                raise ValueError(f"{name} has shape {arrays[name].shape}, not {want}")
-        return cls(**arrays, dropout_rate=float(data["dropout_rate"]))
-
 
 def save_params(path, params: ModelParams) -> None:
-    write_atomic(path, json.dumps(params.to_dict()))
+    write_atomic(path, json.dumps(to_json(params)))
 
 
 def load_params(path) -> ModelParams:
+    """Saved weights (`util.from_json`); `ConfigError` unless their shapes
+    are (C+1, D), (C+1,), (4, D), (4,) with C, D >= 1."""
     with open(path) as fh:
-        return ModelParams.from_dict(json.load(fh))
+        params = from_json(ModelParams, json.load(fh), "params")
+    shape = params.w_cls.shape
+    if len(shape) != 2 or shape[0] < 2 or shape[1] < 1:
+        raise ConfigError(f"w_cls has shape {shape}, not (C+1, D) with C, D >= 1")
+    for name, want in (("b_cls", shape[:1]), ("w_reg", (4, shape[1])), ("b_reg", (4,))):
+        got = getattr(params, name).shape
+        if got != want:
+            raise ConfigError(f"{name} has shape {got}, not {want}")
+    return params
 
 
 @dataclass

@@ -32,14 +32,6 @@ class ExpertSpec:
         if not 0 <= self.box_jitter <= sys.float_info.max:
             raise ValueError("box_jitter must be finite and non-negative")
 
-    def to_dict(self) -> dict:
-        return {"miss_rate": self.miss_rate, "flip_rate": self.flip_rate,
-                "box_jitter": self.box_jitter}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExpertSpec":
-        return cls(**data)
-
 
 def expert_predict(spec: ExpertSpec, sample: DetectionSample, rng: np.random.Generator,
                    num_classes: int) -> Labels:

@@ -46,7 +46,11 @@ class EvalResult:
     per_class_ap: list[float]        # nan for classes with no ground truth, null in JSON
     recall_at_fpi: dict[float, float]
     f1: float
-    auc: float | None                # None when one image class is absent
+    # None when one image class is absent: every generated sample holds an
+    # object (`DomainSpec.validate` requires min_objects >= 1), so on any
+    # generated world it is None, null in `summary.json` and `eval.json`; it
+    # takes a value only on a loaded dataset with images without objects
+    auc: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -249,7 +253,8 @@ def f1_auc(dets_by_img, gts_by_img, iou_threshold: float = 0.5) -> tuple[float, 
 
     An image is positive when it contains any ground-truth object; its score is
     the maximum detection score (0 with no detections). AUC is undefined when
-    every image has the same polarity and comes back as None.
+    every image has the same polarity and comes back as None, as on any
+    generated world, whose every sample holds an object (`EvalResult.auc`).
     """
     matched = _match_lists(dets_by_img, gts_by_img, iou_threshold)
     return _f1(matched), _auc(matched)
@@ -276,7 +281,8 @@ def evaluate(params: ModelParams, samples: list[DetectionSample],
              num_classes: int) -> EvalResult:
     """Full metric sweep of a model over a labeled dataset, at IoU 0.5 and
     the `FPI_POINTS` budgets. A ground-truth class outside [0, num_classes),
-    which the per-class list would drop, raises ValueError."""
+    which the per-class list would drop, raises ValueError. Its `auc` is None
+    on generated samples, which all hold an object (`EvalResult.auc`)."""
     matched = _match_samples(params, samples)
     if np.any((matched.gt_cls < 0) | (matched.gt_cls >= num_classes)):
         raise ValueError(f"ground-truth class outside [0, {num_classes})")

@@ -8,7 +8,7 @@ keep their previous estimate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +44,14 @@ def batch_confusion(true_cls, pred_cls, num_classes: int) -> np.ndarray:
 class RelationMatrix:
     matrix: np.ndarray        # (C, C), updated rows stay row-stochastic
     ema_rate: float           # weight kept on the old row at each update
-    update_counts: np.ndarray = field(default=None)  # per-row update tally
+    update_counts: np.ndarray | None = None  # per-row update tally, integers
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
         if not 0.0 <= self.ema_rate <= 1.0:
             raise ValueError("ema_rate must lie in [0, 1]")
-        if self.update_counts is None:
-            self.update_counts = np.zeros(self.matrix.shape[0], dtype=int)
+        self.update_counts = np.zeros(self.matrix.shape[0], dtype=int) \
+            if self.update_counts is None else np.asarray(self.update_counts, dtype=int)
 
     @classmethod
     def identity(cls, num_classes: int, ema_rate: float) -> "RelationMatrix":
@@ -98,18 +98,6 @@ class RelationMatrix:
             raise NotReadyError(f"rows never updated: {missing}")
         diag = np.diag(self.matrix)
         return frozenset(np.flatnonzero(diag > diag.mean()).tolist())
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix.tolist(),
-            "ema_rate": self.ema_rate,
-            "update_counts": self.update_counts.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RelationMatrix":
-        return cls(np.array(data["matrix"], dtype=float), float(data["ema_rate"]),
-                   np.array(data["update_counts"], dtype=int))
 
     def save_rows(self, path) -> None:
         """Checkpoint the matrix as a plain JSON array of rows."""

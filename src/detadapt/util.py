@@ -1,10 +1,22 @@
-"""Small shared helpers: seeded RNG sub-streams, atomic writes, shared checks."""
+"""Small shared helpers: seeded RNG sub-streams, atomic writes, shared checks,
+and the JSON codec of the run's dataclasses."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import typing
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Raised for invalid domain or run configuration, or a malformed input file."""
+
+
+# the JSON values a scalar field takes, by its annotation; `type` is exact, so
+# a JSON true, a Python bool, is not an int
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
 
 def _key(part: int | str) -> int:
@@ -62,3 +74,74 @@ def sorted_by_id(samples: list) -> list:
     if repeats:
         raise ValueError(f"{repeats} samples repeat an id")
     return ordered
+
+
+def to_json(obj) -> dict:
+    """The JSON form of a dataclass: its fields in order, an array as nested
+    lists and a dataclass as a dict of its own; `from_json` reads it back."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            value = to_json(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        out[f.name] = value
+    return out
+
+
+def from_json(cls, data, where: str):
+    """The dataclass `cls` built from its JSON form `data`, named `where` in errors.
+
+    Each field's annotation sets the JSON it takes: a bool field a bool, an
+    int field an integer, a float field any number, an array field lists of
+    numbers (`number_array`), a dataclass field a dict of its own, read with
+    the field's name as its `where`; `| None` adds null. A value keeps its
+    JSON type, and an array is float. Raises `ConfigError` for a value of
+    the wrong type, an unknown field, and a missing field or value that the
+    constructor rejects.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in data.items():
+        kinds = typing.get_args(hints[name]) or (hints[name],)
+        kind = kinds[0]  # the annotation without its `| None`
+        if value is None and type(None) in kinds:
+            kwargs[name] = None
+        elif dataclasses.is_dataclass(kind):
+            kwargs[name] = from_json(kind, value, name)
+        elif kind is np.ndarray:
+            kwargs[name] = number_array(value, f"{where}: {name}")
+        elif type(value) in _JSON_TYPES[kind]:
+            kwargs[name] = value
+        else:
+            raise ConfigError(f"{where}: {name} must be {fields[name].type}, got {value!r}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:  # a missing field or a value out of range
+        raise ConfigError(f"invalid {where}: {exc}") from None
+
+
+def number_array(value, what: str) -> np.ndarray:
+    """`value`, lists nested to one shape with JSON numbers, never a bool or a
+    string, at the leaves, as a float array; `ConfigError` naming `what` if not."""
+    if not _numbers(value):
+        raise ConfigError(f"{what} must be lists of numbers")
+    try:
+        return np.array(value, dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged lists, an int beyond the float range
+        raise ConfigError(f"{what} must be lists of numbers ({exc})") from None
+
+
+def _numbers(value) -> bool:
+    if type(value) is not list:
+        return False
+    if all(type(v) is list for v in value):
+        return all(map(_numbers, value))
+    return all(type(v) in _JSON_TYPES[float] for v in value)

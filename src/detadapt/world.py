@@ -18,13 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import write_atomic
+from .util import ConfigError, from_json, number_array, to_json, write_atomic
 
 MIN_BOX_SIZE = 1e-6  # the side a valid box is padded to when shorter
-
-
-class ConfigError(ValueError):
-    """Raised for invalid domain or run configuration."""
 
 
 @dataclass(frozen=True)
@@ -207,19 +203,6 @@ class DomainSpec:
         if not (0.0 < self.min_proposal_iou < 1.0):
             raise ConfigError("min_proposal_iou must lie in (0, 1)")
 
-    def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DomainSpec":
-        return cls(**data)
-
 
 def make_domain_spec(
     num_classes: int,
@@ -352,7 +335,7 @@ def dataset_to_dict(spec: DomainSpec, samples: list[DetectionSample]) -> dict:
         proposals = np.hstack((s.proposal_boxes, s.proposal_features)).tolist()
         objects = [[*box, int(c)] for box, c in zip(s.gt_boxes.tolist(), s.gt_classes.tolist())]
         docs.append({"id": s.id, "proposals": proposals, "objects": objects})
-    return {"spec": spec.to_dict(), "samples": docs}
+    return {"spec": to_json(spec), "samples": docs}
 
 
 def save_dataset(path, spec: DomainSpec, samples: list[DetectionSample]) -> None:
@@ -364,23 +347,20 @@ def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
 
     Raises `ConfigError` on a document or sample record that is not a JSON
     object with its keys ("spec", "samples"; "id", "proposals", "objects";
-    the last of each a list), a spec that is not a whole `DomainSpec`, that
-    `validate` rejects or whose `size` is not the sample count, a sample id
-    that is not a JSON integer or that repeats, a sample without proposals,
-    a proposal row not a list of 4 + `spec.feature_dim` finite JSON numbers,
-    an object row not a list of 5 values (box, class), an object class not an
-    integer in [0, `spec.num_classes`), and a ground-truth box that is not
-    finite with x1 < x2 and y1 < y2. The file stores no object features: in
+    the last of each a list), a spec that `from_json` or `validate` rejects
+    or whose `size` is not the sample count, a sample id that is not a JSON
+    integer or that repeats, a sample without proposals, a proposal row not
+    a list of 4 + `spec.feature_dim` finite numbers, an object row not a
+    list of 5 values (box, class), an object class not an integer in
+    [0, `spec.num_classes`), and a ground-truth box not 4 numbers, finite
+    with x1 < x2 and y1 < y2. A number is a JSON number, never a bool or a
+    string (`util.number_array`). The file stores no object features: in
     a generated sample they are the first G proposal rows (see
     `DetectionSample`).
     """
     with open(path) as fh:
         doc = json.load(fh)
-    spec_doc = _field(doc, "spec", "the dataset")
-    try:
-        spec = DomainSpec.from_dict(spec_doc)
-    except TypeError as exc:  # a missing or unknown field
-        raise ConfigError(f"invalid dataset spec: {exc}") from None
+    spec = from_json(DomainSpec, _field(doc, "spec", "the dataset"), "dataset spec")
     spec.validate()
     records = _field(doc, "samples", "the dataset", list)
     if spec.size != len(records):
@@ -401,15 +381,13 @@ def load_dataset(path) -> tuple[DomainSpec, list[DetectionSample]]:
             raise ConfigError(f"no proposals in sample {sample_id}")
         if any(not isinstance(row, list) or len(row) != width for row in proposals):
             raise ConfigError(f"proposal row not {width} values wide in sample {sample_id}")
-        # `type` is exact: a JSON true is a bool, not a number
-        if not all(type(value) in (int, float) for row in proposals for value in row):
-            raise ConfigError(f"proposal row not all numbers in sample {sample_id}")
-        rows = np.array(proposals, dtype=float)
+        rows = number_array(proposals, f"proposal rows of sample {sample_id}")
         if not np.isfinite(rows).all():
             raise ConfigError(f"proposal row not finite in sample {sample_id}")
         if any(not isinstance(obj, list) or len(obj) != 5 for obj in objects):
             raise ConfigError(f"object row not 5 values (box, class) in sample {sample_id}")
-        gt_boxes = np.array([obj[:4] for obj in objects], dtype=float).reshape(-1, 4)
+        gt_boxes = number_array([obj[:4] for obj in objects],
+                                f"ground-truth boxes of sample {sample_id}").reshape(-1, 4)
         if not (np.isfinite(gt_boxes).all() and (gt_boxes[:, :2] < gt_boxes[:, 2:]).all()):
             raise ConfigError(f"invalid ground-truth box in sample {sample_id}")
         classes = [obj[4] for obj in objects]

@@ -60,12 +60,17 @@ def eval_corrupted_dataset(tmp_path, tiny_config_file, corrupt):
                                    lambda doc: corrupt(doc["samples"][0]))
 
 
-def eval_corrupted_document(tmp_path, tiny_config_file, corrupt):
+def eval_corrupted_document(tmp_path, tiny_config_file, corrupt, corrupt_params=None):
     """As `eval_corrupted_dataset`, with `corrupt` editing the whole JSON
-    document of the saved target set."""
+    document of the saved target set, and `corrupt_params`, if given, that
+    of the saved model."""
     config_path, config = tiny_config_file
     params_path = tmp_path / "params.json"
     save_params(params_path, pretrain_source(dataclasses.replace(config, pretrain_epochs=0))[0])
+    if corrupt_params:
+        doc = json.loads(params_path.read_text())
+        corrupt_params(doc)
+        params_path.write_text(json.dumps(doc))
     dataset_path = tmp_path / "data.json"
     save_dataset(dataset_path, config.target,
                  generate_domain(config.target, derive_seed(0, "world", "target")))
@@ -208,6 +213,60 @@ def test_eval_mode_rejects_a_dataset_without_a_key_or_list_with_exit_two(
     assert list(out.iterdir()) == []
 
 
+def set_key(key, value, at=lambda doc: doc):
+    def corrupt(doc):
+        at(doc)[key] = value
+    return corrupt
+
+
+def unchanged(doc):
+    pass
+
+
+def spec_of(doc):
+    return doc["spec"]
+
+
+def first_object(doc):
+    return doc["samples"][0]["objects"][0]
+
+
+def first_weight_row(doc):
+    return doc["w_cls"][0]
+
+
+def one_row_w_cls(doc):
+    doc["w_cls"] = doc["w_cls"][:1]
+
+
+# a value of the wrong JSON type, a missing field, or a value out of range, in
+# the saved dataset's spec or object boxes or in the saved model
+MALFORMED = {
+    "spec_size_text": (set_key("size", "3", at=spec_of), None),
+    "spec_background_cov_text": (set_key("background_cov", "1", at=spec_of), None),
+    "spec_num_classes_float": (set_key("num_classes", 5.0, at=spec_of), None),
+    "spec_min_objects_true": (set_key("min_objects", True, at=spec_of), None),
+    "box_text": (set_key(1, "x", at=first_object), None),
+    "box_true": (set_key(1, True, at=first_object), None),
+    "weight_text": (unchanged, set_key(0, "0.1", at=first_weight_row)),
+    "weight_true": (unchanged, set_key(0, True, at=first_weight_row)),
+    "weight_nan": (unchanged, set_key(0, float("nan"), at=first_weight_row)),
+    "no_b_reg": (unchanged, drop_key("b_reg")),
+    "dropout_1.5": (unchanged, set_key("dropout_rate", 1.5)),
+    "dropout_text": (unchanged, set_key("dropout_rate", "0.3")),
+    "one_row_w_cls": (unchanged, one_row_w_cls),
+}
+
+
+@pytest.mark.parametrize("corrupt, corrupt_params", MALFORMED.values(), ids=MALFORMED)
+def test_eval_mode_rejects_a_malformed_value_with_exit_two(
+        corrupt, corrupt_params, tmp_path, tiny_config_file, capsys):
+    code, out = eval_corrupted_document(tmp_path, tiny_config_file, corrupt, corrupt_params)
+    assert code == 2
+    assert "config error: " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_adapt_mode_outputs_are_deterministic(tmp_path, tiny_config_file, monkeypatch):
     # the tiny config never augments; the busy one does (see `busy_config`)
     busy_path = tmp_path / "busy.json"
@@ -318,6 +377,10 @@ def test_bad_config_exits_two(tmp_path):
         bad.write_text(json.dumps({"pretrain_epochs": 0, "epochs": 0, **value}))
         assert run_cli(["--mode", "adapt", "--config", str(bad),
                         "--out", str(tmp_path / "o")]) == 2, value
+    # `--seed` on a config that is not a JSON object
+    bad.write_text("[1, 2]")
+    assert run_cli(["--mode", "adapt", "--config", str(bad), "--seed", "1",
+                    "--out", str(tmp_path / "o")]) == 2
     missing = tmp_path / "missing.json"
     assert run_cli(["--mode", "adapt", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
     assert run_cli(["--mode", "eval", "--out", str(tmp_path / "o")]) == 2

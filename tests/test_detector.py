@@ -8,6 +8,7 @@ from bruteforce import (max_relative_error, numeric_gradient, oracle_detections,
 from detadapt.detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
                                detection_loss, forward, forward_arrays, giou_and_grad,
                                load_params, save_params, sgd_step)
+from detadapt.util import to_json
 from detadapt.world import BBox, DetectionSample
 
 
@@ -309,7 +310,7 @@ def test_params_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(params.b_reg, loaded.b_reg)
     assert params.dropout_rate == loaded.dropout_rate
     # a second serialization is byte-identical
-    assert json.dumps(params.to_dict()) == json.dumps(loaded.to_dict())
+    assert json.dumps(to_json(params)) == json.dumps(to_json(loaded))
 
 
 @pytest.mark.parametrize("name,value", [
@@ -317,7 +318,7 @@ def test_params_roundtrip_bit_exact(tmp_path):
     ("w_cls", np.zeros((1, 6)))])
 def test_load_params_rejects_shapes_that_do_not_fit(name, value, tmp_path):
     # (C+1, D), (C+1,), (4, D), (4,): a bias of the wrong length must not broadcast
-    doc = random_params(np.random.default_rng(10)).to_dict()
+    doc = to_json(random_params(np.random.default_rng(10)))
     doc[name] = np.asarray(value).tolist()
     path = tmp_path / "params.json"
     path.write_text(json.dumps(doc))

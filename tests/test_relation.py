@@ -5,6 +5,7 @@ import pytest
 
 from bruteforce import oracle_batch_confusion, oracle_update
 from detadapt.relation import (NotReadyError, RelationMatrix, batch_confusion)
+from detadapt.util import from_json, to_json
 
 
 def test_batch_confusion_hand_count():
@@ -159,13 +160,13 @@ def test_split_requires_every_row_updated():
 
 
 def test_serialization_roundtrip(tmp_path):
-    # the checkpoint dict through JSON, before and after every row is updated:
+    # the checkpoint form through JSON, before and after every row is updated:
     # the state and what it derives come back exactly
     rng = np.random.default_rng(1)
     rel = RelationMatrix.identity(3, ema_rate=0.95)
     for counts in ([[2, 1, 0], [0, 0, 0], [1, 0, 3]], *rng.integers(0, 4, size=(5, 3, 3))):
         rel.update(np.array(counts, dtype=float))
-        clone = RelationMatrix.from_dict(json.loads(json.dumps(rel.to_dict())))
+        clone = from_json(RelationMatrix, json.loads(json.dumps(to_json(rel))), "relation")
         assert clone.matrix.tobytes() == rel.matrix.tobytes()
         assert clone.ema_rate == rel.ema_rate
         assert np.array_equal(clone.update_counts, rel.update_counts)

@@ -51,7 +51,8 @@ def test_table_rows_means_differences_and_rescue(tiny_config, monkeypatch, capsy
     assert lines[0].endswith("| base AP0-2 | +SA AP0-2 | +SAL AP0-2 | full AP0-2 |")
     assert [line.split(" | ")[0] for line in lines[2:5]] == ["| 0", "| 1", "| mean"]
     assert lines[6].startswith("full - +SA: ") and ", SD " in lines[6]
-    assert lines[7].startswith("+SA lifts AP3 and AP4 above base on every seed: ")
+    assert lines[7].startswith("+SA lifts AP3 and AP4 above base on ")
+    assert lines[7].endswith(" of 2 seeds")
 
 
 def test_render_by_hand():
@@ -67,7 +68,7 @@ def test_render_by_hand():
     assert lines[4].endswith("| 0.850 | 0.900 | 0.750 | 0.875 |")
     assert lines[6] == "full - +SA: +0.1000, +0.0000; mean +0.0500, SD 0.0707"
     # seed 1's +SA leaves AP4 at base's 0.0
-    assert lines[7] == "+SA lifts AP3 and AP4 above base on every seed: no"
+    assert lines[7] == "+SA lifts AP3 and AP4 above base on 1 of 2 seeds"
 
 
 def test_render_against_by_hand():

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import re
 
@@ -5,13 +7,15 @@ import numpy as np
 import pytest
 
 from detadapt import cli, util
-from detadapt.config import default_config
+from detadapt.config import AdaptationConfig, default_config
+from detadapt.expert import ExpertSpec
 from detadapt.detector import Labels, ModelParams, match_labels, save_params, targets
 from detadapt.partition import VarianceReport
-from detadapt.relation import RelationMatrix
+from detadapt.relation import RelationMatrix, batch_confusion
 from detadapt.trainer import EpochRecord, TrainHistory
 from detadapt.weighting import relation_weights
-from detadapt.world import DetectionSample, generate_domain, make_domain_spec, save_dataset
+from detadapt.world import (ConfigError, DetectionSample, DomainSpec, generate_domain,
+                            make_domain_spec, save_dataset)
 
 
 def _params(version):
@@ -134,3 +138,90 @@ def test_sorted_by_id_sorts_and_counts_repeated_ids():
     samples.append(samples[1])
     with pytest.raises(ValueError, match="^2 samples repeat an id$"):
         util.sorted_by_id(samples)
+
+
+def _relation():
+    rel = RelationMatrix.identity(3, 0.9)
+    rel.update(batch_confusion([0, 0, 2, 1], [0, 1, 2, 0], 3))
+    rel.update(batch_confusion([0, 1], [1, 1], 3))
+    return rel
+
+
+def _same(a, b) -> bool:
+    """Equal fields, recursively: arrays of one dtype and value, scalars of one type."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+ROUND_TRIPS = {
+    "config": lambda: dataclasses.replace(default_config(seed=3), learning_rate=1,
+                                          background_bar=None, expert=ExpertSpec(0.2, 0.0, 1)),
+    "domain_spec": lambda: default_config().target,
+    "expert_spec": lambda: ExpertSpec(0.25, 0.5, 0.125),
+    "params": lambda: ModelParams.init(4, 6, np.random.default_rng(5), 0.25),
+    "relation": _relation,
+}
+
+
+@pytest.mark.parametrize("make", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+def test_json_codec_round_trip_keeps_fields_and_bytes(make):
+    obj = make()
+    text = json.dumps(util.to_json(obj))
+    back = util.from_json(type(obj), json.loads(text), "it")
+    assert _same(back, obj)
+    assert json.dumps(util.to_json(back)) == text
+
+
+def test_relation_round_trip_keeps_integer_update_counts():
+    back = util.from_json(RelationMatrix, json.loads(json.dumps(util.to_json(_relation()))), "it")
+    assert back.update_counts.dtype.kind == "i" and back.update_counts.tolist() == [2, 2, 1]
+
+
+# id: (class, JSON document, the message of its ConfigError)
+REJECTED = {
+    "not_an_object": (ExpertSpec, [0.1], "^spec must be a JSON object$"),
+    "bool_float": (ExpertSpec, {"miss_rate": True}, "^spec: miss_rate must be float, got True$"),
+    "text_float": (ExpertSpec, {"flip_rate": "0.1"}, "^spec: flip_rate must be float"),
+    "unknown": (ExpertSpec, {"miss_rate": 0.1, "bogus": 1}, r"^unknown spec fields: \['bogus'\]$"),
+    "out_of_range": (ExpertSpec, {"miss_rate": 2.0}, "^invalid spec: miss_rate and flip_rate"),
+    "null_float": (AdaptationConfig, {"expert": {"box_jitter": None}},
+                   "^expert: box_jitter must be float"),
+    "missing": (ModelParams, {"w_cls": [[0.0]], "b_cls": [0.0], "w_reg": [[0.0]], "b_reg": [0.0]},
+                "^invalid spec: .*dropout_rate"),
+    "bool_in_array": (ModelParams, {"w_cls": [[0.0, True]]},
+                      "^spec: w_cls must be lists of numbers$"),
+    "mixed_depth": (ModelParams, {"w_cls": [[0.0], 0.0]}, "^spec: w_cls must be lists of numbers$"),
+    "number_array": (ModelParams, {"w_cls": 0.0}, "^spec: w_cls must be lists of numbers$"),
+    "ragged": (ModelParams, {"w_cls": [[0.0], [0.0, 1.0]]},
+               r"^spec: w_cls must be lists of numbers \("),
+    "int_beyond_float": (ModelParams, {"b_cls": [10 ** 400]},
+                         r"^spec: b_cls must be lists of numbers \("),
+    "text_array": (DomainSpec, {"background_mean": "a"}, "^spec: background_mean must be lists"),
+}
+
+
+@pytest.mark.parametrize("cls, doc, message", REJECTED.values(), ids=REJECTED)
+def test_from_json_rejects_a_wrong_type_field_or_value(cls, doc, message):
+    with pytest.raises(ConfigError, match=message):
+        util.from_json(cls, doc, "spec")
+
+
+def test_from_json_takes_null_where_the_annotation_does():
+    # `background_bar: float | None` and `background_mean: np.ndarray | None`
+    doc = {**util.to_json(default_config()), "background_bar": None}
+    doc["source"]["background_mean"] = None
+    config = util.from_json(AdaptationConfig, doc, "config")
+    assert config.background_bar is None
+    assert config.source.background_mean.tolist() == [0.0] * config.source.feature_dim
+
+
+def test_number_array_is_a_float_array_of_json_numbers():
+    assert util.number_array([[1, 2.5], [3, 4]], "x").dtype == float
+    assert util.number_array([], "x").shape == (0,)
+    for bad in ([1, "2"], [[1, None]], [1, [2]], (1, 2), 1.0):
+        with pytest.raises(ConfigError, match="^rows must be lists of numbers"):
+            util.number_array(bad, "rows")

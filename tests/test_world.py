@@ -6,6 +6,7 @@ import pytest
 
 from bruteforce import _iou, oracle_box, oracle_generate_domain
 from detadapt.config import AdaptationConfig, default_config
+from detadapt.util import to_json
 from detadapt.world import (BBox, ConfigError, box_iou, boxes_from_raw, dataset_to_dict,
                             generate_domain, load_dataset, make_domain_spec,
                             save_dataset, shift_domain)
@@ -229,7 +230,7 @@ def with_last(value, bad):
                          ids=["nan", "inf", "-inf", "int-beyond-float"])
 @pytest.mark.parametrize("name", NON_FINITE_FIELDS)
 def test_non_finite_spec_values_are_config_errors(name, bad):
-    value = with_last(default_config(seed=0).target.to_dict()[name], bad)
+    value = with_last(to_json(default_config(seed=0).target)[name], bad)
     with pytest.raises(ConfigError, match=name):
         AdaptationConfig.from_dict({"target": {name: value}})
 
@@ -244,7 +245,7 @@ def old_dataset_to_dict(spec, samples):
         ]
         objects = [[*map(float, box), int(c)] for box, c in zip(s.gt_boxes, s.gt_classes)]
         docs.append({"id": s.id, "proposals": proposals, "objects": objects})
-    return {"spec": spec.to_dict(), "samples": docs}
+    return {"spec": to_json(spec), "samples": docs}
 
 
 def test_dataset_json_text_is_the_per_value_form(tmp_path):
@@ -265,7 +266,7 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "data.json"
     save_dataset(path, spec, samples)
     loaded_spec, loaded = load_dataset(path)
-    assert loaded_spec.to_dict() == spec.to_dict()
+    assert to_json(loaded_spec) == to_json(spec)
     assert len(loaded) == len(samples)
     for a, b in zip(samples, loaded):
         assert np.allclose(a.proposal_boxes, b.proposal_boxes)

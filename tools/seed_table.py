@@ -8,8 +8,8 @@ row per seed and a row of means: each variant's final teacher mAP50, then each
 variant's final AP of the rare classes 3 and 4 (the default world's contracted
 classes), then each variant's final AP of the dominant classes 0-2, averaged
 over the three, to show what augmentation costs them. Below it come full - +SA
-per seed, with its mean and sample SD, and whether +SA lifts both rare classes
-above base on every seed.
+per seed, with its mean and sample SD, and the number of seeds on which +SA
+lifts both rare classes above base.
 
 With `--against PARENT`, PARENT runs the same seeds too, and one line per
 variant follows: the paired difference TREE - PARENT, seed by seed, in final
@@ -89,9 +89,9 @@ def render(results: dict[int, dict]) -> str:
     lines.append("")
     lines.append("full - +SA: " + ", ".join(f"{d:+.4f}" for d in diffs)
                  + f"; mean {statistics.fmean(diffs):+.4f}, SD {sd:.4f}")
-    rescued = all(sa > base for r in runs for sa, base in zip(r["sa"][1], r["base"][1]))
-    lines.append(f"+SA lifts AP{' and AP'.join(map(str, RARE))} above base on every seed: "
-                 f"{'yes' if rescued else 'no'}")
+    rescued = sum(all(sa > base for sa, base in zip(r["sa"][1], r["base"][1])) for r in runs)
+    lines.append(f"+SA lifts AP{' and AP'.join(map(str, RARE))} above base on {rescued} "
+                 f"of {len(runs)} seeds")
     return "\n".join(lines)
 
 
