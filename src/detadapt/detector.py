@@ -2,17 +2,16 @@
 
 The model is linear in the input features so every gradient below is derived by
 hand and checked against finite differences. Class index C (the last logit) is
-the background class. `Scored` is the one forward pass: it scores a block of
-samples, and a sample alone is a block of one. Training scores a batch in one
-block, matches and targets the batch's labels as one block (`match_labels`,
-`targets`, arrays with per-sample offsets) and computes every sample's
-losses, and the batch's summed gradients per loss, in one pass of one array
-kernel, `supervised_losses`, over a list of (`Targets`, expert) terms;
-`detection_loss` and the expert's `expert_loss` call it on one sample and
-one term. The losses equal those of a per-label loop bit for bit, and so do
-the gradients of a block of one; a larger block's gradients are one
-product over its rows, equal to the in-order sum of its samples' gradients
-up to rounding.
+the background class. `Scored` is the one forward pass, over a block's packed
+rows (`pack`); a sample alone is a block of one. Training matches and targets a
+batch's labels as one block (`match_labels`, `targets`, arrays with per-sample
+offsets), lays out its (`Targets`, expert) terms (`loss_layout`, param-free)
+and computes every sample's losses, and the block's summed gradients per term,
+in one pass of one kernel, `supervised_losses`. Pretraining lays out a whole
+epoch once and cuts each batch from it (`LossLayout.cut`). The losses equal
+those of a per-label loop bit for bit, and so do the gradients of a block of
+one; a larger block's gradients are one product over its rows, equal to the
+in-order sum of its samples' gradients up to rounding.
 """
 
 from __future__ import annotations
@@ -185,14 +184,13 @@ def _heads(params: ModelParams, h: np.ndarray, proposal_boxes: np.ndarray, singl
 class Scored:
     """One forward pass of a model on a block of samples, as arrays.
 
-    The heads run once over the samples' proposals, concatenated; a sample
-    alone is the block `[sample]`. `features`, (rows, D), stands in for the
-    proposal features, such as a strong view of them, and `counts`, (n,), for
-    the samples' proposal counts, read from them when not given. Holds the
+    It takes a block's packed rows (`pack`): proposal `features`, (rows, D),
+    or a view of them such as a strong one, proposal `boxes`, (rows, 4), and
+    `offsets`, sample i owning rows `offsets[i]:offsets[i + 1]`; a sample
+    alone is `pack([sample])`. The heads run once over the rows. Holds the
     outputs (h, log_scores, scores, refined), h being the (possibly dropped)
-    features, the block's row count `num_proposals` and the `offsets` of the
-    samples' rows: sample i owns rows `offsets[i]:offsets[i + 1]`, equal bit
-    for bit to those of its own block of one.
+    features, the row count `num_proposals` and the `offsets`; a sample's
+    rows equal bit for bit those of its own block of one.
 
     With a Generator `rng` the outputs are stacks of `passes` dropout passes,
     (M, rows, ...). The block's masks come from one `rng.random` draw of
@@ -208,31 +206,25 @@ class Scored:
     use, so a caller that needs only the loss pays for none of them.
     """
 
-    def __init__(self, params: ModelParams, samples: list[DetectionSample],
-                 rng: np.random.Generator | None = None, passes: int = 1, *,
-                 features: np.ndarray | None = None, counts: np.ndarray | None = None):
-        if counts is None:
-            counts = np.array([s.num_proposals for s in samples], dtype=int)
-        offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
-        x = np.concatenate([s.proposal_features for s in samples]) if features is None \
-            else features
-        if x.shape != (offsets[-1], params.feature_dim):
-            raise ValueError(f"feature rows {x.shape} for {offsets[-1]} proposals "
-                             f"and model dim {params.feature_dim}")
-        boxes = np.concatenate([s.proposal_boxes for s in samples])
-        h = x
+    def __init__(self, params: ModelParams, features: np.ndarray, boxes: np.ndarray,
+                 offsets: np.ndarray, rng: np.random.Generator | None = None, passes: int = 1):
+        counts = offsets[1:] - offsets[:-1]
+        if features.shape != (offsets[-1], params.feature_dim) or boxes.shape != (offsets[-1], 4):
+            raise ValueError(f"feature rows {features.shape} and box rows {boxes.shape} for "
+                             f"{offsets[-1]} proposals and model dim {params.feature_dim}")
+        h = features
         if rng is not None:
             rate = params.dropout_rate
-            h = np.broadcast_to(x, (passes,) + x.shape)
+            h = np.broadcast_to(features, (passes,) + features.shape)
             if rate > 0.0:
                 # block row r of sample i (rows a_i:a_i + P_i) reads draw row
                 # M * a_i + m * P_i + (r - a_i) in pass m
                 start, size = np.repeat(offsets[:-1], counts), np.repeat(counts, counts)
-                order = ((passes - 1) * start + np.arange(len(x))
+                order = ((passes - 1) * start + np.arange(len(features))
                          + np.arange(passes)[:, None] * size)
                 # the gathered uniforms become the dropped features in place
-                h = np.take(rng.random((passes * len(x), x.shape[1])), order, axis=0)
-                np.multiply(x / (1.0 - rate), h >= rate, out=h)
+                h = np.take(rng.random((passes * len(features), features.shape[1])), order, axis=0)
+                np.multiply(features / (1.0 - rate), h >= rate, out=h)
         single = offsets[:-1][counts == 1]
         self.num_classes = params.num_classes
         self.offsets, self.num_proposals = offsets, int(offsets[-1])
@@ -254,6 +246,15 @@ class Scored:
         return boxes_from_raw(self.refined)
 
 
+def pack(samples: list[DetectionSample], counts: np.ndarray | None = None):
+    """`Scored`'s input for a block of samples: their proposal features and boxes
+    laid end to end, and their rows' offsets by `counts`, read from them if not given."""
+    counts = np.array([s.num_proposals for s in samples], dtype=int) if counts is None else counts
+    return (np.concatenate([s.proposal_features for s in samples] or [np.zeros((0, 0))]),
+            np.concatenate([s.proposal_boxes for s in samples] or [np.zeros((0, 4))]),
+            np.concatenate(([0], np.cumsum(counts, dtype=int))))
+
+
 def blocks(offsets: np.ndarray, passes: int = 1) -> list[tuple[int, int]]:
     """(start, stop) sample ranges of the packed scoring calls over samples
     whose rows are `offsets[i]:offsets[i + 1]`: from each start, the longest
@@ -271,19 +272,19 @@ def blocks(offsets: np.ndarray, passes: int = 1) -> list[tuple[int, int]]:
 
 def forward_arrays(params: ModelParams, sample: DetectionSample):
     """(h, log_scores, scores, refined) of one sample, without dropout: the
-    arrays of its block of one, `Scored(params, [sample])`."""
-    scored = Scored(params, [sample])
+    arrays of its block of one, `Scored(params, *pack([sample]))`."""
+    scored = Scored(params, *pack([sample]))
     return scored.h, scored.log_scores, scored.scores, scored.refined
 
 
 def forward(params: ModelParams, sample: DetectionSample) -> list[Detection]:
     """One Detection per proposal, in proposal order.
 
-    The object view of `Scored(params, [sample])`: its boxes, foreground
-    classes and scores, one `Detection` each, for callers that want objects.
+    The object view of `Scored(params, *pack([sample]))`: its boxes, classes
+    and scores, one `Detection` each, for callers that want objects.
     Training, the partition and evaluation work on the arrays and build none.
     """
-    scored = Scored(params, [sample])
+    scored = Scored(params, *pack([sample]))
     boxes = scored.boxes.tolist()
     class_ids = scored.class_ids.tolist()
     fg_scores = scored.fg_scores.tolist()
@@ -348,7 +349,8 @@ def smooth_l1_grad(diff: np.ndarray) -> np.ndarray:
 def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray,
                  offsets, label_offsets) -> np.ndarray:
     """Each label's highest-IoU proposal of its own sample; ties resolve to the
-    lowest index, and a label overlapping none gets its sample's first row.
+    lowest index, a NaN IoU counts as no overlap, and a label overlapping
+    none gets its sample's first row.
 
     A block: sample i owns proposal rows offsets[i]:offsets[i + 1] and label
     rows label_offsets[i]:label_offsets[i + 1] (a sample alone has offsets
@@ -377,11 +379,12 @@ def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray,
     label = np.repeat(np.arange(len(counts)), counts)
     local = np.arange(counts.sum()) - first[label]
     iou = box_iou(label_boxes[label], proposal_boxes[start[label] + local])
+    iou[np.isnan(iou)] = 0.0  # no overlap: inf - inf in the union of two huge boxes
     best = np.maximum.reduceat(iou, first)
     return start + np.minimum.reduceat(np.where(iou == best[label], local, counts[label]), first)
 
 
-def _segment_rows(offsets: np.ndarray, picks) -> tuple[np.ndarray, np.ndarray]:
+def segment_rows(offsets: np.ndarray, picks) -> tuple[np.ndarray, np.ndarray]:
     """Rows of segments `picks` of a packed array, segment i being rows
     offsets[i]:offsets[i + 1], in pick order, and the picked segments' offsets."""
     picks = np.asarray(picks, dtype=int)
@@ -448,8 +451,8 @@ class Targets(NamedTuple):
 
     def take(self, picks) -> "Targets":
         """The targets of samples `picks`, in that order, as a block."""
-        lab, offsets = _segment_rows(self.offsets, picks)
-        bg, background_offsets = _segment_rows(self.background_offsets, picks)
+        lab, offsets = segment_rows(self.offsets, picks)
+        bg, background_offsets = segment_rows(self.background_offsets, picks)
         return Targets(self.matches[lab], self.classes[lab], self.boxes[lab], self.weights[lab],
                        self.background[bg], offsets, background_offsets)
 
@@ -513,97 +516,124 @@ def _segment_means(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return np.bincount(segment, terms, len(counts)) / np.maximum(counts, 1)
 
 
-def supervised_losses(scored: Scored, terms: list[tuple[Targets, tuple[float, float] | None]]):
-    """Each sample's supervised loss over a packed block, and the block's
-    exact gradients, summed over its samples, for each of a list of terms.
+class LossLayout(NamedTuple):
+    """The param-free part of `supervised_losses` on a block of n samples, P
+    rows and T terms (`loss_layout`). Segment t * n + i is term t's sample i,
+    and slot t * P + r its pass row r in the terms' stacked gradient rows; the
+    cross-entropy (CE) rows run segment by segment, labels, then background."""
 
-    A term is a (`Targets`, expert) pair. Sample i of `scored` (rows
-    `offsets[i]:offsets[i + 1]`) is supervised by its part of the term's
-    targets: each label by weighted cross-entropy and smooth-L1 on the
-    refined coordinates of its matched proposal.
+    offsets: np.ndarray        # (n + 1,) the pass's sample offsets
+    ce_slots: np.ndarray       # (r,) each CE row's slot
+    ce_target: np.ndarray      # (r, C + 1) its target: a class vector or the background
+    ce_weight: np.ndarray      # (r,) its weight
+    ce_offsets: np.ndarray     # (T * n + 1,) the segments' CE rows
+    label_slots: np.ndarray    # (l,) each label's proposal's slot, segment by segment
+    label_boxes: np.ndarray    # (l, 4) its box
+    label_count: np.ndarray    # (l,) its segment's label count
+    label_offsets: np.ndarray  # (T * n + 1,) the segments' labels
+    norm: np.ndarray           # (T, P, 1) each term's CE divisor per pass row
+    experts: tuple             # each term's expert (cls_weight, reg_weight), or None
 
+    def cut(self, a: int, b: int) -> "LossLayout":
+        """Samples a:b of a one-term layout, each field a contiguous slice rebased
+        to the cut's first row: the layout of those samples alone, field by field."""
+        if len(self.experts) != 1:
+            raise ValueError("only a one-term layout is cut")
+        p, c, lab = self.offsets[a], self.ce_offsets[a], self.label_offsets[a]
+        ce, labs = slice(c, self.ce_offsets[b]), slice(lab, self.label_offsets[b])
+        return LossLayout(self.offsets[a:b + 1] - p, self.ce_slots[ce] - p, self.ce_target[ce],
+                          self.ce_weight[ce], self.ce_offsets[a:b + 1] - c,
+                          self.label_slots[labs] - p, self.label_boxes[labs],
+                          self.label_count[labs], self.label_offsets[a:b + 1] - lab,
+                          self.norm[:, p:self.offsets[b]], self.experts)
+
+
+def loss_layout(offsets: np.ndarray, terms: list[tuple[Targets, tuple[float, float] | None]],
+                num_classes: int) -> LossLayout:
+    """The `LossLayout` of terms on a block whose sample i owns pass rows
+    offsets[i]:offsets[i + 1]. A term is a (`Targets`, expert) pair:
     - `expert` None gives the detection loss. Each background proposal adds a
-      CE term toward the background class, with weight 1. CE averages over
+      CE row toward the background class, with weight 1. CE averages over
       labels and background proposals; smooth-L1 and (1 - GIoU) average over
       the labels.
     - `expert` = (cls_weight, reg_weight) gives the expert loss, with no GIoU:
       cls_weight times the mean CE plus reg_weight times the mean smooth-L1,
       both over the labels.
-
-    Returns, per term, the (n,) losses and one `GradientSet` (its `loss`
-    their sum), each the bits of that term's own call, from one pass: term
-    t's sample i is segment t * n + i and owns rows t * P + r of the gradient
-    buffers, so each row op runs once over every term's rows and one stacked
-    product gives every term's weight gradients.
-
-    Each sample's loss equals that of a loop over its labels bit for bit, in
-    that loop's order: CE rows are a sample's labels, then its background
-    proposals. Per-row gradients are exact too (`np.add.at` accumulates rows
-    that repeat in order), and the weight gradients are one product over the
-    whole block. For a block of one that is the loop's own product, so the
-    gradients are the loop's bit for bit. For a larger block BLAS adds the
-    samples in another order than a per-sample sum would, so an entry may
-    differ from the in-order sum by rounding: under 1e-15 of the array's
-    largest entry in random blocks of 11 samples.
     """
-    num_fg, n, size = scored.num_classes, len(scored.offsets) - 1, scored.num_proposals
+    n = len(offsets) - 1
     if any(len(t.offsets) != n + 1 or len(t.background_offsets) != n + 1 for t, _ in terms):
         raise ValueError(f"targets of another sample count than the block's {n}")
-    counts = scored.offsets[1:] - scored.offsets[:-1]
     matches, classes, boxes, weights, background = (np.concatenate(
         [getattr(t, name) for t, _ in terms]) for name in Targets._fields[:5])
     n_lab, n_bg = (np.concatenate([getattr(t, name)[1:] - getattr(t, name)[:-1] for t, _ in terms])
                    for name in ("offsets", "background_offsets"))
     segment = np.arange(len(n_lab))
     lab_of, bg_of = np.repeat(segment, n_lab), np.repeat(segment, n_bg)
-    # each segment's first row in the pass, and its term's first row in the buffers
-    first, shift = scored.offsets[segment % n], segment // n * size
-    lab_rows = first[lab_of] + matches
+    first = offsets[segment % n] + segment // n * offsets[-1]  # each segment's first slot
+    lab_slots = first[lab_of] + matches
+    order = np.argsort(np.concatenate((lab_of, bg_of)), kind="stable")
+    target = np.zeros((len(order), num_classes + 1))
+    target[:len(lab_slots), :num_classes] = classes
+    target[len(lab_slots):, num_classes] = 1.0
+    detection = np.array([expert is None for _, expert in terms]).repeat(n)
+    norm = np.repeat(np.maximum(n_lab + n_bg * detection, 1).reshape(len(terms), n),
+                     offsets[1:] - offsets[:-1], axis=1)
+    return LossLayout(offsets, np.concatenate((lab_slots, first[bg_of] + background))[order],
+                      target[order], np.concatenate((weights, np.ones(len(bg_of))))[order],
+                      np.cumsum(np.concatenate(([0], n_lab + n_bg))), lab_slots, boxes,
+                      n_lab[lab_of], np.cumsum(np.concatenate(([0], n_lab))), norm[..., None],
+                      tuple(expert for _, expert in terms))
 
-    # CE rows, segment by segment: the labels, then the background proposals
-    keys = np.concatenate((lab_of, bg_of))
-    order = np.argsort(keys, kind="stable")
-    rows = np.concatenate((lab_rows, first[bg_of] + background))[order]
-    target = np.zeros((len(rows), num_fg + 1))
-    target[:len(lab_rows), :num_fg] = classes
-    target[len(lab_rows):, num_fg] = 1.0
-    w = np.concatenate((weights, np.ones(len(bg_of))))
-    target, w = target[order], w[order]
+
+def supervised_losses(scored: Scored, layout: LossLayout):
+    """Each sample's supervised loss over a packed block and the block's
+    exact gradients, summed over its samples, per term of the block's
+    `LossLayout`: the (n,) losses and one `GradientSet` (its `loss` their
+    sum), each the bits of that term alone, from one pass of the row ops over
+    every term's rows and one stacked product. A cut layout (`LossLayout.cut`)
+    on its rows gives the bits of its samples alone.
+
+    Each sample's loss equals that of a loop over its labels bit for bit, in
+    that loop's order, and so do per-row gradients (`np.add.at` adds repeated
+    rows in order). The weight gradients are one product over the block: for
+    a block of one the loop's own; for a larger one BLAS adds the samples in
+    another order than a per-sample sum, so an entry may differ from that sum
+    by rounding: under 1e-15 of its largest entry in random blocks of 11.
+    """
+    n, size, width = len(layout.offsets) - 1, scored.num_proposals, scored.num_classes + 1
+    if len(scored.offsets) != n + 1 or layout.norm.shape[1] != size:
+        raise ValueError("a layout of another block than the scored one")
+    slots, target, w, experts = layout.ce_slots, layout.ce_target, layout.ce_weight, layout.experts
+    rows = slots % size
     # a stack of (1, K) @ (K, 1) products is one BLAS dot per row, like `target @ row`
     ce = -w * (target[:, None, :] @ scored.log_scores[rows][:, :, None])[:, 0, 0]
-    d_logits = np.zeros((len(terms), size, num_fg + 1))
-    np.add.at(d_logits.reshape(-1, num_fg + 1), rows + shift[keys[order]],
-              w[:, None] * (scored.scores[rows] - target))
-
+    d_logits = np.zeros((len(experts), size, width))
+    np.add.at(d_logits.reshape(-1, width), slots, w[:, None] * (scored.scores[rows] - target))
     # normalise as the loops did: detection divides box gradients by the label
     # count before adding up and CE rows after; the expert scales after adding up
-    refined = scored.refined[lab_rows]
+    refined, boxes = scored.refined[layout.label_slots % size], layout.label_boxes
     diff = refined - boxes
-    box = smooth_l1(diff).sum(axis=1)
-    d_box = smooth_l1_grad(diff)
+    box, d_box = smooth_l1(diff).sum(axis=1), smooth_l1_grad(diff)
     giou = np.zeros(len(box))  # 1 - GIoU, of detection labels only
-    ends = np.cumsum(np.concatenate(([0], n_lab)))[::n]
-    for (_, scale), a, b in zip(terms, ends, ends[1:]):
-        if scale is None:
+    for expert, a, b in zip(experts, layout.label_offsets[::n], layout.label_offsets[n::n]):
+        if expert is None:
             value, grad = giou_and_grad(refined[a:b], boxes[a:b])
             giou[a:b] = 1.0 - value
-            d_box[a:b] = (d_box[a:b] - grad) / n_lab[lab_of[a:b]][:, None]
-    d_refined = np.zeros((len(terms), size, 4))
-    np.add.at(d_refined.reshape(-1, 4), lab_rows + shift[lab_of], d_box)
-    # one reduction: the CE rows' segments, then the labels' twice, laid end to end
-    loss_cls, loss_box, loss_giou = _segment_means(np.concatenate((ce, box, giou)), np.cumsum(
-        np.concatenate(([0], n_lab + n_bg, n_lab, n_lab)))).reshape(3, -1)
-    losses = []
-    for (_, scale), seg, logits, coords in zip(terms, segment.reshape(-1, n), d_logits,
-                                               d_refined):
-        if scale is None:
-            logits /= np.repeat(np.maximum(n_lab[seg] + n_bg[seg], 1), counts)[:, None]
-            losses.append(loss_box[seg] + loss_giou[seg] + loss_cls[seg])
+            d_box[a:b] = (d_box[a:b] - grad) / layout.label_count[a:b, None]
+    d_refined = np.zeros((len(experts), size, 4))
+    np.add.at(d_refined.reshape(-1, 4), layout.label_slots, d_box)
+    for expert, logits, coords, norm in zip(experts, d_logits, d_refined, layout.norm):
+        if expert is None:
+            logits /= norm
         else:
-            per_row = np.repeat(np.maximum(n_lab[seg], 1), counts)[:, None]
-            logits *= scale[0] / per_row
-            coords *= scale[1] / per_row
-            losses.append(scale[0] * loss_cls[seg] + scale[1] * loss_box[seg])
+            logits *= expert[0] / norm
+            coords *= expert[1] / norm
+    # one reduction: the CE rows' segments, then the labels' twice, laid end to end
+    ends = layout.ce_offsets[-1] + layout.label_offsets[-1] * np.arange(2)[:, None]
+    loss_cls, loss_box, loss_giou = _segment_means(np.concatenate((ce, box, giou)), np.concatenate(
+        (layout.ce_offsets, *(ends + layout.label_offsets[1:])))).reshape(3, len(experts), n)
+    losses = [loss_box[t] + loss_giou[t] + loss_cls[t] if expert is None else
+              expert[0] * loss_cls[t] + expert[1] * loss_box[t] for t, expert in enumerate(experts)]
     w_cls, w_reg = (grads.transpose(0, 2, 1) @ scored.h for grads in (d_logits, d_refined))
     b_cls, b_reg = d_logits.sum(axis=1), d_refined.sum(axis=1)
     return [(loss, GradientSet(w_cls[t], b_cls[t], w_reg[t], b_reg[t], float(loss.sum())))
@@ -615,11 +645,13 @@ def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     """Supervised detection loss on one sample and its exact gradients.
 
     Each label supervises its highest-IoU proposal; `background` works as in
-    `targets`. The one-sample case of `supervised_losses`, whose docstring
-    gives the terms; a block of one gives the loop's bits.
+    `targets`. The one-sample case of `supervised_losses`; `loss_layout`
+    gives the terms, and a block of one gives the loop's bits.
     """
-    (losses, grads), = supervised_losses(Scored(params, [sample]),
-                                         [(targets([sample], labels, weights, background), None)])
+    scored = Scored(params, *pack([sample]))
+    terms = [(targets([sample], labels, weights, background), None)]
+    layout = loss_layout(scored.offsets, terms, params.num_classes)
+    (losses, grads), = supervised_losses(scored, layout)
     return float(losses[0]), grads
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import GradientSet, Labels, ModelParams, Scored, supervised_losses, targets
+from .detector import (GradientSet, Labels, ModelParams, Scored, loss_layout, pack,
+                       supervised_losses, targets)
 from .world import DetectionSample, boxes_from_raw
 
 
@@ -29,8 +30,8 @@ class ExpertSpec:
     def __post_init__(self):
         if not 0.0 <= self.miss_rate <= 1.0 or not 0.0 <= self.flip_rate <= 1.0:
             raise ValueError("miss_rate and flip_rate must lie in [0, 1]")
-        if not 0 <= self.box_jitter <= sys.float_info.max:
-            raise ValueError("box_jitter must be finite and non-negative")
+        if not 0 <= self.box_jitter <= sys.float_info.max / 2:  # `uniform(-j, j)` spans 2j
+            raise ValueError("box_jitter must lie in [0, half the largest float]")
 
 
 def expert_predict(spec: ExpertSpec, sample: DetectionSample, rng: np.random.Generator,
@@ -65,6 +66,8 @@ def expert_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     nothing about the rest of the image, so there is no background term here.
     The one-sample case of `supervised_losses`; no labels give zero.
     """
-    (losses, grads), = supervised_losses(Scored(params, [sample]), [
-        (targets([sample], labels, weights, background=None), (cls_weight, reg_weight))])
+    scored = Scored(params, *pack([sample]))
+    terms = [(targets([sample], labels, weights, background=None), (cls_weight, reg_weight))]
+    layout = loss_layout(scored.offsets, terms, params.num_classes)
+    (losses, grads), = supervised_losses(scored, layout)
     return float(losses[0]), grads

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .detector import ModelParams, Scored, blocks
+from .detector import ModelParams, Scored, blocks, pack
 from .world import DetectionSample, box_array, box_iou
 
 FPI_POINTS = (0.05, 0.3, 0.5, 1.0)
@@ -268,7 +268,7 @@ def _match_samples(params: ModelParams, samples: list[DetectionSample]) -> _Matc
     cls = np.empty(offsets[-1], dtype=int)
     score = np.empty(offsets[-1])
     for start, stop in blocks(offsets):
-        scored = Scored(params, samples[start:stop], counts=counts[start:stop])
+        scored = Scored(params, *pack(samples[start:stop], counts[start:stop]))
         rows = slice(offsets[start], offsets[stop])
         boxes[rows], cls[rows], score[rows] = scored.boxes, scored.class_ids, scored.fg_scores
     return _match(np.repeat(np.arange(len(samples)), counts), boxes, cls, score,

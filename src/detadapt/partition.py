@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import ModelParams, Scored, blocks
+from .detector import ModelParams, Scored, blocks, pack
 from .util import sorted_by_id, write_atomic
 from .world import DetectionSample
 
@@ -71,7 +71,7 @@ def mc_passes(params: ModelParams, sample: DetectionSample, num_passes: int,
     """
     if num_passes < 2:
         raise ValueError("need at least 2 passes for a variance estimate")
-    scored = Scored(params, [sample], rng, num_passes)
+    scored = Scored(params, *pack([sample]), rng, num_passes)
     return scored.boxes, scored.scores
 
 
@@ -123,7 +123,7 @@ def partition(
     offsets = np.concatenate(([0], np.cumsum(counts)))
     v_b, v_c = [], []
     for start, stop in blocks(offsets, num_passes):
-        scored = Scored(params, ordered[start:stop], rng, num_passes, counts=counts[start:stop])
+        scored = Scored(params, *pack(ordered[start:stop], counts[start:stop]), rng, num_passes)
         v_b.append(_sq_deviation(scored.boxes, scored.offsets))
         v_c.append(_sq_deviation(scored.scores, scored.offsets))
     ids = np.array([s.id for s in ordered])

@@ -8,7 +8,7 @@ The teacher only ever moves by EMA; gradients touch only the student. Each
 batch's losses come from one packed pass of the model being trained and one
 pass of the `supervised_losses` kernel for all of them; in adaptation one
 packed teacher pass gives the batch's pseudo-labels. Labels reach the kernel
-as `Targets` of the whole batch, arrays with per-sample offsets, and the
+as `Targets` of the whole batch laid out (`loss_layout`), and the
 kernel returns each sample's loss and the batch's gradients, summed by one
 product over the batch. At batch size 1 a run equals a per-sample loop bit for
 bit. At larger batches the product adds the samples in another order than a
@@ -30,8 +30,8 @@ import numpy as np
 
 from .config import AdaptationConfig
 from .cropbank import Cropbank, augment_sample
-from .detector import (Labels, ModelParams, Scored, TrainingError, match_labels, save_params,
-                       sgd_step, supervised_losses, targets)
+from .detector import (Labels, ModelParams, Scored, TrainingError, loss_layout, match_labels,
+                       pack, save_params, segment_rows, sgd_step, supervised_losses, targets)
 from .expert import expert_predict
 from .metrics import EvalResult, evaluate
 from .relation import RelationMatrix, batch_confusion
@@ -156,39 +156,41 @@ class TrainHistory:
         write_atomic(path, self.to_csv_text())
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size]
-
-
 def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDataset]:
     """Supervised training on freshly generated source data, then seal it.
 
-    Ground-truth targets and their matches are built once, as one `Targets`
-    block of the source set; each batch takes its samples' part
-    (`Targets.take`) for one packed pass and one `supervised_losses` call,
-    which sums the batch's gradients in one product; each step takes their
-    mean. With pretrain_epochs=0 the randomly initialized model is returned
-    as-is. The sealed handle is returned so callers can prove the source
-    stays closed.
+    The source set's rows are packed and its ground-truth targets built,
+    once. Each epoch gathers both in shuffle order (`segment_rows`,
+    `Targets.take`) and lays them out once (`loss_layout`). Each batch cuts
+    its rows and layout out of the epoch's (`LossLayout.cut`) for one packed
+    pass and one `supervised_losses` call, with the bits of the batch packed
+    and laid out alone; each step takes the mean of its gradients. With
+    pretrain_epochs=0 the randomly initialized model is returned as-is. The
+    sealed handle is returned so callers can prove the source stays closed.
     """
     config.validate()
     source_data = generate_domain(config.source, derive_seed(config.seed, "world", "source"))
     params = ModelParams.init(config.num_classes, config.source.feature_dim,
                               rng_stream(config.seed, "init"),
                               dropout_rate=config.dropout_rate)
-    # ground-truth matches never change, so the targets are built once, as one block
+    # rows and ground-truth matches never change, so both are packed once, as one block
+    features, boxes, offsets = pack(source_data)
     source_targets = targets(source_data, Labels.pack(
         Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes) for s in source_data))
     shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
-    for epoch in range(config.pretrain_epochs):
+    for epoch in range(config.pretrain_epochs if source_data else 0):  # no batch in an empty set
         order = shuffle_rng.permutation(len(source_data))
-        for batch in _batches(order, config.batch_size):
-            scored = Scored(params, [source_data[i] for i in batch.tolist()])
-            (losses, grads), = supervised_losses(scored, [(source_targets.take(batch), None)])
+        rows, block = segment_rows(offsets, order)
+        x, b = features[rows], boxes[rows]
+        layout = loss_layout(block, [(source_targets.take(order), None)], config.num_classes)
+        for start in range(0, len(order), config.batch_size):
+            stop = min(start + config.batch_size, len(order))
+            batch, part = layout.cut(start, stop), slice(block[start], block[stop])
+            scored = Scored(params, x[part], b[part], batch.offsets)
+            (losses, grads), = supervised_losses(scored, batch)
             if not np.all(np.isfinite(losses)):
                 raise TrainingError(f"non-finite pretrain loss at epoch {epoch}")
-            params = sgd_step(params, grads.scaled(1.0 / len(batch)), config.learning_rate)
+            params = sgd_step(params, grads.scaled(1.0 / (stop - start)), config.learning_rate)
     sealed = SealedDataset(source_data)
     sealed.seal()
     return params, sealed
@@ -229,9 +231,9 @@ def adapt(
       the order of the MoCo queue. With SA off nothing reads the bank or the
       majority set, so neither is filled nor computed. The batch's noise is
       one draw.
-    - The student's pass over that array (`Scored`'s `features`) feeds one
-      `supervised_losses` call, its terms the student's `targets` and the
-      expert's. Each label's class and the student's class at its proposal
+    - The student's pass over that array, on the teacher pass's boxes, feeds
+      one `supervised_losses` call on the `loss_layout` of two terms, the
+      student's `targets` and the expert's. Each label's class and the student's class at its proposal
       travel as two int arrays: with SAL on, one `relation_weights` call
       weighs both terms' labels, each sample's of each term alone, and the
       student's give one `batch_confusion` and one relation update per batch
@@ -273,18 +275,18 @@ def adapt(
 
         stu_losses, expert_losses = [], []
         order = shuffle_rng.permutation(len(ordered))
-        for batch in _batches(order, config.batch_size):
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
             majority = relation.majority() if config.enable_sa and relation.ready else None
             samples = [ordered[int(pos)] for pos in batch]
-            scored_t = Scored(teacher, samples)
-            offsets = scored_t.offsets
+            features, boxes, offsets = pack(samples)
+            scored_t = Scored(teacher, features, boxes, offsets)
             # the teacher's confident rows become the batch's hard labels, one block
             rows = pseudo_label(teacher, scored_t, config.conf_threshold)
             label_offsets = np.searchsorted(rows, offsets)
             labels = Labels.one_hot(scored_t.boxes[rows], scored_t.class_ids[rows], num_classes,
                                     label_offsets)
-            matches = match_labels(np.concatenate([s.proposal_boxes for s in samples]),
-                                   labels.boxes, offsets, label_offsets)
+            matches = match_labels(boxes, labels.boxes, offsets, label_offsets)
 
             strong = scored_t.h
             if config.enable_sa:
@@ -300,7 +302,7 @@ def adapt(
                 background_indices(teacher, scored_t, config.background_bar)
 
             # the student does not move within a batch: one pass scores every view
-            scored_s = Scored(student, samples, features=strong)
+            scored_s = Scored(student, strong, boxes, offsets)
             parts = [targets(samples, labels, None, bg, matches)]
             if expert is not None:
                 parts.append(expert.take(batch))
@@ -315,8 +317,9 @@ def adapt(
                 parts = [p._replace(weights=w) for p, w in
                          zip(parts, np.split(weights, [len(matches)]))]
             # one kernel pass for both losses, each giving the batch's summed gradients
-            (loss_stu, g_stu), *expert_term = supervised_losses(scored_s, list(zip(
-                parts, [None, (config.expert_cls_weight, config.expert_reg_weight)])))
+            experts = [None, (config.expert_cls_weight, config.expert_reg_weight)]
+            layout = loss_layout(offsets, list(zip(parts, experts)), num_classes)
+            (loss_stu, g_stu), *expert_term = supervised_losses(scored_s, layout)
             total = g_stu.scaled(config.unsup_weight)
             stu_losses.extend(loss_stu)
             for loss_exp, g_exp in expert_term:

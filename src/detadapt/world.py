@@ -196,6 +196,8 @@ class DomainSpec:
             raise ConfigError("background_mean dimension mismatch")
         if self.background_cov <= 0 or self.background_rate < 0 or self.box_jitter < 0:
             raise ConfigError("background_cov must be > 0; rates must be >= 0")
+        if self.box_jitter > np.finfo(float).max / 2:  # `uniform(-j, j)` spans 2j
+            raise ConfigError("box_jitter must be at most half the largest float")
         if not (0 < self.min_box <= self.max_box < self.image_size):
             raise ConfigError("box size range must fit inside the image")
         if not (1 <= self.min_objects <= self.max_objects):

@@ -20,7 +20,10 @@ none of it shares code with the package implementations beyond the matching
 rule, the smooth-L1 helpers and the SGD step they both define; the loop
 reuses the package's relation matrix container (its start and readiness),
 EMA and evaluation, which have tests of their own, and takes its majority
-classes from `oracle_majority`.
+classes from `oracle_majority`. `oracle_batch_pretrain` is pretraining's
+earlier loop, which packed, laid out and scored each batch on its own: it
+runs the package's pass, layout builder and loss kernel, and stands against
+the epoch-wide layout that pretraining now cuts its batches from.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from collections import deque
 
 import numpy as np
 
-from detadapt.detector import (Detection, GradientSet, ModelParams, sgd_step, smooth_l1,
-                               smooth_l1_grad)
+from detadapt.detector import (Detection, GradientSet, Labels, ModelParams, Scored, loss_layout,
+                               pack, sgd_step, smooth_l1, smooth_l1_grad, supervised_losses,
+                               targets)
 from detadapt.metrics import FPI_POINTS, EvalResult, evaluate
 from detadapt.relation import RelationMatrix
 from detadapt.teacher import ema_update
@@ -409,6 +413,29 @@ def oracle_pretrain(config) -> ModelParams:
                 loss, grads = oracle_detection_loss(params, sample, labels)
                 total = total + grads
             params = sgd_step(params, total.scaled(1.0 / len(batch)), config.learning_rate)
+    return params
+
+
+def oracle_batch_pretrain(config) -> ModelParams:
+    """`pretrain_source`'s parameters from the per-batch loop: each batch's
+    samples packed, their ground-truth targets taken (`Targets.take`) and
+    laid out (`loss_layout`) on their own, for one pass and one kernel call."""
+    config.validate()
+    source_data = generate_domain(config.source, derive_seed(config.seed, "world", "source"))
+    params = ModelParams.init(config.num_classes, config.source.feature_dim,
+                              rng_stream(config.seed, "init"),
+                              dropout_rate=config.dropout_rate)
+    source_targets = targets(source_data, Labels.pack(
+        Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes) for s in source_data))
+    shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
+    for epoch in range(config.pretrain_epochs):
+        order = shuffle_rng.permutation(len(source_data))
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            scored = Scored(params, *pack([source_data[i] for i in batch.tolist()]))
+            (_, grads), = supervised_losses(scored, loss_layout(
+                scored.offsets, [(source_targets.take(batch), None)], config.num_classes))
+            params = sgd_step(params, grads.scaled(1.0 / len(batch)), config.learning_rate)
     return params
 
 

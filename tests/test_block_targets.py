@@ -9,7 +9,7 @@ import pytest
 from bruteforce import oracle_match_labels, oracle_relation_weights, oracle_targets
 from detadapt.detector import Labels, match_labels, targets
 from detadapt.weighting import relation_weights
-from detadapt.world import perturb_features
+from detadapt.world import box_iou, perturb_features
 from test_detector import mixed_samples, random_labels
 from test_weighting import matrix, random_relation
 
@@ -83,6 +83,20 @@ def test_block_matches_equal_per_sample_matches(reverse):
             assert np.array_equal(local, match_labels(sample.proposal_boxes, own.boxes,
                                                       [0, sample.num_proposals], [0, len(own)]))
             assert np.array_equal(local, oracle_match_labels(sample.proposal_boxes, own.boxes))
+
+
+def test_match_labels_reads_a_nan_iou_as_no_overlap():
+    # two huge boxes have IoU NaN (inf - inf in their union); the label keeps
+    # to its own sample's first row, where it had gone to the next sample's
+    huge = [0, 0, 1e200, 1e200]
+    boxes = [[0, 0, 1, 1], [5, 5, 6, 6], huge, [7, 7, 8, 8]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(box_iou(np.array(huge), np.array(huge)))
+        assert match_labels([huge, [0, 0, 1, 1], [5, 5, 6, 6]], [huge], [0, 2, 3],
+                            [0, 1, 1]).tolist() == [0]
+        assert match_labels(boxes, [huge], [0, 1, 3, 4], [0, 0, 1, 1]).tolist() == [1]
+        assert match_labels(boxes, [[7, 7, 8, 9], huge], [0, 1, 3, 4],
+                            [0, 0, 2, 2]).tolist() == [1, 1]
 
 
 def test_match_labels_rejects_a_label_on_a_sample_without_proposals():

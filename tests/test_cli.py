@@ -421,6 +421,23 @@ def test_nan_in_a_scalar_config_field_exits_two_and_writes_nothing(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, config, message", [
+    ("pretrain", {"source": {"box_jitter": 1e308}},
+     "box_jitter must be at most half the largest float"),
+    ("adapt", {"expert": {"box_jitter": 1e308}},
+     "invalid expert: box_jitter must lie in [0, half the largest float]")],
+    ids=["source", "expert"])
+def test_box_jitter_whose_range_overflows_exits_two_and_writes_nothing(
+        mode, config, message, tmp_path, capsys):
+    # `uniform(-j, j)` spans 2j, which overflows past half the largest float
+    path = tmp_path / "jitter.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert run_cli(["--mode", mode, "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_model_that_does_not_fit_the_config_exits_two_and_writes_nothing(tmp_path, capsys):
     # a 3-class model under the default 5-class config
     params_path = tmp_path / "params.json"

@@ -10,7 +10,7 @@ import pytest
 
 from bruteforce import (oracle_boxes_from_raw, oracle_forward_arrays, oracle_image_scores,
                         oracle_log_softmax, oracle_uniforms)
-from detadapt.detector import Scored, log_softmax
+from detadapt.detector import Scored, log_softmax, pack
 from detadapt.metrics import _match_lists
 from detadapt.world import BBox, boxes_from_raw
 from test_detector import random_params, random_sample
@@ -97,7 +97,7 @@ def test_dropout_mask_scaled_before_it_applies_has_the_bits_of_scaling_after(rat
         x[rng.random(x.shape) < 0.2] = 0.0
         x[rng.random(x.shape) < 0.2] = -0.0
     draw, replay = np.random.default_rng(5), np.random.default_rng(5)
-    scored = Scored(params, samples, draw, passes=3)
+    scored = Scored(params, *pack(samples), draw, passes=3)
     for i, sample in enumerate(samples):
         rows = slice(scored.offsets[i], scored.offsets[i + 1])
         for m, uniforms in enumerate(oracle_uniforms(params, sample, 3, replay)):

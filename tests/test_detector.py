@@ -7,7 +7,7 @@ from bruteforce import (max_relative_error, numeric_gradient, oracle_detections,
                         oracle_forward_arrays, oracle_uniforms, zero_grads)
 from detadapt.detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
                                detection_loss, forward, forward_arrays, giou_and_grad,
-                               load_params, save_params, sgd_step)
+                               load_params, pack, save_params, sgd_step)
 from detadapt.util import to_json
 from detadapt.world import BBox, DetectionSample
 
@@ -74,7 +74,7 @@ def one_pass(params, sample, seed):
     block of one, drawn from a Generator of that seed."""
     if seed is None:
         return forward_arrays(params, sample)
-    scored = Scored(params, [sample], np.random.default_rng(seed))
+    scored = Scored(params, *pack([sample]), np.random.default_rng(seed))
     return tuple(a[0] for a in (scored.h, scored.log_scores, scored.scores, scored.refined))
 
 
@@ -102,10 +102,10 @@ def test_sample_rows_of_a_packed_pass_are_its_own_scored():
     rng = np.random.default_rng(21)
     params = random_params(rng)
     samples = mixed_samples(rng, [1, 2, 7, 13, 1, 5])
-    packed = Scored(params, samples)
+    packed = Scored(params, *pack(samples))
     assert packed.num_proposals == sum(s.num_proposals for s in samples)
     for i, sample in enumerate(samples):
-        rows, one = slice(packed.offsets[i], packed.offsets[i + 1]), Scored(params, [sample])
+        rows, one = slice(packed.offsets[i], packed.offsets[i + 1]), Scored(params, *pack([sample]))
         assert one.offsets.tolist() == [0, sample.num_proposals] == [0, one.num_proposals]
         for name in ("h", "log_scores", "scores", "refined", "class_ids", "fg_scores", "boxes"):
             assert np.array_equal(getattr(packed, name)[rows], getattr(one, name)), name
@@ -113,19 +113,23 @@ def test_sample_rows_of_a_packed_pass_are_its_own_scored():
 
 def test_feature_rows_stand_in_for_the_samples_features():
     # a strong view scored on the same proposals: as samples that carry those
-    # rows would score, and `h` is the given array itself
+    # rows would score, and `h` is the given array itself; so is a row range
+    # of a larger array, as pretraining cuts its batches from an epoch's rows
     rng = np.random.default_rng(22)
     params = random_params(rng)
     samples = mixed_samples(rng, [1, 2, 7, 1])
-    ends = np.cumsum([0] + [s.num_proposals for s in samples])
+    _, boxes, ends = pack(samples)
     features = rng.standard_normal((ends[-1], params.feature_dim))
-    got = Scored(params, samples, features=features)
-    want = Scored(params, [DetectionSample(s.id, s.proposal_boxes, features[a:b], s.gt_boxes,
-                                           s.gt_classes)
-                           for s, a, b in zip(samples, ends, ends[1:])])
-    for name in ("log_scores", "scores", "refined", "boxes"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.h is features
+    want = Scored(params, *pack([DetectionSample(s.id, s.proposal_boxes, features[a:b],
+                                                 s.gt_boxes, s.gt_classes)
+                                 for s, a, b in zip(samples, ends, ends[1:])]))
+    larger = np.concatenate((rng.standard_normal((3, params.feature_dim)), features,
+                             rng.standard_normal((2, params.feature_dim))))
+    for rows in (features, larger[3:3 + ends[-1]]):
+        got = Scored(params, rows, boxes, ends)
+        for name in ("log_scores", "scores", "refined", "boxes"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.h is rows
 
 
 def test_labels_iterate_as_box_and_class_rows():
@@ -152,8 +156,8 @@ def test_packed_pass_matches_per_sample_forward(dropout):
     params = random_params(rng, dropout=dropout)
     sizes = [1, 2, 7, 13, 1, 1, 13, 2, 7, 1]
     samples = mixed_samples(rng, sizes)
-    packed = Scored(params, samples)
-    stacked = Scored(params, samples, np.random.default_rng(5), 4)
+    packed = Scored(params, *pack(samples))
+    stacked = Scored(params, *pack(samples), np.random.default_rng(5), 4)
     # each sample's masks are the next draws of the block's one Generator
     draws = np.random.default_rng(5)
     assert packed.offsets.tolist() == [0, *np.cumsum(sizes).tolist()]
@@ -179,7 +183,7 @@ def test_zero_dropout_rate_ignores_seed():
     params = random_params(rng, dropout=0.0)
     sample = random_sample(rng)
     rng = np.random.default_rng(123)
-    stacked = Scored(params, [sample], rng, 2)
+    stacked = Scored(params, *pack([sample]), rng, 2)
     want = oracle_forward_arrays(params, sample)
     for got, w in zip(one_pass(params, sample, 123), want):
         assert np.array_equal(got, w)
@@ -335,8 +339,12 @@ def test_feature_dim_mismatch_raises():
     with pytest.raises(ValueError):
         forward_arrays(params, sample)
     with pytest.raises(ValueError):
-        Scored(params, [sample], np.random.default_rng(1), 2)
-    # feature rows must be the model's width, one per proposal
+        Scored(params, *pack([sample]), np.random.default_rng(1), 2)
+    # feature rows must be the model's width, and feature and box rows one per proposal
+    _, boxes, offsets = pack([sample])
     for shape in ((5, 6), (4, 5), (6, 5)):
         with pytest.raises(ValueError, match="feature rows"):
-            Scored(params, [sample], features=np.zeros(shape))
+            Scored(params, np.zeros(shape), boxes, offsets)
+    for shape in ((4, 4), (6, 4), (5, 3)):
+        with pytest.raises(ValueError, match="box rows"):
+            Scored(params, np.zeros((5, 5)), np.zeros(shape), offsets)

@@ -1,12 +1,15 @@
 """The packed supervised-loss kernel against the per-label loop oracles, bit for bit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bruteforce import (bbox_pairs, oracle_detection_loss, oracle_expert_loss, oracle_giou,
-                        oracle_giou_and_grad, oracle_pretrain, zero_grads)
-from detadapt.detector import (Labels, Scored, _segment_means, detection_loss, giou_and_grad,
-                               supervised_losses, targets)
+from bruteforce import (bbox_pairs, oracle_batch_pretrain, oracle_detection_loss,
+                        oracle_expert_loss, oracle_giou, oracle_giou_and_grad, oracle_pretrain,
+                        zero_grads)
+from detadapt.detector import (Labels, LossLayout, Scored, _segment_means, detection_loss,
+                               giou_and_grad, loss_layout, pack, supervised_losses, targets)
 from detadapt.expert import expert_loss
 from detadapt import trainer
 from detadapt.trainer import ablation_variants, adapt, pretrain_source
@@ -17,6 +20,11 @@ from detadapt.world import generate_domain
 from test_trainer import tiny_config
 
 GRADIENTS = ("w_cls", "b_cls", "w_reg", "b_reg")
+
+
+def kernel(scored, terms):
+    """`supervised_losses` on the `loss_layout` of `terms` on a scored block."""
+    return supervised_losses(scored, loss_layout(scored.offsets, terms, scored.num_classes))
 
 
 def assert_same(got, want):
@@ -135,16 +143,15 @@ def test_packed_block_matches_per_sample_oracles():
         labels = [random_labels(rng, count=int(rng.integers(0, 4)), soft=True) for _ in sizes]
         weights = [rng.uniform(0.2, 2.0, len(lab)) for lab in labels]
         background = [["auto", None, "repeat"][i % 3] for i in range(len(sizes))]
-        scored = Scored(params, samples)
+        scored = Scored(params, *pack(samples))
         # each sample's background choice as rows of the block
         rows = np.concatenate([{"auto": np.arange(a, b), None: [], "repeat": [a, a]}[bg]
                                for a, b, bg in zip(scored.offsets, scored.offsets[1:],
                                                    background)]).astype(int)
         packed, packed_weights = Labels.pack(labels), np.concatenate(weights)
-        (got,) = supervised_losses(scored, [(targets(samples, packed, packed_weights, rows),
-                                             None)])
-        (got_expert,) = supervised_losses(scored, [(targets(samples, packed, packed_weights,
-                                                            None), (1.3, 0.7))])
+        (got,) = kernel(scored, [(targets(samples, packed, packed_weights, rows), None)])
+        (got_expert,) = kernel(scored, [(targets(samples, packed, packed_weights, None),
+                                         (1.3, 0.7))])
         want = [oracle_detection_loss(params, sample, bbox_pairs(labels[i]), weights[i],
                                       background={"repeat": [0, 0]}.get(background[i],
                                                                         background[i]))
@@ -209,6 +216,62 @@ def test_pretrain_matches_per_sample_loop_oracle():
                                            rtol=1e-9, atol=1e-12, err_msg=name)
 
 
+def one_proposal_world(config):
+    """`config` with one object, and so one proposal, per source sample."""
+    config.source = dataclasses.replace(config.source, max_objects=1, background_rate=0.0)
+    return config
+
+
+@pytest.mark.parametrize("config", [
+    tiny_config(batch_size=1), tiny_config(batch_size=7), tiny_config(batch_size=16),
+    tiny_config(batch_size=60), tiny_config(batch_size=61), tiny_config(pretrain_epochs=0),
+    one_proposal_world(tiny_config(batch_size=7)),
+    dataclasses.replace(tiny_config(), source=dataclasses.replace(tiny_config().source, size=0))],
+    ids=["batch1", "batch7", "batch16", "batch_set", "batch_beyond_set", "epochs0",
+         "one_proposal", "empty_set"])
+def test_pretrain_equals_the_per_batch_loop_bit_for_bit(config):
+    # each batch cut from its epoch's layout and rows gives the bits of the
+    # batch packed, laid out and scored on its own: 7 leaves a short last
+    # batch, a batch of the set or more is the whole epoch, one-proposal
+    # samples take `_heads`' one-row products, and an empty set trains nothing
+    params, _ = pretrain_source(config)
+    want = oracle_batch_pretrain(config)
+    for name in GRADIENTS:
+        assert np.array_equal(getattr(params, name), getattr(want, name)), name
+    if config.source.size == 0 or config.pretrain_epochs == 0:
+        init = oracle_batch_pretrain(dataclasses.replace(config, pretrain_epochs=0))
+        assert all(np.array_equal(getattr(params, name), getattr(init, name))
+                   for name in GRADIENTS)
+
+
+@pytest.mark.parametrize("expert", [None, (1.3, 0.7)], ids=["detection", "expert"])
+def test_a_cut_layout_is_the_layout_of_its_samples_alone(expert):
+    # field by field, every array a C-contiguous slice, and the kernel's
+    # losses and gradients on the cut and its rows are those on the samples alone
+    rng = np.random.default_rng(40)
+    params = random_params(rng)
+    for trial in range(40):
+        samples = mixed_samples(rng, rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 12))))
+        features, boxes, offsets = pack(samples)
+        part = random_block_terms(rng, params, samples)[expert is not None]
+        a, b = sorted(rng.choice(len(samples) + 1, 2, replace=False).tolist())
+        cut = loss_layout(offsets, [(part, expert)], params.num_classes).cut(a, b)
+        alone = loss_layout(offsets[a:b + 1] - offsets[a], [(part.take(range(a, b)), expert)],
+                            params.num_classes)
+        for name in LossLayout._fields[:-1]:
+            got = getattr(cut, name)
+            assert got.flags.c_contiguous and np.array_equal(got, getattr(alone, name)), name
+        assert cut.experts == alone.experts == (expert,)
+        rows = slice(offsets[a], offsets[b])
+        (got,) = supervised_losses(Scored(params, features[rows], boxes[rows], cut.offsets), cut)
+        (want,) = supervised_losses(Scored(params, *pack(samples[a:b])), alone)
+        assert np.array_equal(got[0], want[0])
+        assert_same((got[1].loss, got[1]), (want[1].loss, want[1]))
+    two_terms = loss_layout(offsets, [(part, None), (part, (1.3, 0.7))], params.num_classes)
+    with pytest.raises(ValueError, match="one-term"):
+        two_terms.cut(0, 1)
+
+
 def giou_edge_cases(rng, n):
     """Boxes with NaN of either sign, signed zeros, zero widths, inverted
     sides, shared and touching corners, exact hits and tied coordinates."""
@@ -247,7 +310,7 @@ def random_block_terms(rng, params, samples, with_expert_labels=True):
     """A block's student and expert `Targets`: some samples without labels,
     without expert labels or without background, repeated matches and the
     samples' own proposal counts, one-proposal samples included."""
-    offsets = Scored(params, samples).offsets
+    offsets = Scored(params, *pack(samples)).offsets
     counts = [int(rng.integers(0, 4)) for _ in samples]
     expert_counts = [int(rng.integers(0, 3)) * with_expert_labels for _ in samples]
     parts = []
@@ -271,20 +334,20 @@ def test_fused_terms_equal_separate_calls(with_expert_labels):
     for trial in range(40):
         sizes = rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 9)))
         samples = mixed_samples(rng, sizes)
-        scored = Scored(params, samples)
+        scored = Scored(params, *pack(samples))
         stu, exp = random_block_terms(rng, params, samples, with_expert_labels)
         weights = (1.3, 0.7)
         for terms in ([(stu, None), (exp, weights)], [(exp, weights), (stu, None)],
                       [(stu, None)], [(exp, weights)], [(stu, None), (exp, weights), (stu, None)]):
-            fused = supervised_losses(scored, terms)
-            separate = [supervised_losses(scored, [term])[0] for term in terms]
+            fused = kernel(scored, terms)
+            separate = [kernel(scored, [term])[0] for term in terms]
             assert len(fused) == len(terms)
             for (losses, grads), (want_losses, want_grads) in zip(fused, separate):
                 assert np.array_equal(losses, want_losses)
                 assert_same((grads.loss, grads), (want_grads.loss, want_grads))
-        (_, g_stu), (_, g_exp) = supervised_losses(scored, [(stu, None), (exp, weights)])
-        ((_, want_stu),), ((_, want_exp),) = (supervised_losses(scored, [(stu, None)]),
-                                              supervised_losses(scored, [(exp, weights)]))
+        (_, g_stu), (_, g_exp) = kernel(scored, [(stu, None), (exp, weights)])
+        ((_, want_stu),), ((_, want_exp),) = (kernel(scored, [(stu, None)]),
+                                              kernel(scored, [(exp, weights)]))
         for u in (0.0, 0.5, 1.0):
             got, want = g_stu.scaled(u) + g_exp, want_stu.scaled(u) + want_exp
             assert_same((got.loss, got), (want.loss, want))

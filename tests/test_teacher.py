@@ -5,7 +5,7 @@ import pytest
 
 from bruteforce import oracle_background_indices, oracle_pseudo_labels
 from detadapt.config import default_config
-from detadapt.detector import Labels, ModelParams, Scored, detection_loss, sgd_step
+from detadapt.detector import Labels, ModelParams, Scored, detection_loss, pack, sgd_step
 from detadapt.metrics import evaluate
 from detadapt.teacher import background_indices, ema_update, pseudo_label
 from detadapt.util import rng_stream
@@ -51,9 +51,9 @@ def test_shared_teacher_scoring_matches_object_oracle():
         teacher = random_params(rng)
         samples = mixed_samples(rng, rng.integers(1, 8, size=3))
         conf, bar = float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.2, 0.6))
-        packed = Scored(teacher, samples)
+        packed = Scored(teacher, *pack(samples))
         for sample in samples:
-            one = Scored(teacher, [sample])
+            one = Scored(teacher, *pack([sample]))
             assert labeled(one, pseudo_label(teacher, one, conf)) == \
                 oracle_pseudo_labels(teacher, sample, conf)
             assert background_indices(teacher, one, bar).tolist() == \
@@ -77,8 +77,8 @@ def test_block_pseudo_labels_are_each_samples_own_shifted_and_concatenated(scale
     for _ in range(20):
         teacher = random_params(rng, scale=scale)
         samples = mixed_samples(rng, [3, 1, 6, 1, 4, 2])
-        packed = Scored(teacher, samples)
-        conf = threshold or sorted(float(Scored(teacher, [s]).fg_scores.max())
+        packed = Scored(teacher, *pack(samples))
+        conf = threshold or sorted(float(Scored(teacher, *pack([s])).fg_scores.max())
                                    for s in samples)[1]
         rows = pseudo_label(teacher, packed, conf)
         assert labeled(packed, rows) == block_oracle(teacher, samples, packed.offsets, conf)
@@ -93,7 +93,7 @@ def test_block_pseudo_labels_are_each_samples_own_shifted_and_concatenated(scale
 def test_threshold_above_all_scores_gives_empty():
     rng = np.random.default_rng(0)
     params, sample = random_params(rng), random_sample(rng)
-    scored = Scored(params, [sample])
+    scored = Scored(params, *pack([sample]))
     pseudo = pseudo_label(params, scored, 1.0)
     assert len(pseudo) == 0 or all(scored.fg_scores[pseudo] >= 1.0)
 
@@ -101,7 +101,7 @@ def test_threshold_above_all_scores_gives_empty():
 def test_tiny_threshold_labels_every_proposal():
     rng = np.random.default_rng(1)
     params, sample = random_params(rng), random_sample(rng)
-    scored = Scored(params, [sample])
+    scored = Scored(params, *pack([sample]))
     pseudo = pseudo_label(params, scored, 1e-9)
     assert len(pseudo) == 5
     for class_vec in Labels.one_hot(scored.boxes[pseudo], scored.class_ids[pseudo], 3).classes:
@@ -113,7 +113,7 @@ def test_pseudo_label_set_monotone_in_threshold():
     rng = np.random.default_rng(2)
     params = random_params(rng)
     sample = random_sample(rng)
-    scored, prev = Scored(params, [sample]), None
+    scored, prev = Scored(params, *pack([sample])), None
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
         current = set(pseudo_label(params, scored, tau).tolist())
         if prev is not None:
@@ -127,7 +127,7 @@ def test_converged_teacher_pseudo_labels_match_ground_truth():
     params, data = train_supervised(spec, seed=3, epochs=20)
     correct = total = 0
     for sample in data[:80]:
-        scored = Scored(params, [sample])
+        scored = Scored(params, *pack([sample]))
         for j in pseudo_label(params, scored, 0.7).tolist():
             ious = box_iou(scored.boxes[j], sample.gt_boxes)
             best = int(np.argmax(ious))
@@ -182,7 +182,7 @@ def test_student_converges_to_frozen_perfect_teacher():
         for sample in data:
             # one SGD step of the student on the clean sample: pseudo-labels
             # plus the proposals the teacher calls background
-            scored = Scored(teacher, [sample])
+            scored = Scored(teacher, *pack([sample]))
             pseudo = pseudo_label(teacher, scored, 0.7)
             labels = Labels.one_hot(scored.boxes[pseudo], scored.class_ids[pseudo], 3)
             bg = background_indices(teacher, scored, 0.1)

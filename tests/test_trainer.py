@@ -221,14 +221,20 @@ def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch
     config = ablation_variants(tiny_config(epochs=2))[variant]
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
-    real_init = detector.Scored.__init__
-    scored_calls = []
+    real_init, real_pack = detector.Scored.__init__, trainer.pack
+    scored_calls, packed = [], {}
     outside_loop = []
 
-    def counted_init(self, params, samples, *args, **kwargs):
+    def counted_pack(samples, *args):
+        rows = real_pack(samples, *args)
+        packed[id(rows[1])] = [s.id for s in samples]
+        return rows
+
+    # a pass is known by its samples' proposal boxes, which both passes of a batch share
+    def counted_init(self, params, features, boxes, *args, **kwargs):
         if not outside_loop:
-            scored_calls.append([s.id for s in samples])
-        real_init(self, params, samples, *args, **kwargs)
+            scored_calls.append(packed[id(boxes)])
+        real_init(self, params, features, boxes, *args, **kwargs)
 
     def not_counted(fn):
         def wrapper(*args, **kwargs):
@@ -239,6 +245,7 @@ def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch
                 outside_loop.pop()
         return wrapper
 
+    monkeypatch.setattr(trainer, "pack", counted_pack)
     monkeypatch.setattr(detector.Scored, "__init__", counted_init)
     monkeypatch.setattr(trainer, "evaluate", not_counted(trainer.evaluate))
     adapt(params, target, config)
@@ -481,15 +488,15 @@ def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatc
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
     events, drawn, seen = [], {}, [{} for _ in range(config.epochs)]
     block = []
-    real_predict, real_losses = trainer.expert_predict, trainer.supervised_losses
-    real_init, real_evaluate = detector.Scored.__init__, trainer.evaluate
+    real_predict, real_layout = trainer.expert_predict, trainer.loss_layout
+    real_pack, real_evaluate = trainer.pack, trainer.evaluate
 
     def predict(spec, sample, rng, num_classes):
         events.append("predict")
         drawn[sample.id] = real_predict(spec, sample, rng, num_classes)
         return drawn[sample.id]
 
-    def losses(scored, terms):
+    def layout(offsets, terms, num_classes):
         # one call per batch, its terms the student's labels and the expert's
         for targets, weights in terms:
             if weights is not None:
@@ -498,11 +505,11 @@ def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatc
                                              expert_label_sets(targets, len(block[-1]))):
                     seen[epoch].setdefault(sample_id, []).append(labels)
         events.append("loss")
-        return real_losses(scored, terms)
+        return real_layout(offsets, terms, num_classes)
 
-    def init(self, params, samples, *args, **kwargs):
+    def pack(samples, *args):
         block.append([s.id for s in samples])
-        real_init(self, params, samples, *args, **kwargs)
+        return real_pack(samples, *args)
 
     def evaluate(*args, **kwargs):
         if events[-1] != "epoch end":
@@ -510,8 +517,8 @@ def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatc
         return real_evaluate(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "expert_predict", predict)
-    monkeypatch.setattr(trainer, "supervised_losses", losses)
-    monkeypatch.setattr(detector.Scored, "__init__", init)
+    monkeypatch.setattr(trainer, "loss_layout", layout)
+    monkeypatch.setattr(trainer, "pack", pack)
     monkeypatch.setattr(trainer, "evaluate", evaluate)
     adapt(params, target, config)
     assert events.count("predict") == len(target)

@@ -12,7 +12,9 @@ times the default size), CLI eval of that source
 model twice (once generating and saving the target set, once reloading the
 saved set with --dataset, so the dataset writer and reader are both diffed),
 and the CLI ablation suite (seed 0, 3 epochs), whose +SA and +SAL runs no
-benchmark workload makes. A small C = 8 world (60 samples, 3 pretrain epochs)
+benchmark workload makes. Two more CLI pretrain runs cover the edges of
+pretraining's batches: batch size 7, whose last batch is short, and a source
+world of one proposal per sample. A small C = 8 world (60 samples, 3 pretrain epochs)
 is pretrained, partitioned and evaluated too, so score vectors of 9 entries
 are diffed as well as those of 6. It also saves two generated worlds as
 dataset JSON, the seed-0 source set (`source_dataset.json`) and the
@@ -67,6 +69,16 @@ for name, variant in runs.items():
     assert cli.run_cli(["--mode", "adapt", "--config", config_path,
                         "--out", os.path.join(out, f"adapt-{name}"),
                         "--params", source_params]) == 0
+# pretraining cuts each batch from its epoch's rows and layout: at batch size 7
+# the last batch is short, and in a world of one proposal per sample every
+# row takes `_heads`' one-row products
+one_proposal = dataclasses.replace(base.source, max_objects=1, background_rate=0.0)
+for name, variant in {"batch7": dataclasses.replace(base, batch_size=7),
+                      "one-proposal": dataclasses.replace(base, source=one_proposal)}.items():
+    config_path = os.path.join(out, f"config_pretrain-{name}.json")
+    variant.save_json(config_path)
+    assert cli.run_cli(["--mode", "pretrain", "--config", config_path,
+                        "--out", os.path.join(out, f"pretrain-{name}")]) == 0
 assert cli.run_cli(["--mode", "eval", "--out", os.path.join(out, "eval-generate"),
                     "--params", source_params]) == 0
 assert cli.run_cli(["--mode", "eval", "--out", os.path.join(out, "eval-reload"),
