@@ -109,7 +109,8 @@ def augment_sample(
     to end, `labels` its block and `matches` (`match_labels` of the labels)
     the labels' feature rows. The batch draws from `bank` as it stands, so
     the caller files the batch's own rows after this call. A rate out of its
-    range or a bank of other classes than the relation's raises `ValueError`.
+    range, a bank of other classes than the relation's or a majority class
+    outside them (`check_class_ids`) raises `ValueError`.
 
     Classes outside `majority` (`RelationMatrix.majority`) are minority. A
     majority base draws its partner class over its relation column, its own
@@ -141,8 +142,10 @@ def augment_sample(
     sizes = bank.sizes()
     if sizes.shape != (num_classes,):
         raise ValueError("the bank's classes are not the relation's")
+    majority = np.array(list(majority), dtype=int)
+    check_class_ids(majority, num_classes)
+    is_majority = np.bincount(majority, minlength=num_classes) > 0
     # row b: base class b's weight on each partner class, zero where it may not draw
-    is_majority = np.isin(np.arange(num_classes), list(majority))
     allowed = (sizes > 0) & ~np.diag(is_majority)
     weights = np.where(allowed, np.where(is_majority[:, None], relation.matrix.T,
                                          relation.matrix), 0.0)

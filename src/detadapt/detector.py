@@ -4,13 +4,14 @@ The model is linear in the input features so every gradient below is derived by
 hand and checked against finite differences. Class index C (the last logit) is
 the background class. `Scored` is the one forward pass, over a block's packed
 rows (`pack`); a sample alone is a block of one. Training matches and targets a
-batch's labels as one block (`match_labels`, `targets`, arrays with per-sample
-offsets), lays out its (`Targets`, expert) terms (`loss_layout`, param-free)
+batch's labels as one block, on its packed boxes and offsets (`match_labels`,
+`targets`), lays out its (`Targets`, expert) terms (`loss_layout`, param-free)
 and computes every sample's losses, and the block's summed gradients per term,
-in one pass of one kernel, `supervised_losses`. Pretraining lays out a whole
-epoch once and cuts each batch from it (`LossLayout.cut`). The losses equal
-those of a per-label loop bit for bit, and so do the gradients of a block of
-one; a larger block's gradients are one product over its rows, equal to the
+in one pass of one kernel, `supervised_losses`. Training cuts each batch's
+rows, and pretraining's layout or adaptation's expert targets, out of its
+epoch's (`LossLayout.cut`, `Targets.cut`). The losses equal those of a
+per-label loop bit for bit, and so do the gradients of a block of one; a
+larger block's gradients are one product over its rows, equal to the
 in-order sum of its samples' gradients up to rounding.
 """
 
@@ -58,7 +59,7 @@ class ModelParams:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         for arr in (self.w_cls, self.b_cls, self.w_reg, self.b_reg):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError("non-finite parameter values")
 
     @property
@@ -136,7 +137,7 @@ class GradientSet:
                            self.loss + other.loss)
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in
+        return all(np.isfinite(a).all() for a in
                    (self.w_cls, self.b_cls, self.w_reg, self.b_reg)) and np.isfinite(self.loss)
 
 
@@ -413,11 +414,11 @@ class Labels:
         return cls(boxes, np.eye(num_classes)[np.asarray(class_ids, dtype=int)], offsets)
 
     @classmethod
-    def pack(cls, label_sets) -> "Labels":
-        """The label sets of consecutive samples, one each, as one block."""
+    def pack(cls, label_sets, num_classes: int) -> "Labels":
+        """Consecutive samples' label sets, one each, as one block of (n, num_classes) classes."""
         label_sets = list(label_sets)
-        return cls(np.concatenate([s.boxes for s in label_sets] or [np.zeros((0, 4))]),
-                   np.concatenate([s.classes for s in label_sets] or [np.zeros((0, 0))]),
+        return cls(np.concatenate([s.boxes for s in label_sets] + [np.zeros((0, 4))]),
+                   np.concatenate([s.classes for s in label_sets] + [np.zeros((0, num_classes))]),
                    np.cumsum([0] + [len(s) for s in label_sets]))
 
     def __len__(self) -> int:
@@ -456,29 +457,36 @@ class Targets(NamedTuple):
         return Targets(self.matches[lab], self.classes[lab], self.boxes[lab], self.weights[lab],
                        self.background[bg], offsets, background_offsets)
 
+    def cut(self, a: int, b: int) -> "Targets":
+        """Samples a:b as contiguous slices rebased to the cut: `take(range(a, b))`."""
+        lab = slice(self.offsets[a], self.offsets[b])
+        bg = slice(self.background_offsets[a], self.background_offsets[b])
+        return Targets(self.matches[lab], self.classes[lab], self.boxes[lab], self.weights[lab],
+                       self.background[bg], self.offsets[a:b + 1] - self.offsets[a],
+                       self.background_offsets[a:b + 1] - self.background_offsets[a])
 
-def targets(samples: list[DetectionSample], labels: Labels, weights=None,
+
+def targets(boxes: np.ndarray, offsets: np.ndarray, labels: Labels, weights=None,
             background="auto", matches: np.ndarray | None = None) -> Targets:
     """The `Targets` of a block's labels, one label set per sample.
 
-    Indices in are block rows: sample i owns rows offsets[i]:offsets[i + 1]
-    of its proposals laid end to end. `matches` defaults to `match_labels`
-    of the labels, and each must lie in its own label's sample. `background`
-    selects which unmatched proposals get a background target: "auto" for all
-    of them, None for none, or rows of the block (such as `background_indices`
-    of the block's pass), kept in order and with their repeats within each
-    sample; each must lie in the block. Any other index would supervise
-    another sample's proposal, or wrap around the block, so it raises
-    `ValueError`, as do label offsets that do not rise from 0 to the label
-    count (`check_offsets`). A sample alone is the block `[sample]`.
+    The block is its packed proposal `boxes` and `offsets` (`pack`): sample i
+    owns rows offsets[i]:offsets[i + 1], and indices in are block rows.
+    `matches` defaults to `match_labels` of the labels, and each must lie in
+    its own label's sample. `background` selects which unmatched proposals
+    get a background target: "auto" for all of them, None for none, or rows
+    of the block (such as `background_indices` of the block's pass), kept in
+    order and with their repeats within each sample; each must lie in the
+    block. Any other index would supervise another sample's proposal, or wrap
+    around the block, so it raises `ValueError`, as do offsets that do not
+    rise from 0 to the box or label count (`check_offsets`).
     """
-    counts = np.array([s.num_proposals for s in samples], dtype=int)
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=int)))
-    if len(labels.offsets) != len(samples) + 1:
+    check_offsets(offsets, len(boxes))
+    counts = offsets[1:] - offsets[:-1]
+    if len(labels.offsets) != len(offsets):
         raise ValueError("labels must hold one label set per sample")
     check_offsets(labels.offsets, len(labels))
     if matches is None:
-        boxes = np.concatenate([s.proposal_boxes for s in samples] or [np.zeros((0, 4))])
         matches = match_labels(boxes, labels.boxes, offsets, labels.offsets)
     matches = np.asarray(matches, dtype=int)
     weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
@@ -487,7 +495,7 @@ def targets(samples: list[DetectionSample], labels: Labels, weights=None,
     if isinstance(background, str):
         background = np.arange(offsets[-1])
     background = np.asarray([] if background is None else background, dtype=int)
-    sample_of = np.repeat(np.arange(len(samples)), labels.offsets[1:] - labels.offsets[:-1])
+    sample_of = np.repeat(np.arange(len(counts)), labels.offsets[1:] - labels.offsets[:-1])
     local = matches - offsets[sample_of]
     if len(local) and (local.min() < 0 or np.any(local >= counts[sample_of])):
         raise ValueError("match index outside its label's sample")
@@ -499,7 +507,7 @@ def targets(samples: list[DetectionSample], labels: Labels, weights=None,
     owner = np.searchsorted(offsets, background, side="right") - 1
     grouped = np.argsort(owner, kind="stable")
     background, owner = background[grouped], owner[grouped]
-    background_offsets = np.cumsum(np.bincount(owner + 1, minlength=len(samples) + 1))
+    background_offsets = np.cumsum(np.bincount(owner + 1, minlength=len(offsets)))
     return Targets(local, labels.classes, labels.boxes, weights, background - offsets[owner],
                    labels.offsets, background_offsets)
 
@@ -615,7 +623,8 @@ def supervised_losses(scored: Scored, layout: LossLayout):
     diff = refined - boxes
     box, d_box = smooth_l1(diff).sum(axis=1), smooth_l1_grad(diff)
     giou = np.zeros(len(box))  # 1 - GIoU, of detection labels only
-    for expert, a, b in zip(experts, layout.label_offsets[::n], layout.label_offsets[n::n]):
+    bounds = layout.label_offsets[np.arange(len(experts) + 1) * n]  # each term's labels
+    for expert, a, b in zip(experts, bounds, bounds[1:]):
         if expert is None:
             value, grad = giou_and_grad(refined[a:b], boxes[a:b])
             giou[a:b] = 1.0 - value
@@ -649,7 +658,7 @@ def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     gives the terms, and a block of one gives the loop's bits.
     """
     scored = Scored(params, *pack([sample]))
-    terms = [(targets([sample], labels, weights, background), None)]
+    terms = [(targets(sample.proposal_boxes, scored.offsets, labels, weights, background), None)]
     layout = loss_layout(scored.offsets, terms, params.num_classes)
     (losses, grads), = supervised_losses(scored, layout)
     return float(losses[0]), grads

@@ -4,9 +4,10 @@ pretrained vision model, plus the supervision loss it induces on the student.
 The oracle reads ground truth and corrupts it with configurable miss, flip and
 jitter rates, so label fidelity is an experimental knob rather than a model.
 Its labels are hard `Labels`, like the teacher's pseudo-labels. The expert is
-frozen, as the foundation model it stands for: adaptation draws its labels
-once per sample, before the first epoch, from the sample's own sub-stream
-`rng_stream(seed, "expert", sample_id)`, and reuses them every epoch.
+frozen, as the foundation model it stands for: adaptation draws the whole
+target set's labels in one `expert_predict` call, before the first epoch,
+each sample from its own sub-stream `rng_stream(seed, "expert", sample_id)`,
+and reuses them every epoch.
 """
 
 from __future__ import annotations
@@ -34,28 +35,33 @@ class ExpertSpec:
             raise ValueError("box_jitter must lie in [0, half the largest float]")
 
 
-def expert_predict(spec: ExpertSpec, sample: DetectionSample, rng: np.random.Generator,
-                   num_classes: int) -> Labels:
-    """Corrupted ground truth: per object, maybe miss, maybe flip, always jitter.
+def expert_predict(spec: ExpertSpec, samples: list[DetectionSample],
+                   rngs: list[np.random.Generator], num_classes: int) -> Labels:
+    """A block's corrupted ground truth as one `Labels` block (a sample alone
+    is the block of one): per object, maybe miss, maybe flip, always jitter.
 
-    Reads the sample's `gt_boxes`/`gt_classes` rows one object at a time, in
-    order, so each object's draws follow the previous object's. A flip draws
-    the new class uniformly over the other classes; with no other class, the
-    object keeps its own.
-    `boxes_from_raw` makes each jittered box valid, by the `BBox.from_raw` rule.
+    Sample i reads its `gt_boxes`/`gt_classes` rows one object at a time, in
+    order, drawing from `rngs[i]`: `random` for the miss, `random` for the
+    flip, `integers` on a flip, `uniform(4)` for the jitter. A flip draws the
+    new class uniformly over the other classes; with no other class, the
+    object keeps its own. `boxes_from_raw` makes each jittered box valid.
     """
-    raw, class_ids = [], []
-    for box, class_id in zip(sample.gt_boxes, sample.gt_classes.tolist()):
-        if rng.random() < spec.miss_rate:
-            continue
-        if rng.random() < spec.flip_rate and num_classes > 1:
-            others = [k for k in range(num_classes) if k != class_id]
-            class_id = int(others[rng.integers(len(others))])
-        size = box[2:] - box[:2]
-        scale = np.concatenate((size, size))
-        raw.append(box + rng.uniform(-spec.box_jitter, spec.box_jitter, 4) * scale)
-        class_ids.append(class_id)
-    return Labels.one_hot(boxes_from_raw(np.reshape(raw, (-1, 4))), class_ids, num_classes)
+    kept, class_ids, jitter, counts = [], [], [], [0]
+    for sample, rng in zip(samples, rngs):
+        for class_id in sample.gt_classes.tolist():
+            kept.append(rng.random() >= spec.miss_rate)
+            if not kept[-1]:
+                continue
+            if rng.random() < spec.flip_rate and num_classes > 1:
+                other = int(rng.integers(num_classes - 1))  # the other classes, in order
+                class_id = other + (other >= class_id)
+            class_ids.append(class_id)
+            jitter.append(rng.uniform(-spec.box_jitter, spec.box_jitter, 4))
+        counts.append(len(class_ids))
+    box = np.concatenate([np.reshape(s.gt_boxes, (-1, 4)) for s in samples]
+                         + [np.zeros((0, 4))])[np.array(kept, dtype=bool)]
+    raw = box + np.reshape(jitter, (-1, 4)) * np.tile(box[:, 2:] - box[:, :2], 2)
+    return Labels.one_hot(boxes_from_raw(raw), class_ids, num_classes, counts)
 
 
 def expert_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
@@ -67,7 +73,8 @@ def expert_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     The one-sample case of `supervised_losses`; no labels give zero.
     """
     scored = Scored(params, *pack([sample]))
-    terms = [(targets([sample], labels, weights, background=None), (cls_weight, reg_weight))]
+    terms = [(targets(sample.proposal_boxes, scored.offsets, labels, weights, background=None),
+              (cls_weight, reg_weight))]
     layout = loss_layout(scored.offsets, terms, params.num_classes)
     (losses, grads), = supervised_losses(scored, layout)
     return float(losses[0]), grads

@@ -4,16 +4,18 @@ expert supervision. A subset discriminator loss with gradient reversal is
 provided, but not trained here: the detector is linear in the raw features, so
 there is no feature trunk for its reversed gradients to align.
 
-The teacher only ever moves by EMA; gradients touch only the student. Each
-batch's losses come from one packed pass of the model being trained and one
-pass of the `supervised_losses` kernel for all of them; in adaptation one
-packed teacher pass gives the batch's pseudo-labels. Labels reach the kernel
-as `Targets` of the whole batch laid out (`loss_layout`), and the
-kernel returns each sample's loss and the batch's gradients, summed by one
-product over the batch. At batch size 1 a run equals a per-sample loop bit for
-bit. At larger batches the product adds the samples in another order than a
-per-sample sum (see `supervised_losses`), which moves the parameters' last
-bits: within a relative 2e-12 of the loop's after 10 default epochs. All
+The teacher only ever moves by EMA; gradients touch only the student. A run
+packs its set's rows and fixed `Targets` (ground truth, or the frozen
+expert's) once, each epoch gathers them in shuffle order once, and each batch
+is a slice of those. Its losses come from one packed pass of the model being
+trained and one pass of the `supervised_losses` kernel for all of them; in
+adaptation one packed teacher pass gives the batch's pseudo-labels. Labels
+reach the kernel as `Targets` of the whole batch laid out (`loss_layout`),
+and the kernel returns each sample's loss and the batch's gradients, summed
+by one product over the batch. At batch size 1 a run equals a per-sample loop
+bit for bit. At larger batches the product adds the samples in another order
+than a per-sample sum (see `supervised_losses`), which moves the parameters'
+last bits: within a relative 2e-12 of the loop's after 10 default epochs. All
 randomness flows from the single config seed through named sub-streams, so a
 run is a pure function of its config.
 """
@@ -175,10 +177,11 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
                               dropout_rate=config.dropout_rate)
     # rows and ground-truth matches never change, so both are packed once, as one block
     features, boxes, offsets = pack(source_data)
-    source_targets = targets(source_data, Labels.pack(
-        Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes) for s in source_data))
+    source_targets = targets(boxes, offsets, Labels.pack(
+        (Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes) for s in source_data),
+        config.num_classes))
     shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
-    for epoch in range(config.pretrain_epochs if source_data else 0):  # no batch in an empty set
+    for epoch in range(config.pretrain_epochs):
         order = shuffle_rng.permutation(len(source_data))
         rows, block = segment_rows(offsets, order)
         x, b = features[rows], boxes[rows]
@@ -188,7 +191,7 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
             batch, part = layout.cut(start, stop), slice(block[start], block[stop])
             scored = Scored(params, x[part], b[part], batch.offsets)
             (losses, grads), = supervised_losses(scored, batch)
-            if not np.all(np.isfinite(losses)):
+            if not np.isfinite(losses).all():
                 raise TrainingError(f"non-finite pretrain loss at epoch {epoch}")
             params = sgd_step(params, grads.scaled(1.0 / (stop - start)), config.learning_rate)
     sealed = SealedDataset(source_data)
@@ -213,9 +216,11 @@ def adapt(
     With `out_dir`, each epoch's teacher and relation rows are saved there.
 
     Per sample-step each model runs forward once, in one packed pass per
-    batch, since neither model moves within a batch. The batch's labels,
-    targets and weights are arrays over the whole batch, with per-sample
-    offsets; Python loops over samples only where the order demands it:
+    batch, since neither model moves within a batch, on row-range views of
+    the epoch's rows (the target set, packed once and gathered in shuffle
+    order by `segment_rows`), which nothing writes into. Labels, targets and
+    weights are arrays over the whole batch, with per-sample offsets; Python
+    loops over samples only where the order demands it:
     - The teacher's pass gives the batch's confident rows (`pseudo_label`,
       cut into samples by `np.searchsorted` at the pass's offsets) and its
       background rows (`background_indices`), one call each. The confident
@@ -233,18 +238,20 @@ def adapt(
       one draw.
     - The student's pass over that array, on the teacher pass's boxes, feeds
       one `supervised_losses` call on the `loss_layout` of two terms, the
-      student's `targets` and the expert's. Each label's class and the student's class at its proposal
-      travel as two int arrays: with SAL on, one `relation_weights` call
-      weighs both terms' labels, each sample's of each term alone, and the
-      student's give one `batch_confusion` and one relation update per batch
-      (a batch without labels counts zero, which leaves the matrix as is).
+      student's `targets` and the expert's. Each label's class and the
+      student's class at its proposal travel as two int arrays: with SAL on,
+      one `relation_weights` call weighs both terms' labels, each sample's of
+      each term alone, and the student's give one `batch_confusion` and one
+      relation update per batch (a batch without labels counts zero, which
+      leaves the matrix as is).
 
-    The expert is frozen: before epoch 0 each target sample's expert labels
-    are drawn once, from `rng_stream(seed, "expert", sample id)`, and matched
-    to its proposals once, as one `Targets` block of the whole target set;
-    augmentation and noise keep the proposal boxes, so those matches hold in
-    every epoch. Each batch takes its samples' part (`Targets.take`); only
-    their relation weights follow the student, step by step.
+    The expert is frozen: before epoch 0 one `expert_predict` call draws
+    each target sample's labels, from `rng_stream(seed, "expert", sample
+    id)`, and they are matched to the proposals once, as one `Targets` block
+    of the whole target set; augmentation and noise keep the proposal boxes,
+    so those matches hold in every epoch. Each epoch takes them in shuffle
+    order once (`Targets.take`) and each batch cuts its samples' part from
+    that (`Targets.cut`); only their relation weights follow the student.
     """
     config.validate()
     num_classes = config.num_classes
@@ -262,12 +269,13 @@ def adapt(
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    # the expert is frozen: its labels, and their matches, are drawn once per sample
+    # the target rows, and the frozen expert's labels and matches, never change
+    set_x, set_boxes, set_offsets = pack(ordered)
     expert = None
     if config.enable_expert:
-        expert = targets(ordered, Labels.pack(
-            expert_predict(config.expert, s, rng_stream(config.seed, "expert", s.id), num_classes)
-            for s in ordered), background=None)
+        expert = targets(set_boxes, set_offsets, expert_predict(
+            config.expert, ordered, [rng_stream(config.seed, "expert", s.id) for s in ordered],
+            num_classes), background=None)
     for epoch in range(config.epochs):
         shuffle_rng = rng_stream(config.seed, "shuffle", epoch)
         aug_rng = rng_stream(config.seed, "augment", epoch)
@@ -275,12 +283,15 @@ def adapt(
 
         stu_losses, expert_losses = [], []
         order = shuffle_rng.permutation(len(ordered))
+        picked, block = segment_rows(set_offsets, order)
+        epoch_x, epoch_boxes = set_x[picked], set_boxes[picked]
+        epoch_expert = None if expert is None else expert.take(order)
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+            stop = min(start + config.batch_size, len(order))
             majority = relation.majority() if config.enable_sa and relation.ready else None
-            samples = [ordered[int(pos)] for pos in batch]
-            features, boxes, offsets = pack(samples)
-            scored_t = Scored(teacher, features, boxes, offsets)
+            part = slice(block[start], block[stop])
+            boxes, offsets = epoch_boxes[part], block[start:stop + 1] - block[start]
+            scored_t = Scored(teacher, epoch_x[part], boxes, offsets)
             # the teacher's confident rows become the batch's hard labels, one block
             rows = pseudo_label(teacher, scored_t, config.conf_threshold)
             label_offsets = np.searchsorted(rows, offsets)
@@ -303,9 +314,9 @@ def adapt(
 
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored(student, strong, boxes, offsets)
-            parts = [targets(samples, labels, None, bg, matches)]
-            if expert is not None:
-                parts.append(expert.take(batch))
+            parts = [targets(boxes, offsets, labels, None, bg, matches)]
+            if epoch_expert is not None:
+                parts.append(epoch_expert.cut(start, stop))
             # each part's label classes and the student's classes at their
             # proposals; part t's sample i is segment t * n + i of one weights call
             true_cls = np.argmax(np.concatenate([p.classes for p in parts]), axis=1)
@@ -328,7 +339,7 @@ def adapt(
 
             if not total.is_finite():
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
-            student = sgd_step(student, total.scaled(1.0 / len(batch)), config.learning_rate)
+            student = sgd_step(student, total.scaled(1.0 / (stop - start)), config.learning_rate)
             teacher = ema_update(teacher, student, config.teacher_ema)
             relation.update(batch_confusion(true_cls[:len(matches)], pred_cls[:len(matches)],
                                             num_classes))

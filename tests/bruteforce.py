@@ -425,8 +425,9 @@ def oracle_batch_pretrain(config) -> ModelParams:
     params = ModelParams.init(config.num_classes, config.source.feature_dim,
                               rng_stream(config.seed, "init"),
                               dropout_rate=config.dropout_rate)
-    source_targets = targets(source_data, Labels.pack(
-        Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes) for s in source_data))
+    source_targets = targets(*pack(source_data)[1:], Labels.pack(
+        (Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes) for s in source_data),
+        config.num_classes))
     shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
     for epoch in range(config.pretrain_epochs):
         order = shuffle_rng.permutation(len(source_data))

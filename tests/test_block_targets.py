@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bruteforce import oracle_match_labels, oracle_relation_weights, oracle_targets
-from detadapt.detector import Labels, match_labels, targets
+from detadapt.detector import Labels, Targets, match_labels, pack, targets
 from detadapt.weighting import relation_weights
 from detadapt.world import box_iou, perturb_features
 from test_detector import mixed_samples, random_labels
@@ -52,6 +52,11 @@ def packed_rows(samples):
     return np.cumsum([0] + [s.num_proposals for s in samples])
 
 
+def packed_boxes(samples):
+    """A block's packed proposal boxes and offsets, `targets`' first arguments."""
+    return pack(samples)[1:]
+
+
 def test_ties_and_zero_iou_labels_resolve_within_their_own_sample():
     a = mixed_samples(np.random.default_rng(0), [3])[0]
     b = mixed_samples(np.random.default_rng(1), [2])[0]
@@ -62,7 +67,8 @@ def test_ties_and_zero_iou_labels_resolve_within_their_own_sample():
     a_boxes, b_boxes = [[5, 5, 7, 7], [30, 30, 32, 32]], [[5, 5, 7, 7]]
     for block, label_boxes, want in (([a, b], [a_boxes, b_boxes], [1, 0, 3]),
                                      ([b, a], [b_boxes, a_boxes], [0, 3, 2])):
-        labels = Labels.pack(Labels(boxes, np.eye(3)[:len(boxes)]) for boxes in label_boxes)
+        labels = Labels.pack((Labels(boxes, np.eye(3)[:len(boxes)]) for boxes in label_boxes),
+                             3)
         got = match_labels(np.concatenate([s.proposal_boxes for s in block]), labels.boxes,
                            packed_rows(block), labels.offsets)
         assert got.tolist() == want
@@ -75,7 +81,7 @@ def test_block_matches_equal_per_sample_matches(reverse):
         samples, label_sets = hard_block(rng, random_sizes(rng))
         if reverse:
             samples, label_sets = samples[::-1], label_sets[::-1]
-        labels, offsets = Labels.pack(label_sets), packed_rows(samples)
+        labels, offsets = Labels.pack(label_sets, 3), packed_rows(samples)
         rows = match_labels(np.concatenate([s.proposal_boxes for s in samples]), labels.boxes,
                             offsets, labels.offsets)
         for i, (sample, own) in enumerate(zip(samples, label_sets)):
@@ -127,7 +133,7 @@ def test_targets_reject_label_offsets_that_do_not_rise_from_zero_to_the_count(of
     labels = random_labels(np.random.default_rng(4), count=3)
     labels.offsets = np.array(offsets)
     with pytest.raises(ValueError, match=r"offsets \[.*\] do not rise from 0 to 3"):
-        targets(samples, labels)
+        targets(*packed_boxes(samples), labels)
 
 
 def background_choices(rng, samples):
@@ -173,9 +179,10 @@ def test_block_targets_equal_per_sample_targets(reverse):
         kind = trial % 3
         background = ["auto", None, block_rows(samples, lists)][kind]
         per_sample = [["auto", None, choice][kind] for choice in choices]
-        got = targets(samples, Labels.pack(label_sets), np.concatenate(weights), background)
+        got = targets(*packed_boxes(samples), Labels.pack(label_sets, 3), np.concatenate(weights),
+                      background)
         for i, (sample, labels) in enumerate(zip(samples, label_sets)):
-            alone = targets([sample], labels, weights[i], per_sample[i])
+            alone = targets(*packed_boxes([sample]), labels, weights[i], per_sample[i])
             assert_parts_equal(sample_parts(got, i), sample_parts(alone, 0))
             assert_parts_equal(sample_parts(got, i),
                                oracle_targets(sample, labels, weights[i], per_sample[i]))
@@ -186,10 +193,27 @@ def test_block_targets_equal_per_sample_targets(reverse):
         block = [samples[k] for k in order]
         if kind == 2:
             background = block_rows(block, [lists[k] for k in order])
-        rebuilt = targets(block, Labels.pack(label_sets[k] for k in order),
+        rebuilt = targets(*packed_boxes(block), Labels.pack((label_sets[k] for k in order), 3),
                           np.concatenate([weights[k] for k in order]), background)
         for name in TARGET_FIELDS + ("offsets", "background_offsets"):
             assert np.array_equal(getattr(taken, name), getattr(rebuilt, name)), name
+
+
+def test_a_cut_of_targets_is_the_take_of_its_range():
+    # hard blocks give samples without labels; background "auto", None and
+    # lists give samples with all, none and some of their proposals
+    rng = np.random.default_rng(44)
+    for trial in range(30):
+        samples, label_sets = hard_block(rng, random_sizes(rng))
+        _, lists = background_choices(rng, samples)
+        background = ["auto", None, block_rows(samples, lists)][trial % 3]
+        block = targets(*packed_boxes(samples), Labels.pack(label_sets, 3),
+                        rng.uniform(0.2, 2.0, sum(map(len, label_sets))), background)
+        for a in range(len(samples) + 1):
+            for b in range(a, len(samples) + 1):
+                cut, taken = block.cut(a, b), block.take(range(a, b))
+                for name in Targets._fields:
+                    assert np.array_equal(getattr(cut, name), getattr(taken, name)), name
 
 
 def test_block_relation_weights_equal_per_sample_weights():

@@ -344,6 +344,17 @@ def test_augment_rejects_a_bank_of_other_classes():
                        matches=np.arange(2))
 
 
+@pytest.mark.parametrize("majority", [frozenset({2}), frozenset({-1}), frozenset({0, 5})],
+                         ids=["num_classes", "negative", "beyond"])
+def test_augment_rejects_a_majority_class_outside_the_relations(majority):
+    # a mask over the classes would wrap -1 to the last class, and a class
+    # of C or more would not mark any
+    sample, labels = make_sample_with_labels()
+    with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+        augment(sample, labels, relation_from(np.eye(2)), majority, full_bank(), 0.5, 0.7,
+                np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("p_aug,mix_ratio,message",
                          [(-0.1, 0.7, "p_aug"), (1.1, 0.7, "p_aug"), (np.nan, 0.7, "p_aug"),
                           (0.5, 0.0, "mix_ratio"), (0.5, 1.5, "mix_ratio"),
@@ -445,26 +456,6 @@ def test_class_vectors_stay_simplex_under_repeated_augmentation():
             assert np.all(vec >= -1e-12)
 
 
-def random_batch(rng, num_samples, num_classes, dim, first_id):
-    """Samples with distinct proposal boxes; hard labels on some of their
-    proposals, a proposal at times labeled twice; and each sample's pushes,
-    rows of its proposals under random classes."""
-    samples, label_sets, pushes = [], [], []
-    for n in range(num_samples):
-        count = int(rng.integers(1, 6))
-        corners = rng.uniform(0, 80, (count, 2)) + 90.0 * np.arange(count)[:, None]
-        boxes = np.hstack((corners, corners + rng.uniform(4, 12, (count, 2))))
-        samples.append(DetectionSample(first_id + n, boxes, rng.standard_normal((count, dim)),
-                                       np.zeros((0, 4)), np.zeros(0, dtype=int)))
-        rows = rng.integers(count, size=int(rng.integers(0, 5)))
-        label_sets.append(Labels.one_hot(boxes[rows], rng.integers(num_classes, size=len(rows)),
-                                         num_classes))
-        rows = rng.integers(count, size=int(rng.integers(0, 4)))
-        pushes.append((rng.integers(num_classes, size=len(rows)),
-                       samples[-1].proposal_features[rows]))
-    return samples, Labels.pack(label_sets), pushes
-
-
 def test_a_batch_never_draws_its_own_rows():
     # the batch reads the bank as it stood before it: an empty bank blends
     # nothing, and once the batch's rows are filed, the next batch draws them
@@ -497,8 +488,8 @@ def random_batch(rng, num_samples, num_classes, dim, first_id):
                                          num_classes))
     features = np.concatenate([s.proposal_features for s in samples])
     rows = rng.integers(len(features), size=int(rng.integers(0, 4 * num_samples)))
-    return samples, Labels.pack(label_sets), (rng.integers(num_classes, size=len(rows)),
-                                              features[rows])
+    pushed = rng.integers(num_classes, size=len(rows)), features[rows]
+    return samples, Labels.pack(label_sets, num_classes), pushed
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 64])

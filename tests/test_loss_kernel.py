@@ -74,8 +74,8 @@ def test_background_list_with_matched_and_repeated_indices():
         sample = random_sample(rng, num_proposals=6)
         labels = Labels(sample.proposal_boxes[1:2], [rng.dirichlet(np.ones(3))])
         background = [4, 1, 4, 0, 1, 5, 4]
-        assert targets([sample], labels, background=background).background.tolist() == \
-            [4, 4, 0, 5, 4]
+        kept = targets(*pack([sample])[1:], labels, background=background).background
+        assert kept.tolist() == [4, 4, 0, 5, 4]
         check_sample(params, sample, labels, background=background)
 
 
@@ -97,7 +97,8 @@ def test_targets_reject_indices_outside_the_sample(matches, background, lead, tr
                         [0] * (before + 1) + [1] * (after + 1))
         shift = lambda index: index if index in (None, "auto") else [3 * before + index[0]]
         with pytest.raises(ValueError):
-            targets(block, labels, background=shift(background), matches=shift(matches))
+            targets(*pack(block)[1:], labels, background=shift(background),
+                    matches=shift(matches))
 
 
 @pytest.mark.parametrize("background", [None, "auto"])
@@ -148,9 +149,10 @@ def test_packed_block_matches_per_sample_oracles():
         rows = np.concatenate([{"auto": np.arange(a, b), None: [], "repeat": [a, a]}[bg]
                                for a, b, bg in zip(scored.offsets, scored.offsets[1:],
                                                    background)]).astype(int)
-        packed, packed_weights = Labels.pack(labels), np.concatenate(weights)
-        (got,) = kernel(scored, [(targets(samples, packed, packed_weights, rows), None)])
-        (got_expert,) = kernel(scored, [(targets(samples, packed, packed_weights, None),
+        block = pack(samples)[1:]
+        packed, packed_weights = Labels.pack(labels, 3), np.concatenate(weights)
+        (got,) = kernel(scored, [(targets(*block, packed, packed_weights, rows), None)])
+        (got_expert,) = kernel(scored, [(targets(*block, packed, packed_weights, None),
                                          (1.3, 0.7))])
         want = [oracle_detection_loss(params, sample, bbox_pairs(labels[i]), weights[i],
                                       background={"repeat": [0, 0]}.get(background[i],
@@ -244,6 +246,23 @@ def test_pretrain_equals_the_per_batch_loop_bit_for_bit(config):
                    for name in GRADIENTS)
 
 
+def test_a_block_of_no_label_sets_keeps_its_class_width_and_gives_zero_losses():
+    # an empty pack: a block of no samples, whose (0, C) classes lay out and
+    # score like any block's, to no losses and zero gradients per term
+    params = random_params(np.random.default_rng(46))
+    labels = Labels.pack([], params.num_classes)
+    assert labels.classes.shape == (0, params.num_classes) and labels.offsets.tolist() == [0]
+    boxes, offsets = np.zeros((0, 4)), np.zeros(1, dtype=int)
+    scored = Scored(params, np.zeros((0, params.feature_dim)), boxes, offsets)
+    terms = [(targets(boxes, offsets, labels), None),
+             (targets(boxes, offsets, labels, background=None), (1.3, 0.7))]
+    for losses, grads in kernel(scored, terms):
+        assert losses.shape == (0,) and grads.loss == 0.0
+        for name in GRADIENTS:
+            assert getattr(grads, name).shape == getattr(params, name).shape
+            assert not getattr(grads, name).any(), name
+
+
 @pytest.mark.parametrize("expert", [None, (1.3, 0.7)], ids=["detection", "expert"])
 def test_a_cut_layout_is_the_layout_of_its_samples_alone(expert):
     # field by field, every array a C-contiguous slice, and the kernel's
@@ -310,20 +329,20 @@ def random_block_terms(rng, params, samples, with_expert_labels=True):
     """A block's student and expert `Targets`: some samples without labels,
     without expert labels or without background, repeated matches and the
     samples' own proposal counts, one-proposal samples included."""
-    offsets = Scored(params, *pack(samples)).offsets
+    _, boxes, offsets = pack(samples)
     counts = [int(rng.integers(0, 4)) for _ in samples]
     expert_counts = [int(rng.integers(0, 3)) * with_expert_labels for _ in samples]
     parts = []
     for label_counts, background in ((counts, "mixed"), (expert_counts, None)):
-        labels = Labels.pack(random_labels(rng, count=k, soft=True) for k in label_counts)
+        labels = Labels.pack((random_labels(rng, count=k, soft=True) for k in label_counts), 3)
         # repeated matches: each label on a random proposal of its sample
         matches = np.concatenate([a + rng.integers(0, b - a, k) for a, b, k
                                   in zip(offsets, offsets[1:], label_counts)]).astype(int)
         if background == "mixed":
             background = np.concatenate([[np.arange(a, b), [], [a, a]][i % 3] for i, (a, b)
                                          in enumerate(zip(offsets, offsets[1:]))]).astype(int)
-        parts.append(targets(samples, labels, rng.uniform(0.2, 2.0, len(labels)), background,
-                             matches))
+        parts.append(targets(boxes, offsets, labels, rng.uniform(0.2, 2.0, len(labels)),
+                             background, matches))
     return parts
 
 

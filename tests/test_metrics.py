@@ -268,7 +268,7 @@ def test_partition_and_evaluate_build_no_objects_and_run_heads_per_block(monkeyp
     expert_rng = np.random.default_rng(0)
     for run in (lambda: generate_domain(spec, 5),
                 lambda: pretrain_source(tiny_config(pretrain_epochs=1)),
-                lambda: [expert_predict(ExpertSpec(), s, expert_rng, 3) for s in samples],
+                lambda: expert_predict(ExpertSpec(), samples, [expert_rng] * len(samples), 3),
                 lambda: load_dataset(dataset_path)):
         counts.clear()
         run()

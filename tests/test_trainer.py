@@ -213,6 +213,14 @@ def test_frozen_teacher_under_unit_ema():
     assert np.array_equal(teacher.w_cls, params.w_cls)
 
 
+def pass_samples(samples):
+    """The ids of the samples of a pass's rows, cut by its offsets, each
+    sample known by its proposal boxes."""
+    by_boxes = {s.proposal_boxes.tobytes(): s.id for s in samples}
+    return lambda boxes, offsets: [by_boxes[boxes[a:b].tobytes()]
+                                   for a, b in zip(offsets[:-1], offsets[1:])]
+
+
 @pytest.mark.parametrize("variant", ["full", "base"])
 def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch):
     # each model scores a batch in one `Scored` block: the teacher the clean
@@ -221,20 +229,15 @@ def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch
     config = ablation_variants(tiny_config(epochs=2))[variant]
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
-    real_init, real_pack = detector.Scored.__init__, trainer.pack
-    scored_calls, packed = [], {}
+    real_init, samples_of = detector.Scored.__init__, pass_samples(target)
+    scored_calls = []
     outside_loop = []
 
-    def counted_pack(samples, *args):
-        rows = real_pack(samples, *args)
-        packed[id(rows[1])] = [s.id for s in samples]
-        return rows
-
-    # a pass is known by its samples' proposal boxes, which both passes of a batch share
-    def counted_init(self, params, features, boxes, *args, **kwargs):
+    # a pass is known by its rows' proposal boxes, which both passes of a batch share
+    def counted_init(self, params, features, boxes, offsets, *args, **kwargs):
         if not outside_loop:
-            scored_calls.append(packed[id(boxes)])
-        real_init(self, params, features, boxes, *args, **kwargs)
+            scored_calls.append(samples_of(boxes, offsets))
+        real_init(self, params, features, boxes, offsets, *args, **kwargs)
 
     def not_counted(fn):
         def wrapper(*args, **kwargs):
@@ -245,7 +248,6 @@ def test_adapt_runs_each_model_forward_once_per_sample_step(variant, monkeypatch
                 outside_loop.pop()
         return wrapper
 
-    monkeypatch.setattr(trainer, "pack", counted_pack)
     monkeypatch.setattr(detector.Scored, "__init__", counted_init)
     monkeypatch.setattr(trainer, "evaluate", not_counted(trainer.evaluate))
     adapt(params, target, config)
@@ -481,20 +483,23 @@ def expert_label_sets(targets, count):
 
 
 def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatch):
-    # the expert stands for a frozen model: one draw per target sample, all
-    # before training starts, and the same labels reach the loss every epoch
+    # the expert stands for a frozen model: one draw per target sample, from
+    # its own stream, all before training starts, and the same labels reach
+    # the loss every epoch
     config = ablation_variants(tiny_config(epochs=3))["full"]
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
     events, drawn, seen = [], {}, [{} for _ in range(config.epochs)]
-    block = []
+    block, samples_of = [], pass_samples(target)
     real_predict, real_layout = trainer.expert_predict, trainer.loss_layout
-    real_pack, real_evaluate = trainer.pack, trainer.evaluate
+    real_scored, real_evaluate = trainer.Scored, trainer.evaluate
 
-    def predict(spec, sample, rng, num_classes):
-        events.append("predict")
-        drawn[sample.id] = real_predict(spec, sample, rng, num_classes)
-        return drawn[sample.id]
+    def predict(spec, samples, rngs, num_classes):
+        labels = real_predict(spec, samples, rngs, num_classes)
+        for sample, a, b in zip(samples, labels.offsets, labels.offsets[1:]):
+            events.append("predict")
+            drawn[sample.id] = labels.boxes[a:b], labels.classes[a:b]
+        return labels
 
     def layout(offsets, terms, num_classes):
         # one call per batch, its terms the student's labels and the expert's
@@ -507,9 +512,9 @@ def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatc
         events.append("loss")
         return real_layout(offsets, terms, num_classes)
 
-    def pack(samples, *args):
-        block.append([s.id for s in samples])
-        return real_pack(samples, *args)
+    def scored(params, features, boxes, offsets, *args):
+        block.append(samples_of(boxes, offsets))
+        return real_scored(params, features, boxes, offsets, *args)
 
     def evaluate(*args, **kwargs):
         if events[-1] != "epoch end":
@@ -518,16 +523,21 @@ def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatc
 
     monkeypatch.setattr(trainer, "expert_predict", predict)
     monkeypatch.setattr(trainer, "loss_layout", layout)
-    monkeypatch.setattr(trainer, "pack", pack)
+    monkeypatch.setattr(trainer, "Scored", scored)
     monkeypatch.setattr(trainer, "evaluate", evaluate)
     adapt(params, target, config)
     assert events.count("predict") == len(target)
     assert events.index("loss") > max(i for i, e in enumerate(events) if e == "predict")
     assert sorted(drawn) == sorted(s.id for s in target)
+    for sample in target:
+        want = real_predict(config.expert, [sample],
+                            [rng_stream(config.seed, "expert", sample.id)], config.num_classes)
+        assert np.array_equal(drawn[sample.id][0], want.boxes)
+        assert np.array_equal(drawn[sample.id][1], want.classes)
     for epoch_labels in seen:
         assert sorted(epoch_labels) == sorted(drawn)
         for sample_id, sets in epoch_labels.items():
             assert len(sets) == 1
             boxes, classes = sets[0]
-            assert np.array_equal(boxes, drawn[sample_id].boxes)
-            assert np.array_equal(classes, drawn[sample_id].classes)
+            assert np.array_equal(boxes, drawn[sample_id][0])
+            assert np.array_equal(classes, drawn[sample_id][1])

@@ -9,7 +9,7 @@ import pytest
 from detadapt import cli, util
 from detadapt.config import AdaptationConfig, default_config
 from detadapt.expert import ExpertSpec
-from detadapt.detector import Labels, ModelParams, match_labels, save_params, targets
+from detadapt.detector import Labels, ModelParams, match_labels, pack, save_params, targets
 from detadapt.partition import VarianceReport
 from detadapt.relation import RelationMatrix, batch_confusion
 from detadapt.trainer import EpochRecord, TrainHistory
@@ -85,7 +85,7 @@ def _offsets_callers():
 
     def with_targets(offsets):
         labels = Labels.one_hot(np.tile([0.0, 0.0, 4.0, 4.0], (3, 1)), [0, 1, 0], 2, offsets)
-        targets([sample(i) for i in range(len(labels.offsets) - 1)], labels)
+        targets(*pack([sample(i) for i in range(len(labels.offsets) - 1)])[1:], labels)
 
     def with_weights(offsets):
         relation_weights(RelationMatrix.identity(2, 0.9), [0, 1, 0], [0, 1, 1], 0.5, offsets)
