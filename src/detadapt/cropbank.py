@@ -68,7 +68,8 @@ class Cropbank:
             return
         if not self._storage.shape[2]:
             self._storage = np.zeros((num_classes, self.capacity, features.shape[1]))
-        for c in np.unique(class_ids).tolist():
+        # not `np.unique`, which imports `numpy.ma` on first use and checks for masks on every call
+        for c in np.flatnonzero(np.bincount(class_ids, minlength=num_classes)).tolist():
             kept = np.concatenate((self._storage[c, :self._sizes[c]],
                                    features[class_ids == c]))[-self.capacity:]
             self._storage[c, :len(kept)] = kept

@@ -5,19 +5,25 @@ hand and checked against finite differences. Class index C (the last logit) is
 the background class. `Scored` is the one forward pass, over a block's packed
 rows (`pack`); a sample alone is a block of one. Training matches and targets a
 batch's labels as one block, on its packed boxes and offsets (`match_labels`,
-`targets`), lays out its (`Targets`, expert) terms (`loss_layout`, param-free)
-and computes every sample's losses, and the block's summed gradients per term,
-in one pass of one kernel, `supervised_losses`. Training cuts each batch's
-rows, and pretraining's layout or adaptation's expert targets, out of its
-epoch's (`LossLayout.cut`, `Targets.cut`). The losses equal those of a
-per-label loop bit for bit, and so do the gradients of a block of one; a
-larger block's gradients are one product over its rows, equal to the
-in-order sum of its samples' gradients up to rounding.
+`targets`), lays out its (`Targets`, expert) terms (`loss_layout`) and
+computes every sample's losses, and the block's summed gradients per term,
+in one pass of one kernel, `supervised_losses`. The layout holds every array
+the kernel needs that does not read the model (pass rows, GIoU target
+corners and areas, segment ids and divisors), so a training step does only
+the work that depends on the model: one forward pass, the kernel's gathers
+and arithmetic, and one op on each model's `flat` buffer per update
+(`sgd_step`, `teacher.ema_update`). Training cuts each batch's rows, and
+pretraining's layout or adaptation's expert targets, out of its epoch's
+(`LossLayout.cut`, `Targets.cut`). The losses equal those of a per-label loop
+bit for bit, and so do the gradients of a block of one; a larger block's
+gradients are one product over its rows, equal to the in-order sum of its
+samples' gradients up to rounding.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -42,11 +48,66 @@ class TrainingError(RuntimeError):
     """Raised when optimization produces non-finite values."""
 
 
+# the heads' four arrays, laid end to end in this order in a `flat` buffer
+_ARRAYS = ("w_cls", "b_cls", "w_reg", "b_reg")
+
+
+def _spans(shapes) -> tuple:
+    """Each array's (slice, shape) in a flat buffer of arrays of `shapes` laid end to end."""
+    spans, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        spans.append((slice(start, stop), shape))
+        start = stop
+    return tuple(spans)
+
+
+class _FlatArrays:
+    """Base of `ModelParams` and `GradientSet`: their four arrays w_cls,
+    b_cls, w_reg and b_reg are views of one contiguous float64 vector,
+    `flat`, laid end to end in that order, so an op on all four is one op on
+    `flat`. Built from four arrays, a set copies them into a new buffer;
+    built on a buffer (`_of`), it makes the four views on first use, so a
+    step's intermediate gradients, read only as `flat`, make none."""
+
+    def _pack(self) -> None:
+        arrays = [np.asarray(getattr(self, name), dtype=float) for name in _ARRAYS]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self._spans = _spans(a.shape for a in arrays)
+        self._view()
+
+    def _view(self) -> None:
+        self.w_cls, self.b_cls, self.w_reg, self.b_reg = (
+            self.flat[cut].reshape(shape) for cut, shape in self._spans)
+
+    def __getattr__(self, name):
+        # called only for an attribute not set: an array of a set built by
+        # `_of`, copied or unpickled
+        if name not in _ARRAYS or "flat" not in self.__dict__:
+            raise AttributeError(name)
+        self._view()
+        return self.__dict__[name]
+
+    def __getstate__(self):
+        # a copy or pickle leaves the views out, so they view its own `flat`
+        return {key: value for key, value in self.__dict__.items() if key not in _ARRAYS}
+
+    @classmethod
+    def _of(cls, flat: np.ndarray, spans, **scalars):
+        """A set on the buffer `flat`, its arrays at `spans` (`_spans`), with
+        its scalar fields `scalars`."""
+        new = object.__new__(cls)
+        new.__dict__.update(scalars, flat=flat, _spans=spans)
+        return new
+
+
 @dataclass
-class ModelParams:
+class ModelParams(_FlatArrays):
     """Weights of the classifier and regressor heads.
 
-    w_cls: (C+1, D), b_cls: (C+1,), w_reg: (4, D), b_reg: (4,).
+    w_cls: (C+1, D), b_cls: (C+1,), w_reg: (4, D), b_reg: (4,), each a view
+    of `flat`, their (C+1)(D+1) + 4(D+1) values in that order. Fields and
+    JSON form are the four arrays and the dropout rate.
     """
 
     w_cls: np.ndarray
@@ -58,9 +119,12 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        for arr in (self.w_cls, self.b_cls, self.w_reg, self.b_reg):
-            if not np.isfinite(arr).all():
-                raise ValueError("non-finite parameter values")
+        self._pack()
+        self._check()
+
+    def _check(self) -> None:
+        if not np.isfinite(self.flat).all():
+            raise ValueError("non-finite parameter values")
 
     @property
     def num_classes(self) -> int:
@@ -82,9 +146,17 @@ class ModelParams:
             dropout_rate=dropout_rate,
         )
 
+    def with_flat(self, flat: np.ndarray) -> "ModelParams":
+        """A model of these shapes and dropout rate on the buffer `flat`, one
+        float64 value per entry of `self.flat`; `ValueError` if one is not finite."""
+        if flat.shape != self.flat.shape:
+            raise ValueError(f"a buffer of shape {flat.shape}, not {self.flat.shape}")
+        params = self._of(flat, self._spans, dropout_rate=self.dropout_rate)
+        params._check()
+        return params
+
     def copy(self) -> "ModelParams":
-        return ModelParams(self.w_cls.copy(), self.b_cls.copy(),
-                           self.w_reg.copy(), self.b_reg.copy(), self.dropout_rate)
+        return self.with_flat(self.flat.copy())
 
 
 def save_params(path, params: ModelParams) -> None:
@@ -118,8 +190,11 @@ class Detection:
 
 
 @dataclass
-class GradientSet:
-    """Gradients matching ModelParams shapes, plus the loss they came from."""
+class GradientSet(_FlatArrays):
+    """Gradients matching ModelParams shapes, plus the loss they came from.
+
+    The four arrays are views of `flat`, laid out as `ModelParams.flat`, so
+    scaling, adding and checking a set are one op each."""
 
     w_cls: np.ndarray
     b_cls: np.ndarray
@@ -127,18 +202,17 @@ class GradientSet:
     b_reg: np.ndarray
     loss: float = 0.0
 
+    def __post_init__(self):
+        self._pack()
+
     def scaled(self, factor: float) -> "GradientSet":
-        return GradientSet(factor * self.w_cls, factor * self.b_cls,
-                           factor * self.w_reg, factor * self.b_reg, factor * self.loss)
+        return self._of(factor * self.flat, self._spans, loss=factor * self.loss)
 
     def __add__(self, other: "GradientSet") -> "GradientSet":
-        return GradientSet(self.w_cls + other.w_cls, self.b_cls + other.b_cls,
-                           self.w_reg + other.w_reg, self.b_reg + other.b_reg,
-                           self.loss + other.loss)
+        return self._of(self.flat + other.flat, self._spans, loss=self.loss + other.loss)
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in
-                   (self.w_cls, self.b_cls, self.w_reg, self.b_reg)) and np.isfinite(self.loss)
+        return bool(np.isfinite(self.flat).all() and np.isfinite(self.loss))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -294,40 +368,57 @@ def forward(params: ModelParams, sample: DetectionSample) -> list[Detection]:
 
 
 def _max(a, b):
-    """Python's `max(a, b)` elementwise, so NaN and signed zeros resolve alike; `_min` too."""
+    """Python's `max(a, b)` elementwise, so NaN and signed zeros resolve alike."""
     return np.where(b > a, b, a)
 
 
-def _min(a, b):
-    return np.where(b < a, b, a)
+def giou_target(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`giou_and_grad`'s form of (L, 4) valid target boxes: their (L, 4)
+    [x1, y1, -x2, -y2] corners (negation is exact) and (L,) areas."""
+    corners = np.negative(boxes)
+    corners[:, :2] = boxes[:, :2]
+    sides = boxes[:, 2:] - boxes[:, :2]
+    return corners, sides[:, 0] * sides[:, 1]
 
 
-def giou_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GIoU of (L, 4) predicted boxes, possibly degenerate, against valid targets.
+def giou_and_grad(pred: np.ndarray, target: np.ndarray,
+                  target_area: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GIoU of (L, 4) predicted boxes, possibly degenerate, against valid
+    targets given as `giou_target` gives them: corners and areas.
 
     Returns the (L,) values, in (-1, 1], and their (L, 4) subgradients in the
     predicted coordinates. Widths are clamped at zero so the value stays
     defined for arbitrary predicted coordinates. Squares go through
     `float_power`, as a float64 scalar's `** 2` does; `x * x` rounds differently.
-    The predicted box, intersection and enclosure are one (3, L, 4) stack of
-    [lo, -hi] corners (negation is exact), so each step is one op for all three.
+    The predicted box, intersection and enclosure are one preallocated
+    (3, L, 4) stack of [lo, -hi] corners, the last two Python's `max` and
+    `min` of the first and the target's by `np.copyto` (NaN and signed zeros
+    resolve alike), so each step is one op for all three.
     """
-    p, t = -pred, -target
-    p[:, :2], t[:, :2] = pred[:, :2], target[:, :2]
-    corners = np.stack((p, _max(p, t), _min(p, t)))
+    corners = np.empty((3,) + pred.shape)
+    p = corners[0]
+    np.negative(pred, out=p)
+    p[:, :2] = pred[:, :2]
+    corners[1:] = p
+    np.copyto(corners[1], target, where=target > p)
+    np.copyto(corners[2], target, where=target < p)
     sides = -corners[..., 2:] - corners[..., :2]
     sides[:2] = _max(sides[:2], 0.0)
     # a side moves an area at the corners of a non-empty predicted box or
     # intersection that the target does not bound, and of an enclosure's
     positive = sides[:2] > 0
-    moves = np.stack((np.concatenate((positive[0], positive[0]), 1),
-                      (p >= t) & positive[1].all(axis=1, keepdims=True), p <= t))
-    d_sides = sides[..., [1, 0, 1, 0]]
-    np.negative(d_sides[..., :2], out=d_sides[..., :2])
+    moves = np.empty(corners.shape, dtype=bool)
+    moves[0, :, :2] = moves[0, :, 2:] = positive[0]
+    np.greater_equal(p, target, out=moves[1])
+    moves[1] &= positive[1].all(axis=1, keepdims=True)
+    np.less_equal(p, target, out=moves[2])
+    # a corner's side derivatives: -height, -width at lo, height, width at hi
+    d_sides = np.empty(corners.shape)
+    np.negative(sides[..., ::-1], out=d_sides[..., :2])
+    d_sides[..., 2:] = sides[..., ::-1]
     d_area, d_inter, d_enc = np.where(moves, d_sides, 0.0)
     area_p, inter, enclosure = sides[..., 0] * sides[..., 1]
-    t_sides = target[:, 2:] - target[:, :2]
-    union = area_p + t_sides[:, 0] * t_sides[:, 1] - inter
+    union = area_p + target_area - inter
     d_union = d_area - d_inter
     value = inter / union - (enclosure - union) / enclosure
     union, inter, enclosure = union[:, None], inter[:, None], enclosure[:, None]
@@ -512,48 +603,53 @@ def targets(boxes: np.ndarray, offsets: np.ndarray, labels: Labels, weights=None
                    labels.offsets, background_offsets)
 
 
-def _segment_means(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each segment's mean, segment i being terms[offsets[i]:offsets[i + 1]]; 0.0 if empty.
-
-    A loop's running sum over each segment, divided by its count (`np.sum`
-    adds in another order): `np.bincount` adds each segment's terms in
-    order, from 0.0, so a segment of -0.0 terms alone sums to +0.0.
-    """
-    counts = offsets[1:] - offsets[:-1]
-    segment = np.repeat(np.arange(len(counts)), counts)
-    return np.bincount(segment, terms, len(counts)) / np.maximum(counts, 1)
-
-
 class LossLayout(NamedTuple):
     """The param-free part of `supervised_losses` on a block of n samples, P
-    rows and T terms (`loss_layout`). Segment t * n + i is term t's sample i,
-    and slot t * P + r its pass row r in the terms' stacked gradient rows; the
-    cross-entropy (CE) rows run segment by segment, labels, then background."""
+    rows and T terms (`loss_layout`): every array the kernel reads that does
+    not depend on the model. Segment t * n + i is term t's sample i, and slot
+    t * P + r its pass row r in the terms' stacked gradient rows; the
+    cross-entropy (CE) rows run segment by segment, labels, then background.
+    A segment's mean is the `np.bincount` of its rows' terms over the
+    segment ids, over its divisor: the bins add each segment's terms in
+    order, as a loop's running sum does, but from 0.0, so a segment of -0.0
+    terms alone sums to +0.0."""
 
     offsets: np.ndarray        # (n + 1,) the pass's sample offsets
     ce_slots: np.ndarray       # (r,) each CE row's slot
+    ce_rows: np.ndarray        # (r,) its pass row
     ce_target: np.ndarray      # (r, C + 1) its target: a class vector or the background
     ce_weight: np.ndarray      # (r,) its weight
+    ce_segment: np.ndarray     # (r,) its segment
+    ce_divisor: np.ndarray     # (T * n,) each segment's CE row count, at least 1
     ce_offsets: np.ndarray     # (T * n + 1,) the segments' CE rows
     label_slots: np.ndarray    # (l,) each label's proposal's slot, segment by segment
+    label_rows: np.ndarray     # (l,) its pass row
     label_boxes: np.ndarray    # (l, 4) its box
+    label_corners: np.ndarray  # (l, 4) the box's corners, as `giou_target` gives them
+    label_area: np.ndarray     # (l,) the box's area
     label_count: np.ndarray    # (l,) its segment's label count
+    label_segment: np.ndarray  # (l,) its segment
+    label_divisor: np.ndarray  # (T * n,) each segment's label count, at least 1
     label_offsets: np.ndarray  # (T * n + 1,) the segments' labels
     norm: np.ndarray           # (T, P, 1) each term's CE divisor per pass row
     experts: tuple             # each term's expert (cls_weight, reg_weight), or None
 
     def cut(self, a: int, b: int) -> "LossLayout":
         """Samples a:b of a one-term layout, each field a contiguous slice rebased
-        to the cut's first row: the layout of those samples alone, field by field."""
+        to the cut's first row and segment: the layout of those samples alone,
+        field by field. One term's slots are its rows, so both fields share one array."""
         if len(self.experts) != 1:
             raise ValueError("only a one-term layout is cut")
         p, c, lab = self.offsets[a], self.ce_offsets[a], self.label_offsets[a]
         ce, labs = slice(c, self.ce_offsets[b]), slice(lab, self.label_offsets[b])
-        return LossLayout(self.offsets[a:b + 1] - p, self.ce_slots[ce] - p, self.ce_target[ce],
-                          self.ce_weight[ce], self.ce_offsets[a:b + 1] - c,
-                          self.label_slots[labs] - p, self.label_boxes[labs],
-                          self.label_count[labs], self.label_offsets[a:b + 1] - lab,
-                          self.norm[:, p:self.offsets[b]], self.experts)
+        ce_rows, label_rows = self.ce_rows[ce] - p, self.label_rows[labs] - p
+        return LossLayout(
+            self.offsets[a:b + 1] - p, ce_rows, ce_rows, self.ce_target[ce], self.ce_weight[ce],
+            self.ce_segment[ce] - a, self.ce_divisor[a:b], self.ce_offsets[a:b + 1] - c,
+            label_rows, label_rows, self.label_boxes[labs], self.label_corners[labs],
+            self.label_area[labs], self.label_count[labs], self.label_segment[labs] - a,
+            self.label_divisor[a:b], self.label_offsets[a:b + 1] - lab,
+            self.norm[:, p:self.offsets[b]], self.experts)
 
 
 def loss_layout(offsets: np.ndarray, terms: list[tuple[Targets, tuple[float, float] | None]],
@@ -577,19 +673,24 @@ def loss_layout(offsets: np.ndarray, terms: list[tuple[Targets, tuple[float, flo
                    for name in ("offsets", "background_offsets"))
     segment = np.arange(len(n_lab))
     lab_of, bg_of = np.repeat(segment, n_lab), np.repeat(segment, n_bg)
-    first = offsets[segment % n] + segment // n * offsets[-1]  # each segment's first slot
-    lab_slots = first[lab_of] + matches
+    first_row, first_slot = offsets[segment % n], segment // n * offsets[-1]
+    lab_rows = first_row[lab_of] + matches
     order = np.argsort(np.concatenate((lab_of, bg_of)), kind="stable")
+    ce_rows = np.concatenate((lab_rows, first_row[bg_of] + background))[order]
+    ce_segment = np.repeat(segment, n_lab + n_bg)
     target = np.zeros((len(order), num_classes + 1))
-    target[:len(lab_slots), :num_classes] = classes
-    target[len(lab_slots):, num_classes] = 1.0
+    target[:len(lab_rows), :num_classes] = classes
+    target[len(lab_rows):, num_classes] = 1.0
     detection = np.array([expert is None for _, expert in terms]).repeat(n)
     norm = np.repeat(np.maximum(n_lab + n_bg * detection, 1).reshape(len(terms), n),
                      offsets[1:] - offsets[:-1], axis=1)
-    return LossLayout(offsets, np.concatenate((lab_slots, first[bg_of] + background))[order],
-                      target[order], np.concatenate((weights, np.ones(len(bg_of))))[order],
-                      np.cumsum(np.concatenate(([0], n_lab + n_bg))), lab_slots, boxes,
-                      n_lab[lab_of], np.cumsum(np.concatenate(([0], n_lab))), norm[..., None],
+    corners, area = giou_target(boxes)
+    return LossLayout(offsets, ce_rows + first_slot[ce_segment], ce_rows, target[order],
+                      np.concatenate((weights, np.ones(len(bg_of))))[order], ce_segment,
+                      np.maximum(n_lab + n_bg, 1), np.cumsum(np.concatenate(([0], n_lab + n_bg))),
+                      lab_rows + first_slot[lab_of], lab_rows, boxes, corners, area,
+                      n_lab[lab_of], lab_of, np.maximum(n_lab, 1),
+                      np.cumsum(np.concatenate(([0], n_lab))), norm[..., None],
                       tuple(expert for _, expert in terms))
 
 
@@ -599,7 +700,10 @@ def supervised_losses(scored: Scored, layout: LossLayout):
     `LossLayout`: the (n,) losses and one `GradientSet` (its `loss` their
     sum), each the bits of that term alone, from one pass of the row ops over
     every term's rows and one stacked product. A cut layout (`LossLayout.cut`)
-    on its rows gives the bits of its samples alone.
+    on its rows gives the bits of its samples alone. The kernel only gathers
+    the model's outputs at the layout's rows and computes; the terms'
+    gradients are written into the rows of one (T, F) buffer, row t term t's
+    `GradientSet.flat`.
 
     Each sample's loss equals that of a loop over its labels bit for bit, in
     that loop's order, and so do per-row gradients (`np.add.at` adds repeated
@@ -611,22 +715,23 @@ def supervised_losses(scored: Scored, layout: LossLayout):
     n, size, width = len(layout.offsets) - 1, scored.num_proposals, scored.num_classes + 1
     if len(scored.offsets) != n + 1 or layout.norm.shape[1] != size:
         raise ValueError("a layout of another block than the scored one")
-    slots, target, w, experts = layout.ce_slots, layout.ce_target, layout.ce_weight, layout.experts
-    rows = slots % size
+    target, w, experts = layout.ce_target, layout.ce_weight, layout.experts
     # a stack of (1, K) @ (K, 1) products is one BLAS dot per row, like `target @ row`
-    ce = -w * (target[:, None, :] @ scored.log_scores[rows][:, :, None])[:, 0, 0]
+    ce = -w * (target[:, None, :] @ scored.log_scores[layout.ce_rows][:, :, None])[:, 0, 0]
     d_logits = np.zeros((len(experts), size, width))
-    np.add.at(d_logits.reshape(-1, width), slots, w[:, None] * (scored.scores[rows] - target))
+    np.add.at(d_logits.reshape(-1, width), layout.ce_slots,
+              w[:, None] * (scored.scores[layout.ce_rows] - target))
     # normalise as the loops did: detection divides box gradients by the label
     # count before adding up and CE rows after; the expert scales after adding up
-    refined, boxes = scored.refined[layout.label_slots % size], layout.label_boxes
-    diff = refined - boxes
+    refined = scored.refined[layout.label_rows]
+    diff = refined - layout.label_boxes
     box, d_box = smooth_l1(diff).sum(axis=1), smooth_l1_grad(diff)
     giou = np.zeros(len(box))  # 1 - GIoU, of detection labels only
     bounds = layout.label_offsets[np.arange(len(experts) + 1) * n]  # each term's labels
     for expert, a, b in zip(experts, bounds, bounds[1:]):
         if expert is None:
-            value, grad = giou_and_grad(refined[a:b], boxes[a:b])
+            value, grad = giou_and_grad(refined[a:b], layout.label_corners[a:b],
+                                        layout.label_area[a:b])
             giou[a:b] = 1.0 - value
             d_box[a:b] = (d_box[a:b] - grad) / layout.label_count[a:b, None]
     d_refined = np.zeros((len(experts), size, 4))
@@ -637,15 +742,24 @@ def supervised_losses(scored: Scored, layout: LossLayout):
         else:
             logits *= expert[0] / norm
             coords *= expert[1] / norm
-    # one reduction: the CE rows' segments, then the labels' twice, laid end to end
-    ends = layout.ce_offsets[-1] + layout.label_offsets[-1] * np.arange(2)[:, None]
-    loss_cls, loss_box, loss_giou = _segment_means(np.concatenate((ce, box, giou)), np.concatenate(
-        (layout.ce_offsets, *(ends + layout.label_offsets[1:])))).reshape(3, len(experts), n)
+    segments = (len(experts), n)
+    loss_cls = (np.bincount(layout.ce_segment, ce, len(layout.ce_divisor))
+                / layout.ce_divisor).reshape(segments)
+    loss_box, loss_giou = ((np.bincount(layout.label_segment, terms, len(layout.label_divisor))
+                            / layout.label_divisor).reshape(segments) for terms in (box, giou))
     losses = [loss_box[t] + loss_giou[t] + loss_cls[t] if expert is None else
-              expert[0] * loss_cls[t] + expert[1] * loss_box[t] for t, expert in enumerate(experts)]
-    w_cls, w_reg = (grads.transpose(0, 2, 1) @ scored.h for grads in (d_logits, d_refined))
-    b_cls, b_reg = d_logits.sum(axis=1), d_refined.sum(axis=1)
-    return [(loss, GradientSet(w_cls[t], b_cls[t], w_reg[t], b_reg[t], float(loss.sum())))
+              expert[0] * loss_cls[t] + expert[1] * loss_box[t]
+              for t, expert in enumerate(experts)]
+    dim = scored.h.shape[-1]
+    spans = _spans(((width, dim), (width,), (4, dim), (4,)))
+    grads = np.empty((len(experts), (width + 4) * (dim + 1)))
+    w_cls, b_cls, w_reg, b_reg = (grads[:, cut].reshape((len(experts),) + shape)
+                                  for cut, shape in spans)
+    np.matmul(d_logits.transpose(0, 2, 1), scored.h, out=w_cls)
+    np.matmul(d_refined.transpose(0, 2, 1), scored.h, out=w_reg)
+    np.add.reduce(d_logits, axis=1, out=b_cls)
+    np.add.reduce(d_refined, axis=1, out=b_reg)
+    return [(loss, GradientSet._of(grads[t], spans, loss=float(loss.sum())))
             for t, loss in enumerate(losses)]
 
 
@@ -665,15 +779,10 @@ def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
 
 
 def sgd_step(params: ModelParams, grads: GradientSet, lr: float) -> ModelParams:
-    """One plain gradient-descent step; lr=0 or zero grads leave params unchanged."""
+    """One plain gradient-descent step, one op on the `flat` buffers; lr=0 or
+    zero grads leave params unchanged."""
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
     if not grads.is_finite():
         raise TrainingError("non-finite gradients")
-    return ModelParams(
-        params.w_cls - lr * grads.w_cls,
-        params.b_cls - lr * grads.b_cls,
-        params.w_reg - lr * grads.w_reg,
-        params.b_reg - lr * grads.b_reg,
-        params.dropout_rate,
-    )
+    return params.with_flat(params.flat - lr * grads.flat)

@@ -27,20 +27,15 @@ def pseudo_label(teacher: ModelParams, block: Scored, conf_threshold: float) -> 
 
 
 def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> ModelParams:
-    """Elementwise convex blend: rate 1 keeps the teacher, rate 0 copies the student."""
+    """Elementwise convex blend, one op on the `flat` buffers: rate 1 keeps
+    the teacher, rate 0 copies the student."""
     if not 0.0 <= ema_rate <= 1.0:
         raise ValueError("ema_rate must lie in [0, 1]")
     if teacher.w_cls.shape != student.w_cls.shape or teacher.w_reg.shape != student.w_reg.shape:
         raise ValueError("teacher/student shape mismatch")
     # where the two agree the blend could round away from both; keep it exact
-    blend = lambda t, s: np.where(s == t, t, ema_rate * t + (1.0 - ema_rate) * s)
-    return ModelParams(
-        blend(teacher.w_cls, student.w_cls),
-        blend(teacher.b_cls, student.b_cls),
-        blend(teacher.w_reg, student.w_reg),
-        blend(teacher.b_reg, student.b_reg),
-        teacher.dropout_rate,
-    )
+    t, s = teacher.flat, student.flat
+    return teacher.with_flat(np.where(s == t, t, ema_rate * t + (1.0 - ema_rate) * s))
 
 
 # `teacher` is unused, kept in `pseudo_label`'s argument positions

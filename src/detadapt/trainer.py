@@ -163,10 +163,14 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
 
     The source set's rows are packed and its ground-truth targets built,
     once. Each epoch gathers both in shuffle order (`segment_rows`,
-    `Targets.take`) and lays them out once (`loss_layout`). Each batch cuts
-    its rows and layout out of the epoch's (`LossLayout.cut`) for one packed
-    pass and one `supervised_losses` call, with the bits of the batch packed
-    and laid out alone; each step takes the mean of its gradients. With
+    `Targets.take`) and lays them out once (`loss_layout`): every array of
+    the loss that does not read the model (pass rows, GIoU target corners
+    and areas, segment ids and divisors) is built 25 times in a default run,
+    not once per each of its 800 steps. Each batch cuts its rows and layout
+    out of the epoch's (`LossLayout.cut`) for one packed pass and one
+    `supervised_losses` call, with the bits of the batch packed and laid out
+    alone; each step takes the mean of its gradients, one op on the
+    gradients' `flat` buffer, and `sgd_step` is one more on the model's. With
     pretrain_epochs=0 the randomly initialized model is returned as-is. The
     sealed handle is returned so callers can prove the source stays closed.
     """

@@ -11,7 +11,8 @@ per-proposal object path (one `BBox.from_raw` and one argmax per proposal,
 per pass) for scoring, a one-reduction variance per sample, the per-class
 object matching for a whole evaluation, the supervised losses one label at a
 time, with a scalar GIoU, for the loss kernel and pretraining, the array
-GIoU that the kernel's stacked one replaced, and the whole adaptation loop
+GIoU that the kernel's stacked one replaced, the per-segment mean that the
+kernel's per-sample losses take, and the whole adaptation loop
 sample by sample, with labels as (`BBox`, class vector) pairs and a crop
 bank of one `CropEntry` per instance in per-class buffers, its relation
 statistics as (label class, predicted class) pairs, weighted, counted and
@@ -255,6 +256,19 @@ def oracle_giou_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarr
     grad += (d_inter * union - inter * d_union) / np.float_power(union, 2)
     grad += (d_union * enclosure - union * d_enc) / np.float_power(enclosure, 2)
     return value, grad
+
+
+def oracle_segment_means(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each segment's mean, segment i being terms[offsets[i]:offsets[i + 1]]; 0.0 if empty.
+
+    A loop's running sum over each segment, divided by its count (`np.sum`
+    adds in another order): `np.bincount` adds each segment's terms in
+    order, from 0.0, so a segment of -0.0 terms alone sums to +0.0. The
+    reduction the loss kernel's per-sample means must equal.
+    """
+    counts = offsets[1:] - offsets[:-1]
+    segment = np.repeat(np.arange(len(counts)), counts)
+    return np.bincount(segment, terms, len(counts)) / np.maximum(counts, 1)
 
 
 def oracle_detection_loss(

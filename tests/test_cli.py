@@ -509,3 +509,33 @@ def test_module_invocation_runs_pretrain(tmp_path, tiny_config_file):
     assert proc.returncode == 0, proc.stderr
     assert (out / "source_params.json").exists()
     assert (out / "pretrain_eval.json").exists()
+
+
+# a CLI pretrain and full-method adapt, then whether the run imported `numpy.ma`
+NO_MASKED_ARRAYS = """
+import os, sys
+from detadapt.cli import run_cli
+config, out = sys.argv[1:]
+pre = os.path.join(out, "pre")
+assert run_cli(["--mode", "pretrain", "--config", config, "--out", pre]) == 0
+assert run_cli(["--mode", "adapt", "--config", config, "--out", os.path.join(out, "adapt"),
+                "--params", os.path.join(pre, "source_params.json")]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_cli_adapt_run_never_imports_masked_arrays(tmp_path, tiny_config_file):
+    # importing `numpy.ma` costs 15 ms, inside the timed adapt call if the
+    # crop bank's first push is what imports it; at this threshold the
+    # teacher's confident rows fill the bank from the first batch on
+    config = dataclasses.replace(tiny_config_file[1], conf_threshold=0.3)
+    assert config.enable_sa and config.enable_sal and config.enable_expert
+    config_path = str(tmp_path / "config.json")
+    config.save_json(config_path)
+    src = os.path.dirname(os.path.dirname(detadapt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, config_path, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

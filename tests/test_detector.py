@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -7,9 +10,13 @@ from bruteforce import (max_relative_error, numeric_gradient, oracle_detections,
                         oracle_forward_arrays, oracle_uniforms, zero_grads)
 from detadapt.detector import (GradientSet, Labels, ModelParams, Scored, TrainingError,
                                detection_loss, forward, forward_arrays, giou_and_grad,
-                               load_params, pack, save_params, sgd_step)
+                               giou_target, load_params, pack, save_params, sgd_step)
+from detadapt.teacher import ema_update
 from detadapt.util import to_json
 from detadapt.world import BBox, DetectionSample
+
+
+ARRAYS = ("w_cls", "b_cls", "w_reg", "b_reg")
 
 
 def random_sample(rng, num_proposals=5, feature_dim=6, span=8.0):
@@ -207,7 +214,7 @@ def test_dropout_seed_reproducible_and_varied():
 def test_giou_hand_values():
     pred = np.array([[0, 0, 1, 1], [0, 0, 1, 1], [0, 0, 2, 2]], dtype=float)
     target = np.array([[0, 0, 1, 1], [2, 2, 3, 3], [1, 1, 3, 3]], dtype=float)
-    value, _ = giou_and_grad(pred, target)
+    value, _ = giou_and_grad(pred, *giou_target(target))
     assert value == pytest.approx([1.0, -7 / 9, 1 / 7 - 2 / 9], abs=1e-9)
 
 
@@ -221,7 +228,7 @@ def test_giou_range_on_random_boxes():
     rng = np.random.default_rng(4)
     pairs = np.array([[random_box(rng).as_array(), random_box(rng).as_array()]
                       for _ in range(200)])
-    value, _ = giou_and_grad(pairs[:, 0], pairs[:, 1])
+    value, _ = giou_and_grad(pairs[:, 0], *giou_target(pairs[:, 1]))
     assert np.all((-1.0 < value) & (value <= 1.0 + 1e-12))
 
 
@@ -282,11 +289,52 @@ def test_sgd_step_examples():
 
 
 def test_sgd_rejects_nonfinite_grads():
+    # an inf written through any of the four fields lands in the flat buffer
     params = ModelParams(np.zeros((2, 2)), np.zeros(2), np.zeros((4, 2)), np.zeros(4), 0.0)
-    grads = zero_grads(params)
-    grads.w_cls[0, 0] = np.inf
-    with pytest.raises(TrainingError):
-        sgd_step(params, grads, 0.1)
+    for name in ARRAYS:
+        grads = zero_grads(params)
+        field = getattr(grads, name)
+        field[(0,) * field.ndim] = np.inf
+        with pytest.raises(TrainingError):
+            sgd_step(params, grads, 0.1)
+
+
+def assert_one_buffer(arrays):
+    """The four arrays of a `ModelParams` or `GradientSet` are views of its
+    flat float64 buffer, laid end to end in field order."""
+    flat = arrays.flat
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+    assert all(np.shares_memory(getattr(arrays, name), flat) for name in ARRAYS)
+    assert np.array_equal(np.concatenate([getattr(arrays, name).ravel() for name in ARRAYS]),
+                          flat)
+
+
+def test_params_and_gradients_are_views_of_one_flat_buffer():
+    rng = np.random.default_rng(12)
+    params, other = random_params(rng), random_params(rng)
+    sample = random_sample(rng)
+    _, grads = detection_loss(params, sample, random_labels(rng))
+    built = GradientSet(*(getattr(grads, name).copy() for name in ARRAYS), grads.loss)
+    for arrays in (grads, built, grads.scaled(0.5), grads + built, zero_grads(params)):
+        assert_one_buffer(arrays)
+    replaced = dataclasses.replace(params, w_cls=np.ones_like(params.w_cls))
+    assert not np.shares_memory(replaced.flat, params.flat)
+    assert np.array_equal(replaced.w_cls, np.ones_like(params.w_cls))
+    assert np.array_equal(replaced.b_reg, params.b_reg)
+    # each update returns a model on a buffer of its own
+    for new in (params.copy(), sgd_step(params, grads, 0.1), ema_update(params, other, 0.9),
+                replaced):
+        assert_one_buffer(new)
+        assert not np.shares_memory(new.flat, params.flat)
+        assert not np.shares_memory(new.flat, other.flat)
+        assert not np.shares_memory(new.flat, grads.flat)
+    assert_one_buffer(params)
+    # copies and pickles view their own buffer
+    for arrays in (params, grads, grads.scaled(0.5)):
+        for twin in (copy.deepcopy(arrays), pickle.loads(pickle.dumps(arrays))):
+            assert_one_buffer(twin)
+            assert not np.shares_memory(twin.flat, arrays.flat)
+            assert np.array_equal(twin.flat, arrays.flat)
 
 
 def test_small_step_rarely_increases_loss():
@@ -313,8 +361,11 @@ def test_params_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(params.w_reg, loaded.w_reg)
     assert np.array_equal(params.b_reg, loaded.b_reg)
     assert params.dropout_rate == loaded.dropout_rate
-    # a second serialization is byte-identical
+    # a second serialization is byte-identical, and loading rebuilds the buffer
     assert json.dumps(to_json(params)) == json.dumps(to_json(loaded))
+    assert_one_buffer(loaded)
+    save_params(tmp_path / "again.json", loaded)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("name,value", [

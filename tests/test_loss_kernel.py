@@ -7,9 +7,9 @@ import pytest
 
 from bruteforce import (bbox_pairs, oracle_batch_pretrain, oracle_detection_loss,
                         oracle_expert_loss, oracle_giou, oracle_giou_and_grad, oracle_pretrain,
-                        zero_grads)
-from detadapt.detector import (Labels, LossLayout, Scored, _segment_means, detection_loss,
-                               giou_and_grad, loss_layout, pack, supervised_losses, targets)
+                        oracle_segment_means, zero_grads)
+from detadapt.detector import (Labels, LossLayout, Scored, detection_loss, giou_and_grad,
+                               giou_target, loss_layout, pack, supervised_losses, targets)
 from detadapt.expert import expert_loss
 from detadapt import trainer
 from detadapt.trainer import ablation_variants, adapt, pretrain_source
@@ -168,20 +168,40 @@ def test_packed_block_matches_per_sample_oracles():
 
 
 def test_segment_means_are_each_segments_running_sum():
-    # a loop adds a segment's terms in order, as its own `np.cumsum` does; the
-    # reduction must give those bits for every segment, empty ones 0.0, at 8
-    # terms and more too, where `np.sum` would add pairwise
+    # a loop adds a sample's terms in order, as its own `np.cumsum` does; the
+    # kernel's per-sample means must give those bits (`oracle_segment_means`)
+    # for every sample, those without labels 0.0, at 8 terms and more too,
+    # where `np.sum` would add pairwise. Expert weights (1, -0.0) make each
+    # sample's loss its CE mean bit for bit, the sign of a zero included
     rng = np.random.default_rng(37)
-    for _ in range(2000):
+    params = random_params(rng)
+    for _ in range(300):
         counts = rng.integers(0, 31, int(rng.integers(1, 7)))
         counts[rng.random(len(counts)) < 0.3] = 0
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        terms = rng.standard_normal(offsets[-1]) * 10.0 ** rng.integers(-3, 4, offsets[-1])
+        samples = mixed_samples(rng, rng.integers(1, 6, len(counts)))
+        _, boxes, offsets = pack(samples)
+        labels = Labels.pack((random_labels(rng, count=int(k), soft=True) for k in counts), 3)
+        matches = np.concatenate([a + rng.integers(0, b - a, k) for a, b, k
+                                  in zip(offsets, offsets[1:], counts)]).astype(int)
+        weights = rng.uniform(0.2, 2.0, len(labels)) * 10.0 ** rng.integers(-3, 4, len(labels))
+        scored = Scored(params, *pack(samples))
+        ((losses, _),) = kernel(scored, [(targets(boxes, offsets, labels, weights, None, matches),
+                                          (1.0, -0.0))])
+        # each label's CE term, as the loop oracles take it
+        terms = np.array([-w * (np.append(vec, 0.0) @ scored.log_scores[m])
+                          for w, vec, m in zip(weights, labels.classes, matches)])
         want = [float(np.cumsum(terms[a:b])[-1]) / (b - a) if b > a else 0.0
-                for a, b in zip(offsets, offsets[1:])]
-        assert _segment_means(terms, offsets).tolist() == want
-    # the one departure: a running sum of -0.0 terms alone is -0.0, a bincount +0.0
-    assert np.signbit(_segment_means(np.array([-0.0, -0.0]), np.array([0, 2]))).tolist() == [False]
+                for a, b in zip(labels.offsets, labels.offsets[1:])]
+        assert oracle_segment_means(terms, labels.offsets).tolist() == want
+        assert losses.tolist() == want
+    # the one departure: a running sum of -0.0 terms alone is -0.0, the
+    # kernel's mean +0.0, as the oracle's; weights -0.0 make each CE term -0.0
+    assert np.signbit(oracle_segment_means(np.array([-0.0, -0.0]), np.array([0, 2]))).tolist() \
+        == [False]
+    sample = random_sample(rng)
+    ((losses, _),) = kernel(Scored(params, *pack([sample])), [(targets(
+        *pack([sample])[1:], random_labels(rng), [-0.0, -0.0], None), (1.0, -0.0))])
+    assert losses.tolist() == [0.0] and np.signbit(losses).tolist() == [False]
 
 
 def test_giou_matches_scalar_oracle_on_inverted_and_degenerate_boxes():
@@ -195,7 +215,7 @@ def test_giou_matches_scalar_oracle_on_inverted_and_degenerate_boxes():
     pred[2::7] = pred[2::7, [0, 1, 0, 1]]             # a point
     pred[3::7] = target[3::7]                         # exact hit
     pred[4::7, :2] = target[4::7, :2]                 # shared corner
-    value, grad = giou_and_grad(pred, target)
+    value, grad = giou_and_grad(pred, *giou_target(target))
     for i in range(n):
         want_value, want_grad = oracle_giou(pred[i], target[i])
         assert value[i] == want_value
@@ -265,10 +285,12 @@ def test_a_block_of_no_label_sets_keeps_its_class_width_and_gives_zero_losses():
 
 @pytest.mark.parametrize("expert", [None, (1.3, 0.7)], ids=["detection", "expert"])
 def test_a_cut_layout_is_the_layout_of_its_samples_alone(expert):
-    # field by field, every array a C-contiguous slice, and the kernel's
-    # losses and gradients on the cut and its rows are those on the samples alone
+    # field by field, each array field by name a C-contiguous slice, and the
+    # kernel's losses and gradients on the cut and its rows are those on the
+    # samples alone
     rng = np.random.default_rng(40)
     params = random_params(rng)
+    arrays = [name for name in LossLayout._fields if name != "experts"]
     for trial in range(40):
         samples = mixed_samples(rng, rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 12))))
         features, boxes, offsets = pack(samples)
@@ -277,7 +299,7 @@ def test_a_cut_layout_is_the_layout_of_its_samples_alone(expert):
         cut = loss_layout(offsets, [(part, expert)], params.num_classes).cut(a, b)
         alone = loss_layout(offsets[a:b + 1] - offsets[a], [(part.take(range(a, b)), expert)],
                             params.num_classes)
-        for name in LossLayout._fields[:-1]:
+        for name in arrays:
             got = getattr(cut, name)
             assert got.flags.c_contiguous and np.array_equal(got, getattr(alone, name)), name
         assert cut.experts == alone.experts == (expert,)
@@ -320,7 +342,8 @@ def test_giou_keeps_the_array_oracles_bits_on_edge_cases():
     with np.errstate(all="ignore"):
         for _ in range(300):
             pred, target = giou_edge_cases(rng, int(rng.integers(1, 40)))
-            for got, want in zip(giou_and_grad(pred, target), oracle_giou_and_grad(pred, target)):
+            for got, want in zip(giou_and_grad(pred, *giou_target(target)),
+                                 oracle_giou_and_grad(pred, target)):
                 # sign bits of zeros and NaNs included
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

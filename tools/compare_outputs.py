@@ -14,10 +14,15 @@ times the default size), CLI eval of that source
 model twice (once generating and saving the target set, once reloading the
 saved set with --dataset, so the dataset writer and reader are both diffed),
 and the CLI ablation suite (seed 0, 3 epochs), whose +SA and +SAL runs no
-benchmark workload makes. Two more CLI pretrain runs cover the edges of
-pretraining's batches: batch size 7, whose last batch is short, and a source
-world of one proposal per sample. A small C = 8 world (60 samples, 3 pretrain epochs)
-is pretrained, partitioned and evaluated too, so score vectors of 9 entries
+benchmark workload makes. Three more CLI pretrain runs cover the edges of
+pretraining's batches and layouts: batch size 7, whose last batch is short,
+a source world of one proposal per sample, and a crowded source world (4 to
+6 objects of sides 20 to 40 per sample), where at seed 0 six proposals are
+each the best match of two of its 2,494 objects (the default source world
+has no such proposal among its 976 objects), so labels sharing a pass row
+reach the outputs through the layout's rows, slots and segments. A small
+C = 8 world (60 samples, 3 pretrain epochs) is pretrained, partitioned and
+evaluated too, so score vectors of 9 entries
 are diffed as well as those of 6. It also saves two generated worlds as
 dataset JSON, the seed-0 source set (`source_dataset.json`) and the
 score-large target set (`score-large/target_dataset.json`), so a generator
@@ -81,11 +86,15 @@ for name, variant in runs.items():
                         "--out", os.path.join(out, f"adapt-{name}"),
                         "--params", source_params]) == 0
 # pretraining cuts each batch from its epoch's rows and layout: at batch size 7
-# the last batch is short, and in a world of one proposal per sample every
-# row takes `_heads`' one-row products
+# the last batch is short, in a world of one proposal per sample every row
+# takes `_heads`' one-row products, and in a crowded world some labels share
+# their proposal
 one_proposal = dataclasses.replace(base.source, max_objects=1, background_rate=0.0)
+crowded = dataclasses.replace(base.source, min_objects=4, max_objects=6, min_box=20.0,
+                              max_box=40.0)
 for name, variant in {"batch7": dataclasses.replace(base, batch_size=7),
-                      "one-proposal": dataclasses.replace(base, source=one_proposal)}.items():
+                      "one-proposal": dataclasses.replace(base, source=one_proposal),
+                      "crowded": dataclasses.replace(base, source=crowded)}.items():
     config_path = os.path.join(out, f"config_pretrain-{name}.json")
     variant.save_json(config_path)
     assert cli.run_cli(["--mode", "pretrain", "--config", config_path,
