@@ -8,7 +8,8 @@ batch's labels as one block, on its packed boxes and offsets (`match_labels`,
 `targets`), lays out its (`Targets`, expert) terms (`loss_layout`) and
 computes every sample's losses, and the block's summed gradients per term,
 in one pass of one kernel, `supervised_losses`. The layout holds every array
-the kernel needs that does not read the model (pass rows, GIoU target
+the kernel needs that does not read the model (pass rows, the flat cells
+that one `np.bincount` per head adds the rows' gradients into, GIoU target
 corners and areas, segment ids and divisors), so a training step does only
 the work that depends on the model: one forward pass, the kernel's gathers
 and arithmetic, and one op on each model's `flat` buffer per update
@@ -308,7 +309,7 @@ class Scored:
     @cached_property
     def class_ids(self) -> np.ndarray:
         """(P,) argmax over foreground classes, ties to the lower id."""
-        return np.argmax(self.scores[:, :self.num_classes], axis=1)
+        return self.scores[:, :self.num_classes].argmax(axis=1)
 
     @cached_property
     def fg_scores(self) -> np.ndarray:
@@ -462,13 +463,13 @@ def match_labels(proposal_boxes: np.ndarray, label_boxes: np.ndarray,
         raise ValueError(f"offsets of {len(offsets) - 1} and {len(label_offsets) - 1} samples")
     if len(label_boxes) == 0:
         return np.zeros(0, dtype=int)
-    sample_of = np.repeat(np.arange(len(offsets) - 1), label_offsets[1:] - label_offsets[:-1])
+    sample_of = np.arange(len(offsets) - 1).repeat(label_offsets[1:] - label_offsets[:-1])
     start, counts = offsets[sample_of], (offsets[1:] - offsets[:-1])[sample_of]
     if counts.min() < 1:
         raise ValueError("a label's sample has no proposals")
     # one (label, proposal) pair per label and proposal of its sample, label by label
-    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    label = np.repeat(np.arange(len(counts)), counts)
+    first = np.concatenate(([0], counts.cumsum()[:-1]))
+    label = np.arange(len(counts)).repeat(counts)
     local = np.arange(counts.sum()) - first[label]
     iou = box_iou(label_boxes[label], proposal_boxes[start[label] + local])
     iou[np.isnan(iou)] = 0.0  # no overlap: inf - inf in the union of two huge boxes
@@ -539,7 +540,7 @@ class Targets(NamedTuple):
     def label_rows(self, offsets: np.ndarray) -> np.ndarray:
         """Block rows of the labels' proposals in a pass whose sample i owns
         rows offsets[i]:offsets[i + 1]."""
-        return np.repeat(offsets[:-1], self.offsets[1:] - self.offsets[:-1]) + self.matches
+        return offsets[:-1].repeat(self.offsets[1:] - self.offsets[:-1]) + self.matches
 
     def take(self, picks) -> "Targets":
         """The targets of samples `picks`, in that order, as a block."""
@@ -586,19 +587,19 @@ def targets(boxes: np.ndarray, offsets: np.ndarray, labels: Labels, weights=None
     if isinstance(background, str):
         background = np.arange(offsets[-1])
     background = np.asarray([] if background is None else background, dtype=int)
-    sample_of = np.repeat(np.arange(len(counts)), labels.offsets[1:] - labels.offsets[:-1])
+    sample_of = np.arange(len(counts)).repeat(labels.offsets[1:] - labels.offsets[:-1])
     local = matches - offsets[sample_of]
-    if len(local) and (local.min() < 0 or np.any(local >= counts[sample_of])):
+    if len(local) and (local.min() < 0 or (local >= counts[sample_of]).any()):
         raise ValueError("match index outside its label's sample")
     if len(background) and (background.min() < 0 or background.max() >= offsets[-1]):
         raise ValueError(f"background index outside the block [0, {offsets[-1]})")
     unmatched = np.ones(offsets[-1], dtype=bool)
     unmatched[matches] = False
     background = background[unmatched[background]]
-    owner = np.searchsorted(offsets, background, side="right") - 1
-    grouped = np.argsort(owner, kind="stable")
+    owner = offsets.searchsorted(background, side="right") - 1
+    grouped = owner.argsort(kind="stable")
     background, owner = background[grouped], owner[grouped]
-    background_offsets = np.cumsum(np.bincount(owner + 1, minlength=len(offsets)))
+    background_offsets = np.bincount(owner + 1, minlength=len(offsets)).cumsum()
     return Targets(local, labels.classes, labels.boxes, weights, background - offsets[owner],
                    labels.offsets, background_offsets)
 
@@ -607,22 +608,24 @@ class LossLayout(NamedTuple):
     """The param-free part of `supervised_losses` on a block of n samples, P
     rows and T terms (`loss_layout`): every array the kernel reads that does
     not depend on the model. Segment t * n + i is term t's sample i, and slot
-    t * P + r its pass row r in the terms' stacked gradient rows; the
-    cross-entropy (CE) rows run segment by segment, labels, then background.
-    A segment's mean is the `np.bincount` of its rows' terms over the
-    segment ids, over its divisor: the bins add each segment's terms in
-    order, as a loop's running sum does, but from 0.0, so a segment of -0.0
-    terms alone sums to +0.0."""
+    t * P + r its pass row r in the terms' stacked gradient rows, of width
+    C + 1 for the logits and 4 for the boxes; cell slot * width + column is
+    that entry of the flattened rows. The cross-entropy (CE) rows run segment
+    by segment, labels, then background. A segment's mean is the
+    `np.bincount` of its rows' terms over the segment ids, over its divisor,
+    and a gradient row the `np.bincount` of its entries over their cells:
+    the bins add each segment's terms, or each slot's entries, in order, as a
+    loop's running sum does, but from 0.0, so -0.0 terms alone sum to +0.0."""
 
     offsets: np.ndarray        # (n + 1,) the pass's sample offsets
-    ce_slots: np.ndarray       # (r,) each CE row's slot
+    ce_cells: np.ndarray       # (r * (C + 1),) each CE row's entries' cells, row by row
     ce_rows: np.ndarray        # (r,) its pass row
     ce_target: np.ndarray      # (r, C + 1) its target: a class vector or the background
     ce_weight: np.ndarray      # (r,) its weight
     ce_segment: np.ndarray     # (r,) its segment
     ce_divisor: np.ndarray     # (T * n,) each segment's CE row count, at least 1
     ce_offsets: np.ndarray     # (T * n + 1,) the segments' CE rows
-    label_slots: np.ndarray    # (l,) each label's proposal's slot, segment by segment
+    label_cells: np.ndarray    # (l * 4,) the cells of each label's proposal's box entries
     label_rows: np.ndarray     # (l,) its pass row
     label_boxes: np.ndarray    # (l, 4) its box
     label_corners: np.ndarray  # (l, 4) the box's corners, as `giou_target` gives them
@@ -636,17 +639,19 @@ class LossLayout(NamedTuple):
 
     def cut(self, a: int, b: int) -> "LossLayout":
         """Samples a:b of a one-term layout, each field a contiguous slice rebased
-        to the cut's first row and segment: the layout of those samples alone,
-        field by field. One term's slots are its rows, so both fields share one array."""
+        to the cut's first row, cell and segment: the layout of those samples
+        alone, field by field. One term's slots are its rows."""
         if len(self.experts) != 1:
             raise ValueError("only a one-term layout is cut")
         p, c, lab = self.offsets[a], self.ce_offsets[a], self.label_offsets[a]
         ce, labs = slice(c, self.ce_offsets[b]), slice(lab, self.label_offsets[b])
-        ce_rows, label_rows = self.ce_rows[ce] - p, self.label_rows[labs] - p
+        width = self.ce_target.shape[1]
         return LossLayout(
-            self.offsets[a:b + 1] - p, ce_rows, ce_rows, self.ce_target[ce], self.ce_weight[ce],
+            self.offsets[a:b + 1] - p, self.ce_cells[c * width:ce.stop * width] - p * width,
+            self.ce_rows[ce] - p, self.ce_target[ce], self.ce_weight[ce],
             self.ce_segment[ce] - a, self.ce_divisor[a:b], self.ce_offsets[a:b + 1] - c,
-            label_rows, label_rows, self.label_boxes[labs], self.label_corners[labs],
+            self.label_cells[4 * lab:4 * labs.stop] - 4 * p, self.label_rows[labs] - p,
+            self.label_boxes[labs], self.label_corners[labs],
             self.label_area[labs], self.label_count[labs], self.label_segment[labs] - a,
             self.label_divisor[a:b], self.label_offsets[a:b + 1] - lab,
             self.norm[:, p:self.offsets[b]], self.experts)
@@ -672,25 +677,28 @@ def loss_layout(offsets: np.ndarray, terms: list[tuple[Targets, tuple[float, flo
     n_lab, n_bg = (np.concatenate([getattr(t, name)[1:] - getattr(t, name)[:-1] for t, _ in terms])
                    for name in ("offsets", "background_offsets"))
     segment = np.arange(len(n_lab))
-    lab_of, bg_of = np.repeat(segment, n_lab), np.repeat(segment, n_bg)
+    lab_of, bg_of = segment.repeat(n_lab), segment.repeat(n_bg)
     first_row, first_slot = offsets[segment % n], segment // n * offsets[-1]
     lab_rows = first_row[lab_of] + matches
-    order = np.argsort(np.concatenate((lab_of, bg_of)), kind="stable")
+    order = np.concatenate((lab_of, bg_of)).argsort(kind="stable")
     ce_rows = np.concatenate((lab_rows, first_row[bg_of] + background))[order]
-    ce_segment = np.repeat(segment, n_lab + n_bg)
+    ce_segment = segment.repeat(n_lab + n_bg)
     target = np.zeros((len(order), num_classes + 1))
     target[:len(lab_rows), :num_classes] = classes
     target[len(lab_rows):, num_classes] = 1.0
     detection = np.array([expert is None for _, expert in terms]).repeat(n)
-    norm = np.repeat(np.maximum(n_lab + n_bg * detection, 1).reshape(len(terms), n),
-                     offsets[1:] - offsets[:-1], axis=1)
+    norm = np.maximum(n_lab + n_bg * detection, 1).reshape(len(terms), n) \
+        .repeat(offsets[1:] - offsets[:-1], axis=1)
     corners, area = giou_target(boxes)
-    return LossLayout(offsets, ce_rows + first_slot[ce_segment], ce_rows, target[order],
+    width = num_classes + 1
+    ce_cells = (ce_rows + first_slot[ce_segment])[:, None] * width + np.arange(width)
+    label_cells = (lab_rows + first_slot[lab_of])[:, None] * 4 + np.arange(4)
+    return LossLayout(offsets, ce_cells.ravel(), ce_rows, target[order],
                       np.concatenate((weights, np.ones(len(bg_of))))[order], ce_segment,
-                      np.maximum(n_lab + n_bg, 1), np.cumsum(np.concatenate(([0], n_lab + n_bg))),
-                      lab_rows + first_slot[lab_of], lab_rows, boxes, corners, area,
+                      np.maximum(n_lab + n_bg, 1), np.concatenate(([0], n_lab + n_bg)).cumsum(),
+                      label_cells.ravel(), lab_rows, boxes, corners, area,
                       n_lab[lab_of], lab_of, np.maximum(n_lab, 1),
-                      np.cumsum(np.concatenate(([0], n_lab))), norm[..., None],
+                      np.concatenate(([0], n_lab)).cumsum(), norm[..., None],
                       tuple(expert for _, expert in terms))
 
 
@@ -706,11 +714,12 @@ def supervised_losses(scored: Scored, layout: LossLayout):
     `GradientSet.flat`.
 
     Each sample's loss equals that of a loop over its labels bit for bit, in
-    that loop's order, and so do per-row gradients (`np.add.at` adds repeated
-    rows in order). The weight gradients are one product over the block: for
-    a block of one the loop's own; for a larger one BLAS adds the samples in
-    another order than a per-sample sum, so an entry may differ from that sum
-    by rounding: under 1e-15 of its largest entry in random blocks of 11.
+    that loop's order, and so do per-row gradients (one `np.bincount` over
+    the layout's cells per head adds repeated rows in order, from 0.0). The
+    weight gradients are one product over the block: for a block of one the
+    loop's own; for a larger one BLAS adds the samples in another order than
+    a per-sample sum, so an entry may differ from that sum by rounding: under
+    1e-15 of its largest entry in random blocks of 11.
     """
     n, size, width = len(layout.offsets) - 1, scored.num_proposals, scored.num_classes + 1
     if len(scored.offsets) != n + 1 or layout.norm.shape[1] != size:
@@ -718,9 +727,10 @@ def supervised_losses(scored: Scored, layout: LossLayout):
     target, w, experts = layout.ce_target, layout.ce_weight, layout.experts
     # a stack of (1, K) @ (K, 1) products is one BLAS dot per row, like `target @ row`
     ce = -w * (target[:, None, :] @ scored.log_scores[layout.ce_rows][:, :, None])[:, 0, 0]
-    d_logits = np.zeros((len(experts), size, width))
-    np.add.at(d_logits.reshape(-1, width), layout.ce_slots,
-              w[:, None] * (scored.scores[layout.ce_rows] - target))
+    # the bins of no entries are integers, hence `astype`
+    entries = w[:, None] * (scored.scores[layout.ce_rows] - target)
+    d_logits = np.bincount(layout.ce_cells, entries.ravel(), len(experts) * size * width) \
+        .astype(float, copy=False).reshape(len(experts), size, width)
     # normalise as the loops did: detection divides box gradients by the label
     # count before adding up and CE rows after; the expert scales after adding up
     refined = scored.refined[layout.label_rows]
@@ -734,8 +744,8 @@ def supervised_losses(scored: Scored, layout: LossLayout):
                                         layout.label_area[a:b])
             giou[a:b] = 1.0 - value
             d_box[a:b] = (d_box[a:b] - grad) / layout.label_count[a:b, None]
-    d_refined = np.zeros((len(experts), size, 4))
-    np.add.at(d_refined.reshape(-1, 4), layout.label_slots, d_box)
+    d_refined = np.bincount(layout.label_cells, d_box.ravel(), len(experts) * size * 4) \
+        .astype(float, copy=False).reshape(len(experts), size, 4)
     for expert, logits, coords, norm in zip(experts, d_logits, d_refined, layout.norm):
         if expert is None:
             logits /= norm

@@ -21,7 +21,7 @@ class NotReadyError(RuntimeError):
 
 def check_class_ids(class_ids: np.ndarray, num_classes: int) -> None:
     """Raise `ValueError` unless every class id lies in [0, num_classes)."""
-    if np.any((class_ids < 0) | (class_ids >= num_classes)):
+    if class_ids.size and ((class_ids < 0) | (class_ids >= num_classes)).any():
         raise ValueError(f"class ids outside [0, {num_classes})")
 
 
@@ -65,7 +65,7 @@ class RelationMatrix:
 
     @property
     def ready(self) -> bool:
-        return bool(np.all(self.update_counts > 0))
+        return bool((self.update_counts > 0).all())
 
     def update(self, counts: np.ndarray) -> "RelationMatrix":
         """Fold a batch count matrix into the running estimate.
@@ -78,7 +78,7 @@ class RelationMatrix:
         counts = np.asarray(counts, dtype=float)
         if counts.shape != self.matrix.shape:
             raise ValueError("count matrix shape mismatch")
-        if np.any(counts < 0):
+        if (counts < 0).any():
             raise ValueError("counts must be non-negative")
         sums = counts.sum(axis=1)
         seen = sums > 0
@@ -96,8 +96,9 @@ class RelationMatrix:
         if not self.ready:
             missing = [c for c in range(self.num_classes) if self.update_counts[c] == 0]
             raise NotReadyError(f"rows never updated: {missing}")
-        diag = np.diag(self.matrix)
-        return frozenset(np.flatnonzero(diag > diag.mean()).tolist())
+        diag = self.matrix.diagonal()
+        # `diag.mean()` is this sum over the count, bit for bit
+        return frozenset((diag > diag.sum() / len(diag)).nonzero()[0].tolist())
 
     def save_rows(self, path) -> None:
         """Checkpoint the matrix as a plain JSON array of rows."""

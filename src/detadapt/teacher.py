@@ -23,7 +23,7 @@ def pseudo_label(teacher: ModelParams, block: Scored, conf_threshold: float) -> 
     """
     if not 0.0 < conf_threshold <= 1.0:
         raise ValueError("conf_threshold must lie in (0, 1]")
-    return np.flatnonzero(block.fg_scores >= conf_threshold)
+    return (block.fg_scores >= conf_threshold).nonzero()[0]
 
 
 def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> ModelParams:
@@ -45,4 +45,4 @@ def background_indices(teacher: ModelParams, block: Scored, bar: float) -> np.nd
 
     Proposals between the bar and the pseudo-label threshold stay unsupervised.
     """
-    return np.flatnonzero(block.fg_scores < bar)
+    return (block.fg_scores < bar).nonzero()[0]

@@ -235,19 +235,23 @@ def adapt(
       With SA on, once the matrix is ready the batch takes
       `relation.majority()` and blends labels and rows in one
       `augment_sample` call, which draws from the crop bank as it stood
-      before the batch; then the bank files the batch's confident rows under
-      their pseudo-label classes in one push. No batch draws its own rows,
-      the order of the MoCo queue. With SA off nothing reads the bank or the
-      majority set, so neither is filled nor computed. The batch's noise is
-      one draw.
+      before the batch and blends in one round unless two labels share a
+      row; then the bank files the batch's confident rows under their
+      pseudo-label classes in one push, one scatter into its per-class
+      rings. No batch draws its own rows, the order of the MoCo queue. With
+      SA off nothing reads the bank or the majority set, so neither is
+      filled nor computed. The batch's noise is one draw.
     - The student's pass over that array, on the teacher pass's boxes, feeds
       one `supervised_losses` call on the `loss_layout` of two terms, the
       student's `targets` and the expert's. Each label's class and the
       student's class at its proposal travel as two int arrays: with SAL on,
       one `relation_weights` call weighs both terms' labels, each sample's of
-      each term alone, and the student's give one `batch_confusion` and one
-      relation update per batch (a batch without labels counts zero, which
-      leaves the matrix as is).
+      each term alone (the student's label offsets, then the expert's shifted
+      past them), and each term takes its slice of the weights; the
+      student's give one `batch_confusion` and one relation update per batch
+      (a batch without labels counts zero, which leaves the matrix as is).
+    - `sgd_step` checks the step's gradients for finiteness, once per batch;
+      a non-finite one raises `TrainingError` naming the epoch.
 
     The expert is frozen: before epoch 0 one `expert_predict` call draws
     each target sample's labels, from `rng_stream(seed, "expert", sample
@@ -298,7 +302,7 @@ def adapt(
             scored_t = Scored(teacher, epoch_x[part], boxes, offsets)
             # the teacher's confident rows become the batch's hard labels, one block
             rows = pseudo_label(teacher, scored_t, config.conf_threshold)
-            label_offsets = np.searchsorted(rows, offsets)
+            label_offsets = rows.searchsorted(offsets)
             labels = Labels.one_hot(scored_t.boxes[rows], scored_t.class_ids[rows], num_classes,
                                     label_offsets)
             matches = match_labels(boxes, labels.boxes, offsets, label_offsets)
@@ -323,14 +327,15 @@ def adapt(
                 parts.append(epoch_expert.cut(start, stop))
             # each part's label classes and the student's classes at their
             # proposals; part t's sample i is segment t * n + i of one weights call
-            true_cls = np.argmax(np.concatenate([p.classes for p in parts]), axis=1)
+            true_cls = np.concatenate([p.classes for p in parts]).argmax(axis=1)
             pred_cls = scored_s.class_ids[np.concatenate([p.label_rows(offsets) for p in parts])]
             if config.enable_sal:
-                sizes = np.concatenate([[0]] + [p.offsets[1:] - p.offsets[:-1] for p in parts])
+                n = len(matches)  # the expert's labels follow the student's
+                segments = np.concatenate([label_offsets] + [p.offsets[1:] + n for p in parts[1:]])
                 weights = relation_weights(relation, true_cls, pred_cls, config.weight_reg,
-                                           np.cumsum(sizes))
-                parts = [p._replace(weights=w) for p, w in
-                         zip(parts, np.split(weights, [len(matches)]))]
+                                           segments)
+                parts = [p._replace(weights=weights[a:b])
+                         for p, a, b in zip(parts, (0, n), (n, None))]
             # one kernel pass for both losses, each giving the batch's summed gradients
             experts = [None, (config.expert_cls_weight, config.expert_reg_weight)]
             layout = loss_layout(offsets, list(zip(parts, experts)), num_classes)
@@ -341,9 +346,11 @@ def adapt(
                 total = total + g_exp
                 expert_losses.extend(loss_exp)
 
-            if not total.is_finite():
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            student = sgd_step(student, total.scaled(1.0 / (stop - start)), config.learning_rate)
+            try:  # `sgd_step` checks the gradients' finiteness, once per batch
+                student = sgd_step(student, total.scaled(1.0 / (stop - start)),
+                                   config.learning_rate)
+            except TrainingError as error:
+                raise TrainingError(f"non-finite loss at epoch {epoch}") from error
             teacher = ema_update(teacher, student, config.teacher_ema)
             relation.update(batch_confusion(true_cls[:len(matches)], pred_cls[:len(matches)],
                                             num_classes))

@@ -63,7 +63,7 @@ def check_offsets(offsets: np.ndarray, total: int) -> None:
     """Raise `ValueError` unless `offsets`, 1-D integers, rise from 0 to `total`:
     the bounds of segments of `total` rows, segment i rows offsets[i]:offsets[i + 1]."""
     if offsets.ndim != 1 or not len(offsets) or offsets.dtype.kind not in "iu" \
-            or offsets[0] != 0 or offsets[-1] != total or np.any(offsets[1:] < offsets[:-1]):
+            or offsets[0] != 0 or offsets[-1] != total or (offsets[1:] < offsets[:-1]).any():
         raise ValueError(f"offsets {offsets.tolist()} do not rise from 0 to {total}")
 
 

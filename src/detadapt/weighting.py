@@ -46,10 +46,10 @@ def relation_weights(relation: RelationMatrix, true_cls, pred_cls, reg: float,
                                       pair / np.maximum(diag, DENOM_FLOOR)), 0.0))
     # each sample's mean as its `raw.mean()`, bit for bit: `np.sum` adds fewer
     # than 8 terms in order, as `np.bincount` does, and more pairwise
-    sums = np.bincount(np.repeat(np.arange(len(counts)), counts), raw, len(counts))
-    long = np.flatnonzero(counts >= 8)
+    sums = np.bincount(np.arange(len(counts)).repeat(counts), raw, len(counts))
+    long = (counts >= 8).nonzero()[0]
     sums[long] = [raw[a:b].sum() for a, b in zip(offsets[long], offsets[long + 1])]
-    mean = np.repeat(sums / np.maximum(counts, 1), counts)
+    mean = (sums / np.maximum(counts, 1)).repeat(counts)
     w = np.ones(len(raw))
     np.divide(raw, mean, out=w, where=mean > 0.0)
     return (w + reg) / (1.0 + reg)

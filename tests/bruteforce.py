@@ -25,6 +25,9 @@ classes from `oracle_majority`. `oracle_batch_pretrain` is pretraining's
 earlier loop, which packed, laid out and scored each batch on its own: it
 runs the package's pass, layout builder and loss kernel, and stands against
 the epoch-wide layout that pretraining now cuts its batches from.
+`oracle_check_class_ids` and `oracle_check_offsets` are the two helpers'
+earlier `np.any` forms, against which their method forms must accept and
+reject the same inputs.
 """
 
 from __future__ import annotations
@@ -647,6 +650,19 @@ def oracle_batch_confusion(pairs: list[tuple[int, int]], num_classes: int) -> np
             raise ValueError(f"class pair ({true_cls}, {pred_cls}) out of range")
         counts[true_cls, pred_cls] += 1.0
     return counts
+
+
+def oracle_check_class_ids(class_ids: np.ndarray, num_classes: int) -> None:
+    """`relation.check_class_ids` as a `np.any` over the whole mask."""
+    if np.any((class_ids < 0) | (class_ids >= num_classes)):
+        raise ValueError(f"class ids outside [0, {num_classes})")
+
+
+def oracle_check_offsets(offsets: np.ndarray, total: int) -> None:
+    """`util.check_offsets` with its monotonicity test as a `np.any`."""
+    if offsets.ndim != 1 or not len(offsets) or offsets.dtype.kind not in "iu" \
+            or offsets[0] != 0 or offsets[-1] != total or np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError(f"offsets {offsets.tolist()} do not rise from 0 to {total}")
 
 
 def oracle_update(relation, counts: np.ndarray):

@@ -1,5 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bruteforce import (CropEntry, OracleCropbank, bbox_pairs, oracle_augment_sample,
                         oracle_majority, oracle_partner_class)
@@ -108,6 +112,33 @@ def test_one_push_over_capacity_keeps_its_last_rows_oldest_first():
     assert bank.sizes().tolist() == [2, 2]
     assert np.array_equal(held(bank, 0), [np.full(3, 2.0), np.full(3, 3.0)])
     assert np.array_equal(held(bank, 1), [np.full(3, 1.0), np.full(3, 4.0)])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(capacity=st.integers(1, 4),
+       batches=st.lists(st.lists(st.integers(0, 2), max_size=9), max_size=8))
+@example(capacity=2, batches=[[1], [1, 1, 1, 1, 1], [0, 1, 1]])  # one class overfills a push
+def test_push_and_rows_match_a_deque_per_class(capacity, batches):
+    # each class's rows, oldest first, are its deque(maxlen=capacity) of every
+    # row filed under it, after each push
+    bank = Cropbank(capacity, num_classes=3)
+    oracle = [deque(maxlen=capacity) for _ in range(3)]
+    filed = 0
+    for class_ids in batches:
+        features = np.arange(filed, filed + len(class_ids), dtype=float)[:, None] * [1.0, -1.0]
+        filed += len(class_ids)
+        bank.push(np.array(class_ids, dtype=int), features)
+        for class_id, feature in zip(class_ids, features):
+            oracle[class_id].append(feature)
+        assert bank.sizes().tolist() == [len(rows) for rows in oracle]
+        for class_id, rows in enumerate(oracle):
+            got = bank.rows([class_id] * len(rows), range(len(rows)))
+            assert np.array_equal(got.reshape(-1, 2), np.reshape(list(rows), (-1, 2)))
+        if any(oracle):
+            # the rows of several classes, in any order, in one call
+            picks = [(c, i) for c, rows in enumerate(oracle) for i in range(len(rows))][::-1]
+            got = bank.rows([c for c, _ in picks], [i for _, i in picks])
+            assert np.array_equal(got, [oracle[c][i] for c, i in picks])
 
 
 @pytest.mark.parametrize("class_id,index", [(2, 0), (1, 1), (0, -1), (0, 2)],
@@ -415,6 +446,29 @@ def full_bank(num_classes=2, dim=3):
     for c in range(num_classes):
         push(bank, c, 9, dim)
     return bank
+
+
+def test_a_row_matched_by_two_labels_is_blended_twice_in_label_order():
+    # both labels of class 0 match proposal 0; each blends it with one of the
+    # two class-1 rows, the first label's pair first
+    boxes = np.array([[0.0, 0.0, 4.0, 4.0], [20.0, 20.0, 24.0, 24.0]])
+    features = np.array([[8.0, 8.0], [1.0, 1.0]])
+    labels = Labels.one_hot(boxes[[0, 0]], [0, 0], 2)
+    bank = Cropbank(capacity=2, num_classes=2)
+    bank.push([1, 1], [[4.0, 0.0], [0.0, 4.0]])
+    rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
+    seed = 5
+    draws = np.random.default_rng(seed)
+    draws.random(2), draws.random(2)
+    first, second = draws.integers([2, 2])
+    assert first != second  # so the order shows
+    strong, out = augment_sample(features, labels, rel, frozenset({0}), bank, 1.0, 0.5,
+                                 np.random.default_rng(seed), matches=np.array([0, 0]))
+    pairs = bank.rows([1, 1], [first, second])
+    want = 0.5 * (0.5 * features[0] + 0.5 * pairs[0]) + 0.5 * pairs[1]
+    assert np.array_equal(strong[0], want) and np.array_equal(strong[1], features[1])
+    assert not np.array_equal(want, 0.5 * (0.5 * features[0] + 0.5 * pairs[1]) + 0.5 * pairs[0])
+    assert np.array_equal(out.classes, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_augment_p_zero_is_identity():

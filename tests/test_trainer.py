@@ -354,6 +354,42 @@ def test_crop_bank_and_class_split_serve_augmentation_alone(busy_run, monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize("epoch", [0, 1])
+def test_a_non_finite_gradient_stops_adapt_naming_its_epoch(epoch, busy_run, monkeypatch):
+    # the student's gradient turns NaN at the epoch's second batch
+    config, params, target = busy_run
+    config = dataclasses.replace(ablation_variants(config)["full"], epochs=2)
+    bad = epoch * -(-len(target) // config.batch_size) + 2
+    real, calls = trainer.supervised_losses, []
+
+    def corrupted(scored, layout):
+        terms = real(scored, layout)
+        calls.append(layout)
+        if len(calls) == bad:
+            terms[0][1].flat[0] = np.nan
+        return terms
+
+    monkeypatch.setattr(trainer, "supervised_losses", corrupted)
+    with pytest.raises(detector.TrainingError, match=f"^non-finite loss at epoch {epoch}$"):
+        adapt(params, target, config)
+    assert len(calls) == bad
+
+
+@pytest.mark.parametrize("variant", ["full", "base"])
+def test_adapt_checks_the_gradients_finiteness_once_per_batch(variant, busy_run, monkeypatch):
+    config, params, target = busy_run
+    config = dataclasses.replace(ablation_variants(config)[variant], epochs=1)
+    real, checked = detector.GradientSet.is_finite, []
+
+    def counted(grads):
+        checked.append(grads)
+        return real(grads)
+
+    monkeypatch.setattr(detector.GradientSet, "is_finite", counted)
+    adapt(params, target, config)
+    assert len(checked) == -(-len(target) // config.batch_size)
+
+
 def test_adapt_rejects_repeated_sample_ids():
     # 50 samples reusing 10 ids would train on 10 of them
     config = tiny_config(epochs=1)

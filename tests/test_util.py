@@ -6,12 +6,13 @@ import re
 import numpy as np
 import pytest
 
+from bruteforce import oracle_check_class_ids, oracle_check_offsets
 from detadapt import cli, util
 from detadapt.config import AdaptationConfig, default_config
 from detadapt.expert import ExpertSpec
 from detadapt.detector import Labels, ModelParams, match_labels, pack, save_params, targets
 from detadapt.partition import VarianceReport
-from detadapt.relation import RelationMatrix, batch_confusion
+from detadapt.relation import RelationMatrix, batch_confusion, check_class_ids
 from detadapt.trainer import EpochRecord, TrainHistory
 from detadapt.weighting import relation_weights
 from detadapt.world import (ConfigError, DetectionSample, DomainSpec, generate_domain,
@@ -120,6 +121,48 @@ def test_each_caller_rejects_malformed_offsets_with_one_message(caller, offsets)
 def test_each_caller_accepts_offsets_that_rise_from_zero_to_the_count(caller):
     for offsets in ([0, 3], [0, 0, 1, 3, 3]):
         _offsets_callers()[caller](offsets)
+
+
+def outcome(check, *args):
+    """The message of the `ValueError` a check raises, or None if it accepts."""
+    try:
+        check(*args)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+NAN = float("nan")
+CLASS_IDS = {"empty": np.zeros(0, dtype=int), "empty-float": np.zeros(0),
+             "in-range": np.array([0, 1, 2]), "negative": np.array([0, -1]),
+             "num_classes": np.array([3]), "past_then_in": np.array([5, 0]),
+             "unsigned": np.array([0, 2], dtype=np.uint8), "float": np.array([0.0, 2.0]),
+             "float-fraction": np.array([2.5]), "nan": np.array([NAN]),
+             "nan-then-negative": np.array([NAN, -1.0]), "nan-then-past": np.array([NAN, 4.0]),
+             "bool": np.array([True, False]), "scalar": np.array(2), "scalar-past": np.array(3),
+             "two-dimensional": np.array([[0, 1], [2, 3]]), "huge": np.array([2 ** 40])}
+
+
+@pytest.mark.parametrize("class_ids", CLASS_IDS.values(), ids=CLASS_IDS)
+def test_check_class_ids_accepts_and_rejects_as_its_any_form(class_ids):
+    assert outcome(check_class_ids, class_ids, 3) == \
+        outcome(oracle_check_class_ids, class_ids, 3)
+
+
+OFFSETS = {"empty": (np.zeros(0, dtype=int), 0), "empty-float": (np.zeros(0), 0),
+           "zero": (np.array([0]), 0), "rising": (np.array([0, 0, 2, 3]), 3),
+           "falls": (np.array([0, 2, 1, 3]), 3), "starts_past_0": (np.array([1, 3]), 3),
+           "ends_short": (np.array([0, 2]), 3), "negative": (np.array([0, -1, 3]), 3),
+           "unsigned": (np.array([0, 1, 3], dtype=np.uint8), 3),
+           "float": (np.array([0.0, 3.0]), 3), "float-nan": (np.array([0.0, NAN, 3.0]), 3),
+           "bool": (np.array([False, True]), 1), "scalar": (np.array(0), 0),
+           "two-dimensional": (np.array([[0, 3]]), 3)}
+
+
+@pytest.mark.parametrize("offsets,total", OFFSETS.values(), ids=OFFSETS)
+def test_check_offsets_accepts_and_rejects_as_its_any_form(offsets, total):
+    assert outcome(util.check_offsets, offsets, total) == \
+        outcome(oracle_check_offsets, offsets, total)
 
 
 def test_check_offsets_takes_integers_only():
