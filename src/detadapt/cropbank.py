@@ -89,6 +89,7 @@ class Cropbank:
             self._storage = np.zeros((num_classes, self.capacity, features.shape[1]))
         counts = np.bincount(class_ids, minlength=num_classes)
         rank = occurrence_rank(class_ids)
+        # NumPy leaves unspecified which of repeated scatter indices wins, so none repeat
         kept = rank >= counts[class_ids] - self.capacity
         cls = class_ids[kept]
         self._storage[cls, (self._filed[cls] + rank[kept]) % self.capacity] = features[kept]
