@@ -12,7 +12,9 @@ The bank is built for the relation's classes. A batch is augmented with one
 then filed with one `Cropbank.push`, so no batch draws its own rows: the
 order of the MoCo queue (He et al., CVPR 2020). Both take the repeats of a
 key (a row's class, a blend's feature row) apart by `occurrence_rank`, so
-neither loops over classes or rows.
+neither loops over classes or rows. In adaptation a blend's feature row is
+its pseudo-label's own pass row, and a batch's rows are distinct, so a
+batch blends in one round; only a direct caller's matches repeat rows.
 
 The majority set carries SA's rescue. With an empty set in its place, so that
 every base draws over its own relation row as a minority base does, seeds
@@ -128,11 +130,13 @@ def augment_sample(
     `p_aug`, in [0, 1], keeping `mix_ratio`, in (0, 1], of the base.
 
     `features` are the (rows, D) features of the batch's proposals, laid end
-    to end, `labels` its block and `matches` (`match_labels` of the labels)
-    the labels' feature rows. The batch draws from `bank` as it stands, so
-    the caller files the batch's own rows after this call. A rate out of its
-    range, a bank of other classes than the relation's or a majority class
-    outside them (`check_class_ids`) raises `ValueError`.
+    to end, `labels` its block and `matches` the labels' feature rows: in
+    adaptation each pseudo-label's own pass row, so no two labels share one;
+    for free label boxes, their `match_labels` rows. The batch draws from
+    `bank` as it stands, so the caller files the batch's own rows after this
+    call. A rate out of its range, a bank of other classes than the
+    relation's or a majority class outside them (`check_class_ids`) raises
+    `ValueError`.
 
     Classes outside `majority` (`RelationMatrix.majority`) are minority. A
     majority base draws its partner class over its relation column, its own
@@ -155,7 +159,8 @@ def augment_sample(
     stays the base's, as resizing the pair to the base is an identity in
     feature space. A row matched by two labels is blended twice, in label
     order: round k blends, at once, each row's k-th pair in label order
-    (`occurrence_rank`), so a batch without such a row takes one round.
+    (`occurrence_rank`), so a batch without such a row, as every batch of
+    adaptation, takes one round; repeated rows come only from direct callers.
     Returns a blended copy of the features and the labels (the input
     labels if nothing was blended); the inputs are not modified. Labels keep
     their boxes and offsets, so `matches` holds for them too.

@@ -3,11 +3,14 @@
 The model is linear in the input features so every gradient below is derived by
 hand and checked against finite differences. Class index C (the last logit) is
 the background class. `Scored` is the one forward pass, over a block's packed
-rows (`pack`); a sample alone is a block of one. Training matches and targets a
-batch's labels as one block, on its packed boxes and offsets (`match_labels`,
-`targets`), lays out its (`Targets`, expert) terms (`loss_layout`) and
-computes every sample's losses, and the block's summed gradients per term,
-in one pass of one kernel, `supervised_losses`. The layout holds every array
+rows (`pack`); a sample alone is a block of one. Training targets a batch's
+labels as one block, on its packed boxes and offsets (`targets`): labels that
+are free boxes (ground truth, the expert's) are matched to their highest-IoU
+proposals (`match_labels`), once per run, while a pseudo-label comes with the
+pass row it was read from as its match. Training lays out a batch's
+(`Targets`, expert) terms (`loss_layout`) and computes every sample's
+losses, and the block's summed gradients per term, in one pass of one
+kernel, `supervised_losses`. The layout holds every array
 the kernel needs that does not read the model (pass rows, the flat cells
 that one `np.bincount` per head adds the rows' gradients into, GIoU target
 corners and areas, segment ids and divisors), so a training step does only

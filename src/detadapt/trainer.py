@@ -9,11 +9,13 @@ packs its set's rows and fixed `Targets` (ground truth, or the frozen
 expert's) once, each epoch gathers them in shuffle order once, and each batch
 is a slice of those. Its losses come from one packed pass of the model being
 trained and one pass of the `supervised_losses` kernel for all of them; in
-adaptation one packed teacher pass gives the batch's pseudo-labels. Labels
-reach the kernel as `Targets` of the whole batch laid out (`loss_layout`),
-and the kernel returns each sample's loss and the batch's gradients, summed
-by one product over the batch. At batch size 1 a run equals a per-sample loop
-bit for bit. At larger batches the product adds the samples in another order
+adaptation one packed teacher pass gives the batch's pseudo-labels, each
+supervising the pass row it was read from, so only the frozen expert's
+labels are matched to proposals by IoU, once per run. Labels reach the
+kernel as `Targets` of the whole batch laid out (`loss_layout`), and the
+kernel returns each sample's loss and the batch's gradients, summed by one
+product over the batch. At batch size 1 a run equals a per-sample loop bit
+for bit. At larger batches the product adds the samples in another order
 than a per-sample sum (see `supervised_losses`), which moves the parameters'
 last bits: within a relative 2e-12 of the loop's after 10 default epochs. All
 randomness flows from the single config seed through named sub-streams, so a
@@ -32,8 +34,8 @@ import numpy as np
 
 from .config import AdaptationConfig
 from .cropbank import Cropbank, augment_sample
-from .detector import (Labels, ModelParams, Scored, TrainingError, loss_layout, match_labels,
-                       pack, save_params, segment_rows, sgd_step, supervised_losses, targets)
+from .detector import (Labels, ModelParams, Scored, TrainingError, loss_layout, pack,
+                       save_params, segment_rows, sgd_step, supervised_losses, targets)
 from .expert import expert_predict
 from .metrics import EvalResult, evaluate
 from .relation import RelationMatrix, batch_confusion
@@ -228,15 +230,19 @@ def adapt(
     - The teacher's pass gives the batch's confident rows (`pseudo_label`,
       cut into samples by `np.searchsorted` at the pass's offsets) and its
       background rows (`background_indices`), one call each. The confident
-      rows become the batch's hard `Labels`, matched to the proposals in one
-      `match_labels` call. Augmentation keeps label and proposal boxes, so
-      the matches serve the losses and the relation statistics alike.
+      rows become the batch's hard `Labels`, and each label supervises the
+      row it was read from: `rows` are the labels' matches, so no IoU search
+      runs. Teacher and student score the same proposals, so a label knows
+      its proposal; it keeps that row even where its refined box lies nearer
+      another proposal. Augmentation keeps the labels' boxes and the
+      proposals, so the rows serve the blends, the losses and the relation
+      statistics alike.
     - The strong view is one array, from the teacher pass's features `h`.
       With SA on, once the matrix is ready the batch takes
       `relation.majority()` and blends labels and rows in one
       `augment_sample` call, which draws from the crop bank as it stood
-      before the batch and blends in one round unless two labels share a
-      row; then the bank files the batch's confident rows under their
+      before the batch and, the rows being distinct, blends in one round;
+      then the bank files the batch's confident rows under their
       pseudo-label classes in one push, one scatter into its per-class
       rings. No batch draws its own rows, the order of the MoCo queue. With
       SA off nothing reads the bank or the majority set, so neither is
@@ -255,7 +261,8 @@ def adapt(
 
     The expert is frozen: before epoch 0 one `expert_predict` call draws
     each target sample's labels, from `rng_stream(seed, "expert", sample
-    id)`, and they are matched to the proposals once, as one `Targets` block
+    id)`. They are free boxes, not proposal rows, so they are matched to the
+    proposals by IoU (`match_labels`) once per run, as one `Targets` block
     of the whole target set; augmentation and noise keep the proposal boxes,
     so those matches hold in every epoch. Each epoch takes them in shuffle
     order once (`Targets.take`) and each batch cuts its samples' part from
@@ -305,14 +312,13 @@ def adapt(
             label_offsets = rows.searchsorted(offsets)
             labels = Labels.one_hot(scored_t.boxes[rows], scored_t.class_ids[rows], num_classes,
                                     label_offsets)
-            matches = match_labels(boxes, labels.boxes, offsets, label_offsets)
 
             strong = scored_t.h
             if config.enable_sa:
                 if majority is not None:
                     strong, labels = augment_sample(strong, labels, relation, majority, bank,
                                                     config.p_aug, config.mix_ratio, aug_rng,
-                                                    matches=matches)
+                                                    matches=rows)
                 # then the bank files the clean features of confident instances,
                 # the teacher's unperturbed pass rows, one push per batch
                 bank.push(scored_t.class_ids[rows], scored_t.h[rows])
@@ -322,15 +328,16 @@ def adapt(
 
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored(student, strong, boxes, offsets)
-            parts = [targets(boxes, offsets, labels, None, bg, matches)]
+            parts = [targets(boxes, offsets, labels, None, bg, rows)]
             if epoch_expert is not None:
                 parts.append(epoch_expert.cut(start, stop))
             # each part's label classes and the student's classes at their
             # proposals; part t's sample i is segment t * n + i of one weights call
             true_cls = np.concatenate([p.classes for p in parts]).argmax(axis=1)
-            pred_cls = scored_s.class_ids[np.concatenate([p.label_rows(offsets) for p in parts])]
+            pred_cls = scored_s.class_ids[np.concatenate([rows] + [p.label_rows(offsets)
+                                                                   for p in parts[1:]])]
             if config.enable_sal:
-                n = len(matches)  # the expert's labels follow the student's
+                n = len(rows)  # the expert's labels follow the student's
                 segments = np.concatenate([label_offsets] + [p.offsets[1:] + n for p in parts[1:]])
                 weights = relation_weights(relation, true_cls, pred_cls, config.weight_reg,
                                            segments)
@@ -352,7 +359,7 @@ def adapt(
             except TrainingError as error:
                 raise TrainingError(f"non-finite loss at epoch {epoch}") from error
             teacher = ema_update(teacher, student, config.teacher_ema)
-            relation.update(batch_confusion(true_cls[:len(matches)], pred_cls[:len(matches)],
+            relation.update(batch_confusion(true_cls[:len(rows)], pred_cls[:len(rows)],
                                             num_classes))
 
         teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)

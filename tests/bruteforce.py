@@ -281,16 +281,18 @@ def oracle_detection_loss(
     weights=None,
     *,
     background="auto",
+    matches=None,
 ) -> tuple[float, GradientSet]:
     """`detection_loss` as a loop over the labels, one proposal row at a time.
 
     labels are (box, class_vector) pairs with class vectors over the C
-    foreground classes (possibly soft). Each label supervises its highest-IoU
-    proposal: smooth-L1 on the refined coordinates, (1 - GIoU), and weighted
-    cross-entropy. `background` selects which unmatched proposals receive a
-    background target: "auto" for all of them, None for none, or an explicit
-    index list. Box terms average over matched labels; the CE term averages
-    over all supervised instances, with background weights fixed at 1.
+    foreground classes (possibly soft). Each label supervises its proposal,
+    `matches[i]` if given, else its highest-IoU one: smooth-L1 on the refined
+    coordinates, (1 - GIoU), and weighted cross-entropy. `background`
+    selects which unmatched proposals receive a background target: "auto"
+    for all of them, None for none, or an explicit index list. Box terms
+    average over matched labels; the CE term averages over all supervised
+    instances, with background weights fixed at 1.
     """
     num_fg = params.num_classes
     n_labels = len(labels)
@@ -302,9 +304,11 @@ def oracle_detection_loss(
 
     h, log_scores, scores, refined = oracle_forward_arrays(params, sample)
     n_prop = sample.num_proposals
-    matches = oracle_match_labels(sample.proposal_boxes, box_array(box for box, _ in labels))
+    if matches is None:
+        matches = oracle_match_labels(sample.proposal_boxes,
+                                      box_array(box for box, _ in labels))
 
-    matched = set(matches.tolist())
+    matched = {int(j) for j in matches}
     if background == "auto":
         bg_indices = [j for j in range(n_prop) if j not in matched]
     elif background is None:
@@ -585,15 +589,17 @@ def oracle_majority(relation) -> set[int]:
 
 
 def oracle_augment_sample(samples, label_sets, relation, majority, bank, p_aug, mix_ratio,
-                          rng):
+                          rng, match_sets=None):
     """`augment_sample` of a batch over (`BBox`, class vector) pairs, one label
     at a time, drawing from an `OracleCropbank`; `majority` is
-    `oracle_majority`'s set. The draws take three passes over the batch's
-    labels, in order: each label's blend uniform, then the partner class of
-    each label whose uniform falls below p_aug (`oracle_partner_class`; a
-    label without a candidate is not blended), then each blend's partner
-    entry, one `Generator.integers` each. Returns the samples, their matched
-    features blended, and their labels."""
+    `oracle_majority`'s set. Label i of sample k blends proposal
+    `match_sets[k][i]` if given, else its highest-IoU one. The draws take
+    three passes over the batch's labels, in order: each label's blend
+    uniform, then the partner class of each label whose uniform falls below
+    p_aug (`oracle_partner_class`; a label without a candidate is not
+    blended), then each blend's partner entry, one `Generator.integers`
+    each. Returns the samples, their matched features blended, and their
+    labels."""
     labels = [(k, i, vec) for k, pairs in enumerate(label_sets)
               for i, (_, vec) in enumerate(pairs)]
     uniforms = [rng.random() for _ in labels]
@@ -611,7 +617,8 @@ def oracle_augment_sample(samples, label_sets, relation, majority, bank, p_aug, 
     new_labels = [list(pairs_of_sample) for pairs_of_sample in label_sets]
     for (k, i, _), pair in zip(blends, pairs):
         box, class_vec = new_labels[k][i]
-        j = int(oracle_match_labels(samples[k].proposal_boxes, box_array([box]))[0])
+        j = int(match_sets[k][i] if match_sets is not None else
+                oracle_match_labels(samples[k].proposal_boxes, box_array([box]))[0])
         blended = oracle_mixup(CropEntry(features[k][j].copy(), class_vec), pair, mix_ratio)
         features[k][j] = blended.feature
         new_labels[k][i] = (box, blended.class_vec)
@@ -679,11 +686,15 @@ def oracle_update(relation, counts: np.ndarray):
     return relation
 
 
-def _oracle_pairs(model, strong, labels, relation, config):
-    """(label class, predicted class) pairs of labels on a view, and their relation weights."""
+def _oracle_pairs(model, strong, labels, relation, config, matches=None):
+    """(label class, predicted class) pairs of labels on a view, and their
+    relation weights; each label's proposal is `matches[i]` if given, else
+    its highest-IoU one."""
     classes = [det.class_id for det in oracle_detections(model, strong)]
-    matches = oracle_match_labels(strong.proposal_boxes, box_array(box for box, _ in labels))
-    pairs = [(int(np.argmax(vec)), classes[j]) for (_, vec), j in zip(labels, matches.tolist())]
+    if matches is None:
+        matches = oracle_match_labels(strong.proposal_boxes,
+                                      box_array(box for box, _ in labels)).tolist()
+    pairs = [(int(np.argmax(vec)), classes[j]) for (_, vec), j in zip(labels, matches)]
     weights = oracle_relation_weights(relation, pairs, config.weight_reg) \
         if (config.enable_sal and pairs) else None
     return pairs, weights
@@ -694,9 +705,11 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
 
     Each sample gets its own teacher and student forward passes, one
     `Detection` per proposal; pseudo-labels, augmented labels and expert
-    labels are (`BBox`, class vector) pairs, the expert's drawn once per
+    labels are (`BBox`, class vector) pairs. A pseudo-label supervises, and
+    blends, the proposal its detection was read from (`proposal_index`),
+    wherever its refined box lands; the expert's labels, drawn once per
     sample before the first epoch from `rng_stream(seed, "expert", sample
-    id)` and matched anew each step; the crop bank, an
+    id)`, are matched anew by IoU each step; the crop bank, an
     `OracleCropbank`, takes one `CropEntry` per pseudo-label once the whole
     batch has drawn from it (`oracle_augment_sample`); each sample's
     losses come from the per-label loop oracles; the relation weights, the
@@ -734,14 +747,17 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
             pseudo = [[det for det in d if det.score >= config.conf_threshold] for d in dets]
             label_sets = [[(det.box, np.eye(num_classes)[det.class_id]) for det in p]
                           for p in pseudo]
+            match_sets = [[det.proposal_index for det in p] for p in pseudo]
             strongs = samples
             if config.enable_sa and majority is not None:
                 # the batch draws from the bank as it stood before the batch
                 strongs, label_sets = oracle_augment_sample(samples, label_sets, relation,
                                                             majority, bank, config.p_aug,
-                                                            config.mix_ratio, aug_rng)
+                                                            config.mix_ratio, aug_rng,
+                                                            match_sets)
             views = []
-            for sample, strong, labels, d in zip(samples, strongs, label_sets, dets):
+            for sample, strong, labels, matches, d in zip(samples, strongs, label_sets,
+                                                          match_sets, dets):
                 if config.noise_scale > 0:
                     # one noise draw per sample in turn
                     features = strong.proposal_features
@@ -750,7 +766,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                                                  * noise_rng.standard_normal(features.shape))
                 bg = None if config.background_bar is None else \
                     [det.proposal_index for det in d if det.score < config.background_bar]
-                views.append((strong, labels, bg, expert.get(sample.id)))
+                views.append((strong, labels, matches, bg, expert.get(sample.id)))
             # then the bank takes one entry per pseudo-label, sample by sample
             for sample, p in zip(samples, pseudo):
                 for det in p:
@@ -760,11 +776,12 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
 
             total = zero_grads(student)
             batch_pairs = []
-            for strong, labels, bg, elabels in views:
-                pairs, weights = _oracle_pairs(student, strong, labels, relation, config)
+            for strong, labels, matches, bg, elabels in views:
+                pairs, weights = _oracle_pairs(student, strong, labels, relation, config,
+                                               matches)
                 batch_pairs.extend(pairs)
                 loss_stu, g_stu = oracle_detection_loss(student, strong, labels, weights,
-                                                        background=bg)
+                                                        background=bg, matches=matches)
                 total = total + g_stu.scaled(config.unsup_weight)
                 stu_losses.append(loss_stu)
                 if config.enable_expert:

@@ -1,12 +1,15 @@
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 
+import detadapt
 from bruteforce import oracle_adapt
 from detadapt import cli, detector, trainer
 from detadapt.config import AdaptationConfig, default_config
@@ -333,6 +336,76 @@ def test_adapt_matches_per_sample_object_loop_oracle(variant, background_bar, ba
         np.testing.assert_allclose(np.array(history_columns(history, losses), dtype=float),
                                    np.array(history_columns(want_history, losses), dtype=float),
                                    rtol=1e-9)
+
+
+def shifted_label_world(config):
+    """A one-sample target world and a model under which a pseudo-label's
+    refined box lands on a neighbouring proposal.
+
+    Row r's feature is 3 e_r; the model reads class r off it with a large
+    margin, so rows 0-4 are confident pseudo-labels of classes 0-4, one
+    each, and row 5 is confident background. `b_reg` moves every refined box
+    6 right: row 0's lands exactly on row 1, and every other confident row's
+    stays nearest its own proposal (IoU 1/4)."""
+    num_classes, dim = config.num_classes, config.target.feature_dim
+    boxes = np.array([[0, 0, 10, 10], [6, 0, 16, 10], [40, 40, 50, 50], [80, 0, 90, 10],
+                      [0, 80, 10, 90], [50, 80, 60, 90]], dtype=float)
+    features = np.zeros((len(boxes), dim))
+    features[np.arange(len(boxes)), np.arange(len(boxes))] = 3.0
+    w_cls = np.zeros((num_classes + 1, dim))
+    w_cls[np.arange(num_classes + 1), np.arange(num_classes + 1)] = 3.0
+    params = ModelParams(w_cls=w_cls, b_cls=np.zeros(num_classes + 1),
+                         w_reg=np.zeros((4, dim)), b_reg=np.array([6.0, 0.0, 6.0, 0.0]),
+                         dropout_rate=config.dropout_rate)
+    sample = DetectionSample(id=0, proposal_boxes=boxes, proposal_features=features,
+                             gt_boxes=boxes[:num_classes], gt_classes=np.arange(num_classes))
+    return params, [sample]
+
+
+@pytest.mark.parametrize("variant", ["base", "full"])
+def test_pseudo_labels_supervise_their_own_row_where_iou_points_elsewhere(variant):
+    # an IoU match would send row 0's label to row 1; the label keeps the
+    # row it was read from, in the loss and the relation pairs. Strong noise
+    # flips some of the student's classes, so on full the matrix leaves the
+    # identity and, ready after epoch 0, has its majority bases blend rows
+    # with other classes' crops in epochs 1 and 2
+    config = dataclasses.replace(ablation_variants(tiny_config(epochs=3, eval_size=20))[variant],
+                                 batch_size=1, noise_scale=2.0)
+    params, target = shifted_label_world(config)
+    sample = target[0]
+    scored = detector.Scored(params, sample.proposal_features, sample.proposal_boxes,
+                             np.array([0, sample.num_proposals]))
+    rows = trainer.pseudo_label(params, scored, config.conf_threshold)
+    assert rows.tolist() == list(range(config.num_classes))
+    iou_rows = detector.match_labels(sample.proposal_boxes, scored.boxes[rows],
+                                     [0, sample.num_proposals], [0, len(rows)])
+    assert iou_rows.tolist() == [1, 1, 2, 3, 4]
+    teacher, history = adapt(params, target, config)
+    want_teacher, want_history = oracle_adapt(params, target, config)
+    assert np.array_equal(teacher.flat, want_teacher.flat)
+    assert history.to_csv_text() == want_history.to_csv_text()
+
+
+@pytest.mark.parametrize("variant,calls", [("base", 0), ("full", 1)])
+def test_adapt_matches_only_the_expert_labels_by_iou_once_per_run(variant, calls, busy_run,
+                                                                  monkeypatch):
+    # pseudo-labels come with their pass rows; the frozen expert's labels are
+    # free boxes, matched in one call for the whole run
+    config, params, target = busy_run
+    config = dataclasses.replace(ablation_variants(config)[variant], epochs=2)
+    real, counted = detector.match_labels, []
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return real(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(detadapt.__path__):
+        module = importlib.import_module(f"detadapt.{info.name}")
+        if getattr(module, "match_labels", None) is real:
+            monkeypatch.setattr(module, "match_labels", counting)
+    _, history = adapt(params, target, config)
+    assert len(history.records) == 2
+    assert len(counted) == calls
 
 
 def test_crop_bank_and_class_split_serve_augmentation_alone(busy_run, monkeypatch):

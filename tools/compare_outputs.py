@@ -9,11 +9,14 @@ buffer (3 epochs), which evicts on almost every push (the default capacity
 rarely does), of the +SA variant without feature noise (3 epochs), of the
 +SA variant on a crowded target world (4 to 6 objects of sides 20 to 40 per
 sample, 3 epochs), whose batches carry about twice the default's labels and
-blends (at seed 0 none of its 2,669 blends shares a feature row: each
-pseudo-label's box is its own proposal's refinement and matches that
-proposal, so rows blended twice are left to the crop bank's unit tests),
-and of the full method with a noisy expert (miss rate .3, flip rate .5) and on a
-target world of one proposal per sample (3 epochs each), the
+blends (each pseudo-label supervises and blends the pass row it was read
+from, so no two blends of a batch share a feature row, and rows blended
+twice are left to the crop bank's unit tests), and of the full method with
+a noisy expert (miss rate .3, flip rate .5), on a target world of one
+proposal per sample and on a dense-background target world (Poisson rate
+10 of background proposals, boxes of sides 20 to 60), where proposals
+overlap most, so a change to how labels reach their proposals shows there
+first (3 epochs each), the
 score-large partition and evaluation (that source model on a target set ten
 times the default size), CLI eval of that source
 model twice (once generating and saving the target set, once reloading the
@@ -73,12 +76,16 @@ source_params = os.path.join(out, "pretrain", "source_params.json")
 # a two-row bank evicts on almost every push;
 # without noise the student scores the augmented or the teacher's own feature rows;
 # a crowded target world doubles each batch's labels and blends; a noisy
-# expert draws a flip's `integers` for many of its labels; and in a target
+# expert draws a flip's `integers` for many of its labels; in a target
 # world of one proposal per sample every batch row takes `_heads`' one-row
-# products, on row views of the epoch's rows
+# products, on row views of the epoch's rows; and a dense-background world's
+# proposals overlap most, where a label's box lies nearest other proposals
+# than its own
 one_proposal_target = dataclasses.replace(base.target, max_objects=1, background_rate=0.0)
 crowded_target = dataclasses.replace(base.target, min_objects=4, max_objects=6, min_box=20.0,
                                      max_box=40.0)
+dense_target = dataclasses.replace(base.target, background_rate=10.0, min_box=20.0,
+                                   max_box=60.0)
 runs = {"full": variants["full"], "base": variants["base"],
         "sa-capacity2": dataclasses.replace(variants["sa"], bank_capacity=2, epochs=3),
         "sa-noise0": dataclasses.replace(variants["sa"], noise_scale=0.0, epochs=3),
@@ -87,7 +94,9 @@ runs = {"full": variants["full"], "base": variants["base"],
             variants["full"], epochs=3,
             expert=dataclasses.replace(base.expert, miss_rate=0.3, flip_rate=0.5)),
         "full-one-proposal": dataclasses.replace(variants["full"], epochs=3,
-                                                 target=one_proposal_target)}
+                                                 target=one_proposal_target),
+        "full-dense-background": dataclasses.replace(variants["full"], epochs=3,
+                                                     target=dense_target)}
 for name, variant in runs.items():
     config_path = os.path.join(out, f"config_{name}.json")
     variant.save_json(config_path)
