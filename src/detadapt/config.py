@@ -36,7 +36,7 @@ class AdaptationConfig:
     learning_rate: float = 0.05     # student SGD step
     conf_threshold: float = 0.7     # pseudo-label confidence gate
     teacher_ema: float = 0.99       # weight kept on the old teacher
-    background_bar: float | None = 0.1  # below this the teacher calls background
+    background_bar: float = 0.1     # below this the teacher calls background
     noise_scale: float = 0.4        # strong-view feature noise for the student
     pretrain_epochs: int = 25
 
@@ -75,8 +75,7 @@ class AdaptationConfig:
         # integer beyond the float range counts as infinite
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type in ("float", "float | None") and value is not None \
-                    and not -sys.float_info.max <= value <= sys.float_info.max:
+            if f.type == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ConfigError(f"{f.name} must be finite")
         if self.epochs < 0 or self.pretrain_epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
@@ -86,8 +85,8 @@ class AdaptationConfig:
             raise ConfigError("conf_threshold must lie in (0, 1]")
         if not 0.0 <= self.teacher_ema <= 1.0 or not 0.0 <= self.relation_ema <= 1.0:
             raise ConfigError("EMA rates must lie in [0, 1]")
-        if self.background_bar is not None and not 0.0 <= self.background_bar < 1.0:
-            raise ConfigError("background_bar must lie in [0, 1) or be null")
+        if not 0.0 <= self.background_bar < 1.0:
+            raise ConfigError("background_bar must lie in [0, 1)")
         if not 0.0 <= self.p_aug <= 1.0 or not 0.0 < self.mix_ratio <= 1.0:
             raise ConfigError("p_aug in [0, 1], mix_ratio in (0, 1]")
         if self.weight_reg < 0 or self.bank_capacity < 1:

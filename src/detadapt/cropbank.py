@@ -10,11 +10,11 @@ base's class vector with the one-hot vector of the row's class, convexly.
 The bank is built for the relation's classes. A batch is augmented with one
 `augment_sample` call, which reads the bank as it stood before the batch, and
 then filed with one `Cropbank.push`, so no batch draws its own rows: the
-order of the MoCo queue (He et al., CVPR 2020). Both take the repeats of a
-key (a row's class, a blend's feature row) apart by `occurrence_rank`, so
-neither loops over classes or rows. In adaptation a blend's feature row is
-its pseudo-label's own pass row, and a batch's rows are distinct, so a
-batch blends in one round; only a direct caller's matches repeat rows.
+order of the MoCo queue (He et al., CVPR 2020). Neither loops over classes
+or rows: a push takes the repeats of a class apart by `occurrence_rank`, and
+a batch blends in one step, as its labels' feature rows are distinct and in
+order. In adaptation a blend's feature row is its pseudo-label's own pass
+row, `pseudo_label`'s rows, which strictly increase.
 
 The majority set carries SA's rescue. With an empty set in its place, so that
 every base draws over its own relation row as a minority base does, seeds
@@ -130,13 +130,13 @@ def augment_sample(
     `p_aug`, in [0, 1], keeping `mix_ratio`, in (0, 1], of the base.
 
     `features` are the (rows, D) features of the batch's proposals, laid end
-    to end, `labels` its block and `matches` the labels' feature rows: in
-    adaptation each pseudo-label's own pass row, so no two labels share one;
-    for free label boxes, their `match_labels` rows. The batch draws from
-    `bank` as it stands, so the caller files the batch's own rows after this
-    call. A rate out of its range, a bank of other classes than the
-    relation's or a majority class outside them (`check_class_ids`) raises
-    `ValueError`.
+    to end, `labels` its block and `matches` the labels' feature rows, one
+    per label and strictly increasing: in adaptation each pseudo-label's own
+    pass row. The batch draws from `bank` as it stands, so the caller files
+    the batch's own rows after this call. Matches of another count than the
+    labels', or that repeat or decrease, a rate out of its range, a bank of
+    other classes than the relation's or a majority class outside them
+    (`check_class_ids`) raise `ValueError`, before any draw.
 
     Classes outside `majority` (`RelationMatrix.majority`) are minority. A
     majority base draws its partner class over its relation column, its own
@@ -157,14 +157,14 @@ def augment_sample(
     `mix_ratio * base + (1 - mix_ratio) * pair`, with the partner class's
     one-hot vector as the pair's, so the class vector turns soft; geometry
     stays the base's, as resizing the pair to the base is an identity in
-    feature space. A row matched by two labels is blended twice, in label
-    order: round k blends, at once, each row's k-th pair in label order
-    (`occurrence_rank`), so a batch without such a row, as every batch of
-    adaptation, takes one round; repeated rows come only from direct callers.
-    Returns a blended copy of the features and the labels (the input
+    feature space. The rows being distinct, every blend is written in one
+    step. Returns a blended copy of the features and the labels (the input
     labels if nothing was blended); the inputs are not modified. Labels keep
     their boxes and offsets, so `matches` holds for them too.
     """
+    matches = np.asarray(matches)
+    if matches.shape != (len(labels),) or (matches[1:] <= matches[:-1]).any():
+        raise ValueError("matches must be strictly increasing rows, one per label")
     if not 0.0 <= p_aug <= 1.0:
         raise ValueError("p_aug must lie in [0, 1]")
     if not 0.0 < mix_ratio <= 1.0:
@@ -195,12 +195,8 @@ def augment_sample(
     if not len(blended):
         return strong, labels
 
-    base_rows = matches[blended]
-    rank = occurrence_rank(base_rows)
-    for k in range(rank.max() + 1):
-        hit = rank == k
-        rows = base_rows[hit]
-        strong[rows] = mix_ratio * strong[rows] + (1.0 - mix_ratio) * pairs[hit]
+    rows = matches[blended]
+    strong[rows] = mix_ratio * strong[rows] + (1.0 - mix_ratio) * pairs
     classes = labels.classes.copy()
     classes[blended] = mix_ratio * labels.classes[blended] \
         + (1.0 - mix_ratio) * np.eye(num_classes)[pair_classes]

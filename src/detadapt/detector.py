@@ -13,7 +13,7 @@ losses, and the block's summed gradients per term, in one pass of one
 kernel, `supervised_losses`. The layout holds every array
 the kernel needs that does not read the model (pass rows, the flat cells
 that one `np.bincount` per head adds the rows' gradients into, GIoU target
-corners and areas, segment ids and divisors), so a training step does only
+corners and areas, segment ids and offsets), so a training step does only
 the work that depends on the model: one forward pass, the kernel's gathers
 and arithmetic, and one op on each model's `flat` buffer per update
 (`sgd_step`, `teacher.ema_update`). Training cuts each batch's rows, and
@@ -614,11 +614,15 @@ class LossLayout(NamedTuple):
     t * P + r its pass row r in the terms' stacked gradient rows, of width
     C + 1 for the logits and 4 for the boxes; cell slot * width + column is
     that entry of the flattened rows. The cross-entropy (CE) rows run segment
-    by segment, labels, then background. A segment's mean is the
-    `np.bincount` of its rows' terms over the segment ids, over its divisor,
-    and a gradient row the `np.bincount` of its entries over their cells:
-    the bins add each segment's terms, or each slot's entries, in order, as a
-    loop's running sum does, but from 0.0, so -0.0 terms alone sum to +0.0."""
+    by segment, labels, then background. Offsets count each segment's CE
+    rows and labels, and the kernel derives its divisors from them: a
+    segment's mean is the `np.bincount` of its rows' terms over the segment
+    ids, over its row count (at least 1), and every term's logit gradients
+    are normalised by their segment's CE row count, since an expert term has
+    no background rows. A gradient row is the `np.bincount` of its entries
+    over their cells: the bins add each segment's terms, or each slot's
+    entries, in order, as a loop's running sum does, but from 0.0, so -0.0
+    terms alone sum to +0.0."""
 
     offsets: np.ndarray        # (n + 1,) the pass's sample offsets
     ce_cells: np.ndarray       # (r * (C + 1),) each CE row's entries' cells, row by row
@@ -626,18 +630,14 @@ class LossLayout(NamedTuple):
     ce_target: np.ndarray      # (r, C + 1) its target: a class vector or the background
     ce_weight: np.ndarray      # (r,) its weight
     ce_segment: np.ndarray     # (r,) its segment
-    ce_divisor: np.ndarray     # (T * n,) each segment's CE row count, at least 1
     ce_offsets: np.ndarray     # (T * n + 1,) the segments' CE rows
     label_cells: np.ndarray    # (l * 4,) the cells of each label's proposal's box entries
     label_rows: np.ndarray     # (l,) its pass row
     label_boxes: np.ndarray    # (l, 4) its box
     label_corners: np.ndarray  # (l, 4) the box's corners, as `giou_target` gives them
     label_area: np.ndarray     # (l,) the box's area
-    label_count: np.ndarray    # (l,) its segment's label count
     label_segment: np.ndarray  # (l,) its segment
-    label_divisor: np.ndarray  # (T * n,) each segment's label count, at least 1
     label_offsets: np.ndarray  # (T * n + 1,) the segments' labels
-    norm: np.ndarray           # (T, P, 1) each term's CE divisor per pass row
     experts: tuple             # each term's expert (cls_weight, reg_weight), or None
 
     def cut(self, a: int, b: int) -> "LossLayout":
@@ -652,12 +652,10 @@ class LossLayout(NamedTuple):
         return LossLayout(
             self.offsets[a:b + 1] - p, self.ce_cells[c * width:ce.stop * width] - p * width,
             self.ce_rows[ce] - p, self.ce_target[ce], self.ce_weight[ce],
-            self.ce_segment[ce] - a, self.ce_divisor[a:b], self.ce_offsets[a:b + 1] - c,
+            self.ce_segment[ce] - a, self.ce_offsets[a:b + 1] - c,
             self.label_cells[4 * lab:4 * labs.stop] - 4 * p, self.label_rows[labs] - p,
-            self.label_boxes[labs], self.label_corners[labs],
-            self.label_area[labs], self.label_count[labs], self.label_segment[labs] - a,
-            self.label_divisor[a:b], self.label_offsets[a:b + 1] - lab,
-            self.norm[:, p:self.offsets[b]], self.experts)
+            self.label_boxes[labs], self.label_corners[labs], self.label_area[labs],
+            self.label_segment[labs] - a, self.label_offsets[a:b + 1] - lab, self.experts)
 
 
 def loss_layout(offsets: np.ndarray, terms: list[tuple[Targets, tuple[float, float] | None]],
@@ -670,11 +668,14 @@ def loss_layout(offsets: np.ndarray, terms: list[tuple[Targets, tuple[float, flo
       the labels.
     - `expert` = (cls_weight, reg_weight) gives the expert loss, with no GIoU:
       cls_weight times the mean CE plus reg_weight times the mean smooth-L1,
-      both over the labels.
+      both over the labels. The expert says nothing about background, so its
+      targets hold labels only; background rows raise `ValueError`.
     """
     n = len(offsets) - 1
     if any(len(t.offsets) != n + 1 or len(t.background_offsets) != n + 1 for t, _ in terms):
         raise ValueError(f"targets of another sample count than the block's {n}")
+    if any(expert is not None and len(t.background) for t, expert in terms):
+        raise ValueError("an expert term takes no background rows")
     matches, classes, boxes, weights, background = (np.concatenate(
         [getattr(t, name) for t, _ in terms]) for name in Targets._fields[:5])
     n_lab, n_bg = (np.concatenate([getattr(t, name)[1:] - getattr(t, name)[:-1] for t, _ in terms])
@@ -689,20 +690,15 @@ def loss_layout(offsets: np.ndarray, terms: list[tuple[Targets, tuple[float, flo
     target = np.zeros((len(order), num_classes + 1))
     target[:len(lab_rows), :num_classes] = classes
     target[len(lab_rows):, num_classes] = 1.0
-    detection = np.array([expert is None for _, expert in terms]).repeat(n)
-    norm = np.maximum(n_lab + n_bg * detection, 1).reshape(len(terms), n) \
-        .repeat(offsets[1:] - offsets[:-1], axis=1)
     corners, area = giou_target(boxes)
     width = num_classes + 1
     ce_cells = (ce_rows + first_slot[ce_segment])[:, None] * width + np.arange(width)
     label_cells = (lab_rows + first_slot[lab_of])[:, None] * 4 + np.arange(4)
     return LossLayout(offsets, ce_cells.ravel(), ce_rows, target[order],
                       np.concatenate((weights, np.ones(len(bg_of))))[order], ce_segment,
-                      np.maximum(n_lab + n_bg, 1), np.concatenate(([0], n_lab + n_bg)).cumsum(),
-                      label_cells.ravel(), lab_rows, boxes, corners, area,
-                      n_lab[lab_of], lab_of, np.maximum(n_lab, 1),
-                      np.concatenate(([0], n_lab)).cumsum(), norm[..., None],
-                      tuple(expert for _, expert in terms))
+                      np.concatenate(([0], n_lab + n_bg)).cumsum(), label_cells.ravel(),
+                      lab_rows, boxes, corners, area, lab_of,
+                      np.concatenate(([0], n_lab)).cumsum(), tuple(expert for _, expert in terms))
 
 
 def supervised_losses(scored: Scored, layout: LossLayout):
@@ -725,9 +721,12 @@ def supervised_losses(scored: Scored, layout: LossLayout):
     1e-15 of its largest entry in random blocks of 11.
     """
     n, size, width = len(layout.offsets) - 1, scored.num_proposals, scored.num_classes + 1
-    if len(scored.offsets) != n + 1 or layout.norm.shape[1] != size:
+    if len(scored.offsets) != n + 1 or layout.offsets[-1] != size:
         raise ValueError("a layout of another block than the scored one")
     target, w, experts = layout.ce_target, layout.ce_weight, layout.experts
+    # each segment's CE row and label counts, at least 1
+    ce_divisor, label_divisor = (np.maximum(o[1:] - o[:-1], 1)
+                                 for o in (layout.ce_offsets, layout.label_offsets))
     # a stack of (1, K) @ (K, 1) products is one BLAS dot per row, like `target @ row`
     ce = -w * (target[:, None, :] @ scored.log_scores[layout.ce_rows][:, :, None])[:, 0, 0]
     # the bins of no entries are integers, hence `astype`
@@ -746,20 +745,21 @@ def supervised_losses(scored: Scored, layout: LossLayout):
             value, grad = giou_and_grad(refined[a:b], layout.label_corners[a:b],
                                         layout.label_area[a:b])
             giou[a:b] = 1.0 - value
-            d_box[a:b] = (d_box[a:b] - grad) / layout.label_count[a:b, None]
+            d_box[a:b] = (d_box[a:b] - grad) / label_divisor[layout.label_segment[a:b], None]
     d_refined = np.bincount(layout.label_cells, d_box.ravel(), len(experts) * size * 4) \
         .astype(float, copy=False).reshape(len(experts), size, 4)
-    for expert, logits, coords, norm in zip(experts, d_logits, d_refined, layout.norm):
+    norms = ce_divisor.reshape(len(experts), n).repeat(layout.offsets[1:] - layout.offsets[:-1],
+                                                       axis=1)[..., None]
+    for expert, logits, coords, norm in zip(experts, d_logits, d_refined, norms):
         if expert is None:
             logits /= norm
         else:
             logits *= expert[0] / norm
             coords *= expert[1] / norm
     segments = (len(experts), n)
-    loss_cls = (np.bincount(layout.ce_segment, ce, len(layout.ce_divisor))
-                / layout.ce_divisor).reshape(segments)
-    loss_box, loss_giou = ((np.bincount(layout.label_segment, terms, len(layout.label_divisor))
-                            / layout.label_divisor).reshape(segments) for terms in (box, giou))
+    loss_cls = (np.bincount(layout.ce_segment, ce, len(ce_divisor)) / ce_divisor).reshape(segments)
+    loss_box, loss_giou = ((np.bincount(layout.label_segment, terms, len(label_divisor))
+                            / label_divisor).reshape(segments) for terms in (box, giou))
     losses = [loss_box[t] + loss_giou[t] + loss_cls[t] if expert is None else
               expert[0] * loss_cls[t] + expert[1] * loss_box[t]
               for t, expert in enumerate(experts)]

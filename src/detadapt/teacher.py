@@ -38,8 +38,7 @@ def ema_update(teacher: ModelParams, student: ModelParams, ema_rate: float) -> M
     return teacher.with_flat(np.where(s == t, t, ema_rate * t + (1.0 - ema_rate) * s))
 
 
-# `teacher` is unused, kept in `pseudo_label`'s argument positions
-def background_indices(teacher: ModelParams, block: Scored, bar: float) -> np.ndarray:
+def background_indices(block: Scored, bar: float) -> np.ndarray:
     """Rows of the teacher's `Scored` of a block that it is confident are
     background (max fg score below bar).
 

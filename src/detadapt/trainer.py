@@ -167,7 +167,7 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
     once. Each epoch gathers both in shuffle order (`segment_rows`,
     `Targets.take`) and lays them out once (`loss_layout`): every array of
     the loss that does not read the model (pass rows, GIoU target corners
-    and areas, segment ids and divisors) is built 25 times in a default run,
+    and areas, segment ids and offsets) is built 25 times in a default run,
     not once per each of its 800 steps. Each batch cuts its rows and layout
     out of the epoch's (`LossLayout.cut`) for one packed pass and one
     `supervised_losses` call, with the bits of the batch packed and laid out
@@ -241,7 +241,7 @@ def adapt(
       With SA on, once the matrix is ready the batch takes
       `relation.majority()` and blends labels and rows in one
       `augment_sample` call, which draws from the crop bank as it stood
-      before the batch and, the rows being distinct, blends in one round;
+      before the batch and, the rows being distinct, blends in one step;
       then the bank files the batch's confident rows under their
       pseudo-label classes in one push, one scatter into its per-class
       rings. No batch draws its own rows, the order of the MoCo queue. With
@@ -323,8 +323,7 @@ def adapt(
                 # the teacher's unperturbed pass rows, one push per batch
                 bank.push(scored_t.class_ids[rows], scored_t.h[rows])
             strong = perturb_features(strong, config.noise_scale, noise_rng)
-            bg = None if config.background_bar is None else \
-                background_indices(teacher, scored_t, config.background_bar)
+            bg = background_indices(scored_t, config.background_bar)
 
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored(student, strong, boxes, offsets)

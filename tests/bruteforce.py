@@ -764,8 +764,7 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                     strong = dataclasses.replace(strong, proposal_features=features
                                                  + config.noise_scale
                                                  * noise_rng.standard_normal(features.shape))
-                bg = None if config.background_bar is None else \
-                    [det.proposal_index for det in d if det.score < config.background_bar]
+                bg = [det.proposal_index for det in d if det.score < config.background_bar]
                 views.append((strong, labels, matches, bg, expert.get(sample.id)))
             # then the bank takes one entry per pseudo-label, sample by sample
             for sample, p in zip(samples, pseudo):

@@ -371,7 +371,8 @@ def test_bad_config_exits_two(tmp_path):
     assert run_cli(["--mode", "adapt", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     # a value of the wrong JSON type, on a config that would otherwise run in a moment
     for value in ({"enable_sa": "false"}, {"epochs": 2.5}, {"batch_size": 16.0}, {"seed": 1.5},
-                  {"background_bar": True}, {"expert": {"miss_rate": "0.1"}},
+                  {"background_bar": True}, {"background_bar": None},
+                  {"expert": {"miss_rate": "0.1"}},
                   {"target": {"size": 30.0}}, {"source": 3},
                   {"target": {"frequency": "x"}}, {"source": {"background_mean": "a"}}):
         bad.write_text(json.dumps({"pretrain_epochs": 0, "epochs": 0, **value}))

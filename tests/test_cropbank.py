@@ -448,27 +448,18 @@ def full_bank(num_classes=2, dim=3):
     return bank
 
 
-def test_a_row_matched_by_two_labels_is_blended_twice_in_label_order():
-    # both labels of class 0 match proposal 0; each blends it with one of the
-    # two class-1 rows, the first label's pair first
-    boxes = np.array([[0.0, 0.0, 4.0, 4.0], [20.0, 20.0, 24.0, 24.0]])
-    features = np.array([[8.0, 8.0], [1.0, 1.0]])
-    labels = Labels.one_hot(boxes[[0, 0]], [0, 0], 2)
-    bank = Cropbank(capacity=2, num_classes=2)
-    bank.push([1, 1], [[4.0, 0.0], [0.0, 4.0]])
-    rel = relation_from([[0.5, 0.5], [0.5, 0.5]])
-    seed = 5
-    draws = np.random.default_rng(seed)
-    draws.random(2), draws.random(2)
-    first, second = draws.integers([2, 2])
-    assert first != second  # so the order shows
-    strong, out = augment_sample(features, labels, rel, frozenset({0}), bank, 1.0, 0.5,
-                                 np.random.default_rng(seed), matches=np.array([0, 0]))
-    pairs = bank.rows([1, 1], [first, second])
-    want = 0.5 * (0.5 * features[0] + 0.5 * pairs[0]) + 0.5 * pairs[1]
-    assert np.array_equal(strong[0], want) and np.array_equal(strong[1], features[1])
-    assert not np.array_equal(want, 0.5 * (0.5 * features[0] + 0.5 * pairs[1]) + 0.5 * pairs[0])
-    assert np.array_equal(out.classes, [[0.5, 0.5], [0.5, 0.5]])
+@pytest.mark.parametrize("matches", [[0, 0], [1, 0], [0], [0, 1, 2]],
+                         ids=["repeat", "decrease", "short", "long"])
+def test_augment_rejects_matches_that_are_not_increasing_rows_one_per_label(matches):
+    # distinct rows in order are what lets a batch blend in one step
+    features = np.array([[8.0, 8.0], [1.0, 1.0], [3.0, 3.0]])
+    labels = Labels.one_hot(np.zeros((2, 4)) + [0.0, 0.0, 4.0, 4.0], [0, 0], 2)
+    rng, fresh = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(ValueError, match="strictly increasing rows, one per label"):
+        augment_sample(features, labels, relation_from([[0.5, 0.5], [0.5, 0.5]]),
+                       frozenset({0}), full_bank(dim=2), 1.0, 0.5, rng,
+                       matches=np.array(matches, dtype=int))
+    assert rng.random() == fresh.random()
 
 
 def test_augment_p_zero_is_identity():
@@ -528,8 +519,9 @@ def test_a_batch_never_draws_its_own_rows():
 
 def random_batch(rng, num_samples, num_classes, dim, first_id):
     """Samples with distinct proposal boxes; hard labels on some of their
-    proposals, a proposal at times labeled twice; and the batch's push, rows
-    of its proposals under random classes."""
+    proposals, each on its own proposal, in row order, as `pseudo_label`'s
+    rows are; and the batch's push, rows of its proposals under random
+    classes."""
     samples, label_sets = [], []
     for n in range(num_samples):
         count = int(rng.integers(1, 6))
@@ -537,7 +529,7 @@ def random_batch(rng, num_samples, num_classes, dim, first_id):
         boxes = np.hstack((corners, corners + rng.uniform(4, 12, (count, 2))))
         samples.append(DetectionSample(first_id + n, boxes, rng.standard_normal((count, dim)),
                                        np.zeros((0, 4)), np.zeros(0, dtype=int)))
-        rows = rng.integers(count, size=int(rng.integers(0, 5)))
+        rows = np.sort(rng.choice(count, int(rng.integers(0, count + 1)), replace=False))
         label_sets.append(Labels.one_hot(boxes[rows], rng.integers(num_classes, size=len(rows)),
                                          num_classes))
     features = np.concatenate([s.proposal_features for s in samples])
@@ -556,7 +548,7 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity):
     num_classes, dim = 3, 4
     bank, oracle = Cropbank(capacity, num_classes), OracleCropbank(capacity)
     bank_rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
-    blends, rows_blended_twice, evicted = 0, 0, 0
+    blends, evicted = 0, 0
     for batch in range(80):
         samples, labels, (class_ids, features) = random_batch(
             rng, int(rng.integers(1, 8)), num_classes, dim, 100 * batch)
@@ -569,9 +561,7 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity):
         strong, mixed = augment_sample(clean.copy(), labels, relation, relation.majority(), bank,
                                        0.7, 0.7, bank_rng, matches=matches)
         bank.push(class_ids, features)
-        soft = matches[mixed.classes.max(axis=1) < 1.0]
-        rows_blended_twice += len(soft) - len(np.unique(soft))
-        blends += len(soft)
+        blends += (mixed.classes.max(axis=1) < 1.0).sum()
 
         majority = oracle_majority(relation)
         assert majority == relation.majority()
@@ -590,4 +580,4 @@ def test_batch_augmentation_matches_per_sample_oracle_in_order(capacity):
         assert bank.sizes().tolist() == [len(oracle.entries(k)) for k in range(num_classes)]
         assert mixed.offsets.tolist() == labels.offsets.tolist()
         assert bank_rng.bit_generator.state == oracle_rng.bit_generator.state
-    assert blends > 100 and rows_blended_twice > 0 and evicted > 0
+    assert blends > 100 and evicted > 0

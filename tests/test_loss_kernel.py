@@ -294,7 +294,8 @@ def test_a_cut_layout_is_the_layout_of_its_samples_alone(expert):
     for trial in range(40):
         samples = mixed_samples(rng, rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 12))))
         features, boxes, offsets = pack(samples)
-        part = random_block_terms(rng, params, samples)[expert is not None]
+        stu, exp = random_block_terms(rng, params, samples)
+        part = exp if expert else stu
         a, b = sorted(rng.choice(len(samples) + 1, 2, replace=False).tolist())
         cut = loss_layout(offsets, [(part, expert)], params.num_classes).cut(a, b)
         alone = loss_layout(offsets[a:b + 1] - offsets[a], [(part.take(range(a, b)), expert)],
@@ -308,9 +309,45 @@ def test_a_cut_layout_is_the_layout_of_its_samples_alone(expert):
         (want,) = supervised_losses(Scored(params, *pack(samples[a:b])), alone)
         assert np.array_equal(got[0], want[0])
         assert_same((got[1].loss, got[1]), (want[1].loss, want[1]))
-    two_terms = loss_layout(offsets, [(part, None), (part, (1.3, 0.7))], params.num_classes)
+    two_terms = loss_layout(offsets, [(stu, None), (exp, (1.3, 0.7))], params.num_classes)
     with pytest.raises(ValueError, match="one-term"):
         two_terms.cut(0, 1)
+
+
+def test_an_expert_term_with_background_rows_is_rejected():
+    # the expert says nothing about background; such a term's gradient would
+    # not be its loss's
+    rng = np.random.default_rng(41)
+    sample = random_sample(rng)
+    scored = Scored(random_params(rng), *pack([sample]))
+    labels = random_labels(rng)
+    for background in ("auto", [3]):
+        term = targets(sample.proposal_boxes, scored.offsets, labels, background=background,
+                       matches=[0, 1])
+        with pytest.raises(ValueError, match="expert term takes no background"):
+            loss_layout(scored.offsets, [(term, (1.0, 1.0))], scored.num_classes)
+        loss_layout(scored.offsets, [(term, None)], scored.num_classes)
+    alone = targets(sample.proposal_boxes, scored.offsets, labels, background=None)
+    loss_layout(scored.offsets, [(alone, (1.0, 1.0))], scored.num_classes)
+
+
+def test_layouts_of_another_block_are_rejected():
+    rng = np.random.default_rng(42)
+    params = random_params(rng)
+    samples = mixed_samples(rng, [3, 2, 4])
+    offsets = pack(samples)[2]
+    stu, exp = random_block_terms(rng, params, samples)
+    pair = pack(samples[:2])
+    # targets of three samples on a block of two
+    with pytest.raises(ValueError, match="targets of another sample count than the block's 2"):
+        loss_layout(pair[2], [(stu, None)], params.num_classes)
+    layout = loss_layout(offsets, [(stu, None), (exp, (1.3, 0.7))], params.num_classes)
+    # a layout of three samples on a pass of two, and one of another row count
+    wider = mixed_samples(rng, [3, 2, 5])
+    for scored in (Scored(params, *pair), Scored(params, *pack(wider))):
+        with pytest.raises(ValueError, match="a layout of another block"):
+            supervised_losses(scored, layout)
+    kernel(Scored(params, *pack(samples)), [(stu, None), (exp, (1.3, 0.7))])
 
 
 def giou_edge_cases(rng, n):

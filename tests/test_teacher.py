@@ -56,12 +56,12 @@ def test_shared_teacher_scoring_matches_object_oracle():
             one = Scored(teacher, *pack([sample]))
             assert labeled(one, pseudo_label(teacher, one, conf)) == \
                 oracle_pseudo_labels(teacher, sample, conf)
-            assert background_indices(teacher, one, bar).tolist() == \
+            assert background_indices(one, bar).tolist() == \
                 oracle_background_indices(teacher, sample, bar)
         # the block's rows: each sample's indices shifted by the rows before it
         assert labeled(packed, pseudo_label(teacher, packed, conf)) == \
             block_oracle(teacher, samples, packed.offsets, conf)
-        assert background_indices(teacher, packed, bar).tolist() == [
+        assert background_indices(packed, bar).tolist() == [
             a + j for a, sample in zip(packed.offsets, samples)
             for j in oracle_background_indices(teacher, sample, bar)]
 
@@ -185,7 +185,7 @@ def test_student_converges_to_frozen_perfect_teacher():
             scored = Scored(teacher, *pack([sample]))
             pseudo = pseudo_label(teacher, scored, 0.7)
             labels = Labels.one_hot(scored.boxes[pseudo], scored.class_ids[pseudo], 3)
-            bg = background_indices(teacher, scored, 0.1)
+            bg = background_indices(scored, 0.1)
             _, grads = detection_loss(student, sample, labels, np.ones(len(labels)),
                                       background=bg)
             student = sgd_step(student, grads, 0.05)

@@ -300,8 +300,8 @@ def history_columns(history, names):
 
 @pytest.mark.parametrize("variant,background_bar,bank_capacity,noise_scale", [
     ("base", 0.1, 64, 0.4), ("sa", 0.1, 64, 0.4), ("sal", 0.1, 64, 0.4), ("full", 0.1, 64, 0.4),
-    ("full", None, 64, 0.4), ("sa", 0.1, 2, 0.4), ("full", 0.1, 64, 0.0)],
-    ids=["base-0.1", "sa-0.1", "sal-0.1", "full-0.1", "full-None", "sa-0.1-capacity2",
+    ("full", 0.0, 64, 0.4), ("sa", 0.1, 2, 0.4), ("full", 0.1, 64, 0.0)],
+    ids=["base-0.1", "sa-0.1", "sal-0.1", "full-0.1", "full-0.0", "sa-0.1-capacity2",
          "full-0.1-noise0"])
 def test_adapt_matches_per_sample_object_loop_oracle(variant, background_bar, bank_capacity,
                                                      noise_scale, busy_run):
@@ -553,17 +553,17 @@ def test_config_dict_roundtrip_and_unknown_fields():
     # each scalar takes only its field's JSON type
     for bad in ({"enable_sa": "false"}, {"enable_sal": 1}, {"epochs": 2.5}, {"batch_size": 16.0},
                 {"seed": 1.5}, {"epochs": True}, {"learning_rate": True},
-                {"background_bar": "0.1"}, {"expert": {"flip_rate": False}},
-                {"source": {"size": 40.0}}, {"target": {"box_jitter": None}},
-                {"source": 3}, {"expert": [0.1]}, [1, 2]):
+                {"background_bar": "0.1"}, {"background_bar": None},
+                {"expert": {"flip_rate": False}}, {"source": {"size": 40.0}},
+                {"target": {"box_jitter": None}}, {"source": 3}, {"expert": [0.1]}, [1, 2]):
         with pytest.raises(ConfigError):
             AdaptationConfig.from_dict(bad)
-    loose = AdaptationConfig.from_dict({"learning_rate": 1, "background_bar": None})
-    assert loose.learning_rate == 1 and loose.background_bar is None
+    loose = AdaptationConfig.from_dict({"learning_rate": 1, "background_bar": 0})
+    assert loose.learning_rate == 1 and loose.background_bar == 0
 
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(AdaptationConfig)
-                if f.type in ("float", "float | None")]
+                if f.type == "float"]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400],

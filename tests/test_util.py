@@ -202,7 +202,7 @@ def _same(a, b) -> bool:
 
 ROUND_TRIPS = {
     "config": lambda: dataclasses.replace(default_config(seed=3), learning_rate=1,
-                                          background_bar=None, expert=ExpertSpec(0.2, 0.0, 1)),
+                                          background_bar=0.0, expert=ExpertSpec(0.2, 0.0, 1)),
     "domain_spec": lambda: default_config().target,
     "expert_spec": lambda: ExpertSpec(0.25, 0.5, 0.125),
     "params": lambda: ModelParams.init(4, 6, np.random.default_rng(5), 0.25),
@@ -233,6 +233,8 @@ REJECTED = {
     "out_of_range": (ExpertSpec, {"miss_rate": 2.0}, "^invalid spec: miss_rate and flip_rate"),
     "null_float": (AdaptationConfig, {"expert": {"box_jitter": None}},
                    "^expert: box_jitter must be float"),
+    "null_bar": (AdaptationConfig, {"background_bar": None},
+                 "^spec: background_bar must be float, got None$"),
     "missing": (ModelParams, {"w_cls": [[0.0]], "b_cls": [0.0], "w_reg": [[0.0]], "b_reg": [0.0]},
                 "^invalid spec: .*dropout_rate"),
     "bool_in_array": (ModelParams, {"w_cls": [[0.0, True]]},
@@ -254,11 +256,10 @@ def test_from_json_rejects_a_wrong_type_field_or_value(cls, doc, message):
 
 
 def test_from_json_takes_null_where_the_annotation_does():
-    # `background_bar: float | None` and `background_mean: np.ndarray | None`
-    doc = {**util.to_json(default_config()), "background_bar": None}
+    # `background_mean: np.ndarray | None`
+    doc = util.to_json(default_config())
     doc["source"]["background_mean"] = None
     config = util.from_json(AdaptationConfig, doc, "config")
-    assert config.background_bar is None
     assert config.source.background_mean.tolist() == [0.0] * config.source.feature_dim
 
 

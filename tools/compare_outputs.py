@@ -10,8 +10,11 @@ rarely does), of the +SA variant without feature noise (3 epochs), of the
 +SA variant on a crowded target world (4 to 6 objects of sides 20 to 40 per
 sample, 3 epochs), whose batches carry about twice the default's labels and
 blends (each pseudo-label supervises and blends the pass row it was read
-from, so no two blends of a batch share a feature row, and rows blended
-twice are left to the crop bank's unit tests), and of the full method with
+from, so a batch's blends are on distinct rows in increasing order, the
+only matches `augment_sample` takes), of the full method without background
+targets (`background_bar` 0, 3 epochs), where the student's term, like the
+expert's, has no background rows and the two kinds of CE normaliser
+coincide, and of the full method with
 a noisy expert (miss rate .3, flip rate .5), on a target world of one
 proposal per sample and on a dense-background target world (Poisson rate
 10 of background proposals, boxes of sides 20 to 60), where proposals
@@ -80,7 +83,7 @@ source_params = os.path.join(out, "pretrain", "source_params.json")
 # world of one proposal per sample every batch row takes `_heads`' one-row
 # products, on row views of the epoch's rows; and a dense-background world's
 # proposals overlap most, where a label's box lies nearest other proposals
-# than its own
+# than its own; without background targets the student's term has labels only
 one_proposal_target = dataclasses.replace(base.target, max_objects=1, background_rate=0.0)
 crowded_target = dataclasses.replace(base.target, min_objects=4, max_objects=6, min_box=20.0,
                                      max_box=40.0)
@@ -90,6 +93,8 @@ runs = {"full": variants["full"], "base": variants["base"],
         "sa-capacity2": dataclasses.replace(variants["sa"], bank_capacity=2, epochs=3),
         "sa-noise0": dataclasses.replace(variants["sa"], noise_scale=0.0, epochs=3),
         "sa-crowded": dataclasses.replace(variants["sa"], epochs=3, target=crowded_target),
+        "full-no-background": dataclasses.replace(variants["full"], background_bar=0.0,
+                                                  epochs=3),
         "full-noisy-expert": dataclasses.replace(
             variants["full"], epochs=3,
             expert=dataclasses.replace(base.expert, miss_rate=0.3, flip_rate=0.5)),
