@@ -19,7 +19,7 @@ import numpy as np
 
 from .detector import (GradientSet, Labels, ModelParams, Scored, loss_layout, pack,
                        supervised_losses, targets)
-from .world import DetectionSample, boxes_from_raw
+from .world import DetectionSample, boxes_from_raw, uniform_map
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,14 @@ def expert_predict(spec: ExpertSpec, samples: list[DetectionSample],
 
     Sample i reads its `gt_boxes`/`gt_classes` rows one object at a time, in
     order, drawing from `rngs[i]`: `random` for the miss, `random` for the
-    flip, `integers` on a flip, `uniform(4)` for the jitter. A flip draws the
-    new class uniformly over the other classes; with no other class, the
-    object keeps its own. `boxes_from_raw` makes each jittered box valid.
+    flip, `integers` on a flip, `random(4)` for the jitter. The jitter draws
+    of all kept objects are mapped as `uniform(-box_jitter, box_jitter, 4)`
+    in one array operation (`world.uniform_map`). A flip draws the new class
+    uniformly over the other classes; with no other class, the object keeps
+    its own. `boxes_from_raw` makes each jittered box valid.
     """
-    kept, class_ids, jitter, counts = [], [], [], [0]
+    low, span = uniform_map(-spec.box_jitter, spec.box_jitter)
+    kept, class_ids, draws, counts = [], [], [], [0]
     for sample, rng in zip(samples, rngs):
         for class_id in sample.gt_classes.tolist():
             kept.append(rng.random() >= spec.miss_rate)
@@ -56,11 +59,12 @@ def expert_predict(spec: ExpertSpec, samples: list[DetectionSample],
                 other = int(rng.integers(num_classes - 1))  # the other classes, in order
                 class_id = other + (other >= class_id)
             class_ids.append(class_id)
-            jitter.append(rng.uniform(-spec.box_jitter, spec.box_jitter, 4))
+            draws.append(rng.random(4))
         counts.append(len(class_ids))
     box = np.concatenate([np.reshape(s.gt_boxes, (-1, 4)) for s in samples]
                          + [np.zeros((0, 4))])[np.array(kept, dtype=bool)]
-    raw = box + np.reshape(jitter, (-1, 4)) * np.tile(box[:, 2:] - box[:, :2], 2)
+    jitter = low + span * np.reshape(draws, (-1, 4))
+    raw = box + jitter * np.tile(box[:, 2:] - box[:, :2], 2)
     return Labels.one_hot(boxes_from_raw(raw), class_ids, num_classes, counts)
 
 

@@ -7,6 +7,13 @@ class overlap and domain shift are fully controllable. `box_iou` is the IoU
 of the package. The jitter check of `generate_domain` computes its IoU on
 Python floats, following `box_iou` operation for operation; the oracle test of
 `generate_domain` pins that the two agree.
+
+A world is a pure function of (spec, seed) through the Generator calls of
+`generate_domain` and their order, which its docstring lists; how it turns
+the draws into arrays must change neither. Its uniforms are `random` draws
+mapped by `uniform_map`, which gives `Generator.uniform`'s bits. It draws
+sample by sample but builds the arrays a block of `_BLOCK` samples at a time,
+so a generated sample's arrays are slices of its block's buffers.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import numpy as np
 from .util import ConfigError, from_json, number_array, to_json, write_atomic
 
 MIN_BOX_SIZE = 1e-6  # the side a valid box is padded to when shorter
+_BLOCK = 64  # samples whose arrays `generate_domain` builds together
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,10 @@ class DetectionSample:
     index j is a stable identity across forward passes. In a generated sample
     the first G proposals belong to the G ground-truth objects, in object
     order, and carry each object's feature; the rest are background.
+
+    A generated sample's four arrays are contiguous slices of its block's
+    buffers (see `generate_domain`), disjoint from every other sample's. They
+    are never written in place; nothing in the package writes them.
     """
 
     id: int
@@ -249,12 +261,28 @@ def shift_domain(base: DomainSpec, mean_shift) -> DomainSpec:
     return spec
 
 
-def _random_box(spec: DomainSpec, rng: np.random.Generator) -> list[float]:
-    # `Generator.uniform(low, high)` is `low + (high - low) * random()`, so one
-    # `random(4)` gives the draws of four `uniform` calls: w, h, x1, y1
+def uniform_map(low: float, high: float) -> tuple[float, float]:
+    """(low, span) such that `low + span * u`, for a `Generator.random` draw
+    u, is bit for bit the draw `Generator.uniform(low, high)` would give.
+
+    NumPy's `uniform` computes `low + (high - low) * next_double`: one
+    subtraction up front, then a multiply and an add per draw, the same float
+    operations on Python floats and on float64 arrays alike. So `random(n)`,
+    mapped, gives the draws of `uniform(low, high, n)`, and costs half of it
+    on 4 values. `_random_box`, the jitter tries of `generate_domain` and
+    `expert.expert_predict` draw their uniforms this way.
+    """
+    low = float(low)
+    return low, float(high) - low
+
+
+def _random_box(rng: np.random.Generator, side: tuple[float, float],
+                image_size: float) -> list[float]:
+    # one `random(4)` gives the draws of four `uniform` calls: w and h from
+    # `side`, the `uniform_map` of the box size range, then x1 and y1 from
+    # `uniform(0, image_size - w)`, whose `0.0 + s * u` is `s * u`
     u_w, u_h, u_x, u_y = rng.random(4).tolist()
-    low, image_size = float(spec.min_box), float(spec.image_size)
-    span = float(spec.max_box) - low
+    low, span = side
     w = low + span * u_w
     h = low + span * u_h
     x1 = (image_size - w) * u_x
@@ -262,24 +290,30 @@ def _random_box(spec: DomainSpec, rng: np.random.Generator) -> list[float]:
     return [x1, y1, x1 + w, y1 + h]
 
 
-def _jittered_proposal(box: list[float], spec: DomainSpec,
-                       rng: np.random.Generator) -> list[float]:
+def _jittered_proposal(box: list[float], rng: np.random.Generator,
+                       jitter: tuple[float, float], min_iou: float) -> list[float]:
     # Retry until the proposal keeps IoU above the detectability floor; the GT
-    # box itself is the fallback, so the floor always holds. The IoU is
-    # `box_iou(cand, box)` on floats, operation for operation.
+    # box itself is the fallback, so the floor always holds. Each try is one
+    # `random(4)`, mapped by `jitter`, the `uniform_map` of (-box_jitter,
+    # box_jitter). The IoU is `box_iou(cand, box)` on floats, operation for
+    # operation.
     x1, y1, x2, y2 = box
     w, h = x2 - x1, y2 - y1
     area = w * h
+    low, span = jitter
     for _ in range(20):
-        d1, d2, d3, d4 = rng.uniform(-spec.box_jitter, spec.box_jitter, 4).tolist()
-        c1, c2, c3, c4 = x1 + d1 * w, y1 + d2 * h, x2 + d3 * w, y2 + d4 * h
+        u1, u2, u3, u4 = rng.random(4).tolist()
+        c1 = x1 + (low + span * u1) * w
+        c2 = y1 + (low + span * u2) * h
+        c3 = x2 + (low + span * u3) * w
+        c4 = y2 + (low + span * u4) * h
         if c1 >= c3 or c2 >= c4:
             continue
         iw = min(c3, x2) - max(c1, x1)
         ih = min(c4, y2) - max(c2, y1)
         if iw > 0.0 and ih > 0.0:
             inter = iw * ih
-            if inter / ((c3 - c1) * (c4 - c2) + area - inter) > spec.min_proposal_iou:
+            if inter / ((c3 - c1) * (c4 - c2) + area - inter) > min_iou:
                 return [c1, c2, c3, c4]
     return box
 
@@ -294,10 +328,19 @@ def generate_domain(spec: DomainSpec, seed: int) -> list[DetectionSample]:
       `Generator.choice` with `p` does;
     - per object: its box, `random(4)` (w, h, x1, y1); its feature noise,
       `standard_normal(D)`; then its proposal's jitter tries, one
-      `uniform(-box_jitter, box_jitter, 4)` each, up to 20;
+      `random(4)` each, mapped as `uniform(-box_jitter, box_jitter, 4)`
+      (`uniform_map`), up to 20;
     - the background count, `poisson(background_rate)`;
     - per background proposal: its box, `random(4)`; its feature noise,
       `standard_normal(D)`.
+
+    The draws are made sample by sample, but the arrays are built a block of
+    `_BLOCK` samples at a time: one array each of the block's proposal boxes,
+    ground-truth boxes and noise rows, one CDF search for all its classes and
+    one feature computation. Each sample's arrays are contiguous slices of
+    its block's buffers (see `DetectionSample`). The bytes equal a build
+    sample by sample, and the transient memory is one block's, not the
+    domain's.
     """
     spec.validate()
     rng = np.random.default_rng(seed)
@@ -306,27 +349,38 @@ def generate_domain(spec: DomainSpec, seed: int) -> list[DetectionSample]:
     # row c of the feature centers and scales is class c's; row C is the background's
     means = np.vstack((spec.class_means, spec.background_mean))
     scales = np.append(spec.class_covs, spec.background_cov)
+    side = uniform_map(spec.min_box, spec.max_box)
+    jitter = uniform_map(-spec.box_jitter, spec.box_jitter)
+    image_size, min_iou = float(spec.image_size), float(spec.min_proposal_iou)
+    objects = (spec.min_objects, spec.max_objects + 1)
+    dim, rate = spec.feature_dim, spec.background_rate
     samples = []
-    for sample_id in range(spec.size):
-        n_obj = int(rng.integers(spec.min_objects, spec.max_objects + 1))
-        classes = cdf.searchsorted(rng.random(n_obj), side="right")
-        gt_boxes = []
-        boxes = []
-        noise = []
-        for _ in range(n_obj):
-            box = _random_box(spec, rng)
-            noise.append(rng.standard_normal(spec.feature_dim))
-            gt_boxes.append(box)
-            boxes.append(_jittered_proposal(box, spec, rng))
-        n_background = int(rng.poisson(spec.background_rate))
-        for _ in range(n_background):
-            boxes.append(_random_box(spec, rng))
-            noise.append(rng.standard_normal(spec.feature_dim))
-        # each row's mean + scale * noise, the per-row arithmetic done once per sample
-        rows = np.concatenate((classes, np.full(n_background, spec.num_classes)))
+    for start in range(0, spec.size, _BLOCK):
+        # per proposal row: the class draw of an object's row, and for a
+        # background row a value above the CDF, which finds row C
+        draws, boxes, gt_boxes, noise, counts = [], [], [], [], []
+        for _ in range(start, min(start + _BLOCK, spec.size)):
+            n_obj = int(rng.integers(*objects))
+            draws += rng.random(n_obj).tolist()
+            for _ in range(n_obj):
+                box = _random_box(rng, side, image_size)
+                noise.append(rng.standard_normal(dim))
+                gt_boxes.append(box)
+                boxes.append(_jittered_proposal(box, rng, jitter, min_iou))
+            n_background = int(rng.poisson(rate))
+            draws += [math.inf] * n_background
+            for _ in range(n_background):
+                boxes.append(_random_box(rng, side, image_size))
+                noise.append(rng.standard_normal(dim))
+            counts.append((n_obj, n_obj + n_background))
+        rows = cdf.searchsorted(draws, side="right")
+        boxes, gt_boxes = np.array(boxes), np.array(gt_boxes)
         feats = means[rows] + scales[rows][:, None] * np.array(noise)
-        samples.append(DetectionSample(sample_id, np.array(boxes), feats,
-                                       np.array(gt_boxes), classes))
+        p = g = 0
+        for sample_id, (n_obj, n_rows) in enumerate(counts, start):
+            samples.append(DetectionSample(sample_id, boxes[p:p + n_rows], feats[p:p + n_rows],
+                                           gt_boxes[g:g + n_obj], rows[p:p + n_obj]))
+            p, g = p + n_rows, g + n_obj
     return samples
 
 

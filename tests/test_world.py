@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bruteforce import _iou, oracle_box, oracle_generate_domain
+from detadapt import world
 from detadapt.config import AdaptationConfig, default_config
 from detadapt.util import to_json
 from detadapt.world import (BBox, ConfigError, box_iou, boxes_from_raw, dataset_to_dict,
@@ -66,6 +69,18 @@ def test_boxes_from_raw_raises_exactly_where_from_raw_raises():
                 boxes_from_raw(np.array([[0.0, 0.0, 1.0, 1.0], row]))
         else:
             assert np.array_equal(boxes_from_raw(np.array([row]))[0], want)
+
+
+@pytest.mark.parametrize("low, high", [(-0.12, 0.12), (8.0, 24.0), (-0.0, 0.0), (0.0, 0.0),
+                                       (-3.0, -1.0), (-1e300, 1e300), (0.0, 1e-300)])
+def test_uniform_map_gives_the_bits_of_generator_uniform(low, high):
+    lo, span = world.uniform_map(low, high)
+    mapped = lo + span * np.random.default_rng(5).random(1000)
+    want = np.random.default_rng(5).uniform(low, high, 1000)
+    assert mapped.tobytes() == want.tobytes()
+    # and on Python floats, value by value
+    floats = [lo + span * u for u in np.random.default_rng(5).random(1000).tolist()]
+    assert np.array(floats).tobytes() == want.tobytes()
 
 
 def test_iou_basic_cases():
@@ -137,6 +152,54 @@ def test_generation_equals_oracle_when_the_gt_box_fallback_fires():
     fallbacks = sum(int((s.proposal_boxes[:len(s.gt_boxes)] == s.gt_boxes).all(axis=1).sum())
                     for s in samples)
     assert fallbacks > 0
+
+
+BLOCK_EDGE_SPECS = {
+    "fallback": dict(box_jitter=0.6, min_proposal_iou=0.9),
+    "four-to-six-objects": dict(min_objects=4, max_objects=6),
+}
+ARRAYS = ("proposal_boxes", "proposal_features", "gt_boxes", "gt_classes")
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, world._BLOCK + 1],
+                         ids=["block-less-one", "block", "block-plus-one", "two-blocks-plus-one"])
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGE_SPECS))
+def test_generation_equals_oracle_across_block_edges(name, extra):
+    spec = small_spec(size=world._BLOCK + extra, **BLOCK_EDGE_SPECS[name])
+    samples = assert_same_world(spec, 6)
+    for sample in samples:
+        assert all(getattr(sample, attr).flags.c_contiguous for attr in ARRAYS)
+    # a sample's arrays are its own rows of the block buffers, so no write to
+    # one sample's array could reach another's
+    for a, b in itertools.combinations(samples, 2):
+        for x, y in itertools.product(ARRAYS, repeat=2):
+            assert not np.shares_memory(getattr(a, x), getattr(b, y)), (a.id, b.id, x, y)
+
+
+def generation_transient(size: int) -> int:
+    """Traced peak minus retained bytes of generating `size` default target samples."""
+    spec = dataclasses.replace(default_config(seed=0).target, size=size)
+    tracemalloc.start()
+    try:
+        samples = generate_domain(spec, 0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == size
+    return peak - retained
+
+
+# bytes; 64-sample blocks take 0.14 MB, the 2,000 samples in one block 4.1 MB
+TRANSIENT_BOUND = 1_000_000
+
+
+def test_generation_transient_memory_stays_under_the_bound():
+    assert generation_transient(2000) < TRANSIENT_BOUND
+
+
+def test_a_domain_built_in_one_block_breaks_the_transient_bound(monkeypatch):
+    monkeypatch.setattr(world, "_BLOCK", 2000)
+    assert generation_transient(2000) > TRANSIENT_BOUND
 
 
 @pytest.mark.parametrize("overrides", [

@@ -34,11 +34,15 @@ has no such proposal among its 976 objects), so labels sharing a pass row
 reach the outputs through the layout's rows, slots and segments. A small
 C = 8 world (60 samples, 3 pretrain epochs) is pretrained, partitioned and
 evaluated too, so score vectors of 9 entries
-are diffed as well as those of 6. It also saves two generated worlds as
-dataset JSON, the seed-0 source set (`source_dataset.json`) and the
-score-large target set (`score-large/target_dataset.json`), so a generator
-change is diffed on the worlds themselves, not only through the outputs
-built on them.
+are diffed as well as those of 6. It also saves three generated worlds as
+dataset JSON, so a generator change is diffed on the worlds themselves, not
+only through the outputs built on them: the seed-0 source set
+(`source_dataset.json`), the score-large target set
+(`score-large/target_dataset.json`) and a set of 129 samples
+(`block-edges_dataset.json`), two of `generate_domain`'s 64-sample blocks and
+one sample more, of 4 to 6 objects each, with jitter 0.6 and an IoU floor of
+0.9, so the ground-truth fallback of the proposal jitter fires and block
+edges fall inside the set.
 Prints one line per file that differs or exists in one tree only, then a
 summary. Exits 1 on any difference.
 
@@ -137,6 +141,12 @@ world.save_dataset(os.path.join(out, "score-large", "target_dataset.json"), larg
 world.save_dataset(os.path.join(out, "source_dataset.json"), config.source,
                    world.generate_domain(config.source,
                                          util.derive_seed(config.seed, "world", "source")))
+# 2 x 64 + 1 samples cross two block edges; at jitter 0.6 and IoU floor 0.9
+# many proposals fall back to their ground-truth box
+edges = dataclasses.replace(config.target, size=129, min_objects=4, max_objects=6,
+                            box_jitter=0.6, min_proposal_iou=0.9)
+world.save_dataset(os.path.join(out, "block-edges_dataset.json"), edges,
+                   world.generate_domain(edges, util.derive_seed(config.seed, "world", "edges")))
 report = partition(samples, params, config.mc_passes, config.variance_threshold,
                    util.rng_stream(config.seed, "partition"))
 report.save_csv(os.path.join(out, "score-large", "partition.csv"))
