@@ -7,18 +7,19 @@ rows (`pack`); a sample alone is a block of one. Training targets a batch's
 labels as one block, on its packed boxes and offsets (`targets`): labels that
 are free boxes (ground truth, the expert's) are matched to their highest-IoU
 proposals (`match_labels`), once per run, while a pseudo-label comes with the
-pass row it was read from as its match. Training lays out a batch's
-(`Targets`, expert) terms (`loss_layout`) and computes every sample's
-losses, and the block's summed gradients per term, in one pass of one
-kernel, `supervised_losses`. The layout holds every array
+pass row it was read from as its match. Training lays out one term's
+`Targets` on a batch, the detection loss or the expert's (`loss_layout`),
+and computes every sample's losses and the block's summed gradients in one
+pass of one kernel, `supervised_losses`. The layout holds every array
 the kernel needs that does not read the model (pass rows, the flat cells
 that one `np.bincount` per head adds the rows' gradients into, GIoU target
 corners and areas, segment ids and offsets), so a training step does only
 the work that depends on the model: one forward pass, the kernel's gathers
 and arithmetic, and one op on each model's `flat` buffer per update
-(`sgd_step`, `teacher.ema_update`). Training cuts each batch's rows, and
-pretraining's layout or adaptation's expert targets, out of its epoch's
-(`LossLayout.cut`, `Targets.cut`). The losses equal those of a per-label loop
+(`sgd_step`, `teacher.ema_update`). A term whose targets do not change,
+pretraining's ground truth or adaptation's expert labels, is laid out once
+per epoch, and each batch cuts its rows and layout out of the epoch's
+(`LossLayout.cut`). The losses equal those of a per-label loop
 bit for bit, and so do the gradients of a block of one; a larger block's
 gradients are one product over its rows, equal to the in-order sum of its
 samples' gradients up to rounding.
@@ -524,12 +525,14 @@ class Labels:
 
 
 class Targets(NamedTuple):
-    """A block's supervision as arrays; `targets` builds it from labels.
+    """A block's supervision as arrays; `targets` builds it from labels, and
+    `loss_layout` lays it out as one loss term.
 
     Indices are proposal indices within each sample. Sample i's labels are
     rows offsets[i]:offsets[i + 1] of the label arrays and its background
     proposals entries background_offsets[i]:background_offsets[i + 1], so a
-    block's targets are its samples' targets laid end to end.
+    block's targets are its samples' targets laid end to end, and `take`
+    gathers any samples' targets as a block.
     """
 
     matches: np.ndarray             # (n,) the proposal each label supervises
@@ -540,25 +543,12 @@ class Targets(NamedTuple):
     offsets: np.ndarray             # (samples + 1,) label offsets
     background_offsets: np.ndarray  # (samples + 1,) background offsets
 
-    def label_rows(self, offsets: np.ndarray) -> np.ndarray:
-        """Block rows of the labels' proposals in a pass whose sample i owns
-        rows offsets[i]:offsets[i + 1]."""
-        return offsets[:-1].repeat(self.offsets[1:] - self.offsets[:-1]) + self.matches
-
     def take(self, picks) -> "Targets":
         """The targets of samples `picks`, in that order, as a block."""
         lab, offsets = segment_rows(self.offsets, picks)
         bg, background_offsets = segment_rows(self.background_offsets, picks)
         return Targets(self.matches[lab], self.classes[lab], self.boxes[lab], self.weights[lab],
                        self.background[bg], offsets, background_offsets)
-
-    def cut(self, a: int, b: int) -> "Targets":
-        """Samples a:b as contiguous slices rebased to the cut: `take(range(a, b))`."""
-        lab = slice(self.offsets[a], self.offsets[b])
-        bg = slice(self.background_offsets[a], self.background_offsets[b])
-        return Targets(self.matches[lab], self.classes[lab], self.boxes[lab], self.weights[lab],
-                       self.background[bg], self.offsets[a:b + 1] - self.offsets[a],
-                       self.background_offsets[a:b + 1] - self.background_offsets[a])
 
 
 def targets(boxes: np.ndarray, offsets: np.ndarray, labels: Labels, weights=None,
@@ -608,21 +598,21 @@ def targets(boxes: np.ndarray, offsets: np.ndarray, labels: Labels, weights=None
 
 
 class LossLayout(NamedTuple):
-    """The param-free part of `supervised_losses` on a block of n samples, P
-    rows and T terms (`loss_layout`): every array the kernel reads that does
-    not depend on the model. Segment t * n + i is term t's sample i, and slot
-    t * P + r its pass row r in the terms' stacked gradient rows, of width
-    C + 1 for the logits and 4 for the boxes; cell slot * width + column is
-    that entry of the flattened rows. The cross-entropy (CE) rows run segment
-    by segment, labels, then background. Offsets count each segment's CE
+    """The param-free part of `supervised_losses` for one term on a block of
+    n samples and P rows (`loss_layout`): every array the kernel reads that
+    does not depend on the model. Segment i is sample i, and cell
+    row * width + column is that entry of the flattened gradient rows, of
+    width C + 1 for the logits and 4 for the boxes. The cross-entropy (CE)
+    rows run sample by sample, labels, then background; an expert term has
+    no background rows, so its CE rows are its labels, in label order, and
+    its `ce_weight` the targets' weights. Offsets count each segment's CE
     rows and labels, and the kernel derives its divisors from them: a
     segment's mean is the `np.bincount` of its rows' terms over the segment
-    ids, over its row count (at least 1), and every term's logit gradients
-    are normalised by their segment's CE row count, since an expert term has
-    no background rows. A gradient row is the `np.bincount` of its entries
-    over their cells: the bins add each segment's terms, or each slot's
-    entries, in order, as a loop's running sum does, but from 0.0, so -0.0
-    terms alone sum to +0.0."""
+    ids, over its row count (at least 1), and the logit gradients are
+    normalised by their segment's CE row count. A gradient row is the
+    `np.bincount` of its entries over their cells: the bins add each
+    segment's terms, or each row's entries, in order, as a loop's running
+    sum does, but from 0.0, so -0.0 terms alone sum to +0.0."""
 
     offsets: np.ndarray        # (n + 1,) the pass's sample offsets
     ce_cells: np.ndarray       # (r * (C + 1),) each CE row's entries' cells, row by row
@@ -630,22 +620,20 @@ class LossLayout(NamedTuple):
     ce_target: np.ndarray      # (r, C + 1) its target: a class vector or the background
     ce_weight: np.ndarray      # (r,) its weight
     ce_segment: np.ndarray     # (r,) its segment
-    ce_offsets: np.ndarray     # (T * n + 1,) the segments' CE rows
+    ce_offsets: np.ndarray     # (n + 1,) the segments' CE rows
     label_cells: np.ndarray    # (l * 4,) the cells of each label's proposal's box entries
     label_rows: np.ndarray     # (l,) its pass row
     label_boxes: np.ndarray    # (l, 4) its box
     label_corners: np.ndarray  # (l, 4) the box's corners, as `giou_target` gives them
     label_area: np.ndarray     # (l,) the box's area
     label_segment: np.ndarray  # (l,) its segment
-    label_offsets: np.ndarray  # (T * n + 1,) the segments' labels
-    experts: tuple             # each term's expert (cls_weight, reg_weight), or None
+    label_offsets: np.ndarray  # (n + 1,) the segments' labels
+    expert: tuple | None       # the expert term's (cls_weight, reg_weight), or None
 
     def cut(self, a: int, b: int) -> "LossLayout":
-        """Samples a:b of a one-term layout, each field a contiguous slice rebased
-        to the cut's first row, cell and segment: the layout of those samples
-        alone, field by field. One term's slots are its rows."""
-        if len(self.experts) != 1:
-            raise ValueError("only a one-term layout is cut")
+        """Samples a:b, each field a contiguous slice rebased to the cut's
+        first row, cell and segment: the layout of those samples alone, field
+        by field."""
         p, c, lab = self.offsets[a], self.ce_offsets[a], self.label_offsets[a]
         ce, labs = slice(c, self.ce_offsets[b]), slice(lab, self.label_offsets[b])
         width = self.ce_target.shape[1]
@@ -655,13 +643,13 @@ class LossLayout(NamedTuple):
             self.ce_segment[ce] - a, self.ce_offsets[a:b + 1] - c,
             self.label_cells[4 * lab:4 * labs.stop] - 4 * p, self.label_rows[labs] - p,
             self.label_boxes[labs], self.label_corners[labs], self.label_area[labs],
-            self.label_segment[labs] - a, self.label_offsets[a:b + 1] - lab, self.experts)
+            self.label_segment[labs] - a, self.label_offsets[a:b + 1] - lab, self.expert)
 
 
-def loss_layout(offsets: np.ndarray, terms: list[tuple[Targets, tuple[float, float] | None]],
+def loss_layout(offsets: np.ndarray, targets: Targets, expert: tuple[float, float] | None,
                 num_classes: int) -> LossLayout:
-    """The `LossLayout` of terms on a block whose sample i owns pass rows
-    offsets[i]:offsets[i + 1]. A term is a (`Targets`, expert) pair:
+    """The `LossLayout` of one term, `targets`, on a block whose sample i
+    owns pass rows offsets[i]:offsets[i + 1]:
     - `expert` None gives the detection loss. Each background proposal adds a
       CE row toward the background class, with weight 1. CE averages over
       labels and background proposals; smooth-L1 and (1 - GIoU) average over
@@ -672,45 +660,44 @@ def loss_layout(offsets: np.ndarray, terms: list[tuple[Targets, tuple[float, flo
       targets hold labels only; background rows raise `ValueError`.
     """
     n = len(offsets) - 1
-    if any(len(t.offsets) != n + 1 or len(t.background_offsets) != n + 1 for t, _ in terms):
+    if len(targets.offsets) != n + 1 or len(targets.background_offsets) != n + 1:
         raise ValueError(f"targets of another sample count than the block's {n}")
-    if any(expert is not None and len(t.background) for t, expert in terms):
+    if expert is not None and len(targets.background):
         raise ValueError("an expert term takes no background rows")
-    matches, classes, boxes, weights, background = (np.concatenate(
-        [getattr(t, name) for t, _ in terms]) for name in Targets._fields[:5])
-    n_lab, n_bg = (np.concatenate([getattr(t, name)[1:] - getattr(t, name)[:-1] for t, _ in terms])
-                   for name in ("offsets", "background_offsets"))
-    segment = np.arange(len(n_lab))
+    n_lab, n_bg = (o[1:] - o[:-1] for o in (targets.offsets, targets.background_offsets))
+    segment = np.arange(n)
     lab_of, bg_of = segment.repeat(n_lab), segment.repeat(n_bg)
-    first_row, first_slot = offsets[segment % n], segment // n * offsets[-1]
-    lab_rows = first_row[lab_of] + matches
+    lab_rows = offsets[lab_of] + targets.matches
     order = np.concatenate((lab_of, bg_of)).argsort(kind="stable")
-    ce_rows = np.concatenate((lab_rows, first_row[bg_of] + background))[order]
-    ce_segment = segment.repeat(n_lab + n_bg)
+    ce_rows = np.concatenate((lab_rows, offsets[bg_of] + targets.background))[order]
     target = np.zeros((len(order), num_classes + 1))
-    target[:len(lab_rows), :num_classes] = classes
+    target[:len(lab_rows), :num_classes] = targets.classes
     target[len(lab_rows):, num_classes] = 1.0
-    corners, area = giou_target(boxes)
+    corners, area = giou_target(targets.boxes)
     width = num_classes + 1
-    ce_cells = (ce_rows + first_slot[ce_segment])[:, None] * width + np.arange(width)
-    label_cells = (lab_rows + first_slot[lab_of])[:, None] * 4 + np.arange(4)
+    ce_cells = ce_rows[:, None] * width + np.arange(width)
+    label_cells = lab_rows[:, None] * 4 + np.arange(4)
     return LossLayout(offsets, ce_cells.ravel(), ce_rows, target[order],
-                      np.concatenate((weights, np.ones(len(bg_of))))[order], ce_segment,
-                      np.concatenate(([0], n_lab + n_bg)).cumsum(), label_cells.ravel(),
-                      lab_rows, boxes, corners, area, lab_of,
-                      np.concatenate(([0], n_lab)).cumsum(), tuple(expert for _, expert in terms))
+                      np.concatenate((targets.weights, np.ones(len(bg_of))))[order],
+                      segment.repeat(n_lab + n_bg), np.concatenate(([0], n_lab + n_bg)).cumsum(),
+                      label_cells.ravel(), lab_rows, targets.boxes, corners, area, lab_of,
+                      np.concatenate(([0], n_lab)).cumsum(), expert)
 
 
-def supervised_losses(scored: Scored, layout: LossLayout):
+def _cell_sums(cells: np.ndarray, entries: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """(rows, width) sums of `entries` at their flat `cells`, each cell's in order from 0.0."""
+    # the bins of no entries are integers, hence `astype`
+    return np.bincount(cells, entries.ravel(), rows * width).astype(float, copy=False) \
+        .reshape(rows, width)
+
+
+def supervised_losses(scored: Scored, layout: LossLayout) -> tuple[np.ndarray, GradientSet]:
     """Each sample's supervised loss over a packed block and the block's
-    exact gradients, summed over its samples, per term of the block's
+    exact gradients, summed over its samples, for the term of the block's
     `LossLayout`: the (n,) losses and one `GradientSet` (its `loss` their
-    sum), each the bits of that term alone, from one pass of the row ops over
-    every term's rows and one stacked product. A cut layout (`LossLayout.cut`)
-    on its rows gives the bits of its samples alone. The kernel only gathers
-    the model's outputs at the layout's rows and computes; the terms'
-    gradients are written into the rows of one (T, F) buffer, row t term t's
-    `GradientSet.flat`.
+    sum). A cut layout (`LossLayout.cut`) on its rows gives the bits of its
+    samples alone. The kernel only gathers the model's outputs at the
+    layout's rows and computes.
 
     Each sample's loss equals that of a loop over its labels bit for bit, in
     that loop's order, and so do per-row gradients (one `np.bincount` over
@@ -723,57 +710,43 @@ def supervised_losses(scored: Scored, layout: LossLayout):
     n, size, width = len(layout.offsets) - 1, scored.num_proposals, scored.num_classes + 1
     if len(scored.offsets) != n + 1 or layout.offsets[-1] != size:
         raise ValueError("a layout of another block than the scored one")
-    target, w, experts = layout.ce_target, layout.ce_weight, layout.experts
+    target, w, expert = layout.ce_target, layout.ce_weight, layout.expert
     # each segment's CE row and label counts, at least 1
     ce_divisor, label_divisor = (np.maximum(o[1:] - o[:-1], 1)
                                  for o in (layout.ce_offsets, layout.label_offsets))
     # a stack of (1, K) @ (K, 1) products is one BLAS dot per row, like `target @ row`
     ce = -w * (target[:, None, :] @ scored.log_scores[layout.ce_rows][:, :, None])[:, 0, 0]
-    # the bins of no entries are integers, hence `astype`
-    entries = w[:, None] * (scored.scores[layout.ce_rows] - target)
-    d_logits = np.bincount(layout.ce_cells, entries.ravel(), len(experts) * size * width) \
-        .astype(float, copy=False).reshape(len(experts), size, width)
-    # normalise as the loops did: detection divides box gradients by the label
-    # count before adding up and CE rows after; the expert scales after adding up
+    d_logits = _cell_sums(layout.ce_cells, w[:, None] * (scored.scores[layout.ce_rows] - target),
+                          size, width)
     refined = scored.refined[layout.label_rows]
     diff = refined - layout.label_boxes
     box, d_box = smooth_l1(diff).sum(axis=1), smooth_l1_grad(diff)
-    giou = np.zeros(len(box))  # 1 - GIoU, of detection labels only
-    bounds = layout.label_offsets[np.arange(len(experts) + 1) * n]  # each term's labels
-    for expert, a, b in zip(experts, bounds, bounds[1:]):
-        if expert is None:
-            value, grad = giou_and_grad(refined[a:b], layout.label_corners[a:b],
-                                        layout.label_area[a:b])
-            giou[a:b] = 1.0 - value
-            d_box[a:b] = (d_box[a:b] - grad) / label_divisor[layout.label_segment[a:b], None]
-    d_refined = np.bincount(layout.label_cells, d_box.ravel(), len(experts) * size * 4) \
-        .astype(float, copy=False).reshape(len(experts), size, 4)
-    norms = ce_divisor.reshape(len(experts), n).repeat(layout.offsets[1:] - layout.offsets[:-1],
-                                                       axis=1)[..., None]
-    for expert, logits, coords, norm in zip(experts, d_logits, d_refined, norms):
-        if expert is None:
-            logits /= norm
-        else:
-            logits *= expert[0] / norm
-            coords *= expert[1] / norm
-    segments = (len(experts), n)
-    loss_cls = (np.bincount(layout.ce_segment, ce, len(ce_divisor)) / ce_divisor).reshape(segments)
-    loss_box, loss_giou = ((np.bincount(layout.label_segment, terms, len(label_divisor))
-                            / label_divisor).reshape(segments) for terms in (box, giou))
-    losses = [loss_box[t] + loss_giou[t] + loss_cls[t] if expert is None else
-              expert[0] * loss_cls[t] + expert[1] * loss_box[t]
-              for t, expert in enumerate(experts)]
+    loss_cls = np.bincount(layout.ce_segment, ce, n) / ce_divisor
+    loss_box = np.bincount(layout.label_segment, box, n) / label_divisor
+    norm = ce_divisor.repeat(layout.offsets[1:] - layout.offsets[:-1])[:, None]
+    # normalise as the loops did: detection divides box gradients by the label
+    # count before adding up and CE rows after; the expert scales after adding up
+    if expert is None:
+        value, grad = giou_and_grad(refined, layout.label_corners, layout.label_area)
+        d_box = (d_box - grad) / label_divisor[layout.label_segment, None]
+        d_refined = _cell_sums(layout.label_cells, d_box, size, 4)
+        d_logits /= norm
+        loss_giou = np.bincount(layout.label_segment, 1.0 - value, n) / label_divisor
+        losses = loss_box + loss_giou + loss_cls
+    else:
+        d_refined = _cell_sums(layout.label_cells, d_box, size, 4)
+        d_logits *= expert[0] / norm
+        d_refined *= expert[1] / norm
+        losses = expert[0] * loss_cls + expert[1] * loss_box
     dim = scored.h.shape[-1]
     spans = _spans(((width, dim), (width,), (4, dim), (4,)))
-    grads = np.empty((len(experts), (width + 4) * (dim + 1)))
-    w_cls, b_cls, w_reg, b_reg = (grads[:, cut].reshape((len(experts),) + shape)
-                                  for cut, shape in spans)
-    np.matmul(d_logits.transpose(0, 2, 1), scored.h, out=w_cls)
-    np.matmul(d_refined.transpose(0, 2, 1), scored.h, out=w_reg)
-    np.add.reduce(d_logits, axis=1, out=b_cls)
-    np.add.reduce(d_refined, axis=1, out=b_reg)
-    return [(loss, GradientSet._of(grads[t], spans, loss=float(loss.sum())))
-            for t, loss in enumerate(losses)]
+    flat = np.empty((width + 4) * (dim + 1))
+    w_cls, b_cls, w_reg, b_reg = (flat[cut].reshape(shape) for cut, shape in spans)
+    np.matmul(d_logits.T, scored.h, out=w_cls)
+    np.matmul(d_refined.T, scored.h, out=w_reg)
+    np.add.reduce(d_logits, axis=0, out=b_cls)
+    np.add.reduce(d_refined, axis=0, out=b_reg)
+    return losses, GradientSet._of(flat, spans, loss=float(losses.sum()))
 
 
 def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
@@ -781,13 +754,13 @@ def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     """Supervised detection loss on one sample and its exact gradients.
 
     Each label supervises its highest-IoU proposal; `background` works as in
-    `targets`. The one-sample case of `supervised_losses`; `loss_layout`
-    gives the terms, and a block of one gives the loop's bits.
+    `targets`. The one-sample case of `supervised_losses` on the detection
+    term's `loss_layout`; a block of one gives the loop's bits.
     """
     scored = Scored(params, *pack([sample]))
-    terms = [(targets(sample.proposal_boxes, scored.offsets, labels, weights, background), None)]
-    layout = loss_layout(scored.offsets, terms, params.num_classes)
-    (losses, grads), = supervised_losses(scored, layout)
+    term = targets(sample.proposal_boxes, scored.offsets, labels, weights, background)
+    losses, grads = supervised_losses(scored, loss_layout(scored.offsets, term, None,
+                                                          params.num_classes))
     return float(losses[0]), grads
 
 

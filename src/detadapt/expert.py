@@ -77,8 +77,8 @@ def expert_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     The one-sample case of `supervised_losses`; no labels give zero.
     """
     scored = Scored(params, *pack([sample]))
-    terms = [(targets(sample.proposal_boxes, scored.offsets, labels, weights, background=None),
-              (cls_weight, reg_weight))]
-    layout = loss_layout(scored.offsets, terms, params.num_classes)
-    (losses, grads), = supervised_losses(scored, layout)
+    term = targets(sample.proposal_boxes, scored.offsets, labels, weights, background=None)
+    losses, grads = supervised_losses(scored, loss_layout(scored.offsets, term,
+                                                          (cls_weight, reg_weight),
+                                                          params.num_classes))
     return float(losses[0]), grads

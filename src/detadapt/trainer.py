@@ -6,15 +6,17 @@ there is no feature trunk for its reversed gradients to align.
 
 The teacher only ever moves by EMA; gradients touch only the student. A run
 packs its set's rows and fixed `Targets` (ground truth, or the frozen
-expert's) once, each epoch gathers them in shuffle order once, and each batch
-is a slice of those. Its losses come from one packed pass of the model being
-trained and one pass of the `supervised_losses` kernel for all of them; in
-adaptation one packed teacher pass gives the batch's pseudo-labels, each
+expert's) once; each epoch gathers them in shuffle order and lays the fixed
+term out once (`loss_layout`), and each batch is a slice of those rows and a
+cut of that layout (`LossLayout.cut`). A batch's losses come from one packed
+pass of the model being trained and one `supervised_losses` call per loss
+term, each on one term's layout: pretraining's ground truth; in adaptation
+the student's pseudo-labels, laid out per batch, and the expert's labels.
+In adaptation one packed teacher pass gives the batch's pseudo-labels, each
 supervising the pass row it was read from, so only the frozen expert's
-labels are matched to proposals by IoU, once per run. Labels reach the
-kernel as `Targets` of the whole batch laid out (`loss_layout`), and the
-kernel returns each sample's loss and the batch's gradients, summed by one
-product over the batch. At batch size 1 a run equals a per-sample loop bit
+labels are matched to proposals by IoU, once per run. The kernel returns
+each sample's loss and the batch's gradients, summed by one product over
+the batch. At batch size 1 a run equals a per-sample loop bit
 for bit. At larger batches the product adds the samples in another order
 than a per-sample sum (see `supervised_losses`), which moves the parameters'
 last bits: within a relative 2e-12 of the loop's after 10 default epochs. All
@@ -165,7 +167,8 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
 
     The source set's rows are packed and its ground-truth targets built,
     once. Each epoch gathers both in shuffle order (`segment_rows`,
-    `Targets.take`) and lays them out once (`loss_layout`): every array of
+    `Targets.take`) and lays them out once, as one detection term
+    (`loss_layout`), as `adapt` lays out the expert's term: every array of
     the loss that does not read the model (pass rows, GIoU target corners
     and areas, segment ids and offsets) is built 25 times in a default run,
     not once per each of its 800 steps. Each batch cuts its rows and layout
@@ -191,12 +194,12 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
         order = shuffle_rng.permutation(len(source_data))
         rows, block = segment_rows(offsets, order)
         x, b = features[rows], boxes[rows]
-        layout = loss_layout(block, [(source_targets.take(order), None)], config.num_classes)
+        layout = loss_layout(block, source_targets.take(order), None, config.num_classes)
         for start in range(0, len(order), config.batch_size):
             stop = min(start + config.batch_size, len(order))
             batch, part = layout.cut(start, stop), slice(block[start], block[stop])
             scored = Scored(params, x[part], b[part], batch.offsets)
-            (losses, grads), = supervised_losses(scored, batch)
+            losses, grads = supervised_losses(scored, batch)
             if not np.isfinite(losses).all():
                 raise TrainingError(f"non-finite pretrain loss at epoch {epoch}")
             params = sgd_step(params, grads.scaled(1.0 / (stop - start)), config.learning_rate)
@@ -248,14 +251,18 @@ def adapt(
       SA off nothing reads the bank or the majority set, so neither is
       filled nor computed. The batch's noise is one draw.
     - The student's pass over that array, on the teacher pass's boxes, feeds
-      one `supervised_losses` call on the `loss_layout` of two terms, the
-      student's `targets` and the expert's. Each label's class and the
-      student's class at its proposal travel as two int arrays: with SAL on,
-      one `relation_weights` call weighs both terms' labels, each sample's of
-      each term alone (the student's label offsets, then the expert's shifted
-      past them), and each term takes its slice of the weights; the
-      student's give one `batch_confusion` and one relation update per batch
-      (a batch without labels counts zero, which leaves the matrix as is).
+      one `supervised_losses` call per term: on the `loss_layout` of the
+      student's `targets`, and with the expert on, on the batch's cut of the
+      expert's epoch layout. Each label's class and the student's class at
+      its proposal travel as two int arrays, the expert's read at its cut's
+      `label_rows`: with SAL on, one `relation_weights` call weighs both
+      terms' labels, each sample's of each term alone (the student's label
+      offsets, then the expert's shifted past them). The student's slice of
+      the weights goes into its `targets`, and the expert's replaces its
+      cut's `ce_weight`, since an expert layout's CE rows are its labels in
+      label order. The student's classes give one `batch_confusion` and one
+      relation update per batch (a batch without labels counts zero, which
+      leaves the matrix as is).
     - `sgd_step` checks the step's gradients for finiteness, once per batch;
       a non-finite one raises `TrainingError` naming the epoch.
 
@@ -265,8 +272,9 @@ def adapt(
     proposals by IoU (`match_labels`) once per run, as one `Targets` block
     of the whole target set; augmentation and noise keep the proposal boxes,
     so those matches hold in every epoch. Each epoch takes them in shuffle
-    order once (`Targets.take`) and each batch cuts its samples' part from
-    that (`Targets.cut`); only their relation weights follow the student.
+    order and lays them out once (`Targets.take`, `loss_layout`), with their
+    class ids, and each batch cuts its samples' part of that layout
+    (`LossLayout.cut`); only their relation weights follow the student.
     """
     config.validate()
     num_classes = config.num_classes
@@ -286,7 +294,7 @@ def adapt(
 
     # the target rows, and the frozen expert's labels and matches, never change
     set_x, set_boxes, set_offsets = pack(ordered)
-    expert = None
+    expert, expert_layout = None, None
     if config.enable_expert:
         expert = targets(set_boxes, set_offsets, expert_predict(
             config.expert, ordered, [rng_stream(config.seed, "expert", s.id) for s in ordered],
@@ -300,7 +308,11 @@ def adapt(
         order = shuffle_rng.permutation(len(ordered))
         picked, block = segment_rows(set_offsets, order)
         epoch_x, epoch_boxes = set_x[picked], set_boxes[picked]
-        epoch_expert = None if expert is None else expert.take(order)
+        if expert is not None:  # laid out once per epoch, cut per batch
+            epoch_expert = expert.take(order)
+            expert_layout = loss_layout(block, epoch_expert, (config.expert_cls_weight,
+                                                              config.expert_reg_weight), num_classes)
+            expert_cls = epoch_expert.classes.argmax(axis=1)
         for start in range(0, len(order), config.batch_size):
             stop = min(start + config.batch_size, len(order))
             majority = relation.majority() if config.enable_sa and relation.ready else None
@@ -327,28 +339,29 @@ def adapt(
 
             # the student does not move within a batch: one pass scores every view
             scored_s = Scored(student, strong, boxes, offsets)
-            parts = [targets(boxes, offsets, labels, None, bg, rows)]
-            if epoch_expert is not None:
-                parts.append(epoch_expert.cut(start, stop))
-            # each part's label classes and the student's classes at their
-            # proposals; part t's sample i is segment t * n + i of one weights call
-            true_cls = np.concatenate([p.classes for p in parts]).argmax(axis=1)
-            pred_cls = scored_s.class_ids[np.concatenate([rows] + [p.label_rows(offsets)
-                                                                   for p in parts[1:]])]
+            # each label's class and the student's class at its proposal, the
+            # expert's labels following the student's: its sample i is segment
+            # len(rows) + i of one weights call
+            true_cls, pred_cls = labels.classes.argmax(axis=1), scored_s.class_ids[rows]
+            n, segments, weights = len(rows), label_offsets, None
+            if expert_layout is not None:
+                expert_batch = expert_layout.cut(start, stop)
+                labs = slice(expert_layout.label_offsets[start], expert_layout.label_offsets[stop])
+                true_cls = np.concatenate((true_cls, expert_cls[labs]))
+                pred_cls = np.concatenate((pred_cls, scored_s.class_ids[expert_batch.label_rows]))
+                segments = np.concatenate((label_offsets, expert_batch.label_offsets[1:] + n))
             if config.enable_sal:
-                n = len(rows)  # the expert's labels follow the student's
-                segments = np.concatenate([label_offsets] + [p.offsets[1:] + n for p in parts[1:]])
                 weights = relation_weights(relation, true_cls, pred_cls, config.weight_reg,
                                            segments)
-                parts = [p._replace(weights=weights[a:b])
-                         for p, a, b in zip(parts, (0, n), (n, None))]
-            # one kernel pass for both losses, each giving the batch's summed gradients
-            experts = [None, (config.expert_cls_weight, config.expert_reg_weight)]
-            layout = loss_layout(offsets, list(zip(parts, experts)), num_classes)
-            (loss_stu, g_stu), *expert_term = supervised_losses(scored_s, layout)
+                if expert_layout is not None:  # its CE rows are its labels, in order
+                    expert_batch = expert_batch._replace(ce_weight=weights[n:])
+                weights = weights[:n]
+            loss_stu, g_stu = supervised_losses(scored_s, loss_layout(
+                offsets, targets(boxes, offsets, labels, weights, bg, rows), None, num_classes))
             total = g_stu.scaled(config.unsup_weight)
             stu_losses.extend(loss_stu)
-            for loss_exp, g_exp in expert_term:
+            if expert_layout is not None:
+                loss_exp, g_exp = supervised_losses(scored_s, expert_batch)
                 total = total + g_exp
                 expert_losses.extend(loss_exp)
 
@@ -358,8 +371,7 @@ def adapt(
             except TrainingError as error:
                 raise TrainingError(f"non-finite loss at epoch {epoch}") from error
             teacher = ema_update(teacher, student, config.teacher_ema)
-            relation.update(batch_confusion(true_cls[:len(rows)], pred_cls[:len(rows)],
-                                            num_classes))
+            relation.update(batch_confusion(true_cls[:n], pred_cls[:n], num_classes))
 
         teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)
         student_eval = evaluate(student, eval_data, num_classes=num_classes)

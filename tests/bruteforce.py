@@ -455,8 +455,8 @@ def oracle_batch_pretrain(config) -> ModelParams:
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             scored = Scored(params, *pack([source_data[i] for i in batch.tolist()]))
-            (_, grads), = supervised_losses(scored, loss_layout(
-                scored.offsets, [(source_targets.take(batch), None)], config.num_classes))
+            _, grads = supervised_losses(scored, loss_layout(
+                scored.offsets, source_targets.take(batch), None, config.num_classes))
             params = sgd_step(params, grads.scaled(1.0 / len(batch)), config.learning_rate)
     return params
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bruteforce import oracle_match_labels, oracle_relation_weights, oracle_targets
-from detadapt.detector import Labels, Targets, match_labels, pack, targets
+from detadapt.detector import Labels, match_labels, pack, targets
 from detadapt.weighting import relation_weights
 from detadapt.world import box_iou, perturb_features
 from test_detector import mixed_samples, random_labels
@@ -197,23 +197,6 @@ def test_block_targets_equal_per_sample_targets(reverse):
                           np.concatenate([weights[k] for k in order]), background)
         for name in TARGET_FIELDS + ("offsets", "background_offsets"):
             assert np.array_equal(getattr(taken, name), getattr(rebuilt, name)), name
-
-
-def test_a_cut_of_targets_is_the_take_of_its_range():
-    # hard blocks give samples without labels; background "auto", None and
-    # lists give samples with all, none and some of their proposals
-    rng = np.random.default_rng(44)
-    for trial in range(30):
-        samples, label_sets = hard_block(rng, random_sizes(rng))
-        _, lists = background_choices(rng, samples)
-        background = ["auto", None, block_rows(samples, lists)][trial % 3]
-        block = targets(*packed_boxes(samples), Labels.pack(label_sets, 3),
-                        rng.uniform(0.2, 2.0, sum(map(len, label_sets))), background)
-        for a in range(len(samples) + 1):
-            for b in range(a, len(samples) + 1):
-                cut, taken = block.cut(a, b), block.take(range(a, b))
-                for name in Targets._fields:
-                    assert np.array_equal(getattr(cut, name), getattr(taken, name)), name
 
 
 def test_block_relation_weights_equal_per_sample_weights():

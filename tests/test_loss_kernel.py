@@ -22,9 +22,10 @@ from test_trainer import tiny_config
 GRADIENTS = ("w_cls", "b_cls", "w_reg", "b_reg")
 
 
-def kernel(scored, terms):
-    """`supervised_losses` on the `loss_layout` of `terms` on a scored block."""
-    return supervised_losses(scored, loss_layout(scored.offsets, terms, scored.num_classes))
+def kernel(scored, term, expert=None):
+    """`supervised_losses` on the `loss_layout` of one term on a scored block."""
+    return supervised_losses(scored, loss_layout(scored.offsets, term, expert,
+                                                 scored.num_classes))
 
 
 def assert_same(got, want):
@@ -151,9 +152,8 @@ def test_packed_block_matches_per_sample_oracles():
                                                    background)]).astype(int)
         block = pack(samples)[1:]
         packed, packed_weights = Labels.pack(labels, 3), np.concatenate(weights)
-        (got,) = kernel(scored, [(targets(*block, packed, packed_weights, rows), None)])
-        (got_expert,) = kernel(scored, [(targets(*block, packed, packed_weights, None),
-                                         (1.3, 0.7))])
+        got = kernel(scored, targets(*block, packed, packed_weights, rows))
+        got_expert = kernel(scored, targets(*block, packed, packed_weights, None), (1.3, 0.7))
         want = [oracle_detection_loss(params, sample, bbox_pairs(labels[i]), weights[i],
                                       background={"repeat": [0, 0]}.get(background[i],
                                                                         background[i]))
@@ -185,8 +185,8 @@ def test_segment_means_are_each_segments_running_sum():
                                   in zip(offsets, offsets[1:], counts)]).astype(int)
         weights = rng.uniform(0.2, 2.0, len(labels)) * 10.0 ** rng.integers(-3, 4, len(labels))
         scored = Scored(params, *pack(samples))
-        ((losses, _),) = kernel(scored, [(targets(boxes, offsets, labels, weights, None, matches),
-                                          (1.0, -0.0))])
+        losses, _ = kernel(scored, targets(boxes, offsets, labels, weights, None, matches),
+                           (1.0, -0.0))
         # each label's CE term, as the loop oracles take it
         terms = np.array([-w * (np.append(vec, 0.0) @ scored.log_scores[m])
                           for w, vec, m in zip(weights, labels.classes, matches)])
@@ -199,8 +199,8 @@ def test_segment_means_are_each_segments_running_sum():
     assert np.signbit(oracle_segment_means(np.array([-0.0, -0.0]), np.array([0, 2]))).tolist() \
         == [False]
     sample = random_sample(rng)
-    ((losses, _),) = kernel(Scored(params, *pack([sample])), [(targets(
-        *pack([sample])[1:], random_labels(rng), [-0.0, -0.0], None), (1.0, -0.0))])
+    losses, _ = kernel(Scored(params, *pack([sample])), targets(
+        *pack([sample])[1:], random_labels(rng), [-0.0, -0.0], None), (1.0, -0.0))
     assert losses.tolist() == [0.0] and np.signbit(losses).tolist() == [False]
 
 
@@ -268,7 +268,7 @@ def test_pretrain_equals_the_per_batch_loop_bit_for_bit(config):
 
 def test_a_block_of_no_label_sets_keeps_its_class_width_and_gives_zero_losses():
     # an empty pack: a block of no samples, whose (0, C) classes lay out and
-    # score like any block's, to no losses and zero gradients per term
+    # score like any block's, to no losses and zero gradients for either term
     params = random_params(np.random.default_rng(46))
     labels = Labels.pack([], params.num_classes)
     assert labels.classes.shape == (0, params.num_classes) and labels.offsets.tolist() == [0]
@@ -276,7 +276,8 @@ def test_a_block_of_no_label_sets_keeps_its_class_width_and_gives_zero_losses():
     scored = Scored(params, np.zeros((0, params.feature_dim)), boxes, offsets)
     terms = [(targets(boxes, offsets, labels), None),
              (targets(boxes, offsets, labels, background=None), (1.3, 0.7))]
-    for losses, grads in kernel(scored, terms):
+    for term, expert in terms:
+        losses, grads = kernel(scored, term, expert)
         assert losses.shape == (0,) and grads.loss == 0.0
         for name in GRADIENTS:
             assert getattr(grads, name).shape == getattr(params, name).shape
@@ -290,28 +291,54 @@ def test_a_cut_layout_is_the_layout_of_its_samples_alone(expert):
     # samples alone
     rng = np.random.default_rng(40)
     params = random_params(rng)
-    arrays = [name for name in LossLayout._fields if name != "experts"]
+    arrays = [name for name in LossLayout._fields if name != "expert"]
     for trial in range(40):
         samples = mixed_samples(rng, rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 12))))
         features, boxes, offsets = pack(samples)
         stu, exp = random_block_terms(rng, params, samples)
         part = exp if expert else stu
         a, b = sorted(rng.choice(len(samples) + 1, 2, replace=False).tolist())
-        cut = loss_layout(offsets, [(part, expert)], params.num_classes).cut(a, b)
-        alone = loss_layout(offsets[a:b + 1] - offsets[a], [(part.take(range(a, b)), expert)],
+        cut = loss_layout(offsets, part, expert, params.num_classes).cut(a, b)
+        alone = loss_layout(offsets[a:b + 1] - offsets[a], part.take(range(a, b)), expert,
                             params.num_classes)
         for name in arrays:
             got = getattr(cut, name)
             assert got.flags.c_contiguous and np.array_equal(got, getattr(alone, name)), name
-        assert cut.experts == alone.experts == (expert,)
+        assert cut.expert == alone.expert == expert
         rows = slice(offsets[a], offsets[b])
-        (got,) = supervised_losses(Scored(params, features[rows], boxes[rows], cut.offsets), cut)
-        (want,) = supervised_losses(Scored(params, *pack(samples[a:b])), alone)
+        got = supervised_losses(Scored(params, features[rows], boxes[rows], cut.offsets), cut)
+        want = supervised_losses(Scored(params, *pack(samples[a:b])), alone)
         assert np.array_equal(got[0], want[0])
         assert_same((got[1].loss, got[1]), (want[1].loss, want[1]))
-    two_terms = loss_layout(offsets, [(stu, None), (exp, (1.3, 0.7))], params.num_classes)
-    with pytest.raises(ValueError, match="one-term"):
-        two_terms.cut(0, 1)
+
+
+def test_an_expert_layouts_ce_rows_are_its_labels_so_their_weights_can_be_replaced():
+    # adaptation weighs a batch's expert labels (SAL) and writes the weights
+    # over the `ce_weight` of its cut of the epoch's expert layout: exact,
+    # since an expert term's CE rows are its labels, in label order
+    rng = np.random.default_rng(43)
+    params = random_params(rng)
+    for trial in range(40):
+        samples = mixed_samples(rng, rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 12))))
+        features, boxes, offsets = pack(samples)
+        _, exp = random_block_terms(rng, params, samples)
+        layout = loss_layout(offsets, exp, (1.3, 0.7), params.num_classes)
+        for ce, label in (("ce_rows", "label_rows"), ("ce_segment", "label_segment"),
+                          ("ce_offsets", "label_offsets")):
+            assert np.array_equal(getattr(layout, ce), getattr(layout, label)), ce
+        assert np.array_equal(layout.ce_weight, exp.weights)
+        assert np.array_equal(layout.ce_target[:, :params.num_classes], exp.classes)
+        a, b = sorted(rng.choice(len(samples) + 1, 2, replace=False).tolist())
+        part = exp.take(range(a, b))
+        weights = rng.uniform(0.2, 2.0, len(part.weights))
+        cut = layout.cut(a, b)._replace(ce_weight=weights)
+        alone = loss_layout(offsets[a:b + 1] - offsets[a], part._replace(weights=weights),
+                            (1.3, 0.7), params.num_classes)
+        rows = slice(offsets[a], offsets[b])
+        got = supervised_losses(Scored(params, features[rows], boxes[rows], cut.offsets), cut)
+        want = supervised_losses(Scored(params, *pack(samples[a:b])), alone)
+        assert np.array_equal(got[0], want[0])
+        assert_same((got[1].loss, got[1]), (want[1].loss, want[1]))
 
 
 def test_an_expert_term_with_background_rows_is_rejected():
@@ -325,10 +352,10 @@ def test_an_expert_term_with_background_rows_is_rejected():
         term = targets(sample.proposal_boxes, scored.offsets, labels, background=background,
                        matches=[0, 1])
         with pytest.raises(ValueError, match="expert term takes no background"):
-            loss_layout(scored.offsets, [(term, (1.0, 1.0))], scored.num_classes)
-        loss_layout(scored.offsets, [(term, None)], scored.num_classes)
+            loss_layout(scored.offsets, term, (1.0, 1.0), scored.num_classes)
+        loss_layout(scored.offsets, term, None, scored.num_classes)
     alone = targets(sample.proposal_boxes, scored.offsets, labels, background=None)
-    loss_layout(scored.offsets, [(alone, (1.0, 1.0))], scored.num_classes)
+    loss_layout(scored.offsets, alone, (1.0, 1.0), scored.num_classes)
 
 
 def test_layouts_of_another_block_are_rejected():
@@ -340,14 +367,15 @@ def test_layouts_of_another_block_are_rejected():
     pair = pack(samples[:2])
     # targets of three samples on a block of two
     with pytest.raises(ValueError, match="targets of another sample count than the block's 2"):
-        loss_layout(pair[2], [(stu, None)], params.num_classes)
-    layout = loss_layout(offsets, [(stu, None), (exp, (1.3, 0.7))], params.num_classes)
+        loss_layout(pair[2], stu, None, params.num_classes)
     # a layout of three samples on a pass of two, and one of another row count
     wider = mixed_samples(rng, [3, 2, 5])
-    for scored in (Scored(params, *pair), Scored(params, *pack(wider))):
-        with pytest.raises(ValueError, match="a layout of another block"):
-            supervised_losses(scored, layout)
-    kernel(Scored(params, *pack(samples)), [(stu, None), (exp, (1.3, 0.7))])
+    for term, expert in ((stu, None), (exp, (1.3, 0.7))):
+        layout = loss_layout(offsets, term, expert, params.num_classes)
+        for scored in (Scored(params, *pair), Scored(params, *pack(wider))):
+            with pytest.raises(ValueError, match="a layout of another block"):
+                supervised_losses(scored, layout)
+        kernel(Scored(params, *pack(samples)), term, expert)
 
 
 def giou_edge_cases(rng, n):
@@ -385,13 +413,13 @@ def test_giou_keeps_the_array_oracles_bits_on_edge_cases():
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def random_block_terms(rng, params, samples, with_expert_labels=True):
+def random_block_terms(rng, params, samples):
     """A block's student and expert `Targets`: some samples without labels,
     without expert labels or without background, repeated matches and the
     samples' own proposal counts, one-proposal samples included."""
     _, boxes, offsets = pack(samples)
     counts = [int(rng.integers(0, 4)) for _ in samples]
-    expert_counts = [int(rng.integers(0, 3)) * with_expert_labels for _ in samples]
+    expert_counts = [int(rng.integers(0, 3)) for _ in samples]
     parts = []
     for label_counts, background in ((counts, "mixed"), (expert_counts, None)):
         labels = Labels.pack((random_labels(rng, count=k, soft=True) for k in label_counts), 3)
@@ -406,49 +434,24 @@ def random_block_terms(rng, params, samples, with_expert_labels=True):
     return parts
 
 
-@pytest.mark.parametrize("with_expert_labels", [True, False])
-def test_fused_terms_equal_separate_calls(with_expert_labels):
-    rng = np.random.default_rng(39)
-    params = random_params(rng)
-    for trial in range(40):
-        sizes = rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 9)))
-        samples = mixed_samples(rng, sizes)
-        scored = Scored(params, *pack(samples))
-        stu, exp = random_block_terms(rng, params, samples, with_expert_labels)
-        weights = (1.3, 0.7)
-        for terms in ([(stu, None), (exp, weights)], [(exp, weights), (stu, None)],
-                      [(stu, None)], [(exp, weights)], [(stu, None), (exp, weights), (stu, None)]):
-            fused = kernel(scored, terms)
-            separate = [kernel(scored, [term])[0] for term in terms]
-            assert len(fused) == len(terms)
-            for (losses, grads), (want_losses, want_grads) in zip(fused, separate):
-                assert np.array_equal(losses, want_losses)
-                assert_same((grads.loss, grads), (want_grads.loss, want_grads))
-        (_, g_stu), (_, g_exp) = kernel(scored, [(stu, None), (exp, weights)])
-        ((_, want_stu),), ((_, want_exp),) = (kernel(scored, [(stu, None)]),
-                                              kernel(scored, [(exp, weights)]))
-        for u in (0.0, 0.5, 1.0):
-            got, want = g_stu.scaled(u) + g_exp, want_stu.scaled(u) + want_exp
-            assert_same((got.loss, got), (want.loss, want))
-
-
-def test_adapt_makes_one_kernel_pass_and_one_weights_call_per_batch(monkeypatch):
-    config = ablation_variants(tiny_config(epochs=2))["full"]
+@pytest.mark.parametrize("variant", ["full", "sal", "base"])
+def test_adapt_runs_one_kernel_call_per_term_and_lays_the_expert_out_once_per_epoch(
+        variant, monkeypatch):
+    # per batch one kernel call per term, the student's and, with the expert
+    # on, the expert's, and under SAL one weights call for both terms' labels;
+    # the student's layout is laid out per batch, the expert's once per epoch
+    config = ablation_variants(tiny_config(epochs=2))[variant]
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
-    calls = {"loss": 0, "weights": 0}
-    real_losses, real_weights = trainer.supervised_losses, trainer.relation_weights
-
-    def losses(*args, **kwargs):
-        calls["loss"] += 1
-        return real_losses(*args, **kwargs)
-
-    def weights(*args, **kwargs):
-        calls["weights"] += 1
-        return real_weights(*args, **kwargs)
-
-    monkeypatch.setattr(trainer, "supervised_losses", losses)
-    monkeypatch.setattr(trainer, "relation_weights", weights)
+    calls = dict.fromkeys(("supervised_losses", "relation_weights", "loss_layout"), 0)
+    for name in calls:
+        def counted(*args, real=getattr(trainer, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(trainer, name, counted)
     adapt(params, target, config)
     batches = config.epochs * -(-len(target) // config.batch_size)
-    assert calls == {"loss": batches, "weights": batches}
+    expert = int(config.enable_expert)
+    assert calls == {"supervised_losses": batches * (1 + expert),
+                     "relation_weights": batches * config.enable_sal,
+                     "loss_layout": batches + config.epochs * expert}

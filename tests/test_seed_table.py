@@ -26,6 +26,15 @@ def test_seed_ranges():
     assert seed_table.parse_seeds("3") == [3]
 
 
+@pytest.mark.parametrize("text", ["4-2", "x", "1-y", ""])
+def test_seeds_that_are_no_range_are_usage_errors(text, capsys):
+    # a falling range holds no seed, and would run nothing and then fail in `render`
+    with pytest.raises(SystemExit) as stopped:
+        seed_table.main([REPO, "--seeds", text])
+    assert stopped.value.code == 2
+    assert "argument --seeds: " in capsys.readouterr().err
+
+
 def test_runs_read_each_variants_last_history_row(tmp_path, tiny_config):
     out = tmp_path / "seed_1"
     finals = seed_table.run_seed(REPO, 1, 2, tiny_config, str(out))

@@ -429,18 +429,20 @@ def test_crop_bank_and_class_split_serve_augmentation_alone(busy_run, monkeypatc
 
 @pytest.mark.parametrize("epoch", [0, 1])
 def test_a_non_finite_gradient_stops_adapt_naming_its_epoch(epoch, busy_run, monkeypatch):
-    # the student's gradient turns NaN at the epoch's second batch
+    # the student's gradient turns NaN at the epoch's second batch; each
+    # batch's first kernel call is the student's term, its second the expert's
     config, params, target = busy_run
     config = dataclasses.replace(ablation_variants(config)["full"], epochs=2)
     bad = epoch * -(-len(target) // config.batch_size) + 2
     real, calls = trainer.supervised_losses, []
 
     def corrupted(scored, layout):
-        terms = real(scored, layout)
-        calls.append(layout)
-        if len(calls) == bad:
-            terms[0][1].flat[0] = np.nan
-        return terms
+        losses, grads = real(scored, layout)
+        if layout.expert is None:
+            calls.append(layout)
+            if len(calls) == bad:
+                grads.flat[0] = np.nan
+        return losses, grads
 
     monkeypatch.setattr(trainer, "supervised_losses", corrupted)
     with pytest.raises(detector.TrainingError, match=f"^non-finite loss at epoch {epoch}$"):
@@ -585,22 +587,17 @@ def test_out_of_range_expert_rates_are_config_errors():
             AdaptationConfig.from_dict({"expert": bad})
 
 
-def expert_label_sets(targets, count):
-    """The (boxes, classes) of each of a block's `count` samples in its expert targets."""
-    return [(targets.boxes[a:b], targets.classes[a:b])
-            for a, b in zip(targets.offsets[:count], targets.offsets[1:count + 1])]
-
-
 def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatch):
     # the expert stands for a frozen model: one draw per target sample, from
     # its own stream, all before training starts, and the same labels reach
-    # the loss every epoch
+    # the loss every epoch: each epoch lays them out once, and its batches'
+    # cuts of that layout give each sample's labels to the kernel once
     config = ablation_variants(tiny_config(epochs=3))["full"]
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
     events, drawn, seen = [], {}, [{} for _ in range(config.epochs)]
     block, samples_of = [], pass_samples(target)
-    real_predict, real_layout = trainer.expert_predict, trainer.loss_layout
+    real_predict, real_losses = trainer.expert_predict, trainer.supervised_losses
     real_scored, real_evaluate = trainer.Scored, trainer.evaluate
 
     def predict(spec, samples, rngs, num_classes):
@@ -610,16 +607,16 @@ def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatc
             drawn[sample.id] = labels.boxes[a:b], labels.classes[a:b]
         return labels
 
-    def layout(offsets, terms, num_classes):
-        # one call per batch, its terms the student's labels and the expert's
-        for targets, weights in terms:
-            if weights is not None:
-                epoch = events.count("epoch end")
-                for sample_id, labels in zip(block[-1],
-                                             expert_label_sets(targets, len(block[-1]))):
-                    seen[epoch].setdefault(sample_id, []).append(labels)
+    def losses(scored, layout):
+        # an expert layout's CE rows are its labels, so their targets' first C
+        # columns are the labels' classes
+        if layout.expert is not None:
+            epoch = events.count("epoch end")
+            for sample_id, a, b in zip(block[-1], layout.label_offsets, layout.label_offsets[1:]):
+                seen[epoch].setdefault(sample_id, []).append(
+                    (layout.label_boxes[a:b], layout.ce_target[a:b, :config.num_classes]))
         events.append("loss")
-        return real_layout(offsets, terms, num_classes)
+        return real_losses(scored, layout)
 
     def scored(params, features, boxes, offsets, *args):
         block.append(samples_of(boxes, offsets))
@@ -631,7 +628,7 @@ def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatc
         return real_evaluate(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "expert_predict", predict)
-    monkeypatch.setattr(trainer, "loss_layout", layout)
+    monkeypatch.setattr(trainer, "supervised_losses", losses)
     monkeypatch.setattr(trainer, "Scored", scored)
     monkeypatch.setattr(trainer, "evaluate", evaluate)
     adapt(params, target, config)

@@ -19,7 +19,9 @@ a noisy expert (miss rate .3, flip rate .5), on a target world of one
 proposal per sample and on a dense-background target world (Poisson rate
 10 of background proposals, boxes of sides 20 to 60), where proposals
 overlap most, so a change to how labels reach their proposals shows there
-first (3 epochs each), the
+first, and of the full method at batch size 7, whose batches cut the
+expert's epoch layout at bounds that are not multiples of 16 and whose last
+batch is 3 samples (3 epochs each), the
 score-large partition and evaluation (that source model on a target set ten
 times the default size), CLI eval of that source
 model twice (once generating and saving the target set, once reloading the
@@ -87,7 +89,9 @@ source_params = os.path.join(out, "pretrain", "source_params.json")
 # world of one proposal per sample every batch row takes `_heads`' one-row
 # products, on row views of the epoch's rows; and a dense-background world's
 # proposals overlap most, where a label's box lies nearest other proposals
-# than its own; without background targets the student's term has labels only
+# than its own; without background targets the student's term has labels only;
+# at batch size 7 the expert's epoch layout is cut at bounds off the default
+# batches', and the last of the 500 samples' batches holds 3
 one_proposal_target = dataclasses.replace(base.target, max_objects=1, background_rate=0.0)
 crowded_target = dataclasses.replace(base.target, min_objects=4, max_objects=6, min_box=20.0,
                                      max_box=40.0)
@@ -105,7 +109,8 @@ runs = {"full": variants["full"], "base": variants["base"],
         "full-one-proposal": dataclasses.replace(variants["full"], epochs=3,
                                                  target=one_proposal_target),
         "full-dense-background": dataclasses.replace(variants["full"], epochs=3,
-                                                     target=dense_target)}
+                                                     target=dense_target),
+        "full-batch7": dataclasses.replace(variants["full"], batch_size=7, epochs=3)}
 for name, variant in runs.items():
     config_path = os.path.join(out, f"config_{name}.json")
     variant.save_json(config_path)

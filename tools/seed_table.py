@@ -35,9 +35,18 @@ DOMINANT = (0, 1, 2)
 
 
 def parse_seeds(text: str) -> list[int]:
-    """"0-4" is seeds 0 to 4; "3" is seed 3 alone."""
+    """"0-4" is seeds 0 to 4; "3" is seed 3 alone. Anything else, a range
+    that holds no seed such as "4-2" included, is an `ArgumentTypeError`,
+    which argparse reports as a usage error (exit 2)."""
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    try:
+        seeds = list(range(int(first), int(last or first) + 1))
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} is neither a rising range such as 0-4 "
+                                         f"nor one seed")
+    return seeds
 
 
 def run_seed(tree: str, seed: int, epochs: int, config: dict, out: str) -> dict:
@@ -119,10 +128,11 @@ def main(argv=None) -> int:
     parser.add_argument("tree")
     parser.add_argument("--against", metavar="PARENT",
                         help="a second tree, run on the same seeds, to pair with TREE")
-    parser.add_argument("--seeds", default="0-4", help='a range, "0-4", or one seed')
+    parser.add_argument("--seeds", type=parse_seeds, default="0-4",
+                        help='a range, "0-4", or one seed')
     parser.add_argument("--epochs", type=int, default=50)
     args = parser.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    seeds = args.seeds
     with tempfile.TemporaryDirectory() as tmp:
         results = {seed: run_seed(args.tree, seed, args.epochs, {},
                                   os.path.join(tmp, f"seed_{seed}"))
