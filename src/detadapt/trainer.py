@@ -4,24 +4,22 @@ expert supervision. A subset discriminator loss with gradient reversal is
 provided, but not trained here: the detector is linear in the raw features, so
 there is no feature trunk for its reversed gradients to align.
 
-The teacher only ever moves by EMA; gradients touch only the student. A run
-packs its set's rows and fixed `Targets` (ground truth, or the frozen
-expert's) once; each epoch gathers them in shuffle order and lays the fixed
-term out once (`loss_layout`), and each batch is a slice of those rows and a
-cut of that layout (`LossLayout.cut`). A batch's losses come from one packed
-pass of the model being trained and one `supervised_losses` call per loss
-term, each on one term's layout: pretraining's ground truth; in adaptation
-the student's pseudo-labels, laid out per batch, and the expert's labels.
-In adaptation one packed teacher pass gives the batch's pseudo-labels, each
-supervising the pass row it was read from, so only the frozen expert's
-labels are matched to proposals by IoU, once per run. The kernel returns
-each sample's loss and the batch's gradients, summed by one product over
-the batch. At batch size 1 a run equals a per-sample loop bit
-for bit. At larger batches the product adds the samples in another order
-than a per-sample sum (see `supervised_losses`), which moves the parameters'
-last bits: within a relative 2e-12 of the loop's after 10 default epochs. All
-randomness flows from the single config seed through named sub-streams, so a
-run is a pure function of its config.
+The teacher only ever moves by EMA; gradients touch only the student.
+`adapt` builds a run's first `AdaptState` and its `AdaptFixed` set, then
+runs `adapt_epoch` once per epoch; the state holds all that crosses an epoch
+boundary, so a run stopped between epochs continues from its state alone.
+Pretraining and adaptation follow one batch plan (`_batches`): a batch's
+losses come from one packed pass of the model being trained and one
+`supervised_losses` call per loss term, each on one term's layout:
+pretraining's ground truth; in adaptation the student's pseudo-labels, laid
+out per batch, and the expert's labels. The kernel returns each sample's
+loss and the batch's gradients, summed by one product over the batch. At
+batch size 1 a run equals a per-sample loop bit for bit. At larger batches
+the product adds the samples in another order than a per-sample sum (see
+`supervised_losses`), which moves the parameters' last bits: within a
+relative 2e-12 of the loop's after 10 default epochs. All randomness flows
+from the single config seed through named sub-streams, so a run is a pure
+function of its config.
 """
 
 from __future__ import annotations
@@ -31,12 +29,13 @@ import dataclasses
 import io
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import AdaptationConfig
 from .cropbank import Cropbank, augment_sample
-from .detector import (Labels, ModelParams, Scored, TrainingError, loss_layout, pack,
+from .detector import (Labels, ModelParams, Scored, Targets, TrainingError, loss_layout, pack,
                        save_params, segment_rows, sgd_step, supervised_losses, targets)
 from .expert import expert_predict
 from .metrics import EvalResult, evaluate
@@ -162,22 +161,113 @@ class TrainHistory:
         write_atomic(path, self.to_csv_text())
 
 
+@dataclass
+class AdaptState:
+    """Everything of an adaptation run that crosses an epoch boundary: `epoch`,
+    the number of epochs run and so the index of the next, the student, the
+    teacher, the relation matrix, the crop bank and the history. The random
+    streams are drawn per epoch (`rng_stream(seed, name, epoch)`), so they
+    are no state. A state pickled after any epoch and continued gives the
+    uninterrupted run bit for bit.
+
+    `adapt_epoch` advances `relation`, `bank` and `history` in place, so it
+    consumes the state passed to it. A caller that wants to branch a run
+    copies (`copy.deepcopy`) or pickles the state first.
+    """
+
+    epoch: int
+    student: ModelParams
+    teacher: ModelParams
+    relation: RelationMatrix
+    bank: Cropbank
+    history: TrainHistory
+
+    @classmethod
+    def start(cls, source_params: ModelParams, config: AdaptationConfig) -> "AdaptState":
+        """Epoch 0: student and teacher are copies of the source model."""
+        return cls(0, source_params.copy(), source_params.copy(),
+                   RelationMatrix.identity(config.num_classes, config.relation_ema),
+                   Cropbank(config.bank_capacity, config.num_classes),
+                   TrainHistory(config.num_classes))
+
+
+class AdaptFixed(NamedTuple):
+    """What an adaptation run builds once and never changes: the target set,
+    sorted by id and packed (`pack`), the frozen expert's `Targets` of it
+    (None with the expert off) and the eval set.
+
+    The expert is frozen: one `expert_predict` call draws each target
+    sample's labels, from `rng_stream(seed, "expert", sample id)`. They are
+    free boxes, not proposal rows, so they are matched to the proposals by
+    IoU (`match_labels`) once per run, as one `Targets` block of the whole
+    target set; augmentation and noise keep the proposal boxes, so those
+    matches hold in every epoch. The eval set is a fresh world of the
+    target spec, `eval_size` samples from `derive_seed(seed, "world", "eval")`.
+    """
+
+    packed: tuple[np.ndarray, np.ndarray, np.ndarray]
+    expert: Targets | None
+    eval_data: list[DetectionSample]
+
+    @classmethod
+    def build(cls, target_data: list[DetectionSample], config: AdaptationConfig) -> "AdaptFixed":
+        """Raises `ValueError` if two target samples share an id."""
+        ordered = sorted_by_id(target_data)
+        eval_spec = dataclasses.replace(config.target, size=config.eval_size)
+        eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
+        x, boxes, offsets = pack(ordered)
+        expert = None
+        if config.enable_expert:
+            expert = targets(boxes, offsets, expert_predict(
+                config.expert, ordered, [rng_stream(config.seed, "expert", s.id) for s in ordered],
+                config.num_classes), background=None)
+        return cls((x, boxes, offsets), expert, eval_data)
+
+
+def _batches(packed, fixed: Targets | None, expert: tuple[float, float] | None,
+             shuffle_rng: np.random.Generator, config: AdaptationConfig):
+    """One epoch's batches of a packed set, its samples shuffled by one
+    `shuffle_rng.permutation`, each with its part of the set's fixed loss
+    term.
+
+    A run packs its set's rows (`pack`) and builds its fixed `Targets`
+    (pretraining's ground truth, adaptation's frozen expert labels) once.
+    Each epoch gathers the rows in shuffle order (`segment_rows`) and takes
+    the fixed term in that order and lays it out once (`Targets.take`,
+    `loss_layout`; with `expert` None as a detection term, else as an expert
+    term of those weights): every array of the loss that does not read the
+    model (pass rows, GIoU target corners and areas, segment ids and
+    offsets) is built once per epoch, not once per step. Each batch of
+    `config.batch_size` samples, the last perhaps fewer, is a slice of those
+    rows, row-range views that nothing writes into, and a cut of that layout
+    (`LossLayout.cut`), with the bits of the batch packed and laid out
+    alone. Yields each batch's features, boxes, offsets (from 0) and cut;
+    without a fixed term the cut is None.
+    """
+    x, boxes, offsets = packed
+    order = shuffle_rng.permutation(len(offsets) - 1)
+    rows, block = segment_rows(offsets, order)
+    x, boxes = x[rows], boxes[rows]
+    layout = None if fixed is None else loss_layout(block, fixed.take(order), expert,
+                                                    config.num_classes)
+    for start in range(0, len(order), config.batch_size):
+        stop = min(start + config.batch_size, len(order))
+        part = slice(block[start], block[stop])
+        yield (x[part], boxes[part], block[start:stop + 1] - block[start],
+               None if layout is None else layout.cut(start, stop))
+
+
 def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDataset]:
     """Supervised training on freshly generated source data, then seal it.
 
     The source set's rows are packed and its ground-truth targets built,
-    once. Each epoch gathers both in shuffle order (`segment_rows`,
-    `Targets.take`) and lays them out once, as one detection term
-    (`loss_layout`), as `adapt` lays out the expert's term: every array of
-    the loss that does not read the model (pass rows, GIoU target corners
-    and areas, segment ids and offsets) is built 25 times in a default run,
-    not once per each of its 800 steps. Each batch cuts its rows and layout
-    out of the epoch's (`LossLayout.cut`) for one packed pass and one
-    `supervised_losses` call, with the bits of the batch packed and laid out
-    alone; each step takes the mean of its gradients, one op on the
-    gradients' `flat` buffer, and `sgd_step` is one more on the model's. With
-    pretrain_epochs=0 the randomly initialized model is returned as-is. The
-    sealed handle is returned so callers can prove the source stays closed.
+    once; each epoch runs the batch plan of `_batches` on them, as one
+    detection term. Each batch is one packed pass and one
+    `supervised_losses` call on its cut; each step takes the mean of its
+    gradients, one op on the gradients' `flat` buffer, and `sgd_step` is one
+    more on the model's. With pretrain_epochs=0 the randomly initialized
+    model is returned as-is. The sealed handle is returned so callers can
+    prove the source stays closed.
     """
     config.validate()
     source_data = generate_domain(config.source, derive_seed(config.seed, "world", "source"))
@@ -185,51 +275,39 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
                               rng_stream(config.seed, "init"),
                               dropout_rate=config.dropout_rate)
     # rows and ground-truth matches never change, so both are packed once, as one block
-    features, boxes, offsets = pack(source_data)
-    source_targets = targets(boxes, offsets, Labels.pack(
+    packed = pack(source_data)
+    source_targets = targets(packed[1], packed[2], Labels.pack(
         (Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes) for s in source_data),
         config.num_classes))
     shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
     for epoch in range(config.pretrain_epochs):
-        order = shuffle_rng.permutation(len(source_data))
-        rows, block = segment_rows(offsets, order)
-        x, b = features[rows], boxes[rows]
-        layout = loss_layout(block, source_targets.take(order), None, config.num_classes)
-        for start in range(0, len(order), config.batch_size):
-            stop = min(start + config.batch_size, len(order))
-            batch, part = layout.cut(start, stop), slice(block[start], block[stop])
-            scored = Scored(params, x[part], b[part], batch.offsets)
-            losses, grads = supervised_losses(scored, batch)
+        for x, boxes, offsets, batch in _batches(packed, source_targets, None, shuffle_rng,
+                                                 config):
+            losses, grads = supervised_losses(Scored(params, x, boxes, offsets), batch)
             if not np.isfinite(losses).all():
                 raise TrainingError(f"non-finite pretrain loss at epoch {epoch}")
-            params = sgd_step(params, grads.scaled(1.0 / (stop - start)), config.learning_rate)
+            params = sgd_step(params, grads.scaled(1.0 / (len(offsets) - 1)),
+                              config.learning_rate)
     sealed = SealedDataset(source_data)
     sealed.seal()
     return params, sealed
 
 
-def adapt(
-    source_params: ModelParams,
-    target_data: list[DetectionSample],
-    config: AdaptationConfig,
-    out_dir: str | None = None,
-) -> tuple[ModelParams, TrainHistory]:
-    """Source-free adaptation; returns the final teacher and the epoch history,
-    whose `final_teacher_eval` is that teacher's evaluation on the eval set:
-    the last epoch's, or at 0 epochs one of the source model it returns.
+def adapt_epoch(state: AdaptState, fixed: AdaptFixed, config: AdaptationConfig) -> AdaptState:
+    """Epoch `state.epoch` of adaptation; returns the state after it, whose
+    history holds the epoch's record and teacher evaluation. Consumes
+    `state` (see `AdaptState`).
 
-    Per batch: teacher pseudo-labels each clean sample, the student trains on
-    the augmented noisy view with relation-derived instance weights plus expert
-    supervision, the teacher follows by EMA, and the relation matrix and crop
-    banks absorb the batch statistics. Target sample ids must be distinct.
-    With `out_dir`, each epoch's teacher and relation rows are saved there.
+    Per batch: the teacher pseudo-labels each clean sample, the student
+    trains on the augmented noisy view with relation-derived instance
+    weights plus expert supervision, the teacher follows by EMA, and the
+    relation matrix and crop banks absorb the batch statistics. The batches
+    follow `_batches`, the expert's labels being the fixed term.
 
     Per sample-step each model runs forward once, in one packed pass per
-    batch, since neither model moves within a batch, on row-range views of
-    the epoch's rows (the target set, packed once and gathered in shuffle
-    order by `segment_rows`), which nothing writes into. Labels, targets and
-    weights are arrays over the whole batch, with per-sample offsets; Python
-    loops over samples only where the order demands it:
+    batch, since neither model moves within a batch. Labels, targets and
+    weights are arrays over the whole batch, with per-sample offsets;
+    Python loops over samples only where the order demands it:
     - The teacher's pass gives the batch's confident rows (`pseudo_label`,
       cut into samples by `np.searchsorted` at the pass's offsets) and its
       background rows (`background_indices`), one call each. The confident
@@ -254,144 +332,127 @@ def adapt(
       one `supervised_losses` call per term: on the `loss_layout` of the
       student's `targets`, and with the expert on, on the batch's cut of the
       expert's epoch layout. Each label's class and the student's class at
-      its proposal travel as two int arrays, the expert's read at its cut's
-      `label_rows`: with SAL on, one `relation_weights` call weighs both
-      terms' labels, each sample's of each term alone (the student's label
-      offsets, then the expert's shifted past them). The student's slice of
-      the weights goes into its `targets`, and the expert's replaces its
-      cut's `ce_weight`, since an expert layout's CE rows are its labels in
-      label order. The student's classes give one `batch_confusion` and one
-      relation update per batch (a batch without labels counts zero, which
-      leaves the matrix as is).
+      its proposal travel as two int arrays. An expert layout's CE rows are
+      its one-hot labels, in label order, so the expert's classes are its
+      cut's `ce_target` argmax, and the student's at them is read at the
+      cut's `label_rows`. With SAL on, one `relation_weights` call weighs
+      both terms' labels, each sample's of each term alone (the student's
+      label offsets, then the expert's shifted past them). The student's
+      slice of the weights goes into its `targets`, and the expert's
+      replaces its cut's `ce_weight`. The student's classes give one
+      `batch_confusion` and one relation update per batch (a batch without
+      labels counts zero, which leaves the matrix as is).
     - `sgd_step` checks the step's gradients for finiteness, once per batch;
       a non-finite one raises `TrainingError` naming the epoch.
 
-    The expert is frozen: before epoch 0 one `expert_predict` call draws
-    each target sample's labels, from `rng_stream(seed, "expert", sample
-    id)`. They are free boxes, not proposal rows, so they are matched to the
-    proposals by IoU (`match_labels`) once per run, as one `Targets` block
-    of the whole target set; augmentation and noise keep the proposal boxes,
-    so those matches hold in every epoch. Each epoch takes them in shuffle
-    order and lays them out once (`Targets.take`, `loss_layout`), with their
-    class ids, and each batch cuts its samples' part of that layout
-    (`LossLayout.cut`); only their relation weights follow the student.
+    After the last batch the teacher and the student are evaluated on the
+    eval set.
+    """
+    num_classes, epoch = config.num_classes, state.epoch
+    student, teacher, relation, bank = state.student, state.teacher, state.relation, state.bank
+    aug_rng = rng_stream(config.seed, "augment", epoch)
+    noise_rng = rng_stream(config.seed, "noise", epoch)
+    stu_losses, expert_losses = [], []
+    for x, boxes, offsets, expert_batch in _batches(
+            fixed.packed, fixed.expert, (config.expert_cls_weight, config.expert_reg_weight),
+            rng_stream(config.seed, "shuffle", epoch), config):
+        majority = relation.majority() if config.enable_sa and relation.ready else None
+        scored_t = Scored(teacher, x, boxes, offsets)
+        # the teacher's confident rows become the batch's hard labels, one block
+        rows = pseudo_label(teacher, scored_t, config.conf_threshold)
+        label_offsets = rows.searchsorted(offsets)
+        labels = Labels.one_hot(scored_t.boxes[rows], scored_t.class_ids[rows], num_classes,
+                                label_offsets)
+
+        strong = scored_t.h
+        if config.enable_sa:
+            if majority is not None:
+                strong, labels = augment_sample(strong, labels, relation, majority, bank,
+                                                config.p_aug, config.mix_ratio, aug_rng,
+                                                matches=rows)
+            # then the bank files the clean features of confident instances,
+            # the teacher's unperturbed pass rows, one push per batch
+            bank.push(scored_t.class_ids[rows], scored_t.h[rows])
+        strong = perturb_features(strong, config.noise_scale, noise_rng)
+        bg = background_indices(scored_t, config.background_bar)
+
+        # the student does not move within a batch: one pass scores every view
+        scored_s = Scored(student, strong, boxes, offsets)
+        # each label's class and the student's class at its proposal, the
+        # expert's labels following the student's: its sample i is segment
+        # len(rows) + i of one weights call
+        true_cls, pred_cls = labels.classes.argmax(axis=1), scored_s.class_ids[rows]
+        n, segments, weights = len(rows), label_offsets, None
+        if expert_batch is not None:
+            true_cls = np.concatenate((true_cls, expert_batch.ce_target.argmax(axis=1)))
+            pred_cls = np.concatenate((pred_cls, scored_s.class_ids[expert_batch.label_rows]))
+            segments = np.concatenate((label_offsets, expert_batch.label_offsets[1:] + n))
+        if config.enable_sal:
+            weights = relation_weights(relation, true_cls, pred_cls, config.weight_reg,
+                                       segments)
+            if expert_batch is not None:  # its CE rows are its labels, in order
+                expert_batch = expert_batch._replace(ce_weight=weights[n:])
+            weights = weights[:n]
+        loss_stu, g_stu = supervised_losses(scored_s, loss_layout(
+            offsets, targets(boxes, offsets, labels, weights, bg, rows), None, num_classes))
+        total = g_stu.scaled(config.unsup_weight)
+        stu_losses.extend(loss_stu)
+        if expert_batch is not None:
+            loss_exp, g_exp = supervised_losses(scored_s, expert_batch)
+            total = total + g_exp
+            expert_losses.extend(loss_exp)
+
+        try:  # `sgd_step` checks the gradients' finiteness, once per batch
+            student = sgd_step(student, total.scaled(1.0 / (len(offsets) - 1)),
+                               config.learning_rate)
+        except TrainingError as error:
+            raise TrainingError(f"non-finite loss at epoch {epoch}") from error
+        teacher = ema_update(teacher, student, config.teacher_ema)
+        relation.update(batch_confusion(true_cls[:n], pred_cls[:n], num_classes))
+
+    teacher_eval = evaluate(teacher, fixed.eval_data, num_classes=num_classes)
+    student_eval = evaluate(student, fixed.eval_data, num_classes=num_classes)
+    state.history.records.append(EpochRecord(
+        epoch=epoch,
+        student_map=student_eval.map50,
+        teacher_map=teacher_eval.map50,
+        per_class_ap=teacher_eval.per_class_ap,
+        loss_stu=float(np.mean(stu_losses)) if stu_losses else 0.0,
+        loss_expert=float(np.mean(expert_losses)) if expert_losses else 0.0,
+    ))
+    state.history.final_teacher_eval = teacher_eval
+    return dataclasses.replace(state, epoch=epoch + 1, student=student, teacher=teacher)
+
+
+def adapt(
+    source_params: ModelParams,
+    target_data: list[DetectionSample],
+    config: AdaptationConfig,
+    out_dir: str | None = None,
+) -> tuple[ModelParams, TrainHistory]:
+    """Source-free adaptation; returns the final teacher and the epoch history,
+    whose `final_teacher_eval` is that teacher's evaluation on the eval set:
+    the last epoch's, or at 0 epochs one of the source model it returns.
+    Target sample ids must be distinct.
+
+    A run is its setup (`AdaptState.start`, `AdaptFixed.build`) and one
+    `adapt_epoch` per epoch. With `out_dir`, each epoch's teacher and
+    relation rows are saved there after the epoch.
     """
     config.validate()
-    num_classes = config.num_classes
-    ordered = sorted_by_id(target_data)
-
-    student = source_params.copy()
-    teacher = source_params.copy()
-    relation = RelationMatrix.identity(num_classes, config.relation_ema)
-    bank = Cropbank(config.bank_capacity, num_classes)
-
-    eval_spec = dataclasses.replace(config.target, size=config.eval_size)
-    eval_data = generate_domain(eval_spec, derive_seed(config.seed, "world", "eval"))
-
-    history = TrainHistory(num_classes)
+    state, fixed = AdaptState.start(source_params, config), AdaptFixed.build(target_data, config)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-
-    # the target rows, and the frozen expert's labels and matches, never change
-    set_x, set_boxes, set_offsets = pack(ordered)
-    expert, expert_layout = None, None
-    if config.enable_expert:
-        expert = targets(set_boxes, set_offsets, expert_predict(
-            config.expert, ordered, [rng_stream(config.seed, "expert", s.id) for s in ordered],
-            num_classes), background=None)
-    for epoch in range(config.epochs):
-        shuffle_rng = rng_stream(config.seed, "shuffle", epoch)
-        aug_rng = rng_stream(config.seed, "augment", epoch)
-        noise_rng = rng_stream(config.seed, "noise", epoch)
-
-        stu_losses, expert_losses = [], []
-        order = shuffle_rng.permutation(len(ordered))
-        picked, block = segment_rows(set_offsets, order)
-        epoch_x, epoch_boxes = set_x[picked], set_boxes[picked]
-        if expert is not None:  # laid out once per epoch, cut per batch
-            epoch_expert = expert.take(order)
-            expert_layout = loss_layout(block, epoch_expert, (config.expert_cls_weight,
-                                                              config.expert_reg_weight), num_classes)
-            expert_cls = epoch_expert.classes.argmax(axis=1)
-        for start in range(0, len(order), config.batch_size):
-            stop = min(start + config.batch_size, len(order))
-            majority = relation.majority() if config.enable_sa and relation.ready else None
-            part = slice(block[start], block[stop])
-            boxes, offsets = epoch_boxes[part], block[start:stop + 1] - block[start]
-            scored_t = Scored(teacher, epoch_x[part], boxes, offsets)
-            # the teacher's confident rows become the batch's hard labels, one block
-            rows = pseudo_label(teacher, scored_t, config.conf_threshold)
-            label_offsets = rows.searchsorted(offsets)
-            labels = Labels.one_hot(scored_t.boxes[rows], scored_t.class_ids[rows], num_classes,
-                                    label_offsets)
-
-            strong = scored_t.h
-            if config.enable_sa:
-                if majority is not None:
-                    strong, labels = augment_sample(strong, labels, relation, majority, bank,
-                                                    config.p_aug, config.mix_ratio, aug_rng,
-                                                    matches=rows)
-                # then the bank files the clean features of confident instances,
-                # the teacher's unperturbed pass rows, one push per batch
-                bank.push(scored_t.class_ids[rows], scored_t.h[rows])
-            strong = perturb_features(strong, config.noise_scale, noise_rng)
-            bg = background_indices(scored_t, config.background_bar)
-
-            # the student does not move within a batch: one pass scores every view
-            scored_s = Scored(student, strong, boxes, offsets)
-            # each label's class and the student's class at its proposal, the
-            # expert's labels following the student's: its sample i is segment
-            # len(rows) + i of one weights call
-            true_cls, pred_cls = labels.classes.argmax(axis=1), scored_s.class_ids[rows]
-            n, segments, weights = len(rows), label_offsets, None
-            if expert_layout is not None:
-                expert_batch = expert_layout.cut(start, stop)
-                labs = slice(expert_layout.label_offsets[start], expert_layout.label_offsets[stop])
-                true_cls = np.concatenate((true_cls, expert_cls[labs]))
-                pred_cls = np.concatenate((pred_cls, scored_s.class_ids[expert_batch.label_rows]))
-                segments = np.concatenate((label_offsets, expert_batch.label_offsets[1:] + n))
-            if config.enable_sal:
-                weights = relation_weights(relation, true_cls, pred_cls, config.weight_reg,
-                                           segments)
-                if expert_layout is not None:  # its CE rows are its labels, in order
-                    expert_batch = expert_batch._replace(ce_weight=weights[n:])
-                weights = weights[:n]
-            loss_stu, g_stu = supervised_losses(scored_s, loss_layout(
-                offsets, targets(boxes, offsets, labels, weights, bg, rows), None, num_classes))
-            total = g_stu.scaled(config.unsup_weight)
-            stu_losses.extend(loss_stu)
-            if expert_layout is not None:
-                loss_exp, g_exp = supervised_losses(scored_s, expert_batch)
-                total = total + g_exp
-                expert_losses.extend(loss_exp)
-
-            try:  # `sgd_step` checks the gradients' finiteness, once per batch
-                student = sgd_step(student, total.scaled(1.0 / (stop - start)),
-                                   config.learning_rate)
-            except TrainingError as error:
-                raise TrainingError(f"non-finite loss at epoch {epoch}") from error
-            teacher = ema_update(teacher, student, config.teacher_ema)
-            relation.update(batch_confusion(true_cls[:n], pred_cls[:n], num_classes))
-
-        teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)
-        student_eval = evaluate(student, eval_data, num_classes=num_classes)
-        record = EpochRecord(
-            epoch=epoch,
-            student_map=student_eval.map50,
-            teacher_map=teacher_eval.map50,
-            per_class_ap=teacher_eval.per_class_ap,
-            loss_stu=float(np.mean(stu_losses)) if stu_losses else 0.0,
-            loss_expert=float(np.mean(expert_losses)) if expert_losses else 0.0,
-        )
-        history.records.append(record)
-        history.final_teacher_eval = teacher_eval
+    while state.epoch < config.epochs:
+        state = adapt_epoch(state, fixed, config)
         if out_dir:
-            save_params(os.path.join(out_dir, f"epoch_{epoch:03d}_teacher.json"), teacher)
-            relation.save_rows(os.path.join(out_dir, f"epoch_{epoch:03d}_relation.json"))
+            prefix = os.path.join(out_dir, f"epoch_{state.epoch - 1:03d}")
+            save_params(f"{prefix}_teacher.json", state.teacher)
+            state.relation.save_rows(f"{prefix}_relation.json")
     if not config.epochs:
-        history.final_teacher_eval = evaluate(teacher, eval_data, num_classes=num_classes)
-
-    return teacher, history
+        state.history.final_teacher_eval = evaluate(state.teacher, fixed.eval_data,
+                                                    num_classes=config.num_classes)
+    return state.teacher, state.history
 
 
 def ablation_variants(config: AdaptationConfig) -> dict[str, AdaptationConfig]:

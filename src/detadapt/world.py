@@ -338,9 +338,10 @@ def generate_domain(spec: DomainSpec, seed: int) -> list[DetectionSample]:
     `_BLOCK` samples at a time: one array each of the block's proposal boxes,
     ground-truth boxes and noise rows, one CDF search for all its classes and
     one feature computation. Each sample's arrays are contiguous slices of
-    its block's buffers (see `DetectionSample`). The bytes equal a build
-    sample by sample, and the transient memory is one block's, not the
-    domain's.
+    its block's buffers (see `DetectionSample`); its classes are a slice of
+    the block's object classes alone, so they keep no background entry
+    alive. The bytes equal a build sample by sample, and the transient
+    memory is one block's, not the domain's.
     """
     spec.validate()
     rng = np.random.default_rng(seed)
@@ -376,10 +377,12 @@ def generate_domain(spec: DomainSpec, seed: int) -> list[DetectionSample]:
         rows = cdf.searchsorted(draws, side="right")
         boxes, gt_boxes = np.array(boxes), np.array(gt_boxes)
         feats = means[rows] + scales[rows][:, None] * np.array(noise)
+        # the object rows' classes in a buffer of their own, which holds no background row
+        gt_classes = rows[np.isfinite(draws)]
         p = g = 0
         for sample_id, (n_obj, n_rows) in enumerate(counts, start):
             samples.append(DetectionSample(sample_id, boxes[p:p + n_rows], feats[p:p + n_rows],
-                                           gt_boxes[g:g + n_obj], rows[p:p + n_obj]))
+                                           gt_boxes[g:g + n_obj], gt_classes[g:g + n_obj]))
             p, g = p + n_rows, g + n_obj
     return samples
 

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import pickle
 import pkgutil
 
 import numpy as np
@@ -16,8 +17,8 @@ from detadapt.config import AdaptationConfig, default_config
 from detadapt.detector import ModelParams, save_params
 from detadapt.metrics import evaluate
 from detadapt.partition import DISSIMILAR, SIMILAR
-from detadapt.trainer import (DiscriminatorParams, SealedDataset,
-                              SourceAccessError, ablation_variants, adapt,
+from detadapt.trainer import (AdaptFixed, AdaptState, DiscriminatorParams, SealedDataset,
+                              SourceAccessError, ablation_variants, adapt, adapt_epoch,
                               discriminator_loss, pretrain_source)
 from detadapt.util import derive_seed, rng_stream, to_json
 from detadapt.world import DetectionSample, generate_domain, make_domain_spec
@@ -543,6 +544,54 @@ def test_adapt_writes_checkpoints(tmp_path):
     # each epoch's teacher and relation rows; the CLI adds the split (see above)
     assert sorted(os.listdir(tmp_path)) == [f"epoch_{epoch:03d}_{name}.json" for epoch in (0, 1)
                                             for name in ("relation", "teacher")]
+
+
+RESUMED_VARIANTS = {
+    # a bank of two rows per class evicts on almost every push
+    "full-capacity2": lambda config: dataclasses.replace(ablation_variants(config)["full"],
+                                                         bank_capacity=2),
+    "base": lambda config: ablation_variants(config)["base"],
+}
+
+
+@pytest.mark.parametrize("paused", [0, 1, -1], ids=["after-0", "after-1", "after-last"])
+@pytest.mark.parametrize("variant", sorted(RESUMED_VARIANTS))
+def test_a_pickled_state_continues_as_the_uninterrupted_run(variant, paused, busy_run,
+                                                            tmp_path):
+    # every piece of run state crosses the epoch boundary in `AdaptState`: a
+    # state pickled after epoch k, continued with its fixed set built anew,
+    # ends where `adapt` ends, bit for bit
+    config, params, target = busy_run
+    config = RESUMED_VARIANTS[variant](config)
+    paused %= config.epochs
+    teacher, history = adapt(params, target, config, out_dir=str(tmp_path))
+    state, fixed = AdaptState.start(params, config), AdaptFixed.build(target, config)
+    while state.epoch <= paused:
+        state = adapt_epoch(state, fixed, config)
+    if config.enable_sa:  # the paused bank has evicted rows (`_filed` counts every row filed)
+        assert (state.bank._filed > state.bank.capacity).any()
+    state, fixed = pickle.loads(pickle.dumps(state)), AdaptFixed.build(target, config)
+    while state.epoch < config.epochs:
+        state = adapt_epoch(state, fixed, config)
+    assert state.teacher.flat.tobytes() == teacher.flat.tobytes()
+    assert state.history.to_csv_text() == history.to_csv_text()
+    with open(tmp_path / f"epoch_{config.epochs - 1:03d}_relation.json") as fh:
+        assert state.relation.matrix.tobytes() == np.array(json.load(fh)).tobytes()
+
+
+def test_runs_advanced_in_turn_each_equal_their_run_alone(busy_run):
+    # two runs share nothing: advanced epoch by epoch in turn, each ends as
+    # it ends alone
+    config, params, target = busy_run
+    configs = [ablation_variants(config)["full"],
+               dataclasses.replace(ablation_variants(config)["base"], seed=config.seed + 1)]
+    alone = [adapt(params, target, c) for c in configs]
+    runs = [(AdaptState.start(params, c), AdaptFixed.build(target, c), c) for c in configs]
+    for _ in range(config.epochs):
+        runs = [(adapt_epoch(state, fixed, c), fixed, c) for state, fixed, c in runs]
+    for (state, _, _), (teacher, history) in zip(runs, alone):
+        assert state.teacher.flat.tobytes() == teacher.flat.tobytes()
+        assert state.history.to_csv_text() == history.to_csv_text()
 
 
 def test_config_dict_roundtrip_and_unknown_fields():

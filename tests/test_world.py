@@ -176,6 +176,21 @@ def test_generation_equals_oracle_across_block_edges(name, extra):
             assert not np.shares_memory(getattr(a, x), getattr(b, y)), (a.id, b.id, x, y)
 
 
+@pytest.mark.parametrize("seed", [3, 7])
+def test_ground_truth_classes_keep_no_background_entry_alive(seed):
+    # each sample's classes view its block's buffer of object classes, which
+    # holds the block's ground-truth entries and nothing else
+    samples = generate_domain(default_config(seed=0).target, seed)
+    buffers = {}
+    for sample in samples:
+        buffers.setdefault(id(sample.gt_classes.base), []).append(sample)
+    assert len(buffers) == -(-len(samples) // world._BLOCK)
+    for members in buffers.values():
+        base = members[0].gt_classes.base
+        assert base.size == sum(len(s.gt_classes) for s in members)
+        assert base.tobytes() == np.concatenate([s.gt_classes for s in members]).tobytes()
+
+
 def generation_transient(size: int) -> int:
     """Traced peak minus retained bytes of generating `size` default target samples."""
     spec = dataclasses.replace(default_config(seed=0).target, size=size)
