@@ -3,26 +3,26 @@
 The model is linear in the input features so every gradient below is derived by
 hand and checked against finite differences. Class index C (the last logit) is
 the background class. `Scored` is the one forward pass, over a block's packed
-rows (`pack`); a sample alone is a block of one. Training targets a batch's
-labels as one block, on its packed boxes and offsets (`targets`): labels that
-are free boxes (ground truth, the expert's) are matched to their highest-IoU
-proposals (`match_labels`), once per run, while a pseudo-label comes with the
-pass row it was read from as its match. Training lays out one term's
-`Targets` on a batch, the detection loss or the expert's (`loss_layout`),
-and computes every sample's losses and the block's summed gradients in one
-pass of one kernel, `supervised_losses`. The layout holds every array
-the kernel needs that does not read the model (pass rows, the flat cells
-that one `np.bincount` per head adds the rows' gradients into, GIoU target
-corners and areas, segment ids and offsets), so a training step does only
-the work that depends on the model: one forward pass, the kernel's gathers
-and arithmetic, and one op on each model's `flat` buffer per update
-(`sgd_step`, `teacher.ema_update`). A term whose targets do not change,
-pretraining's ground truth or adaptation's expert labels, is laid out once
-per epoch, and each batch cuts its rows and layout out of the epoch's
-(`LossLayout.cut`). The losses equal those of a per-label loop
-bit for bit, and so do the gradients of a block of one; a larger block's
-gradients are one product over its rows, equal to the in-order sum of its
-samples' gradients up to rounding.
+rows (`pack`); a sample alone is a block of one. A loss term has one type,
+`LossLayout`, and one builder, `loss_layout`, which lays out a block's
+`Labels` on its packed boxes and offsets: labels that are free boxes (ground
+truth, the expert's) are matched to their highest-IoU proposals
+(`match_labels`), while a pseudo-label comes with the pass row it was read
+from as its match. One kernel, `supervised_losses`, computes every sample's
+losses and the block's summed gradients from a pass and a layout. The layout
+holds every array the kernel needs that does not read the model (pass rows,
+the flat cells that one `np.bincount` per head adds the rows' gradients
+into, GIoU target corners and areas, segment ids and offsets), so a training
+step does only the work that depends on the model: one forward pass, the
+kernel's gathers and arithmetic, and one op on each model's `flat` buffer
+per update (`sgd_step`, `teacher.ema_update`). A term whose labels do not
+change, pretraining's ground truth or adaptation's expert labels, is matched
+and laid out once per run; each epoch takes its samples in shuffle order
+(`LossLayout.take`), and each batch cuts its own out of that
+(`LossLayout.cut`). The losses equal those of a per-label loop bit for bit,
+and so do the gradients of a block of one; a larger block's gradients are
+one product over its rows, equal to the in-order sum of its samples'
+gradients up to rounding.
 """
 
 from __future__ import annotations
@@ -322,7 +322,8 @@ class Scored:
 
     @cached_property
     def boxes(self) -> np.ndarray:
-        """(P, 4) refined boxes made valid by the `BBox.from_raw` rule."""
+        """(P, 4) refined boxes made valid (`boxes_from_raw`): each box's
+        corners put in order, and a side shorter than `MIN_BOX_SIZE` padded to it."""
         return boxes_from_raw(self.refined)
 
 
@@ -524,95 +525,27 @@ class Labels:
         return zip(self.boxes, self.classes)
 
 
-class Targets(NamedTuple):
-    """A block's supervision as arrays; `targets` builds it from labels, and
-    `loss_layout` lays it out as one loss term.
-
-    Indices are proposal indices within each sample. Sample i's labels are
-    rows offsets[i]:offsets[i + 1] of the label arrays and its background
-    proposals entries background_offsets[i]:background_offsets[i + 1], so a
-    block's targets are its samples' targets laid end to end, and `take`
-    gathers any samples' targets as a block.
-    """
-
-    matches: np.ndarray             # (n,) the proposal each label supervises
-    classes: np.ndarray             # (n, C) foreground class vectors, possibly soft
-    boxes: np.ndarray               # (n, 4) label boxes
-    weights: np.ndarray             # (n,) cross-entropy weights
-    background: np.ndarray          # (b,) unmatched proposals with a background target
-    offsets: np.ndarray             # (samples + 1,) label offsets
-    background_offsets: np.ndarray  # (samples + 1,) background offsets
-
-    def take(self, picks) -> "Targets":
-        """The targets of samples `picks`, in that order, as a block."""
-        lab, offsets = segment_rows(self.offsets, picks)
-        bg, background_offsets = segment_rows(self.background_offsets, picks)
-        return Targets(self.matches[lab], self.classes[lab], self.boxes[lab], self.weights[lab],
-                       self.background[bg], offsets, background_offsets)
-
-
-def targets(boxes: np.ndarray, offsets: np.ndarray, labels: Labels, weights=None,
-            background="auto", matches: np.ndarray | None = None) -> Targets:
-    """The `Targets` of a block's labels, one label set per sample.
-
-    The block is its packed proposal `boxes` and `offsets` (`pack`): sample i
-    owns rows offsets[i]:offsets[i + 1], and indices in are block rows.
-    `matches` defaults to `match_labels` of the labels, and each must lie in
-    its own label's sample. `background` selects which unmatched proposals
-    get a background target: "auto" for all of them, None for none, or rows
-    of the block (such as `background_indices` of the block's pass), kept in
-    order and with their repeats within each sample; each must lie in the
-    block. Any other index would supervise another sample's proposal, or wrap
-    around the block, so it raises `ValueError`, as do offsets that do not
-    rise from 0 to the box or label count (`check_offsets`).
-    """
-    check_offsets(offsets, len(boxes))
-    counts = offsets[1:] - offsets[:-1]
-    if len(labels.offsets) != len(offsets):
-        raise ValueError("labels must hold one label set per sample")
-    check_offsets(labels.offsets, len(labels))
-    if matches is None:
-        matches = match_labels(boxes, labels.boxes, offsets, labels.offsets)
-    matches = np.asarray(matches, dtype=int)
-    weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
-    if weights.shape != (len(labels),) or matches.shape != (len(labels),):
-        raise ValueError("weights and matches must align with labels")
-    if isinstance(background, str):
-        background = np.arange(offsets[-1])
-    background = np.asarray([] if background is None else background, dtype=int)
-    sample_of = np.arange(len(counts)).repeat(labels.offsets[1:] - labels.offsets[:-1])
-    local = matches - offsets[sample_of]
-    if len(local) and (local.min() < 0 or (local >= counts[sample_of]).any()):
-        raise ValueError("match index outside its label's sample")
-    if len(background) and (background.min() < 0 or background.max() >= offsets[-1]):
-        raise ValueError(f"background index outside the block [0, {offsets[-1]})")
-    unmatched = np.ones(offsets[-1], dtype=bool)
-    unmatched[matches] = False
-    background = background[unmatched[background]]
-    owner = offsets.searchsorted(background, side="right") - 1
-    grouped = owner.argsort(kind="stable")
-    background, owner = background[grouped], owner[grouped]
-    background_offsets = np.bincount(owner + 1, minlength=len(offsets)).cumsum()
-    return Targets(local, labels.classes, labels.boxes, weights, background - offsets[owner],
-                   labels.offsets, background_offsets)
-
-
 class LossLayout(NamedTuple):
-    """The param-free part of `supervised_losses` for one term on a block of
-    n samples and P rows (`loss_layout`): every array the kernel reads that
-    does not depend on the model. Segment i is sample i, and cell
-    row * width + column is that entry of the flattened gradient rows, of
-    width C + 1 for the logits and 4 for the boxes. The cross-entropy (CE)
-    rows run sample by sample, labels, then background; an expert term has
-    no background rows, so its CE rows are its labels, in label order, and
-    its `ce_weight` the targets' weights. Offsets count each segment's CE
-    rows and labels, and the kernel derives its divisors from them: a
-    segment's mean is the `np.bincount` of its rows' terms over the segment
-    ids, over its row count (at least 1), and the logit gradients are
-    normalised by their segment's CE row count. A gradient row is the
-    `np.bincount` of its entries over their cells: the bins add each
-    segment's terms, or each row's entries, in order, as a loop's running
-    sum does, but from 0.0, so -0.0 terms alone sum to +0.0."""
+    """One loss term on a block of n samples and P pass rows, built by
+    `loss_layout`: every array that `supervised_losses` reads and that does
+    not depend on the model. Segment i is sample i, and cell row * width +
+    column is that entry of the flattened gradient rows, of width C + 1 for
+    the logits and 4 for the boxes. The cross-entropy (CE) rows run sample
+    by sample, labels, then background; an expert term has no background
+    rows, so its CE rows are its labels, in label order, and its `ce_weight`
+    the labels' weights. Offsets count each segment's CE rows and labels,
+    and the kernel derives its divisors from them: a segment's mean is the
+    `np.bincount` of its rows' terms over the segment ids, over its row
+    count (at least 1), and the logit gradients are normalised by their
+    segment's CE row count. A gradient row is the `np.bincount` of its
+    entries over their cells: the bins add each segment's terms, or each
+    row's entries, in order, as a loop's running sum does, but from 0.0, so
+    -0.0 terms alone sum to +0.0.
+
+    Every field is a gather of per-label or per-row values or integer
+    arithmetic on rows and offsets, so a layout's samples can be taken in
+    any order (`take`) or cut as a run (`cut`) with the bits of the layout
+    built on those samples alone."""
 
     offsets: np.ndarray        # (n + 1,) the pass's sample offsets
     ce_cells: np.ndarray       # (r * (C + 1),) each CE row's entries' cells, row by row
@@ -630,6 +563,26 @@ class LossLayout(NamedTuple):
     label_offsets: np.ndarray  # (n + 1,) the segments' labels
     expert: tuple | None       # the expert term's (cls_weight, reg_weight), or None
 
+    def take(self, picks) -> "LossLayout":
+        """Samples `picks`, in that order, as a block: each sample's CE rows
+        and labels gathered, their pass rows moved to the sample's new rows,
+        and cells, segments and offsets rebuilt. The layout that
+        `loss_layout` gives on those samples packed in that order."""
+        _, offsets = segment_rows(self.offsets, picks)
+        ce, ce_offsets = segment_rows(self.ce_offsets, picks)
+        labs, label_offsets = segment_rows(self.label_offsets, picks)
+        # each picked sample's shift from its old first pass row to its new one
+        shift = offsets[:-1] - self.offsets[np.asarray(picks, dtype=int)]
+        ce_segment, label_segment = (np.arange(len(shift)).repeat(o[1:] - o[:-1])
+                                     for o in (ce_offsets, label_offsets))
+        ce_rows = self.ce_rows[ce] + shift[ce_segment]
+        label_rows = self.label_rows[labs] + shift[label_segment]
+        return LossLayout(offsets, _cells(ce_rows, self.ce_target.shape[1]), ce_rows,
+                          self.ce_target[ce], self.ce_weight[ce], ce_segment, ce_offsets,
+                          _cells(label_rows, 4), label_rows, self.label_boxes[labs],
+                          self.label_corners[labs], self.label_area[labs], label_segment,
+                          label_offsets, self.expert)
+
     def cut(self, a: int, b: int) -> "LossLayout":
         """Samples a:b, each field a contiguous slice rebased to the cut's
         first row, cell and segment: the layout of those samples alone, field
@@ -646,41 +599,87 @@ class LossLayout(NamedTuple):
             self.label_segment[labs] - a, self.label_offsets[a:b + 1] - lab, self.expert)
 
 
-def loss_layout(offsets: np.ndarray, targets: Targets, expert: tuple[float, float] | None,
-                num_classes: int) -> LossLayout:
-    """The `LossLayout` of one term, `targets`, on a block whose sample i
-    owns pass rows offsets[i]:offsets[i + 1]:
-    - `expert` None gives the detection loss. Each background proposal adds a
-      CE row toward the background class, with weight 1. CE averages over
-      labels and background proposals; smooth-L1 and (1 - GIoU) average over
-      the labels.
-    - `expert` = (cls_weight, reg_weight) gives the expert loss, with no GIoU:
-      cls_weight times the mean CE plus reg_weight times the mean smooth-L1,
-      both over the labels. The expert says nothing about background, so its
-      targets hold labels only; background rows raise `ValueError`.
+def _cells(rows: np.ndarray, width: int) -> np.ndarray:
+    """The flat cells of `rows`' entries in gradient rows of `width`, row by row."""
+    return (rows[:, None] * width + np.arange(width)).ravel()
+
+
+def loss_layout(boxes: np.ndarray, offsets: np.ndarray, labels: Labels,
+                expert: tuple[float, float] | None, num_classes: int, weights=None,
+                background="auto", matches: np.ndarray | None = None) -> LossLayout:
+    """The `LossLayout` of one term: a block's labels, one label set per
+    sample, on its packed proposal `boxes` and `offsets` (`pack`), sample i
+    owning rows offsets[i]:offsets[i + 1]. Every index in is a block row.
+
+    The term:
+    - `expert` None gives the detection loss. Each background row adds a CE
+      row toward the background class, with weight 1. CE averages over
+      labels and background rows; smooth-L1 and (1 - GIoU) average over the
+      labels.
+    - `expert` = (cls_weight, reg_weight) gives the expert loss, with no
+      GIoU: cls_weight times the mean CE plus reg_weight times the mean
+      smooth-L1, both over the labels. The expert says nothing about
+      background, so background rows raise `ValueError`; pass None.
+
+    Each label supervises its match, its CE row weighted by its entry of
+    `weights` (default 1). The matches:
+    - None: each label's highest-IoU proposal of its own sample
+      (`match_labels`), for labels that are free boxes;
+    - rows of the block, one per label, each in its own label's sample, for
+      labels read from a pass (a pseudo-label's row).
+
+    `background` selects the unmatched rows that get a background target:
+    - "auto": all of them;
+    - None: none;
+    - rows of the block (such as `background_indices` of the block's pass),
+      kept in order and with their repeats within each sample, less the
+      matched rows; each must lie in the block.
+
+    A match outside its label's sample would supervise another sample's
+    proposal, and a background row outside the block would wrap around it,
+    so either raises `ValueError`, as do offsets that do not rise from 0 to
+    the box or label count (`check_offsets`).
     """
-    n = len(offsets) - 1
-    if len(targets.offsets) != n + 1 or len(targets.background_offsets) != n + 1:
-        raise ValueError(f"targets of another sample count than the block's {n}")
-    if expert is not None and len(targets.background):
+    check_offsets(offsets, len(boxes))
+    counts = offsets[1:] - offsets[:-1]
+    if len(labels.offsets) != len(offsets):
+        raise ValueError("labels must hold one label set per sample")
+    check_offsets(labels.offsets, len(labels))
+    if matches is None:
+        matches = match_labels(boxes, labels.boxes, offsets, labels.offsets)
+    matches = np.asarray(matches, dtype=int)
+    weights = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=float)
+    if weights.shape != (len(labels),) or matches.shape != (len(labels),):
+        raise ValueError("weights and matches must align with labels")
+    if isinstance(background, str):
+        background = np.arange(offsets[-1])
+    background = np.asarray([] if background is None else background, dtype=int)
+    n_lab = labels.offsets[1:] - labels.offsets[:-1]
+    segment = np.arange(len(counts))
+    lab_of = segment.repeat(n_lab)
+    local = matches - offsets[lab_of]
+    if len(local) and (local.min() < 0 or (local >= counts[lab_of]).any()):
+        raise ValueError("match index outside its label's sample")
+    if len(background) and (background.min() < 0 or background.max() >= offsets[-1]):
+        raise ValueError(f"background index outside the block [0, {offsets[-1]})")
+    unmatched = np.ones(offsets[-1], dtype=bool)
+    unmatched[matches] = False
+    background = background[unmatched[background]]
+    if expert is not None and len(background):
         raise ValueError("an expert term takes no background rows")
-    n_lab, n_bg = (o[1:] - o[:-1] for o in (targets.offsets, targets.background_offsets))
-    segment = np.arange(n)
-    lab_of, bg_of = segment.repeat(n_lab), segment.repeat(n_bg)
-    lab_rows = offsets[lab_of] + targets.matches
+    bg_of = offsets.searchsorted(background, side="right") - 1
+    # each sample's labels, then its background rows in the order given
     order = np.concatenate((lab_of, bg_of)).argsort(kind="stable")
-    ce_rows = np.concatenate((lab_rows, offsets[bg_of] + targets.background))[order]
+    ce_rows = np.concatenate((matches, background))[order]
     target = np.zeros((len(order), num_classes + 1))
-    target[:len(lab_rows), :num_classes] = targets.classes
-    target[len(lab_rows):, num_classes] = 1.0
-    corners, area = giou_target(targets.boxes)
-    width = num_classes + 1
-    ce_cells = ce_rows[:, None] * width + np.arange(width)
-    label_cells = lab_rows[:, None] * 4 + np.arange(4)
-    return LossLayout(offsets, ce_cells.ravel(), ce_rows, target[order],
-                      np.concatenate((targets.weights, np.ones(len(bg_of))))[order],
-                      segment.repeat(n_lab + n_bg), np.concatenate(([0], n_lab + n_bg)).cumsum(),
-                      label_cells.ravel(), lab_rows, targets.boxes, corners, area, lab_of,
+    target[:len(matches), :num_classes] = labels.classes
+    target[len(matches):, num_classes] = 1.0
+    n_ce = n_lab + np.bincount(bg_of, minlength=len(counts))
+    corners, area = giou_target(labels.boxes)
+    return LossLayout(offsets, _cells(ce_rows, num_classes + 1), ce_rows, target[order],
+                      np.concatenate((weights, np.ones(len(background))))[order],
+                      segment.repeat(n_ce), np.concatenate(([0], n_ce)).cumsum(),
+                      _cells(matches, 4), matches, labels.boxes, corners, area, lab_of,
                       np.concatenate(([0], n_lab)).cumsum(), expert)
 
 
@@ -754,13 +753,13 @@ def detection_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
     """Supervised detection loss on one sample and its exact gradients.
 
     Each label supervises its highest-IoU proposal; `background` works as in
-    `targets`. The one-sample case of `supervised_losses` on the detection
-    term's `loss_layout`; a block of one gives the loop's bits.
+    `loss_layout`. The one-sample case of `supervised_losses` on the
+    detection term's `loss_layout`; a block of one gives the loop's bits.
     """
     scored = Scored(params, *pack([sample]))
-    term = targets(sample.proposal_boxes, scored.offsets, labels, weights, background)
-    losses, grads = supervised_losses(scored, loss_layout(scored.offsets, term, None,
-                                                          params.num_classes))
+    losses, grads = supervised_losses(scored, loss_layout(
+        sample.proposal_boxes, scored.offsets, labels, None, params.num_classes, weights,
+        background))
     return float(losses[0]), grads
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import (GradientSet, Labels, ModelParams, Scored, loss_layout, pack,
-                       supervised_losses, targets)
+                       supervised_losses)
 from .world import DetectionSample, boxes_from_raw, uniform_map
 
 
@@ -46,7 +46,8 @@ def expert_predict(spec: ExpertSpec, samples: list[DetectionSample],
     of all kept objects are mapped as `uniform(-box_jitter, box_jitter, 4)`
     in one array operation (`world.uniform_map`). A flip draws the new class
     uniformly over the other classes; with no other class, the object keeps
-    its own. `boxes_from_raw` makes each jittered box valid.
+    its own. Each jittered box is made valid (`boxes_from_raw`): its corners
+    put in order, and a side shorter than `MIN_BOX_SIZE` padded to it.
     """
     low, span = uniform_map(-spec.box_jitter, spec.box_jitter)
     kept, class_ids, draws, counts = [], [], [], [0]
@@ -74,11 +75,11 @@ def expert_loss(params: ModelParams, sample: DetectionSample, labels: Labels,
 
     Only proposals matched to an expert label are supervised; the expert says
     nothing about the rest of the image, so there is no background term here.
-    The one-sample case of `supervised_losses`; no labels give zero.
+    The one-sample case of `supervised_losses` on the expert term's
+    `loss_layout`; no labels give zero.
     """
     scored = Scored(params, *pack([sample]))
-    term = targets(sample.proposal_boxes, scored.offsets, labels, weights, background=None)
-    losses, grads = supervised_losses(scored, loss_layout(scored.offsets, term,
-                                                          (cls_weight, reg_weight),
-                                                          params.num_classes))
+    losses, grads = supervised_losses(scored, loss_layout(
+        sample.proposal_boxes, scored.offsets, labels, (cls_weight, reg_weight),
+        params.num_classes, weights, background=None))
     return float(losses[0]), grads

@@ -10,16 +10,16 @@ runs `adapt_epoch` once per epoch; the state holds all that crosses an epoch
 boundary, so a run stopped between epochs continues from its state alone.
 Pretraining and adaptation follow one batch plan (`_batches`): a batch's
 losses come from one packed pass of the model being trained and one
-`supervised_losses` call per loss term, each on one term's layout:
-pretraining's ground truth; in adaptation the student's pseudo-labels, laid
-out per batch, and the expert's labels. The kernel returns each sample's
-loss and the batch's gradients, summed by one product over the batch. At
-batch size 1 a run equals a per-sample loop bit for bit. At larger batches
-the product adds the samples in another order than a per-sample sum (see
-`supervised_losses`), which moves the parameters' last bits: within a
-relative 2e-12 of the loop's after 10 default epochs. All randomness flows
-from the single config seed through named sub-streams, so a run is a pure
-function of its config.
+`supervised_losses` call per loss term, each on that term's `LossLayout`
+(`loss_layout`): pretraining's ground truth and the expert's labels, each
+laid out once per run, and the student's pseudo-labels, laid out per batch.
+The kernel returns each sample's loss and the batch's gradients, summed by
+one product over the batch. At batch size 1 a run equals a per-sample loop
+bit for bit. At larger batches the product adds the samples in another
+order than a per-sample sum (see `supervised_losses`), which moves the
+parameters' last bits: within a relative 2e-12 of the loop's after 10
+default epochs. All randomness flows from the single config seed through
+named sub-streams, so a run is a pure function of its config.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ import numpy as np
 
 from .config import AdaptationConfig
 from .cropbank import Cropbank, augment_sample
-from .detector import (Labels, ModelParams, Scored, Targets, TrainingError, loss_layout, pack,
-                       save_params, segment_rows, sgd_step, supervised_losses, targets)
+from .detector import (Labels, LossLayout, ModelParams, Scored, TrainingError, loss_layout, pack,
+                       save_params, segment_rows, sgd_step, supervised_losses)
 from .expert import expert_predict
 from .metrics import EvalResult, evaluate
 from .relation import RelationMatrix, batch_confusion
 from .teacher import background_indices, ema_update, pseudo_label
-from .util import derive_seed, rng_stream, sorted_by_id, write_atomic
+from .util import derive_seed, rng_stream, sorted_by_id, to_json, write_atomic
 from .weighting import relation_weights
 from .world import DetectionSample, generate_domain, perturb_features
 
@@ -193,21 +193,25 @@ class AdaptState:
 
 class AdaptFixed(NamedTuple):
     """What an adaptation run builds once and never changes: the target set,
-    sorted by id and packed (`pack`), the frozen expert's `Targets` of it
-    (None with the expert off) and the eval set.
+    sorted by id and packed (`pack`), the frozen expert's loss term on it
+    (None with the expert off), the eval set and the JSON form of the config
+    it was built from (`util.to_json`), which `adapt_epoch` checks.
 
     The expert is frozen: one `expert_predict` call draws each target
     sample's labels, from `rng_stream(seed, "expert", sample id)`. They are
     free boxes, not proposal rows, so they are matched to the proposals by
-    IoU (`match_labels`) once per run, as one `Targets` block of the whole
-    target set; augmentation and noise keep the proposal boxes, so those
-    matches hold in every epoch. The eval set is a fresh world of the
-    target spec, `eval_size` samples from `derive_seed(seed, "world", "eval")`.
+    IoU (`match_labels`) once per run, and laid out once per run as one
+    expert term of the whole target set, with the config's
+    `(expert_cls_weight, expert_reg_weight)` (`loss_layout`); augmentation
+    and noise keep the proposal boxes, so that layout holds in every epoch.
+    The eval set is a fresh world of the target spec, `eval_size` samples
+    from `derive_seed(seed, "world", "eval")`.
     """
 
     packed: tuple[np.ndarray, np.ndarray, np.ndarray]
-    expert: Targets | None
+    expert: LossLayout | None
     eval_data: list[DetectionSample]
+    config: dict
 
     @classmethod
     def build(cls, target_data: list[DetectionSample], config: AdaptationConfig) -> "AdaptFixed":
@@ -218,26 +222,28 @@ class AdaptFixed(NamedTuple):
         x, boxes, offsets = pack(ordered)
         expert = None
         if config.enable_expert:
-            expert = targets(boxes, offsets, expert_predict(
-                config.expert, ordered, [rng_stream(config.seed, "expert", s.id) for s in ordered],
-                config.num_classes), background=None)
-        return cls((x, boxes, offsets), expert, eval_data)
+            labels = expert_predict(config.expert, ordered,
+                                    [rng_stream(config.seed, "expert", s.id) for s in ordered],
+                                    config.num_classes)
+            expert = loss_layout(boxes, offsets, labels,
+                                 (config.expert_cls_weight, config.expert_reg_weight),
+                                 config.num_classes, background=None)
+        return cls((x, boxes, offsets), expert, eval_data, to_json(config))
 
 
-def _batches(packed, fixed: Targets | None, expert: tuple[float, float] | None,
-             shuffle_rng: np.random.Generator, config: AdaptationConfig):
+def _batches(packed, fixed: LossLayout | None, shuffle_rng: np.random.Generator,
+             config: AdaptationConfig):
     """One epoch's batches of a packed set, its samples shuffled by one
     `shuffle_rng.permutation`, each with its part of the set's fixed loss
     term.
 
-    A run packs its set's rows (`pack`) and builds its fixed `Targets`
-    (pretraining's ground truth, adaptation's frozen expert labels) once.
-    Each epoch gathers the rows in shuffle order (`segment_rows`) and takes
-    the fixed term in that order and lays it out once (`Targets.take`,
-    `loss_layout`; with `expert` None as a detection term, else as an expert
-    term of those weights): every array of the loss that does not read the
-    model (pass rows, GIoU target corners and areas, segment ids and
-    offsets) is built once per epoch, not once per step. Each batch of
+    A run packs its set's rows (`pack`) and lays out its fixed term
+    (pretraining's ground truth, adaptation's frozen expert labels) once, as
+    one `LossLayout` of the whole set: every array of the loss that does not
+    read the model (pass rows, GIoU target corners and areas, segment ids
+    and offsets) is built once per run, not once per epoch or step. Each
+    epoch gathers the rows in shuffle order (`segment_rows`) and takes the
+    fixed term's samples in that order (`LossLayout.take`). Each batch of
     `config.batch_size` samples, the last perhaps fewer, is a slice of those
     rows, row-range views that nothing writes into, and a cut of that layout
     (`LossLayout.cut`), with the bits of the batch packed and laid out
@@ -248,8 +254,7 @@ def _batches(packed, fixed: Targets | None, expert: tuple[float, float] | None,
     order = shuffle_rng.permutation(len(offsets) - 1)
     rows, block = segment_rows(offsets, order)
     x, boxes = x[rows], boxes[rows]
-    layout = None if fixed is None else loss_layout(block, fixed.take(order), expert,
-                                                    config.num_classes)
+    layout = None if fixed is None else fixed.take(order)
     for start in range(0, len(order), config.batch_size):
         stop = min(start + config.batch_size, len(order))
         part = slice(block[start], block[stop])
@@ -260,9 +265,9 @@ def _batches(packed, fixed: Targets | None, expert: tuple[float, float] | None,
 def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDataset]:
     """Supervised training on freshly generated source data, then seal it.
 
-    The source set's rows are packed and its ground-truth targets built,
-    once; each epoch runs the batch plan of `_batches` on them, as one
-    detection term. Each batch is one packed pass and one
+    The source set's rows are packed and its ground truth laid out as one
+    detection term, once per run; each epoch runs the batch plan of
+    `_batches` on them. Each batch is one packed pass and one
     `supervised_losses` call on its cut; each step takes the mean of its
     gradients, one op on the gradients' `flat` buffer, and `sgd_step` is one
     more on the model's. With pretrain_epochs=0 the randomly initialized
@@ -274,15 +279,14 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
     params = ModelParams.init(config.num_classes, config.source.feature_dim,
                               rng_stream(config.seed, "init"),
                               dropout_rate=config.dropout_rate)
-    # rows and ground-truth matches never change, so both are packed once, as one block
+    # rows and the ground-truth term never change, so both are built once, as one block
     packed = pack(source_data)
-    source_targets = targets(packed[1], packed[2], Labels.pack(
+    ground_truth = loss_layout(packed[1], packed[2], Labels.pack(
         (Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes) for s in source_data),
-        config.num_classes))
+        config.num_classes), None, config.num_classes)
     shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
     for epoch in range(config.pretrain_epochs):
-        for x, boxes, offsets, batch in _batches(packed, source_targets, None, shuffle_rng,
-                                                 config):
+        for x, boxes, offsets, batch in _batches(packed, ground_truth, shuffle_rng, config):
             losses, grads = supervised_losses(Scored(params, x, boxes, offsets), batch)
             if not np.isfinite(losses).all():
                 raise TrainingError(f"non-finite pretrain loss at epoch {epoch}")
@@ -296,13 +300,15 @@ def pretrain_source(config: AdaptationConfig) -> tuple[ModelParams, SealedDatase
 def adapt_epoch(state: AdaptState, fixed: AdaptFixed, config: AdaptationConfig) -> AdaptState:
     """Epoch `state.epoch` of adaptation; returns the state after it, whose
     history holds the epoch's record and teacher evaluation. Consumes
-    `state` (see `AdaptState`).
+    `state` (see `AdaptState`). Raises `ValueError` if `fixed` was built
+    from another config than `config` (their `util.to_json` forms differ),
+    since its expert term holds that config's expert switch and weights.
 
     Per batch: the teacher pseudo-labels each clean sample, the student
     trains on the augmented noisy view with relation-derived instance
     weights plus expert supervision, the teacher follows by EMA, and the
     relation matrix and crop banks absorb the batch statistics. The batches
-    follow `_batches`, the expert's labels being the fixed term.
+    follow `_batches`, the expert's layout being the fixed term.
 
     Per sample-step each model runs forward once, in one packed pass per
     batch, since neither model moves within a batch. Labels, targets and
@@ -329,40 +335,45 @@ def adapt_epoch(state: AdaptState, fixed: AdaptFixed, config: AdaptationConfig) 
       SA off nothing reads the bank or the majority set, so neither is
       filled nor computed. The batch's noise is one draw.
     - The student's pass over that array, on the teacher pass's boxes, feeds
-      one `supervised_losses` call per term: on the `loss_layout` of the
-      student's `targets`, and with the expert on, on the batch's cut of the
-      expert's epoch layout. Each label's class and the student's class at
-      its proposal travel as two int arrays. An expert layout's CE rows are
-      its one-hot labels, in label order, so the expert's classes are its
-      cut's `ce_target` argmax, and the student's at them is read at the
-      cut's `label_rows`. With SAL on, one `relation_weights` call weighs
-      both terms' labels, each sample's of each term alone (the student's
-      label offsets, then the expert's shifted past them). The student's
-      slice of the weights goes into its `targets`, and the expert's
-      replaces its cut's `ce_weight`. The student's classes give one
-      `batch_confusion` and one relation update per batch (a batch without
-      labels counts zero, which leaves the matrix as is).
+      one `supervised_losses` call per term: on the student's term, laid
+      out per batch (`loss_layout`, its labels' rows as their matches and
+      the teacher's background rows), and with the expert on, on the
+      batch's cut of the expert's layout. Each label's class and the
+      student's class at its proposal travel as two int arrays. A
+      pseudo-label's class is the teacher's at its row, not the argmax of
+      its class vector: a blend mixes two classes, and that argmax is the
+      lower of the two ids at a `mix_ratio` of .5 and the partner's below. An
+      expert layout's CE rows are its one-hot labels, in label order, so
+      the expert's classes are its cut's `ce_target` argmax, and the
+      student's at them is read at the cut's `label_rows`. With SAL on, one
+      `relation_weights` call weighs both terms' labels, each sample's of
+      each term alone (the student's label offsets, then the expert's
+      shifted past them). The student's slice of the weights goes into its
+      layout, and the expert's replaces its cut's `ce_weight`. The
+      student's classes give one `batch_confusion` and one relation update
+      per batch (a batch without labels counts zero, which leaves the
+      matrix as is).
     - `sgd_step` checks the step's gradients for finiteness, once per batch;
       a non-finite one raises `TrainingError` naming the epoch.
 
     After the last batch the teacher and the student are evaluated on the
     eval set.
     """
+    if to_json(config) != fixed.config:
+        raise ValueError("a fixed set built from another config")
     num_classes, epoch = config.num_classes, state.epoch
     student, teacher, relation, bank = state.student, state.teacher, state.relation, state.bank
     aug_rng = rng_stream(config.seed, "augment", epoch)
     noise_rng = rng_stream(config.seed, "noise", epoch)
     stu_losses, expert_losses = [], []
     for x, boxes, offsets, expert_batch in _batches(
-            fixed.packed, fixed.expert, (config.expert_cls_weight, config.expert_reg_weight),
-            rng_stream(config.seed, "shuffle", epoch), config):
+            fixed.packed, fixed.expert, rng_stream(config.seed, "shuffle", epoch), config):
         majority = relation.majority() if config.enable_sa and relation.ready else None
         scored_t = Scored(teacher, x, boxes, offsets)
         # the teacher's confident rows become the batch's hard labels, one block
         rows = pseudo_label(teacher, scored_t, config.conf_threshold)
-        label_offsets = rows.searchsorted(offsets)
-        labels = Labels.one_hot(scored_t.boxes[rows], scored_t.class_ids[rows], num_classes,
-                                label_offsets)
+        label_offsets, classes = rows.searchsorted(offsets), scored_t.class_ids[rows]
+        labels = Labels.one_hot(scored_t.boxes[rows], classes, num_classes, label_offsets)
 
         strong = scored_t.h
         if config.enable_sa:
@@ -372,7 +383,7 @@ def adapt_epoch(state: AdaptState, fixed: AdaptFixed, config: AdaptationConfig) 
                                                 matches=rows)
             # then the bank files the clean features of confident instances,
             # the teacher's unperturbed pass rows, one push per batch
-            bank.push(scored_t.class_ids[rows], scored_t.h[rows])
+            bank.push(classes, scored_t.h[rows])
         strong = perturb_features(strong, config.noise_scale, noise_rng)
         bg = background_indices(scored_t, config.background_bar)
 
@@ -381,7 +392,7 @@ def adapt_epoch(state: AdaptState, fixed: AdaptFixed, config: AdaptationConfig) 
         # each label's class and the student's class at its proposal, the
         # expert's labels following the student's: its sample i is segment
         # len(rows) + i of one weights call
-        true_cls, pred_cls = labels.classes.argmax(axis=1), scored_s.class_ids[rows]
+        true_cls, pred_cls = classes, scored_s.class_ids[rows]
         n, segments, weights = len(rows), label_offsets, None
         if expert_batch is not None:
             true_cls = np.concatenate((true_cls, expert_batch.ce_target.argmax(axis=1)))
@@ -394,7 +405,7 @@ def adapt_epoch(state: AdaptState, fixed: AdaptFixed, config: AdaptationConfig) 
                 expert_batch = expert_batch._replace(ce_weight=weights[n:])
             weights = weights[:n]
         loss_stu, g_stu = supervised_losses(scored_s, loss_layout(
-            offsets, targets(boxes, offsets, labels, weights, bg, rows), None, num_classes))
+            boxes, offsets, labels, None, num_classes, weights, bg, rows))
         total = g_stu.scaled(config.unsup_weight)
         stu_losses.extend(loss_stu)
         if expert_batch is not None:

@@ -70,13 +70,13 @@ def box_array(boxes) -> np.ndarray:
 
 def boxes_from_raw(raw: np.ndarray) -> np.ndarray:
     """Valid boxes of a (..., 4) array of arbitrary corners, as array ops:
-    each row's corners in order, and a side shorter than `MIN_BOX_SIZE`
+    each row's corners put in order, and a side shorter than `MIN_BOX_SIZE`
     padded to it.
 
-    Gives the same coordinates as `BBox.from_raw(*row).as_array()` for every
-    row, and raises ValueError whenever that would raise for any row. The
-    selects copy Python's min/max, so NaN and signed zeros resolve the same way.
-    A transposed copy holds the rows' x1, y1, x2 and y2 as four contiguous
+    Raises ValueError if a resulting coordinate is not finite, or if a side
+    is still empty after padding (at coordinates so large that adding
+    `MIN_BOX_SIZE` leaves them unchanged). The selects resolve NaN and
+    signed zeros as Python's min and max do. A transposed copy holds the rows' x1, y1, x2 and y2 as four contiguous
     lines, so each NumPy call runs over all rows, not over a row's 4 entries.
     """
     raw = np.asarray(raw, dtype=float)

@@ -22,9 +22,10 @@ rule, the smooth-L1 helpers and the SGD step they both define; the loop
 reuses the package's relation matrix container (its start and readiness),
 EMA and evaluation, which have tests of their own, and takes its majority
 classes from `oracle_majority`. `oracle_batch_pretrain` is pretraining's
-earlier loop, which packed, laid out and scored each batch on its own: it
-runs the package's pass, layout builder and loss kernel, and stands against
-the epoch-wide layout that pretraining now cuts its batches from.
+earlier loop, which packed, matched, laid out and scored each batch on its
+own: it runs the package's pass, layout builder and loss kernel, and stands
+against the run-wide layout that pretraining now takes each epoch's order
+of and cuts its batches from.
 `oracle_check_class_ids` and `oracle_check_offsets` are the two helpers'
 earlier `np.any` forms, against which their method forms must accept and
 reject the same inputs.
@@ -38,8 +39,7 @@ from collections import deque
 import numpy as np
 
 from detadapt.detector import (Detection, GradientSet, Labels, ModelParams, Scored, loss_layout,
-                               pack, sgd_step, smooth_l1, smooth_l1_grad, supervised_losses,
-                               targets)
+                               pack, sgd_step, smooth_l1, smooth_l1_grad, supervised_losses)
 from detadapt.metrics import FPI_POINTS, EvalResult, evaluate
 from detadapt.relation import RelationMatrix
 from detadapt.teacher import ema_update
@@ -60,9 +60,10 @@ def oracle_match_labels(proposal_boxes, label_boxes) -> np.ndarray:
 
 
 def oracle_targets(sample, labels, weights=None, background="auto", matches=None):
-    """One sample's `targets` as (matches, classes, boxes, weights, background):
-    proposal indices of the sample, the background list in order with its
-    repeats, less the matched proposals."""
+    """One sample's detection term as (matches, classes, boxes, weights,
+    background), the parts that `loss_layout` lays out: proposal indices of
+    the sample, the background list in order with its repeats, less the
+    matched proposals."""
     if matches is None:
         matches = oracle_match_labels(sample.proposal_boxes, labels.boxes)
     matches = np.asarray(matches, dtype=int)
@@ -439,24 +440,25 @@ def oracle_pretrain(config) -> ModelParams:
 
 def oracle_batch_pretrain(config) -> ModelParams:
     """`pretrain_source`'s parameters from the per-batch loop: each batch's
-    samples packed, their ground-truth targets taken (`Targets.take`) and
-    laid out (`loss_layout`) on their own, for one pass and one kernel call."""
+    samples packed, and their ground truth matched and laid out
+    (`loss_layout`) on their own, for one pass and one kernel call."""
     config.validate()
     source_data = generate_domain(config.source, derive_seed(config.seed, "world", "source"))
     params = ModelParams.init(config.num_classes, config.source.feature_dim,
                               rng_stream(config.seed, "init"),
                               dropout_rate=config.dropout_rate)
-    source_targets = targets(*pack(source_data)[1:], Labels.pack(
-        (Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes) for s in source_data),
-        config.num_classes))
     shuffle_rng = rng_stream(config.seed, "pretrain-shuffle")
     for epoch in range(config.pretrain_epochs):
         order = shuffle_rng.permutation(len(source_data))
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            scored = Scored(params, *pack([source_data[i] for i in batch.tolist()]))
-            _, grads = supervised_losses(scored, loss_layout(
-                scored.offsets, source_targets.take(batch), None, config.num_classes))
+            samples = [source_data[i] for i in batch.tolist()]
+            features, boxes, offsets = pack(samples)
+            labels = Labels.pack((Labels.one_hot(s.gt_boxes, s.gt_classes, config.num_classes)
+                                  for s in samples), config.num_classes)
+            _, grads = supervised_losses(Scored(params, features, boxes, offsets),
+                                         loss_layout(boxes, offsets, labels, None,
+                                                     config.num_classes))
             params = sgd_step(params, grads.scaled(1.0 / len(batch)), config.learning_rate)
     return params
 
@@ -686,15 +688,18 @@ def oracle_update(relation, counts: np.ndarray):
     return relation
 
 
-def _oracle_pairs(model, strong, labels, relation, config, matches=None):
+def _oracle_pairs(model, strong, labels, relation, config, matches=None, label_classes=None):
     """(label class, predicted class) pairs of labels on a view, and their
     relation weights; each label's proposal is `matches[i]` if given, else
-    its highest-IoU one."""
+    its highest-IoU one, and its class `label_classes[i]` if given, else its
+    class vector's argmax."""
     classes = [det.class_id for det in oracle_detections(model, strong)]
     if matches is None:
         matches = oracle_match_labels(strong.proposal_boxes,
                                       box_array(box for box, _ in labels)).tolist()
-    pairs = [(int(np.argmax(vec)), classes[j]) for (_, vec), j in zip(labels, matches)]
+    if label_classes is None:
+        label_classes = [int(np.argmax(vec)) for _, vec in labels]
+    pairs = [(c, classes[j]) for c, j in zip(label_classes, matches)]
     weights = oracle_relation_weights(relation, pairs, config.weight_reg) \
         if (config.enable_sal and pairs) else None
     return pairs, weights
@@ -714,7 +719,8 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
     batch has drawn from it (`oracle_augment_sample`); each sample's
     losses come from the per-label loop oracles; the relation weights, the
     batch's confusion counts and the matrix update come from the per-pair
-    and per-row oracles, the update skipped for a batch without labels.
+    and per-row oracles, the update skipped for a batch without labels, a
+    pseudo-label's class in its pairs being its detection's, blended or not.
     """
     config.validate()
     num_classes = config.num_classes
@@ -756,8 +762,8 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                                                             config.mix_ratio, aug_rng,
                                                             match_sets)
             views = []
-            for sample, strong, labels, matches, d in zip(samples, strongs, label_sets,
-                                                          match_sets, dets):
+            for sample, strong, labels, matches, d, p in zip(samples, strongs, label_sets,
+                                                             match_sets, dets, pseudo):
                 if config.noise_scale > 0:
                     # one noise draw per sample in turn
                     features = strong.proposal_features
@@ -765,7 +771,8 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
                                                  + config.noise_scale
                                                  * noise_rng.standard_normal(features.shape))
                 bg = [det.proposal_index for det in d if det.score < config.background_bar]
-                views.append((strong, labels, matches, bg, expert.get(sample.id)))
+                views.append((strong, labels, matches, [det.class_id for det in p], bg,
+                              expert.get(sample.id)))
             # then the bank takes one entry per pseudo-label, sample by sample
             for sample, p in zip(samples, pseudo):
                 for det in p:
@@ -775,9 +782,9 @@ def oracle_adapt(source_params: ModelParams, target_data, config):
 
             total = zero_grads(student)
             batch_pairs = []
-            for strong, labels, matches, bg, elabels in views:
+            for strong, labels, matches, classes, bg, elabels in views:
                 pairs, weights = _oracle_pairs(student, strong, labels, relation, config,
-                                               matches)
+                                               matches, classes)
                 batch_pairs.extend(pairs)
                 loss_stu, g_stu = oracle_detection_loss(student, strong, labels, weights,
                                                         background=bg, matches=matches)

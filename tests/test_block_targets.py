@@ -1,13 +1,13 @@
-"""A batch's labels as one block: `match_labels`, `targets`, `relation_weights`
-and `perturb_features` over packed arrays with per-sample offsets, against each
-sample alone and against the per-sample oracles of the code they replaced,
-`np.array_equal` throughout."""
+"""A batch's labels as one block: `match_labels`, `loss_layout`,
+`relation_weights` and `perturb_features` over packed arrays with per-sample
+offsets, against each sample alone and against the per-sample oracles of the
+code they replaced, `np.array_equal` throughout."""
 
 import numpy as np
 import pytest
 
 from bruteforce import oracle_match_labels, oracle_relation_weights, oracle_targets
-from detadapt.detector import Labels, match_labels, pack, targets
+from detadapt.detector import Labels, LossLayout, loss_layout, match_labels, pack
 from detadapt.weighting import relation_weights
 from detadapt.world import box_iou, perturb_features
 from test_detector import mixed_samples, random_labels
@@ -53,7 +53,7 @@ def packed_rows(samples):
 
 
 def packed_boxes(samples):
-    """A block's packed proposal boxes and offsets, `targets`' first arguments."""
+    """A block's packed proposal boxes and offsets, `loss_layout`'s first arguments."""
     return pack(samples)[1:]
 
 
@@ -133,7 +133,7 @@ def test_targets_reject_label_offsets_that_do_not_rise_from_zero_to_the_count(of
     labels = random_labels(np.random.default_rng(4), count=3)
     labels.offsets = np.array(offsets)
     with pytest.raises(ValueError, match=r"offsets \[.*\] do not rise from 0 to 3"):
-        targets(*packed_boxes(samples), labels)
+        loss_layout(*packed_boxes(samples), labels, None, 3)
 
 
 def background_choices(rng, samples):
@@ -154,12 +154,21 @@ def block_rows(samples, lists):
                      for j in listed], dtype=int)
 
 
-def sample_parts(block_targets, i):
-    """Sample i's (matches, classes, boxes, weights, background) of a block's targets."""
-    labels = slice(*block_targets.offsets[i:i + 2])
-    background = slice(*block_targets.background_offsets[i:i + 2])
-    return tuple(getattr(block_targets, name)[background if name == "background" else labels]
-                 for name in TARGET_FIELDS)
+def sample_parts(layout, i, num_classes=3):
+    """Sample i's (matches, classes, boxes, weights, background) of a detection
+    term's layout, as proposal indices of the sample: its label rows, then its
+    background CE rows, which follow its labels' and target the background
+    class with weight 1."""
+    start, (a, b), (c, d) = layout.offsets[i], layout.label_offsets[i:i + 2], \
+        layout.ce_offsets[i:i + 2]
+    labels, background = slice(c, c + b - a), slice(c + b - a, d)
+    assert np.array_equal(layout.ce_rows[labels], layout.label_rows[a:b])
+    assert not layout.ce_target[labels, num_classes].any()
+    assert (layout.ce_target[background] == np.eye(num_classes + 1)[num_classes]).all()
+    assert (layout.ce_weight[background] == 1.0).all()
+    return (layout.label_rows[a:b] - start, layout.ce_target[labels, :num_classes],
+            layout.label_boxes[a:b], layout.ce_weight[labels],
+            layout.ce_rows[background] - start)
 
 
 def assert_parts_equal(got, want):
@@ -179,23 +188,24 @@ def test_block_targets_equal_per_sample_targets(reverse):
         kind = trial % 3
         background = ["auto", None, block_rows(samples, lists)][kind]
         per_sample = [["auto", None, choice][kind] for choice in choices]
-        got = targets(*packed_boxes(samples), Labels.pack(label_sets, 3), np.concatenate(weights),
-                      background)
+        got = loss_layout(*packed_boxes(samples), Labels.pack(label_sets, 3), None, 3,
+                          np.concatenate(weights), background)
         for i, (sample, labels) in enumerate(zip(samples, label_sets)):
-            alone = targets(*packed_boxes([sample]), labels, weights[i], per_sample[i])
+            alone = loss_layout(*packed_boxes([sample]), labels, None, 3, weights[i],
+                                per_sample[i])
             assert_parts_equal(sample_parts(got, i), sample_parts(alone, 0))
             assert_parts_equal(sample_parts(got, i),
                                oracle_targets(sample, labels, weights[i], per_sample[i]))
 
-        # a sub-block taken in another order equals the targets built on it
+        # a sub-block taken in another order equals the layout built on it
         order = rng.permutation(len(samples))
         taken = got.take(order)
         block = [samples[k] for k in order]
         if kind == 2:
             background = block_rows(block, [lists[k] for k in order])
-        rebuilt = targets(*packed_boxes(block), Labels.pack((label_sets[k] for k in order), 3),
-                          np.concatenate([weights[k] for k in order]), background)
-        for name in TARGET_FIELDS + ("offsets", "background_offsets"):
+        rebuilt = loss_layout(*packed_boxes(block), Labels.pack((label_sets[k] for k in order), 3),
+                              None, 3, np.concatenate([weights[k] for k in order]), background)
+        for name in LossLayout._fields:
             assert np.array_equal(getattr(taken, name), getattr(rebuilt, name)), name
 
 

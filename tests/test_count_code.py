@@ -53,6 +53,16 @@ def test_counts_code_lines_only(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["    14  sample.py", "    14  total"]
 
 
+def test_defs_prints_each_top_level_definition_before_its_file(tmp_path, capsys):
+    # `Box` holds four code lines (its class line, `side`, its method's def
+    # and return), `first` two; a decorator line counts with its function
+    path = tmp_path / "sample.py"
+    path.write_text(SAMPLE + "\n\n@staticmethod  # code\ndef last():  # code\n    pass  # code\n")
+    assert count_code.main(["--defs", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     4    Box", "     2    first", "     3    last", "    17  sample.py", "    17  total"]
+
+
 def test_prints_each_file_and_the_total(tmp_path, capsys):
     paths = []
     for name, source in (("a.py", "x = 1\n\n# note\n"), ("b.py", '"""Doc."""\ny = 2\nz = 3\n')):

@@ -9,7 +9,7 @@ from bruteforce import (bbox_pairs, oracle_batch_pretrain, oracle_detection_loss
                         oracle_expert_loss, oracle_giou, oracle_giou_and_grad, oracle_pretrain,
                         oracle_segment_means, zero_grads)
 from detadapt.detector import (Labels, LossLayout, Scored, detection_loss, giou_and_grad,
-                               giou_target, loss_layout, pack, supervised_losses, targets)
+                               giou_target, loss_layout, pack, supervised_losses)
 from detadapt.expert import expert_loss
 from detadapt import trainer
 from detadapt.trainer import ablation_variants, adapt, pretrain_source
@@ -22,10 +22,11 @@ from test_trainer import tiny_config
 GRADIENTS = ("w_cls", "b_cls", "w_reg", "b_reg")
 
 
-def kernel(scored, term, expert=None):
-    """`supervised_losses` on the `loss_layout` of one term on a scored block."""
-    return supervised_losses(scored, loss_layout(scored.offsets, term, expert,
-                                                 scored.num_classes))
+def kernel(scored, boxes, labels, expert=None, **term):
+    """`supervised_losses` on the `loss_layout` of one term on a scored block
+    of proposal `boxes`."""
+    return supervised_losses(scored, loss_layout(boxes, scored.offsets, labels, expert,
+                                                 scored.num_classes, **term))
 
 
 def assert_same(got, want):
@@ -75,8 +76,9 @@ def test_background_list_with_matched_and_repeated_indices():
         sample = random_sample(rng, num_proposals=6)
         labels = Labels(sample.proposal_boxes[1:2], [rng.dirichlet(np.ones(3))])
         background = [4, 1, 4, 0, 1, 5, 4]
-        kept = targets(*pack([sample])[1:], labels, background=background).background
-        assert kept.tolist() == [4, 4, 0, 5, 4]
+        # the label's CE row, then the background rows less the matched 1
+        layout = loss_layout(*pack([sample])[1:], labels, None, 3, background=background)
+        assert layout.ce_rows.tolist() == [1, 4, 4, 0, 5, 4]
         check_sample(params, sample, labels, background=background)
 
 
@@ -98,8 +100,8 @@ def test_targets_reject_indices_outside_the_sample(matches, background, lead, tr
                         [0] * (before + 1) + [1] * (after + 1))
         shift = lambda index: index if index in (None, "auto") else [3 * before + index[0]]
         with pytest.raises(ValueError):
-            targets(*pack(block)[1:], labels, background=shift(background),
-                    matches=shift(matches))
+            loss_layout(*pack(block)[1:], labels, None, 3, background=shift(background),
+                        matches=shift(matches))
 
 
 @pytest.mark.parametrize("background", [None, "auto"])
@@ -152,8 +154,9 @@ def test_packed_block_matches_per_sample_oracles():
                                                    background)]).astype(int)
         block = pack(samples)[1:]
         packed, packed_weights = Labels.pack(labels, 3), np.concatenate(weights)
-        got = kernel(scored, targets(*block, packed, packed_weights, rows))
-        got_expert = kernel(scored, targets(*block, packed, packed_weights, None), (1.3, 0.7))
+        got = kernel(scored, block[0], packed, weights=packed_weights, background=rows)
+        got_expert = kernel(scored, block[0], packed, (1.3, 0.7), weights=packed_weights,
+                            background=None)
         want = [oracle_detection_loss(params, sample, bbox_pairs(labels[i]), weights[i],
                                       background={"repeat": [0, 0]}.get(background[i],
                                                                         background[i]))
@@ -185,8 +188,8 @@ def test_segment_means_are_each_segments_running_sum():
                                   in zip(offsets, offsets[1:], counts)]).astype(int)
         weights = rng.uniform(0.2, 2.0, len(labels)) * 10.0 ** rng.integers(-3, 4, len(labels))
         scored = Scored(params, *pack(samples))
-        losses, _ = kernel(scored, targets(boxes, offsets, labels, weights, None, matches),
-                           (1.0, -0.0))
+        losses, _ = kernel(scored, boxes, labels, (1.0, -0.0), weights=weights,
+                           background=None, matches=matches)
         # each label's CE term, as the loop oracles take it
         terms = np.array([-w * (np.append(vec, 0.0) @ scored.log_scores[m])
                           for w, vec, m in zip(weights, labels.classes, matches)])
@@ -199,8 +202,8 @@ def test_segment_means_are_each_segments_running_sum():
     assert np.signbit(oracle_segment_means(np.array([-0.0, -0.0]), np.array([0, 2]))).tolist() \
         == [False]
     sample = random_sample(rng)
-    losses, _ = kernel(Scored(params, *pack([sample])), targets(
-        *pack([sample])[1:], random_labels(rng), [-0.0, -0.0], None), (1.0, -0.0))
+    losses, _ = kernel(Scored(params, *pack([sample])), sample.proposal_boxes,
+                       random_labels(rng), (1.0, -0.0), weights=[-0.0, -0.0], background=None)
     assert losses.tolist() == [0.0] and np.signbit(losses).tolist() == [False]
 
 
@@ -274,10 +277,8 @@ def test_a_block_of_no_label_sets_keeps_its_class_width_and_gives_zero_losses():
     assert labels.classes.shape == (0, params.num_classes) and labels.offsets.tolist() == [0]
     boxes, offsets = np.zeros((0, 4)), np.zeros(1, dtype=int)
     scored = Scored(params, np.zeros((0, params.feature_dim)), boxes, offsets)
-    terms = [(targets(boxes, offsets, labels), None),
-             (targets(boxes, offsets, labels, background=None), (1.3, 0.7))]
-    for term, expert in terms:
-        losses, grads = kernel(scored, term, expert)
+    for expert, background in ((None, "auto"), ((1.3, 0.7), None)):
+        losses, grads = kernel(scored, boxes, labels, expert, background=background)
         assert losses.shape == (0,) and grads.loss == 0.0
         for name in GRADIENTS:
             assert getattr(grads, name).shape == getattr(params, name).shape
@@ -295,12 +296,10 @@ def test_a_cut_layout_is_the_layout_of_its_samples_alone(expert):
     for trial in range(40):
         samples = mixed_samples(rng, rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 12))))
         features, boxes, offsets = pack(samples)
-        stu, exp = random_block_terms(rng, params, samples)
-        part = exp if expert else stu
+        parts = random_term_parts(rng, samples, expert)
         a, b = sorted(rng.choice(len(samples) + 1, 2, replace=False).tolist())
-        cut = loss_layout(offsets, part, expert, params.num_classes).cut(a, b)
-        alone = loss_layout(offsets[a:b + 1] - offsets[a], part.take(range(a, b)), expert,
-                            params.num_classes)
+        cut = block_layout(samples, parts, range(len(samples)), expert).cut(a, b)
+        alone = block_layout(samples, parts, range(a, b), expert)
         for name in arrays:
             got = getattr(cut, name)
             assert got.flags.c_contiguous and np.array_equal(got, getattr(alone, name)), name
@@ -312,28 +311,54 @@ def test_a_cut_layout_is_the_layout_of_its_samples_alone(expert):
         assert_same((got[1].loss, got[1]), (want[1].loss, want[1]))
 
 
+@pytest.mark.parametrize("expert", [None, (1.3, 0.7)], ids=["detection", "expert"])
+def test_a_taken_layout_is_the_layout_of_its_samples_in_pick_order(expert):
+    # any picks, in any order, repeats and none included: field by field the
+    # layout built on the picked samples packed in that order, and a cut of
+    # the taken layout is the layout built on that run of picks
+    rng = np.random.default_rng(44)
+    arrays = [name for name in LossLayout._fields if name != "expert"]
+    for trial in range(60):
+        samples = mixed_samples(rng, rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 12))))
+        parts = random_term_parts(rng, samples, expert)
+        if trial % 2:  # with repeats
+            picks = rng.integers(0, len(samples), int(rng.integers(0, 2 * len(samples) + 1)))
+        else:  # some samples, in a random order
+            picks = rng.permutation(len(samples))[:int(rng.integers(0, len(samples) + 1))]
+        taken = block_layout(samples, parts, range(len(samples)), expert).take(picks)
+        want = block_layout(samples, parts, picks, expert)
+        for name in arrays:
+            got = getattr(taken, name)
+            assert got.dtype == getattr(want, name).dtype, name
+            assert np.array_equal(got, getattr(want, name)), name
+        assert taken.expert == want.expert == expert
+        a, b = sorted(rng.integers(0, len(picks) + 1, 2).tolist())
+        cut, alone = taken.cut(a, b), block_layout(samples, parts, picks[a:b], expert)
+        for name in LossLayout._fields:
+            assert np.array_equal(getattr(cut, name), getattr(alone, name)), name
+
+
 def test_an_expert_layouts_ce_rows_are_its_labels_so_their_weights_can_be_replaced():
     # adaptation weighs a batch's expert labels (SAL) and writes the weights
-    # over the `ce_weight` of its cut of the epoch's expert layout: exact,
+    # over the `ce_weight` of its cut of the run's expert layout: exact,
     # since an expert term's CE rows are its labels, in label order
     rng = np.random.default_rng(43)
     params = random_params(rng)
     for trial in range(40):
         samples = mixed_samples(rng, rng.choice([1, 1, 2, 5, 9], int(rng.integers(1, 12))))
         features, boxes, offsets = pack(samples)
-        _, exp = random_block_terms(rng, params, samples)
-        layout = loss_layout(offsets, exp, (1.3, 0.7), params.num_classes)
+        parts = random_term_parts(rng, samples, (1.3, 0.7))
+        layout = block_layout(samples, parts, range(len(samples)), (1.3, 0.7))
         for ce, label in (("ce_rows", "label_rows"), ("ce_segment", "label_segment"),
                           ("ce_offsets", "label_offsets")):
             assert np.array_equal(getattr(layout, ce), getattr(layout, label)), ce
-        assert np.array_equal(layout.ce_weight, exp.weights)
-        assert np.array_equal(layout.ce_target[:, :params.num_classes], exp.classes)
+        assert np.array_equal(layout.ce_weight, np.concatenate([p[1] for p in parts]))
+        assert np.array_equal(layout.ce_target[:, :params.num_classes],
+                              np.concatenate([p[0].classes for p in parts]))
         a, b = sorted(rng.choice(len(samples) + 1, 2, replace=False).tolist())
-        part = exp.take(range(a, b))
-        weights = rng.uniform(0.2, 2.0, len(part.weights))
+        weights = rng.uniform(0.2, 2.0, layout.label_offsets[b] - layout.label_offsets[a])
         cut = layout.cut(a, b)._replace(ce_weight=weights)
-        alone = loss_layout(offsets[a:b + 1] - offsets[a], part._replace(weights=weights),
-                            (1.3, 0.7), params.num_classes)
+        alone = block_layout(samples, parts, range(a, b), (1.3, 0.7), weights)
         rows = slice(offsets[a], offsets[b])
         got = supervised_losses(Scored(params, features[rows], boxes[rows], cut.offsets), cut)
         want = supervised_losses(Scored(params, *pack(samples[a:b])), alone)
@@ -346,36 +371,33 @@ def test_an_expert_term_with_background_rows_is_rejected():
     # not be its loss's
     rng = np.random.default_rng(41)
     sample = random_sample(rng)
-    scored = Scored(random_params(rng), *pack([sample]))
+    boxes, offsets = pack([sample])[1:]
     labels = random_labels(rng)
     for background in ("auto", [3]):
-        term = targets(sample.proposal_boxes, scored.offsets, labels, background=background,
-                       matches=[0, 1])
         with pytest.raises(ValueError, match="expert term takes no background"):
-            loss_layout(scored.offsets, term, (1.0, 1.0), scored.num_classes)
-        loss_layout(scored.offsets, term, None, scored.num_classes)
-    alone = targets(sample.proposal_boxes, scored.offsets, labels, background=None)
-    loss_layout(scored.offsets, alone, (1.0, 1.0), scored.num_classes)
+            loss_layout(boxes, offsets, labels, (1.0, 1.0), 3, background=background,
+                        matches=[0, 1])
+        loss_layout(boxes, offsets, labels, None, 3, background=background, matches=[0, 1])
+    loss_layout(boxes, offsets, labels, (1.0, 1.0), 3, background=None)
 
 
 def test_layouts_of_another_block_are_rejected():
     rng = np.random.default_rng(42)
     params = random_params(rng)
     samples = mixed_samples(rng, [3, 2, 4])
-    offsets = pack(samples)[2]
-    stu, exp = random_block_terms(rng, params, samples)
     pair = pack(samples[:2])
-    # targets of three samples on a block of two
-    with pytest.raises(ValueError, match="targets of another sample count than the block's 2"):
-        loss_layout(pair[2], stu, None, params.num_classes)
+    # labels of three samples on a block of two
+    parts = random_term_parts(rng, samples, None)
+    with pytest.raises(ValueError, match="one label set per sample"):
+        loss_layout(*pair[1:], Labels.pack((p[0] for p in parts), 3), None, 3)
     # a layout of three samples on a pass of two, and one of another row count
     wider = mixed_samples(rng, [3, 2, 5])
-    for term, expert in ((stu, None), (exp, (1.3, 0.7))):
-        layout = loss_layout(offsets, term, expert, params.num_classes)
+    for expert in (None, (1.3, 0.7)):
+        layout = block_layout(samples, random_term_parts(rng, samples, expert), range(3), expert)
         for scored in (Scored(params, *pair), Scored(params, *pack(wider))):
             with pytest.raises(ValueError, match="a layout of another block"):
                 supervised_losses(scored, layout)
-        kernel(Scored(params, *pack(samples)), term, expert)
+        supervised_losses(Scored(params, *pack(samples)), layout)
 
 
 def giou_edge_cases(rng, n):
@@ -413,33 +435,44 @@ def test_giou_keeps_the_array_oracles_bits_on_edge_cases():
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def random_block_terms(rng, params, samples):
-    """A block's student and expert `Targets`: some samples without labels,
-    without expert labels or without background, repeated matches and the
-    samples' own proposal counts, one-proposal samples included."""
-    _, boxes, offsets = pack(samples)
-    counts = [int(rng.integers(0, 4)) for _ in samples]
-    expert_counts = [int(rng.integers(0, 3)) for _ in samples]
+def random_term_parts(rng, samples, expert):
+    """Each sample's part of a random term, as (labels, weights, matches,
+    background), the last two proposal indices of the sample: some samples
+    without labels, repeated matches, and for a detection term (`expert`
+    None) some samples with all their rows as background, some with none
+    and some with their first row twice; an expert term has no background."""
     parts = []
-    for label_counts, background in ((counts, "mixed"), (expert_counts, None)):
-        labels = Labels.pack((random_labels(rng, count=k, soft=True) for k in label_counts), 3)
-        # repeated matches: each label on a random proposal of its sample
-        matches = np.concatenate([a + rng.integers(0, b - a, k) for a, b, k
-                                  in zip(offsets, offsets[1:], label_counts)]).astype(int)
-        if background == "mixed":
-            background = np.concatenate([[np.arange(a, b), [], [a, a]][i % 3] for i, (a, b)
-                                         in enumerate(zip(offsets, offsets[1:]))]).astype(int)
-        parts.append(targets(boxes, offsets, labels, rng.uniform(0.2, 2.0, len(labels)),
-                             background, matches))
+    for i, sample in enumerate(samples):
+        count = int(rng.integers(0, 3 if expert else 4))
+        labels = random_labels(rng, count=count, soft=True)
+        background = [] if expert else [np.arange(sample.num_proposals), [], [0, 0]][i % 3]
+        parts.append((labels, rng.uniform(0.2, 2.0, count),
+                      rng.integers(0, sample.num_proposals, count),
+                      np.asarray(background, dtype=int)))
     return parts
 
 
+def block_layout(samples, parts, picks, expert, weights=None):
+    """The `loss_layout` of samples `picks`, in that order, packed as one
+    block, each with its part of a term (`random_term_parts`), its indices
+    moved to its rows of the block, and the labels' weights, if given,
+    replacing the parts'."""
+    picks = [int(k) for k in picks]
+    _, boxes, offsets = pack([samples[k] for k in picks])
+    rows = lambda column: np.concatenate(
+        [start + parts[k][column] for start, k in zip(offsets, picks)] + [np.zeros(0, int)])
+    if weights is None:
+        weights = np.concatenate([parts[k][1] for k in picks] + [np.zeros(0)])
+    return loss_layout(boxes, offsets, Labels.pack((parts[k][0] for k in picks), 3), expert, 3,
+                       weights, None if expert else rows(3), rows(2))
+
+
 @pytest.mark.parametrize("variant", ["full", "sal", "base"])
-def test_adapt_runs_one_kernel_call_per_term_and_lays_the_expert_out_once_per_epoch(
+def test_adapt_runs_one_kernel_call_per_term_and_lays_the_expert_out_once_per_run(
         variant, monkeypatch):
     # per batch one kernel call per term, the student's and, with the expert
     # on, the expert's, and under SAL one weights call for both terms' labels;
-    # the student's layout is laid out per batch, the expert's once per epoch
+    # the student's term is laid out per batch, the expert's once per run
     config = ablation_variants(tiny_config(epochs=2))[variant]
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
@@ -454,4 +487,4 @@ def test_adapt_runs_one_kernel_call_per_term_and_lays_the_expert_out_once_per_ep
     expert = int(config.enable_expert)
     assert calls == {"supervised_losses": batches * (1 + expert),
                      "relation_weights": batches * config.enable_sal,
-                     "loss_layout": batches + config.epochs * expert}
+                     "loss_layout": batches + expert}

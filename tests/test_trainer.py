@@ -299,24 +299,27 @@ def history_columns(history, names):
     return [[row[name] for name in names] for row in rows]
 
 
-@pytest.mark.parametrize("variant,background_bar,bank_capacity,noise_scale", [
-    ("base", 0.1, 64, 0.4), ("sa", 0.1, 64, 0.4), ("sal", 0.1, 64, 0.4), ("full", 0.1, 64, 0.4),
-    ("full", 0.0, 64, 0.4), ("sa", 0.1, 2, 0.4), ("full", 0.1, 64, 0.0)],
+@pytest.mark.parametrize("variant,background_bar,bank_capacity,noise_scale,mix_ratio", [
+    ("base", 0.1, 64, 0.4, 0.7), ("sa", 0.1, 64, 0.4, 0.7), ("sal", 0.1, 64, 0.4, 0.7),
+    ("full", 0.1, 64, 0.4, 0.7), ("full", 0.0, 64, 0.4, 0.7), ("sa", 0.1, 2, 0.4, 0.7),
+    ("full", 0.1, 64, 0.0, 0.7), ("full", 0.1, 64, 0.4, 0.5)],
     ids=["base-0.1", "sa-0.1", "sal-0.1", "full-0.1", "full-0.0", "sa-0.1-capacity2",
-         "full-0.1-noise0"])
+         "full-0.1-noise0", "full-0.1-mix0.5"])
 def test_adapt_matches_per_sample_object_loop_oracle(variant, background_bar, bank_capacity,
-                                                     noise_scale, busy_run):
+                                                     noise_scale, mix_ratio, busy_run):
     # one sample per batch is one gradient product, the oracle's own, so the
     # run is the oracle's bit for bit; a batch of 16, the default, sums its
     # gradients in one BLAS product, whose order moves the parameters' last
     # bits only (a relative 2.6e-13 at most measured) and the losses with
     # them, while every mAP and AP of the history stays exact. A two-row
-    # bank evicts on almost every push. Without noise the student scores the blended copy, or the teacher
-    # pass's own feature rows where nothing was blended
+    # bank evicts on almost every push. Without noise the student scores the
+    # blended copy, or the teacher pass's own feature rows where nothing was
+    # blended. At a mix ratio of .5 a blend's class vector ties its two
+    # classes, yet its relation pair keeps the teacher's class
     config, params, target = busy_run
     config = dataclasses.replace(ablation_variants(config)[variant],
                                  background_bar=background_bar, bank_capacity=bank_capacity,
-                                 noise_scale=noise_scale)
+                                 noise_scale=noise_scale, mix_ratio=mix_ratio)
     for batch_size in (1, 16):
         run = dataclasses.replace(config, batch_size=batch_size)
         teacher, history = adapt(params, target, run)
@@ -594,6 +597,57 @@ def test_runs_advanced_in_turn_each_equal_their_run_alone(busy_run):
         assert state.history.to_csv_text() == history.to_csv_text()
 
 
+def test_adapt_epoch_rejects_a_fixed_set_built_from_another_config():
+    # the fixed set holds its config's expert switch and weights: a full run
+    # on base's fixed set would train without the expert term, with no error
+    config = tiny_config(epochs=1)
+    full, base = ablation_variants(config)["full"], ablation_variants(config)["base"]
+    params = ModelParams.init(config.num_classes, config.target.feature_dim,
+                              np.random.default_rng(0), config.dropout_rate)
+    target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))
+    heavier = dataclasses.replace(full, expert_reg_weight=2 * full.expert_reg_weight)
+    for run, built in ((full, base), (heavier, full), (base, full)):
+        with pytest.raises(ValueError, match="another config"):
+            adapt_epoch(AdaptState.start(params, run), AdaptFixed.build(target, built), run)
+    state = adapt_epoch(AdaptState.start(params, full), AdaptFixed.build(target, full), full)
+    assert state.epoch == 1 and state.history.records[0].loss_expert > 0.0
+
+
+def test_blended_labels_reach_the_relation_statistics_with_the_teachers_classes(
+        busy_run, monkeypatch):
+    # at a mix ratio of .5 a blend's class vector ties its two classes, and
+    # its argmax is the lower class id; the relation update (and SAL's
+    # weights) must take each pseudo-label's class from the teacher's pass
+    config, params, target = busy_run
+    config = dataclasses.replace(ablation_variants(config)["full"], mix_ratio=0.5)
+    teacher_classes, true_classes, blends = [], [], []
+    real_label, real_confusion = trainer.pseudo_label, trainer.batch_confusion
+    real_augment = trainer.augment_sample
+
+    def label(teacher, scored, threshold):
+        rows = real_label(teacher, scored, threshold)
+        teacher_classes.append(scored.class_ids[rows])
+        return rows
+
+    def augment(*args, **kwargs):
+        strong, labels = real_augment(*args, **kwargs)
+        blends.append(int((labels.classes.max(axis=1) < 1.0).sum()))
+        return strong, labels
+
+    def confusion(true_cls, pred_cls, num_classes):
+        true_classes.append(np.array(true_cls))
+        return real_confusion(true_cls, pred_cls, num_classes)
+
+    monkeypatch.setattr(trainer, "pseudo_label", label)
+    monkeypatch.setattr(trainer, "augment_sample", augment)
+    monkeypatch.setattr(trainer, "batch_confusion", confusion)
+    adapt(params, target, config)
+    assert sum(blends) > 0
+    assert len(true_classes) == len(teacher_classes)
+    for got, want in zip(true_classes, teacher_classes):
+        assert np.array_equal(got, want)
+
+
 def test_config_dict_roundtrip_and_unknown_fields():
     config = tiny_config()
     clone = AdaptationConfig.from_dict(config.to_dict())
@@ -639,8 +693,8 @@ def test_out_of_range_expert_rates_are_config_errors():
 def test_frozen_expert_labels_each_sample_once_before_the_first_epoch(monkeypatch):
     # the expert stands for a frozen model: one draw per target sample, from
     # its own stream, all before training starts, and the same labels reach
-    # the loss every epoch: each epoch lays them out once, and its batches'
-    # cuts of that layout give each sample's labels to the kernel once
+    # the loss every epoch: the run lays them out once, and each epoch's
+    # batches' cuts of that layout give each sample's labels to the kernel once
     config = ablation_variants(tiny_config(epochs=3))["full"]
     params, _ = pretrain_source(config)
     target = generate_domain(config.target, derive_seed(config.seed, "world", "target"))

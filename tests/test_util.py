@@ -10,7 +10,7 @@ from bruteforce import oracle_check_class_ids, oracle_check_offsets
 from detadapt import cli, util
 from detadapt.config import AdaptationConfig, default_config
 from detadapt.expert import ExpertSpec
-from detadapt.detector import Labels, ModelParams, match_labels, pack, save_params, targets
+from detadapt.detector import Labels, ModelParams, loss_layout, match_labels, pack, save_params
 from detadapt.partition import VarianceReport
 from detadapt.relation import RelationMatrix, batch_confusion, check_class_ids
 from detadapt.trainer import EpochRecord, TrainHistory
@@ -78,15 +78,16 @@ def test_write_atomic_writes_text_verbatim(tmp_path):
 
 def _offsets_callers():
     """Three callers of `util.check_offsets`, each on a block of 3 labels cut
-    by the given offsets: `targets`, `relation_weights` and `match_labels`,
+    by the given offsets: `loss_layout`, `relation_weights` and `match_labels`,
     the last against one proposal per sample."""
     def sample(i):
         boxes = np.array([[0.0, 0.0, 4.0, 4.0], [10.0, 10.0, 14.0, 14.0]])
         return DetectionSample(i, boxes, np.ones((2, 2)), np.zeros((0, 4)), np.zeros(0, int))
 
-    def with_targets(offsets):
+    def with_layout(offsets):
         labels = Labels.one_hot(np.tile([0.0, 0.0, 4.0, 4.0], (3, 1)), [0, 1, 0], 2, offsets)
-        targets(*pack([sample(i) for i in range(len(labels.offsets) - 1)])[1:], labels)
+        loss_layout(*pack([sample(i) for i in range(len(labels.offsets) - 1)])[1:], labels, None,
+                    2)
 
     def with_weights(offsets):
         relation_weights(RelationMatrix.identity(2, 0.9), [0, 1, 0], [0, 1, 1], 0.5, offsets)
@@ -96,19 +97,19 @@ def _offsets_callers():
         match_labels(np.tile([0.0, 0.0, 4.0, 4.0], (proposal_offsets[-1], 1)),
                      np.tile([0.0, 0.0, 4.0, 4.0], (3, 1)), proposal_offsets, offsets)
 
-    return {"targets": with_targets, "relation_weights": with_weights,
+    return {"loss_layout": with_layout, "relation_weights": with_weights,
             "match_labels": with_matches}
 
 
-@pytest.mark.parametrize("caller", ["targets", "relation_weights", "match_labels"])
+@pytest.mark.parametrize("caller", ["loss_layout", "relation_weights", "match_labels"])
 @pytest.mark.parametrize("offsets", [[1, 3], [0, 2], [0, 4], [1, 4], [0, 2, 1, 3], [],
                                      [[0, 3]]],
                          ids=["starts_past_0", "ends_short", "ends_past", "shifted_by_one",
                               "falls", "empty", "two_dimensional"])
 def test_each_caller_rejects_malformed_offsets_with_one_message(caller, offsets):
-    if caller == "targets" and not offsets:
+    if caller == "loss_layout" and not offsets:
         # a block needs offsets of one more entry than its samples, so no
-        # sample count admits empty offsets: `targets` rejects them before
+        # sample count admits empty offsets: `loss_layout` rejects them before
         with pytest.raises(ValueError, match="one label set per sample"):
             _offsets_callers()[caller](offsets)
         return
@@ -117,7 +118,7 @@ def test_each_caller_rejects_malformed_offsets_with_one_message(caller, offsets)
         _offsets_callers()[caller](offsets)
 
 
-@pytest.mark.parametrize("caller", ["targets", "relation_weights", "match_labels"])
+@pytest.mark.parametrize("caller", ["loss_layout", "relation_weights", "match_labels"])
 def test_each_caller_accepts_offsets_that_rise_from_zero_to_the_count(caller):
     for offsets in ([0, 3], [0, 0, 1, 3, 3]):
         _offsets_callers()[caller](offsets)

@@ -20,8 +20,8 @@ proposal per sample and on a dense-background target world (Poisson rate
 10 of background proposals, boxes of sides 20 to 60), where proposals
 overlap most, so a change to how labels reach their proposals shows there
 first, and of the full method at batch size 7, whose batches cut the
-expert's epoch layout at bounds that are not multiples of 16 and whose last
-batch is 3 samples (3 epochs each), the
+expert's layout, taken in the epoch's order, at bounds that are not
+multiples of 16 and whose last batch is 3 samples (3 epochs each), the
 score-large partition and evaluation (that source model on a target set ten
 times the default size), CLI eval of that source
 model twice (once generating and saving the target set, once reloading the
@@ -90,7 +90,7 @@ source_params = os.path.join(out, "pretrain", "source_params.json")
 # products, on row views of the epoch's rows; and a dense-background world's
 # proposals overlap most, where a label's box lies nearest other proposals
 # than its own; without background targets the student's term has labels only;
-# at batch size 7 the expert's epoch layout is cut at bounds off the default
+# at batch size 7 the expert's taken layout is cut at bounds off the default
 # batches', and the last of the 500 samples' batches holds 3
 one_proposal_target = dataclasses.replace(base.target, max_objects=1, background_rate=0.0)
 crowded_target = dataclasses.replace(base.target, min_objects=4, max_objects=6, min_box=20.0,

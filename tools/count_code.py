@@ -1,9 +1,11 @@
 """Lines of code of each `src/detadapt` module, without docstrings, comments
 or blank lines.
 
-    python3 tools/count_code.py [FILE ...]
+    python3 tools/count_code.py [--defs] [FILE ...]
 
-With no FILE it counts every module of `src/detadapt` and a total. A line
+With no FILE it counts every module of `src/detadapt` and a total. With
+`--defs` it prints, before each file's count, each top-level function and
+class of the file with its own count, decorators included. A line
 counts if it holds code: it is not blank, not a comment alone and not part
 of a docstring (the first statement of a module, class or function, when it
 is a string). The lines inside a string that spans lines count as code, so a
@@ -41,29 +43,51 @@ def _string_interior_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
+def _code_lines(source: str, tree: ast.Module) -> set[int]:
+    """The numbers of the lines of `source` that hold code (see the module docstring)."""
+    docstrings, interior = _docstring_lines(tree), _string_interior_lines(tree)
+    lines = set()
+    for number, line in enumerate(source.splitlines(), start=1):
+        text = line.strip()
+        if number not in docstrings and (number in interior
+                                         or (text and not text.startswith("#"))):
+            lines.add(number)
+    return lines
+
+
 def count_code(source: str) -> int:
     """The lines of `source` that hold code (see the module docstring)."""
+    return len(_code_lines(source, ast.parse(source)))
+
+
+def count_definitions(source: str) -> list[tuple[str, int]]:
+    """Each top-level function and class of `source`, in order, and its lines
+    of code, from its first decorator to its end."""
     tree = ast.parse(source)
-    docstrings, interior = _docstring_lines(tree), _string_interior_lines(tree)
-    count = 0
-    for number, line in enumerate(source.splitlines(), start=1):
-        if number in docstrings:
-            continue
-        text = line.strip()
-        if number in interior or (text and not text.startswith("#")):
-            count += 1
-    return count
+    lines = _code_lines(source, tree)
+    counts = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            counts.append((node.name, len([n for n in lines if first <= n <= node.end_lineno])))
+    return counts
 
 
 def main(argv: list[str] | None = None) -> int:
     paths = list(sys.argv[1:] if argv is None else argv)
+    defs = "--defs" in paths
+    paths = [path for path in paths if path != "--defs"]
     if not paths:
         paths = sorted(os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE)
                        if name.endswith(".py"))
     total = 0
     for path in paths:
         with open(path) as fh:
-            count = count_code(fh.read())
+            source = fh.read()
+        if defs:
+            for name, count in count_definitions(source):
+                print(f"{count:6d}    {name}")
+        count = count_code(source)
         total += count
         print(f"{count:6d}  {os.path.basename(path)}")
     print(f"{total:6d}  total")
